@@ -9,8 +9,7 @@ checks with mollified coefficient ladders and envelope constructions.
 from .exceptions import AccuracyError, CapacityError, IntegrationError
 from .probspace import (CondExpOperator, PathSlice, RegressionBasis, TimeGrid,
                         WienerEnsemble, cond_expect, merge_ensembles,
-                        polynomial_basis, polynomial_basis_md,
-                        sample_ensemble, subset_paths)
+                        polynomial_basis, sample_ensemble, subset_paths)
 from .coeffs import (CoefficientSet, a1_audit, control_grid, probe_lattice,
                      reach_radius, register_scenario, scenario,
                      scenario_names)
@@ -37,7 +36,7 @@ __all__ = [
     # probability space
     "TimeGrid", "WienerEnsemble", "PathSlice", "RegressionBasis",
     "CondExpOperator", "sample_ensemble", "merge_ensembles", "subset_paths",
-    "polynomial_basis", "polynomial_basis_md", "cond_expect",
+    "polynomial_basis", "cond_expect",
     # problem data
     "CoefficientSet", "register_scenario", "scenario", "scenario_names",
     "control_grid", "reach_radius", "probe_lattice", "a1_audit",

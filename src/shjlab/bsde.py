@@ -17,9 +17,10 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .coeffs import _policy_sweep
 from .fields import AdaptedField
 from .probspace import CondExpOperator
-from .valuefn import ValueSurface, default_basis
+from .valuefn import _backward_sweep, default_basis
 
 __all__ = [
     "BsdeSpec",
@@ -186,74 +187,28 @@ def policy_cost_surface(coeffs, ensemble, policy, lattice, *, basis=None,
 
     Returns a ValueSurface tagged ``tag`` (no argmin tables).
     """
-    grid = ensemble.grid
-    n, dt = grid.n_steps, grid.dt
-    collapsed = coeffs.deterministic and policy.collapsed
-    regress = not coeffs.deterministic
-    n_eff = 1 if collapsed else (ensemble.n_paths if regress else 1)
-    if basis is None and regress:
-        basis = default_basis(m=ensemble.m)
-    if store_knots == "all":
-        keep = set(range(n + 1))
-    else:
-        keep = set(int(j) for j in store_knots) | {0, n}
-
+    dt = ensemble.grid.dt
+    n_eff = 1 if coeffs.deterministic else ensemble.n_paths
     x_eval = lattice.points[:, None, :]
-    states = np.broadcast_to(x_eval, (lattice.n_points, n_eff, lattice.d))
-    wT = None if coeffs.deterministic else ensemble.slice_at(n, terminal_ok=True)
-    U = np.broadcast_to(np.asarray(coeffs.G(x_eval, wT), float),
-                        (lattice.n_points, n_eff)).copy()
 
-    mean = np.full((n + 1, lattice.n_points), np.nan)
-    se = np.zeros((n + 1, lattice.n_points))
-    slices = {}
-    resid_rms = np.zeros(n)
-    clamped = evals = 0
+    def step(k, t, w, op, continuation):
+        idx = _lattice_controls(policy, k, t, lattice, n_eff, ensemble)
+        raw, = _policy_sweep(
+            coeffs, t, x_eval, w, idx,
+            lambda b, fv: (fv * dt + continuation(x_eval + dt * b),),
+            [idx.shape])
+        return (raw if op is None else op.apply(raw)), raw
 
-    mean[n] = U.mean(axis=1)
-    if n_eff > 1:
-        se[n] = U.std(axis=1, ddof=1) / np.sqrt(n_eff)
-    if n in keep:
-        slices[n] = U.copy()
+    return _backward_sweep(coeffs, ensemble, lattice, store_knots, basis, step,
+                           tag=tag)
 
-    for k in range(n - 1, -1, -1):
-        t = grid.knots[k]
-        w = None if coeffs.deterministic else ensemble.slice_at(k)
-        idx = np.broadcast_to(
-            np.asarray(policy.indices_at(k, t, states, ensemble), int),
-            (lattice.n_points, n_eff),
-        )
-        raw = np.empty((lattice.n_points, n_eff))
-        for j in np.unique(idx):
-            mask = idx == j
-            v = coeffs.controls[j]
-            b = np.asarray(coeffs.beta(t, x_eval, v, w), float)
-            pos = x_eval + dt * b
-            tgt, nc = lattice.interp(U, pos)
-            clamped += nc
-            evals += tgt.size
-            fv = np.asarray(coeffs.f(t, x_eval, v, w), float)
-            vals = np.broadcast_to(fv * dt + tgt, raw.shape)
-            raw[mask] = vals[mask]
-        if regress:
-            op = CondExpOperator(ensemble, k, basis)
-            U = op.apply(raw)
-            resid_rms[k] = float(np.sqrt(np.mean((raw - U) ** 2)))
-        else:
-            U = raw
-        mean[k] = raw.mean(axis=-1)
-        if n_eff > 1:
-            se[k] = raw.std(axis=-1, ddof=1) / np.sqrt(n_eff)
-        if k in keep:
-            slices[k] = U.copy()
 
-    diagnostics = {
-        "clamp_fraction": clamped / max(evals, 1),
-        "residual_rms": resid_rms,
-        "n_eff": n_eff,
-    }
-    return ValueSurface(grid, lattice, tag, mean, se, slices, None,
-                        collapsed or not regress, ensemble.n_paths, diagnostics)
+def _lattice_controls(policy, k, t, lattice, n_eff, ensemble):
+    """Control index the policy picks at each lattice point, (n_points, n_eff)."""
+    shape = (lattice.n_points, n_eff)
+    states = np.broadcast_to(lattice.points[:, None, :], shape + (lattice.d,))
+    return np.broadcast_to(
+        np.asarray(policy.indices_at(k, t, states, ensemble), int), shape)
 
 
 def cost_majorant(surface, bound, coeffs, policy, ensemble):
@@ -295,29 +250,13 @@ def cost_majorant(surface, bound, coeffs, policy, ensemble):
             continue
         t = grid.knots[k]
         w = None if coeffs.deterministic else ensemble.slice_at(k)
-        n_eff = u_k.shape[1]
-        states = np.broadcast_to(x_eval, (lattice.n_points, n_eff, lattice.d))
-        idx = np.broadcast_to(
-            np.asarray(policy.indices_at(k, t, states, ensemble), int),
-            (lattice.n_points, n_eff),
-        )
-        cube = u_k.reshape(tuple(lattice.counts) + (n_eff,))
-        grad = np.empty((lattice.n_points, n_eff, lattice.d))
-        for a in range(lattice.d):
-            grad[..., a] = np.gradient(cube, lattice.h, axis=a).reshape(
-                lattice.n_points, n_eff
-            )
-        adv = np.empty((lattice.n_points, n_eff))
-        for j in np.unique(idx):
-            mask = idx == j
-            v = coeffs.controls[j]
-            b = np.asarray(coeffs.beta(t, x_eval, v, w), float)
-            fv = np.asarray(coeffs.f(t, x_eval, v, w), float)
-            term = np.broadcast_to(
-                np.sum(np.broadcast_to(b, grad.shape) * grad, axis=-1) + fv,
-                adv.shape,
-            )
-            adv[mask] = term[mask]
+        idx = _lattice_controls(policy, k, t, lattice, u_k.shape[1], ensemble)
+        grad = lattice.gradient(u_k)
+        adv, = _policy_sweep(
+            coeffs, t, x_eval, w, idx,
+            lambda b, fv: (np.sum(np.broadcast_to(b, grad.shape) * grad,
+                                  axis=-1) + fv,),
+            [idx.shape])
         drift[k] = -np.broadcast_to(adv, (lattice.n_points, n_paths)) \
             - bound.driver[k][None, :]
 

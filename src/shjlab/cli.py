@@ -14,6 +14,7 @@ import concurrent.futures
 import dataclasses
 import hashlib
 import json
+import numbers
 import os
 import sys
 from dataclasses import dataclass, field
@@ -24,11 +25,12 @@ from . import __version__
 from .bsde import (BsdeSpec, cost_majorant, error_bound_bsde,
                    policy_cost_surface, solve_bsde)
 from .coeffs import reach_radius, scenario, scenario_names
-from .exceptions import AccuracyError
+from .exceptions import AccuracyError, CapacityError, IntegrationError
 from .fields import sample_adapted_field
 from .probspace import TimeGrid, sample_ensemble
-from .smoothing import (MollifiedSet, bump_kernel, error_processes,
-                        fit_functional_approximant, linear_growth_penalty)
+from .smoothing import (MollifiedSet, _gauss_legendre_box, bump_kernel,
+                        error_processes, fit_functional_approximant,
+                        linear_growth_penalty)
 from .valuefn import BoxLattice, ControlPolicy, value_V, value_audit
 from .viscosity import (build_envelopes, estimate_decomposition,
                         residual_check, sandwich_report)
@@ -64,12 +66,13 @@ class ExperimentConfig:
     tolerance_scale: float = 1.0
 
     def __post_init__(self):
+        for f in dataclasses.fields(self):
+            setattr(self, f.name, _typed(f.name, getattr(self, f.name), f.default))
         if self.T <= 0 or self.n_steps < 1 or min(self.n_paths,
                                                   self.n_paths_bsde) < 2:
             raise ValueError("T, n_steps, path counts must be positive")
         for name in ("levels", "eps_ladder", "delta_ladder"):
-            vals = tuple(getattr(self, name))
-            setattr(self, name, vals)
+            vals = getattr(self, name)
             if not vals or any(v <= 0 for v in vals):
                 raise ValueError(f"{name} must be nonempty and positive")
         if min(self.lattice_h, self.ladder_h) <= 0:
@@ -97,6 +100,29 @@ class ExperimentConfig:
         return hashlib.sha256(canon.encode()).hexdigest()[:16]
 
 
+def _typed(name, value, default):
+    """value checked against, and cast to, the type of the field default.
+
+    Integers must not be bools; floats accept integers, so 1 and 1.0 give
+    one digest.  Tuple elements follow the default's elements, and lists
+    become tuples.
+    """
+    def fits(v, like):
+        if isinstance(like, str):
+            return isinstance(v, str)
+        kind = numbers.Integral if isinstance(like, int) else numbers.Real
+        return isinstance(v, kind) and not isinstance(v, bool)
+
+    if isinstance(default, tuple):
+        like = default[0]
+        if isinstance(value, (tuple, list)) and all(fits(v, like) for v in value):
+            return tuple(type(like)(v) for v in value)
+    elif fits(value, default):
+        return type(default)(value)
+    raise ValueError(f"{name}={value!r} does not match the type of its default "
+                     f"{default!r}")
+
+
 def _say(msg):
     print(msg, file=sys.stderr)
 
@@ -117,6 +143,11 @@ def _write_csv(path, digest, columns, rows):
         fh.write(",".join(columns) + "\n")
         for row in rows:
             fh.write(",".join(_fmt(v) for v in row) + "\n")
+
+
+def _write_items(path, digest, items):
+    """Ladder items as a table; the columns are the item keys, in order."""
+    _write_csv(path, digest, list(items[0]), [list(r.values()) for r in items])
 
 
 def _write_json(path, payload):
@@ -243,12 +274,7 @@ def _pipe_mollify(cfg, out, scale, workers):
     d = coeffs.d
     # unit mass of the kernel via tensor Gauss-Legendre, an independent
     # route from the radial normalizer inside bump_kernel
-    xi, wi = np.polynomial.legendre.leggauss(64)
-    axes = np.meshgrid(*([xi] * d), indexing="ij")
-    nodes = np.stack([a.ravel() for a in axes], axis=-1)
-    wts = np.ones(nodes.shape[0])
-    for aw in np.meshgrid(*([wi] * d), indexing="ij"):
-        wts = wts * aw.ravel()
+    nodes, wts = _gauss_legendre_box(d, 64)
     mass_err = abs(float(np.sum(wts * bump_kernel(nodes))) - 1.0)
 
     probe = np.linspace(-3.0, 3.0, 201)[:, None]
@@ -328,13 +354,7 @@ def _pipe_jhat(cfg, out, scale, workers):
                           level, radius)
 
     results = _ordered_map(item, cfg.levels, workers)
-    _write_csv(os.path.join(out, "jhat_ladder.csv"), cfg.digest(),
-               ("level", "delta", "bound_sup", "residual_margin",
-                "terminal_margin", "passed_super", "norm_gap", "C"),
-               [tuple(r[k] for k in ("level", "delta", "bound_sup",
-                                     "residual_margin", "terminal_margin",
-                                     "passed_super", "norm_gap", "C"))
-                for r in results])
+    _write_items(os.path.join(out, "jhat_ladder.csv"), cfg.digest(), results)
     cs = [r["C"] for r in results if r["C"] > 0]
     gaps = [r["norm_gap"] for r in results]
     checks = {
@@ -385,28 +405,20 @@ def _envelope_grid(cfg, out, scale, workers):
                               surface, *pt)
 
     results = _ordered_map(item, items, workers)
-    _write_csv(os.path.join(out, "envelope_grid.csv"), cfg.digest(),
-               ("eps", "delta", "L_tilde", "K_bar", "gap_upper", "gap_lower",
-                "upper_margin", "lower_margin", "order_ok", "upper_passed",
-                "lower_passed"),
-               [tuple(r[k] for k in ("eps", "delta", "L_tilde", "K_bar",
-                                     "gap_upper", "gap_lower", "upper_margin",
-                                     "lower_margin", "order_ok",
-                                     "upper_passed", "lower_passed"))
-                for r in results])
-    return results
-
-
-def _pipe_envelopes(cfg, out, scale, workers):
-    results = _envelope_grid(cfg, out, scale, workers)
-    coeffs = scenario(cfg.scenario)
-    lip_v = float(np.exp(coeffs.L * cfg.T) * coeffs.L * (cfg.T + 1.0))
+    _write_items(os.path.join(out, "envelope_grid.csv"), cfg.digest(), results)
     checks = {
         "ordering": all(r["order_ok"] for r in results),
         "residual_sides": all(r["upper_passed"] and r["lower_passed"]
                               for r in results),
-        "gradient_bound": all(0.0 < r["L_tilde"] <= lip_v for r in results),
     }
+    return results, checks
+
+
+def _pipe_envelopes(cfg, out, scale, workers):
+    results, checks = _envelope_grid(cfg, out, scale, workers)
+    coeffs = scenario(cfg.scenario)
+    lip_v = float(np.exp(coeffs.L * cfg.T) * coeffs.L * (cfg.T + 1.0))
+    checks["gradient_bound"] = all(0.0 < r["L_tilde"] <= lip_v for r in results)
     _write_json(os.path.join(out, "envelopes_report.json"),
                 {"items": results, "checks": checks})
     return checks
@@ -465,14 +477,12 @@ def _pipe_full_uniqueness(cfg, out, scale, workers):
                    for k, v in _pipe_mollify(cfg, out, scale, workers).items()})
     checks.update({f"jhat.{k}": v
                    for k, v in _pipe_jhat(cfg, out, scale, workers).items()})
-    results = _envelope_grid(cfg, out, scale, workers)
+    results, env_checks = _envelope_grid(cfg, out, scale, workers)
     xs = [r["eps"] + r["delta"] for r in results]
     gaps = [r["gap_upper"] + r["gap_lower"] for r in results]
     slope = float(np.polyfit(np.log(xs), np.log(gaps), 1)[0])
     K1 = max(g / x for g, x in zip(gaps, xs))
-    checks["envelopes.ordering"] = all(r["order_ok"] for r in results)
-    checks["envelopes.residual_sides"] = all(
-        r["upper_passed"] and r["lower_passed"] for r in results)
+    checks.update({f"envelopes.{k}": v for k, v in env_checks.items()})
     checks["sandwich.slope"] = abs(slope - 1.0) <= 0.3 * scale
     # comparison: every super-passing majorant clears the lower envelope
     checks["comparison.margins"] = all(r["lower_margin"] >= 0.0
@@ -504,42 +514,51 @@ _RUNNERS = {
 
 
 def run(config, pipeline, out_dir, *, workers=None, tolerance_scale=None):
-    """Execute one pipeline; returns (exit_code, checks dict)."""
-    if pipeline not in _RUNNERS:
-        _say(f"unknown pipeline {pipeline!r}; choose from {PIPELINES}")
-        return 2, {}
-    try:
-        coeffs = scenario(config.scenario)
-    except KeyError as exc:
-        _say(str(exc))
-        return 2, {}
-    del coeffs
+    """Execute one pipeline; returns (exit_code, checks dict).
+
+    Exit code 0: every check passed; 1: a check or the computation
+    failed; 2: bad invocation (unknown pipeline or scenario, or sizes over
+    the capacity budget).  manifest.json is written on every exit; a
+    failed run records its ``error`` and ``exit_code`` there.
+    """
     os.makedirs(out_dir, exist_ok=True)
     scale = config.tolerance_scale * (tolerance_scale or 1.0)
     workers = workers if workers is not None else (os.cpu_count() or 1)
-    _say(f"[{pipeline}] scenario={config.scenario} hash={config.digest()} "
-         f"workers={workers}")
-    try:
-        checks = _RUNNERS[pipeline](config, out_dir, scale, workers)
-    except (AccuracyError, ValueError) as exc:
-        _say(f"[{pipeline}] failed: {exc}")
-        return 1, {"error": str(exc)}
     manifest = {
         "pipeline": pipeline,
         "config": json.loads(config.to_json()),
         "config_hash": config.digest(),
         "package_version": __version__,
         "numpy_version": np.__version__,
-        "checks": checks,
         "workers": workers,
     }
-    _write_json(os.path.join(out_dir, "manifest.json"), manifest)
+
+    def finish(code, checks, error=None):
+        record = dict(manifest, checks=checks)
+        if code:
+            _say(f"[{pipeline}] {error}")
+            record.update(error=error, exit_code=code)
+        _write_json(os.path.join(out_dir, "manifest.json"), record)
+        return code, checks
+
+    if pipeline not in _RUNNERS:
+        return finish(2, {}, f"unknown pipeline {pipeline!r}; choose from "
+                      f"{PIPELINES}")
+    if config.scenario not in scenario_names():
+        return finish(2, {}, f"unknown scenario {config.scenario!r}; known: "
+                      f"{scenario_names()}")
+    _say(f"[{pipeline}] scenario={config.scenario} hash={config.digest()} "
+         f"workers={workers}")
+    try:
+        checks = _RUNNERS[pipeline](config, out_dir, scale, workers)
+    except (CapacityError, AccuracyError, IntegrationError, ValueError) as exc:
+        code = 2 if isinstance(exc, CapacityError) else 1
+        return finish(code, {"error": str(exc)}, f"failed: {exc}")
     failed = [k for k, v in checks.items() if not v]
     if failed:
-        _say(f"[{pipeline}] failing checks: {', '.join(failed)}")
-        return 1, checks
+        return finish(1, checks, f"failing checks: {', '.join(failed)}")
     _say(f"[{pipeline}] all {len(checks)} checks passed")
-    return 0, checks
+    return finish(0, checks)
 
 
 def main(argv=None):

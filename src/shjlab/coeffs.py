@@ -15,7 +15,7 @@ sets broadcast an (n_paths,)-shaped factor into the result.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Optional
+from typing import Callable
 
 import numpy as np
 
@@ -31,17 +31,18 @@ __all__ = [
 ]
 
 MAX_STATE_DIM = 3
-MAX_NOISE_DIM = 2
 
 
 def control_grid(lo=-1.0, hi=1.0, n_points=21, dim=1):
     """Uniform finite control set, shape (n_points**dim, dim)."""
     if n_points < 1:
         raise ValueError("n_points must be >= 1")
-    axis = np.linspace(lo, hi, n_points)
-    if dim == 1:
-        return axis[:, None]
-    grids = np.meshgrid(*([axis] * dim), indexing="ij")
+    return _tensor_points([np.linspace(lo, hi, n_points)] * dim)
+
+
+def _tensor_points(axes):
+    """All combinations of the 1-D axes as rows; the last axis varies fastest."""
+    grids = np.meshgrid(*axes, indexing="ij")
     return np.stack([g.ravel() for g in grids], axis=-1)
 
 
@@ -108,11 +109,57 @@ def probe_lattice(radius, d, n_points=None):
         n_points = int(np.ceil((2.0**d * 33.0) ** (1.0 / d)))
         if n_points % 2 == 0:
             n_points += 1  # keep 0 in the lattice: kinks sit there
-    axis = np.linspace(-radius, radius, n_points)
-    if d == 1:
-        return axis[:, None]
-    grids = np.meshgrid(*([axis] * d), indexing="ij")
-    return np.stack([g.ravel() for g in grids], axis=-1)
+    return _tensor_points([np.linspace(-radius, radius, n_points)] * d)
+
+
+# ---------------------------------------------------------------------------
+# control sweeps
+
+def _argmin_sweep(coeffs, t, x, w, score, idx_dtype=int):
+    """Running minimum of score(beta, f) over the control grid.
+
+    score maps one control's drift and running cost at (t, x, w) to
+    (total, *companions).  Returns the smallest total, its control index
+    (ties keep the lowest) and the companions at that index.  Only one
+    control is held at a time, so memory does not grow with the grid.
+    """
+    best = best_idx = carried = None
+    for j in range(coeffs.n_controls):
+        v = coeffs.controls[j]
+        b = np.asarray(coeffs.beta(t, x, v, w), float)
+        fv = np.asarray(coeffs.f(t, x, v, w), float)
+        total, *companions = score(b, fv)
+        if best is None:
+            best = np.asarray(total, float)
+            best_idx = np.zeros(best.shape, idx_dtype)
+            carried = companions
+        else:
+            better = total < best
+            best = np.where(better, total, best)
+            best_idx = np.where(better, idx_dtype(j), best_idx)
+            carried = [np.where(np.broadcast_to(better, c.shape), c, old)
+                       for c, old in zip(companions, carried)]
+    return best, best_idx, carried
+
+
+def _policy_sweep(coeffs, t, x, w, idx, evaluate, shapes):
+    """Evaluate each point at the control idx assigns to it.
+
+    Only the controls in np.unique(idx) are evaluated.  evaluate(beta, f)
+    returns one array per entry of shapes; point p of each output is read
+    from the arrays computed at control idx[p].
+    """
+    outs = [np.empty(shape) for shape in shapes]
+    for j in np.unique(idx):
+        v = coeffs.controls[j]
+        b = np.asarray(coeffs.beta(t, x, v, w), float)
+        fv = np.asarray(coeffs.f(t, x, v, w), float)
+        mask = idx == j
+        for out, vals in zip(outs, evaluate(b, fv)):
+            # copy in place: boolean-index temporaries fragment the heap
+            np.copyto(out, vals, where=mask.reshape(
+                mask.shape + (1,) * (out.ndim - mask.ndim)))
+    return outs
 
 
 # ---------------------------------------------------------------------------

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from .coeffs import _policy_sweep
 from .exceptions import IntegrationError
 
 __all__ = ["StateTrajectoryBatch", "integrate", "flow_audit"]
@@ -51,11 +52,6 @@ class StateTrajectoryBatch:
     @property
     def total_cost(self):
         return self.cost_at[self.grid.n_steps]
-
-
-def _dense_indices(idx, shape):
-    """Expand control indices to a dense (n_starts, n_eff) int array."""
-    return np.broadcast_to(np.asarray(idx, int), shape)
 
 
 def integrate(coeffs, ensemble, policy, xi, *, k0=0, noise_level=0.0,
@@ -114,16 +110,10 @@ def integrate(coeffs, ensemble, policy, xi, *, k0=0, noise_level=0.0,
     for k in range(k0, n):
         t = grid.knots[k]
         w = None if coeffs.deterministic else ensemble.slice_at(k)
-        idx = _dense_indices(policy.indices_at(k, t, X, ensemble), (n_starts, n_eff))
-        drift = np.empty_like(X)
-        fval = np.empty((n_starts, n_eff))
-        for j in np.unique(idx):
-            v = coeffs.controls[int(j)]
-            mask = idx == j
-            b = np.broadcast_to(np.asarray(coeffs.beta(t, X, v, w)), X.shape)
-            c = np.broadcast_to(np.asarray(coeffs.f(t, X, v, w)), (n_starts, n_eff))
-            drift = np.where(mask[..., None], b, drift)
-            fval = np.where(mask, c, fval)
+        idx = np.broadcast_to(
+            np.asarray(policy.indices_at(k, t, X, ensemble), int), cost.shape)
+        drift, fval = _policy_sweep(coeffs, t, X, w, idx,
+                                    lambda b, fv: (b, fv), [X.shape, cost.shape])
         cost = cost + fval * dt
         X = X + drift * dt
         if noise_level:
@@ -189,8 +179,7 @@ def flow_audit(coeffs, ensemble, policy, xi, xi_hat=None, *, restart_knot=None):
     if xi_hat is not None:
         other = integrate(coeffs, ensemble, policy, xi_hat)
         gap0 = np.linalg.norm(
-            np.asarray(xi, float).reshape(-1, coeffs.d)
-            - np.asarray(xi_hat, float).reshape(-1, coeffs.d), axis=-1)
+            xi_arr - np.asarray(xi_hat, float).reshape(-1, coeffs.d), axis=-1)
         gaps = np.stack([
             np.linalg.norm(other.states[k] - batch.states[k], axis=-1).max(axis=-1)
             for k in range(grid.n_steps + 1)

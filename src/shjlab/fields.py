@@ -88,14 +88,7 @@ class AdaptedField:
 
         Returns (n_points, n_paths, d); one-sided at the box faces.
         """
-        vals = self.at(k)
-        lat = self.lattice
-        cube = vals.reshape(tuple(lat.counts) + (vals.shape[1],))
-        out = np.empty(vals.shape + (lat.d,))
-        for a in range(lat.d):
-            g = np.gradient(cube, lat.h, axis=a)
-            out[..., a] = g.reshape(vals.shape)
-        return out
+        return self.lattice.gradient(self.at(k))
 
     def shifted(self, offset):
         """Same field with a constant added to every sample (shared drift)."""

@@ -33,7 +33,6 @@ __all__ = [
     "merge_ensembles",
     "subset_paths",
     "polynomial_basis",
-    "polynomial_basis_md",
     "cond_expect",
 ]
 
@@ -351,11 +350,6 @@ def polynomial_basis(degree=3, coords=None, include_state=False):
             names.append(f"x^{p}")
 
     return RegressionBasis(maps, names)
-
-
-def polynomial_basis_md(degree, m):
-    """Monomials of all m Brownian coordinates up to a total degree."""
-    return polynomial_basis(degree=degree, coords=tuple(range(m)))
 
 
 class CondExpOperator:

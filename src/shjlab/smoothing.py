@@ -22,7 +22,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.integrate import quad
 
-from .coeffs import CoefficientSet, probe_lattice, reach_radius
+from .coeffs import CoefficientSet, _tensor_points, probe_lattice, reach_radius
 
 __all__ = [
     "bump_kernel",
@@ -81,16 +81,7 @@ def kernel_quadrature(d, level=1, n_nodes=17):
     """
     if n_nodes < 2:
         raise ValueError("n_nodes must be >= 2")
-    xi, wi = np.polynomial.legendre.leggauss(int(n_nodes))
-    if d == 1:
-        nodes = xi[:, None]
-        w = wi.copy()
-    else:
-        grids = np.meshgrid(*([xi] * d), indexing="ij")
-        nodes = np.stack([g.ravel() for g in grids], axis=-1)
-        w = np.ones(nodes.shape[0])
-        for axis_w in np.meshgrid(*([wi] * d), indexing="ij"):
-            w = w * axis_w.ravel()
+    nodes, w = _gauss_legendre_box(d, int(n_nodes))
     r2 = np.sum(nodes * nodes, axis=-1)
     inside = r2 < 1.0
     nodes = nodes[inside]
@@ -98,6 +89,15 @@ def kernel_quadrature(d, level=1, n_nodes=17):
     w = w[inside] * dens
     w = w / w.sum()
     return nodes / float(level), w
+
+
+def _gauss_legendre_box(d, n_nodes):
+    """Tensor Gauss-Legendre rule on [-1, 1]^d: (nodes (q, d), weights (q,))."""
+    xi, wi = np.polynomial.legendre.leggauss(n_nodes)
+    w = np.ones(n_nodes**d)
+    for axis_w in _tensor_points([wi] * d).T:
+        w = w * axis_w
+    return _tensor_points([xi] * d), w
 
 
 def mollify(fn, level, d, n_nodes=17):
@@ -110,12 +110,22 @@ def mollify(fn, level, d, n_nodes=17):
     nodes, weights = kernel_quadrature(d, level, n_nodes)
 
     def smoothed(x, *args, **kwargs):
-        x = np.asarray(x, float)
-        shifted = x[None, ...] - nodes.reshape((-1,) + (1,) * (x.ndim - 1) + (nodes.shape[1],))
-        vals = np.asarray(fn(shifted, *args, **kwargs))
-        return np.tensordot(weights, vals, axes=(0, 0))
+        return _kernel_average(lambda xs: fn(xs, *args, **kwargs), x,
+                               nodes, weights)
 
     return smoothed
+
+
+def _node_shift(x, nodes):
+    """Every point of x (..., d) minus every kernel node: (q, ..., d)."""
+    x = np.asarray(x, float)
+    return x[None, ...] - nodes.reshape((-1,) + (1,) * (x.ndim - 1) + (nodes.shape[1],))
+
+
+def _kernel_average(fn, x, nodes, weights):
+    """sum_q w_q fn(x - y_q) for a map fn on (..., d) points."""
+    vals = np.asarray(fn(_node_shift(x, nodes)))
+    return np.tensordot(weights, vals, axes=(0, 0))
 
 
 class MollifiedSet:
@@ -141,22 +151,17 @@ class MollifiedSet:
     def n_controls(self):
         return self.base.n_controls
 
-    def _smooth(self, fn, x, *args):
-        x = np.asarray(x, float)
-        shifted = x[None, ...] - self.nodes.reshape(
-            (-1,) + (1,) * (x.ndim - 1) + (self.base.d,)
-        )
-        vals = np.asarray(fn(shifted, *args))
-        return np.tensordot(self.weights, vals, axes=(0, 0))
-
     def beta(self, t, x, v, w):
-        return self._smooth(lambda xs: self.base.beta(t, xs, v, w), x)
+        return _kernel_average(lambda xs: self.base.beta(t, xs, v, w), x,
+                               self.nodes, self.weights)
 
     def f(self, t, x, v, w):
-        return self._smooth(lambda xs: self.base.f(t, xs, v, w), x)
+        return _kernel_average(lambda xs: self.base.f(t, xs, v, w), x,
+                               self.nodes, self.weights)
 
     def G(self, x, w):
-        return self._smooth(lambda xs: self.base.G(xs, w), x)
+        return _kernel_average(lambda xs: self.base.G(xs, w), x,
+                               self.nodes, self.weights)
 
 
 def linear_growth_penalty(x, n_nodes=17):
@@ -177,9 +182,8 @@ def linear_growth_penalty(x, n_nodes=17):
     x = np.asarray(x, float)
     if x.ndim == 1:
         x = x[:, None]
-    d = x.shape[-1]
-    nodes, weights = kernel_quadrature(d, 1, n_nodes)
-    shifted = x[None, ...] - nodes.reshape((-1,) + (1,) * (x.ndim - 1) + (d,))
+    nodes, weights = kernel_quadrature(x.shape[-1], 1, n_nodes)
+    shifted = _node_shift(x, nodes)
     dist = np.linalg.norm(shifted, axis=-1)
     hinge = np.maximum(dist - 1.0, 0.0)
     h = np.tensordot(weights, hinge, axes=(0, 0))
@@ -334,32 +338,19 @@ class FunctionalApproximant:
     def f(self, t, x, v, w):
         return self.mollified.f(t, x, v, w)
 
-    def _hat_weights(self, s):
-        """Piecewise-linear partition of unity on the w grid, (n_terms, ...)."""
-        wg = self.w_grid
-        s = np.clip(np.asarray(s, float), wg[0], wg[-1])
-        step = wg[1] - wg[0]
-        cell = np.clip(((s - wg[0]) / step).astype(int), 0, wg.size - 2)
-        frac = (s - wg[cell]) / step
-        return cell, frac
-
     def G(self, x, w):
         if self.w_grid is None:
             return self.mollified.G(x, w)
         x = np.asarray(x, float)
         s = w.at(self.fn_knots[-1])[:, 0]
-        cell, frac = self._hat_weights(s)
+        cell, frac = _uniform_cell(self.w_grid, s)
         lo = self._slice_eval(cell, x)
         hi = self._slice_eval(cell + 1, x)
         return (1.0 - frac) * lo + frac * hi
 
     def _slice_eval(self, term_idx, x):
         # linear interpolation of the stored profiles on the fine x grid
-        xf = self.x_fine
-        pos = np.clip(np.asarray(x, float)[..., 0], xf[0], xf[-1])
-        step = xf[1] - xf[0]
-        cell = np.clip(((pos - xf[0]) / step).astype(int), 0, xf.size - 2)
-        frac = (pos - xf[cell]) / step
+        cell, frac = _uniform_cell(self.x_fine, np.asarray(x, float)[..., 0])
         sl = self.slices
         return (1.0 - frac) * sl[term_idx, cell] + frac * sl[term_idx, cell + 1]
 
@@ -371,12 +362,8 @@ class FunctionalApproximant:
         if self.w_grid is None:
             g = np.asarray(self.mollified.G(x_vals[:, None], None), float)
             return np.repeat(g[:, None], w_vals.size, axis=1)
-        cell, frac = self._hat_weights(w_vals)
-        xf = self.x_fine
-        pos = np.clip(x_vals, xf[0], xf[-1])
-        step = xf[1] - xf[0]
-        xc = np.clip(((pos - xf[0]) / step).astype(int), 0, xf.size - 2)
-        xfr = (pos - xf[xc]) / step
+        cell, frac = _uniform_cell(self.w_grid, w_vals)
+        xc, xfr = _uniform_cell(self.x_fine, x_vals)
         prof = (1.0 - xfr)[None, :] * self.slices[:, xc] \
             + xfr[None, :] * self.slices[:, xc + 1]
         return (1.0 - frac)[None, :] * prof[cell, :].T \
@@ -468,9 +455,17 @@ def fit_functional_approximant(base, ensemble, n_intervals=4, eps_target=0.1, *,
     return out
 
 
+def _uniform_cell(axis, s):
+    """Cell index and fraction of s on a uniform axis, clamped to its ends."""
+    s = np.clip(np.asarray(s, float), axis[0], axis[-1])
+    step = axis[1] - axis[0]
+    cell = np.clip(((s - axis[0]) / step).astype(int), 0, axis.size - 2)
+    return cell, (s - axis[cell]) / step
+
+
 def _hat_design(w_grid, s):
-    cell = np.clip(((s - w_grid[0]) / (w_grid[1] - w_grid[0])).astype(int), 0, w_grid.size - 2)
-    frac = (s - w_grid[cell]) / (w_grid[1] - w_grid[0])
+    # s lies inside the grid, so the clamp in _uniform_cell is inactive
+    cell, frac = _uniform_cell(w_grid, s)
     design = np.zeros((s.size, w_grid.size))
     rows = np.arange(s.size)
     design[rows, cell] = 1.0 - frac

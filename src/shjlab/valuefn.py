@@ -19,7 +19,7 @@ import numpy as np
 from .dynamics import integrate
 from .exceptions import AccuracyError, CapacityError
 from .probspace import CondExpOperator, polynomial_basis
-from .coeffs import reach_radius
+from .coeffs import _argmin_sweep, _tensor_points, reach_radius
 
 __all__ = [
     "BoxLattice",
@@ -55,11 +55,7 @@ class BoxLattice:
         self.hi = lo + (self.counts - 1) * self.h
         self.axes = [self.lo[a] + self.h * np.arange(self.counts[a])
                      for a in range(self.d)]
-        if self.d == 1:
-            self.points = self.axes[0][:, None]
-        else:
-            grids = np.meshgrid(*self.axes, indexing="ij")
-            self.points = np.stack([g.ravel() for g in grids], axis=-1)
+        self.points = _tensor_points(self.axes)
         self.n_points = self.points.shape[0]
         self.strides = np.ones(self.d, int)
         for a in range(self.d - 2, -1, -1):
@@ -123,6 +119,23 @@ class BoxLattice:
             vals = vals + weight * values[flat, eff_ids]
         return vals, n_clamped
 
+    def gradient(self, values):
+        """Central-difference gradient of lattice fields (n_points, n_cols).
+
+        Returns (n_points, n_cols, d); one-sided at the box faces.
+        """
+        cube = values.reshape(tuple(self.counts) + (values.shape[1],))
+        out = np.empty(values.shape + (self.d,))
+        for a in range(self.d):
+            out[..., a] = np.gradient(cube, self.h, axis=a).reshape(values.shape)
+        return out
+
+    def lipschitz(self, values):
+        """Largest difference quotient of lattice fields along any axis."""
+        cube = values.reshape(tuple(self.counts) + (values.shape[1],))
+        return max(float(np.abs(np.diff(cube, axis=a)).max()) / self.h
+                   for a in range(self.d))
+
 
 class ControlPolicy:
     """Adapted control selection: constant, open-loop, or lattice feedback."""
@@ -169,20 +182,13 @@ class ControlPolicy:
         eff = np.arange(table.shape[1])
         return table[flat, eff]
 
-    def materialize(self, batch):
-        """Dense (n_steps, n_eff) control indices actually applied in a run."""
-        n = batch.grid.n_steps
-        rows = [batch.controls[k][0] if batch.controls[k].shape[0] == 1
-                else batch.controls[k].max(axis=0) for k in range(batch.k0, n)]
-        return np.stack(rows)
-
 
 @dataclass
 class ValueSurface:
     """Backward-induction estimates of a value (or fixed-policy cost) field.
 
-    mean/se rows exist at every knot; pathwise slices (n_points, n_eff)
-    and argmin tables only at the stored knots.  n_eff == 1 marks a
+    mean/se rows and argmin tables exist at every knot; pathwise slices
+    (n_points, n_eff) only at the stored knots.  n_eff == 1 marks a
     collapsed (path-independent) surface.
     """
 
@@ -267,6 +273,76 @@ def cost_J(coeffs, ensemble, policy, starts, *, start_knot=0, basis=None,
     return CostEstimate(start_knot, starts, per_path, raw, mean, se, info)
 
 
+def _backward_sweep(coeffs, ensemble, lattice, store_knots, basis, step, *,
+                    tag, argmin=None):
+    """Backward recursion on a lattice, shared by value and policy costs.
+
+    From the pathwise terminal cost, calls step(k, t, w, op, continuation)
+    for k = n-1, ..., 0; it returns the knot-k slice and the pathwise
+    realizations behind it.  continuation(pos) interpolates the knot-(k+1)
+    slice at Euler images and counts lattice exits; op is the knot-k
+    projection, None for path-free coefficients.
+    """
+    grid = ensemble.grid
+    n = grid.n_steps
+    regress = not coeffs.deterministic
+    n_eff = ensemble.n_paths if regress else 1
+    if basis is None and regress:
+        basis = default_basis(m=ensemble.m)
+
+    fits = (n + 1) * lattice.n_points * n_eff <= AUTO_STORE_BUDGET
+    if store_knots == "all" or (store_knots == "auto" and fits):
+        keep = set(range(n + 1))
+    elif store_knots == "auto":
+        keep = set(range(0, n + 1, max(1, n // 8))) | {0, n}
+    else:
+        keep = set(int(j) for j in store_knots) | {0, n}
+
+    x_eval = lattice.points[:, None, :]
+    wT = None if coeffs.deterministic else ensemble.slice_at(n, terminal_ok=True)
+    V = np.broadcast_to(np.asarray(coeffs.G(x_eval, wT), float),
+                        (lattice.n_points, n_eff)).copy()
+
+    mean = np.full((n + 1, lattice.n_points), np.nan)
+    se = np.zeros((n + 1, lattice.n_points))
+    slices = {}
+    resid_rms = np.zeros(n)
+    ridge_any = False
+    clamped = evals = 0
+
+    def continuation(pos):
+        nonlocal clamped, evals
+        tgt, nc = lattice.interp(V, pos)
+        clamped += nc
+        evals += tgt.size
+        return tgt
+
+    raw = V
+    for k in range(n, -1, -1):
+        if k < n:
+            t = grid.knots[k]
+            w = None if coeffs.deterministic else ensemble.slice_at(k)
+            op = CondExpOperator(ensemble, k, basis) if regress else None
+            V, raw = step(k, t, w, op, continuation)
+            if op is not None:
+                ridge_any = ridge_any or op.used_ridge
+                resid_rms[k] = float(np.sqrt(np.mean((raw - V) ** 2)))
+        mean[k] = raw.mean(axis=-1)
+        if raw.shape[-1] > 1:
+            se[k] = raw.std(axis=-1, ddof=1) / np.sqrt(raw.shape[-1])
+        if k in keep:
+            slices[k] = V.copy()
+
+    diagnostics = {
+        "clamp_fraction": clamped / max(evals, 1),
+        "residual_rms": resid_rms,
+        "used_ridge": ridge_any,
+        "n_eff": n_eff,
+    }
+    return ValueSurface(grid, lattice, tag, mean, se, slices, argmin,
+                        coeffs.deterministic, ensemble.n_paths, diagnostics)
+
+
 def value_V(coeffs, ensemble, lattice, *, basis=None, noise_level=0.0,
             noise_ensemble=None, store_knots="auto", keep_argmin=True,
             clamp_tol=0.01, tag="V"):
@@ -282,123 +358,62 @@ def value_V(coeffs, ensemble, lattice, *, basis=None, noise_level=0.0,
     noise_level, noise_ensemble : optional independent state noise
         delta * dB added to every Euler image (regularized problems).
     store_knots : "auto", "all", or iterable of knots at which pathwise
-        slices (and argmin tables) are retained.
+        slices are retained.
+    keep_argmin : keep the int8/int16 argmin table of every knot, which
+        feedback policies read.
     clamp_tol : lattice-exit budget; exceeding it raises AccuracyError.
 
     Returns a ValueSurface whose terminal slice is the exact pathwise
     terminal cost.
     """
-    grid = ensemble.grid
-    n = grid.n_steps
-    dt = grid.dt
     if noise_level and noise_ensemble is None:
         raise ValueError("noise_level > 0 needs a noise ensemble")
-
-    collapsed = coeffs.deterministic and noise_level == 0.0
-    regress = not coeffs.deterministic
-    n_eff = 1 if collapsed else (ensemble.n_paths if regress else 1)
-    # deterministic problem + noise keeps a collapsed slice through mean
-    # projections; the effective column count stays 1
-    if basis is None and regress:
-        basis = default_basis(m=ensemble.m)
-
-    if store_knots == "all":
-        keep = set(range(n + 1))
-    elif store_knots == "auto":
-        per_knot = lattice.n_points * max(n_eff, 1)
-        if (n + 1) * per_knot <= AUTO_STORE_BUDGET:
-            keep = set(range(n + 1))
-        else:
-            stride = max(1, n // 8)
-            keep = set(range(0, n + 1, stride)) | {0, n}
-    else:
-        keep = set(int(j) for j in store_knots) | {0, n}
     if lattice.n_points * max(ensemble.n_paths, 1) > AUTO_STORE_BUDGET:
         raise CapacityError("lattice x paths working set exceeds budget")
 
+    dt = ensemble.grid.dt
     x_eval = lattice.points[:, None, :]
-    wT = None if coeffs.deterministic else ensemble.slice_at(n, terminal_ok=True)
-    V = np.broadcast_to(np.asarray(coeffs.G(x_eval, wT), float),
-                        (lattice.n_points, n_eff)).copy()
-
-    mean = np.full((n + 1, lattice.n_points), np.nan)
-    se = np.zeros((n + 1, lattice.n_points))
-    slices = {}
-    argmins = {} if keep_argmin else None
-    resid_rms = np.zeros(n)
-    ridge_any = False
-    clamped = 0
-    evals = 0
-
-    mean[n] = V.mean(axis=1)
-    if regress:
-        se[n] = V.std(axis=1, ddof=1) / np.sqrt(n_eff)
-    if n in keep:
-        slices[n] = V.copy()
-
     idx_dtype = np.int8 if coeffs.n_controls <= 127 else np.int16
-    for k in range(n - 1, -1, -1):
-        t = grid.knots[k]
-        w = None if coeffs.deterministic else ensemble.slice_at(k)
-        op = CondExpOperator(ensemble, k, basis) if regress else None
+    argmins = {} if keep_argmin else None
+
+    def step(k, t, w, op, continuation):
         dB = (noise_level * noise_ensemble.increments[:, k, :]
               if noise_level else None)
 
-        best = best_raw = best_idx = None
-        for j in range(coeffs.n_controls):
-            v = coeffs.controls[j]
-            b = np.asarray(coeffs.beta(t, x_eval, v, w), float)
+        def score(b, fv):
             pos = x_eval + dt * b
             if dB is not None:
                 pos = pos + dB
-            tgt, nc = lattice.interp(V, pos)
-            clamped += nc
-            evals += tgt.size
-            fv = np.asarray(coeffs.f(t, x_eval, v, w), float)
-            raw = fv * dt + tgt
+            raw = continuation(pos)
+            cont = None if op is None else op.apply(raw)
+            # add the running cost in place: one lattice-by-path temporary
+            # fewer per control keeps the allocator from trimming and
+            # re-faulting the heap
+            raw += fv * dt
             if op is not None:
-                cont = op.apply(tgt)
                 total = fv * dt + cont
             elif noise_level:
+                # a deterministic problem under noise keeps one column
                 total = raw.mean(axis=-1, keepdims=True)
             else:
                 total = raw
-            if best is None:
-                best = total
-                best_raw = raw
-                best_idx = np.zeros(total.shape, idx_dtype)
-            else:
-                better = total < best
-                best = np.where(better, total, best)
-                best_raw = np.where(np.broadcast_to(better, raw.shape), raw, best_raw)
-                best_idx = np.where(better, idx_dtype(j), best_idx)
+            return total, raw
 
-        V = best
-        if op is not None:
-            ridge_any = ridge_any or op.used_ridge
-            resid_rms[k] = float(np.sqrt(np.mean((best_raw - best) ** 2)))
-        mean[k] = best_raw.mean(axis=-1)
-        if best_raw.shape[-1] > 1:
-            se[k] = best_raw.std(axis=-1, ddof=1) / np.sqrt(best_raw.shape[-1])
-        if k in keep:
-            slices[k] = V.copy()
-        if argmins is not None and k in keep:
-            argmins[k] = best_idx.copy()
+        best, best_idx, (best_raw,) = _argmin_sweep(coeffs, t, x_eval, w,
+                                                    score, idx_dtype)
+        if argmins is not None:
+            argmins[k] = best_idx
+        return best, best_raw
 
-    frac = clamped / max(evals, 1)
+    surface = _backward_sweep(coeffs, ensemble, lattice, store_knots, basis,
+                              step, tag=tag, argmin=argmins)
+    frac = surface.diagnostics["clamp_fraction"]
     if frac > clamp_tol:
         raise AccuracyError(
             f"{100 * frac:.2f}% of lattice evaluations left the box (budget "
             f"{100 * clamp_tol:.1f}%); enlarge the lattice"
         )
-    diagnostics = {
-        "clamp_fraction": frac,
-        "residual_rms": resid_rms,
-        "used_ridge": ridge_any,
-        "n_eff": n_eff,
-    }
-    return ValueSurface(grid, lattice, tag, mean, se, slices, argmins,
-                        collapsed or not regress, ensemble.n_paths, diagnostics)
+    return surface
 
 
 def value_audit(coeffs, ensemble, surface, starts, *, policies=None, basis=None,
@@ -464,13 +479,7 @@ def value_audit(coeffs, ensemble, surface, starts, *, policies=None, basis=None,
     se_max = float(surface.se.max())
     bound_ok = sup_V <= L * (T + 1.0) + 3.0 * se_max
 
-    lip = 0.0
-    for k in surface.slices:
-        sl = surface.slices[k]
-        axis_vals = sl.reshape(tuple(surface.lattice.counts) + (sl.shape[1],))
-        for a in range(surface.lattice.d):
-            dv = np.abs(np.diff(axis_vals, axis=a)).max() if axis_vals.shape[a] > 1 else 0.0
-            lip = max(lip, float(dv) / surface.lattice.h)
+    lip = max(surface.lattice.lipschitz(sl) for sl in surface.slices.values())
     lipschitz_ok = lip <= lipschitz_bound + 1e-9
 
     greedy = ControlPolicy.feedback(surface)

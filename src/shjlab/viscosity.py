@@ -18,9 +18,10 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .bsde import BsdeSpec, error_bound_bsde, solve_bsde
+from .coeffs import _argmin_sweep
 from .fields import AdaptedField
 from .probspace import CondExpOperator
-from .smoothing import error_processes
+from .smoothing import _uniform_cell, error_processes
 from .valuefn import BoxLattice, default_basis, value_V
 
 __all__ = [
@@ -52,20 +53,12 @@ def hamiltonian(coeffs, t, x, p, w=None):
     """
     x = np.asarray(x, float)
     p = np.asarray(p, float)
-    best = best_idx = None
-    for j in range(coeffs.n_controls):
-        v = coeffs.controls[j]
-        b = np.asarray(coeffs.beta(t, x, v, w), float)
-        fv = np.asarray(coeffs.f(t, x, v, w), float)
-        val = np.sum(np.broadcast_to(b, np.broadcast_shapes(b.shape, p.shape))
-                     * p, axis=-1) + fv
-        if best is None:
-            best = np.asarray(val, float).copy()
-            best_idx = np.zeros(best.shape, int)
-        else:
-            better = val < best
-            best = np.where(better, val, best)
-            best_idx = np.where(better, j, best_idx)
+
+    def score(b, fv):
+        return (np.sum(np.broadcast_to(b, np.broadcast_shapes(b.shape, p.shape))
+                       * p, axis=-1) + fv,)
+
+    best, best_idx, _ = _argmin_sweep(coeffs, t, x, w, score)
     return best, best_idx
 
 
@@ -300,13 +293,7 @@ def build_envelopes(base, approx, ens_w, ens_b, eps, delta_n, *,
         want_drift = set(int(j) for j in drift_knots)
 
     # empirical gradient bound over every stored slice
-    L_tilde = 0.0
-    for k, sl in V_eps.slices.items():
-        cube = sl.reshape(tuple(lattice.counts) + (sl.shape[1],))
-        for a in range(lattice.d):
-            d_a = np.abs(np.diff(cube, axis=a)) / lattice.h
-            if d_a.size:
-                L_tilde = max(L_tilde, float(d_a.max()))
+    L_tilde = max(lattice.lipschitz(sl) for sl in V_eps.slices.values())
     K_bar = 4.0 * base.L * (L_tilde + 1.0)
 
     radius = float(np.max(np.abs(np.concatenate([lattice.lo, lattice.hi]))))
@@ -336,11 +323,10 @@ def build_envelopes(base, approx, ens_w, ens_b, eps, delta_n, *,
         if k == n or k not in want_drift:
             continue
         t = grid.knots[k]
-        cube = sl.reshape(tuple(lattice.counts) + (sl.shape[1],))
+        grad = lattice.gradient(sl)
         p_shift = np.empty(pos.shape)
         for a in range(lattice.d):
-            g_a = np.gradient(cube, lattice.h, axis=a).reshape(sl.shape)
-            p_shift[..., a], _ = lattice.interp(g_a, pos)
+            p_shift[..., a], _ = lattice.interp(grad[..., a], pos)
         w = None if approx.deterministic else ens_w.slice_at(k)
         ham, _ = hamiltonian(approx, t, pos, p_shift, w)
         b_mag = np.linalg.norm(B_k, axis=1)[None, :]
@@ -431,15 +417,8 @@ class HjbFdSolution:
 
     def value_at(self, x, y):
         """Bilinear read-off; clamps to the computational box."""
-        xa, ya = self.x_axis, self.y_axis
-        x = np.clip(np.asarray(x, float), xa[0], xa[-1])
-        y = np.clip(np.asarray(y, float), ya[0], ya[-1])
-        hx = xa[1] - xa[0]
-        hy = ya[1] - ya[0]
-        i = np.clip(((x - xa[0]) / hx).astype(int), 0, xa.size - 2)
-        j = np.clip(((y - ya[0]) / hy).astype(int), 0, ya.size - 2)
-        fx = (x - xa[i]) / hx
-        fy = (y - ya[j]) / hy
+        i, fx = _uniform_cell(self.x_axis, x)
+        j, fy = _uniform_cell(self.y_axis, y)
         u = self.u
         return ((1 - fx) * (1 - fy) * u[i, j] + fx * (1 - fy) * u[i + 1, j]
                 + (1 - fx) * fy * u[i, j + 1] + fx * fy * u[i + 1, j + 1])

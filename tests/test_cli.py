@@ -5,7 +5,9 @@ import os
 
 import pytest
 
+from shjlab import cli
 from shjlab.cli import PIPELINES, ExperimentConfig, main, run
+from shjlab.exceptions import AccuracyError, CapacityError, IntegrationError
 
 SMALL = dict(scenario="eikonal", n_steps=8, n_paths=500, n_paths_bsde=20_000,
              seed_w=11, seed_b=12, levels=(4, 8), eps_ladder=(0.2, 0.1),
@@ -30,6 +32,8 @@ def test_digest_ignores_key_order_but_not_values():
     assert ExperimentConfig.from_json(shuffled).digest() == cfg.digest()
     assert _small(n_paths=501).digest() != cfg.digest()
     assert len(cfg.digest()) == 16
+    # an integer for a float field is the same run, so the same digest
+    assert _small(T=1).digest() == _small(T=1.0).digest()
 
 
 def test_config_rejects_unknown_keys():
@@ -46,19 +50,51 @@ def test_config_rejects_unknown_keys():
     dict(levels=()),
     dict(eps_ladder=(0.2, -0.1)),
     dict(lattice_h=0.0),
+    dict(n_steps=32.7),       # would run 32 steps under a 32.7 digest
+    dict(n_steps=True),
+    dict(levels=(4, "8")),
 ])
 def test_config_validation(bad):
     with pytest.raises(ValueError):
         _small(**bad)
 
 
+def _manifest(out):
+    return json.loads((out / "manifest.json").read_text())
+
+
 def test_unknown_pipeline_and_scenario_exit_2(tmp_path):
     code, checks = run(_small(), "transmogrify", str(tmp_path))
     assert code == 2 and checks == {}
+    assert _manifest(tmp_path)["exit_code"] == 2
+    assert "transmogrify" in _manifest(tmp_path)["error"]
     cfg_path = tmp_path / "cfg.json"
     cfg_path.write_text(_small().to_json())
     assert main(["--config", str(cfg_path), "--scenario", "nope",
                  "--out", str(tmp_path / "o"), "--pipeline", "simulate"]) == 2
+
+
+def test_capacity_error_exits_2_with_manifest(tmp_path):
+    # 320M increments: over the ensemble budget, refused before drawing
+    cfg = ExperimentConfig(n_paths=10_000_000)
+    code, checks = run(cfg, "simulate", str(tmp_path))
+    assert code == 2 and "exceeds budget" in checks["error"]
+    manifest = _manifest(tmp_path)
+    assert manifest["exit_code"] == 2
+    assert manifest["config_hash"] == cfg.digest()
+
+
+@pytest.mark.parametrize("exc, expected", [
+    (CapacityError, 2), (IntegrationError, 1), (AccuracyError, 1),
+])
+def test_pipeline_errors_map_to_exit_codes(tmp_path, monkeypatch, exc, expected):
+    def boom(cfg, out, scale, workers):
+        raise exc("boom")
+    monkeypatch.setitem(cli._RUNNERS, "simulate", boom)
+    code, checks = run(_small(), "simulate", str(tmp_path))
+    assert code == expected and checks == {"error": "boom"}
+    manifest = _manifest(tmp_path)
+    assert manifest["exit_code"] == expected and "boom" in manifest["error"]
 
 
 def test_bad_config_file_exits_2(tmp_path):
@@ -93,6 +129,9 @@ def test_tolerance_scale_can_force_failure(tmp_path):
     assert main(["--config", str(cfg_path), "--pipeline", "simulate",
                  "--out", str(tmp_path / "o"), "--tolerance-scale",
                  "1e-12"]) == 1
+    manifest = _manifest(tmp_path / "o")
+    assert manifest["exit_code"] == 1
+    assert manifest["checks"] == {"terminal_variance": False}
 
 
 def test_value_pipeline_passes_and_reports(tmp_path):

@@ -3,9 +3,10 @@
 import numpy as np
 import pytest
 
-from shjlab.coeffs import (CoefficientSet, a1_audit, control_grid,
-                           probe_lattice, reach_radius, register_scenario,
-                           scenario, scenario_names)
+from shjlab.coeffs import (CoefficientSet, _argmin_sweep, _policy_sweep,
+                           a1_audit, control_grid, probe_lattice,
+                           reach_radius, register_scenario, scenario,
+                           scenario_names)
 from shjlab.probspace import TimeGrid, sample_ensemble
 
 SEED = 5
@@ -100,3 +101,33 @@ def test_coefficient_set_validation():
     with pytest.raises(ValueError):
         CoefficientSet(name="x", d=1, n=1, controls=np.zeros((1, 1)),
                        beta=good.beta, f=good.f, G=good.G, L=-1.0, lip_x=1.0)
+
+
+def test_sweeps_break_exact_ties_to_index_zero():
+    # zeros: every control scores 0, so the argmin must be control 0 and
+    # the policy sweep at that choice evaluates control 0 alone
+    co = scenario("zeros")
+    x = np.linspace(-1.0, 1.0, 5)[:, None, None]
+    p = np.ones_like(x)
+    calls = []
+
+    def score(b, fv):
+        calls.append(1)
+        total = np.sum(b * p, axis=-1) + fv
+        return total, total + 1.0
+
+    best, idx, (carried,) = _argmin_sweep(co, 0.0, x, None, score, np.int8)
+    assert len(calls) == co.n_controls
+    assert idx.dtype == np.int8 and not idx.any()
+    assert np.all(best == 0.0) and np.all(carried == 1.0)
+
+    seen = []
+
+    def evaluate(b, fv):
+        seen.append(1)
+        return b, fv
+
+    drift, run = _policy_sweep(co, 0.0, x, None, idx, evaluate,
+                               [x.shape, idx.shape])
+    assert len(seen) == 1
+    assert np.all(drift == 0.0) and np.all(run == 0.0)

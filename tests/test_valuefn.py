@@ -2,7 +2,10 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from shjlab import valuefn
 from shjlab.coeffs import scenario
 from shjlab.exceptions import AccuracyError
 from shjlab.probspace import TimeGrid, sample_ensemble
@@ -43,6 +46,25 @@ def test_lattice_interp_is_exact_on_affine():
     np.testing.assert_allclose(out2[0, 0], 3.0 * 2.0 - 1.0)
 
 
+@settings(max_examples=40, deadline=None)
+@given(d=st.integers(1, 3),
+       h=st.sampled_from([0.1, 0.25, 0.5]),
+       slopes=st.lists(st.floats(-10.0, 10.0), min_size=3, max_size=3),
+       offset=st.floats(-10.0, 10.0))
+def test_lattice_gradient_and_lipschitz_exact_on_affine(d, h, slopes, offset):
+    lat = BoxLattice.centered(1.0, h, d)
+    a = np.array(slopes[:d])
+    # two columns: the field and its negative
+    u = lat.points @ a + offset
+    vals = np.stack([u, -u], axis=1)
+    grad = lat.gradient(vals)
+    assert grad.shape == (lat.n_points, 2, d)
+    np.testing.assert_allclose(grad[:, 0, :], np.broadcast_to(a, (lat.n_points, d)),
+                               rtol=0, atol=1e-9)
+    np.testing.assert_allclose(grad[:, 1, :], -grad[:, 0, :], rtol=0, atol=0)
+    assert abs(lat.lipschitz(vals) - np.abs(a).max()) <= 1e-9
+
+
 def test_policy_constructors():
     pol = ControlPolicy.constant(4)
     assert pol.collapsed and pol.adapted
@@ -59,6 +81,20 @@ def test_feedback_requires_argmin_tables():
     V = value_V(co, _ens(), lat, keep_argmin=False)
     with pytest.raises(ValueError):
         ControlPolicy.feedback(V)
+
+
+def test_feedback_reads_every_knot_when_slices_are_strided(monkeypatch):
+    # a small budget makes store_knots="auto" keep every other slice; the
+    # greedy policy still needs an argmin table at every knot
+    co = scenario("random-target")
+    ens = sample_ensemble(TimeGrid(1.0, 16), 1, 300, SEED)
+    lat = BoxLattice.for_problem(co, 1.0, 1.0, 0.1, margin=0.25)
+    monkeypatch.setattr(valuefn, "AUTO_STORE_BUDGET", 17 * lat.n_points * 300 - 1)
+    V = value_V(co, ens, lat, clamp_tol=0.05)
+    assert sorted(V.slices) == list(range(0, 17, 2))
+    assert sorted(V.argmin) == list(range(16))
+    report = value_audit(co, ens, V, np.linspace(-1.0, 1.0, 3)[:, None])
+    assert np.isfinite(report["eps_report"])
 
 
 def test_zeros_value_identically_zero():
