@@ -14,6 +14,7 @@ import concurrent.futures
 import dataclasses
 import hashlib
 import json
+import math
 import numbers
 import os
 import sys
@@ -104,8 +105,8 @@ def _typed(name, value, default):
     """value checked against, and cast to, the type of the field default.
 
     Integers must not be bools; floats accept integers, so 1 and 1.0 give
-    one digest.  Tuple elements follow the default's elements, and lists
-    become tuples.
+    one digest, and must be finite.  Tuple elements follow the default's
+    elements, and lists become tuples.
     """
     def fits(v, like):
         if isinstance(like, str):
@@ -113,12 +114,21 @@ def _typed(name, value, default):
         kind = numbers.Integral if isinstance(like, int) else numbers.Real
         return isinstance(v, kind) and not isinstance(v, bool)
 
+    def cast(v, like):
+        try:
+            out = type(like)(v)
+        except OverflowError:       # an integer beyond the float range
+            out = math.inf
+        if isinstance(out, float) and not math.isfinite(out):
+            raise ValueError(f"{name}={value!r} is not finite")
+        return out
+
     if isinstance(default, tuple):
         like = default[0]
         if isinstance(value, (tuple, list)) and all(fits(v, like) for v in value):
-            return tuple(type(like)(v) for v in value)
+            return tuple(cast(v, like) for v in value)
     elif fits(value, default):
-        return type(default)(value)
+        return cast(value, default)
     raise ValueError(f"{name}={value!r} does not match the type of its default "
                      f"{default!r}")
 
@@ -517,17 +527,24 @@ def run(config, pipeline, out_dir, *, workers=None, tolerance_scale=None):
     """Execute one pipeline; returns (exit_code, checks dict).
 
     Exit code 0: every check passed; 1: a check or the computation
-    failed; 2: bad invocation (unknown pipeline or scenario, or sizes over
-    the capacity budget).  manifest.json is written on every exit; a
-    failed run records its ``error`` and ``exit_code`` there.
+    failed; 2: bad invocation (a config field that fails validation, an
+    unknown pipeline or scenario, or sizes over the capacity budget).
+    manifest.json is written on every exit; a failed run records its
+    ``error`` and ``exit_code`` there.
     """
     os.makedirs(out_dir, exist_ok=True)
-    scale = config.tolerance_scale * (tolerance_scale or 1.0)
+    bad_config = None
+    try:
+        # a validated copy: fields assigned after construction count too
+        config = dataclasses.replace(config)
+    except ValueError as exc:
+        bad_config = f"bad config: {exc}"
     workers = workers if workers is not None else (os.cpu_count() or 1)
     manifest = {
         "pipeline": pipeline,
-        "config": json.loads(config.to_json()),
-        "config_hash": config.digest(),
+        # a rejected config may hold NaN, which is not strict JSON
+        "config": None if bad_config else json.loads(config.to_json()),
+        "config_hash": None if bad_config else config.digest(),
         "package_version": __version__,
         "numpy_version": np.__version__,
         "workers": workers,
@@ -541,6 +558,8 @@ def run(config, pipeline, out_dir, *, workers=None, tolerance_scale=None):
         _write_json(os.path.join(out_dir, "manifest.json"), record)
         return code, checks
 
+    if bad_config:
+        return finish(2, {}, bad_config)
     if pipeline not in _RUNNERS:
         return finish(2, {}, f"unknown pipeline {pipeline!r}; choose from "
                       f"{PIPELINES}")
@@ -549,6 +568,7 @@ def run(config, pipeline, out_dir, *, workers=None, tolerance_scale=None):
                       f"{scenario_names()}")
     _say(f"[{pipeline}] scenario={config.scenario} hash={config.digest()} "
          f"workers={workers}")
+    scale = config.tolerance_scale * (tolerance_scale or 1.0)
     try:
         checks = _RUNNERS[pipeline](config, out_dir, scale, workers)
     except (CapacityError, AccuracyError, IntegrationError, ValueError) as exc:

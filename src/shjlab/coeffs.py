@@ -31,6 +31,8 @@ __all__ = [
 ]
 
 MAX_STATE_DIM = 3
+# running coefficients a set may declare affine in x
+AFFINE_NAMES = ("beta", "f")
 
 
 def control_grid(lo=-1.0, hi=1.0, n_points=21, dim=1):
@@ -62,6 +64,10 @@ class CoefficientSet:
     drift_growth : (a, b) with |beta(t,x,v,w)| <= a + b|x|; gives the
         sharp reachable-set radius used for lattices and probe grids.
     deterministic : True when no coefficient reads the path argument.
+    affine : names among "beta" and "f" of the running coefficients that
+        are affine in x.  A property of the problem, like lip_x: the
+        unit-mass symmetric smoothing kernel reproduces affine maps, so
+        approximants pass these through unsmoothed.
     """
 
     name: str
@@ -76,6 +82,7 @@ class CoefficientSet:
     drift_growth: tuple = (1.0, 0.0)
     deterministic: bool = True
     m_required: int = 1
+    affine: tuple = ()
     params: dict = field(default_factory=dict)
 
     def __post_init__(self):
@@ -88,6 +95,11 @@ class CoefficientSet:
             raise ValueError("control grid does not match control dimension")
         if self.L <= 0:
             raise ValueError("declared bound L must be positive")
+        self.affine = tuple(self.affine)
+        unknown = set(self.affine) - set(AFFINE_NAMES)
+        if unknown:
+            raise ValueError(f"affine names {sorted(unknown)} not among "
+                             f"{AFFINE_NAMES}")
 
     @property
     def n_controls(self):
@@ -216,6 +228,7 @@ def _eikonal(n_points=21, cap=10.0):
         lip_x=1.0,
         drift_growth=(1.0, 0.0),
         deterministic=True,
+        affine=("beta", "f"),
         params={"n_points": n_points, "cap": cap},
     )
 
@@ -243,6 +256,7 @@ def _linear_drift(n_points=21, pull=0.5, cap=10.0):
         lip_x=1.0,
         drift_growth=(1.0, pull),
         deterministic=True,
+        affine=("beta", "f"),
         params={"n_points": n_points, "pull": pull, "cap": cap},
     )
 
@@ -272,6 +286,7 @@ def _random_target(n_points=21, cap=10.0):
         drift_growth=(1.0, 0.0),
         deterministic=False,
         m_required=1,
+        affine=("beta", "f"),
         params={"n_points": n_points, "cap": cap},
     )
 
@@ -298,6 +313,7 @@ def _constant_run_cost(n_points=3):
         lip_x=1.0,
         drift_growth=(0.0, 0.0),
         deterministic=True,
+        affine=("beta", "f"),
         params={"n_points": n_points},
     )
 
@@ -324,6 +340,7 @@ def _zeros(n_points=3):
         lip_x=1.0,
         drift_growth=(0.0, 0.0),
         deterministic=True,
+        affine=("beta", "f"),
         params={"n_points": n_points},
     )
 

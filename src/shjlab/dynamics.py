@@ -32,16 +32,15 @@ class StateTrajectoryBatch:
     """
 
     __slots__ = ("grid", "k0", "collapsed", "noise_level", "states", "cost_at",
-                 "controls", "n_starts", "n_eff")
+                 "n_starts", "n_eff")
 
-    def __init__(self, grid, k0, collapsed, noise_level, states, cost_at, controls):
+    def __init__(self, grid, k0, collapsed, noise_level, states, cost_at):
         self.grid = grid
         self.k0 = k0
         self.collapsed = collapsed
         self.noise_level = noise_level
         self.states = states
         self.cost_at = cost_at
-        self.controls = controls
         final = states[grid.n_steps]
         self.n_starts, self.n_eff = final.shape[0], final.shape[1]
 
@@ -101,7 +100,6 @@ def integrate(coeffs, ensemble, policy, xi, *, k0=0, noise_level=0.0,
 
     states = {}
     cost_at = {}
-    controls = {}
     cost = np.zeros((n_starts, n_eff))
     if k0 in keep:
         states[k0] = X.copy()
@@ -123,12 +121,10 @@ def integrate(coeffs, ensemble, policy, xi, *, k0=0, noise_level=0.0,
         if k + 1 in keep:
             states[k + 1] = X.copy()
             cost_at[k + 1] = cost.copy()
-        controls[k] = idx
 
     if not np.isfinite(X).all():
         raise IntegrationError("non-finite state at the horizon")
-    return StateTrajectoryBatch(grid, k0, collapsed, noise_level, states, cost_at,
-                                controls)
+    return StateTrajectoryBatch(grid, k0, collapsed, noise_level, states, cost_at)
 
 
 def flow_audit(coeffs, ensemble, policy, xi, xi_hat=None, *, restart_knot=None):

@@ -144,7 +144,7 @@ class MollifiedSet:
         self.nodes, self.weights = kernel_quadrature(base.d, self.level, n_nodes)
         self.name = f"{base.name}|mollified l={self.level}"
         for attr in ("d", "n", "controls", "L", "lip_x", "drift_growth",
-                     "deterministic", "m_required", "params"):
+                     "deterministic", "m_required", "affine", "params"):
             setattr(self, attr, getattr(base, attr))
 
     @property
@@ -303,6 +303,11 @@ class FunctionalApproximant:
     slice a mollified x-profile, so the spatial Lipschitz constant never
     exceeds the base one.
 
+    Only what is not already smooth gets smoothed: running coefficients
+    the base set declares affine (CoefficientSet.affine) are returned
+    unchanged, since the kernel average reproduces them anyway; the
+    others and G go through the mollified set.
+
     Duck-typed as a coefficient set: beta, f, G plus the declared
     constants, so solvers take it wherever they take a CoefficientSet.
     """
@@ -333,9 +338,13 @@ class FunctionalApproximant:
         return 1 if self.w_grid is None else int(self.w_grid.size)
 
     def beta(self, t, x, v, w):
+        if "beta" in self.base.affine:
+            return self.base.beta(t, x, v, w)
         return self.mollified.beta(t, x, v, w)
 
     def f(self, t, x, v, w):
+        if "f" in self.base.affine:
+            return self.base.f(t, x, v, w)
         return self.mollified.f(t, x, v, w)
 
     def G(self, x, w):

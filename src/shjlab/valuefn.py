@@ -90,33 +90,56 @@ class BoxLattice:
         and n_clamped counts evaluation points outside the box.
         """
         pos = np.asarray(pos, float)
-        idx = []
-        frac = []
-        out_mask = None
-        for a in range(self.d):
-            u = (pos[..., a] - self.lo[a]) / self.h
-            bad = (u < 0.0) | (u > self.counts[a] - 1)
-            out_mask = bad if out_mask is None else (out_mask | bad)
-            u = np.clip(u, 0.0, self.counts[a] - 1.0)
-            i = np.minimum(u.astype(int), self.counts[a] - 2)
-            idx.append(i)
-            frac.append(u - i)
-        n_clamped = int(out_mask.sum())
-
         n_eff = values.shape[1]
-        eff_ids = np.arange(n_eff)
-        vals = 0.0
+        # one flat offset into values.ravel() per point, at the low corner;
+        # every other corner sits a constant offset further on
+        w_lo, w_hi = [], []
+        for a in range(self.d):
+            u = pos[..., a] - self.lo[a]
+            u /= self.h
+            bad = u < 0.0
+            bad |= u > self.counts[a] - 1
+            np.clip(u, 0.0, self.counts[a] - 1.0, out=u)
+            i = u.astype(int)
+            np.minimum(i, self.counts[a] - 2, out=i)
+            u -= i
+            w_lo.append(1.0 - u)
+            w_hi.append(u)
+            i *= self.strides[a] * n_eff
+            if a == 0:
+                out_mask, flat = bad, i
+            else:
+                out_mask |= bad
+                flat += i
+        n_clamped = int(np.count_nonzero(out_mask))
+        if n_eff > 1:
+            # column offsets; a single position column fans out over them
+            eff = np.arange(n_eff)
+            flat = (np.add(flat, eff, out=flat) if flat.shape[-1] == n_eff
+                    else flat + eff)
+
+        flat_values = values.ravel()
+        vals = part = None
         for corner in range(1 << self.d):
-            flat = 0
-            weight = 1.0
+            offset = 0
+            weight = None
             for a in range(self.d):
                 if corner >> a & 1:
-                    flat = flat + (idx[a] + 1) * self.strides[a]
-                    weight = weight * frac[a]
+                    offset += self.strides[a] * n_eff
+                    factor = w_hi[a]
                 else:
-                    flat = flat + idx[a] * self.strides[a]
-                    weight = weight * (1.0 - frac[a])
-            vals = vals + weight * values[flat, eff_ids]
+                    factor = w_lo[a]
+                weight = factor if weight is None else weight * factor
+            # offsets stay in range by construction, and mode="clip"
+            # skips the bounds check of the default mode
+            part = np.take(flat_values[offset:], flat, out=part, mode="clip")
+            part *= weight
+            if vals is None:
+                # the running sum starts from 0.0, bit for bit: it turns a
+                # -0.0 first term into +0.0
+                vals = part + 0.0
+            else:
+                vals += part
         return vals, n_clamped
 
     def gradient(self, values):

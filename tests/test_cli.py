@@ -53,10 +53,19 @@ def test_config_rejects_unknown_keys():
     dict(n_steps=32.7),       # would run 32 steps under a 32.7 digest
     dict(n_steps=True),
     dict(levels=(4, "8")),
+    dict(T=float("nan")),     # NaN compares false, so T <= 0 lets it pass
+    dict(lattice_h=float("inf")),
+    dict(eps_ladder=(0.1, float("nan"))),
+    dict(tolerance_scale=float("nan")),
+    dict(x0_max=float("-inf")),
+    dict(T=10**400),          # an integer beyond the float range
 ])
 def test_config_validation(bad):
     with pytest.raises(ValueError):
         _small(**bad)
+    # the same values read from JSON text, e.g. {"T": NaN, ...}
+    with pytest.raises(ValueError):
+        ExperimentConfig.from_json(json.dumps({**SMALL, **bad}))
 
 
 def _manifest(out):
@@ -72,6 +81,20 @@ def test_unknown_pipeline_and_scenario_exit_2(tmp_path):
     cfg_path.write_text(_small().to_json())
     assert main(["--config", str(cfg_path), "--scenario", "nope",
                  "--out", str(tmp_path / "o"), "--pipeline", "simulate"]) == 2
+
+
+def test_non_finite_field_exits_2_with_strict_manifest(tmp_path):
+    # a field set after construction is checked when the run starts
+    cfg = _small()
+    cfg.T = float("nan")
+    code, checks = run(cfg, "simulate", str(tmp_path))
+    assert code == 2 and checks == {}
+    text = (tmp_path / "manifest.json").read_text()
+    # strict JSON: a NaN or Infinity literal fails the test
+    manifest = json.loads(text, parse_constant=pytest.fail)
+    assert manifest["exit_code"] == 2 and "not finite" in manifest["error"]
+    assert manifest["config"] is None
+    assert not (tmp_path / "simulate_summary.csv").exists()
 
 
 def test_capacity_error_exits_2_with_manifest(tmp_path):

@@ -8,6 +8,7 @@ from shjlab.coeffs import (CoefficientSet, _argmin_sweep, _policy_sweep,
                            reach_radius, register_scenario, scenario,
                            scenario_names)
 from shjlab.probspace import TimeGrid, sample_ensemble
+from shjlab.smoothing import MollifiedSet
 
 SEED = 5
 ALL_SCENARIOS = scenario_names()
@@ -101,6 +102,36 @@ def test_coefficient_set_validation():
     with pytest.raises(ValueError):
         CoefficientSet(name="x", d=1, n=1, controls=np.zeros((1, 1)),
                        beta=good.beta, f=good.f, G=good.G, L=-1.0, lip_x=1.0)
+
+
+@pytest.mark.parametrize("name", ALL_SCENARIOS)
+def test_affine_declaration_matches_kernel_average(name):
+    # approximants skip the kernel for declared names, so a false
+    # declaration would silently drop smoothing: each declared map must
+    # equal its literal kernel average
+    co = scenario(name)
+    x = probe_lattice(reach_radius(co, 1.0, 1.0), co.d)[:, None, :]
+    w = None
+    if not co.deterministic:
+        ens = sample_ensemble(TimeGrid(1.0, 8), co.m_required, 50, SEED)
+        w = ens.slice_at(3)
+    for level in (1, 8):
+        moll = MollifiedSet(co, level)
+        for v in co.controls[::max(1, co.n_controls // 4)]:
+            for attr in co.affine:
+                base = np.asarray(getattr(co, attr)(0.25, x, v, w), float)
+                avg = np.asarray(getattr(moll, attr)(0.25, x, v, w), float)
+                np.testing.assert_allclose(avg, base, rtol=0.0, atol=1e-12)
+
+
+def test_affine_declaration_rejects_unknown_names():
+    good = scenario("zeros")
+    kw = dict(name="x", d=1, n=1, controls=np.zeros((1, 1)), beta=good.beta,
+              f=good.f, G=good.G, L=1.0, lip_x=1.0)
+    assert CoefficientSet(**kw, affine=["f"]).affine == ("f",)
+    for bad in (("beta", "G"), "beta"):
+        with pytest.raises(ValueError, match="affine"):
+            CoefficientSet(**kw, affine=bad)
 
 
 def test_sweeps_break_exact_ties_to_index_zero():

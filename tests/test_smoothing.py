@@ -118,6 +118,15 @@ def test_functional_approximant_eikonal_is_path_free():
     assert fa.deterministic
     assert fa.achieved["G_sup"] <= 0.1
     assert fa.fn_knots.size == 5
+    # beta and f are declared affine, so they pass through unsmoothed ...
+    x = np.linspace(-3.0, 3.0, 61)[:, None, None]
+    for v in co.controls[::5]:
+        assert np.array_equal(fa.beta(0.5, x, v, None), co.beta(0.5, x, v, None))
+        assert np.array_equal(fa.f(0.5, x, v, None), co.f(0.5, x, v, None))
+    assert fa.achieved["beta_sup"] == fa.achieved["f_sup"] == 0.0
+    # ... while G keeps its mollified kink at x = 0
+    kink = np.zeros((1, 1))
+    assert np.asarray(fa.G(kink, None))[0] > np.asarray(co.G(kink, None))[0]
 
 
 def test_functional_approximant_random_target():

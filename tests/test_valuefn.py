@@ -46,6 +46,59 @@ def test_lattice_interp_is_exact_on_affine():
     np.testing.assert_allclose(out2[0, 0], 3.0 * 2.0 - 1.0)
 
 
+@pytest.mark.parametrize("E, n_eff", [(6, 6), (1, 6), (6, 1)])
+def test_lattice_interp_matches_np_interp(E, n_eff):
+    # non-affine fields, read column by column against np.interp, which
+    # extends constantly past the ends just as the lattice clamp does
+    rng = np.random.default_rng(SEED)
+    lat = BoxLattice.centered(1.5, 0.1, 1)
+    vals = rng.standard_normal((lat.n_points, n_eff))
+    pos = rng.uniform(lat.lo[0], lat.hi[0], (9, 4, E, 1))
+    outside = [lat.lo[0] - 0.3, lat.hi[0] + 0.05, lat.hi[0] + 7.0]
+    pos[0, 0, 0, 0], pos[3, 2, -1, 0], pos[8, 3, 0, 0] = outside
+    out, n_clamped = lat.interp(vals, pos)
+    assert out.shape == (9, 4, max(E, n_eff))
+    assert n_clamped == len(outside)
+    for col in range(max(E, n_eff)):
+        x = pos[..., min(col, E - 1), 0]
+        ref = np.interp(x, lat.axes[0], vals[:, min(col, n_eff - 1)])
+        np.testing.assert_allclose(out[..., col], ref, rtol=1e-12, atol=1e-12)
+
+
+def _interp_by_corner(lat, values, pos):
+    # reference: fancy-index every corner, weights multiplied axis by axis
+    idx, frac = [], []
+    for a in range(lat.d):
+        u = np.clip((pos[..., a] - lat.lo[a]) / lat.h, 0.0, lat.counts[a] - 1.0)
+        i = np.minimum(u.astype(int), lat.counts[a] - 2)
+        idx.append(i)
+        frac.append(u - i)
+    vals = 0.0
+    for corner in range(1 << lat.d):
+        flat, weight = 0, 1.0
+        for a in range(lat.d):
+            up = corner >> a & 1
+            flat = flat + (idx[a] + up) * lat.strides[a]
+            weight = weight * (frac[a] if up else 1.0 - frac[a])
+        vals = vals + weight * values[flat, np.arange(values.shape[1])]
+    return vals
+
+
+@pytest.mark.parametrize("d", [1, 2, 3])
+@pytest.mark.parametrize("E, n_eff", [(5, 5), (1, 5), (5, 1)])
+def test_lattice_interp_matches_corner_reference_bit_for_bit(d, E, n_eff):
+    rng = np.random.default_rng(SEED + d)
+    lat = BoxLattice(np.full(d, -1.0), np.array([1.0, 0.6, 1.4][:d]), 0.2)
+    vals = rng.standard_normal((lat.n_points, n_eff))
+    pos = rng.uniform(-1.3, 1.6, (7, 3, E, d))
+    out, _ = lat.interp(vals, pos)
+    assert out.tobytes() == _interp_by_corner(lat, vals, pos).tobytes()
+    # a strided column, as build_envelopes passes gradient components
+    grad = np.stack([vals, -vals], axis=-1)[..., 1]
+    out, _ = lat.interp(grad, pos)
+    assert out.tobytes() == _interp_by_corner(lat, grad, pos).tobytes()
+
+
 @settings(max_examples=40, deadline=None)
 @given(d=st.integers(1, 3),
        h=st.sampled_from([0.1, 0.25, 0.5]),
