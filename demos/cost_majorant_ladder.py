@@ -48,7 +48,7 @@ def main():
         bound = error_bound_bsde(errors, gain, ens)
         surf = policy_cost_surface(molly, ens, pol, lat, tag="Jl")
         jhat = cost_majorant(surf, bound, molly, pol, ens)
-        rep = residual_check(jhat, co, ens, "super", tol=0.02, conditional=False)
+        rep = residual_check(jhat, co, ens, "super", tol=0.02)
         gap = float(np.max(np.abs(
             np.stack([jhat.at(k).mean(axis=1) for k in jhat.knots])
             - base_cost.mean)))

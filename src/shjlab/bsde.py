@@ -104,15 +104,13 @@ class BsdeSolution:
         return float(np.max(np.sqrt(np.mean(self.Y**2, axis=1))))
 
 
-def solve_bsde(spec, basis=None):
-    """One backward least-squares sweep.
+def solve_bsde(spec):
+    """One backward least-squares sweep on degree-3 polynomials of the
+    current Brownian value (all coordinates for product ensembles).
 
     Parameters
     ----------
     spec : BsdeSpec
-    basis : RegressionBasis, optional
-        Defaults to degree-3 polynomials of the current Brownian value
-        (all coordinates for product ensembles).
 
     Returns
     -------
@@ -121,8 +119,7 @@ def solve_bsde(spec, basis=None):
     ens = spec.ensemble
     grid = ens.grid
     n, dt = grid.n_steps, grid.dt
-    if basis is None:
-        basis = default_basis(m=ens.m)
+    basis = default_basis(m=ens.m)
 
     Y = np.empty((n + 1, ens.n_paths))
     Z = np.zeros((n, ens.n_paths, ens.m))
@@ -151,7 +148,7 @@ def solve_bsde(spec, basis=None):
     })
 
 
-def error_bound_bsde(errors, gain, ensemble, basis=None):
+def error_bound_bsde(errors, gain, ensemble):
     """Bound process for a coefficient approximation.
 
     Terminal condition is the terminal-cost gap; the driver is the
@@ -163,18 +160,19 @@ def error_bound_bsde(errors, gain, ensemble, basis=None):
         raise ValueError("error processes were built on a different grid")
     spec = BsdeSpec(ensemble, errors.dG,
                     errors.df + float(gain) * errors.dbeta)
-    sol = solve_bsde(spec, basis=basis)
+    sol = solve_bsde(spec)
     sol.diagnostics["gain"] = float(gain)
     return sol
 
 
-def policy_cost_surface(coeffs, ensemble, policy, lattice, *, basis=None,
-                        store_knots="all", tag="u"):
+def policy_cost_surface(coeffs, ensemble, policy, lattice, *, tag="u"):
     """Cost-to-go of a fixed policy on a lattice, by backward recursion.
 
     Same sweep as the value recursion with the minimization replaced by
     the policy's control choice, so the result is the conditional cost
-    field u(s, x) of that policy under ``coeffs``.
+    field u(s, x) of that policy under ``coeffs``.  Pathwise slices are
+    kept at every knot, and the projections use the value recursion's
+    default basis.
 
     Parameters
     ----------
@@ -183,7 +181,6 @@ def policy_cost_surface(coeffs, ensemble, policy, lattice, *, basis=None,
     policy : ControlPolicy; feedback policies are read at the lattice
         points themselves.
     lattice : BoxLattice.
-    store_knots : "all" or iterable of knots to retain pathwise.
 
     Returns a ValueSurface tagged ``tag`` (no argmin tables).
     """
@@ -199,7 +196,7 @@ def policy_cost_surface(coeffs, ensemble, policy, lattice, *, basis=None,
             [idx.shape])
         return (raw if op is None else op.apply(raw)), raw
 
-    return _backward_sweep(coeffs, ensemble, lattice, store_knots, basis, step,
+    return _backward_sweep(coeffs, ensemble, lattice, "all", None, step,
                            tag=tag)
 
 

@@ -18,7 +18,7 @@ import math
 import numbers
 import os
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -333,8 +333,7 @@ def _jhat_item(cfg, scale, coeffs, ens, lat, pol, base_cost, level, radius):
     bound = error_bound_bsde(errors, gain=gain, ensemble=ens)
     u_l = policy_cost_surface(ml, ens, pol, lat, tag=f"u{level}")
     jh = cost_majorant(u_l, bound, ml, pol, ens)
-    rep = residual_check(jh, coeffs, ens, "super",
-                         tol=0.02 * scale, conditional=False)
+    rep = residual_check(jh, coeffs, ens, "super", tol=0.02 * scale)
     norm_gap = float(np.max(np.abs(
         np.stack([jh.at(k).mean(axis=1) for k in jh.knots])
         - base_cost.mean)))
@@ -464,8 +463,7 @@ def _pipe_viscosity_check(cfg, out, scale, workers):
                 (x.shape[0], w.n_paths)),
             grid, lat_far, ens, tag="V_exact")
         est2 = estimate_decomposition(exact, ens)
-        rep = residual_check(est2, coeffs, ens, "super",
-                             tol=0.03 * scale, conditional=False)
+        rep = residual_check(est2, coeffs, ens, "super", tol=0.03 * scale)
         for k, mu in rep["probe_mean"].items():
             for i in range(mu.size):
                 rows.append((k, grid.knots[k], i, lat_far.points[i, 0],
@@ -523,28 +521,17 @@ _RUNNERS = {
 }
 
 
-def run(config, pipeline, out_dir, *, workers=None, tolerance_scale=None):
-    """Execute one pipeline; returns (exit_code, checks dict).
+def _manifest(out_dir, pipeline, config, workers):
+    """finish(code, checks, error=None) writing out_dir/manifest.json.
 
-    Exit code 0: every check passed; 1: a check or the computation
-    failed; 2: bad invocation (a config field that fails validation, an
-    unknown pipeline or scenario, or sizes over the capacity budget).
-    manifest.json is written on every exit; a failed run records its
-    ``error`` and ``exit_code`` there.
+    A config that failed validation is recorded as null (None here): it
+    may hold NaN, which is not strict JSON.
     """
     os.makedirs(out_dir, exist_ok=True)
-    bad_config = None
-    try:
-        # a validated copy: fields assigned after construction count too
-        config = dataclasses.replace(config)
-    except ValueError as exc:
-        bad_config = f"bad config: {exc}"
-    workers = workers if workers is not None else (os.cpu_count() or 1)
     manifest = {
         "pipeline": pipeline,
-        # a rejected config may hold NaN, which is not strict JSON
-        "config": None if bad_config else json.loads(config.to_json()),
-        "config_hash": None if bad_config else config.digest(),
+        "config": None if config is None else json.loads(config.to_json()),
+        "config_hash": None if config is None else config.digest(),
         "package_version": __version__,
         "numpy_version": np.__version__,
         "workers": workers,
@@ -558,8 +545,26 @@ def run(config, pipeline, out_dir, *, workers=None, tolerance_scale=None):
         _write_json(os.path.join(out_dir, "manifest.json"), record)
         return code, checks
 
-    if bad_config:
-        return finish(2, {}, bad_config)
+    return finish
+
+
+def run(config, pipeline, out_dir, *, workers=None, tolerance_scale=None):
+    """Execute one pipeline; returns (exit_code, checks dict).
+
+    Exit code 0: every check passed; 1: a check or the computation
+    failed; 2: bad invocation (a config field that fails validation, an
+    unknown pipeline or scenario, or sizes over the capacity budget).
+    manifest.json is written on every exit; a failed run records its
+    ``error`` and ``exit_code`` there.
+    """
+    workers = workers if workers is not None else (os.cpu_count() or 1)
+    try:
+        # a validated copy: fields assigned after construction count too
+        config = dataclasses.replace(config)
+    except ValueError as exc:
+        return _manifest(out_dir, pipeline, None, workers)(
+            2, {}, f"bad config: {exc}")
+    finish = _manifest(out_dir, pipeline, config, workers)
     if pipeline not in _RUNNERS:
         return finish(2, {}, f"unknown pipeline {pipeline!r}; choose from "
                       f"{PIPELINES}")
@@ -609,9 +614,14 @@ def main(argv=None):
         if args.seed is not None:
             cfg = dataclasses.replace(cfg, seed_w=args.seed,
                                       seed_b=args.seed + 1000003)
-    except (OSError, ValueError, TypeError, json.JSONDecodeError) as exc:
+    except (OSError, json.JSONDecodeError) as exc:
+        # nothing to record: the file could not be read or parsed
         _say(f"bad config: {exc}")
         return 2
+    except (ValueError, TypeError) as exc:
+        # a parsed config that fails validation leaves a manifest, as in run()
+        finish = _manifest(args.out, args.pipeline, None, args.workers)
+        return finish(2, {}, f"bad config: {exc}")[0]
 
     code, _ = run(cfg, args.pipeline, args.out, workers=args.workers,
                   tolerance_scale=args.tolerance_scale)

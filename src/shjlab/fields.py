@@ -98,19 +98,19 @@ class AdaptedField:
                             diagnostics=dict(self.diagnostics))
 
 
-def sample_adapted_field(fn, grid, lattice, ensemble, knots=None, tag="u",
-                         terminal_ok=True):
+def sample_adapted_field(fn, grid, lattice, ensemble, knots=None, tag="u"):
     """Evaluate fn(t, x, w) on knots x lattice x paths.
 
     fn receives t (float), x of shape (n_points, 1, d) and a PathSlice,
-    and must broadcast to (n_points, n_paths).
+    and must broadcast to (n_points, n_paths).  Only the slice at the
+    horizon may read terminal values.
     """
     if knots is None:
         knots = range(grid.n_steps + 1)
     x = lattice.points[:, None, :]
     values = {}
     for k in knots:
-        w = PathSlice(ensemble, k, terminal_ok=terminal_ok and k == grid.n_steps)
+        w = PathSlice(ensemble, k, terminal_ok=k == grid.n_steps)
         sampled = np.asarray(fn(grid.knots[k], x, w), float)
         values[int(k)] = np.broadcast_to(
             sampled, (lattice.n_points, ensemble.n_paths)

@@ -256,9 +256,8 @@ class PathSlice:
 class RegressionBasis:
     """Ordered list of feature maps on path prefixes.
 
-    Each feature map is called as fm(ensemble, k, state) and must
-    return a scalar or an (n_paths,) array that reads only path data
-    up to knot k.
+    Each feature map is called as fm(ensemble, k) and must return a
+    scalar or an (n_paths,) array that reads only path data up to knot k.
     """
 
     def __init__(self, feature_maps, names=None):
@@ -274,12 +273,12 @@ class RegressionBasis:
     def __len__(self):
         return len(self.feature_maps)
 
-    def design(self, ensemble, k, state=None):
+    def design(self, ensemble, k):
         """Feature matrix at knot k, shape (n_paths, n_features)."""
         n = ensemble.n_paths
         cols = np.empty((n, len(self.feature_maps)))
         for j, fm in enumerate(self.feature_maps):
-            cols[:, j] = np.broadcast_to(np.asarray(fm(ensemble, k, state), float), (n,))
+            cols[:, j] = np.broadcast_to(np.asarray(fm(ensemble, k), float), (n,))
         return cols
 
 
@@ -294,61 +293,40 @@ def _monomial_exponents(n_vars, degree):
     return out
 
 
-def polynomial_basis(degree=3, coords=None, include_state=False):
+def polynomial_basis(degree=3, coords=None):
     """Monomials of the current Brownian value up to a total degree.
 
     The first feature is the constant 1; then all monomials of the
-    selected W coordinates of total degree 1..degree, then (optionally)
-    pure powers of the scalar state.
+    selected W coordinates of total degree 1..degree.  coords=None
+    selects coordinate 0 of a one-dimensional ensemble; multi-d
+    ensembles must name their coordinates.
     """
     if degree < 0:
         raise ValueError("degree must be >= 0")
+    one_d = coords is None
+    if one_d:
+        coords = (0,)
 
-    maps = [lambda ens, k, state: 1.0]
+    def make(alpha):
+        def fm(ens, k):
+            if one_d and ens.m != 1:
+                raise ValueError("polynomial_basis needs coords when m > 1")
+            w = ens.value_at(k)
+            out = None
+            for c, p in zip(coords, alpha):
+                if p:
+                    # from the first factor on: a pure power is w ** p
+                    term = w[:, c] ** p
+                    out = term if out is None else out * term
+            return out
+
+        return fm
+
+    maps = [lambda ens, k: 1.0]
     names = ["1"]
-
-    if degree >= 1 and coords is None:
-        # single-coordinate shortcut; multi-d ensembles must name coords
-        def make_1d(p):
-            def fm(ens, k, state):
-                if ens.m != 1:
-                    raise ValueError("polynomial_basis needs coords when m > 1")
-                return ens.value_at(k)[:, 0] ** p
-
-            return fm
-
-        for p in range(1, degree + 1):
-            maps.append(make_1d(p))
-            names.append(f"w^{p}")
-    elif degree >= 1:
-        def make(alpha):
-            def fm(ens, k, state):
-                w = ens.value_at(k)
-                out = np.ones(ens.n_paths)
-                for c, p in zip(coords, alpha):
-                    if p:
-                        out = out * w[:, c] ** p
-                return out
-
-            return fm
-
-        for alpha in _monomial_exponents(len(coords), degree):
-            maps.append(make(alpha))
-            names.append("w^" + "".join(map(str, alpha)))
-
-    if include_state:
-        def make_state(p):
-            def fm(ens, k, state):
-                if state is None:
-                    raise ValueError("basis includes state features but no state given")
-                return np.asarray(state, float) ** p
-
-            return fm
-
-        for p in range(1, degree + 1):
-            maps.append(make_state(p))
-            names.append(f"x^{p}")
-
+    for alpha in _monomial_exponents(len(coords), degree):
+        maps.append(make(alpha))
+        names.append("w^" + "".join(map(str, alpha)))
     return RegressionBasis(maps, names)
 
 
@@ -362,20 +340,18 @@ class CondExpOperator:
     plain sample mean whatever the basis.
     """
 
-    def __init__(self, ensemble, k, basis, state=None):
+    def __init__(self, ensemble, k, basis):
         self.k = int(k)
         self.n_paths = ensemble.n_paths
         self.used_ridge = False
         if self.k == 0:
             self.design = None
             self._solve = None
-            self.n_features = 1
             return
-        phi = basis.design(ensemble, self.k, state)
+        phi = basis.design(ensemble, self.k)
         if not np.isfinite(phi).all():
             raise ValueError("non-finite basis features")
         self.design = phi
-        self.n_features = phi.shape[1]
         gram = phi.T @ phi
         lam = 0.0
         # relative rank test on the Gram spectrum
@@ -385,7 +361,7 @@ class CondExpOperator:
             self.used_ridge = True
         self._solve = np.linalg.inv(gram + lam * np.eye(gram.shape[0])) @ phi.T
 
-    def apply(self, targets, return_coef=False):
+    def apply(self, targets):
         """Project targets onto the span of the features.
 
         targets may be (n_paths,) or (..., n_paths); projection acts on
@@ -398,17 +374,12 @@ class CondExpOperator:
             raise ValueError("non-finite regression targets")
         if self.k == 0:
             mean = targets.mean(axis=-1, keepdims=True)
-            pred = np.broadcast_to(mean, targets.shape).copy()
-            coef = mean
-        else:
-            coef = targets @ self._solve.T
-            pred = coef @ self.design.T
-        if return_coef:
-            return pred, coef
-        return pred
+            return np.broadcast_to(mean, targets.shape).copy()
+        coef = targets @ self._solve.T
+        return coef @ self.design.T
 
 
-def cond_expect(ensemble, t, targets, basis, state=None, return_info=False):
+def cond_expect(ensemble, t, targets, basis):
     """Regression estimate of E[targets | F_t] per path.
 
     Parameters
@@ -418,20 +389,6 @@ def cond_expect(ensemble, t, targets, basis, state=None, return_info=False):
         Knot time (or knot index) at which to condition.
     targets : (n_paths,) array
     basis : RegressionBasis
-    state : optional per-path state passed through to state features.
-    return_info : bool
-        Also return a dict with residual norm, ridge flag, coefficients.
     """
     k = ensemble.grid.index_of(t)
-    op = CondExpOperator(ensemble, k, basis, state)
-    pred, coef = op.apply(targets, return_coef=True)
-    if not return_info:
-        return pred
-    resid = np.asarray(targets, float) - pred
-    info = {
-        "knot": k,
-        "used_ridge": op.used_ridge,
-        "coef": np.atleast_1d(np.squeeze(coef)),
-        "residual_rms": float(np.sqrt(np.mean(resid**2))),
-    }
-    return pred, info
+    return CondExpOperator(ensemble, k, basis).apply(targets)

@@ -100,14 +100,15 @@ def _gauss_legendre_box(d, n_nodes):
     return _tensor_points([xi] * d), w
 
 
-def mollify(fn, level, d, n_nodes=17):
+def mollify(fn, level, d):
     """Mollified version of a spatial map: x -> sum_q w_q fn(x - y_q).
 
     fn must accept arrays shaped (..., d) with arbitrary leading axes.
+    The nodes are those of kernel_quadrature's default 17-point rule.
     Preserves suprema, Lipschitz constants and affine maps exactly
     because the discrete kernel has unit mass and symmetric nodes.
     """
-    nodes, weights = kernel_quadrature(d, level, n_nodes)
+    nodes, weights = kernel_quadrature(d, level)
 
     def smoothed(x, *args, **kwargs):
         return _kernel_average(lambda xs: fn(xs, *args, **kwargs), x,
@@ -133,15 +134,15 @@ class MollifiedSet:
 
     Drop-in replacement for the base CoefficientSet (same calling
     conventions, same declared constants); the kink-smoothing radius is
-    1/level.
+    1/level, and the kernel is kernel_quadrature's default 17-point rule.
     """
 
-    def __init__(self, base, level, n_nodes=17):
+    def __init__(self, base, level):
         if int(level) < 1:
             raise ValueError("mollification level must be >= 1")
         self.base = base
         self.level = int(level)
-        self.nodes, self.weights = kernel_quadrature(base.d, self.level, n_nodes)
+        self.nodes, self.weights = kernel_quadrature(base.d, self.level)
         self.name = f"{base.name}|mollified l={self.level}"
         for attr in ("d", "n", "controls", "L", "lip_x", "drift_growth",
                      "deterministic", "m_required", "affine", "params"):
@@ -164,12 +165,13 @@ class MollifiedSet:
                                self.nodes, self.weights)
 
 
-def linear_growth_penalty(x, n_nodes=17):
+def linear_growth_penalty(x):
     """Convex penalty h and its gradient Dh.
 
-    h(x) = integral of (|y| - 1)+ against the unit bump centered at x;
-    it vanishes on a neighborhood of 0, grows like |x| - 1 far out
-    (so h(x) > |x| - 2 everywhere), and |Dh| <= 1.
+    h(x) = integral of (|y| - 1)+ against the unit bump centered at x,
+    discretized by kernel_quadrature's default 17-point rule; it
+    vanishes on a neighborhood of 0, grows like |x| - 1 far out (so
+    h(x) > |x| - 2 everywhere), and |Dh| <= 1.
 
     Parameters
     ----------
@@ -182,7 +184,7 @@ def linear_growth_penalty(x, n_nodes=17):
     x = np.asarray(x, float)
     if x.ndim == 1:
         x = x[:, None]
-    nodes, weights = kernel_quadrature(x.shape[-1], 1, n_nodes)
+    nodes, weights = kernel_quadrature(x.shape[-1], 1)
     shifted = _node_shift(x, nodes)
     dist = np.linalg.norm(shifted, axis=-1)
     hinge = np.maximum(dist - 1.0, 0.0)
@@ -203,17 +205,14 @@ class ApproximationErrors:
     """Per-path adapted gaps between a base set and its approximation.
 
     dG has shape (n_paths,); df and dbeta have shape (n_steps, n_paths)
-    and hold, for each knot, the probe-lattice supremum of the relevant
-    coefficient gap evaluated at the policy's control (or the supremum
-    over the whole control grid when no policy is given).
+    and hold, for each knot, the supremum of the relevant coefficient
+    gap over the probe lattice and the whole control grid.
     """
 
     dG: np.ndarray
     df: np.ndarray
     dbeta: np.ndarray
     radius: float
-    sup_over_controls: bool
-    note: str = ""
 
     def scale(self, gain):
         """L2 size ||dG|| + ||df + gain * dbeta|| used by error-bound ladders."""
@@ -223,25 +222,23 @@ class ApproximationErrors:
         return l2_G + l2_mix
 
 
-def error_processes(base, approx, ensemble, policy_indices=None, radius=None,
-                    n_probes=None):
+def error_processes(base, approx, ensemble, radius=None):
     """Probe-lattice sup distances between base and approximate coefficients.
+
+    The running gaps take the supremum over the whole control grid.
 
     Parameters
     ----------
     base, approx : coefficient-set-like objects (approx is typically a
         MollifiedSet or FunctionalApproximant of base).
     ensemble : WienerEnsemble supplying the path argument and the grid.
-    policy_indices : None, (n_steps,) or (n_steps, n_paths) int array
-        Controls at which the running gaps are evaluated; None takes the
-        supremum over the whole control grid.
-    radius : probe lattice radius; defaults to the reachable-set radius
-        from |x0| <= 1.
+    radius : radius of the default probe_lattice; defaults to the
+        reachable-set radius from |x0| <= 1.
     """
     grid = ensemble.grid
     if radius is None:
         radius = reach_radius(base, 1.0, grid.T)
-    probes = probe_lattice(radius, base.d, n_probes)[:, None, :]
+    probes = probe_lattice(radius, base.d)[:, None, :]
     n_steps, n_paths = grid.n_steps, ensemble.n_paths
     stochastic = not (base.deterministic and approx.deterministic)
 
@@ -249,42 +246,22 @@ def error_processes(base, approx, ensemble, policy_indices=None, radius=None,
     gap = np.abs(np.asarray(approx.G(probes, wT)) - np.asarray(base.G(probes, wT)))
     dG = np.broadcast_to(gap.max(axis=0), (n_paths,)).copy()
 
-    if policy_indices is not None:
-        policy_indices = np.asarray(policy_indices, int)
-        if policy_indices.ndim == 1:
-            policy_indices = policy_indices[:, None]
-
     df = np.zeros((n_steps, n_paths))
     dbeta = np.zeros((n_steps, n_paths))
     for k in range(n_steps):
         t = grid.knots[k]
         w = ensemble.slice_at(k) if stochastic else None
-        if policy_indices is None:
-            idx_list = range(base.n_controls)
-        else:
-            idx_list = np.unique(policy_indices[k])
-        for j in idx_list:
-            v = base.controls[int(j)]
+        for v in base.controls:
             fb = np.abs(
                 np.asarray(approx.f(t, probes, v, w)) - np.asarray(base.f(t, probes, v, w))
             ).max(axis=0)
             bb = np.abs(
                 np.asarray(approx.beta(t, probes, v, w)) - np.asarray(base.beta(t, probes, v, w))
             ).max(axis=(0, -1))
-            fb = np.broadcast_to(fb, (n_paths,))
-            bb = np.broadcast_to(bb, (n_paths,))
-            if policy_indices is None:
-                df[k] = np.maximum(df[k], fb)
-                dbeta[k] = np.maximum(dbeta[k], bb)
-            else:
-                mask = (policy_indices[k] == j) if policy_indices.shape[1] > 1 else slice(None)
-                df[k][mask] = fb[mask] if policy_indices.shape[1] > 1 else fb[0]
-                dbeta[k][mask] = bb[mask] if policy_indices.shape[1] > 1 else bb[0]
+            df[k] = np.maximum(df[k], np.broadcast_to(fb, (n_paths,)))
+            dbeta[k] = np.maximum(dbeta[k], np.broadcast_to(bb, (n_paths,)))
 
-    return ApproximationErrors(
-        dG=dG, df=df, dbeta=dbeta, radius=float(radius),
-        sup_over_controls=policy_indices is None,
-    )
+    return ApproximationErrors(dG=dG, df=df, dbeta=dbeta, radius=float(radius))
 
 
 # ---------------------------------------------------------------------------
@@ -380,15 +357,16 @@ class FunctionalApproximant:
 
 
 def fit_functional_approximant(base, ensemble, n_intervals=4, eps_target=0.1, *,
-                               max_terms=400, n_nodes=17, level=None,
-                               x_radius=None, n_x_probes=41):
+                               x_radius=None):
     """Fit a piecewise tensor-form approximant to a coefficient set.
 
-    The spatial side is mollified at a level chosen from eps_target (or
-    given); a path-dependent terminal cost is separated by regressing
-    per-path evaluations onto hat functions of the terminal Brownian
-    value, least squares over sampled (path, x) probes, half of the
-    paths held out for the reported error.
+    The spatial side is mollified at level ceil(1.5 lip_x / eps_target);
+    a path-dependent terminal cost is separated by regressing per-path
+    evaluations onto hat functions of the terminal Brownian value (at
+    most 399 hat cells), least squares over sampled (path, x) probes.
+    The reported error is measured against the base coefficients along
+    the ensemble's paths, which the fit never sees, on a 41-point probe
+    lattice per axis.
 
     Raises ValueError for path-dependent running coefficients: those
     need a custom approximant registered alongside the scenario.
@@ -402,9 +380,8 @@ def fit_functional_approximant(base, ensemble, n_intervals=4, eps_target=0.1, *,
         raise ValueError("path-dependent separation implemented for d=1")
     fn_knots = grid.knots[:: grid.n_steps // n_intervals]
 
-    if level is None:
-        level = max(1, int(np.ceil(1.5 * base.lip_x / eps_target)))
-    moll = MollifiedSet(base, level, n_nodes)
+    level = max(1, int(np.ceil(1.5 * base.lip_x / eps_target)))
+    moll = MollifiedSet(base, level)
 
     if x_radius is None:
         x_radius = reach_radius(base, 1.0, grid.T, margin=1.0)
@@ -416,7 +393,7 @@ def fit_functional_approximant(base, ensemble, n_intervals=4, eps_target=0.1, *,
         lo, hi = float(wT.min()) - 0.1, float(wT.max()) + 0.1
         # cell width sized so the path-direction increment stays below eps/2
         n_cells = int(np.ceil((hi - lo) * 2.0 * base.lip_x / eps_target))
-        n_cells = int(np.clip(n_cells, 4, max_terms - 1))
+        n_cells = int(np.clip(n_cells, 4, 399))
         w_grid = np.linspace(lo, hi, n_cells + 1)
 
         # fine spatial grid carrying the slices; step follows the kink scale
@@ -438,7 +415,7 @@ def fit_functional_approximant(base, ensemble, n_intervals=4, eps_target=0.1, *,
 
     # achieved error against the *base* coefficients, held-out material:
     # the fit itself only saw synthetic terminal values, never these paths
-    probes = probe_lattice(min(x_radius, reach_radius(base, 1.0, grid.T)), base.d, n_x_probes)
+    probes = probe_lattice(min(x_radius, reach_radius(base, 1.0, grid.T)), base.d, 41)
     ach = {}
     wT_slice = ensemble.slice_at(grid.n_steps, terminal_ok=True)
     gap = np.abs(

@@ -13,14 +13,13 @@ surface plus nonnegative correction processes.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .bsde import BsdeSpec, error_bound_bsde, solve_bsde
 from .coeffs import _argmin_sweep
 from .fields import AdaptedField
-from .probspace import CondExpOperator
 from .smoothing import _uniform_cell, error_processes
 from .valuefn import BoxLattice, default_basis, value_V
 
@@ -62,20 +61,19 @@ def hamiltonian(coeffs, t, x, p, w=None):
     return best, best_idx
 
 
-def estimate_decomposition(afield, ensemble, basis=None, min_ratio=10):
+def estimate_decomposition(afield, ensemble):
     """Fit drift and noise integrands to a sampled field.
 
     Per knot pair (k, k+1) and lattice point, the cross-path increment
-    is regressed on features times (dt, dW_k); the fitted combinations
-    evaluated along each path become the drift and noise samples.
+    is regressed on degree-2 polynomials of the current Brownian value
+    times (dt, dW_k); the fitted combinations evaluated along each path
+    become the drift and noise samples.  Each regression column needs
+    10 paths.
 
     Parameters
     ----------
     afield : AdaptedField sampled on consecutive knots.
     ensemble : the ensemble the field was sampled on.
-    basis : RegressionBasis for the conditioning features (degree-2
-        polynomials of the current Brownian value by default).
-    min_ratio : required paths-per-column margin.
 
     Returns a new AdaptedField carrying the estimated decomposition;
     diagnostics hold per-knot coefficient tables, their standard
@@ -84,8 +82,7 @@ def estimate_decomposition(afield, ensemble, basis=None, min_ratio=10):
     ks = afield.knots
     if ks != list(range(ks[0], ks[-1] + 1)):
         raise ValueError("decomposition needs consecutive sampled knots")
-    if basis is None:
-        basis = default_basis(degree=2, m=ensemble.m)
+    basis = default_basis(degree=2, m=ensemble.m)
     grid = afield.grid
     dt = grid.dt
     n_paths = ensemble.n_paths
@@ -97,9 +94,9 @@ def estimate_decomposition(afield, ensemble, basis=None, min_ratio=10):
     se_tab = {}
     resid_rms = {}
     for k in ks[:-1]:
-        phi = basis.design(ensemble, k, None)          # (n_paths, F)
+        phi = basis.design(ensemble, k)                # (n_paths, F)
         n_cols = phi.shape[1] * (1 + m)
-        if n_paths < min_ratio * n_cols:
+        if n_paths < 10 * n_cols:
             raise ValueError(
                 f"{n_paths} paths cannot support {n_cols} regression columns"
             )
@@ -136,11 +133,11 @@ def estimate_decomposition(afield, ensemble, basis=None, min_ratio=10):
                         noise, tag=afield.tag, diagnostics=diagnostics)
 
 
-def residual_check(afield, coeffs, ensemble, side="super", *, tol=0.02,
-                   basis=None, knots=None, conditional=True):
+def residual_check(afield, coeffs, ensemble, side="super", *, tol=0.02):
     """One-sided residual report for a field with a drift part.
 
-    side = "super" passes when every probe satisfies
+    The residual is probed at every knot where the field carries a
+    drift.  side = "super" passes when every probe satisfies
     mean R >= -(tol + 3 SE); side = "sub" symmetrically from above.
     The terminal samples are compared against the exact terminal cost
     (>= for super, <= for sub, slack 1e-9).
@@ -154,15 +151,11 @@ def residual_check(afield, coeffs, ensemble, side="super", *, tol=0.02,
         raise ValueError("field carries no drift part; estimate one first")
     grid = afield.grid
     n = grid.n_steps
-    if knots is None:
-        knots = [k for k in afield.knots if k in afield.drift]
-    if basis is None and conditional:
-        basis = default_basis(degree=2, m=ensemble.m)
+    knots = [k for k in afield.knots if k in afield.drift]
 
     x_pts = afield.lattice.points
     probe_mean = {}
     probe_se = {}
-    cond_extreme = {}
     worst = None
     for k in knots:
         t = grid.knots[k]
@@ -175,9 +168,6 @@ def residual_check(afield, coeffs, ensemble, side="super", *, tol=0.02,
               if R.shape[1] > 1 else np.zeros_like(mu))
         probe_mean[k] = mu
         probe_se[k] = se
-        if conditional:
-            ce = CondExpOperator(ensemble, k, basis).apply(R)
-            cond_extreme[k] = (float(ce.min()), float(ce.max()))
         stat = mu + 3 * se if side == "super" else mu - 3 * se
         j = int(np.argmin(stat)) if side == "super" else int(np.argmax(stat))
         cand = (float(stat[j]), k, j, float(mu[j]), float(se[j]))
@@ -210,7 +200,6 @@ def residual_check(afield, coeffs, ensemble, side="super", *, tol=0.02,
                   "mean": worst[3], "se": worst[4]},
         "probe_mean": probe_mean,
         "probe_se": probe_se,
-        "conditional_extremes": cond_extreme,
         "terminal_margin": terminal_margin,
         "terminal_ok": terminal_ok,
         "residual_ok": residual_ok,
@@ -226,17 +215,11 @@ class EnvelopePair:
     upper: AdaptedField
     lower: AdaptedField
     params: dict
-    reports: dict = field(default_factory=dict)
-
-    def width(self, k):
-        """Pathwise envelope gap at a knot; nonnegative by construction."""
-        return self.upper.at(k) - self.lower.at(k)
+    reports: dict            # one-sided residual checks, "upper"/"lower"
 
 
 def build_envelopes(base, approx, ens_w, ens_b, eps, delta_n, *,
-                    lattice=None, x0_max=2.0, h=0.05, basis=None,
-                    store_knots="auto", drift_knots="auto", run_checks=True,
-                    tol=0.02, clamp_tol=0.05):
+                    lattice=None, h=0.05, tol=0.02, clamp_tol=0.05):
     """Envelope fields squeezing the value function.
 
     The perturbed surface adds independent noise delta_n dB to the
@@ -253,12 +236,11 @@ def build_envelopes(base, approx, ens_w, ens_b, eps, delta_n, *,
         count; ens_b must have m == base.d.
     eps, delta_n : approximation size and noise level (> 0).
     lattice : optional BoxLattice; by default sized from the reachable
-        set plus the noise wander.
-    drift_knots : "auto" (a ~9-knot subgrid), "all", or iterable; the
-        drift part is assembled (and residual-checked) only there.
-    run_checks : attach one-sided residual reports for both envelopes.
+        set from |x0| <= 2 plus the noise wander.
 
-    Returns an EnvelopePair.
+    The drift part is assembled, and residual-checked, only on a ~9-knot
+    subgrid (every (n // 8)-th knot).  Returns an EnvelopePair whose
+    reports hold the one-sided residual checks of both envelopes.
     """
     if delta_n <= 0:
         raise ValueError("delta_n must be positive")
@@ -280,17 +262,11 @@ def build_envelopes(base, approx, ens_w, ens_b, eps, delta_n, *,
     T = grid.T
     if lattice is None:
         margin = 0.25 + 4.0 * delta_n * np.sqrt(T)
-        lattice = BoxLattice.for_problem(base, T, x0_max, h, margin=margin)
+        lattice = BoxLattice.for_problem(base, T, 2.0, h, margin=margin)
 
-    V_eps = value_V(approx, ens_w, lattice, basis=basis,
-                    noise_level=delta_n, noise_ensemble=ens_b,
-                    store_knots=store_knots, clamp_tol=clamp_tol, tag="Veps")
-    if drift_knots == "all":
-        want_drift = set(range(n))
-    elif drift_knots == "auto":
-        want_drift = set(range(0, n, max(1, n // 8)))
-    else:
-        want_drift = set(int(j) for j in drift_knots)
+    V_eps = value_V(approx, ens_w, lattice, noise_level=delta_n,
+                    noise_ensemble=ens_b, clamp_tol=clamp_tol, tag="Veps")
+    want_drift = set(range(0, n, max(1, n // 8)))
 
     # empirical gradient bound over every stored slice
     L_tilde = max(lattice.lipschitz(sl) for sl in V_eps.slices.values())
@@ -349,19 +325,16 @@ def build_envelopes(base, approx, ens_w, ens_b, eps, delta_n, *,
                          diagnostics={"corr": "plus"})
     lower = AdaptedField(grid, lattice, lo_vals, lo_drift, None, tag="lower",
                          diagnostics={"corr": "minus"})
-    pair = EnvelopePair(V_eps, upper, lower, params)
-    if run_checks:
-        pair.reports["upper"] = residual_check(
-            upper, base, ens_w, "super", tol=tol, conditional=False)
-        pair.reports["lower"] = residual_check(
-            lower, base, ens_w, "sub", tol=tol, conditional=False)
-    return pair
+    reports = {"upper": residual_check(upper, base, ens_w, "super", tol=tol),
+               "lower": residual_check(lower, base, ens_w, "sub", tol=tol)}
+    return EnvelopePair(V_eps, upper, lower, params, reports)
 
 
-def sandwich_report(pair, surface, knots=None):
+def sandwich_report(pair, surface):
     """Probe-wise ordering and gap statistics against a value surface.
 
-    The surface must live on the same lattice points as the pair.
+    The surface must live on the same lattice points as the pair and is
+    compared at every envelope knot where it kept a slice.
     Ordering passes when the upper envelope clears the value mean and
     the value clears the lower one, each with a 3 SE cushion; the gap
     statistics feed the ladder fit.
@@ -369,8 +342,7 @@ def sandwich_report(pair, surface, knots=None):
     up, lo = pair.upper, pair.lower
     if not np.allclose(surface.lattice.points, up.lattice.points):
         raise ValueError("surface and envelopes use different lattices")
-    if knots is None:
-        knots = [k for k in up.knots if k in surface.slices]
+    knots = [k for k in up.knots if k in surface.slices]
     upper_margin = np.inf
     lower_margin = np.inf
     gap_upper = gap_lower = 0.0
@@ -432,7 +404,7 @@ def _pad_linear(u, axis):
 
 
 def solve_hjb_fd_1d(approx, x_axis, y_axis, interval, delta_n, *,
-                    payoff=None, n_tsteps=None, cfl=0.8):
+                    payoff=None, n_tsteps=None):
     """Explicit finite-difference solve of the regularized equation.
 
     On the last functional interval the frozen-prefix coefficients are
@@ -443,8 +415,8 @@ def solve_hjb_fd_1d(approx, x_axis, y_axis, interval, delta_n, *,
         u_t + min_v [ beta u_x + f ] + 1/2 u_yy + delta_n^2/2 u_xx = 0.
 
     Upwind first differences follow the drift sign; both curvature
-    terms are centered; the time step is CFL-limited with automatic
-    substepping.  Box faces use linear extrapolation (flagged in the
+    terms are centered; the time step is CFL-limited (CFL number 0.8)
+    with automatic substepping.  Box faces use linear extrapolation (flagged in the
     diagnostics, not a physical boundary condition).
 
     Parameters
@@ -488,7 +460,7 @@ def solve_hjb_fd_1d(approx, x_axis, y_axis, interval, delta_n, *,
     b_max = max(float(np.max(np.abs(b))) for b in drifts)
 
     rate = b_max / hx + delta_n**2 / hx**2 + 1.0 / hy**2
-    n_sub = max(int(np.ceil((t1 - t0) * rate / cfl)), int(n_tsteps or 1), 1)
+    n_sub = max(int(np.ceil((t1 - t0) * rate / 0.8)), int(n_tsteps or 1), 1)
     dt = (t1 - t0) / n_sub
 
     for _ in range(n_sub):

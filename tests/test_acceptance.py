@@ -235,8 +235,7 @@ def test_criterion_07_cost_majorant_ladder():
         bound = error_bound_bsde(errors, gain, ens)
         surf = policy_cost_surface(molly, ens, pol, lat, tag="Jl")
         jhat = cost_majorant(surf, bound, molly, pol, ens)
-        rep = residual_check(jhat, co, ens, "super", tol=0.02,
-                             conditional=False)
+        rep = residual_check(jhat, co, ens, "super", tol=0.02)
         margins.append(rep["margin"])
         norms.append(float(np.max(np.abs(
             np.stack([jhat.at(k).mean(axis=1) for k in jhat.knots])

@@ -4,9 +4,12 @@ import json
 import os
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from shjlab import cli
 from shjlab.cli import PIPELINES, ExperimentConfig, main, run
+from shjlab.coeffs import scenario_names
 from shjlab.exceptions import AccuracyError, CapacityError, IntegrationError
 
 SMALL = dict(scenario="eikonal", n_steps=8, n_paths=500, n_paths_bsde=20_000,
@@ -20,6 +23,41 @@ def _small(**over):
 
 def test_config_roundtrip():
     cfg = _small()
+    clone = ExperimentConfig.from_json(cfg.to_json())
+    assert clone == cfg
+    assert clone.digest() == cfg.digest()
+
+
+_POS = st.floats(1e-3, 1e3)
+_SEEDS = st.integers(0, 2**63 - 1)
+
+
+@st.composite
+def _configs(draw):
+    seed_w = draw(_SEEDS)
+    return ExperimentConfig(
+        scenario=draw(st.sampled_from(scenario_names())),
+        T=draw(st.one_of(st.integers(1, 10), _POS)),
+        n_steps=draw(st.integers(1, 10**6)),
+        n_paths=draw(st.integers(2, 10**8)),
+        n_paths_bsde=draw(st.integers(2, 10**8)),
+        seed_w=seed_w,
+        seed_b=draw(_SEEDS.filter(lambda s: s != seed_w)),
+        x0_max=draw(_POS), lattice_h=draw(_POS), ladder_h=draw(_POS),
+        lattice_margin=draw(st.floats(-1e3, 1e3)),
+        basis_degree=draw(st.integers(0, 8)),
+        levels=tuple(draw(st.lists(st.integers(1, 64), min_size=1,
+                                   max_size=4))),
+        eps_ladder=tuple(draw(st.lists(_POS, min_size=1, max_size=4))),
+        delta_ladder=tuple(draw(st.lists(_POS, min_size=1, max_size=4))),
+        n_intervals=draw(st.integers(1, 64)),
+        tolerance_scale=draw(_POS),
+    )
+
+
+@settings(max_examples=60, deadline=None)
+@given(cfg=_configs())
+def test_config_json_roundtrip_property(cfg):
     clone = ExperimentConfig.from_json(cfg.to_json())
     assert clone == cfg
     assert clone.digest() == cfg.digest()
@@ -128,6 +166,31 @@ def test_bad_config_file_exits_2(tmp_path):
     bad.write_text('{"n_steps": "many"}')
     assert main(["--config", str(bad), "--pipeline", "simulate",
                  "--out", str(tmp_path / "o")]) == 2
+
+
+@pytest.mark.parametrize("text, reason", [
+    ('{"T": NaN}', "not finite"), ('{"bogus": 1}', "unknown config keys")])
+def test_rejected_config_file_exits_2_with_manifest(tmp_path, text, reason):
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(text)
+    out = tmp_path / "out"
+    assert main(["--config", str(cfg_path), "--out", str(out),
+                 "--pipeline", "simulate"]) == 2
+    text = (out / "manifest.json").read_text()
+    manifest = json.loads(text, parse_constant=pytest.fail)
+    assert manifest["exit_code"] == 2 and reason in manifest["error"]
+    assert manifest["config"] is None and manifest["config_hash"] is None
+    assert manifest["pipeline"] == "simulate" and manifest["checks"] == {}
+    assert not (out / "simulate_summary.csv").exists()
+
+
+def test_unparseable_config_file_writes_nothing(tmp_path):
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text("{not json")
+    out = tmp_path / "out"
+    assert main(["--config", str(cfg_path), "--out", str(out),
+                 "--pipeline", "simulate"]) == 2
+    assert not out.exists()
 
 
 def test_simulate_pipeline_writes_artifacts(tmp_path):

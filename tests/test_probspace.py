@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from shjlab.probspace import (CondExpOperator, PathSlice, RegressionBasis,
                               TimeGrid, WienerEnsemble, cond_expect,
@@ -133,8 +135,8 @@ def test_projection_tower_property():
 def test_ridge_fallback_on_degenerate_design():
     grid = TimeGrid(1.0, 4)
     ens = sample_ensemble(grid, 1, 500, SEED)
-    dup = RegressionBasis([lambda e, k, s: np.ones(e.n_paths),
-                           lambda e, k, s: np.ones(e.n_paths)])
+    dup = RegressionBasis([lambda e, k: np.ones(e.n_paths),
+                           lambda e, k: np.ones(e.n_paths)])
     op = CondExpOperator(ens, 2, dup)
     out = op.apply(ens.value_at(2)[:, 0])
     assert op.used_ridge
@@ -147,3 +149,42 @@ def test_multi_target_projection_shapes():
     op = CondExpOperator(ens, 2, polynomial_basis(2))
     targets = np.stack([ens.value_at(3)[:, 0], ens.value_at(4)[:, 0]])
     assert op.apply(targets).shape == (2, 300)
+
+
+@settings(max_examples=40, deadline=None)
+@given(m=st.integers(1, 2), degree=st.integers(0, 4), k=st.integers(1, 8),
+       n_paths=st.sampled_from([50, 400, 2000]),
+       seed=st.integers(0, 2**32 - 1), scale=st.floats(1e-3, 1e3))
+def test_projection_is_idempotent_after_knot_0(m, degree, k, n_paths, seed,
+                                               scale):
+    ens = sample_ensemble(TimeGrid(1.0, 8), m, n_paths, SEED)
+    basis = polynomial_basis(degree, None if m == 1 else (0, 1))
+    op = CondExpOperator(ens, k, basis)
+    y = scale * np.random.default_rng(seed).standard_normal(n_paths)
+    once = op.apply(y)
+    tol = 1e-9 * max(float(np.abs(y).max()), 1.0)
+    assert np.abs(op.apply(once) - once).max() <= tol
+
+
+def test_one_d_basis_columns_are_plain_powers():
+    ens = sample_ensemble(TimeGrid(1.0, 4), 1, 300, SEED)
+    basis = polynomial_basis(3)
+    assert basis.names == ["1", "w^1", "w^2", "w^3"]
+    design = basis.design(ens, 2)
+    w = ens.value_at(2)[:, 0]
+    for p in range(4):
+        assert np.array_equal(design[:, p], w**p)
+    with pytest.raises(ValueError, match="needs coords"):
+        basis.design(sample_ensemble(TimeGrid(1.0, 4), 2, 300, SEED), 2)
+
+
+def test_two_d_basis_keeps_names_and_order():
+    ens = sample_ensemble(TimeGrid(1.0, 4), 2, 300, SEED)
+    basis = polynomial_basis(2, coords=(0, 1))
+    assert basis.names == ["1", "w^10", "w^01", "w^20", "w^11", "w^02"]
+    w = ens.value_at(3)
+    expect = [np.ones(300), w[:, 0], w[:, 1], w[:, 0] ** 2,
+              w[:, 0] * w[:, 1], w[:, 1] ** 2]
+    design = basis.design(ens, 3)
+    for j, col in enumerate(expect):
+        assert np.array_equal(design[:, j], col)

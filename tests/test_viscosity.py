@@ -104,7 +104,7 @@ def test_residual_check_exact_solution_both_sides():
     lat = BoxLattice(np.array([1.3]), np.array([2.7]), 0.1)
     u = _exact_far_field(ens, lat)
     for side in ("super", "sub"):
-        report = residual_check(u, co, ens, side, tol=1e-9, conditional=False)
+        report = residual_check(u, co, ens, side, tol=1e-9)
         assert report["passed"], report
         assert abs(report["margin"]) < 1e-9
         assert abs(report["terminal_margin"]) < 1e-12
@@ -117,13 +117,11 @@ def test_residual_check_flags_wrong_drift():
     u = _exact_far_field(ens, lat)
     too_fast = AdaptedField(GRID, lat, u.values,
                             {k: 2.0 * d for k, d in u.drift.items()}, None)
-    report = residual_check(too_fast, co, ens, "super", tol=0.02,
-                            conditional=False)
+    report = residual_check(too_fast, co, ens, "super", tol=0.02)
     assert not report["residual_ok"]
     # and the exact field fails the subsolution side once shifted up
     lifted = u.shifted(0.5)
-    report = residual_check(lifted, co, ens, "sub", tol=0.02,
-                            conditional=False)
+    report = residual_check(lifted, co, ens, "sub", tol=0.02)
     assert not report["terminal_ok"]
 
 
