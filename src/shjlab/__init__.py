@@ -11,8 +11,7 @@ from .probspace import (CondExpOperator, PathSlice, RegressionBasis, TimeGrid,
                         WienerEnsemble, cond_expect, merge_ensembles,
                         polynomial_basis, sample_ensemble, subset_paths)
 from .coeffs import (CoefficientSet, a1_audit, control_grid, probe_lattice,
-                     reach_radius, register_scenario, scenario,
-                     scenario_names)
+                     reach_radius, scenario, scenario_names)
 from .smoothing import (ApproximationErrors, FunctionalApproximant,
                         MollifiedSet, bump_kernel, error_processes,
                         fit_functional_approximant, kernel_quadrature,
@@ -38,7 +37,7 @@ __all__ = [
     "CondExpOperator", "sample_ensemble", "merge_ensembles", "subset_paths",
     "polynomial_basis", "cond_expect",
     # problem data
-    "CoefficientSet", "register_scenario", "scenario", "scenario_names",
+    "CoefficientSet", "scenario", "scenario_names",
     "control_grid", "reach_radius", "probe_lattice", "a1_audit",
     # smoothing and approximants
     "bump_kernel", "kernel_quadrature", "MollifiedSet", "mollify",

@@ -59,7 +59,6 @@ class ExperimentConfig:
     lattice_h: float = 0.01
     ladder_h: float = 0.05
     lattice_margin: float = 0.25
-    basis_degree: int = 3
     levels: tuple = (4, 8, 16)
     eps_ladder: tuple = (0.2, 0.1, 0.05)
     delta_ladder: tuple = (0.2, 0.1, 0.05)

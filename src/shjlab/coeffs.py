@@ -1,4 +1,4 @@
-"""Controlled-ODE coefficient sets and the built-in scenario registry.
+"""Controlled-ODE coefficient sets and the five built-in scenarios.
 
 A coefficient set bundles the drift beta(t, x, v, w), running cost
 f(t, x, v, w) and terminal cost G(x, w) of a control problem together
@@ -14,14 +14,14 @@ sets broadcast an (n_paths,)-shaped factor into the result.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from typing import Callable
 
 import numpy as np
 
 __all__ = [
     "CoefficientSet",
-    "register_scenario",
+    "DECLARED",
     "scenario",
     "scenario_names",
     "control_grid",
@@ -35,11 +35,11 @@ MAX_STATE_DIM = 3
 AFFINE_NAMES = ("beta", "f")
 
 
-def control_grid(lo=-1.0, hi=1.0, n_points=21, dim=1):
-    """Uniform finite control set, shape (n_points**dim, dim)."""
+def control_grid(lo=-1.0, hi=1.0, n_points=21):
+    """Uniform finite control set on [lo, hi], shape (n_points, 1)."""
     if n_points < 1:
         raise ValueError("n_points must be >= 1")
-    return _tensor_points([np.linspace(lo, hi, n_points)] * dim)
+    return np.linspace(lo, hi, n_points)[:, None]
 
 
 def _tensor_points(axes):
@@ -68,6 +68,7 @@ class CoefficientSet:
         are affine in x.  A property of the problem, like lip_x: the
         unit-mass symmetric smoothing kernel reproduces affine maps, so
         approximants pass these through unsmoothed.
+    n_controls : number of rows of controls, set from them.
     """
 
     name: str
@@ -83,7 +84,7 @@ class CoefficientSet:
     deterministic: bool = True
     m_required: int = 1
     affine: tuple = ()
-    params: dict = field(default_factory=dict)
+    n_controls: int = field(init=False)
 
     def __post_init__(self):
         if not 1 <= self.d <= MAX_STATE_DIM:
@@ -93,6 +94,7 @@ class CoefficientSet:
         self.controls = np.atleast_2d(np.asarray(self.controls, float))
         if self.controls.shape[1] != self.n:
             raise ValueError("control grid does not match control dimension")
+        self.n_controls = self.controls.shape[0]
         if self.L <= 0:
             raise ValueError("declared bound L must be positive")
         self.affine = tuple(self.affine)
@@ -101,9 +103,11 @@ class CoefficientSet:
             raise ValueError(f"affine names {sorted(unknown)} not among "
                              f"{AFFINE_NAMES}")
 
-    @property
-    def n_controls(self):
-        return self.controls.shape[0]
+
+# declared constants of a problem: every field but its name and its maps;
+# approximants of a set carry these over unchanged
+DECLARED = tuple(f.name for f in fields(CoefficientSet)
+                 if f.name not in ("name", "beta", "f", "G"))
 
 
 def reach_radius(coeffs, x0_max, T, margin=0.0):
@@ -175,181 +179,88 @@ def _policy_sweep(coeffs, t, x, w, idx, evaluate, shapes):
 
 
 # ---------------------------------------------------------------------------
-# registry
+# built-in scenarios
 
-_REGISTRY = {}
-
-
-def register_scenario(name, builder):
-    """Register a coefficient-set builder under a scenario name."""
-    if not callable(builder):
-        raise ValueError("builder must be callable")
-    _REGISTRY[name] = builder
+_CAP = 10.0      # terminal distances are capped, which keeps G bounded
+_PULL = 0.5      # mean reversion of the linear-drift scenario
 
 
-def scenario(name, **params):
-    """Instantiate a registered scenario; unknown names raise KeyError."""
+def _control_drift(t, x, v, w):
+    return np.zeros_like(x) + np.asarray(v, float)
+
+
+def _pulled_drift(t, x, v, w):
+    return -_PULL * x + np.asarray(v, float)
+
+
+def _zero_drift(t, x, v, w):
+    return np.zeros_like(x)
+
+
+def _no_run_cost(t, x, v, w):
+    return np.zeros(x.shape[:-1])
+
+
+def _unit_run_cost(t, x, v, w):
+    return np.ones(x.shape[:-1])
+
+
+def _control_energy(t, x, v, w):
+    vv = float(np.sum(np.square(v)))
+    return np.full(x.shape[:-1], 0.1 * vv)
+
+
+def _capped_distance(x, w):
+    return np.clip(np.linalg.norm(x, axis=-1), 0.0, _CAP)
+
+
+def _target_distance(x, w):
+    # distance to a target revealed at the horizon
+    target = np.tanh(w.terminal[:, 0])
+    return np.clip(np.abs(x[..., 0] - target), 0.0, _CAP)
+
+
+def _no_terminal_cost(x, w):
+    return np.zeros(x.shape[:-1])
+
+
+# name -> (number of controls, the fields that tell the problem apart)
+_SCENARIOS = {
+    "eikonal": (21, dict(beta=_control_drift, f=_no_run_cost,
+                         G=_capped_distance, L=_CAP + 2.0)),
+    "linear-drift": (21, dict(beta=_pulled_drift, f=_control_energy,
+                              G=_capped_distance, L=_CAP + 5.0,
+                              drift_growth=(1.0, _PULL))),
+    "random-target": (21, dict(beta=_control_drift, f=_no_run_cost,
+                               G=_target_distance, L=_CAP + 2.0,
+                               deterministic=False)),
+    "constant-run-cost": (3, dict(beta=_zero_drift, f=_unit_run_cost,
+                                  G=_no_terminal_cost, L=1.0,
+                                  drift_growth=(0.0, 0.0))),
+    "zeros": (3, dict(beta=_zero_drift, f=_no_run_cost, G=_no_terminal_cost,
+                      L=1.0, drift_growth=(0.0, 0.0))),
+}
+
+
+def scenario(name):
+    """A built-in problem; unknown names raise KeyError.
+
+    Every built-in has d = n = 1, a uniform control grid on [-1, 1],
+    lip_x = 1 and drift and running cost affine in x.  Other problems
+    are plain CoefficientSet values.
+    """
     try:
-        builder = _REGISTRY[name]
+        n_points, problem = _SCENARIOS[name]
     except KeyError:
-        raise KeyError(
-            f"unknown scenario {name!r}; known: {sorted(_REGISTRY)}"
-        ) from None
-    return builder(**params)
+        raise KeyError(f"unknown scenario {name!r}; "
+                       f"known: {scenario_names()}") from None
+    return CoefficientSet(name=name, d=1, n=1,
+                          controls=control_grid(-1.0, 1.0, n_points),
+                          lip_x=1.0, affine=("beta", "f"), **problem)
 
 
 def scenario_names():
-    return sorted(_REGISTRY)
-
-
-def _clip_dist(x, cap=10.0):
-    return np.clip(np.linalg.norm(x, axis=-1), 0.0, cap)
-
-
-def _eikonal(n_points=21, cap=10.0):
-    def beta(t, x, v, w):
-        return np.zeros_like(x) + np.asarray(v, float)
-
-    def f(t, x, v, w):
-        return np.zeros(x.shape[:-1])
-
-    def G(x, w):
-        return _clip_dist(x, cap)
-
-    return CoefficientSet(
-        name="eikonal",
-        d=1,
-        n=1,
-        controls=control_grid(-1.0, 1.0, n_points),
-        beta=beta,
-        f=f,
-        G=G,
-        L=cap + 2.0,
-        lip_x=1.0,
-        drift_growth=(1.0, 0.0),
-        deterministic=True,
-        affine=("beta", "f"),
-        params={"n_points": n_points, "cap": cap},
-    )
-
-
-def _linear_drift(n_points=21, pull=0.5, cap=10.0):
-    def beta(t, x, v, w):
-        return -pull * x + np.asarray(v, float)
-
-    def f(t, x, v, w):
-        vv = float(np.sum(np.square(v)))
-        return np.full(x.shape[:-1], 0.1 * vv)
-
-    def G(x, w):
-        return _clip_dist(x, cap)
-
-    return CoefficientSet(
-        name="linear-drift",
-        d=1,
-        n=1,
-        controls=control_grid(-1.0, 1.0, n_points),
-        beta=beta,
-        f=f,
-        G=G,
-        L=cap + 5.0,
-        lip_x=1.0,
-        drift_growth=(1.0, pull),
-        deterministic=True,
-        affine=("beta", "f"),
-        params={"n_points": n_points, "pull": pull, "cap": cap},
-    )
-
-
-def _random_target(n_points=21, cap=10.0):
-    # terminal cost: distance to a target revealed at the horizon
-    def beta(t, x, v, w):
-        return np.zeros_like(x) + np.asarray(v, float)
-
-    def f(t, x, v, w):
-        return np.zeros(x.shape[:-1])
-
-    def G(x, w):
-        target = np.tanh(w.terminal[:, 0])
-        return np.clip(np.abs(x[..., 0] - target), 0.0, cap)
-
-    return CoefficientSet(
-        name="random-target",
-        d=1,
-        n=1,
-        controls=control_grid(-1.0, 1.0, n_points),
-        beta=beta,
-        f=f,
-        G=G,
-        L=cap + 2.0,
-        lip_x=1.0,
-        drift_growth=(1.0, 0.0),
-        deterministic=False,
-        m_required=1,
-        affine=("beta", "f"),
-        params={"n_points": n_points, "cap": cap},
-    )
-
-
-def _constant_run_cost(n_points=3):
-    def beta(t, x, v, w):
-        return np.zeros_like(x)
-
-    def f(t, x, v, w):
-        return np.ones(x.shape[:-1])
-
-    def G(x, w):
-        return np.zeros(x.shape[:-1])
-
-    return CoefficientSet(
-        name="constant-run-cost",
-        d=1,
-        n=1,
-        controls=control_grid(-1.0, 1.0, n_points),
-        beta=beta,
-        f=f,
-        G=G,
-        L=1.0,
-        lip_x=1.0,
-        drift_growth=(0.0, 0.0),
-        deterministic=True,
-        affine=("beta", "f"),
-        params={"n_points": n_points},
-    )
-
-
-def _zeros(n_points=3):
-    def beta(t, x, v, w):
-        return np.zeros_like(x)
-
-    def f(t, x, v, w):
-        return np.zeros(x.shape[:-1])
-
-    def G(x, w):
-        return np.zeros(x.shape[:-1])
-
-    return CoefficientSet(
-        name="zeros",
-        d=1,
-        n=1,
-        controls=control_grid(-1.0, 1.0, n_points),
-        beta=beta,
-        f=f,
-        G=G,
-        L=1.0,
-        lip_x=1.0,
-        drift_growth=(0.0, 0.0),
-        deterministic=True,
-        affine=("beta", "f"),
-        params={"n_points": n_points},
-    )
-
-
-register_scenario("eikonal", _eikonal)
-register_scenario("linear-drift", _linear_drift)
-register_scenario("random-target", _random_target)
-register_scenario("constant-run-cost", _constant_run_cost)
-register_scenario("zeros", _zeros)
+    return sorted(_SCENARIOS)
 
 
 # ---------------------------------------------------------------------------

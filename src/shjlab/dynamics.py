@@ -23,26 +23,22 @@ __all__ = ["StateTrajectoryBatch", "integrate", "flow_audit"]
 
 
 class StateTrajectoryBatch:
-    """Euler trajectories started at knot k0 from a batch of points.
+    """Euler trajectories started from a batch of points.
 
     states maps recorded knot -> (n_starts, n_eff, d) array, where
     n_eff is 1 for collapsed (fully deterministic) runs and n_paths
     otherwise.  cost_at maps recorded knot -> running-cost integral
-    accumulated on [t_k0, t_k].
+    accumulated from the starting knot to t_k.
     """
 
-    __slots__ = ("grid", "k0", "collapsed", "noise_level", "states", "cost_at",
-                 "n_starts", "n_eff")
+    __slots__ = ("grid", "collapsed", "states", "cost_at", "n_eff")
 
-    def __init__(self, grid, k0, collapsed, noise_level, states, cost_at):
+    def __init__(self, grid, collapsed, states, cost_at):
         self.grid = grid
-        self.k0 = k0
         self.collapsed = collapsed
-        self.noise_level = noise_level
         self.states = states
         self.cost_at = cost_at
-        final = states[grid.n_steps]
-        self.n_starts, self.n_eff = final.shape[0], final.shape[1]
+        self.n_eff = states[grid.n_steps].shape[1]
 
     @property
     def terminal(self):
@@ -123,7 +119,7 @@ def integrate(coeffs, ensemble, policy, xi, *, k0=0, noise_level=0.0,
             states[k + 1] = X.copy()
             cost_at[k + 1] = cost.copy()
 
-    return StateTrajectoryBatch(grid, k0, collapsed, noise_level, states, cost_at)
+    return StateTrajectoryBatch(grid, collapsed, states, cost_at)
 
 
 def flow_audit(coeffs, ensemble, policy, xi, xi_hat=None):

@@ -22,7 +22,8 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.integrate import quad
 
-from .coeffs import CoefficientSet, _tensor_points, probe_lattice, reach_radius
+from .coeffs import (DECLARED, CoefficientSet, _tensor_points, probe_lattice,
+                     reach_radius)
 
 __all__ = [
     "bump_kernel",
@@ -144,13 +145,8 @@ class MollifiedSet:
         self.level = int(level)
         self.nodes, self.weights = kernel_quadrature(base.d, self.level)
         self.name = f"{base.name}|mollified l={self.level}"
-        for attr in ("d", "n", "controls", "L", "lip_x", "drift_growth",
-                     "deterministic", "m_required", "affine", "params"):
+        for attr in DECLARED:
             setattr(self, attr, getattr(base, attr))
-
-    @property
-    def n_controls(self):
-        return self.base.n_controls
 
     def beta(self, t, x, v, w):
         return _kernel_average(lambda xs: self.base.beta(t, xs, v, w), x,
@@ -249,19 +245,27 @@ def error_processes(base, approx, ensemble, radius=None):
     df = np.zeros((n_steps, n_paths))
     dbeta = np.zeros((n_steps, n_paths))
     for k in range(n_steps):
-        t = grid.knots[k]
         w = ensemble.slice_at(k) if stochastic else None
-        for v in base.controls:
-            fb = np.abs(
-                np.asarray(approx.f(t, probes, v, w)) - np.asarray(base.f(t, probes, v, w))
-            ).max(axis=0)
-            bb = np.abs(
-                np.asarray(approx.beta(t, probes, v, w)) - np.asarray(base.beta(t, probes, v, w))
-            ).max(axis=(0, -1))
-            df[k] = np.maximum(df[k], np.broadcast_to(fb, (n_paths,)))
-            dbeta[k] = np.maximum(dbeta[k], np.broadcast_to(bb, (n_paths,)))
+        df[k], dbeta[k] = _running_gaps(base, approx, grid.knots[k], probes,
+                                        base.controls, w)
 
     return ApproximationErrors(dG=dG, df=df, dbeta=dbeta, radius=float(radius))
+
+
+def _running_gaps(base, approx, t, probes, controls, w):
+    """Largest |approx - base| of f and of beta over the probes and controls.
+
+    probes is (n_probes, 1, d); both gaps come back per path, (n_eff,).
+    """
+    df = dbeta = 0.0
+    for v in controls:
+        df = np.maximum(df, np.abs(
+            np.asarray(approx.f(t, probes, v, w)) - np.asarray(base.f(t, probes, v, w))
+        ).max(axis=0))
+        dbeta = np.maximum(dbeta, np.abs(
+            np.asarray(approx.beta(t, probes, v, w)) - np.asarray(base.beta(t, probes, v, w))
+        ).max(axis=(0, -1)))
+    return df, dbeta
 
 
 # ---------------------------------------------------------------------------
@@ -274,7 +278,7 @@ class FunctionalApproximant:
 
     The time axis is cut at functional knots; on each piece the running
     coefficients read path history no later than the piece's left knot
-    (here: registry running coefficients are path-free, so the delayed
+    (here: built-in running coefficients are path-free, so the delayed
     read is exact).  The terminal cost is separated as a sum of hat
     functions of the terminal Brownian value times spatial slices, each
     slice a mollified x-profile, so the spatial Lipschitz constant never
@@ -300,15 +304,9 @@ class FunctionalApproximant:
     accuracy_ok: bool = True
 
     def __post_init__(self):
-        for attr in ("d", "n", "controls", "L", "lip_x", "drift_growth",
-                     "m_required", "params"):
+        for attr in DECLARED:
             setattr(self, attr, getattr(self.base, attr))
         self.name = f"{self.base.name}|tensor eps={self.eps_target:g}"
-        self.deterministic = self.base.deterministic and self.w_grid is None
-
-    @property
-    def n_controls(self):
-        return self.base.n_controls
 
     @property
     def n_terms(self):
@@ -368,8 +366,8 @@ def fit_functional_approximant(base, ensemble, n_intervals=4, eps_target=0.1, *,
     the ensemble's paths, which the fit never sees, on a 41-point probe
     lattice per axis.
 
-    Raises ValueError for path-dependent running coefficients: those
-    need a custom approximant registered alongside the scenario.
+    Raises ValueError for a path-dependent set with d != 1: the terminal
+    separation is one-dimensional.
     """
     if n_intervals < 4:
         raise ValueError("need more than 3 time pieces")
@@ -415,29 +413,21 @@ def fit_functional_approximant(base, ensemble, n_intervals=4, eps_target=0.1, *,
 
     # achieved error against the *base* coefficients, held-out material:
     # the fit itself only saw synthetic terminal values, never these paths
-    probes = probe_lattice(min(x_radius, reach_radius(base, 1.0, grid.T)), base.d, 41)
-    ach = {}
-    wT_slice = ensemble.slice_at(grid.n_steps, terminal_ok=True)
-    gap = np.abs(
-        np.asarray(out.G(probes[:, None, :], wT_slice)) -
-        np.asarray(base.G(probes[:, None, :], wT_slice))
-    )
-    ach["G_sup"] = float(gap.max())
-    ach["G_l2"] = float(np.sqrt(np.mean(gap**2)))
+    probes = probe_lattice(min(x_radius, reach_radius(base, 1.0, grid.T)),
+                           base.d, 41)[:, None, :]
+    wT = ensemble.slice_at(grid.n_steps, terminal_ok=True)
+    gap = np.abs(np.asarray(out.G(probes, wT)) - np.asarray(base.G(probes, wT)))
     sup_f = sup_b = 0.0
     for tk in fn_knots[:-1]:
         w = None if base.deterministic else ensemble.slice_at(grid.index_of(tk))
-        for v in base.controls[:: max(1, base.n_controls // 7)]:
-            sup_f = max(sup_f, float(np.abs(
-                np.asarray(out.f(tk, probes[:, None, :], v, w)) -
-                np.asarray(base.f(tk, probes[:, None, :], v, w))).max()))
-            sup_b = max(sup_b, float(np.abs(
-                np.asarray(out.beta(tk, probes[:, None, :], v, w)) -
-                np.asarray(base.beta(tk, probes[:, None, :], v, w))).max()))
-    ach["f_sup"] = sup_f
-    ach["beta_sup"] = sup_b
-    out.achieved = ach
-    out.accuracy_ok = bool(max(ach["G_sup"], sup_f, sup_b) <= eps_target)
+        df, dbeta = _running_gaps(base, out, tk, probes,
+                                  base.controls[:: max(1, base.n_controls // 7)], w)
+        sup_f = max(sup_f, float(df.max()))
+        sup_b = max(sup_b, float(dbeta.max()))
+    out.achieved = {"G_sup": float(gap.max()),
+                    "G_l2": float(np.sqrt(np.mean(gap**2))),
+                    "f_sup": sup_f, "beta_sup": sup_b}
+    out.accuracy_ok = bool(max(float(gap.max()), sup_f, sup_b) <= eps_target)
     return out
 
 

@@ -163,27 +163,25 @@ class BoxLattice:
 class ControlPolicy:
     """Adapted control selection: constant, open-loop, or lattice feedback."""
 
-    def __init__(self, kind, data, collapsed, adapted=True):
+    def __init__(self, kind, data, collapsed):
         self.kind = kind
         self.data = data
         self.collapsed = collapsed
-        self.adapted = adapted
 
     @classmethod
     def constant(cls, index):
         return cls("constant", int(index), True)
 
     @classmethod
-    def open_loop(cls, indices, adapted=True):
+    def open_loop(cls, indices):
         """indices: (n_steps,) shared or (n_steps, n_paths) per path.
 
-        The adapted flag is the caller's declaration that per-path rows
-        were built from path history only; audits may override it.
+        Per-path rows must be built from path history only.
         """
         indices = np.asarray(indices, int)
         if indices.ndim not in (1, 2):
             raise ValueError("open-loop indices must be 1- or 2-dimensional")
-        return cls("open-loop", indices, indices.ndim == 1, adapted)
+        return cls("open-loop", indices, indices.ndim == 1)
 
     @classmethod
     def feedback(cls, surface):

@@ -1,7 +1,6 @@
 """Experiment configs, pipeline dispatch, and reproducibility."""
 
 import json
-import os
 
 import pytest
 from hypothesis import given, settings
@@ -45,7 +44,6 @@ def _configs(draw):
         seed_b=draw(_SEEDS.filter(lambda s: s != seed_w)),
         x0_max=draw(_POS), lattice_h=draw(_POS), ladder_h=draw(_POS),
         lattice_margin=draw(st.floats(-1e3, 1e3)),
-        basis_degree=draw(st.integers(0, 8)),
         levels=tuple(draw(st.lists(st.integers(1, 64), min_size=1,
                                    max_size=4))),
         eps_ladder=tuple(draw(st.lists(_POS, min_size=1, max_size=4))),
@@ -169,7 +167,8 @@ def test_bad_config_file_exits_2(tmp_path):
 
 
 @pytest.mark.parametrize("text, reason", [
-    ('{"T": NaN}', "not finite"), ('{"bogus": 1}', "unknown config keys")])
+    ('{"T": NaN}', "not finite"), ('{"bogus": 1}', "unknown config keys"),
+    ('{"basis_degree": 3}', "unknown config keys")])
 def test_rejected_config_file_exits_2_with_manifest(tmp_path, text, reason):
     cfg_path = tmp_path / "cfg.json"
     cfg_path.write_text(text)

@@ -1,32 +1,79 @@
-"""Scenario registry and coefficient-set contracts."""
+"""Built-in scenarios and coefficient-set contracts."""
 
 import numpy as np
 import pytest
 
-from shjlab.coeffs import (CoefficientSet, _argmin_sweep, _policy_sweep,
-                           a1_audit, control_grid, probe_lattice,
-                           reach_radius, register_scenario, scenario,
+from shjlab.coeffs import (DECLARED, CoefficientSet, _argmin_sweep,
+                           _policy_sweep, a1_audit, control_grid,
+                           probe_lattice, reach_radius, scenario,
                            scenario_names)
-from shjlab.probspace import TimeGrid, sample_ensemble
+from shjlab.probspace import TimeGrid, WienerEnsemble, sample_ensemble
 from shjlab.smoothing import MollifiedSet
 
 SEED = 5
 ALL_SCENARIOS = scenario_names()
 
+# name -> (L, drift_growth, deterministic, n_controls); every built-in has
+# d = n = 1, controls on [-1, 1], lip_x = 1, m_required = 1, affine beta, f
+BUILT_INS = {
+    "eikonal": (12.0, (1.0, 0.0), True, 21),
+    "linear-drift": (15.0, (1.0, 0.5), True, 21),
+    "random-target": (12.0, (1.0, 0.0), False, 21),
+    "constant-run-cost": (1.0, (0.0, 0.0), True, 3),
+    "zeros": (1.0, (0.0, 0.0), True, 3),
+}
+
+# beta and f at control 1, and G (target 0 for random-target), at X_PIN
+X_PIN = np.array([-12.0, -0.5, 0.0, 2.0])
+PINNED_VALUES = {
+    "eikonal": ([1.0, 1.0, 1.0, 1.0], [0.0] * 4, [10.0, 0.5, 0.0, 2.0]),
+    "linear-drift": ([7.0, 1.25, 1.0, 0.0], [0.1] * 4, [10.0, 0.5, 0.0, 2.0]),
+    "random-target": ([1.0, 1.0, 1.0, 1.0], [0.0] * 4, [10.0, 0.5, 0.0, 2.0]),
+    "constant-run-cost": ([0.0] * 4, [1.0] * 4, [0.0] * 4),
+    "zeros": ([0.0] * 4, [0.0] * 4, [0.0] * 4),
+}
+
 
 def test_registry_contents():
-    assert "eikonal" in ALL_SCENARIOS
-    assert "random-target" in ALL_SCENARIOS
+    assert ALL_SCENARIOS == sorted(BUILT_INS)
     with pytest.raises(KeyError):
         scenario("not-a-scenario")
 
 
-def test_register_scenario_roundtrip():
-    marker = scenario("zeros")
-    register_scenario("zeros-alias-for-test", lambda: marker)
-    assert scenario("zeros-alias-for-test") is marker
-    with pytest.raises(ValueError):
-        register_scenario("bad", None)
+@pytest.mark.parametrize("name", ALL_SCENARIOS)
+def test_built_in_problem_pinned(name):
+    L, growth, deterministic, n_controls = BUILT_INS[name]
+    co = scenario(name)
+    assert co.name == name and (co.d, co.n) == (1, 1)
+    assert (co.L, co.lip_x, co.drift_growth) == (L, 1.0, growth)
+    assert co.deterministic is deterministic and co.m_required == 1
+    assert co.affine == ("beta", "f")
+    assert co.n_controls == n_controls == co.controls.shape[0]
+    assert co.controls[0, 0] == -1.0 and co.controls[-1, 0] == 1.0
+
+    # terminal Brownian values 0 and artanh(0.5): targets 0 and 0.5
+    inc = np.array([0.0, np.arctanh(0.5)]).reshape(2, 1, 1)
+    ens = WienerEnsemble(TimeGrid(1.0, 1), 1, 2, 0, inc)
+    w = None if deterministic else ens.slice_at(0)
+    wT = None if deterministic else ens.slice_at(1, terminal_ok=True)
+    x = X_PIN[:, None, None]
+    v = co.controls[-1]
+    beta, f, G = PINNED_VALUES[name]
+    np.testing.assert_array_equal(
+        np.broadcast_to(co.beta(0.5, x, v, w), (4, 1, 1)).ravel(), beta)
+    np.testing.assert_array_equal(
+        np.broadcast_to(co.f(0.5, x, v, w), (4, 1)).ravel(), f)
+    g = np.asarray(co.G(x, wT))
+    np.testing.assert_array_equal(g[:, 0], G)
+    if not deterministic:
+        np.testing.assert_allclose(g[:, 1], [10.0, 1.0, 0.5, 1.5],
+                                   rtol=0.0, atol=1e-15)
+
+
+def test_declared_constants_are_the_problem_fields():
+    assert set(DECLARED) == {"d", "n", "controls", "L", "lip_x",
+                             "drift_growth", "deterministic", "m_required",
+                             "affine", "n_controls"}
 
 
 def test_control_grid():

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from shjlab.coeffs import CoefficientSet, scenario
+from shjlab.coeffs import DECLARED, CoefficientSet, scenario, scenario_names
 from shjlab.probspace import TimeGrid, sample_ensemble
 from shjlab.smoothing import (MollifiedSet, bump_kernel, error_processes,
                               fit_functional_approximant, kernel_quadrature,
@@ -168,3 +168,16 @@ def test_functional_approximant_rejects_path_dependent_running():
     ens = sample_ensemble(TimeGrid(1.0, 8), 1, 300, SEED)
     with pytest.raises(ValueError):
         fit_functional_approximant(bad, ens, eps_target=0.1, x_radius=2.0)
+
+
+@pytest.mark.parametrize("name", scenario_names())
+def test_approximants_carry_declared_constants(name):
+    co = scenario(name)
+    ens = sample_ensemble(TimeGrid(1.0, 8), co.m_required, 200, SEED)
+    fa = fit_functional_approximant(co, ens, eps_target=0.2, x_radius=2.0)
+    for approx in (MollifiedSet(co, 4), fa):
+        for attr in DECLARED:
+            value, declared = getattr(approx, attr), getattr(co, attr)
+            assert np.array_equal(value, declared), (type(approx), attr)
+    # the terminal cost is separated exactly when the base reads the path
+    assert (fa.w_grid is None) is co.deterministic

@@ -120,7 +120,7 @@ def test_lattice_gradient_and_lipschitz_exact_on_affine(d, h, slopes, offset):
 
 def test_policy_constructors():
     pol = ControlPolicy.constant(4)
-    assert pol.collapsed and pol.adapted
+    assert pol.collapsed
     idx = np.zeros((GRID.n_steps, 7), int)
     open_pol = ControlPolicy.open_loop(idx)
     assert not open_pol.collapsed

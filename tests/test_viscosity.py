@@ -8,9 +8,8 @@ from shjlab.fields import AdaptedField, reconstruction_report
 from shjlab.probspace import TimeGrid, sample_ensemble
 from shjlab.smoothing import fit_functional_approximant
 from shjlab.valuefn import BoxLattice, value_V
-from shjlab.viscosity import (HjbFdSolution, build_envelopes,
-                              estimate_decomposition, hamiltonian,
-                              residual_check, sandwich_report,
+from shjlab.viscosity import (build_envelopes, estimate_decomposition,
+                              hamiltonian, residual_check, sandwich_report,
                               solve_hjb_fd_1d)
 
 SEED = 41
