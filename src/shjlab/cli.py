@@ -325,10 +325,15 @@ def _pipe_mollify(cfg, out, scale, workers):
     return checks
 
 
+def _value_lipschitz(coeffs, T):
+    """Declared Lipschitz bound e^{L T} L (T + 1) of the value in x."""
+    return float(np.exp(coeffs.L * T) * coeffs.L * (T + 1.0))
+
+
 def _jhat_item(cfg, scale, coeffs, ens, lat, pol, base_cost, level, radius):
     ml = MollifiedSet(coeffs, level=level)
     errors = error_processes(coeffs, ml, ens, radius=radius)
-    gain = float(np.exp(coeffs.L * cfg.T) * coeffs.L * (cfg.T + 1.0))
+    gain = _value_lipschitz(coeffs, cfg.T)
     bound = error_bound_bsde(errors, gain=gain, ensemble=ens)
     u_l = policy_cost_surface(ml, ens, pol, lat, tag=f"u{level}")
     jh = cost_majorant(u_l, bound, ml, pol, ens)
@@ -425,7 +430,7 @@ def _envelope_grid(cfg, out, scale, workers):
 def _pipe_envelopes(cfg, out, scale, workers):
     results, checks = _envelope_grid(cfg, out, scale, workers)
     coeffs = scenario(cfg.scenario)
-    lip_v = float(np.exp(coeffs.L * cfg.T) * coeffs.L * (cfg.T + 1.0))
+    lip_v = _value_lipschitz(coeffs, cfg.T)
     checks["gradient_bound"] = all(0.0 < r["L_tilde"] <= lip_v for r in results)
     _write_json(os.path.join(out, "envelopes_report.json"),
                 {"items": results, "checks": checks})

@@ -68,6 +68,11 @@ class CoefficientSet:
         are affine in x.  A property of the problem, like lip_x: the
         unit-mass symmetric smoothing kernel reproduces affine maps, so
         approximants pass these through unsmoothed.
+    control_separable : True when the control enters additively,
+        beta = beta0(t, x, w) + c(v) and f = f0(t, x, w) + g(v).  Then
+        min_v (beta p + f) is beta0 p + f0 plus the lower envelope of the
+        lines c(v) p + g(v), which the Hamiltonian looks up for d = 1.
+        Kernel averages keep the property up to roundoff.
     n_controls : number of rows of controls, set from them.
     """
 
@@ -84,6 +89,7 @@ class CoefficientSet:
     deterministic: bool = True
     m_required: int = 1
     affine: tuple = ()
+    control_separable: bool = False
     n_controls: int = field(init=False)
 
     def __post_init__(self):
@@ -132,7 +138,7 @@ def probe_lattice(radius, d, n_points=None):
 # control sweeps
 
 def _argmin_sweep(coeffs, t, x, w, score, idx_dtype=int):
-    """Running minimum of score(beta, f) over the control grid.
+    """Running minimum of score(beta, f) over the control grid, in index order.
 
     score maps one control's drift and running cost at (t, x, w) to
     (total, *companions).  Returns the smallest total, its control index
@@ -161,12 +167,13 @@ def _argmin_sweep(coeffs, t, x, w, score, idx_dtype=int):
 def _policy_sweep(coeffs, t, x, w, idx, evaluate, shapes):
     """Evaluate each point at the control idx assigns to it.
 
-    Only the controls in np.unique(idx) are evaluated.  evaluate(beta, f)
-    returns one array per entry of shapes; point p of each output is read
-    from the arrays computed at control idx[p].
+    Only the controls idx uses are evaluated, in ascending order.
+    evaluate(beta, f) returns one array per entry of shapes; point p of
+    each output is read from the arrays computed at control idx[p].
     """
     outs = [np.empty(shape) for shape in shapes]
-    for j in np.unique(idx):
+    used = np.bincount(np.ravel(idx), minlength=coeffs.n_controls)
+    for j in np.flatnonzero(used):
         v = coeffs.controls[j]
         b = np.asarray(coeffs.beta(t, x, v, w), float)
         fv = np.asarray(coeffs.f(t, x, v, w), float)
@@ -246,8 +253,9 @@ def scenario(name):
     """A built-in problem; unknown names raise KeyError.
 
     Every built-in has d = n = 1, a uniform control grid on [-1, 1],
-    lip_x = 1 and drift and running cost affine in x.  Other problems
-    are plain CoefficientSet values.
+    lip_x = 1, drift and running cost affine in x, and a control that
+    enters both additively.  Other problems are plain CoefficientSet
+    values.
     """
     try:
         n_points, problem = _SCENARIOS[name]
@@ -256,7 +264,8 @@ def scenario(name):
                        f"known: {scenario_names()}") from None
     return CoefficientSet(name=name, d=1, n=1,
                           controls=control_grid(-1.0, 1.0, n_points),
-                          lip_x=1.0, affine=("beta", "f"), **problem)
+                          lip_x=1.0, affine=("beta", "f"),
+                          control_separable=True, **problem)
 
 
 def scenario_names():

@@ -366,8 +366,10 @@ def fit_functional_approximant(base, ensemble, n_intervals=4, eps_target=0.1, *,
     the ensemble's paths, which the fit never sees, on a 41-point probe
     lattice per axis.
 
-    Raises ValueError for a path-dependent set with d != 1: the terminal
-    separation is one-dimensional.
+    Raises ValueError for a path-dependent set with d != 1, since the
+    terminal separation is one-dimensional, and for running coefficients
+    that read the path: beta or f differing between the path slices at
+    the first and last running knot, on the probes, reject the set.
     """
     if n_intervals < 4:
         raise ValueError("need more than 3 time pieces")
@@ -383,6 +385,17 @@ def fit_functional_approximant(base, ensemble, n_intervals=4, eps_target=0.1, *,
 
     if x_radius is None:
         x_radius = reach_radius(base, 1.0, grid.T, margin=1.0)
+    probes = probe_lattice(min(x_radius, reach_radius(base, 1.0, grid.T)),
+                           base.d, 41)[:, None, :]
+    if not base.deterministic:
+        first, last = ensemble.slice_at(0), ensemble.slice_at(grid.n_steps - 1)
+        for v in base.controls:
+            for name in ("beta", "f"):
+                fn = getattr(base, name)
+                if not np.array_equal(*np.broadcast_arrays(
+                        fn(0.0, probes, v, first), fn(0.0, probes, v, last))):
+                    raise ValueError(f"running coefficient {name} reads the "
+                                     f"path; the tensor form needs it path-free")
 
     det_G = base.deterministic
     w_grid = slices = x_fine = None
@@ -413,8 +426,6 @@ def fit_functional_approximant(base, ensemble, n_intervals=4, eps_target=0.1, *,
 
     # achieved error against the *base* coefficients, held-out material:
     # the fit itself only saw synthetic terminal values, never these paths
-    probes = probe_lattice(min(x_radius, reach_radius(base, 1.0, grid.T)),
-                           base.d, 41)[:, None, :]
     wT = ensemble.slice_at(grid.n_steps, terminal_ok=True)
     gap = np.abs(np.asarray(out.G(probes, wT)) - np.asarray(base.G(probes, wT)))
     sup_f = sup_b = 0.0

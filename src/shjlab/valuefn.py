@@ -142,6 +142,22 @@ class BoxLattice:
                 vals += part
         return vals, n_clamped
 
+    def exits(self, pos):
+        """Points of pos (..., d) outside the box, per axis and face.
+
+        Returns (d, 2) counts below the first node and beyond the last,
+        by interp's own comparisons, so for d = 1 they sum to its
+        n_clamped.
+        """
+        pos = np.asarray(pos, float)
+        out = np.zeros((self.d, 2), int)
+        for a in range(self.d):
+            u = pos[..., a] - self.lo[a]
+            u /= self.h
+            out[a] = (np.count_nonzero(u < 0.0),
+                      np.count_nonzero(u > self.counts[a] - 1))
+        return out
+
     def gradient(self, values):
         """Central-difference gradient of lattice fields (n_points, n_cols).
 
@@ -283,15 +299,42 @@ def cost_J(coeffs, ensemble, policy, starts, *, noise_level=0.0,
     return CostEstimate(starts, raw, mean, se, {"collapsed": batch.collapsed})
 
 
+class _NextSlice:
+    """The knot-(k+1) slice of a backward sweep, read at Euler images.
+
+    Calling it interpolates values at pos and tallies the reads for
+    clamp_fraction; reads made for control j also count their lattice
+    exits per knot and control in exits.
+    """
+
+    def __init__(self, lattice):
+        self.lattice = lattice
+        self.k = self.values = None
+        self.clamped = self.evals = 0
+        self.exits = {}             # (knot, control) -> points out of the box
+
+    def __call__(self, pos, j=None):
+        vals, n_clamped = self.lattice.interp(self.values, pos)
+        self.tally(j, vals.size, n_clamped)
+        return vals
+
+    def tally(self, j, n_reads, n_clamped):
+        self.evals += n_reads
+        self.clamped += n_clamped
+        if n_clamped and j is not None:
+            key = (self.k, j)
+            self.exits[key] = self.exits.get(key, 0) + n_clamped
+
+
 def _backward_sweep(coeffs, ensemble, lattice, store_knots, basis, step, *,
                     tag, argmin=None):
     """Backward recursion on a lattice, shared by value and policy costs.
 
-    From the pathwise terminal cost, calls step(k, t, w, op, continuation)
-    for k = n-1, ..., 0; it returns the knot-k slice and the pathwise
-    realizations behind it.  continuation(pos) interpolates the knot-(k+1)
-    slice at Euler images and counts lattice exits; op is the knot-k
-    projection, None for path-free coefficients.
+    From the pathwise terminal cost, calls step(k, t, w, op, nxt) for
+    k = n-1, ..., 0; it returns the knot-k slice and the pathwise
+    realizations behind it.  nxt is the knot-(k+1) slice as a _NextSlice:
+    nxt(pos, j) interpolates it at Euler images and counts lattice exits;
+    op is the knot-k projection, None for path-free coefficients.
     """
     grid = ensemble.grid
     n = grid.n_steps
@@ -318,14 +361,7 @@ def _backward_sweep(coeffs, ensemble, lattice, store_knots, basis, step, *,
     slices = {}
     resid_rms = np.zeros(n)
     ridge_any = False
-    clamped = evals = 0
-
-    def continuation(pos):
-        nonlocal clamped, evals
-        tgt, nc = lattice.interp(V, pos)
-        clamped += nc
-        evals += tgt.size
-        return tgt
+    nxt = _NextSlice(lattice)
 
     raw = V
     for k in range(n, -1, -1):
@@ -333,7 +369,8 @@ def _backward_sweep(coeffs, ensemble, lattice, store_knots, basis, step, *,
             t = grid.knots[k]
             w = None if coeffs.deterministic else ensemble.slice_at(k)
             op = CondExpOperator(ensemble, k, basis) if regress else None
-            V, raw = step(k, t, w, op, continuation)
+            nxt.k, nxt.values = k, V
+            V, raw = step(k, t, w, op, nxt)
             if op is not None:
                 ridge_any = ridge_any or op.used_ridge
                 resid_rms[k] = float(np.sqrt(np.mean((raw - V) ** 2)))
@@ -344,13 +381,39 @@ def _backward_sweep(coeffs, ensemble, lattice, store_knots, basis, step, *,
             slices[k] = V.copy()
 
     diagnostics = {
-        "clamp_fraction": clamped / max(evals, 1),
+        "clamp_fraction": nxt.clamped / max(nxt.evals, 1),
+        "exits": nxt.exits,
         "residual_rms": resid_rms,
         "used_ridge": ridge_any,
         "n_eff": n_eff,
     }
     return ValueSurface(grid, lattice, tag, mean, se, slices, argmin,
                         coeffs.deterministic, ensemble.n_paths, diagnostics)
+
+
+def _stencil_means(column, z):
+    """Path means of a 1-D lattice column interpolated at node + z.
+
+    z (J, P) holds, in cells, the offsets of J families of P paths; every
+    node shares them, so each family's mean is one stencil of bincount
+    weights correlated with the column.  Edge padding reproduces the
+    lattice clamp.  Returns (n_points, J).
+    """
+    n_fam, n_paths = z.shape
+    cell = np.floor(z)
+    frac = z - cell
+    cell = cell.astype(int)
+    lo, hi = int(cell.min()), int(cell.max())
+    width = hi - lo + 2
+    tap = (cell - lo + width * np.arange(n_fam)[:, None]).ravel()
+    weights = (np.bincount(tap, (1.0 - frac).ravel(), n_fam * width)
+               + np.bincount(tap + 1, frac.ravel(), n_fam * width))
+    pad_lo = max(0, -lo)
+    padded = np.pad(column, (pad_lo, max(0, hi + 1)), mode="edge")
+    start = lo + pad_lo
+    windows = np.lib.stride_tricks.sliding_window_view(padded, width)
+    means = windows[start:start + column.size] @ weights.reshape(n_fam, width).T
+    return means / n_paths
 
 
 def value_V(coeffs, ensemble, lattice, *, basis=None, noise_level=0.0,
@@ -371,7 +434,17 @@ def value_V(coeffs, ensemble, lattice, *, basis=None, noise_level=0.0,
         slices are retained.
     keep_argmin : keep the int8/int16 argmin table of every knot, which
         feedback policies read.
-    clamp_tol : lattice-exit budget; exceeding it raises AccuracyError.
+    clamp_tol : lattice-exit budget; exceeding it raises AccuracyError,
+        which names the knot with the most exits, its control and face.
+
+    Each knot minimizes over the controls by sweeping them, except for a
+    deterministic problem under noise with d = 1 at a knot where every
+    control's dt * beta is the same at all lattice nodes.  There each
+    control's path mean is a stencil of the one-column slice (see
+    _stencil_means), the argmin is taken over those means, and only the
+    winning controls are interpolated path by path, so mean, se and the
+    slice match the sweep bit for bit unless a roundoff near-tie flips a
+    choice; lattice exits are counted on the nodes near the faces.
 
     Returns a ValueSurface whose terminal slice is the exact pathwise
     terminal cost.
@@ -385,16 +458,30 @@ def value_V(coeffs, ensemble, lattice, *, basis=None, noise_level=0.0,
     x_eval = lattice.points[:, None, :]
     idx_dtype = np.int8 if coeffs.n_controls <= 127 else np.int16
     argmins = {} if keep_argmin else None
+    one_column = bool(coeffs.deterministic and noise_level and lattice.d == 1)
 
-    def step(k, t, w, op, continuation):
-        dB = (noise_level * noise_ensemble.increments[:, k, :]
-              if noise_level else None)
+    def image(k, b, rows=slice(None)):
+        # Euler images of the lattice nodes (rows) under drift b and the
+        # knot-k noise
+        pos = x_eval[rows] + dt * b[rows]
+        if noise_level:
+            pos = pos + noise_level * noise_ensemble.increments[:, k, :]
+        return pos
+
+    def step(k, t, w, op, nxt):
+        if one_column:
+            b = np.stack([np.broadcast_to(coeffs.beta(t, x_eval, v, w),
+                                          x_eval.shape)
+                          for v in coeffs.controls])
+            if (dt * b == dt * b[:, :1]).all():
+                fv = np.stack([np.broadcast_to(coeffs.f(t, x_eval, v, w),
+                                               x_eval.shape[:-1])
+                               for v in coeffs.controls])
+                return stencil_step(k, nxt, b, fv)
+        controls = iter(range(coeffs.n_controls))   # swept in index order
 
         def score(b, fv):
-            pos = x_eval + dt * b
-            if dB is not None:
-                pos = pos + dB
-            raw = continuation(pos)
+            raw = nxt(image(k, b), next(controls))
             cont = None if op is None else op.apply(raw)
             # add the running cost in place: one lattice-by-path temporary
             # fewer per control keeps the allocator from trimming and
@@ -415,13 +502,53 @@ def value_V(coeffs, ensemble, lattice, *, basis=None, noise_level=0.0,
             argmins[k] = best_idx
         return best, best_raw
 
+    def stencil_step(k, nxt, b, fv):
+        n_controls, n = b.shape[:2]
+        dB = noise_level * noise_ensemble.increments[:, k, 0]
+        z = (dt * b[:, 0, 0, 0, None] + dB) / lattice.h
+        totals = _stencil_means(nxt.values[:, 0], z) + dt * fv[:, :, 0].T
+        best_idx = np.argmin(totals, axis=1)
+        raw = np.empty((n, dB.size))
+        for j in np.flatnonzero(np.bincount(best_idx, minlength=n_controls)):
+            rows = best_idx == j
+            vals, _ = lattice.interp(nxt.values, image(k, b[j], rows))
+            vals += fv[j, rows] * dt
+            raw[rows] = vals
+        # a shift of |z| cells can only carry the nodes that close to a
+        # face out of the box: count every control's exits there
+        node = np.arange(n)
+        for j in range(n_controls):
+            reach = np.ceil(np.abs(z[j]).max()) + 1
+            edge = (node < reach) | (node >= n - reach)
+            n_out = int(lattice.exits(image(k, b[j], edge)).sum())
+            nxt.tally(j, n * dB.size, n_out)
+        if argmins is not None:
+            argmins[k] = best_idx.astype(idx_dtype)[:, None]
+        return raw.mean(axis=-1, keepdims=True), raw
+
     surface = _backward_sweep(coeffs, ensemble, lattice, store_knots, basis,
                               step, tag=tag, argmin=argmins)
     frac = surface.diagnostics["clamp_fraction"]
     if frac > clamp_tol:
+        # name the knot with the most exits, its worst control, and the
+        # face that control's Euler images crossed most
+        exits = surface.diagnostics["exits"]
+        per_knot = {}
+        for (k, _), n_out in sorted(exits.items()):
+            per_knot[k] = per_knot.get(k, 0) + n_out
+        k = max(per_knot, key=per_knot.get)
+        j = max(sorted(c for kk, c in exits if kk == k),
+                key=lambda c: exits[k, c])
+        w = None if coeffs.deterministic else ensemble.slice_at(k)
+        b = np.asarray(coeffs.beta(ensemble.grid.knots[k], x_eval,
+                                   coeffs.controls[j], w), float)
+        faces = lattice.exits(image(k, b))
+        axis, side = np.unravel_index(np.argmax(faces), faces.shape)
         raise AccuracyError(
             f"{100 * frac:.2f}% of lattice evaluations left the box (budget "
-            f"{100 * clamp_tol:.1f}%); enlarge the lattice"
+            f"{100 * clamp_tol:.1f}%); most exits at knot {k}: control {j}, "
+            f"face x{axis} {('lo', 'hi')[side]} ({faces[axis, side]} exits); "
+            f"enlarge the lattice"
         )
     return surface
 

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .bsde import BsdeSpec, error_bound_bsde, solve_bsde
-from .coeffs import _argmin_sweep
+from .coeffs import _argmin_sweep, _policy_sweep
 from .fields import AdaptedField
 from .smoothing import _uniform_cell, error_processes
 from .valuefn import BoxLattice, default_basis, value_V
@@ -35,6 +35,13 @@ __all__ = [
 ]
 
 
+# Two control scores closer than this, relative to the size of the
+# terms behind them, count as tied: 4096 ulps, far above the roundoff of
+# a kernel average.  The absolute floor covers underflow.
+_TIE_RTOL = 2.0 ** -40
+_TIE_ATOL = 2.0 ** -1062
+
+
 def hamiltonian(coeffs, t, x, p, w=None):
     """Minimum of beta . p + f over the control grid.
 
@@ -49,16 +56,104 @@ def hamiltonian(coeffs, t, x, p, w=None):
     -------
     (value, argmin) with the leading (...) shape; ties keep the lowest
     control index.
+
+    A set that declares control_separable with d = 1 takes the envelope
+    path: each point's control is looked up on the lower envelope of the
+    lines c(v) p + g(v) and scored there alone.  Points within a rounding
+    bound of a tie (p = 0 on the eikonal grid, say) are re-scored by the
+    full sweep, with the coefficients evaluated on the whole x as the
+    sweep does, so values and argmins equal the sweep's bit for bit.
+    Every other set runs the sweep over all controls.
     """
     x = np.asarray(x, float)
     p = np.asarray(p, float)
+    if not (coeffs.control_separable and coeffs.d == 1):
+        best, best_idx, _ = _argmin_sweep(coeffs, t, x, w, _score(p))
+        return best, best_idx
 
+    shape = np.broadcast_shapes(x.shape, p.shape)
+    q = np.broadcast_to(p, shape)[..., 0]
+    breaks, pick, slope_gap, offset_gap, c_size, g_size = \
+        _control_lines(coeffs, t, w)
+    # the smallest index type keeps the lookup out of the peak memory
+    seg = np.searchsorted(breaks, q).astype(np.min_scalar_type(breaks.size))
+    idx = np.asarray(pick[seg])
+    pick_score = _score(p)
+    size = [0.0, 0.0]                 # largest |beta|, |f| at the picks
+
+    def scored(b, fv):
+        size[0] = max(size[0], b.max(initial=0.0), -b.min(initial=0.0))
+        size[1] = max(size[1], fv.max(initial=0.0), -fv.min(initial=0.0))
+        return pick_score(b, fv)
+
+    value, = _policy_sweep(coeffs, t, x, w, idx, scored, [q.shape])
+    gap = slope_gap[seg] * q + offset_gap[seg]   # runner-up minus pick
+    # scores differ from their exact lines by roundoff of this size
+    bound = _TIE_RTOL * ((size[0] + c_size) * np.abs(q)
+                         + size[1] + g_size) + _TIE_ATOL
+    tied = ~(gap > bound)
+    del gap, bound, seg               # out of the way of the re-scoring
+    if tied.any():
+        at = np.nonzero(tied)      # index arrays gather without a mask scan
+        at_score = _score(np.broadcast_to(p, shape)[at])
+
+        def tie_score(b, fv):
+            return at_score(np.broadcast_to(b, shape)[at],
+                            np.broadcast_to(fv, q.shape)[at])
+
+        value[at], idx[at], _ = _argmin_sweep(coeffs, t, x, w, tie_score)
+    return value, idx
+
+
+def _score(p):
+    """Score of one control in the sweeps: beta . p + f."""
     def score(b, fv):
         return (np.sum(np.broadcast_to(b, np.broadcast_shapes(b.shape, p.shape))
                        * p, axis=-1) + fv,)
+    return score
 
-    best, best_idx, _ = _argmin_sweep(coeffs, t, x, w, score)
-    return best, best_idx
+
+def _control_lines(coeffs, t, w):
+    """Lines c_j p + g_j of a control-separable d = 1 set, as lookup tables.
+
+    c and g are read off at x = 0 relative to control 0, once per set.
+    Between consecutive entries of breaks no two of the lowest lines
+    cross: on interval i (np.searchsorted order) pick[i] is the lowest
+    line, ties to the lowest index, and the next one lies
+    slope_gap[i] p + offset_gap[i] above it (+inf for a single control).
+    c_size and g_size bound the scale of the read-off errors.  Any call's
+    (t, w) gives a valid table, so threads that fill the cache at once
+    are harmless.
+    """
+    cached = getattr(coeffs, "_control_lines", None)
+    if cached is not None:
+        return cached
+    x0 = np.zeros((1, 1, 1))
+    b = np.array([np.ravel(coeffs.beta(t, x0, v, w))[0] for v in coeffs.controls])
+    f = np.array([np.ravel(coeffs.f(t, x0, v, w))[0] for v in coeffs.controls])
+    # a virtual line at +inf is the runner-up of a single control
+    c = np.append(b - b[0], 0.0)
+    g = np.append(f - f[0], np.inf)
+    i, j = np.triu_indices(coeffs.n_controls, 1)
+    slope = c[i] - c[j]
+    crossing = slope != 0.0
+    breaks = np.unique((g[j] - g[i])[crossing] / slope[crossing])
+    # one probe inside every interval, the two unbounded ones included
+    reach = 1.0 + np.abs(breaks).max(initial=0.0)
+    probes = np.concatenate([breaks[:1] - reach,
+                             0.5 * (breaks[:-1] + breaks[1:]),
+                             breaks[-1:] + reach]) if breaks.size else np.zeros(1)
+    order = np.argsort(c * probes[:, None] + g, axis=1, kind="stable")
+    pick, rival = order[:, 0], order[:, 1]
+    # merge neighbouring intervals with the same two lowest lines
+    keep = np.concatenate([[True], (pick[1:] != pick[:-1])
+                           | (rival[1:] != rival[:-1])])
+    pick, rival = pick[keep], rival[keep]
+    lines = (breaks[keep[1:]], pick, c[rival] - c[pick], g[rival] - g[pick],
+             np.abs(b).max() + np.abs(c[:-1]).max(),
+             np.abs(f).max() + np.abs(g[:-1]).max())
+    coeffs._control_lines = lines
+    return lines
 
 
 def estimate_decomposition(afield, ensemble):

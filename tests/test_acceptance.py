@@ -242,7 +242,7 @@ def test_criterion_07_cost_majorant_ladder():
             - base_cost.mean))))
         cs.append(bound.sup_rms() / errors.scale(gain))
 
-    margin_ok = all(m >= 0.0 for m in margins)   # margin folds tol + 3 SE
+    margin_ok = all(m >= 0.0 for m in margins)   # margin: mean + 3 SE, no tol
     norm_ok = all(norms[i] >= norms[i + 1] - 1e-12 for i in range(2))
     c_ok = max(cs) / min(cs) <= 2.0
     ok = margin_ok and norm_ok and c_ok

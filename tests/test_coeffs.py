@@ -14,7 +14,8 @@ SEED = 5
 ALL_SCENARIOS = scenario_names()
 
 # name -> (L, drift_growth, deterministic, n_controls); every built-in has
-# d = n = 1, controls on [-1, 1], lip_x = 1, m_required = 1, affine beta, f
+# d = n = 1, controls on [-1, 1], lip_x = 1, m_required = 1, affine beta, f,
+# control-separable
 BUILT_INS = {
     "eikonal": (12.0, (1.0, 0.0), True, 21),
     "linear-drift": (15.0, (1.0, 0.5), True, 21),
@@ -47,7 +48,7 @@ def test_built_in_problem_pinned(name):
     assert co.name == name and (co.d, co.n) == (1, 1)
     assert (co.L, co.lip_x, co.drift_growth) == (L, 1.0, growth)
     assert co.deterministic is deterministic and co.m_required == 1
-    assert co.affine == ("beta", "f")
+    assert co.affine == ("beta", "f") and co.control_separable is True
     assert co.n_controls == n_controls == co.controls.shape[0]
     assert co.controls[0, 0] == -1.0 and co.controls[-1, 0] == 1.0
 
@@ -73,7 +74,7 @@ def test_built_in_problem_pinned(name):
 def test_declared_constants_are_the_problem_fields():
     assert set(DECLARED) == {"d", "n", "controls", "L", "lip_x",
                              "drift_growth", "deterministic", "m_required",
-                             "affine", "n_controls"}
+                             "affine", "control_separable", "n_controls"}
 
 
 def test_control_grid():
@@ -169,6 +170,27 @@ def test_affine_declaration_matches_kernel_average(name):
                 base = np.asarray(getattr(co, attr)(0.25, x, v, w), float)
                 avg = np.asarray(getattr(moll, attr)(0.25, x, v, w), float)
                 np.testing.assert_allclose(avg, base, rtol=0.0, atol=1e-12)
+
+
+@pytest.mark.parametrize("name", ALL_SCENARIOS)
+def test_control_separable_declaration_holds(name):
+    # the Hamiltonian reads the control lines c(v) p + g(v) off at one
+    # point: beta - beta(v_0) and f - f(v_0) must not depend on t, x or w
+    co = scenario(name)
+    assert co.control_separable
+    x = probe_lattice(reach_radius(co, 1.0, 1.0), co.d)[:, None, :]
+    w = None
+    if not co.deterministic:
+        w = sample_ensemble(TimeGrid(1.0, 8), co.m_required, 50, SEED).slice_at(3)
+    for problem in (co, MollifiedSet(co, 4)):
+        for t in (0.0, 0.625):
+            for attr in ("beta", "f"):
+                fn = getattr(problem, attr)
+                ref = np.asarray(fn(t, x, co.controls[0], w), float)
+                for v in co.controls:
+                    shift = np.asarray(fn(t, x, v, w), float) - ref
+                    np.testing.assert_allclose(shift, shift.flat[0],
+                                               rtol=0.0, atol=1e-12)
 
 
 def test_affine_declaration_rejects_unknown_names():

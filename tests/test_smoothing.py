@@ -159,14 +159,16 @@ def test_functional_approximant_payoff_grid():
 
 def test_functional_approximant_rejects_path_dependent_running():
     base = scenario("zeros")
+    # G broadcasts to (n_points, n_paths), so the terminal fit itself runs:
+    # only the guard on the running coefficients can reject this set
     bad = CoefficientSet(
         name="bad", d=1, n=1, controls=np.zeros((1, 1)),
         beta=base.beta,
         f=lambda t, x, v, w: w.current[:, 0] * np.ones(x.shape[:-1]),
-        G=lambda x, w: np.zeros(x.shape[:-1]),
+        G=lambda x, w: np.zeros(x.shape[:-1]) + 0.0 * w.terminal[:, 0],
         L=1.0, lip_x=1.0, deterministic=False)
     ens = sample_ensemble(TimeGrid(1.0, 8), 1, 300, SEED)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="reads the path"):
         fit_functional_approximant(bad, ens, eps_target=0.1, x_radius=2.0)
 
 

@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from shjlab import valuefn
-from shjlab.coeffs import scenario
+from shjlab.coeffs import CoefficientSet, scenario
 from shjlab.exceptions import AccuracyError
 from shjlab.probspace import TimeGrid, sample_ensemble
 from shjlab.valuefn import (BoxLattice, ControlPolicy, cost_J, value_V,
@@ -254,6 +254,112 @@ def test_clamp_budget_raises():
     lat = BoxLattice.centered(0.5, 0.25, 1)   # far smaller than reachable
     with pytest.raises(AccuracyError):
         value_V(co, _ens(), lat, clamp_tol=0.01)
+
+
+def _noisy_reference(co, ens, aux, lat, delta):
+    """Per-control loop of the noisy one-column recursion, path by path.
+
+    Returns the mean rows, se rows, argmin tables, the near-tie mask of
+    each table (best and runner-up totals within 1e-12) and the share of
+    Euler images that left the box.
+    """
+    grid = ens.grid
+    x = lat.points[:, None, :]
+    V = np.broadcast_to(co.G(x, None), (lat.n_points, 1)).copy()
+    raw = np.broadcast_to(V, (lat.n_points, 1))
+    mean, se, argmin, tied = {}, {}, {}, {}
+    clamped = evals = 0
+    for k in range(grid.n_steps, -1, -1):
+        if k < grid.n_steps:
+            dB = delta * aux.increments[:, k, :]
+            totals, raws = [], []
+            for v in co.controls:
+                pos = x + grid.dt * co.beta(grid.knots[k], x, v, None) + dB
+                vals, nc = lat.interp(V, pos)
+                clamped += nc
+                evals += vals.size
+                vals += co.f(grid.knots[k], x, v, None) * grid.dt
+                totals.append(vals.mean(axis=-1))
+                raws.append(vals)
+            totals = np.array(totals)                 # (n_controls, n_points)
+            argmin[k] = np.argmin(totals, axis=0)
+            ranked = np.sort(totals, axis=0)
+            tied[k] = ranked[1] - ranked[0] <= 1e-12
+            raw = np.take_along_axis(np.array(raws),
+                                     argmin[k][None, :, None], 0)[0]
+            V = raw.mean(axis=-1, keepdims=True)
+        mean[k] = raw.mean(axis=-1)
+        se[k] = (raw.std(axis=-1, ddof=1) / np.sqrt(raw.shape[-1])
+                 if raw.shape[-1] > 1 else np.zeros(lat.n_points))
+    return mean, se, argmin, tied, clamped / evals
+
+
+@pytest.mark.parametrize("name,delta", [("eikonal", 0.3), ("linear-drift", 0.3),
+                                        ("constant-run-cost", 0.05)])
+def test_noisy_one_column_recursion_matches_reference(name, delta):
+    # eikonal and constant-run-cost shift every node alike, so value_V
+    # scores their controls by stencils; linear-drift keeps the sweep.
+    # The small box makes a share of the noisy images leave it.
+    co = scenario(name)
+    grid = TimeGrid(1.0, 8)
+    ens = sample_ensemble(grid, 1, 300, SEED)
+    aux = sample_ensemble(grid, 1, 300, SEED + 5)
+    lat = BoxLattice.centered(1.2, 0.1, 1)
+    reads = []
+    interp = lat.interp
+
+    def counting(values, pos):
+        out = interp(values, pos)
+        reads.append(out[0].size)
+        return out
+
+    lat.interp = counting
+    V = value_V(co, ens, lat, noise_level=delta, noise_ensemble=aux,
+                clamp_tol=1.0)
+    lat.interp = interp
+    mean, se, argmin, tied, frac = _noisy_reference(co, ens, aux, lat, delta)
+
+    assert V.diagnostics["clamp_fraction"] == frac > 0.0
+    for k in range(grid.n_steps + 1):
+        np.testing.assert_allclose(V.mean[k], mean[k], rtol=0.0, atol=1e-12)
+        np.testing.assert_allclose(V.se[k], se[k], rtol=0.0, atol=1e-12)
+    for k in range(grid.n_steps):
+        got = V.argmin[k][:, 0]
+        assert np.array_equal(got[~tied[k]], argmin[k][~tied[k]])
+    # the stencil path interpolates each node and path once per knot
+    per_knot = lat.n_points * ens.n_paths
+    expect = per_knot * (1 if name != "linear-drift" else co.n_controls)
+    assert sum(reads) == grid.n_steps * expect
+
+
+@pytest.mark.parametrize("slope", [0.0, 1e-3])
+def test_clamp_error_names_knot_control_and_face(slope):
+    # control 1 drifts right, so the hi face takes the most exits; the
+    # knot follows the noise.  slope 0 runs the stencil path, a drift
+    # that varies across nodes the sweep
+    grid = TimeGrid(1.0, 8)
+    co = CoefficientSet(
+        name="push", d=1, n=1, controls=np.array([[0.0], [4.0]]),
+        beta=lambda t, x, v, w: slope * x + v,
+        f=lambda t, x, v, w: np.zeros(x.shape[:-1]),
+        G=lambda x, w: np.abs(x[..., 0]), L=5.0, lip_x=1.0)
+    ens = sample_ensemble(grid, 1, 200, SEED)
+    aux = sample_ensemble(grid, 1, 200, SEED + 1)
+    lat = BoxLattice.centered(1.0, 0.1, 1)
+    x = lat.points[:, None, :]
+    exits = np.zeros((grid.n_steps, co.n_controls, 2), int)
+    for k in range(grid.n_steps):
+        for j, v in enumerate(co.controls):
+            pos = (x + grid.dt * co.beta(0.0, x, v, None)
+                   + 0.5 * aux.increments[:, k, :])[..., 0]
+            exits[k, j] = (pos < lat.lo[0]).sum(), (pos > lat.hi[0]).sum()
+    k = int(np.argmax(exits.sum(axis=(1, 2))))
+    assert np.argmax(exits[k].sum(axis=1)) == 1 and exits[k, 1, 1] > exits[k, 1, 0]
+    with pytest.raises(AccuracyError,
+                       match=f"most exits at knot {k}: control 1, face x0 hi "
+                             f"\\({exits[k, 1, 1]} exits\\)"):
+        value_V(co, ens, lat, noise_level=0.5, noise_ensemble=aux,
+                clamp_tol=0.01)
 
 
 def test_pathwise_reports_missing_knot():

@@ -1,15 +1,20 @@
 """Hamiltonians, residual checks, envelopes, and the FD cross-check."""
 
+import functools
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from shjlab.coeffs import scenario
+from shjlab.coeffs import _argmin_sweep, scenario, scenario_names
 from shjlab.fields import AdaptedField, reconstruction_report
 from shjlab.probspace import TimeGrid, sample_ensemble
-from shjlab.smoothing import fit_functional_approximant
+from shjlab.smoothing import MollifiedSet, fit_functional_approximant
 from shjlab.valuefn import BoxLattice, value_V
-from shjlab.viscosity import (build_envelopes, estimate_decomposition,
-                              hamiltonian, residual_check, sandwich_report,
+from shjlab.viscosity import (_control_lines, build_envelopes,
+                              estimate_decomposition, hamiltonian,
+                              residual_check, sandwich_report,
                               solve_hjb_fd_1d)
 
 SEED = 41
@@ -37,6 +42,80 @@ def test_hamiltonian_linear_drift_hand_value():
     val, idx = hamiltonian(co, 0.0, np.array([2.0]), np.array([0.3]))
     np.testing.assert_allclose(val, -0.5, atol=1e-12)
     assert co.controls[int(idx)] == -1.0
+
+
+# every built-in, its level-4 mollification and its tensor approximant
+SET_KINDS = [(name, kind) for name in scenario_names()
+             for kind in ("base", "mollified", "tensor")]
+N_PATHS = 6
+TINY = [0.0, -0.0, 5e-324, -5e-324, 1e-300, -1e-300, 1e-17, -1e-17]
+
+
+@functools.lru_cache(maxsize=None)
+def _problem(name, kind):
+    co = scenario(name)
+    if kind == "mollified":
+        co = MollifiedSet(co, 4)
+    elif kind == "tensor":
+        co = fit_functional_approximant(
+            co, sample_ensemble(TimeGrid(1.0, 8), 1, 200, SEED),
+            eps_target=0.2, x_radius=2.0)
+    # the path argument is a real slice: random-target reads it
+    w = _ens(N_PATHS).slice_at(5)
+    return co, w
+
+
+def _sweep_reference(co, t, x, p, w):
+    # the score and running minimum the Hamiltonian had before its
+    # envelope path: every control, ties to the lowest index
+    def score(b, fv):
+        shape = np.broadcast_shapes(b.shape, p.shape)
+        return (np.sum(np.broadcast_to(b, shape) * p, axis=-1) + fv,)
+
+    best, idx, _ = _argmin_sweep(co, t, x, w, score)
+    return best, idx
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_envelope_hamiltonian_matches_sweep_bitwise(data):
+    name, kind = data.draw(st.sampled_from(SET_KINDS))
+    co, w = _problem(name, kind)
+    t = data.draw(st.sampled_from([0.0, 0.3125]))
+    breaks = _control_lines(co, t, w)[0]
+    # exact breakpoints, their float neighbours, zeros and tiny values
+    special = TINY + [float(b) for b in breaks] \
+        + [float(np.nextafter(b, s)) for b in breaks for s in (-1.0, 1.0)]
+    values = st.one_of(st.sampled_from(special),
+                       st.floats(-3.0, 3.0, allow_nan=False))
+    n_rows = data.draw(st.integers(1, 4))
+    p = np.array(data.draw(st.lists(values, min_size=n_rows * N_PATHS,
+                                    max_size=n_rows * N_PATHS)))
+    x = np.array(data.draw(st.lists(st.floats(-4.0, 4.0), min_size=n_rows,
+                                    max_size=n_rows)))
+    if data.draw(st.booleans()):
+        # lattice rows against a path axis
+        x, p = x[:, None, None], p.reshape(n_rows, N_PATHS, 1)
+    else:
+        x, p = np.repeat(x, N_PATHS)[:, None], p[:, None]
+    val, idx = hamiltonian(co, t, x, p, w)
+    ref_val, ref_idx = _sweep_reference(co, t, x, p, w)
+    assert idx.dtype == ref_idx.dtype and np.array_equal(idx, ref_idx)
+    assert val.shape == ref_val.shape
+    assert np.array_equal(val.view(np.int64), ref_val.view(np.int64))
+
+
+def test_envelope_ties_and_path_rows_on_eikonal():
+    # p = 0 ties all 21 lines; rows of zeros next to rows without ties
+    co, w = _problem("eikonal", "tensor")
+    p = np.linspace(-1.0, 1.0, 4 * N_PATHS).reshape(4, N_PATHS, 1)
+    p[1] = 0.0
+    p[2, ::2] = -0.0
+    x = np.linspace(-1.0, 1.0, 4)[:, None, None]
+    val, idx = hamiltonian(co, 0.0, x, p, w)
+    ref_val, ref_idx = _sweep_reference(co, 0.0, x, p, w)
+    assert np.array_equal(idx, ref_idx) and not idx[1].any()
+    assert np.array_equal(val.view(np.int64), ref_val.view(np.int64))
 
 
 def _sampled_field(ens, fn, lat):
