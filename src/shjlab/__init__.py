@@ -8,8 +8,8 @@ checks with mollified coefficient ladders and envelope constructions.
 
 from .exceptions import AccuracyError, CapacityError, IntegrationError
 from .probspace import (CondExpOperator, PathSlice, RegressionBasis, TimeGrid,
-                        WienerEnsemble, cond_expect, merge_ensembles,
-                        polynomial_basis, sample_ensemble, subset_paths)
+                        WienerEnsemble, polynomial_basis, sample_ensemble,
+                        subset_paths)
 from .coeffs import (CoefficientSet, a1_audit, control_grid, probe_lattice,
                      reach_radius, scenario, scenario_names)
 from .smoothing import (ApproximationErrors, FunctionalApproximant,
@@ -34,8 +34,7 @@ __all__ = [
     "AccuracyError", "CapacityError", "IntegrationError",
     # probability space
     "TimeGrid", "WienerEnsemble", "PathSlice", "RegressionBasis",
-    "CondExpOperator", "sample_ensemble", "merge_ensembles", "subset_paths",
-    "polynomial_basis", "cond_expect",
+    "CondExpOperator", "sample_ensemble", "subset_paths", "polynomial_basis",
     # problem data
     "CoefficientSet", "scenario", "scenario_names",
     "control_grid", "reach_radius", "probe_lattice", "a1_audit",

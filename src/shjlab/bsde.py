@@ -40,8 +40,7 @@ class BsdeSpec:
     ----------
     ensemble : WienerEnsemble
         Carries the filtration, the regression features, and the
-        increments used for the Z extraction.  Product-space problems
-        pass a merged ensemble.
+        increments used for the Z extraction.
     terminal : (n_paths,) array
         Horizon value, measurable at the last knot.
     generator : None, callable, or array
@@ -106,7 +105,7 @@ class BsdeSolution:
 
 def solve_bsde(spec):
     """One backward least-squares sweep on degree-3 polynomials of the
-    current Brownian value (all coordinates for product ensembles).
+    current Brownian value (all coordinates of a multi-d ensemble).
 
     Parameters
     ----------
@@ -133,7 +132,8 @@ def solve_bsde(spec):
         driver[k] = g
         op = CondExpOperator(ens, k, basis)
         pY = op.apply(Y[k + 1])
-        Y[k] = pY + dt * op.apply(g)
+        # generator None projects to zero: skip that apply
+        Y[k] = pY if spec.generator is None else pY + dt * op.apply(g)
         # centering by the projection leaves the covariation identity
         # intact and keeps Z exactly zero for deterministic integrands
         dW = ens.increments[:, k, :]

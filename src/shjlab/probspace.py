@@ -30,10 +30,8 @@ __all__ = [
     "RegressionBasis",
     "CondExpOperator",
     "sample_ensemble",
-    "merge_ensembles",
     "subset_paths",
     "polynomial_basis",
-    "cond_expect",
 ]
 
 # binary ensemble container: magic, m, n_steps, n_paths, seed, T
@@ -121,17 +119,6 @@ class WienerEnsemble:
     def slice_at(self, k, terminal_ok=False):
         return PathSlice(self, k, terminal_ok=terminal_ok)
 
-    def with_permuted_future(self, k, perm):
-        """Copy with increments at step indices >= k permuted across paths.
-
-        Leaves every path's history up to knot k untouched; used by
-        adaptedness audits (anything measurable at knot k must be
-        bit-identical under this operation).
-        """
-        inc = self.increments.copy()
-        inc[:, k:, :] = inc[perm, k:, :]
-        return WienerEnsemble(self.grid, self.m, self.n_paths, self.seed, inc)
-
     def save(self, path):
         """Write the ensemble to a little-endian binary container."""
         header = _HEADER.pack(
@@ -184,23 +171,6 @@ def sample_ensemble(grid, m, n_paths, seed):
     rng = np.random.default_rng(int(seed))
     inc = rng.standard_normal((n_paths, grid.n_steps, m)) * np.sqrt(grid.dt)
     return WienerEnsemble(grid, m, n_paths, int(seed), inc)
-
-
-def merge_ensembles(first, second):
-    """Stack two independent ensembles into one on the product space.
-
-    Coordinates 0..m1-1 come from ``first``, the rest from ``second``.
-    Both must share the grid and path count; independence is the
-    caller's responsibility (distinct seeds).
-    """
-    if first.grid != second.grid:
-        raise ValueError("ensembles live on different grids")
-    if first.n_paths != second.n_paths:
-        raise ValueError("ensembles have different path counts")
-    inc = np.concatenate([first.increments, second.increments], axis=-1)
-    return WienerEnsemble(
-        first.grid, first.m + second.m, first.n_paths, first.seed, inc
-    )
 
 
 def subset_paths(ensemble, index):
@@ -271,7 +241,7 @@ class RegressionBasis:
             raise ValueError("names/feature_maps length mismatch")
 
     def __len__(self):
-        return len(self.feature_maps)
+        return len(self.names)
 
     def design(self, ensemble, k):
         """Feature matrix at knot k, shape (n_paths, n_features)."""
@@ -293,6 +263,46 @@ def _monomial_exponents(n_vars, degree):
     return out
 
 
+class _MonomialBasis(RegressionBasis):
+    """Monomials of selected W coordinates, designed in one pass.
+
+    Row j of the (F, n_paths) design is the left-to-right product of the
+    earlier rows in ``_factors[j]``, so no feature goes through ``pow``.
+    """
+
+    def __init__(self, degree, coords, one_d):
+        self.one_d = one_d
+        exps = _monomial_exponents(len(coords), degree)
+        self.names = ["1"] + ["w^" + "".join(map(str, a)) for a in exps]
+        # rows 1..len(coords) are W itself; degree 0 reads no W at all
+        self.coords = list(coords) if degree else []
+        row = {a: j for j, a in enumerate(exps, 1)}
+
+        def pure(c, p):
+            return row[tuple(p * (i == c) for i in range(len(coords)))]
+
+        self._factors = {}
+        for alpha in exps[len(coords):]:
+            nz = [c for c, p in enumerate(alpha) if p]
+            if len(nz) == 1:
+                c, = nz
+                self._factors[row[alpha]] = [pure(c, alpha[c] - 1), pure(c, 1)]
+            else:
+                self._factors[row[alpha]] = [pure(c, alpha[c]) for c in nz]
+
+    def design(self, ensemble, k):
+        if self.one_d and ensemble.m != 1:
+            raise ValueError("polynomial_basis needs coords when m > 1")
+        phi = np.empty((len(self.names), ensemble.n_paths))
+        phi[0] = 1.0
+        phi[1:len(self.coords) + 1] = ensemble.value_at(k)[:, self.coords].T
+        for j, (first, *rest) in self._factors.items():
+            np.multiply(phi[first], phi[rest[0]], out=phi[j])
+            for f in rest[1:]:
+                np.multiply(phi[j], phi[f], out=phi[j])
+        return phi.T
+
+
 def polynomial_basis(degree=3, coords=None):
     """Monomials of the current Brownian value up to a total degree.
 
@@ -300,41 +310,24 @@ def polynomial_basis(degree=3, coords=None):
     selected W coordinates of total degree 1..degree.  coords=None
     selects coordinate 0 of a one-dimensional ensemble; multi-d
     ensembles must name their coordinates.
+
+    Powers are running products, never ``**``: w^3 is (w*w)*w, and a
+    mixed monomial multiplies its pure powers in coords order, so
+    w^21 is (w0*w0)*w1.  The design reads W once per knot.
     """
     if degree < 0:
         raise ValueError("degree must be >= 0")
     one_d = coords is None
-    if one_d:
-        coords = (0,)
-
-    def make(alpha):
-        def fm(ens, k):
-            if one_d and ens.m != 1:
-                raise ValueError("polynomial_basis needs coords when m > 1")
-            w = ens.value_at(k)
-            out = None
-            for c, p in zip(coords, alpha):
-                if p:
-                    # from the first factor on: a pure power is w ** p
-                    term = w[:, c] ** p
-                    out = term if out is None else out * term
-            return out
-
-        return fm
-
-    maps = [lambda ens, k: 1.0]
-    names = ["1"]
-    for alpha in _monomial_exponents(len(coords), degree):
-        maps.append(make(alpha))
-        names.append("w^" + "".join(map(str, alpha)))
-    return RegressionBasis(maps, names)
+    return _MonomialBasis(degree, (0,) if one_d else coords, one_d)
 
 
 class CondExpOperator:
     """Least-squares conditional-expectation surrogate at one knot.
 
-    Factorizes the normal equations once so many target batches can be
-    projected cheaply.  Singular designs fall back to ridge with
+    Keeps the design phi and the F x F inverse of the normal equations,
+    so many target batches project cheaply, in two passes over the
+    design: coef = (targets @ phi) @ inv.T, then coef @ phi.T.
+    Singular designs fall back to ridge with
     lambda = 1e-8 * trace(G)/n_features and set ``used_ridge``.
     At knot 0 the sigma-algebra is trivial and the operator is the
     plain sample mean whatever the basis.
@@ -346,7 +339,7 @@ class CondExpOperator:
         self.used_ridge = False
         if self.k == 0:
             self.design = None
-            self._solve = None
+            self._inv = None
             return
         phi = basis.design(ensemble, self.k)
         if not np.isfinite(phi).all():
@@ -359,7 +352,7 @@ class CondExpOperator:
         if w[0] <= 1e-12 * max(w[-1], 1e-300):
             lam = 1e-8 * np.trace(gram) / gram.shape[0]
             self.used_ridge = True
-        self._solve = np.linalg.inv(gram + lam * np.eye(gram.shape[0])) @ phi.T
+        self._inv = np.linalg.inv(gram + lam * np.eye(gram.shape[0]))
 
     def apply(self, targets):
         """Project targets onto the span of the features.
@@ -375,20 +368,5 @@ class CondExpOperator:
         if self.k == 0:
             mean = targets.mean(axis=-1, keepdims=True)
             return np.broadcast_to(mean, targets.shape).copy()
-        coef = targets @ self._solve.T
+        coef = (targets @ self.design) @ self._inv.T
         return coef @ self.design.T
-
-
-def cond_expect(ensemble, t, targets, basis):
-    """Regression estimate of E[targets | F_t] per path.
-
-    Parameters
-    ----------
-    ensemble : WienerEnsemble
-    t : float or int
-        Knot time (or knot index) at which to condition.
-    targets : (n_paths,) array
-    basis : RegressionBasis
-    """
-    k = ensemble.grid.index_of(t)
-    return CondExpOperator(ensemble, k, basis).apply(targets)

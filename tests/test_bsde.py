@@ -49,6 +49,19 @@ def test_brownian_terminal_martingale():
     assert abs(sol.Z.mean() - 1.0) < 0.02
 
 
+def test_none_generator_matches_explicit_zeros():
+    # generator=None skips one projection per knot; an explicit zero
+    # array goes through it, and the two agree (signed zeros aside)
+    ens = _ens(2_000)
+    wT = ens.value_at(GRID.n_steps)[:, 0]
+    none = solve_bsde(BsdeSpec(ens, wT))
+    zeros = solve_bsde(BsdeSpec(ens, wT, np.zeros(GRID.n_steps)))
+    for name in ("Y", "Z", "driver"):
+        assert np.array_equal(getattr(none, name), getattr(zeros, name))
+    assert np.array_equal(none.diagnostics["residual_rms"],
+                          zeros.diagnostics["residual_rms"])
+
+
 def test_deterministic_data_collapse():
     # constant terminal and driver: Y is the exact quadrature, Z == 0
     ens = _ens(2_000)

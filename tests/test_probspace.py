@@ -6,8 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from shjlab.probspace import (CondExpOperator, PathSlice, RegressionBasis,
-                              TimeGrid, WienerEnsemble, cond_expect,
-                              merge_ensembles, polynomial_basis,
+                              TimeGrid, WienerEnsemble, polynomial_basis,
                               sample_ensemble, subset_paths)
 
 SEED = 7
@@ -66,16 +65,6 @@ def test_load_rejects_corrupt_header(tmp_path):
         WienerEnsemble.load(path)
 
 
-def test_permuted_future_keeps_prefix():
-    grid = TimeGrid(1.0, 8)
-    ens = sample_ensemble(grid, 1, 50, SEED)
-    rng = np.random.default_rng(0)
-    perm = rng.permutation(50)
-    other = ens.with_permuted_future(3, perm)
-    assert np.array_equal(other.increments[:, :3], ens.increments[:, :3])
-    assert np.array_equal(other.increments[:, 3:], ens.increments[perm, 3:])
-
-
 def test_path_slice_terminal_gate():
     grid = TimeGrid(1.0, 4)
     ens = sample_ensemble(grid, 1, 10, SEED)
@@ -88,17 +77,8 @@ def test_path_slice_terminal_gate():
         sl.at(0.75)  # future of the slice knot
 
 
-def test_merge_and_subset():
-    grid = TimeGrid(1.0, 4)
-    a = sample_ensemble(grid, 1, 30, SEED)
-    b = sample_ensemble(grid, 2, 30, SEED + 1)
-    both = merge_ensembles(a, b)
-    assert both.m == 3
-    assert np.array_equal(both.increments[..., :1], a.increments)
-    assert np.array_equal(both.increments[..., 1:], b.increments)
-    with pytest.raises(ValueError):
-        merge_ensembles(a, sample_ensemble(grid, 1, 31, SEED))
-
+def test_subset_paths():
+    a = sample_ensemble(TimeGrid(1.0, 4), 1, 30, SEED)
     half = subset_paths(a, np.arange(15))
     assert half.n_paths == 15
     assert np.array_equal(half.increments, a.increments[:15])
@@ -128,7 +108,8 @@ def test_projection_tower_property():
     grid = TimeGrid(1.0, 8)
     ens = sample_ensemble(grid, 1, 50_000, SEED)
     w_t = ens.value_at(4)[:, 0]
-    est = cond_expect(ens, 0.5, ens.value_at(8)[:, 0], polynomial_basis(3))
+    est = CondExpOperator(ens, 4, polynomial_basis(3)).apply(
+        ens.value_at(8)[:, 0])
     assert np.sqrt(np.mean((est - w_t) ** 2)) < 0.02
 
 
@@ -166,14 +147,14 @@ def test_projection_is_idempotent_after_knot_0(m, degree, k, n_paths, seed,
     assert np.abs(op.apply(once) - once).max() <= tol
 
 
-def test_one_d_basis_columns_are_plain_powers():
+def test_one_d_basis_columns_are_running_products():
     ens = sample_ensemble(TimeGrid(1.0, 4), 1, 300, SEED)
     basis = polynomial_basis(3)
     assert basis.names == ["1", "w^1", "w^2", "w^3"]
     design = basis.design(ens, 2)
     w = ens.value_at(2)[:, 0]
-    for p in range(4):
-        assert np.array_equal(design[:, p], w**p)
+    for p, col in enumerate([np.ones(300), w, w * w, (w * w) * w]):
+        assert np.array_equal(design[:, p], col)
     with pytest.raises(ValueError, match="needs coords"):
         basis.design(sample_ensemble(TimeGrid(1.0, 4), 2, 300, SEED), 2)
 
@@ -188,3 +169,29 @@ def test_two_d_basis_keeps_names_and_order():
     design = basis.design(ens, 3)
     for j, col in enumerate(expect):
         assert np.array_equal(design[:, j], col)
+
+
+def test_two_d_cubic_columns_are_running_products():
+    ens = sample_ensemble(TimeGrid(1.0, 4), 2, 300, SEED)
+    basis = polynomial_basis(3, coords=(0, 1))
+    w0, w1 = ens.value_at(2).T
+    expect = {"w^30": (w0 * w0) * w0, "w^21": (w0 * w0) * w1,
+              "w^12": w0 * (w1 * w1), "w^03": (w1 * w1) * w1}
+    design = basis.design(ens, 2)
+    for name, col in expect.items():
+        assert np.array_equal(design[:, basis.names.index(name)], col)
+
+
+@pytest.mark.parametrize("n_targets", [1, 3])
+def test_projection_matches_explicit_projector(n_targets):
+    # reference: the (F, n) projector inv(G) @ phi.T formed explicitly
+    ens = sample_ensemble(TimeGrid(1.0, 32), 1, 50_000, SEED)
+    basis = polynomial_basis(3)
+    y = ens.value_at(32)[:, 0] ** 2 + np.arange(n_targets)[:, None]
+    y = y[0] if n_targets == 1 else y
+    for k in (1, 16, 31):
+        phi = np.ascontiguousarray(basis.design(ens, k))
+        solve = np.linalg.inv(phi.T @ phi) @ phi.T
+        expect = (y @ solve.T) @ phi.T
+        got = CondExpOperator(ens, k, basis).apply(y)
+        assert np.abs(got - expect).max() <= 1e-12 * np.abs(expect).max()
