@@ -7,15 +7,14 @@ checks with mollified coefficient ladders and envelope constructions.
 """
 
 from .exceptions import AccuracyError, CapacityError, IntegrationError
-from .probspace import (CondExpOperator, PathSlice, RegressionBasis, TimeGrid,
-                        WienerEnsemble, polynomial_basis, sample_ensemble,
-                        subset_paths)
-from .coeffs import (CoefficientSet, a1_audit, control_grid, probe_lattice,
-                     reach_radius, scenario, scenario_names)
+from .probspace import (CondExpOperator, PathSlice, TimeGrid, WienerEnsemble,
+                        polynomial_basis, sample_ensemble, subset_paths)
+from .coeffs import (CoefficientSet, control_grid, probe_lattice, reach_radius,
+                     scenario, scenario_names)
 from .smoothing import (ApproximationErrors, FunctionalApproximant,
                         MollifiedSet, bump_kernel, error_processes,
                         fit_functional_approximant, kernel_quadrature,
-                        linear_growth_penalty, mollify)
+                        linear_growth_penalty)
 from .dynamics import StateTrajectoryBatch, flow_audit, integrate
 from .valuefn import (BoxLattice, ControlPolicy, CostEstimate, ValueSurface,
                       cost_J, default_basis, value_V, value_audit)
@@ -33,13 +32,13 @@ __all__ = [
     # errors
     "AccuracyError", "CapacityError", "IntegrationError",
     # probability space
-    "TimeGrid", "WienerEnsemble", "PathSlice", "RegressionBasis",
-    "CondExpOperator", "sample_ensemble", "subset_paths", "polynomial_basis",
+    "TimeGrid", "WienerEnsemble", "PathSlice", "CondExpOperator",
+    "sample_ensemble", "subset_paths", "polynomial_basis",
     # problem data
     "CoefficientSet", "scenario", "scenario_names",
-    "control_grid", "reach_radius", "probe_lattice", "a1_audit",
+    "control_grid", "reach_radius", "probe_lattice",
     # smoothing and approximants
-    "bump_kernel", "kernel_quadrature", "MollifiedSet", "mollify",
+    "bump_kernel", "kernel_quadrature", "MollifiedSet",
     "linear_growth_penalty", "ApproximationErrors", "error_processes",
     "FunctionalApproximant", "fit_functional_approximant",
     # dynamics and value functions

@@ -95,9 +95,6 @@ class BsdeSolution:
     def n_paths(self):
         return self.Y.shape[1]
 
-    def mean(self):
-        return self.Y.mean(axis=1)
-
     def sup_rms(self):
         """max_k sqrt(E Y_k^2); the ladder norm for the error bounds."""
         return float(np.max(np.sqrt(np.mean(self.Y**2, axis=1))))

@@ -32,7 +32,8 @@ from .probspace import TimeGrid, sample_ensemble
 from .smoothing import (MollifiedSet, _gauss_legendre_box, bump_kernel,
                         error_processes, fit_functional_approximant,
                         linear_growth_penalty)
-from .valuefn import BoxLattice, ControlPolicy, value_V, value_audit
+from .valuefn import (BoxLattice, ControlPolicy, _value_lipschitz, value_V,
+                      value_audit)
 from .viscosity import (build_envelopes, estimate_decomposition,
                         residual_check, sandwich_report)
 
@@ -325,11 +326,6 @@ def _pipe_mollify(cfg, out, scale, workers):
     return checks
 
 
-def _value_lipschitz(coeffs, T):
-    """Declared Lipschitz bound e^{L T} L (T + 1) of the value in x."""
-    return float(np.exp(coeffs.L * T) * coeffs.L * (T + 1.0))
-
-
 def _jhat_item(cfg, scale, coeffs, ens, lat, pol, base_cost, level, radius):
     ml = MollifiedSet(coeffs, level=level)
     errors = error_processes(coeffs, ml, ens, radius=radius)
@@ -552,12 +548,13 @@ def _manifest(out_dir, pipeline, config, workers):
     return finish
 
 
-def run(config, pipeline, out_dir, *, workers=None, tolerance_scale=None):
+def run(config, pipeline, out_dir, *, workers=None):
     """Execute one pipeline; returns (exit_code, checks dict).
 
     Exit code 0: every check passed; 1: a check or the computation
-    failed; 2: bad invocation (a config field that fails validation, an
-    unknown pipeline or scenario, or sizes over the capacity budget).
+    failed; 2: bad invocation (a config field that fails validation,
+    fewer than one worker, an unknown pipeline or scenario, or sizes
+    over the capacity budget).
     manifest.json is written on every exit; a failed run records its
     ``error`` and ``exit_code`` there.
     """
@@ -569,6 +566,8 @@ def run(config, pipeline, out_dir, *, workers=None, tolerance_scale=None):
         return _manifest(out_dir, pipeline, None, workers)(
             2, {}, f"bad config: {exc}")
     finish = _manifest(out_dir, pipeline, config, workers)
+    if workers < 1:
+        return finish(2, {}, f"workers must be >= 1, got {workers}")
     if pipeline not in _RUNNERS:
         return finish(2, {}, f"unknown pipeline {pipeline!r}; choose from "
                       f"{PIPELINES}")
@@ -577,9 +576,9 @@ def run(config, pipeline, out_dir, *, workers=None, tolerance_scale=None):
                       f"{scenario_names()}")
     _say(f"[{pipeline}] scenario={config.scenario} hash={config.digest()} "
          f"workers={workers}")
-    scale = config.tolerance_scale * (tolerance_scale or 1.0)
     try:
-        checks = _RUNNERS[pipeline](config, out_dir, scale, workers)
+        checks = _RUNNERS[pipeline](config, out_dir, config.tolerance_scale,
+                                    workers)
     except (CapacityError, AccuracyError, IntegrationError, ValueError) as exc:
         code = 2 if isinstance(exc, CapacityError) else 1
         return finish(code, {"error": str(exc)}, f"failed: {exc}")
@@ -603,8 +602,10 @@ def main(argv=None):
                         help=f"scenario override ({', '.join(scenario_names())})")
     parser.add_argument("--seed", type=int, default=None,
                         help="override the W seed (B seed follows)")
-    parser.add_argument("--workers", type=int, default=None)
-    parser.add_argument("--tolerance-scale", type=float, default=None)
+    parser.add_argument("--workers", type=int, default=None,
+                        help="threads for ladder items, at least 1")
+    parser.add_argument("--tolerance-scale", type=float, default=None,
+                        help="override the config's tolerance_scale")
     args = parser.parse_args(argv)
 
     try:
@@ -618,6 +619,9 @@ def main(argv=None):
         if args.seed is not None:
             cfg = dataclasses.replace(cfg, seed_w=args.seed,
                                       seed_b=args.seed + 1000003)
+        if args.tolerance_scale is not None:
+            cfg = dataclasses.replace(cfg,
+                                      tolerance_scale=args.tolerance_scale)
     except (OSError, json.JSONDecodeError) as exc:
         # nothing to record: the file could not be read or parsed
         _say(f"bad config: {exc}")
@@ -627,8 +631,7 @@ def main(argv=None):
         finish = _manifest(args.out, args.pipeline, None, args.workers)
         return finish(2, {}, f"bad config: {exc}")[0]
 
-    code, _ = run(cfg, args.pipeline, args.out, workers=args.workers,
-                  tolerance_scale=args.tolerance_scale)
+    code, _ = run(cfg, args.pipeline, args.out, workers=args.workers)
     return code
 
 

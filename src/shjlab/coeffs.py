@@ -27,7 +27,6 @@ __all__ = [
     "control_grid",
     "reach_radius",
     "probe_lattice",
-    "a1_audit",
 ]
 
 MAX_STATE_DIM = 3
@@ -270,60 +269,3 @@ def scenario(name):
 
 def scenario_names():
     return sorted(_SCENARIOS)
-
-
-# ---------------------------------------------------------------------------
-# declared-bound audit
-
-def a1_audit(coeffs, ensemble=None):
-    """Empirical check of the declared uniform bound on sampled probes.
-
-    Evaluates |beta|, |f|, |G| and their spatial difference quotients
-    between consecutive probes of the default probe lattice on the reach
-    of |x0| <= 1, at the knots nearest 5 equally spaced times (per path
-    when the set reads the ensemble; t = 0 and horizon 1 without one),
-    and compares against coeffs.L.  Returns a report dict with observed
-    maxima; ``passed`` is True when all stay <= L.
-    """
-    radius = reach_radius(coeffs, 1.0, 1.0 if ensemble is None else ensemble.grid.T)
-    probes = probe_lattice(radius, coeffs.d)
-    if ensemble is not None:
-        times = np.linspace(0.0, ensemble.grid.T, 5)
-        knots = sorted({ensemble.grid.index_of(round(t / ensemble.grid.dt) * ensemble.grid.dt) for t in times})
-    else:
-        knots = [0]
-
-    x = probes[:, None, :]  # (n_probes, 1, d) broadcasting against paths
-    sup_val = 0.0
-    sup_quot = 0.0
-    for k in knots:
-        t = 0.0 if ensemble is None else ensemble.grid.knots[k]
-        w = None if coeffs.deterministic else ensemble.slice_at(k)
-        wT = None if coeffs.deterministic else ensemble.slice_at(k, terminal_ok=True)
-        for v in coeffs.controls:
-            b = np.asarray(coeffs.beta(t, x, v, w))
-            c = np.asarray(coeffs.f(t, x, v, w))
-            sup_val = max(sup_val, float(np.abs(b).max()), float(np.abs(c).max()))
-            sup_quot = max(sup_quot, _max_quotient(b, probes))
-            sup_quot = max(sup_quot, _max_quotient(c[..., None], probes))
-        g = np.asarray(coeffs.G(x, wT))
-        sup_val = max(sup_val, float(np.abs(g).max()))
-        sup_quot = max(sup_quot, _max_quotient(g[..., None], probes))
-
-    return {
-        "L": coeffs.L,
-        "sup_value": sup_val,
-        "sup_quotient": sup_quot,
-        "radius": radius,
-        "passed": bool(sup_val <= coeffs.L + 1e-12 and sup_quot <= coeffs.L + 1e-9),
-    }
-
-
-def _max_quotient(vals, probes):
-    # difference quotients along consecutive probe rows
-    dv = np.abs(vals[1:] - vals[:-1]).max(axis=tuple(range(1, vals.ndim)))
-    dx = np.linalg.norm(probes[1:] - probes[:-1], axis=-1)
-    ok = dx > 0
-    if not ok.any():
-        return 0.0
-    return float((dv[ok] / dx[ok]).max())

@@ -74,10 +74,6 @@ class AdaptedField:
         k = next(iter(self.values))
         return self.values[k].shape[1]
 
-    @property
-    def has_decomposition(self):
-        return self.drift is not None
-
     def at(self, k):
         if k not in self.values:
             raise KeyError(f"knot {k} not sampled; have {self.knots}")
@@ -90,29 +86,20 @@ class AdaptedField:
         """
         return self.lattice.gradient(self.at(k))
 
-    def shifted(self, offset):
-        """Same field with a constant added to every sample (shared drift)."""
-        vals = {k: v + float(offset) for k, v in self.values.items()}
-        return AdaptedField(self.grid, self.lattice, vals, self.drift,
-                            self.noise, tag=f"{self.tag}{offset:+g}",
-                            diagnostics=dict(self.diagnostics))
 
-
-def sample_adapted_field(fn, grid, lattice, ensemble, knots=None, tag="u"):
-    """Evaluate fn(t, x, w) on knots x lattice x paths.
+def sample_adapted_field(fn, grid, lattice, ensemble, tag="u"):
+    """Evaluate fn(t, x, w) on every knot x lattice x paths.
 
     fn receives t (float), x of shape (n_points, 1, d) and a PathSlice,
     and must broadcast to (n_points, n_paths).  Only the slice at the
     horizon may read terminal values.
     """
-    if knots is None:
-        knots = range(grid.n_steps + 1)
     x = lattice.points[:, None, :]
     values = {}
-    for k in knots:
+    for k in range(grid.n_steps + 1):
         w = PathSlice(ensemble, k, terminal_ok=k == grid.n_steps)
         sampled = np.asarray(fn(grid.knots[k], x, w), float)
-        values[int(k)] = np.broadcast_to(
+        values[k] = np.broadcast_to(
             sampled, (lattice.n_points, ensemble.n_paths)
         ).copy()
     return AdaptedField(grid, lattice, values, tag=tag)

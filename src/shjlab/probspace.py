@@ -10,8 +10,8 @@ Classes
 TimeGrid        uniform knots 0 = t_0 < ... < t_n = T
 WienerEnsemble  n_paths independent m-dimensional Brownian paths
 PathSlice       read-only view of path history up to a knot
-RegressionBasis ordered feature maps on path prefixes
-CondExpOperator pre-factorized projector for one knot
+CondExpOperator pre-factorized projector for one knot, onto the
+                monomial features that polynomial_basis returns
 """
 
 from __future__ import annotations
@@ -27,7 +27,6 @@ __all__ = [
     "TimeGrid",
     "WienerEnsemble",
     "PathSlice",
-    "RegressionBasis",
     "CondExpOperator",
     "sample_ensemble",
     "subset_paths",
@@ -223,35 +222,6 @@ class PathSlice:
         return self.ensemble.value_at(j)
 
 
-class RegressionBasis:
-    """Ordered list of feature maps on path prefixes.
-
-    Each feature map is called as fm(ensemble, k) and must return a
-    scalar or an (n_paths,) array that reads only path data up to knot k.
-    """
-
-    def __init__(self, feature_maps, names=None):
-        if not feature_maps:
-            raise ValueError("at least one feature map required")
-        self.feature_maps = list(feature_maps)
-        self.names = list(names) if names is not None else [
-            f"phi{i}" for i in range(len(feature_maps))
-        ]
-        if len(self.names) != len(self.feature_maps):
-            raise ValueError("names/feature_maps length mismatch")
-
-    def __len__(self):
-        return len(self.names)
-
-    def design(self, ensemble, k):
-        """Feature matrix at knot k, shape (n_paths, n_features)."""
-        n = ensemble.n_paths
-        cols = np.empty((n, len(self.feature_maps)))
-        for j, fm in enumerate(self.feature_maps):
-            cols[:, j] = np.broadcast_to(np.asarray(fm(ensemble, k), float), (n,))
-        return cols
-
-
 def _monomial_exponents(n_vars, degree):
     out = []
     for total in range(1, degree + 1):
@@ -263,7 +233,7 @@ def _monomial_exponents(n_vars, degree):
     return out
 
 
-class _MonomialBasis(RegressionBasis):
+class _MonomialBasis:
     """Monomials of selected W coordinates, designed in one pass.
 
     Row j of the (F, n_paths) design is the left-to-right product of the

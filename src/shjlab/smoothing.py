@@ -29,7 +29,6 @@ __all__ = [
     "bump_kernel",
     "kernel_quadrature",
     "MollifiedSet",
-    "mollify",
     "linear_growth_penalty",
     "ApproximationErrors",
     "error_processes",
@@ -99,23 +98,6 @@ def _gauss_legendre_box(d, n_nodes):
     for axis_w in _tensor_points([wi] * d).T:
         w = w * axis_w
     return _tensor_points([xi] * d), w
-
-
-def mollify(fn, level, d):
-    """Mollified version of a spatial map: x -> sum_q w_q fn(x - y_q).
-
-    fn must accept arrays shaped (..., d) with arbitrary leading axes.
-    The nodes are those of kernel_quadrature's default 17-point rule.
-    Preserves suprema, Lipschitz constants and affine maps exactly
-    because the discrete kernel has unit mass and symmetric nodes.
-    """
-    nodes, weights = kernel_quadrature(d, level)
-
-    def smoothed(x, *args, **kwargs):
-        return _kernel_average(lambda xs: fn(xs, *args, **kwargs), x,
-                               nodes, weights)
-
-    return smoothed
 
 
 def _node_shift(x, nodes):
@@ -307,10 +289,6 @@ class FunctionalApproximant:
         for attr in DECLARED:
             setattr(self, attr, getattr(self.base, attr))
         self.name = f"{self.base.name}|tensor eps={self.eps_target:g}"
-
-    @property
-    def n_terms(self):
-        return 1 if self.w_grid is None else int(self.w_grid.size)
 
     def beta(self, t, x, v, w):
         if "beta" in self.base.affine:

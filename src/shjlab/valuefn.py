@@ -335,6 +335,8 @@ def _backward_sweep(coeffs, ensemble, lattice, store_knots, basis, step, *,
     realizations behind it.  nxt is the knot-(k+1) slice as a _NextSlice:
     nxt(pos, j) interpolates it at Euler images and counts lattice exits;
     op is the knot-k projection, None for path-free coefficients.
+    store_knots "all" keeps every pathwise slice; "auto" strides them
+    as value_V describes.
     """
     grid = ensemble.grid
     n = grid.n_steps
@@ -344,12 +346,10 @@ def _backward_sweep(coeffs, ensemble, lattice, store_knots, basis, step, *,
         basis = default_basis(m=ensemble.m)
 
     fits = (n + 1) * lattice.n_points * n_eff <= AUTO_STORE_BUDGET
-    if store_knots == "all" or (store_knots == "auto" and fits):
+    if store_knots == "all" or fits:
         keep = set(range(n + 1))
-    elif store_knots == "auto":
-        keep = set(range(0, n + 1, max(1, n // 8))) | {0, n}
     else:
-        keep = set(int(j) for j in store_knots) | {0, n}
+        keep = set(range(0, n + 1, max(1, n // 8))) | {0, n}
 
     x_eval = lattice.points[:, None, :]
     wT = None if coeffs.deterministic else ensemble.slice_at(n, terminal_ok=True)
@@ -417,8 +417,7 @@ def _stencil_means(column, z):
 
 
 def value_V(coeffs, ensemble, lattice, *, basis=None, noise_level=0.0,
-            noise_ensemble=None, store_knots="auto", keep_argmin=True,
-            clamp_tol=0.01, tag="V"):
+            noise_ensemble=None, keep_argmin=True, clamp_tol=0.01, tag="V"):
     """Backward dynamic-programming value surface on a lattice.
 
     Parameters
@@ -426,12 +425,10 @@ def value_V(coeffs, ensemble, lattice, *, basis=None, noise_level=0.0,
     coeffs : coefficient set (base, mollified, or tensor-form).
     ensemble : WienerEnsemble carrying the coefficient filtration.
     lattice : BoxLattice covering the reachable set.
-    basis : RegressionBasis for the cross-path projections (degree-3
-        polynomials of the current Brownian value by default).
+    basis : polynomial_basis(...) for the cross-path projections
+        (degree 3 in the current Brownian value by default).
     noise_level, noise_ensemble : optional independent state noise
         delta * dB added to every Euler image (regularized problems).
-    store_knots : "auto", "all", or iterable of knots at which pathwise
-        slices are retained.
     keep_argmin : keep the int8/int16 argmin table of every knot, which
         feedback policies read.
     clamp_tol : lattice-exit budget; exceeding it raises AccuracyError,
@@ -447,7 +444,8 @@ def value_V(coeffs, ensemble, lattice, *, basis=None, noise_level=0.0,
     choice; lattice exits are counted on the nodes near the faces.
 
     Returns a ValueSurface whose terminal slice is the exact pathwise
-    terminal cost.
+    terminal cost.  Pathwise slices are kept at every knot within
+    AUTO_STORE_BUDGET, else at every (n // 8)-th knot and the horizon.
     """
     if noise_level and noise_ensemble is None:
         raise ValueError("noise_level > 0 needs a noise ensemble")
@@ -526,8 +524,8 @@ def value_V(coeffs, ensemble, lattice, *, basis=None, noise_level=0.0,
             argmins[k] = best_idx.astype(idx_dtype)[:, None]
         return raw.mean(axis=-1, keepdims=True), raw
 
-    surface = _backward_sweep(coeffs, ensemble, lattice, store_knots, basis,
-                              step, tag=tag, argmin=argmins)
+    surface = _backward_sweep(coeffs, ensemble, lattice, "auto", basis, step,
+                              tag=tag, argmin=argmins)
     frac = surface.diagnostics["clamp_fraction"]
     if frac > clamp_tol:
         # name the knot with the most exits, its worst control, and the
@@ -553,6 +551,11 @@ def value_V(coeffs, ensemble, lattice, *, basis=None, noise_level=0.0,
     return surface
 
 
+def _value_lipschitz(coeffs, T):
+    """Declared Lipschitz bound e^{L T} L (T + 1) of the value in x."""
+    return float(np.exp(coeffs.L * T) * coeffs.L * (T + 1.0))
+
+
 def value_audit(coeffs, ensemble, surface, starts, *, abs_tol=0.01,
                 eps_report_tol=0.05):
     """Structural checks on a value surface.
@@ -574,7 +577,7 @@ def value_audit(coeffs, ensemble, surface, starts, *, abs_tol=0.01,
     grid = ensemble.grid
     T = grid.T
     L = coeffs.L
-    lipschitz_bound = float(np.exp(L * T) * L * (T + 1.0))
+    lipschitz_bound = _value_lipschitz(coeffs, T)
     starts = np.atleast_2d(np.asarray(starts, float))
     stride = max(1, grid.n_steps // 8)
     subgrid = [k for k in range(0, grid.n_steps + 1, stride) if k in surface.slices]

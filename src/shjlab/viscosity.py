@@ -247,6 +247,9 @@ def residual_check(afield, coeffs, ensemble, side="super", *, tol=0.02):
     grid = afield.grid
     n = grid.n_steps
     knots = [k for k in afield.knots if k in afield.drift]
+    # "sub" is "super" for -R: with s = -1 every statistic below is the
+    # negation of its sub-side value, which is exact in floating point
+    s = 1.0 if side == "super" else -1.0
 
     x_pts = afield.lattice.points
     probe_mean = {}
@@ -263,12 +266,10 @@ def residual_check(afield, coeffs, ensemble, side="super", *, tol=0.02):
               if R.shape[1] > 1 else np.zeros_like(mu))
         probe_mean[k] = mu
         probe_se[k] = se
-        stat = mu + 3 * se if side == "super" else mu - 3 * se
-        j = int(np.argmin(stat)) if side == "super" else int(np.argmax(stat))
+        stat = s * mu + 3 * se
+        j = int(np.argmin(stat))
         cand = (float(stat[j]), k, j, float(mu[j]), float(se[j]))
-        if worst is None or (
-            cand[0] < worst[0] if side == "super" else cand[0] > worst[0]
-        ):
+        if worst is None or cand[0] < worst[0]:
             worst = cand
 
     wT = ensemble.slice_at(n, terminal_ok=True)
@@ -276,17 +277,11 @@ def residual_check(afield, coeffs, ensemble, side="super", *, tol=0.02):
         np.asarray(coeffs.G(x_pts[:, None, :], wT), float),
         afield.at(n).shape,
     )
-    term_gap = afield.at(n) - g_term
-    if side == "super":
-        terminal_margin = float(term_gap.min())
-        terminal_ok = terminal_margin >= -1e-9
-        margin = worst[0]
-        residual_ok = margin >= -tol
-    else:
-        terminal_margin = float(term_gap.max())
-        terminal_ok = terminal_margin <= 1e-9
-        margin = worst[0]
-        residual_ok = margin <= tol
+    term_gap = s * (afield.at(n) - g_term)
+    terminal_margin = s * float(term_gap.min())
+    terminal_ok = s * terminal_margin >= -1e-9
+    margin = s * worst[0]
+    residual_ok = s * margin >= -tol
     return {
         "side": side,
         "tol": tol,

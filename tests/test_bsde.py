@@ -152,7 +152,7 @@ def test_cost_majorant_field():
     np.testing.assert_allclose(
         field.at(GRID.n_steps),
         u.pathwise(GRID.n_steps) + bound.Y[GRID.n_steps][None, :])
-    assert field.has_decomposition
+    assert field.drift is not None
     assert GRID.n_steps not in field.drift
     assert (field.at(0) - u.pathwise(0) >= -1e-9).all()
 

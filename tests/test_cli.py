@@ -219,6 +219,55 @@ def test_tolerance_scale_can_force_failure(tmp_path):
     assert manifest["checks"] == {"terminal_variance": False}
 
 
+def _simulate(tmp_path, out, *flags):
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(_small().to_json())
+    return main(["--config", str(cfg_path), "--pipeline", "simulate",
+                 "--out", str(out), *flags])
+
+
+@pytest.mark.parametrize("value", ["0", "-1", "nan"])
+def test_tolerance_scale_flag_is_validated(tmp_path, value):
+    # the flag goes through config validation: no silent 1, no exit 1
+    out = tmp_path / "o"
+    assert _simulate(tmp_path, out, "--tolerance-scale", value) == 2
+    manifest = json.loads((out / "manifest.json").read_text(),
+                          parse_constant=pytest.fail)
+    assert manifest["exit_code"] == 2
+    assert "tolerance_scale" in manifest["error"]
+    assert manifest["config"] is None and manifest["checks"] == {}
+    assert not (out / "simulate_summary.csv").exists()
+
+
+def test_tolerance_scale_flag_is_part_of_the_config(tmp_path):
+    plain, scaled = tmp_path / "plain", tmp_path / "scaled"
+    assert _simulate(tmp_path, plain) == 0
+    assert _simulate(tmp_path, scaled, "--tolerance-scale", "2") == 0
+    digest = _small(tolerance_scale=2.0).digest()
+    assert digest != _small().digest()
+    manifest = _manifest(scaled)
+    assert manifest["config"]["tolerance_scale"] == 2.0
+    assert manifest["config_hash"] == digest
+    assert _manifest(plain)["config_hash"] == _small().digest()
+    first = (scaled / "simulate_summary.csv").read_text().splitlines()[0]
+    assert first == f"# config {digest}"
+
+
+@pytest.mark.parametrize("workers", [0, -4])
+def test_workers_below_one_exit_2_with_manifest(tmp_path, workers):
+    out = tmp_path / "run"
+    code, checks = run(_small(), "simulate", str(out), workers=workers)
+    assert code == 2 and checks == {}
+    cli_out = tmp_path / "cli"
+    assert _simulate(tmp_path, cli_out, "--workers", str(workers)) == 2
+    for path in (out, cli_out):
+        manifest = _manifest(path)
+        assert manifest["exit_code"] == 2 and manifest["workers"] == workers
+        assert "workers must be >= 1" in manifest["error"]
+        assert manifest["config_hash"] == _small().digest()
+        assert not (path / "simulate_summary.csv").exists()
+
+
 def test_value_pipeline_passes_and_reports(tmp_path):
     code, checks = run(_small(), "value", str(tmp_path))
     assert code == 0, checks

@@ -43,7 +43,7 @@ def test_field_accessors():
     _, u = _linear_field()
     assert u.knots == list(range(17))
     assert u.n_paths == 64
-    assert u.has_decomposition
+    assert u.drift is not None
     assert u.at(3).shape == (LAT.n_points, 64)
     with pytest.raises(KeyError):
         u.at(99)
@@ -62,14 +62,6 @@ def test_gradient_exact_where_stencil_allows():
     np.testing.assert_allclose(aff.gradient(0)[:, 0, 0], 3.0, atol=1e-12)
 
 
-def test_shifted_adds_constant_and_keeps_decomposition():
-    _, u = _linear_field()
-    v = u.shifted(-1.5)
-    np.testing.assert_allclose(v.at(4), u.at(4) - 1.5)
-    assert v.drift is u.drift and v.noise is u.noise
-    assert v.tag == "lin-1.5"
-
-
 def test_reconstruction_exact_on_linear_field():
     ens, u = _linear_field()
     report = reconstruction_report(u, ens)
@@ -79,7 +71,9 @@ def test_reconstruction_exact_on_linear_field():
 
 def test_reconstruction_of_shift_is_unchanged():
     ens, u = _linear_field()
-    report = reconstruction_report(u.shifted(3.0), ens)
+    lifted = {k: v + 3.0 for k, v in u.values.items()}
+    report = reconstruction_report(
+        AdaptedField(GRID, LAT, lifted, u.drift, u.noise), ens)
     assert report["passed"]
 
 
@@ -113,8 +107,7 @@ def test_sample_adapted_field_broadcasts_and_gates():
     assert u.at(0).shape == (LAT.n_points, 32)
     np.testing.assert_allclose(
         u.at(5), LAT.points[:, :1] + ens.value_at(5)[:, 0])
-    # the path slice refuses terminal reads before the horizon
+    # the path slice refuses terminal reads before the horizon: knot 0
     with pytest.raises(ValueError):
         sample_adapted_field(
-            lambda t, x, w: x[..., 0] + w.terminal[:, 0], GRID, LAT, ens,
-            knots=[0, 1])
+            lambda t, x, w: x[..., 0] + w.terminal[:, 0], GRID, LAT, ens)

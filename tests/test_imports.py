@@ -1,7 +1,10 @@
-"""Every imported name is used by the module that imports it."""
+"""Every imported name is used by the module that imports it, and every
+public name by some caller outside the unit tests."""
 
 import ast
 from pathlib import Path
+
+import shjlab
 
 ROOT = Path(__file__).resolve().parent.parent
 TREES = ("src", "tests", "demos")
@@ -37,3 +40,49 @@ def test_no_unused_imports():
     assert files
     unused = [hit for path in files for hit in unused_imports(path)]
     assert unused == []
+
+
+# where a public name must be read for it to count as used; the unit
+# tests do not count, so a name only they reach is dead code
+CALLER_TREES = ("src", "demos", "perfbench")
+CALLER_FILES = ("tests/test_acceptance.py",)
+
+
+class _Reads(ast.NodeVisitor):
+    """Names a module reads, as a bare name or an attribute, outside the
+    definition that binds the same name."""
+
+    def __init__(self):
+        self.reads = set()
+        self.inside = []
+
+    def _define(self, node):
+        self.inside.append(node.name)
+        self.generic_visit(node)
+        self.inside.pop()
+
+    visit_FunctionDef = visit_AsyncFunctionDef = visit_ClassDef = _define
+
+    def _read(self, name):
+        if name not in self.inside:
+            self.reads.add(name)
+
+    def visit_Name(self, node):
+        if isinstance(node.ctx, ast.Load):
+            self._read(node.id)
+
+    def visit_Attribute(self, node):
+        if isinstance(node.ctx, ast.Load):
+            self._read(node.attr)
+        self.generic_visit(node)
+
+
+def test_every_public_name_has_a_caller():
+    files = sorted(p for tree in CALLER_TREES for p in (ROOT / tree).rglob("*.py"))
+    files += [ROOT / f for f in CALLER_FILES]
+    reads = set()
+    for path in files:
+        visitor = _Reads()
+        visitor.visit(ast.parse(path.read_text(), str(path)))
+        reads |= visitor.reads
+    assert sorted(set(shjlab.__all__) - reads) == []

@@ -5,8 +5,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from shjlab.probspace import (CondExpOperator, PathSlice, RegressionBasis,
-                              TimeGrid, WienerEnsemble, polynomial_basis,
+from shjlab.probspace import (CondExpOperator, PathSlice, TimeGrid,
+                              WienerEnsemble, polynomial_basis,
                               sample_ensemble, subset_paths)
 
 SEED = 7
@@ -116,8 +116,8 @@ def test_projection_tower_property():
 def test_ridge_fallback_on_degenerate_design():
     grid = TimeGrid(1.0, 4)
     ens = sample_ensemble(grid, 1, 500, SEED)
-    dup = RegressionBasis([lambda e, k: np.ones(e.n_paths),
-                           lambda e, k: np.ones(e.n_paths)])
+    # coordinate 0 twice: two equal columns
+    dup = polynomial_basis(1, coords=(0, 0))
     op = CondExpOperator(ens, 2, dup)
     out = op.apply(ens.value_at(2)[:, 0])
     assert op.used_ridge

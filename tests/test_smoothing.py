@@ -7,7 +7,7 @@ from shjlab.coeffs import DECLARED, CoefficientSet, scenario, scenario_names
 from shjlab.probspace import TimeGrid, sample_ensemble
 from shjlab.smoothing import (MollifiedSet, bump_kernel, error_processes,
                               fit_functional_approximant, kernel_quadrature,
-                              linear_growth_penalty, mollify)
+                              linear_growth_penalty)
 
 SEED = 13
 LEVELS = (2, 4, 8, 16)
@@ -40,10 +40,11 @@ def test_kernel_quadrature_nodes():
 
 @pytest.mark.parametrize("level", LEVELS)
 def test_mollified_abs_gap_bound(level):
-    # |x| is 1-Lipschitz; the sup gap is c/level, peaking at the kink
-    smooth = mollify(lambda x: np.abs(x[..., 0]), level, d=1)
+    # |x| is 1-Lipschitz; the sup gap is c/level, peaking at the kink.
+    # The eikonal terminal cost is |x| on [-1.5, 1.5] (its cap is 10)
+    smooth = MollifiedSet(scenario("eikonal"), level).G
     xs = np.linspace(-1.5, 1.5, 301)[:, None]
-    gap = np.abs(smooth(xs) - np.abs(xs[:, 0]))
+    gap = np.abs(smooth(xs, None) - np.abs(xs[:, 0]))
     assert gap.max() <= 1.0 / level + 1e-12
     assert np.argmax(gap) == 150  # at the kink
 
@@ -51,8 +52,8 @@ def test_mollified_abs_gap_bound(level):
 def test_mollified_gap_scaling_slope():
     smooth_gaps = []
     for level in LEVELS:
-        smooth = mollify(lambda x: np.abs(x[..., 0]), level, d=1)
-        smooth_gaps.append(float(smooth(np.zeros((1, 1)))[0]))
+        smooth = MollifiedSet(scenario("eikonal"), level).G
+        smooth_gaps.append(float(smooth(np.zeros((1, 1)), None)[0]))
     ratios = np.array(smooth_gaps[:-1]) / np.array(smooth_gaps[1:])
     np.testing.assert_allclose(ratios, 2.0, rtol=1e-10)
     slope = np.polyfit(np.log(LEVELS), np.log(smooth_gaps), 1)[0]
@@ -114,7 +115,7 @@ def test_functional_approximant_eikonal_is_path_free():
     co = scenario("eikonal")
     ens = sample_ensemble(TimeGrid(1.0, 16), 1, 2000, SEED)
     fa = fit_functional_approximant(co, ens, eps_target=0.1, x_radius=3.0)
-    assert fa.n_terms == 1
+    assert fa.w_grid is None  # no terminal separation: one term
     assert fa.deterministic
     assert fa.achieved["G_sup"] <= 0.1
     assert fa.fn_knots.size == 5
@@ -134,7 +135,7 @@ def test_functional_approximant_random_target():
     ens = sample_ensemble(TimeGrid(1.0, 16), 1, 2000, SEED)
     fa = fit_functional_approximant(co, ens, eps_target=0.1, x_radius=3.0)
     assert not fa.deterministic
-    assert fa.n_terms > 10  # hat expansion in the terminal Brownian value
+    assert fa.w_grid.size > 10  # hat expansion in the terminal Brownian value
     assert fa.achieved["G_sup"] <= 0.1
     # held-out paths agree with the base terminal cost
     probe = sample_ensemble(TimeGrid(1.0, 16), 1, 500, SEED + 1)

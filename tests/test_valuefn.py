@@ -362,11 +362,14 @@ def test_clamp_error_names_knot_control_and_face(slope):
                 clamp_tol=0.01)
 
 
-def test_pathwise_reports_missing_knot():
+def test_pathwise_reports_missing_knot(monkeypatch):
+    # one knot over budget: slices are kept at every 4th knot only
     co = scenario("zeros")
     lat = BoxLattice.centered(2.0, 0.5, 1)
-    V = value_V(co, _ens(), lat, store_knots=[0, 16])
-    with pytest.raises(KeyError):
+    monkeypatch.setattr(valuefn, "AUTO_STORE_BUDGET", 33 * lat.n_points - 1)
+    V = value_V(co, _ens(n_paths=20), lat)
+    assert sorted(V.slices) == list(range(0, 33, 4))
+    with pytest.raises(KeyError, match="knot 3 not stored"):
         V.pathwise(3)
 
 

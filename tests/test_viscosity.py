@@ -188,6 +188,46 @@ def test_residual_check_exact_solution_both_sides():
         assert abs(report["terminal_margin"]) < 1e-12
 
 
+def test_residual_check_sides_follow_their_probe_statistics():
+    # a field whose probes differ: drift varying over points, knots and
+    # paths, and a terminal slice on both sides of the terminal cost
+    co = scenario("eikonal")
+    ens = _ens(16)
+    lat = BoxLattice(np.array([1.3]), np.array([2.7]), 0.1)
+    u = _exact_far_field(ens, lat)
+    x = lat.points[:, :1]
+    n = GRID.n_steps
+    drift = {k: d + 0.3 * np.cos(3.0 * x + k) + 0.1 * ens.value_at(k)[:, 0]
+             for k, d in u.drift.items()}
+    vals = dict(u.values)
+    vals[n] = vals[n] + 0.01 * np.sin(5.0 * x) * (1.0 + ens.value_at(n)[:, 0])
+    field = AdaptedField(GRID, lat, vals, drift, None)
+    gap = vals[n] - np.asarray(co.G(lat.points[:, None, :], None))
+    for side, pick, three_se in (("super", np.argmin, 3.0),
+                                 ("sub", np.argmax, -3.0)):
+        rep = residual_check(field, co, ens, side, tol=0.02)
+        knots = sorted(rep["probe_mean"])
+        assert knots == list(range(n))
+        # min of mean + 3 SE (super), max of mean - 3 SE (sub); the
+        # first index wins a tie, over points and then over knots
+        stat = {k: rep["probe_mean"][k] + three_se * rep["probe_se"][k]
+                for k in knots}
+        point = {k: int(pick(stat[k])) for k in knots}
+        k = knots[int(pick([stat[k][point[k]] for k in knots]))]
+        j = point[k]
+        assert rep["margin"] == stat[k][j]
+        within = stat[k][j] >= -0.02 if side == "super" else stat[k][j] <= 0.02
+        assert rep["residual_ok"] == within
+        assert rep["worst"] == {"knot": k, "point": j,
+                                "mean": rep["probe_mean"][k][j],
+                                "se": rep["probe_se"][k][j]}
+        extreme = gap.min() if side == "super" else gap.max()
+        assert rep["terminal_margin"] == extreme
+        # the terminal slice straddles the cost, so neither side holds
+        assert not rep["terminal_ok"]
+    assert gap.min() < -1e-9 and gap.max() > 1e-9
+
+
 def test_residual_check_flags_wrong_drift():
     co = scenario("eikonal")
     ens = _ens(16)
@@ -198,7 +238,8 @@ def test_residual_check_flags_wrong_drift():
     report = residual_check(too_fast, co, ens, "super", tol=0.02)
     assert not report["residual_ok"]
     # and the exact field fails the subsolution side once shifted up
-    lifted = u.shifted(0.5)
+    lifted = AdaptedField(GRID, lat, {k: v + 0.5 for k, v in u.values.items()},
+                          u.drift, None)
     report = residual_check(lifted, co, ens, "sub", tol=0.02)
     assert not report["terminal_ok"]
 
