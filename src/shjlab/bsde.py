@@ -155,11 +155,8 @@ def error_bound_bsde(errors, gain, ensemble):
     """
     if errors.df.shape[0] != ensemble.grid.n_steps:
         raise ValueError("error processes were built on a different grid")
-    spec = BsdeSpec(ensemble, errors.dG,
-                    errors.df + float(gain) * errors.dbeta)
-    sol = solve_bsde(spec)
-    sol.diagnostics["gain"] = float(gain)
-    return sol
+    return solve_bsde(BsdeSpec(ensemble, errors.dG,
+                               errors.df + float(gain) * errors.dbeta))
 
 
 def policy_cost_surface(coeffs, ensemble, policy, lattice, *, tag="u"):
@@ -255,8 +252,6 @@ def cost_majorant(surface, bound, coeffs, policy, ensemble):
             - bound.driver[k][None, :]
 
     diagnostics = {
-        "tag_parts": (surface.tag, "bound"),
-        "bound_sup_rms": bound.sup_rms(),
         "residual_rms": {
             k: float(surface.diagnostics["residual_rms"][k]
                      + bound.diagnostics["residual_rms"][k])

@@ -78,6 +78,10 @@ class ExperimentConfig:
                 raise ValueError(f"{name} must be nonempty and positive")
         if min(self.lattice_h, self.ladder_h) <= 0:
             raise ValueError("lattice spacings must be positive")
+        if self.x0_max <= 0:
+            raise ValueError("x0_max must be positive")
+        if min(self.seed_w, self.seed_b) < 0:
+            raise ValueError("seeds must be non-negative")
         if self.seed_w == self.seed_b:
             raise ValueError("seed_w and seed_b must differ")
         if self.tolerance_scale <= 0:
@@ -172,6 +176,14 @@ def _write_json(path, payload):
     with open(path, "w") as fh:
         json.dump(payload, fh, indent=2, sort_keys=True, default=default)
         fh.write("\n")
+
+
+def _slope(xs, ys):
+    """Least-squares slope of log ys against log xs; None for fewer than
+    two distinct xs, where no line is determined."""
+    if len(set(xs)) < 2:
+        return None
+    return float(np.polyfit(np.log(xs), np.log(ys), 1)[0])
 
 
 def _grid_ens(cfg):
@@ -308,7 +320,7 @@ def _pipe_mollify(cfg, out, scale, workers):
         rows.append((level, gap, coeffs.lip_x / level))
     _write_csv(os.path.join(out, "mollify_ladder.csv"), cfg.digest(),
                ("level", "sup_gap", "bound"), rows)
-    slope = float(np.polyfit(np.log(cfg.levels), np.log(gaps), 1)[0])
+    slope = _slope(cfg.levels, gaps)
     checks = {
         "unit_mass": mass_err <= 1e-8 * scale,
         "penalty_origin": abs(h0) <= 1e-9 * scale,
@@ -316,7 +328,8 @@ def _pipe_mollify(cfg, out, scale, workers):
         "penalty_gradient": dh_max <= 1.0 + 1e-9 * scale,
         "ladder_bound": all(g <= coeffs.lip_x / l + 1e-12
                             for g, l in zip(gaps, cfg.levels)),
-        "ladder_slope": abs(slope + 1.0) <= 0.3 * scale,
+        "ladder_slope": (slope is not None
+                         and abs(slope + 1.0) <= 0.3 * scale),
     }
     _write_json(os.path.join(out, "mollify_report.json"), {
         "mass_err": mass_err, "h0": h0, "h3": h3, "dh_max": dh_max,
@@ -488,10 +501,11 @@ def _pipe_full_uniqueness(cfg, out, scale, workers):
     results, env_checks = _envelope_grid(cfg, out, scale, workers)
     xs = [r["eps"] + r["delta"] for r in results]
     gaps = [r["gap_upper"] + r["gap_lower"] for r in results]
-    slope = float(np.polyfit(np.log(xs), np.log(gaps), 1)[0])
+    slope = _slope(xs, gaps)
     K1 = max(g / x for g, x in zip(gaps, xs))
     checks.update({f"envelopes.{k}": v for k, v in env_checks.items()})
-    checks["sandwich.slope"] = abs(slope - 1.0) <= 0.3 * scale
+    checks["sandwich.slope"] = (slope is not None
+                                and abs(slope - 1.0) <= 0.3 * scale)
     # comparison: every super-passing majorant clears the lower envelope
     checks["comparison.margins"] = all(r["lower_margin"] >= 0.0
                                        for r in results)

@@ -1,9 +1,8 @@
 """Euler integration of controlled random ODEs.
 
-States follow dX = beta(t, X, theta_t) dt, path by path, with an
-optional independent small-noise term delta * dB for regularized runs.
-Restarting the scheme from a stored knot state reproduces the original
-tail bit for bit (the flow property of the explicit scheme), which is
+States follow dX = beta(t, X, theta_t) dt, path by path.  Restarting
+the scheme from a stored knot state reproduces the original tail bit
+for bit (the flow property of the explicit scheme), which is
 what the audits below check, together with growth in the initial
 condition and time-increment bounds.
 
@@ -49,8 +48,7 @@ class StateTrajectoryBatch:
         return self.cost_at[self.grid.n_steps]
 
 
-def integrate(coeffs, ensemble, policy, xi, *, k0=0, noise_level=0.0,
-              noise_ensemble=None, store_knots="all"):
+def integrate(coeffs, ensemble, policy, xi, *, k0=0, store_knots="all"):
     """Run the explicit Euler scheme from knot k0.
 
     Parameters
@@ -60,8 +58,6 @@ def integrate(coeffs, ensemble, policy, xi, *, k0=0, noise_level=0.0,
     policy : control policy (see module docstring).
     xi : starting states; (d,), (n_starts, d), or (n_starts, n_paths, d)
         for pre-paired starts.
-    noise_level, noise_ensemble : amplitude and source of the optional
-        independent Brownian perturbation added to the state.
     store_knots : "all", or an iterable of knots to record (k0 and the
         horizon are always kept).
 
@@ -78,14 +74,8 @@ def integrate(coeffs, ensemble, policy, xi, *, k0=0, noise_level=0.0,
         xi = xi[:, None, :]
     if xi.shape[-1] != coeffs.d:
         raise ValueError(f"starting states must have d={coeffs.d} components")
-    if noise_level and noise_ensemble is None:
-        raise ValueError("noise_level > 0 needs a noise ensemble")
-    if noise_ensemble is not None and noise_level:
-        if noise_ensemble.m != coeffs.d or noise_ensemble.grid != grid:
-            raise ValueError("noise ensemble must be d-dimensional on the same grid")
 
-    collapsed = (coeffs.deterministic and policy.collapsed
-                 and noise_level == 0.0 and xi.shape[1] == 1)
+    collapsed = coeffs.deterministic and policy.collapsed and xi.shape[1] == 1
     n_eff = 1 if collapsed else ensemble.n_paths
     n_starts = xi.shape[0]
     X = np.broadcast_to(xi, (n_starts, n_eff, coeffs.d)).astype(float).copy()
@@ -111,8 +101,6 @@ def integrate(coeffs, ensemble, policy, xi, *, k0=0, noise_level=0.0,
                                     lambda b, fv: (b, fv), [X.shape, cost.shape])
         cost = cost + fval * dt
         X = X + drift * dt
-        if noise_level:
-            X = X + noise_level * noise_ensemble.increments[:, k, :]
         if not np.isfinite(X).all():
             raise IntegrationError(f"non-finite state at knot {k + 1}")
         if k + 1 in keep:

@@ -61,11 +61,6 @@ class TimeGrid:
 
     def index_of(self, t):
         """Knot index of time t; raises if t is not a knot."""
-        if isinstance(t, (int, np.integer)):
-            k = int(t)
-            if not 0 <= k <= self.n_steps:
-                raise ValueError(f"knot index {k} outside [0, {self.n_steps}]")
-            return k
         k = int(round(float(t) / self.dt))
         if not 0 <= k <= self.n_steps or abs(self.knots[k] - t) > 1e-9 * max(self.T, 1.0):
             raise ValueError(f"t={t!r} is not a knot of this grid")
@@ -129,6 +124,12 @@ class WienerEnsemble:
 
     @classmethod
     def load(cls, path):
+        """Read an ensemble that save wrote.
+
+        The header is checked as sample_ensemble checks its arguments,
+        the size budget before the body is read; the increments must be
+        finite.
+        """
         with open(path, "rb") as fh:
             raw = fh.read(_HEADER.size)
             if len(raw) != _HEADER.size:
@@ -136,12 +137,29 @@ class WienerEnsemble:
             magic, m, n_steps, n_paths, seed, T = _HEADER.unpack(raw)
             if magic != _MAGIC:
                 raise ValueError(f"bad magic {magic!r}, expected {_MAGIC!r}")
+            _check_size(m, n_paths, n_steps)
+            grid = TimeGrid(T, n_steps)
             body = fh.read()
         expect = n_paths * n_steps * m * 8
         if len(body) != expect:
             raise ValueError(f"ensemble body has {len(body)} bytes, expected {expect}")
         inc = np.frombuffer(body, dtype="<f8").astype(float).reshape(n_paths, n_steps, m)
-        return cls(TimeGrid(T, n_steps), m, n_paths, seed, inc)
+        if not np.isfinite(inc).all():
+            raise ValueError("ensemble file holds non-finite increments")
+        return cls(grid, m, n_paths, seed, inc)
+
+
+def _check_size(m, n_paths, n_steps):
+    """Reject ensembles without a Brownian coordinate, with fewer than two
+    paths (no sample statistics), or over the MAX_ELEMENTS budget."""
+    if m < 1:
+        raise ValueError("m must be >= 1")
+    if n_paths < 2:
+        raise ValueError("n_paths must be >= 2")
+    if n_paths * n_steps * m > MAX_ELEMENTS:
+        raise CapacityError(
+            f"ensemble of {n_paths}x{n_steps}x{m} increments exceeds budget"
+        )
 
 
 def sample_ensemble(grid, m, n_paths, seed):
@@ -159,14 +177,7 @@ def sample_ensemble(grid, m, n_paths, seed):
     """
     m = int(m)
     n_paths = int(n_paths)
-    if m < 1:
-        raise ValueError("m must be >= 1")
-    if n_paths < 2:
-        raise ValueError("n_paths must be >= 2")
-    if n_paths * grid.n_steps * m > MAX_ELEMENTS:
-        raise CapacityError(
-            f"ensemble of {n_paths}x{grid.n_steps}x{m} increments exceeds budget"
-        )
+    _check_size(m, n_paths, grid.n_steps)
     rng = np.random.default_rng(int(seed))
     inc = rng.standard_normal((n_paths, grid.n_steps, m)) * np.sqrt(grid.dt)
     return WienerEnsemble(grid, m, n_paths, int(seed), inc)

@@ -56,8 +56,8 @@ def _bump_normalizer(d):
     return _NORMALIZER_CACHE[d]
 
 
-def bump_kernel(x, level=1):
-    """Smooth bump rho_l(x) = l^d rho(l x), supported on |x| < 1/l.
+def bump_kernel(x):
+    """Smooth unit bump rho(x), supported on the open unit ball.
 
     rho(x) = c exp(1/(|x|^2 - 1)) on the open unit ball, zero outside,
     with c fixed so that rho has unit mass.
@@ -65,23 +65,21 @@ def bump_kernel(x, level=1):
     x = np.atleast_2d(np.asarray(x, float))
     d = x.shape[-1]
     c = _bump_normalizer(d)
-    u = float(level) * x
-    r2 = np.sum(u * u, axis=-1)
+    r2 = np.sum(x * x, axis=-1)
     out = np.zeros(r2.shape)
     inside = r2 < 1.0
     out[inside] = c * np.exp(1.0 / (r2[inside] - 1.0))
-    return out * float(level) ** d
+    return out
 
 
-def kernel_quadrature(d, level=1, n_nodes=17):
+def kernel_quadrature(d, level=1):
     """Discrete mollification kernel: nodes on the ball of radius 1/level.
 
-    Tensor Gauss-Legendre nodes weighted by the bump and renormalized to
-    unit mass.  Returns (nodes, weights) with nodes.shape == (q, d).
+    A 17-point-per-axis tensor Gauss-Legendre rule, weighted by the bump
+    and renormalized to unit mass.  Returns (nodes, weights) with
+    nodes.shape == (q, d).
     """
-    if n_nodes < 2:
-        raise ValueError("n_nodes must be >= 2")
-    nodes, w = _gauss_legendre_box(d, int(n_nodes))
+    nodes, w = _gauss_legendre_box(d, 17)
     r2 = np.sum(nodes * nodes, axis=-1)
     inside = r2 < 1.0
     nodes = nodes[inside]
@@ -100,16 +98,15 @@ def _gauss_legendre_box(d, n_nodes):
     return _tensor_points([xi] * d), w
 
 
-def _node_shift(x, nodes):
-    """Every point of x (..., d) minus every kernel node: (q, ..., d)."""
-    x = np.asarray(x, float)
-    return x[None, ...] - nodes.reshape((-1,) + (1,) * (x.ndim - 1) + (nodes.shape[1],))
-
-
 def _kernel_average(fn, x, nodes, weights):
-    """sum_q w_q fn(x - y_q) for a map fn on (..., d) points."""
-    vals = np.asarray(fn(_node_shift(x, nodes)))
-    return np.tensordot(weights, vals, axes=(0, 0))
+    """sum_q w_q fn(x - y_q) for a map fn on (..., d) points.
+
+    fn sees every point of x minus every kernel node, a (q, ..., d) array.
+    """
+    x = np.asarray(x, float)
+    shifted = x[None, ...] - nodes.reshape((-1,) + (1,) * (x.ndim - 1)
+                                           + (nodes.shape[1],))
+    return np.tensordot(weights, np.asarray(fn(shifted)), axes=(0, 0))
 
 
 class MollifiedSet:
@@ -117,7 +114,7 @@ class MollifiedSet:
 
     Drop-in replacement for the base CoefficientSet (same calling
     conventions, same declared constants); the kink-smoothing radius is
-    1/level, and the kernel is kernel_quadrature's default 17-point rule.
+    1/level, and the kernel is kernel_quadrature's.
     """
 
     def __init__(self, base, level):
@@ -147,7 +144,7 @@ def linear_growth_penalty(x):
     """Convex penalty h and its gradient Dh.
 
     h(x) = integral of (|y| - 1)+ against the unit bump centered at x,
-    discretized by kernel_quadrature's default 17-point rule; it
+    discretized by kernel_quadrature's rule at level 1; it
     vanishes on a neighborhood of 0, grows like |x| - 1 far out (so
     h(x) > |x| - 2 everywhere), and |Dh| <= 1.
 
@@ -163,15 +160,17 @@ def linear_growth_penalty(x):
     if x.ndim == 1:
         x = x[:, None]
     nodes, weights = kernel_quadrature(x.shape[-1], 1)
-    shifted = _node_shift(x, nodes)
-    dist = np.linalg.norm(shifted, axis=-1)
-    hinge = np.maximum(dist - 1.0, 0.0)
-    h = np.tensordot(weights, hinge, axes=(0, 0))
-    with np.errstate(invalid="ignore", divide="ignore"):
-        unit = np.where(dist[..., None] > 0, shifted / np.maximum(dist[..., None], 1e-300), 0.0)
-    grad_terms = np.where((dist > 1.0)[..., None], unit, 0.0)
-    Dh = np.tensordot(weights, grad_terms, axes=(0, 0))
-    return h, Dh
+
+    def hinge(y):
+        return np.maximum(np.linalg.norm(y, axis=-1) - 1.0, 0.0)
+
+    def hinge_gradient(y):
+        # the unit vector y / |y| outside the unit ball, zero inside
+        dist = np.linalg.norm(y, axis=-1)[..., None]
+        return np.where(dist > 1.0, y / np.maximum(dist, 1.0), 0.0)
+
+    return (_kernel_average(hinge, x, nodes, weights),
+            _kernel_average(hinge_gradient, x, nodes, weights))
 
 
 # ---------------------------------------------------------------------------
@@ -318,18 +317,13 @@ class FunctionalApproximant:
 
     def payoff_grid(self, x_vals, w_vals):
         """Terminal plane on a tensor grid: rows over x, columns over
-        the terminal Brownian value (d = m = 1 only)."""
-        x_vals = np.asarray(x_vals, float)
+        the terminal Brownian value (d = m = 1 only).
+
+        G read on a synthetic ensemble whose paths end at w_vals."""
         w_vals = np.asarray(w_vals, float)
-        if self.w_grid is None:
-            g = np.asarray(self.mollified.G(x_vals[:, None], None), float)
-            return np.repeat(g[:, None], w_vals.size, axis=1)
-        cell, frac = _uniform_cell(self.w_grid, w_vals)
-        xc, xfr = _uniform_cell(self.x_fine, x_vals)
-        prof = (1.0 - xfr)[None, :] * self.slices[:, xc] \
-            + xfr[None, :] * self.slices[:, xc + 1]
-        return (1.0 - frac)[None, :] * prof[cell, :].T \
-            + frac[None, :] * prof[cell + 1, :].T
+        wT = _terminal_slice(self.fn_knots[-1], 1, w_vals)
+        g = np.asarray(self.G(np.asarray(x_vals, float)[:, None, None], wT))
+        return np.broadcast_to(g, (g.shape[0], w_vals.size))
 
 
 def fit_functional_approximant(base, ensemble, n_intervals=4, eps_target=0.1, *,
@@ -392,7 +386,8 @@ def fit_functional_approximant(base, ensemble, n_intervals=4, eps_target=0.1, *,
         # probe the payoff at designer-chosen terminal values through a
         # synthetic one-step ensemble, so every hat cell is sampled
         s_fit = np.linspace(lo, hi, 4 * n_cells + 1)
-        targets = _terminal_matrix(moll, grid.T, ensemble.m, x_fine, s_fit)
+        fit_T = _terminal_slice(grid.T, ensemble.m, s_fit)
+        targets = np.asarray(moll.G(x_fine[:, None, None], fit_T)).T  # (n_fit, n_fine)
         design = _hat_design(w_grid, s_fit)
         coef, *_ = np.linalg.lstsq(design, targets, rcond=None)
         slices = coef  # (n_terms, n_fine)
@@ -438,13 +433,11 @@ def _hat_design(w_grid, s):
     return design
 
 
-def _terminal_matrix(moll, T, m, x_fine, s_fit):
-    """Payoff values at prescribed terminal Brownian values, (n_fit, n_fine)."""
+def _terminal_slice(T, m, s):
+    """Terminal slice of a one-step ensemble whose paths end at W_T^0 = s."""
     from .probspace import TimeGrid, WienerEnsemble
 
-    inc = np.zeros((s_fit.size, 1, m))
-    inc[:, 0, 0] = s_fit
-    synth = WienerEnsemble(TimeGrid(T, 1), m, s_fit.size, 0, inc)
-    wT = synth.slice_at(1, terminal_ok=True)
-    vals = np.asarray(moll.G(x_fine[:, None, None], wT))  # (n_fine, n_fit)
-    return vals.T
+    inc = np.zeros((s.size, 1, m))
+    inc[:, 0, 0] = s
+    synth = WienerEnsemble(TimeGrid(T, 1), m, s.size, 0, inc)
+    return synth.slice_at(1, terminal_ok=True)

@@ -260,19 +260,15 @@ class ValueSurface:
 class CostEstimate:
     """Cost of one policy from a batch of starting states at knot 0."""
 
-    starts: np.ndarray
-    raw: np.ndarray        # (n_starts, n_eff) pathwise cost realizations
     mean: np.ndarray       # (n_starts,)
     se: np.ndarray         # (n_starts,)
-    info: dict
 
 
 def default_basis(degree=3, m=1):
     return polynomial_basis(degree, coords=tuple(range(m)))
 
 
-def cost_J(coeffs, ensemble, policy, starts, *, noise_level=0.0,
-           noise_ensemble=None):
+def cost_J(coeffs, ensemble, policy, starts):
     """Pathwise cost of a fixed policy from knot 0.
 
     Integrates the controlled dynamics from each start, accumulates the
@@ -282,9 +278,7 @@ def cost_J(coeffs, ensemble, policy, starts, *, noise_level=0.0,
     """
     grid = ensemble.grid
     starts = np.atleast_2d(np.asarray(starts, float))
-    batch = integrate(coeffs, ensemble, policy, starts,
-                      noise_level=noise_level, noise_ensemble=noise_ensemble,
-                      store_knots=[0])
+    batch = integrate(coeffs, ensemble, policy, starts, store_knots=[0])
     wT = None if coeffs.deterministic else ensemble.slice_at(grid.n_steps, terminal_ok=True)
     terminal = np.broadcast_to(np.asarray(coeffs.G(batch.terminal, wT)),
                                batch.total_cost.shape)
@@ -296,7 +290,7 @@ def cost_J(coeffs, ensemble, policy, starts, *, noise_level=0.0,
     else:
         mean = raw.mean(axis=1)
         se = raw.std(axis=1, ddof=1) / np.sqrt(raw.shape[1])
-    return CostEstimate(starts, raw, mean, se, {"collapsed": batch.collapsed})
+    return CostEstimate(mean, se)
 
 
 class _NextSlice:
@@ -417,7 +411,7 @@ def _stencil_means(column, z):
 
 
 def value_V(coeffs, ensemble, lattice, *, basis=None, noise_level=0.0,
-            noise_ensemble=None, keep_argmin=True, clamp_tol=0.01, tag="V"):
+            noise_ensemble=None, clamp_tol=0.01, tag="V"):
     """Backward dynamic-programming value surface on a lattice.
 
     Parameters
@@ -429,8 +423,6 @@ def value_V(coeffs, ensemble, lattice, *, basis=None, noise_level=0.0,
         (degree 3 in the current Brownian value by default).
     noise_level, noise_ensemble : optional independent state noise
         delta * dB added to every Euler image (regularized problems).
-    keep_argmin : keep the int8/int16 argmin table of every knot, which
-        feedback policies read.
     clamp_tol : lattice-exit budget; exceeding it raises AccuracyError,
         which names the knot with the most exits, its control and face.
 
@@ -444,8 +436,10 @@ def value_V(coeffs, ensemble, lattice, *, basis=None, noise_level=0.0,
     choice; lattice exits are counted on the nodes near the faces.
 
     Returns a ValueSurface whose terminal slice is the exact pathwise
-    terminal cost.  Pathwise slices are kept at every knot within
-    AUTO_STORE_BUDGET, else at every (n // 8)-th knot and the horizon.
+    terminal cost and whose int8/int16 argmin tables, which feedback
+    policies read, cover every knot.  Pathwise slices are kept at every
+    knot within AUTO_STORE_BUDGET, else at every (n // 8)-th knot and the
+    horizon.
     """
     if noise_level and noise_ensemble is None:
         raise ValueError("noise_level > 0 needs a noise ensemble")
@@ -455,7 +449,7 @@ def value_V(coeffs, ensemble, lattice, *, basis=None, noise_level=0.0,
     dt = ensemble.grid.dt
     x_eval = lattice.points[:, None, :]
     idx_dtype = np.int8 if coeffs.n_controls <= 127 else np.int16
-    argmins = {} if keep_argmin else None
+    argmins = {}
     one_column = bool(coeffs.deterministic and noise_level and lattice.d == 1)
 
     def image(k, b, rows=slice(None)):
@@ -494,10 +488,8 @@ def value_V(coeffs, ensemble, lattice, *, basis=None, noise_level=0.0,
                 total = raw
             return total, raw
 
-        best, best_idx, (best_raw,) = _argmin_sweep(coeffs, t, x_eval, w,
-                                                    score, idx_dtype)
-        if argmins is not None:
-            argmins[k] = best_idx
+        best, argmins[k], (best_raw,) = _argmin_sweep(coeffs, t, x_eval, w,
+                                                      score, idx_dtype)
         return best, best_raw
 
     def stencil_step(k, nxt, b, fv):
@@ -520,8 +512,7 @@ def value_V(coeffs, ensemble, lattice, *, basis=None, noise_level=0.0,
             edge = (node < reach) | (node >= n - reach)
             n_out = int(lattice.exits(image(k, b[j], edge)).sum())
             nxt.tally(j, n * dB.size, n_out)
-        if argmins is not None:
-            argmins[k] = best_idx.astype(idx_dtype)[:, None]
+        argmins[k] = best_idx.astype(idx_dtype)[:, None]
         return raw.mean(axis=-1, keepdims=True), raw
 
     surface = _backward_sweep(coeffs, ensemble, lattice, "auto", basis, step,

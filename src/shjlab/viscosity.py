@@ -411,10 +411,8 @@ def build_envelopes(base, approx, ens_w, ens_b, eps, delta_n, *,
         "clamp_fraction": clamped / max(evals, 1),
         "approx_achieved": dict(ach),
     }
-    upper = AdaptedField(grid, lattice, up_vals, up_drift, None, tag="upper",
-                         diagnostics={"corr": "plus"})
-    lower = AdaptedField(grid, lattice, lo_vals, lo_drift, None, tag="lower",
-                         diagnostics={"corr": "minus"})
+    upper = AdaptedField(grid, lattice, up_vals, up_drift, None, tag="upper")
+    lower = AdaptedField(grid, lattice, lo_vals, lo_drift, None, tag="lower")
     reports = {"upper": residual_check(upper, base, ens_w, "super", tol=tol),
                "lower": residual_check(lower, base, ens_w, "sub", tol=tol)}
     return EnvelopePair(V_eps, upper, lower, params, reports)
@@ -493,8 +491,7 @@ def _pad_linear(u, axis):
     return np.concatenate([lo, u, hi], axis)
 
 
-def solve_hjb_fd_1d(approx, x_axis, y_axis, interval, delta_n, *,
-                    payoff=None, n_tsteps=None):
+def solve_hjb_fd_1d(approx, x_axis, y_axis, interval, delta_n):
     """Explicit finite-difference solve of the regularized equation.
 
     On the last functional interval the frozen-prefix coefficients are
@@ -512,12 +509,10 @@ def solve_hjb_fd_1d(approx, x_axis, y_axis, interval, delta_n, *,
     Parameters
     ----------
     approx : coefficient set whose beta/f are path-free; the terminal
-        plane defaults to approx.payoff_grid(x_axis, y_axis).
+        plane is approx.payoff_grid(x_axis, y_axis).
     x_axis, y_axis : uniform axes.
     interval : (t_start, t_end).
     delta_n : noise level (>= 0).
-    payoff : optional (nx, ny) override of the terminal plane.
-    n_tsteps : optional floor on the number of time steps.
 
     Returns an HjbFdSolution at t_start.
     """
@@ -528,9 +523,7 @@ def solve_hjb_fd_1d(approx, x_axis, y_axis, interval, delta_n, *,
         raise ValueError("need t_end > t_start")
     hx = x_axis[1] - x_axis[0]
     hy = y_axis[1] - y_axis[0]
-    if payoff is None:
-        payoff = approx.payoff_grid(x_axis, y_axis)
-    u = np.array(payoff, float)
+    u = np.array(approx.payoff_grid(x_axis, y_axis), float)
     if u.shape != (x_axis.size, y_axis.size):
         raise ValueError(f"terminal plane must be {(x_axis.size, y_axis.size)}")
 
@@ -550,7 +543,7 @@ def solve_hjb_fd_1d(approx, x_axis, y_axis, interval, delta_n, *,
     b_max = max(float(np.max(np.abs(b))) for b in drifts)
 
     rate = b_max / hx + delta_n**2 / hx**2 + 1.0 / hy**2
-    n_sub = max(int(np.ceil((t1 - t0) * rate / 0.8)), int(n_tsteps or 1), 1)
+    n_sub = max(int(np.ceil((t1 - t0) * rate / 0.8)), 1)
     dt = (t1 - t0) / n_sub
 
     for _ in range(n_sub):

@@ -95,6 +95,10 @@ def test_config_rejects_unknown_keys():
     dict(tolerance_scale=float("nan")),
     dict(x0_max=float("-inf")),
     dict(T=10**400),          # an integer beyond the float range
+    dict(seed_w=-5),          # the generator takes no negative seed
+    dict(seed_b=-1),
+    dict(x0_max=0.0),         # no starting box, so no lattice
+    dict(x0_max=-1.0),
 ])
 def test_config_validation(bad):
     with pytest.raises(ValueError):
@@ -239,6 +243,15 @@ def test_tolerance_scale_flag_is_validated(tmp_path, value):
     assert not (out / "simulate_summary.csv").exists()
 
 
+def test_negative_seed_flag_exits_2_with_manifest(tmp_path):
+    out = tmp_path / "o"
+    assert main(["--seed", "-5", "--out", str(out)]) == 2
+    manifest = _manifest(out)
+    assert manifest["exit_code"] == 2 and "seeds" in manifest["error"]
+    assert manifest["config"] is None
+    assert not (out / "value_surface.csv").exists()
+
+
 def test_tolerance_scale_flag_is_part_of_the_config(tmp_path):
     plain, scaled = tmp_path / "plain", tmp_path / "scaled"
     assert _simulate(tmp_path, plain) == 0
@@ -274,6 +287,21 @@ def test_value_pipeline_passes_and_reports(tmp_path):
     report = json.loads((tmp_path / "value_report.json").read_text())
     assert report["passed"]
     assert report["lipschitz_observed"] <= report["lipschitz_bound"]
+
+
+@pytest.mark.parametrize("levels", [(4,), (4, 4)])
+def test_ladder_slope_needs_two_distinct_levels(tmp_path, levels):
+    # one level, or one level twice, determines no line: the fit fails
+    # its check instead of passing on a rank-deficient polyfit
+    code, checks = run(_small(levels=levels), "mollify", str(tmp_path))
+    assert code == 1 and checks["ladder_slope"] is False
+    assert json.loads((tmp_path / "mollify_report.json").read_text(),
+                      parse_constant=pytest.fail)["slope"] is None
+
+
+def test_slope_needs_two_distinct_points():
+    assert cli._slope((0.3, 0.3), (0.1, 0.2)) is None
+    assert cli._slope((0.1, 0.2, 0.2), (0.3, 0.6, 0.6)) == pytest.approx(1.0)
 
 
 def test_seed_flag_rewires_both_streams(tmp_path):

@@ -1,7 +1,6 @@
 """Euler integration of the controlled state and its flow audits."""
 
 import numpy as np
-import pytest
 
 from shjlab.coeffs import scenario
 from shjlab.dynamics import flow_audit, integrate
@@ -55,23 +54,6 @@ def test_linear_drift_matches_recursion_oracle():
     for k in range(GRID.n_steps):
         x = x + (-pull * x + v) * GRID.dt
     np.testing.assert_allclose(batch.states[16][0, 0, 0], x, atol=1e-13)
-
-
-def test_noise_requires_aux_ensemble():
-    co = scenario("zeros")
-    with pytest.raises(ValueError):
-        integrate(co, _ens(), ControlPolicy.constant(0), np.zeros((1, 1)),
-                  noise_level=0.1)
-
-
-def test_noise_branch_adds_brownian():
-    co = scenario("zeros")
-    ens = _ens()
-    aux = sample_ensemble(GRID, 1, 200, SEED + 9)
-    batch = integrate(co, ens, ControlPolicy.constant(0), np.zeros((1, 1)),
-                      noise_level=0.25, noise_ensemble=aux)
-    np.testing.assert_allclose(batch.states[16][0, :, 0],
-                               0.25 * aux.value_at(16)[:, 0], atol=1e-13)
 
 
 def test_open_loop_policy_is_per_path():

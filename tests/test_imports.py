@@ -1,7 +1,9 @@
-"""Every imported name is used by the module that imports it, and every
-public name by some caller outside the unit tests."""
+"""Every imported name is used by the module that imports it; every
+public name and every method is read, and every defaulted parameter
+passed, by some caller outside the unit tests."""
 
 import ast
+import importlib.util
 from pathlib import Path
 
 import shjlab
@@ -77,12 +79,203 @@ class _Reads(ast.NodeVisitor):
         self.generic_visit(node)
 
 
-def test_every_public_name_has_a_caller():
+def _caller_trees():
+    """(path, parsed module) for every caller of the census tests."""
     files = sorted(p for tree in CALLER_TREES for p in (ROOT / tree).rglob("*.py"))
     files += [ROOT / f for f in CALLER_FILES]
+    return [(path, ast.parse(path.read_text(), str(path))) for path in files]
+
+
+def test_every_public_name_has_a_caller():
     reads = set()
-    for path in files:
+    for _, tree in _caller_trees():
         visitor = _Reads()
-        visitor.visit(ast.parse(path.read_text(), str(path)))
+        visitor.visit(tree)
         reads |= visitor.reads
     assert sorted(set(shjlab.__all__) - reads) == []
+
+
+def _bindings(tree):
+    """(modules, ours): the names a module binds to imported modules, each
+    mapped to whether it is part of shjlab, and the names it imports from
+    shjlab that are not modules."""
+    modules, ours = {}, set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                # "import a.b" binds a
+                modules[alias.asname or alias.name.split(".")[0]] = \
+                    alias.name.split(".")[0] == "shjlab"
+        elif isinstance(node, ast.ImportFrom):
+            package = node.module or ""
+            if node.level:
+                package = ".".join(["shjlab"] + ([package] if package else []))
+            mine = package.split(".")[0] == "shjlab"
+            for alias in node.names:
+                try:
+                    is_module = importlib.util.find_spec(
+                        f"{package}.{alias.name}") is not None
+                except ImportError:
+                    is_module = False
+                if is_module:
+                    modules[alias.asname or alias.name] = mine
+                elif mine:
+                    ours.add(alias.asname or alias.name)
+    return modules, ours
+
+
+def _root(node):
+    while isinstance(node, ast.Attribute):
+        node = node.value
+    return node.id if isinstance(node, ast.Name) else None
+
+
+class _MethodReads(ast.NodeVisitor):
+    """Attribute reads outside the definition that binds the same name,
+    skipping reads on an imported module; a "Class.method" string (a
+    tracer wraps its targets by name) reads that method too."""
+
+    def __init__(self, modules):
+        self.modules = modules
+        self.reads = set()
+        self.named = set()
+        self.inside = []
+
+    def _define(self, node):
+        self.inside.append(node.name)
+        self.generic_visit(node)
+        self.inside.pop()
+
+    visit_FunctionDef = visit_AsyncFunctionDef = visit_ClassDef = _define
+
+    def visit_Attribute(self, node):
+        if (isinstance(node.ctx, ast.Load) and node.attr not in self.inside
+                and _root(node) not in self.modules):
+            self.reads.add(node.attr)
+        self.generic_visit(node)
+
+    def visit_Constant(self, node):
+        if isinstance(node.value, str) and node.value.count(".") == 1:
+            self.named.add(tuple(node.value.split(".")))
+
+
+def _dunder(name):
+    return name.startswith("__") and name.endswith("__")
+
+
+# WienerEnsemble.load is the only reader of the ensemble file the
+# simulate pipeline writes; the round-trip test checks save against it
+METHOD_EXEMPT = {"WienerEnsemble.load"}
+
+
+def unread_methods():
+    """'Class.method' for each method of a class in src/ that no caller
+    reads; dunders are called by the language, not by name."""
+    reads, named = set(), set()
+    for _, tree in _caller_trees():
+        visitor = _MethodReads(_bindings(tree)[0])
+        visitor.visit(tree)
+        reads |= visitor.reads
+        named |= visitor.named
+    unread = []
+    for path in sorted((ROOT / "src").rglob("*.py")):
+        for cls in ast.walk(ast.parse(path.read_text(), str(path))):
+            if not isinstance(cls, ast.ClassDef):
+                continue
+            for node in cls.body:
+                if (isinstance(node, ast.FunctionDef) and not _dunder(node.name)
+                        and node.name not in reads
+                        and (cls.name, node.name) not in named):
+                    unread.append(f"{cls.name}.{node.name}")
+    return sorted(unread)
+
+
+def test_every_method_has_a_caller():
+    unread = set(unread_methods())
+    assert sorted(unread - METHOD_EXEMPT) == []
+    assert METHOD_EXEMPT <= unread, "an exemption is no longer needed"
+
+
+def _src_defs():
+    """(qualified name, call name, positional, defaulted) of every def in
+    src/ with a defaulted parameter.  positional lists the parameters a
+    positional argument can fill, without self or cls; a class is called
+    by its own name for __init__; other dunders are called by the
+    language and are left out."""
+    for path in sorted((ROOT / "src").rglob("*.py")):
+        tree = ast.parse(path.read_text(), str(path))
+        parents = {child: node for node in ast.walk(tree)
+                   for child in ast.iter_child_nodes(node)}
+        for node in ast.walk(tree):
+            if not isinstance(node, ast.FunctionDef) or (
+                    _dunder(node.name) and node.name != "__init__"):
+                continue
+            owner = parents[node]
+            a = node.args
+            positional = [p.arg for p in a.posonlyargs + a.args]
+            decorators = {d.id for d in node.decorator_list
+                          if isinstance(d, ast.Name)}
+            if isinstance(owner, ast.ClassDef) and "staticmethod" not in decorators:
+                positional = positional[1:]
+            defaulted = positional[len(positional) - len(a.defaults):] \
+                if a.defaults else []
+            defaulted += [p.arg for p, d in zip(a.kwonlyargs, a.kw_defaults)
+                          if d is not None]
+            if not defaulted:
+                continue
+            if isinstance(owner, ast.ClassDef):
+                qual = f"{owner.name}.{node.name}"
+                called = owner.name if node.name == "__init__" else node.name
+            else:
+                qual = called = node.name
+            yield f"{path.stem}.{qual}", called, positional, defaulted
+
+
+def _calls(path, tree):
+    """(callee name, call) for each call that can reach a def in src/: a
+    bare name imported from shjlab, or defined in this module when it is
+    in src/, and an attribute not read on a module outside shjlab."""
+    modules, ours = _bindings(tree)
+    if ROOT / "src" in path.parents:
+        ours |= {node.name for node in ast.walk(tree)
+                 if isinstance(node, (ast.FunctionDef, ast.ClassDef))}
+    for node in ast.walk(tree):
+        if not isinstance(node, ast.Call):
+            continue
+        fn = node.func
+        if isinstance(fn, ast.Name) and fn.id in ours:
+            yield fn.id, node
+        elif isinstance(fn, ast.Attribute) and modules.get(_root(fn), True):
+            yield fn.attr, node
+
+
+# cli.main's argv is passed by the console entry point's sys.argv
+OPTION_EXEMPT = {"cli.main.argv"}
+
+
+def unset_options():
+    """'module.def.param' for each defaulted parameter of a def in src/
+    that no call of that name in the caller trees passes, by keyword or
+    by position."""
+    passed = {}         # callee name -> (most positional args, keywords)
+    for path, tree in _caller_trees():
+        for name, call in _calls(path, tree):
+            n_pos, kws = passed.get(name, (0, set()))
+            if any(isinstance(arg, ast.Starred) for arg in call.args):
+                n_pos = float("inf")
+            passed[name] = (max(n_pos, len(call.args)),
+                            kws | {kw.arg or "**" for kw in call.keywords})
+    unset = []
+    for qual, called, positional, defaulted in _src_defs():
+        n_pos, kws = passed.get(called, (0, set()))
+        for param in defaulted:
+            by_position = param in positional and positional.index(param) < n_pos
+            if not (by_position or param in kws or "**" in kws):
+                unset.append(f"{qual}.{param}")
+    return sorted(unset)
+
+
+def test_every_option_is_set_by_a_caller():
+    unset = set(unset_options())
+    assert sorted(unset - OPTION_EXEMPT) == []
+    assert OPTION_EXEMPT <= unset, "an exemption is no longer needed"

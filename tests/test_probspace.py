@@ -5,8 +5,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from shjlab.probspace import (CondExpOperator, PathSlice, TimeGrid,
-                              WienerEnsemble, polynomial_basis,
+from shjlab.exceptions import CapacityError
+from shjlab.probspace import (_HEADER, _MAGIC, CondExpOperator, PathSlice,
+                              TimeGrid, WienerEnsemble, polynomial_basis,
                               sample_ensemble, subset_paths)
 
 SEED = 7
@@ -62,6 +63,20 @@ def test_load_rejects_corrupt_header(tmp_path):
     path = tmp_path / "bad.bin"
     path.write_bytes(b"NOPE" + bytes(60))
     with pytest.raises(ValueError):
+        WienerEnsemble.load(path)
+
+
+@pytest.mark.parametrize("m, n_paths, body, error", [
+    (0, 1, [], ValueError),               # no coordinate, one path
+    (1, 1, [0.1] * 4, ValueError),        # one path: no sample statistics
+    (1, 10**9, [], CapacityError),        # refused from the header alone
+    (1, 2, [0.1, 0.2, np.nan, 0.0, 0.1, 0.2, 0.3, 0.4], ValueError),
+])
+def test_load_validates_like_sample_ensemble(tmp_path, m, n_paths, body, error):
+    path = tmp_path / "bad.bin"
+    path.write_bytes(_HEADER.pack(_MAGIC, m, 4, n_paths, SEED, 1.0)
+                     + np.asarray(body, "<f8").tobytes())
+    with pytest.raises(error):
         WienerEnsemble.load(path)
 
 

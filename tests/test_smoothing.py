@@ -5,9 +5,9 @@ import pytest
 
 from shjlab.coeffs import DECLARED, CoefficientSet, scenario, scenario_names
 from shjlab.probspace import TimeGrid, sample_ensemble
-from shjlab.smoothing import (MollifiedSet, bump_kernel, error_processes,
-                              fit_functional_approximant, kernel_quadrature,
-                              linear_growth_penalty)
+from shjlab.smoothing import (MollifiedSet, _uniform_cell, bump_kernel,
+                              error_processes, fit_functional_approximant,
+                              kernel_quadrature, linear_growth_penalty)
 
 SEED = 13
 LEVELS = (2, 4, 8, 16)
@@ -19,9 +19,6 @@ def test_bump_kernel_support_and_symmetry():
     assert np.all(rho >= 0.0)
     assert np.all(rho[np.abs(x[:, 0]) >= 1.0] == 0.0)
     np.testing.assert_allclose(rho, rho[::-1], atol=1e-15)
-    # scaled kernel lives on the shrunken ball
-    rho4 = bump_kernel(x, level=4)
-    assert np.all(rho4[np.abs(x[:, 0]) >= 0.25] == 0.0)
 
 
 def test_bump_kernel_unit_mass():
@@ -32,7 +29,7 @@ def test_bump_kernel_unit_mass():
 
 
 def test_kernel_quadrature_nodes():
-    nodes, weights = kernel_quadrature(1, level=4, n_nodes=33)
+    nodes, weights = kernel_quadrature(1, level=4)
     assert abs(weights.sum() - 1.0) < 1e-12
     assert np.abs(nodes).max() < 0.25
     assert np.all(weights > 0.0)
@@ -73,6 +70,32 @@ def test_penalty_function():
     hp = linear_growth_penalty(probe + eps)[0]
     hm = linear_growth_penalty(probe - eps)[0]
     np.testing.assert_allclose(dh[:, 0], (hp - hm) / (2 * eps), atol=1e-6)
+
+
+def _penalty_by_hand(x):
+    # the hinge and its gradient averaged over the shifted nodes, as
+    # written out before the penalty went through the kernel average
+    nodes, weights = kernel_quadrature(x.shape[-1], 1)
+    shifted = x[None, ...] - nodes.reshape((-1,) + (1,) * (x.ndim - 1)
+                                           + (nodes.shape[1],))
+    dist = np.linalg.norm(shifted, axis=-1)
+    h = np.tensordot(weights, np.maximum(dist - 1.0, 0.0), axes=(0, 0))
+    with np.errstate(invalid="ignore", divide="ignore"):
+        unit = np.where(dist[..., None] > 0,
+                        shifted / np.maximum(dist[..., None], 1e-300), 0.0)
+    grad_terms = np.where((dist > 1.0)[..., None], unit, 0.0)
+    return h, np.tensordot(weights, grad_terms, axes=(0, 0))
+
+
+@pytest.mark.parametrize("probe", [
+    np.linspace(-3.0, 3.0, 201)[:, None],
+    np.stack(np.meshgrid(np.linspace(-2, 2, 9), np.linspace(-2, 2, 9)),
+             axis=-1).reshape(-1, 2),
+])
+def test_penalty_matches_formula_bit_for_bit(probe):
+    h, dh = linear_growth_penalty(probe)
+    h_ref, dh_ref = _penalty_by_hand(probe)
+    assert np.array_equal(h, h_ref) and np.array_equal(dh, dh_ref)
 
 
 def test_mollified_set_wraps_coefficients():
@@ -156,6 +179,31 @@ def test_functional_approximant_payoff_grid():
     # plane evaluated column-wise matches the separated form near targets
     assert np.all(np.isfinite(plane))
     assert plane.min() >= -0.2
+
+
+def _payoff_grid_by_hand(fa, xs, ws):
+    # the hat-by-profile interpolation as payoff_grid wrote it out before
+    # it read G on a synthetic terminal ensemble
+    if fa.w_grid is None:
+        g = np.asarray(fa.mollified.G(xs[:, None], None), float)
+        return np.repeat(g[:, None], ws.size, axis=1)
+    cell, frac = _uniform_cell(fa.w_grid, ws)
+    xc, xfr = _uniform_cell(fa.x_fine, xs)
+    prof = (1.0 - xfr)[None, :] * fa.slices[:, xc] \
+        + xfr[None, :] * fa.slices[:, xc + 1]
+    return (1.0 - frac)[None, :] * prof[cell, :].T \
+        + frac[None, :] * prof[cell + 1, :].T
+
+
+@pytest.mark.parametrize("name", ["random-target", "eikonal"])
+def test_payoff_grid_matches_formula_bit_for_bit(name):
+    ens = sample_ensemble(TimeGrid(1.0, 16), 1, 2000, SEED)
+    fa = fit_functional_approximant(scenario(name), ens, eps_target=0.1,
+                                    x_radius=3.0)
+    # ws runs past the hat grid on both sides, so the clamp is exercised
+    xs = np.linspace(-3.5, 3.5, 57)
+    ws = np.linspace(-6.0, 6.0, 31)
+    assert np.array_equal(fa.payoff_grid(xs, ws), _payoff_grid_by_hand(fa, xs, ws))
 
 
 def test_functional_approximant_rejects_path_dependent_running():

@@ -293,6 +293,20 @@ def test_envelope_pair_squeezes_value():
         sandwich_report(pair, other)
 
 
+class _WithPlane:
+    """A coefficient set whose terminal plane is given outright."""
+
+    def __init__(self, base, plane):
+        self.base = base
+        self.plane = plane
+
+    def __getattr__(self, name):
+        return getattr(self.base, name)
+
+    def payoff_grid(self, x_axis, y_axis):
+        return self.plane
+
+
 def test_fd_bilinear_plane_is_stationary():
     # beta = 0, f = 0, linear terminal plane: every term of the update
     # vanishes, ghost layers included
@@ -300,7 +314,8 @@ def test_fd_bilinear_plane_is_stationary():
     x_axis = np.linspace(-1.0, 1.0, 21)
     y_axis = np.linspace(-2.0, 2.0, 17)
     plane = np.add.outer(2.0 * x_axis, 3.0 * y_axis)
-    sol = solve_hjb_fd_1d(co, x_axis, y_axis, (0.75, 1.0), 0.1, payoff=plane)
+    sol = solve_hjb_fd_1d(_WithPlane(co, plane), x_axis, y_axis, (0.75, 1.0),
+                          0.1)
     np.testing.assert_allclose(sol.u, plane, atol=1e-12)
     np.testing.assert_allclose(sol.value_at(0.33, -0.21),
                                2.0 * 0.33 + 3.0 * -0.21, atol=1e-12)
@@ -311,17 +326,20 @@ def test_fd_constant_run_cost_quadrature():
     co = scenario("constant-run-cost")
     x_axis = np.linspace(-1.0, 1.0, 11)
     y_axis = np.linspace(-1.0, 1.0, 11)
-    plane = np.zeros((11, 11))
-    sol = solve_hjb_fd_1d(co, x_axis, y_axis, (0.5, 1.0), 0.0,
-                          payoff=plane, n_tsteps=64)
+    sol = solve_hjb_fd_1d(_WithPlane(co, np.zeros((11, 11))), x_axis, y_axis,
+                          (0.5, 1.0), 0.0)
     np.testing.assert_allclose(sol.u, 0.5, atol=1e-12)
-    assert sol.diagnostics["substeps"] >= 64
+    # the CFL limit alone sets the step count
+    assert sol.diagnostics["substeps"] == int(
+        np.ceil(0.5 * sol.diagnostics["cfl_rate"] / 0.8))
 
 
 def test_fd_validation():
     co = scenario("zeros")
     axis = np.linspace(-1.0, 1.0, 11)
     with pytest.raises(ValueError):
-        solve_hjb_fd_1d(co, axis, axis, (1.0, 0.5), 0.1, payoff=np.zeros((11, 11)))
+        solve_hjb_fd_1d(_WithPlane(co, np.zeros((11, 11))), axis, axis,
+                        (1.0, 0.5), 0.1)
     with pytest.raises(ValueError):
-        solve_hjb_fd_1d(co, axis, axis, (0.5, 1.0), 0.1, payoff=np.zeros((3, 3)))
+        solve_hjb_fd_1d(_WithPlane(co, np.zeros((3, 3))), axis, axis,
+                        (0.5, 1.0), 0.1)
