@@ -121,7 +121,6 @@ def solve_bsde(spec):
     Z = np.zeros((n, ens.n_paths, ens.m))
     driver = np.empty((n, ens.n_paths))
     resid = np.zeros(n + 1)
-    ridge_any = False
 
     Y[n] = spec.terminal
     for k in range(n - 1, -1, -1):
@@ -135,14 +134,9 @@ def solve_bsde(spec):
         # intact and keeps Z exactly zero for deterministic integrands
         dW = ens.increments[:, k, :]
         Z[k] = op.apply(((Y[k + 1] - pY)[:, None] * dW).T).T / dt
-        ridge_any = ridge_any or op.used_ridge
         resid[k] = float(np.sqrt(np.mean((Y[k + 1] + g * dt - Y[k]) ** 2)))
 
-    return BsdeSolution(grid, Y, Z, driver, {
-        "residual_rms": resid,
-        "used_ridge": ridge_any,
-        "basis": list(basis.names),
-    })
+    return BsdeSolution(grid, Y, Z, driver, {"residual_rms": resid})
 
 
 def error_bound_bsde(errors, gain, ensemble):
@@ -159,7 +153,7 @@ def error_bound_bsde(errors, gain, ensemble):
                                errors.df + float(gain) * errors.dbeta))
 
 
-def policy_cost_surface(coeffs, ensemble, policy, lattice, *, tag="u"):
+def policy_cost_surface(coeffs, ensemble, policy, lattice):
     """Cost-to-go of a fixed policy on a lattice, by backward recursion.
 
     Same sweep as the value recursion with the minimization replaced by
@@ -176,7 +170,7 @@ def policy_cost_surface(coeffs, ensemble, policy, lattice, *, tag="u"):
         points themselves.
     lattice : BoxLattice.
 
-    Returns a ValueSurface tagged ``tag`` (no argmin tables).
+    Returns a ValueSurface without argmin tables.
     """
     dt = ensemble.grid.dt
     n_eff = 1 if coeffs.deterministic else ensemble.n_paths
@@ -190,8 +184,7 @@ def policy_cost_surface(coeffs, ensemble, policy, lattice, *, tag="u"):
             [idx.shape])
         return (raw if op is None else op.apply(raw)), raw
 
-    return _backward_sweep(coeffs, ensemble, lattice, "all", None, step,
-                           tag=tag)
+    return _backward_sweep(coeffs, ensemble, lattice, "all", None, step)
 
 
 def _lattice_controls(policy, k, t, lattice, n_eff, ensemble):
@@ -250,13 +243,4 @@ def cost_majorant(surface, bound, coeffs, policy, ensemble):
             [idx.shape])
         drift[k] = -np.broadcast_to(adv, (lattice.n_points, n_paths)) \
             - bound.driver[k][None, :]
-
-    diagnostics = {
-        "residual_rms": {
-            k: float(surface.diagnostics["residual_rms"][k]
-                     + bound.diagnostics["residual_rms"][k])
-            for k in range(grid.n_steps)
-        },
-    }
-    return AdaptedField(grid, lattice, values, drift, None,
-                        tag=f"{surface.tag}+bound", diagnostics=diagnostics)
+    return AdaptedField(grid, lattice, values, drift, None)

@@ -173,15 +173,18 @@ def _write_json(path, payload):
         if isinstance(o, (np.bool_,)):
             return bool(o)
         raise TypeError(f"not serializable: {type(o)}")
+    # strict JSON: a NaN or infinity raises ValueError before the file opens
+    text = json.dumps(payload, indent=2, sort_keys=True, default=default,
+                      allow_nan=False)
     with open(path, "w") as fh:
-        json.dump(payload, fh, indent=2, sort_keys=True, default=default)
-        fh.write("\n")
+        fh.write(text + "\n")
 
 
 def _slope(xs, ys):
     """Least-squares slope of log ys against log xs; None for fewer than
-    two distinct xs, where no line is determined."""
-    if len(set(xs)) < 2:
+    two distinct xs, where no line is determined, and for a y <= 0, which
+    has no logarithm."""
+    if len(set(xs)) < 2 or min(ys) <= 0:
         return None
     return float(np.polyfit(np.log(xs), np.log(ys), 1)[0])
 
@@ -344,7 +347,7 @@ def _jhat_item(cfg, scale, coeffs, ens, lat, pol, base_cost, level, radius):
     errors = error_processes(coeffs, ml, ens, radius=radius)
     gain = _value_lipschitz(coeffs, cfg.T)
     bound = error_bound_bsde(errors, gain=gain, ensemble=ens)
-    u_l = policy_cost_surface(ml, ens, pol, lat, tag=f"u{level}")
+    u_l = policy_cost_surface(ml, ens, pol, lat)
     jh = cost_majorant(u_l, bound, ml, pol, ens)
     rep = residual_check(jh, coeffs, ens, "super", tol=0.02 * scale)
     norm_gap = float(np.max(np.abs(
@@ -368,7 +371,7 @@ def _pipe_jhat(cfg, out, scale, workers):
     lat = _lattice(cfg, coeffs, h=cfg.ladder_h)
     surface = value_V(coeffs, ens, lat, clamp_tol=0.05)
     pol = ControlPolicy.feedback(surface)
-    base_cost = policy_cost_surface(coeffs, ens, pol, lat, tag="J")
+    base_cost = policy_cost_surface(coeffs, ens, pol, lat)
     radius = float(np.max(np.abs(lat.points)))
 
     def item(level):
@@ -453,7 +456,7 @@ def _pipe_viscosity_check(cfg, out, scale, workers):
     probe = sample_adapted_field(
         lambda t, x, w: np.broadcast_to(w.current[:, 0] ** 2,
                                         (x.shape[0], w.n_paths)),
-        grid, lat, ens, tag="w_sq")
+        grid, lat, ens)
     est = estimate_decomposition(probe, ens)
     drift_vals = np.concatenate([est.drift[k].ravel() for k in est.drift])
     corr = min(
@@ -474,7 +477,7 @@ def _pipe_viscosity_check(cfg, out, scale, workers):
             lambda t, x, w: np.broadcast_to(
                 np.maximum(np.abs(x[:, :, 0]) - (cfg.T - t), 0.0),
                 (x.shape[0], w.n_paths)),
-            grid, lat_far, ens, tag="V_exact")
+            grid, lat_far, ens)
         est2 = estimate_decomposition(exact, ens)
         rep = residual_check(est2, coeffs, ens, "super", tol=0.03 * scale)
         for k, mu in rep["probe_mean"].items():
@@ -506,9 +509,6 @@ def _pipe_full_uniqueness(cfg, out, scale, workers):
     checks.update({f"envelopes.{k}": v for k, v in env_checks.items()})
     checks["sandwich.slope"] = (slope is not None
                                 and abs(slope - 1.0) <= 0.3 * scale)
-    # comparison: every super-passing majorant clears the lower envelope
-    checks["comparison.margins"] = all(r["lower_margin"] >= 0.0
-                                       for r in results)
     _write_json(os.path.join(out, "uniqueness_report.json"), {
         "K1": K1, "slope": slope,
         "grid": results, "checks": checks,

@@ -30,14 +30,13 @@ class StateTrajectoryBatch:
     accumulated from the starting knot to t_k.
     """
 
-    __slots__ = ("grid", "collapsed", "states", "cost_at", "n_eff")
+    __slots__ = ("grid", "collapsed", "states", "cost_at")
 
     def __init__(self, grid, collapsed, states, cost_at):
         self.grid = grid
         self.collapsed = collapsed
         self.states = states
         self.cost_at = cost_at
-        self.n_eff = states[grid.n_steps].shape[1]
 
     @property
     def terminal(self):
@@ -164,7 +163,6 @@ def flow_audit(coeffs, ensemble, policy, xi, xi_hat=None):
         ])
         ratio = gaps.max(axis=0) / np.maximum(gap0, 1e-300)
         report["stability_ratio"] = float(ratio.max() / np.exp(coeffs.L * T))
-        report["stability_constant"] = float(ratio.max())
     report["passed"] = bool(
         restart_exact and growth_ratio <= 1.0 and inc_ratio <= 1.0
         and report.get("stability_ratio", 0.0) <= 1.0

@@ -43,7 +43,6 @@ class AdaptedField:
     noise : dict or None
         knot -> (n_points, n_paths, m) integrand against the Brownian
         increments.
-    tag : str
     diagnostics : dict
     """
 
@@ -52,7 +51,6 @@ class AdaptedField:
     values: dict
     drift: dict | None = None
     noise: dict | None = None
-    tag: str = "u"
     diagnostics: dict = field(default_factory=dict)
 
     def __post_init__(self):
@@ -87,7 +85,7 @@ class AdaptedField:
         return self.lattice.gradient(self.at(k))
 
 
-def sample_adapted_field(fn, grid, lattice, ensemble, tag="u"):
+def sample_adapted_field(fn, grid, lattice, ensemble):
     """Evaluate fn(t, x, w) on every knot x lattice x paths.
 
     fn receives t (float), x of shape (n_points, 1, d) and a PathSlice,
@@ -102,7 +100,7 @@ def sample_adapted_field(fn, grid, lattice, ensemble, tag="u"):
         values[k] = np.broadcast_to(
             sampled, (lattice.n_points, ensemble.n_paths)
         ).copy()
-    return AdaptedField(grid, lattice, values, tag=tag)
+    return AdaptedField(grid, lattice, values)
 
 
 def reconstruction_report(afield, ensemble, rtol=1e-6):
@@ -110,7 +108,8 @@ def reconstruction_report(afield, ensemble, rtol=1e-6):
 
     Walking back from the last sampled knot, accumulate drift * dt plus
     noise . dW and compare with the stored samples.  Reports the RMS
-    mismatch per knot and the worst knot; ``passed`` allows rtol plus
+    mismatch and its budget per knot, and the RMS at the knot closest to
+    its budget; ``passed`` allows rtol plus
     whatever residual the decomposition carries in its diagnostics.
     """
     if afield.drift is None or afield.noise is None:
@@ -137,7 +136,6 @@ def reconstruction_report(afield, ensemble, rtol=1e-6):
     return {
         "rms": rms,
         "budget": budget,
-        "worst_knot": worst,
         "worst_rms": rms[worst],
         "passed": all(rms[k] <= budget[k] for k in rms),
     }

@@ -189,7 +189,6 @@ class ApproximationErrors:
     dG: np.ndarray
     df: np.ndarray
     dbeta: np.ndarray
-    radius: float
 
     def scale(self, gain):
         """L2 size ||dG|| + ||df + gain * dbeta|| used by error-bound ladders."""
@@ -230,7 +229,7 @@ def error_processes(base, approx, ensemble, radius=None):
         df[k], dbeta[k] = _running_gaps(base, approx, grid.knots[k], probes,
                                         base.controls, w)
 
-    return ApproximationErrors(dG=dG, df=df, dbeta=dbeta, radius=float(radius))
+    return ApproximationErrors(dG=dG, df=df, dbeta=dbeta)
 
 
 def _running_gaps(base, approx, t, probes, controls, w):

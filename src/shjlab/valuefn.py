@@ -231,13 +231,11 @@ class ValueSurface:
 
     grid: object
     lattice: BoxLattice
-    tag: str
     mean: np.ndarray
     se: np.ndarray
     slices: dict
     argmin: dict | None
     collapsed: bool
-    n_paths: int
     diagnostics: dict = field(default_factory=dict)
 
     def pathwise(self, k):
@@ -321,7 +319,7 @@ class _NextSlice:
 
 
 def _backward_sweep(coeffs, ensemble, lattice, store_knots, basis, step, *,
-                    tag, argmin=None):
+                    argmin=None):
     """Backward recursion on a lattice, shared by value and policy costs.
 
     From the pathwise terminal cost, calls step(k, t, w, op, nxt) for
@@ -353,8 +351,6 @@ def _backward_sweep(coeffs, ensemble, lattice, store_knots, basis, step, *,
     mean = np.full((n + 1, lattice.n_points), np.nan)
     se = np.zeros((n + 1, lattice.n_points))
     slices = {}
-    resid_rms = np.zeros(n)
-    ridge_any = False
     nxt = _NextSlice(lattice)
 
     raw = V
@@ -365,9 +361,6 @@ def _backward_sweep(coeffs, ensemble, lattice, store_knots, basis, step, *,
             op = CondExpOperator(ensemble, k, basis) if regress else None
             nxt.k, nxt.values = k, V
             V, raw = step(k, t, w, op, nxt)
-            if op is not None:
-                ridge_any = ridge_any or op.used_ridge
-                resid_rms[k] = float(np.sqrt(np.mean((raw - V) ** 2)))
         mean[k] = raw.mean(axis=-1)
         if raw.shape[-1] > 1:
             se[k] = raw.std(axis=-1, ddof=1) / np.sqrt(raw.shape[-1])
@@ -377,12 +370,9 @@ def _backward_sweep(coeffs, ensemble, lattice, store_knots, basis, step, *,
     diagnostics = {
         "clamp_fraction": nxt.clamped / max(nxt.evals, 1),
         "exits": nxt.exits,
-        "residual_rms": resid_rms,
-        "used_ridge": ridge_any,
-        "n_eff": n_eff,
     }
-    return ValueSurface(grid, lattice, tag, mean, se, slices, argmin,
-                        coeffs.deterministic, ensemble.n_paths, diagnostics)
+    return ValueSurface(grid, lattice, mean, se, slices, argmin,
+                        coeffs.deterministic, diagnostics)
 
 
 def _stencil_means(column, z):
@@ -411,7 +401,7 @@ def _stencil_means(column, z):
 
 
 def value_V(coeffs, ensemble, lattice, *, basis=None, noise_level=0.0,
-            noise_ensemble=None, clamp_tol=0.01, tag="V"):
+            noise_ensemble=None, clamp_tol=0.01):
     """Backward dynamic-programming value surface on a lattice.
 
     Parameters
@@ -516,7 +506,7 @@ def value_V(coeffs, ensemble, lattice, *, basis=None, noise_level=0.0,
         return raw.mean(axis=-1, keepdims=True), raw
 
     surface = _backward_sweep(coeffs, ensemble, lattice, "auto", basis, step,
-                              tag=tag, argmin=argmins)
+                              argmin=argmins)
     frac = surface.diagnostics["clamp_fraction"]
     if frac > clamp_tol:
         # name the knot with the most exits, its worst control, and the
@@ -580,9 +570,8 @@ def value_audit(coeffs, ensemble, surface, starts, *, abs_tol=0.01,
     }
 
     worst = np.inf
-    worst_info = None
     worst_pointwise = np.inf
-    for name, policy in policies.items():
+    for policy in policies.values():
         batch = integrate(coeffs, ensemble, policy, starts, store_knots=subgrid)
         vals = {s: surface.at_states(s, batch.states[s]) for s in subgrid}
         costs = {s: batch.cost_at[s] for s in subgrid}
@@ -594,11 +583,7 @@ def value_audit(coeffs, ensemble, surface, starts, *, abs_tol=0.01,
                 r = float(per_path.mean())
                 sig = (float(per_path.std(ddof=1)) / np.sqrt(n_eff)
                        if n_eff > 1 else 0.0)
-                margin = r + abs_tol + 3.0 * sig
-                if margin < worst:
-                    worst = float(margin)
-                    worst_info = {"policy": name, "pair": (s, s2),
-                                  "residual": r, "se": sig}
+                worst = min(worst, float(r + abs_tol + 3.0 * sig))
                 per_start = term.mean(axis=-1)
                 worst_pointwise = min(worst_pointwise,
                                       float(per_start.min()) + abs_tol)
@@ -619,7 +604,6 @@ def value_audit(coeffs, ensemble, surface, starts, *, abs_tol=0.01,
 
     return {
         "supermartingale_margin": worst,
-        "supermartingale_worst": worst_info,
         "supermartingale_pointwise": worst_pointwise,
         "supermartingale_ok": bool(supermartingale_ok),
         "sup_value": sup_V,

@@ -19,6 +19,7 @@ import numpy as np
 
 from .bsde import BsdeSpec, error_bound_bsde, solve_bsde
 from .coeffs import _argmin_sweep, _policy_sweep
+from .exceptions import AccuracyError
 from .fields import AdaptedField
 from .smoothing import _uniform_cell, error_processes
 from .valuefn import BoxLattice, default_basis, value_V
@@ -222,10 +223,9 @@ def estimate_decomposition(afield, ensemble):
         "residual_rms": resid_rms,
         "coef": coef_tab,
         "coef_se": se_tab,
-        "basis": list(basis.names),
     })
     return AdaptedField(grid, afield.lattice, dict(afield.values), drift,
-                        noise, tag=afield.tag, diagnostics=diagnostics)
+                        noise, diagnostics=diagnostics)
 
 
 def residual_check(afield, coeffs, ensemble, side="super", *, tol=0.02):
@@ -237,8 +237,11 @@ def residual_check(afield, coeffs, ensemble, side="super", *, tol=0.02):
     The terminal samples are compared against the exact terminal cost
     (>= for super, <= for sub, slack 1e-9).
 
-    Returns a report dict; `passed` combines the residual sign and the
-    terminal comparison.
+    Returns a report dict: the probe means and standard errors per knot,
+    the residual margin (the worst probe statistic, signed so that
+    super passes at >= -tol and sub at <= tol), the terminal margin, and
+    `passed`, which combines the residual sign and the terminal
+    comparison.
     """
     if side not in ("super", "sub"):
         raise ValueError("side must be 'super' or 'sub'")
@@ -254,7 +257,7 @@ def residual_check(afield, coeffs, ensemble, side="super", *, tol=0.02):
     x_pts = afield.lattice.points
     probe_mean = {}
     probe_se = {}
-    worst = None
+    stats = []
     for k in knots:
         t = grid.knots[k]
         w = ensemble.slice_at(k)
@@ -266,11 +269,7 @@ def residual_check(afield, coeffs, ensemble, side="super", *, tol=0.02):
               if R.shape[1] > 1 else np.zeros_like(mu))
         probe_mean[k] = mu
         probe_se[k] = se
-        stat = s * mu + 3 * se
-        j = int(np.argmin(stat))
-        cand = (float(stat[j]), k, j, float(mu[j]), float(se[j]))
-        if worst is None or cand[0] < worst[0]:
-            worst = cand
+        stats.append(float(np.min(s * mu + 3 * se)))
 
     wT = ensemble.slice_at(n, terminal_ok=True)
     g_term = np.broadcast_to(
@@ -279,32 +278,23 @@ def residual_check(afield, coeffs, ensemble, side="super", *, tol=0.02):
     )
     term_gap = s * (afield.at(n) - g_term)
     terminal_margin = s * float(term_gap.min())
-    terminal_ok = s * terminal_margin >= -1e-9
-    margin = s * worst[0]
-    residual_ok = s * margin >= -tol
+    margin = s * min(stats)
     return {
-        "side": side,
-        "tol": tol,
         "margin": margin,
-        "worst": {"knot": worst[1], "point": worst[2],
-                  "mean": worst[3], "se": worst[4]},
         "probe_mean": probe_mean,
         "probe_se": probe_se,
         "terminal_margin": terminal_margin,
-        "terminal_ok": terminal_ok,
-        "residual_ok": residual_ok,
-        "passed": residual_ok and terminal_ok,
+        "passed": s * margin >= -tol and s * terminal_margin >= -1e-9,
     }
 
 
 @dataclass
 class EnvelopePair:
-    """Perturbed value surface with its upper and lower envelopes."""
+    """Upper and lower envelopes of a perturbed value surface."""
 
-    V_eps: object
     upper: AdaptedField
     lower: AdaptedField
-    params: dict
+    params: dict             # "L_tilde", "K_bar"
     reports: dict            # one-sided residual checks, "upper"/"lower"
 
 
@@ -327,10 +317,16 @@ def build_envelopes(base, approx, ens_w, ens_b, eps, delta_n, *,
     eps, delta_n : approximation size and noise level (> 0).
     lattice : optional BoxLattice; by default sized from the reachable
         set from |x0| <= 2 plus the noise wander.
+    clamp_tol : lattice-exit budget of the perturbed surface and of the
+        envelope assembly, which reads that surface at the lattice points
+        shifted by -delta_n B; exceeding it raises AccuracyError, which
+        names the knot with the most exits.
 
     The drift part is assembled, and residual-checked, only on a ~9-knot
     subgrid (every (n // 8)-th knot).  Returns an EnvelopePair whose
-    reports hold the one-sided residual checks of both envelopes.
+    params hold the gradient bound L_tilde and the correction constant
+    K_bar, and whose reports hold the one-sided residual checks of both
+    envelopes.
     """
     if delta_n <= 0:
         raise ValueError("delta_n must be positive")
@@ -355,7 +351,7 @@ def build_envelopes(base, approx, ens_w, ens_b, eps, delta_n, *,
         lattice = BoxLattice.for_problem(base, T, 2.0, h, margin=margin)
 
     V_eps = value_V(approx, ens_w, lattice, noise_level=delta_n,
-                    noise_ensemble=ens_b, clamp_tol=clamp_tol, tag="Veps")
+                    noise_ensemble=ens_b, clamp_tol=clamp_tol)
     want_drift = set(range(0, n, max(1, n // 8)))
 
     # empirical gradient bound over every stored slice
@@ -375,13 +371,13 @@ def build_envelopes(base, approx, ens_w, ens_b, eps, delta_n, *,
     x_pts = lattice.points
     up_vals, lo_vals = {}, {}
     up_drift, lo_drift = {}, {}
-    clamped = evals = 0
+    clamped = {}              # knot -> assembly reads outside the lattice
+    evals = 0
     for k in sorted(V_eps.slices):
         sl = V_eps.pathwise(k)
         B_k = ens_b.value_at(k)
         pos = x_pts[:, None, :] - delta_n * B_k[None, :, :]
-        center, nc = lattice.interp(sl, pos)
-        clamped += nc
+        center, clamped[k] = lattice.interp(sl, pos)
         evals += center.size
         corr = bound.Y[k][None, :] + delta_n * K_bar * noise_mag.Y[k][None, :]
         up_vals[k] = center + corr
@@ -401,21 +397,21 @@ def build_envelopes(base, approx, ens_w, ens_b, eps, delta_n, *,
         lo_drift[k] = -ham + bound.driver[k][None, :] \
             + delta_n * K_bar * b_mag
 
-    params = {
-        "eps": float(eps),
-        "delta_n": float(delta_n),
-        "L_tilde": L_tilde,
-        "K_bar": K_bar,
-        "bound_sup_rms": bound.sup_rms(),
-        "noise_mag_start": float(noise_mag.Y[0].mean()),
-        "clamp_fraction": clamped / max(evals, 1),
-        "approx_achieved": dict(ach),
-    }
-    upper = AdaptedField(grid, lattice, up_vals, up_drift, None, tag="upper")
-    lower = AdaptedField(grid, lattice, lo_vals, lo_drift, None, tag="lower")
+    frac = sum(clamped.values()) / evals
+    if frac > clamp_tol:
+        k = max(clamped, key=clamped.get)
+        raise AccuracyError(
+            f"{100 * frac:.2f}% of envelope reads left the lattice (budget "
+            f"{100 * clamp_tol:.1f}%); most at knot {k} ({clamped[k]} reads); "
+            f"enlarge the lattice"
+        )
+
+    upper = AdaptedField(grid, lattice, up_vals, up_drift, None)
+    lower = AdaptedField(grid, lattice, lo_vals, lo_drift, None)
     reports = {"upper": residual_check(upper, base, ens_w, "super", tol=tol),
                "lower": residual_check(lower, base, ens_w, "sub", tol=tol)}
-    return EnvelopePair(V_eps, upper, lower, params, reports)
+    return EnvelopePair(upper, lower, {"L_tilde": L_tilde, "K_bar": K_bar},
+                        reports)
 
 
 def sandwich_report(pair, surface):
@@ -434,7 +430,6 @@ def sandwich_report(pair, surface):
     upper_margin = np.inf
     lower_margin = np.inf
     gap_upper = gap_lower = 0.0
-    per_knot = {}
     for k in knots:
         v_sl = surface.pathwise(k)
         u_k = up.at(k)
@@ -449,8 +444,6 @@ def sandwich_report(pair, surface):
         ml_margin = float(np.min(m_v - m_lo + 3 * (se_up + se_v)))
         gu = float(np.max(np.mean(np.abs(u_k - v_b), axis=1)))
         gl = float(np.max(np.mean(np.abs(l_k - v_b), axis=1)))
-        per_knot[k] = {"upper_margin": mu_margin, "lower_margin": ml_margin,
-                       "gap_upper": gu, "gap_lower": gl}
         upper_margin = min(upper_margin, mu_margin)
         lower_margin = min(lower_margin, ml_margin)
         gap_upper = max(gap_upper, gu)
@@ -461,7 +454,6 @@ def sandwich_report(pair, surface):
         "gap_upper": gap_upper,
         "gap_lower": gap_lower,
         "order_ok": upper_margin >= 0.0 and lower_margin >= 0.0,
-        "per_knot": per_knot,
     }
 
 
@@ -472,7 +464,6 @@ class HjbFdSolution:
     x_axis: np.ndarray
     y_axis: np.ndarray
     u: np.ndarray            # (nx, ny)
-    t_start: float
     diagnostics: dict
 
     def value_at(self, x, y):
@@ -503,8 +494,8 @@ def solve_hjb_fd_1d(approx, x_axis, y_axis, interval, delta_n):
 
     Upwind first differences follow the drift sign; both curvature
     terms are centered; the time step is CFL-limited (CFL number 0.8)
-    with automatic substepping.  Box faces use linear extrapolation (flagged in the
-    diagnostics, not a physical boundary condition).
+    with automatic substepping.  Box faces use linear extrapolation, not
+    a physical boundary condition.
 
     Parameters
     ----------
@@ -514,7 +505,8 @@ def solve_hjb_fd_1d(approx, x_axis, y_axis, interval, delta_n):
     interval : (t_start, t_end).
     delta_n : noise level (>= 0).
 
-    Returns an HjbFdSolution at t_start.
+    Returns an HjbFdSolution at t_start; its diagnostics hold the
+    substep count and the CFL rate.
     """
     x_axis = np.asarray(x_axis, float)
     y_axis = np.asarray(y_axis, float)
@@ -561,8 +553,5 @@ def solve_hjb_fd_1d(approx, x_axis, y_axis, interval, delta_n):
             ham = cand if ham is None else np.minimum(ham, cand)
         u = u + dt * (ham + 0.5 * u_yy + 0.5 * delta_n**2 * u_xx)
 
-    return HjbFdSolution(x_axis, y_axis, u, t0, {
-        "substeps": n_sub,
-        "cfl_rate": rate,
-        "boundary": "linear-extrapolation",
-    })
+    return HjbFdSolution(x_axis, y_axis, u,
+                         {"substeps": n_sub, "cfl_rate": rate})

@@ -224,7 +224,7 @@ def test_criterion_07_cost_majorant_ladder():
     lat = BoxLattice.centered(3.4, 0.05, 1)
     V = value_V(co, ens, lat, clamp_tol=0.05)
     pol = ControlPolicy.feedback(V)
-    base_cost = policy_cost_surface(co, ens, pol, lat, tag="J")
+    base_cost = policy_cost_surface(co, ens, pol, lat)
     gain = float(np.exp(co.L) * co.L * 2.0)
     radius = float(np.max(np.abs(lat.points)))
 
@@ -233,7 +233,7 @@ def test_criterion_07_cost_majorant_ladder():
         molly = MollifiedSet(co, level)
         errors = error_processes(co, molly, ens, radius=radius)
         bound = error_bound_bsde(errors, gain, ens)
-        surf = policy_cost_surface(molly, ens, pol, lat, tag="Jl")
+        surf = policy_cost_surface(molly, ens, pol, lat)
         jhat = cost_majorant(surf, bound, molly, pol, ens)
         rep = residual_check(jhat, co, ens, "super", tol=0.02)
         margins.append(rep["margin"])

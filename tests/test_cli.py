@@ -1,6 +1,7 @@
 """Experiment configs, pipeline dispatch, and reproducibility."""
 
 import json
+import warnings
 
 import pytest
 from hypothesis import given, settings
@@ -299,8 +300,33 @@ def test_ladder_slope_needs_two_distinct_levels(tmp_path, levels):
                       parse_constant=pytest.fail)["slope"] is None
 
 
+def test_ladder_slope_of_zero_gaps_is_null_not_nan(tmp_path):
+    # zeros mollifies to exactly zero: no gap has a logarithm, so the fit
+    # fails its check with a null slope, and no warning fires
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, checks = run(ExperimentConfig(scenario="zeros", n_steps=8,
+                                            n_paths=200), "mollify",
+                           str(tmp_path))
+    assert code == 1 and checks["ladder_slope"] is False
+    assert json.loads((tmp_path / "mollify_report.json").read_text(),
+                      parse_constant=pytest.fail)["slope"] is None
+
+
+def test_non_finite_report_value_exits_1_without_the_report(tmp_path,
+                                                            monkeypatch):
+    monkeypatch.setattr(cli, "_slope", lambda xs, ys: float("nan"))
+    code, checks = run(_small(), "mollify", str(tmp_path))
+    assert code == 1 and "error" in checks
+    assert not (tmp_path / "mollify_report.json").exists()
+    manifest = json.loads((tmp_path / "manifest.json").read_text(),
+                          parse_constant=pytest.fail)
+    assert manifest["exit_code"] == 1
+
+
 def test_slope_needs_two_distinct_points():
     assert cli._slope((0.3, 0.3), (0.1, 0.2)) is None
+    assert cli._slope((0.1, 0.2), (0.3, 0.0)) is None
     assert cli._slope((0.1, 0.2, 0.2), (0.3, 0.6, 0.6)) == pytest.approx(1.0)
 
 

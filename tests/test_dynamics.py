@@ -23,7 +23,7 @@ def test_zero_drift_keeps_state():
         np.testing.assert_allclose(batch.states[k][..., 0],
                                    [[0.7], [-1.1]], atol=0.0)
     assert batch.cost_at[16].max() == 0.0
-    assert batch.n_eff == 1  # deterministic problem collapses paths
+    assert batch.terminal.shape[1] == 1  # deterministic problem collapses paths
 
 
 def test_constant_control_linear_motion():

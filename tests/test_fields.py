@@ -26,7 +26,7 @@ def _linear_field(a=0.5, b=2.0, n_paths=64):
     }
     drift = {k: np.full(shape, a) for k in range(GRID.n_steps)}
     noise = {k: np.full(shape + (1,), b) for k in range(GRID.n_steps)}
-    return ens, AdaptedField(GRID, LAT, values, drift, noise, tag="lin")
+    return ens, AdaptedField(GRID, LAT, values, drift, noise)
 
 
 def test_field_validation():

@@ -1,6 +1,6 @@
 """Every imported name is used by the module that imports it; every
-public name and every method is read, and every defaulted parameter
-passed, by some caller outside the unit tests."""
+public name, method, record field and dict key is read, and every
+defaulted parameter passed, by some caller outside the unit tests."""
 
 import ast
 import importlib.util
@@ -279,3 +279,176 @@ def test_every_option_is_set_by_a_caller():
     unset = set(unset_options())
     assert sorted(unset - OPTION_EXEMPT) == []
     assert OPTION_EXEMPT <= unset, "an exemption is no longer needed"
+
+
+def _is_dataclass(cls):
+    return any(isinstance(d, ast.Name) and d.id == "dataclass"
+               or isinstance(d, ast.Call) and isinstance(d.func, ast.Name)
+               and d.func.id == "dataclass" for d in cls.decorator_list)
+
+
+def _record_fields(cls):
+    """Record fields of a class: dataclass annotations, __slots__ entries
+    and the self attributes __init__ assigns."""
+    fields = set()
+    for node in cls.body:
+        if (isinstance(node, ast.AnnAssign) and _is_dataclass(cls)
+                and isinstance(node.target, ast.Name)):
+            fields.add(node.target.id)
+        elif isinstance(node, ast.Assign) and any(
+                isinstance(t, ast.Name) and t.id == "__slots__"
+                for t in node.targets):
+            fields.update(ast.literal_eval(node.value))
+        elif isinstance(node, ast.FunctionDef) and node.name == "__init__":
+            me = node.args.args[0].arg
+            fields.update(a.attr for a in ast.walk(node)
+                          if isinstance(a, ast.Attribute)
+                          and isinstance(a.ctx, ast.Store)
+                          and isinstance(a.value, ast.Name) and a.value.id == me)
+    return fields
+
+
+def unread_fields():
+    """'Class.field' for each record field of a class in src/ that no
+    caller reads as an attribute."""
+    reads = {node.attr for _, tree in _caller_trees() for node in ast.walk(tree)
+             if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)}
+    unread = []
+    for path in sorted((ROOT / "src").rglob("*.py")):
+        for cls in ast.walk(ast.parse(path.read_text(), str(path))):
+            if isinstance(cls, ast.ClassDef):
+                unread += [f"{cls.name}.{name}" for name in _record_fields(cls)
+                           if name not in reads]
+    return sorted(unread)
+
+
+def _string(node):
+    if isinstance(node, ast.Constant) and isinstance(node.value, str):
+        return node.value
+    return None
+
+
+# calls that read every key of a dict passed to them
+WHOLE_CALLS = {"dict", "list", "tuple", "set", "sorted", "iter", "enumerate",
+               "zip", "max", "min", "any", "all", "str", "repr", "format"}
+WHOLE_METHODS = {"items", "keys", "values", "copy"}
+
+
+def _holder(node):
+    """The name a dict is bound to: a bare name, or ".attr" for an
+    attribute; None for anything else."""
+    if isinstance(node, ast.Name):
+        return node.id
+    if isinstance(node, ast.Attribute):
+        return "." + node.attr
+    return None
+
+
+def _used_whole(scope):
+    """Holders (see _holder) of the dicts a scope uses whole: iterated,
+    copied, unpacked, formatted or indexed by a variable.  A name bound to
+    an attribute stands for that attribute too."""
+    alias = {node.targets[0].id: "." + node.value.attr
+             for node in ast.walk(scope)
+             if isinstance(node, ast.Assign) and len(node.targets) == 1
+             and isinstance(node.targets[0], ast.Name)
+             and isinstance(node.value, ast.Attribute)}
+    used = []
+    for node in ast.walk(scope):
+        if isinstance(node, (ast.For, ast.comprehension)):
+            used.append(node.iter)
+        elif isinstance(node, ast.Call):
+            if isinstance(node.func, ast.Name) and node.func.id in WHOLE_CALLS:
+                used += node.args
+            elif (isinstance(node.func, ast.Attribute)
+                  and node.func.attr in WHOLE_METHODS):
+                used.append(node.func.value)
+            used += [kw.value for kw in node.keywords if kw.arg is None]
+        elif isinstance(node, ast.Dict):
+            used += [v for k, v in zip(node.keys, node.values) if k is None]
+        elif isinstance(node, ast.FormattedValue):
+            used.append(node.value)
+        elif (isinstance(node, ast.Subscript) and isinstance(node.ctx, ast.Load)
+              and not isinstance(node.slice, ast.Constant)):
+            used.append(node.value)
+    whole = {_holder(node) for node in used} - {None}
+    return whole | {alias[name] for name in whole if name in alias}
+
+
+def _key_writes(tree):
+    """(key, holder, scope) for each string key a module writes into a dict
+    display or by a constant subscript.  holder is what the dict is bound
+    to (see _holder): the target of an assignment or of .update, or the
+    subscripted value.  scope is the innermost def around the write, the
+    module outside every def."""
+    parents = {child: node for node in ast.walk(tree)
+               for child in ast.iter_child_nodes(node)}
+
+    def scope_of(node):
+        while node in parents:
+            node = parents[node]
+            if isinstance(node, ast.FunctionDef):
+                return node
+        return tree
+
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Dict):
+            up = parents[node]
+            holder = None
+            if isinstance(up, ast.Assign) and len(up.targets) == 1:
+                holder = _holder(up.targets[0])
+            elif (isinstance(up, ast.Call) and isinstance(up.func, ast.Attribute)
+                  and up.func.attr == "update"):
+                holder = _holder(up.func.value)
+            for key in node.keys:
+                if _string(key) is not None:
+                    yield key.value, holder, scope_of(node)
+        elif (isinstance(node, ast.Subscript) and isinstance(node.ctx, ast.Store)
+              and _string(node.slice) is not None):
+            yield node.slice.value, _holder(node.value), scope_of(node)
+
+
+def _key_reads(tree):
+    """String keys a module reads by a constant subscript or by .get."""
+    reads = set()
+    for node in ast.walk(tree):
+        if (isinstance(node, ast.Subscript) and isinstance(node.ctx, ast.Load)
+                and _string(node.slice) is not None):
+            reads.add(node.slice.value)
+        elif (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+              and node.func.attr == "get" and node.args
+              and _string(node.args[0]) is not None):
+            reads.add(node.args[0].value)
+    return reads
+
+
+def unread_keys():
+    """'module.def.key' for each string key that code in src/ outside
+    cli.py writes into a dict, unless a caller reads the key or the dict
+    is used whole (by the holder's name in the writing scope, or by an
+    attribute's name in any caller).  cli.py's dicts are written to
+    files, which are their readers."""
+    reads, whole_attrs = set(), set()
+    for _, tree in _caller_trees():
+        reads |= _key_reads(tree)
+        whole_attrs |= {h for h in _used_whole(tree) if h.startswith(".")}
+    unread = set()
+    for path in sorted((ROOT / "src").rglob("*.py")):
+        if path.name == "cli.py":
+            continue
+        tree = ast.parse(path.read_text(), str(path))
+        whole = {}
+        for key, holder, scope in _key_writes(tree):
+            if scope not in whole:
+                whole[scope] = _used_whole(scope) | whole_attrs
+            if key not in reads and holder not in whole[scope]:
+                where = getattr(scope, "name", "<module>")
+                unread.add(f"{path.stem}.{where}.{key}")
+    return sorted(unread)
+
+
+def test_every_field_and_key_has_a_reader():
+    """Stored data needs a reader.  Like the option census this matches
+    by name, so a same-named field read on another class, or a key read
+    from another dict, hides an unread one."""
+    assert (unread_fields(), unread_keys()) == ([], [])
