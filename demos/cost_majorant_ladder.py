@@ -32,7 +32,7 @@ LEVELS = (4, 8, 16)
 def main():
     co = scenario("eikonal")
     ens = sample_ensemble(TimeGrid(1.0, 16), 1, 2_000, SEED)
-    lat = BoxLattice.centered(3.4, 0.1, 1)
+    lat = BoxLattice.centered(3.4, 0.1)
     V = value_V(co, ens, lat, clamp_tol=0.05)
     pol = ControlPolicy.feedback(V)
     base_cost = policy_cost_surface(co, ens, pol, lat)

@@ -36,7 +36,7 @@ LAT_RADIUS = 1.0
 
 def main():
     ens = sample_ensemble(GRID, 1, N_PATHS, SEED)
-    lat = BoxLattice.centered(LAT_RADIUS, 1.0, 1)
+    lat = BoxLattice.centered(LAT_RADIUS, 1.0)
     values = {k: np.broadcast_to(ens.value_at(k)[:, 0] ** 2,
                                  (lat.n_points, N_PATHS)).copy()
               for k in range(GRID.n_steps + 1)}

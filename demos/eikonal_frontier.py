@@ -29,7 +29,7 @@ def main():
     co = scenario("eikonal")
     ens = sample_ensemble(TimeGrid(1.0, N_STEPS), 1, N_PATHS, SEED)
 
-    V = value_V(co, ens, BoxLattice.centered(3.25, 0.05, 1), clamp_tol=0.05)
+    V = value_V(co, ens, BoxLattice.centered(3.25, 0.05), clamp_tol=0.05)
     print("probe values at t = 0 (exact: max(|x| - 1, 0))")
     for x0 in (-2.0, -1.0, -0.5, 0.0, 0.5, 1.0, 2.0):
         v = float(V.mean_at(0, np.array([[x0]]))[0])
@@ -39,7 +39,7 @@ def main():
 
     print("\nkink overshoot at x = +-1 versus lattice spacing")
     for h in (0.05, 0.025, 0.01, 0.005):
-        Vh = value_V(co, ens, BoxLattice.centered(3.25, h, 1), clamp_tol=0.05)
+        Vh = value_V(co, ens, BoxLattice.centered(3.25, h), clamp_tol=0.05)
         bias = float(Vh.mean_at(0, np.array([[1.0]]))[0])
         print(f"  h = {h:.3f}   V(0, 1) = {bias:.5f}   bias/h = {bias / h:.2f}")
 

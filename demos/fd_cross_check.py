@@ -37,7 +37,7 @@ def main():
     ens_b = sample_ensemble(grid, 1, 2_000, SEED_B)
     fa = fit_functional_approximant(co, ens_w, eps_target=0.05, x_radius=3.65)
 
-    lat = BoxLattice.centered(3.65, 0.05, 1)
+    lat = BoxLattice.centered(3.65, 0.05)
     V_eps = value_V(fa, ens_w, lat, noise_level=DELTA, noise_ensemble=ens_b,
                     clamp_tol=0.05)
     k_start = 24

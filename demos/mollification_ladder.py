@@ -45,7 +45,7 @@ def main():
     slope = np.polyfit(np.log(LEVELS), np.log(gaps), 1)[0]
     print(f"fitted log-log slope = {slope:+.3f} (exact rate: -1)")
 
-    nodes, weights = kernel_quadrature(1, 1)
+    nodes, weights = kernel_quadrature(1)
     print(f"\nkernel: {nodes.shape[0]} nodes on (-1, 1), weight sum = "
           f"{weights.sum():.15f}")
 

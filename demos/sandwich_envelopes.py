@@ -40,7 +40,7 @@ LADDER = (0.2, 0.1, 0.05)
 def main():
     co = scenario("eikonal")
     ens_w = sample_ensemble(GRID, 1, N_PATHS, SEED_W)
-    ens_b = sample_ensemble(GRID, co.d, N_PATHS, SEED_B)
+    ens_b = sample_ensemble(GRID, 1, N_PATHS, SEED_B)
 
     widths = []
     print(f"{'eps=delta':>9}   {'L~':>5}   {'K-bar':>6}   {'residuals':>9}"

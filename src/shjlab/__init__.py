@@ -17,7 +17,7 @@ from .smoothing import (ApproximationErrors, FunctionalApproximant,
                         linear_growth_penalty)
 from .dynamics import StateTrajectoryBatch, flow_audit, integrate
 from .valuefn import (BoxLattice, ControlPolicy, CostEstimate, ValueSurface,
-                      cost_J, default_basis, value_V, value_audit)
+                      cost_J, value_V, value_audit)
 from .fields import AdaptedField, reconstruction_report, sample_adapted_field
 from .bsde import (BsdeSolution, BsdeSpec, cost_majorant, error_bound_bsde,
                    policy_cost_surface, solve_bsde)
@@ -44,7 +44,7 @@ __all__ = [
     # dynamics and value functions
     "StateTrajectoryBatch", "integrate", "flow_audit",
     "BoxLattice", "ControlPolicy", "ValueSurface", "CostEstimate",
-    "default_basis", "cost_J", "value_V", "value_audit",
+    "cost_J", "value_V", "value_audit",
     # adapted fields and BSDEs
     "AdaptedField", "sample_adapted_field", "reconstruction_report",
     "BsdeSpec", "BsdeSolution", "solve_bsde", "error_bound_bsde",

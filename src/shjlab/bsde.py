@@ -19,8 +19,8 @@ import numpy as np
 
 from .coeffs import _policy_sweep
 from .fields import AdaptedField
-from .probspace import CondExpOperator
-from .valuefn import _backward_sweep, default_basis
+from .probspace import CondExpOperator, polynomial_basis
+from .valuefn import _backward_sweep
 
 __all__ = [
     "BsdeSpec",
@@ -102,7 +102,7 @@ class BsdeSolution:
 
 def solve_bsde(spec):
     """One backward least-squares sweep on degree-3 polynomials of the
-    current Brownian value (all coordinates of a multi-d ensemble).
+    current Brownian value.
 
     Parameters
     ----------
@@ -115,7 +115,7 @@ def solve_bsde(spec):
     ens = spec.ensemble
     grid = ens.grid
     n, dt = grid.n_steps, grid.dt
-    basis = default_basis(m=ens.m)
+    basis = polynomial_basis()
 
     Y = np.empty((n + 1, ens.n_paths))
     Z = np.zeros((n, ens.n_paths, ens.m))
@@ -190,7 +190,7 @@ def policy_cost_surface(coeffs, ensemble, policy, lattice):
 def _lattice_controls(policy, k, t, lattice, n_eff, ensemble):
     """Control index the policy picks at each lattice point, (n_points, n_eff)."""
     shape = (lattice.n_points, n_eff)
-    states = np.broadcast_to(lattice.points[:, None, :], shape + (lattice.d,))
+    states = np.broadcast_to(lattice.points[:, None, :], shape + (1,))
     return np.broadcast_to(
         np.asarray(policy.indices_at(k, t, states, ensemble), int), shape)
 

@@ -28,10 +28,9 @@ from .bsde import (BsdeSpec, cost_majorant, error_bound_bsde,
 from .coeffs import reach_radius, scenario, scenario_names
 from .exceptions import AccuracyError, CapacityError, IntegrationError
 from .fields import sample_adapted_field
-from .probspace import TimeGrid, sample_ensemble
-from .smoothing import (MollifiedSet, _gauss_legendre_box, bump_kernel,
-                        error_processes, fit_functional_approximant,
-                        linear_growth_penalty)
+from .probspace import TimeGrid, _path_mean_se, sample_ensemble
+from .smoothing import (MollifiedSet, bump_kernel, error_processes,
+                        fit_functional_approximant, linear_growth_penalty)
 from .valuefn import (BoxLattice, ControlPolicy, _value_lipschitz, value_V,
                       value_audit)
 from .viscosity import (build_envelopes, estimate_decomposition,
@@ -166,12 +165,9 @@ def _write_items(path, digest, items):
 
 def _write_json(path, payload):
     def default(o):
-        if isinstance(o, (np.floating, np.integer)):
+        # numpy scalars that json does not know, such as np.bool_
+        if isinstance(o, np.generic):
             return o.item()
-        if isinstance(o, np.ndarray):
-            return o.tolist()
-        if isinstance(o, (np.bool_,)):
-            return bool(o)
         raise TypeError(f"not serializable: {type(o)}")
     # strict JSON: a NaN or infinity raises ValueError before the file opens
     text = json.dumps(payload, indent=2, sort_keys=True, default=default,
@@ -192,8 +188,7 @@ def _slope(xs, ys):
 def _grid_ens(cfg):
     grid = TimeGrid(cfg.T, cfg.n_steps)
     coeffs = scenario(cfg.scenario)
-    m = max(coeffs.m_required, 1)
-    ens = sample_ensemble(grid, m, cfg.n_paths, cfg.seed_w)
+    ens = sample_ensemble(grid, 1, cfg.n_paths, cfg.seed_w)
     return grid, coeffs, ens
 
 
@@ -235,11 +230,10 @@ def _pipe_value(cfg, out, scale, workers):
     rows = []
     for k in range(grid.n_steps + 1):
         for i in range(lat.n_points):
-            rows.append((k, grid.knots[k], i) + tuple(lat.points[i])
-                        + (surface.mean[k, i], surface.se[k, i]))
-    cols = ("knot", "t", "point") + tuple(f"x{a}" for a in range(lat.d)) \
-        + ("mean", "se")
-    _write_csv(os.path.join(out, "value_surface.csv"), cfg.digest(), cols, rows)
+            rows.append((k, grid.knots[k], i, lat.points[i, 0],
+                         surface.mean[k, i], surface.se[k, i]))
+    _write_csv(os.path.join(out, "value_surface.csv"), cfg.digest(),
+               ("knot", "t", "point", "x0", "mean", "se"), rows)
 
     starts = np.linspace(-cfg.x0_max, cfg.x0_max, 5)[:, None]
     audit = value_audit(coeffs, ens, surface, starts,
@@ -272,8 +266,8 @@ def _pipe_bsde(cfg, out, scale, workers):
     for case, sol in (("terminal_w", mart), ("noise_magnitude", y_sol)):
         for k in range(n + 1):
             zbar = sol.Z[k, :, 0].mean() if k < n else 0.0
-            rows.append((case, k, grid.knots[k], sol.Y[k].mean(),
-                         sol.Y[k].std(ddof=1) / np.sqrt(sol.n_paths), zbar))
+            rows.append((case, k, grid.knots[k], *_path_mean_se(sol.Y[k]),
+                         zbar))
     _write_csv(os.path.join(out, "bsde_summary.csv"), cfg.digest(),
                ("case", "knot", "t", "mean_Y", "se_Y", "mean_Z"), rows)
 
@@ -296,16 +290,15 @@ def _pipe_bsde(cfg, out, scale, workers):
 
 def _pipe_mollify(cfg, out, scale, workers):
     grid, coeffs, ens = _grid_ens(cfg)
-    d = coeffs.d
-    # unit mass of the kernel via tensor Gauss-Legendre, an independent
-    # route from the radial normalizer inside bump_kernel
-    nodes, wts = _gauss_legendre_box(d, 64)
-    mass_err = abs(float(np.sum(wts * bump_kernel(nodes))) - 1.0)
+    # unit mass of the kernel via 64-point Gauss-Legendre, an independent
+    # route from the quad normalizer inside bump_kernel
+    nodes, wts = np.polynomial.legendre.leggauss(64)
+    mass_err = abs(float(np.sum(wts * bump_kernel(nodes[:, None]))) - 1.0)
 
     probe = np.linspace(-3.0, 3.0, 201)[:, None]
     h_vals, dh_vals = linear_growth_penalty(probe)
-    h0 = float(linear_growth_penalty(np.zeros((1, d)))[0][0])
-    h3 = float(linear_growth_penalty(np.full((1, d), 3.0))[0][0])
+    h0 = float(linear_growth_penalty(np.zeros((1, 1)))[0][0])
+    h3 = float(linear_growth_penalty(np.full((1, 1), 3.0))[0][0])
     dh_max = float(np.max(np.abs(dh_vals)))
 
     radius = float(np.max(np.abs(_lattice(cfg, coeffs).points)))
@@ -418,7 +411,7 @@ def _envelope_item(cfg, scale, coeffs, ens_w, ens_b, lat, surface, eps, delta):
 
 def _envelope_grid(cfg, out, scale, workers):
     grid, coeffs, ens_w = _grid_ens(cfg)
-    ens_b = sample_ensemble(grid, coeffs.d, cfg.n_paths, cfg.seed_b)
+    ens_b = sample_ensemble(grid, 1, cfg.n_paths, cfg.seed_b)
     extra = 4.0 * max(cfg.delta_ladder) * np.sqrt(cfg.T)
     lat = _lattice(cfg, coeffs, h=cfg.ladder_h, extra_margin=extra)
     surface = value_V(coeffs, ens_w, lat, clamp_tol=0.05)
@@ -451,7 +444,7 @@ def _pipe_envelopes(cfg, out, scale, workers):
 
 def _pipe_viscosity_check(cfg, out, scale, workers):
     grid, coeffs, ens = _grid_ens(cfg)
-    lat = BoxLattice.centered(cfg.x0_max, 0.5, coeffs.d)
+    lat = BoxLattice.centered(cfg.x0_max, 0.5)
 
     probe = sample_adapted_field(
         lambda t, x, w: np.broadcast_to(w.current[:, 0] ** 2,
@@ -472,7 +465,7 @@ def _pipe_viscosity_check(cfg, out, scale, workers):
     rows = []
     if cfg.scenario == "eikonal":
         lo = cfg.T + 0.3
-        lat_far = BoxLattice(np.array([lo]), np.array([lo + 1.4]), 0.1)
+        lat_far = BoxLattice(lo, lo + 1.4, 0.1)
         exact = sample_adapted_field(
             lambda t, x, w: np.broadcast_to(
                 np.maximum(np.abs(x[:, :, 0]) - (cfg.T - t), 0.0),

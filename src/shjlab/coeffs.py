@@ -7,9 +7,11 @@ path argument w is a PathSlice (None for path-independent sets), so a
 coefficient can only read Brownian history up to the evaluation time
 (terminal history for G).
 
-Shapes: x always carries an explicit trailing state axis of length d.
-beta returns x.shape, f and G return x.shape[:-1].  Path-dependent
-sets broadcast an (n_paths,)-shaped factor into the result.
+Problems are one-dimensional: one state, one control and one Brownian
+coordinate.  Shapes: x always carries an explicit trailing state axis
+of length 1.  beta returns x.shape, f and G return x.shape[:-1].
+Path-dependent sets broadcast an (n_paths,)-shaped factor into the
+result.
 """
 
 from __future__ import annotations
@@ -29,7 +31,6 @@ __all__ = [
     "probe_lattice",
 ]
 
-MAX_STATE_DIM = 3
 # running coefficients a set may declare affine in x
 AFFINE_NAMES = ("beta", "f")
 
@@ -41,10 +42,13 @@ def control_grid(lo=-1.0, hi=1.0, n_points=21):
     return np.linspace(lo, hi, n_points)[:, None]
 
 
-def _tensor_points(axes):
-    """All combinations of the 1-D axes as rows; the last axis varies fastest."""
-    grids = np.meshgrid(*axes, indexing="ij")
-    return np.stack([g.ravel() for g in grids], axis=-1)
+def _one_component(x):
+    """x as a float array whose trailing axis, of length 1, is the state."""
+    x = np.asarray(x, float)
+    if x.shape[-1:] != (1,):
+        raise ValueError(f"points need a trailing state axis of length 1, "
+                         f"got shape {x.shape}")
+    return x
 
 
 @dataclass
@@ -53,8 +57,7 @@ class CoefficientSet:
 
     Attributes
     ----------
-    d, n : state and control dimension
-    controls : (n_controls, n) finite control set; ties in minimizations
+    controls : (n_controls, 1) finite control set; ties in minimizations
         are broken toward the lowest row index.
     beta, f, G : vectorized callables, see module docstring.
     L : declared uniform bound (sup norms and Lipschitz constants of
@@ -70,14 +73,15 @@ class CoefficientSet:
     control_separable : True when the control enters additively,
         beta = beta0(t, x, w) + c(v) and f = f0(t, x, w) + g(v).  Then
         min_v (beta p + f) is beta0 p + f0 plus the lower envelope of the
-        lines c(v) p + g(v), which the Hamiltonian looks up for d = 1.
+        lines c(v) p + g(v), which the Hamiltonian looks up.
         Kernel averages keep the property up to roundoff.
     n_controls : number of rows of controls, set from them.
     """
 
-    name: str
-    d: int
-    n: int
+    # the state dimension, a constant rather than a field: approximants
+    # do not carry it over, and benchmark tracers read it on the base set
+    d = 1
+
     controls: np.ndarray
     beta: Callable
     f: Callable
@@ -86,19 +90,14 @@ class CoefficientSet:
     lip_x: float
     drift_growth: tuple = (1.0, 0.0)
     deterministic: bool = True
-    m_required: int = 1
     affine: tuple = ()
     control_separable: bool = False
     n_controls: int = field(init=False)
 
     def __post_init__(self):
-        if not 1 <= self.d <= MAX_STATE_DIM:
-            raise ValueError(f"state dimension d={self.d} outside 1..{MAX_STATE_DIM}")
-        if self.n < 1:
-            raise ValueError("control dimension must be >= 1")
         self.controls = np.atleast_2d(np.asarray(self.controls, float))
-        if self.controls.shape[1] != self.n:
-            raise ValueError("control grid does not match control dimension")
+        if self.controls.shape[1] != 1:
+            raise ValueError("controls must have shape (n_controls, 1)")
         self.n_controls = self.controls.shape[0]
         if self.L <= 0:
             raise ValueError("declared bound L must be positive")
@@ -109,10 +108,10 @@ class CoefficientSet:
                              f"{AFFINE_NAMES}")
 
 
-# declared constants of a problem: every field but its name and its maps;
-# approximants of a set carry these over unchanged
+# declared constants of a problem: every field but its maps; approximants
+# of a set carry these over unchanged
 DECLARED = tuple(f.name for f in fields(CoefficientSet)
-                 if f.name not in ("name", "beta", "f", "G"))
+                 if f.name not in ("beta", "f", "G"))
 
 
 def reach_radius(coeffs, x0_max, T, margin=0.0):
@@ -124,13 +123,12 @@ def reach_radius(coeffs, x0_max, T, margin=0.0):
     return float((abs(x0_max) + a * T) * np.exp(b * T) + margin)
 
 
-def probe_lattice(radius, d, n_points=None):
-    """Centered cubic probe lattice of about 2^d * 33 points."""
-    if n_points is None:
-        n_points = int(np.ceil((2.0**d * 33.0) ** (1.0 / d)))
-        if n_points % 2 == 0:
-            n_points += 1  # keep 0 in the lattice: kinks sit there
-    return _tensor_points([np.linspace(-radius, radius, n_points)] * d)
+def probe_lattice(radius, n_points=67):
+    """Centered probe points, shape (n_points, 1).
+
+    The default count is odd, which keeps 0 among them: kinks sit there.
+    """
+    return np.linspace(-radius, radius, n_points)[:, None]
 
 
 # ---------------------------------------------------------------------------
@@ -251,18 +249,16 @@ _SCENARIOS = {
 def scenario(name):
     """A built-in problem; unknown names raise KeyError.
 
-    Every built-in has d = n = 1, a uniform control grid on [-1, 1],
-    lip_x = 1, drift and running cost affine in x, and a control that
-    enters both additively.  Other problems are plain CoefficientSet
-    values.
+    Every built-in has a uniform control grid on [-1, 1], lip_x = 1,
+    drift and running cost affine in x, and a control that enters both
+    additively.  Other problems are plain CoefficientSet values.
     """
     try:
         n_points, problem = _SCENARIOS[name]
     except KeyError:
         raise KeyError(f"unknown scenario {name!r}; "
                        f"known: {scenario_names()}") from None
-    return CoefficientSet(name=name, d=1, n=1,
-                          controls=control_grid(-1.0, 1.0, n_points),
+    return CoefficientSet(controls=control_grid(-1.0, 1.0, n_points),
                           lip_x=1.0, affine=("beta", "f"),
                           control_separable=True, **problem)
 

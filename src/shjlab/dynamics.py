@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .coeffs import _policy_sweep
+from .coeffs import _one_component, _policy_sweep
 from .exceptions import IntegrationError
 
 __all__ = ["StateTrajectoryBatch", "integrate", "flow_audit"]
@@ -55,7 +55,7 @@ def integrate(coeffs, ensemble, policy, xi, *, k0=0, store_knots="all"):
     coeffs : coefficient set (possibly mollified / tensor-form).
     ensemble : WienerEnsemble driving coefficients and policy features.
     policy : control policy (see module docstring).
-    xi : starting states; (d,), (n_starts, d), or (n_starts, n_paths, d)
+    xi : starting states; (1,), (n_starts, 1), or (n_starts, n_paths, 1)
         for pre-paired starts.
     store_knots : "all", or an iterable of knots to record (k0 and the
         horizon are always kept).
@@ -66,18 +66,14 @@ def integrate(coeffs, ensemble, policy, xi, *, k0=0, store_knots="all"):
     grid = ensemble.grid
     n = grid.n_steps
     dt = grid.dt
-    xi = np.asarray(xi, float)
-    if xi.ndim == 1:
-        xi = xi[None, :]
+    xi = _one_component(np.atleast_2d(xi))
     if xi.ndim == 2:
         xi = xi[:, None, :]
-    if xi.shape[-1] != coeffs.d:
-        raise ValueError(f"starting states must have d={coeffs.d} components")
 
     collapsed = coeffs.deterministic and policy.collapsed and xi.shape[1] == 1
     n_eff = 1 if collapsed else ensemble.n_paths
     n_starts = xi.shape[0]
-    X = np.broadcast_to(xi, (n_starts, n_eff, coeffs.d)).astype(float).copy()
+    X = np.broadcast_to(xi, (n_starts, n_eff, 1)).astype(float).copy()
 
     if store_knots == "all":
         keep = set(range(k0, n + 1))
@@ -136,7 +132,7 @@ def flow_audit(coeffs, ensemble, policy, xi, xi_hat=None):
         for k in range(restart_knot, grid.n_steps + 1)
     )
 
-    xi_arr = np.asarray(xi, float).reshape(-1, coeffs.d)
+    xi_arr = np.asarray(xi, float).reshape(-1, 1)
     xi_norm = np.linalg.norm(xi_arr, axis=-1)  # (n_starts,)
     all_states = np.stack([batch.states[k] for k in range(grid.n_steps + 1)])
     norms = np.linalg.norm(all_states, axis=-1)  # (n_knots, n_starts, n_eff)
@@ -156,7 +152,7 @@ def flow_audit(coeffs, ensemble, policy, xi, xi_hat=None):
     if xi_hat is not None:
         other = integrate(coeffs, ensemble, policy, xi_hat)
         gap0 = np.linalg.norm(
-            xi_arr - np.asarray(xi_hat, float).reshape(-1, coeffs.d), axis=-1)
+            xi_arr - np.asarray(xi_hat, float).reshape(-1, 1), axis=-1)
         gaps = np.stack([
             np.linalg.norm(other.states[k] - batch.states[k], axis=-1).max(axis=-1)
             for k in range(grid.n_steps + 1)

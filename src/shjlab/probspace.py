@@ -11,12 +11,11 @@ TimeGrid        uniform knots 0 = t_0 < ... < t_n = T
 WienerEnsemble  n_paths independent m-dimensional Brownian paths
 PathSlice       read-only view of path history up to a knot
 CondExpOperator pre-factorized projector for one knot, onto the
-                monomial features that polynomial_basis returns
+                powers of W that polynomial_basis returns
 """
 
 from __future__ import annotations
 
-import itertools
 import struct
 
 import numpy as np
@@ -72,9 +71,6 @@ class TimeGrid:
             and self.n_steps == other.n_steps
             and self.T == other.T
         )
-
-    def __repr__(self):
-        return f"TimeGrid(T={self.T}, n_steps={self.n_steps})"
 
 
 class WienerEnsemble:
@@ -233,73 +229,47 @@ class PathSlice:
         return self.ensemble.value_at(j)
 
 
-def _monomial_exponents(n_vars, degree):
-    out = []
-    for total in range(1, degree + 1):
-        for combo in itertools.combinations_with_replacement(range(n_vars), total):
-            alpha = [0] * n_vars
-            for i in combo:
-                alpha[i] += 1
-            out.append(tuple(alpha))
-    return out
+def _path_mean_se(a):
+    """Mean of a over its last (path) axis and the standard error of that
+    mean; the error is 0 for a single column."""
+    mean = a.mean(axis=-1)
+    n = a.shape[-1]
+    if n == 1:
+        return mean, np.zeros(mean.shape)
+    return mean, a.std(axis=-1, ddof=1) / np.sqrt(n)
 
 
-class _MonomialBasis:
-    """Monomials of selected W coordinates, designed in one pass.
+class _PowerBasis:
+    """Powers of the current Brownian value, designed in one pass.
 
-    Row j of the (F, n_paths) design is the left-to-right product of the
-    earlier rows in ``_factors[j]``, so no feature goes through ``pow``.
+    Row p of the (F, n_paths) design is row p - 1 times row 1, which is
+    w, so no feature goes through ``pow``.
     """
 
-    def __init__(self, degree, coords, one_d):
-        self.one_d = one_d
-        exps = _monomial_exponents(len(coords), degree)
-        self.names = ["1"] + ["w^" + "".join(map(str, a)) for a in exps]
-        # rows 1..len(coords) are W itself; degree 0 reads no W at all
-        self.coords = list(coords) if degree else []
-        row = {a: j for j, a in enumerate(exps, 1)}
-
-        def pure(c, p):
-            return row[tuple(p * (i == c) for i in range(len(coords)))]
-
-        self._factors = {}
-        for alpha in exps[len(coords):]:
-            nz = [c for c, p in enumerate(alpha) if p]
-            if len(nz) == 1:
-                c, = nz
-                self._factors[row[alpha]] = [pure(c, alpha[c] - 1), pure(c, 1)]
-            else:
-                self._factors[row[alpha]] = [pure(c, alpha[c]) for c in nz]
+    def __init__(self, degree):
+        self.names = ["1"] + [f"w^{p}" for p in range(1, degree + 1)]
 
     def design(self, ensemble, k):
-        if self.one_d and ensemble.m != 1:
-            raise ValueError("polynomial_basis needs coords when m > 1")
+        if ensemble.m != 1:
+            raise ValueError("polynomial_basis needs a one-dimensional "
+                             f"ensemble, got m={ensemble.m}")
         phi = np.empty((len(self.names), ensemble.n_paths))
         phi[0] = 1.0
-        phi[1:len(self.coords) + 1] = ensemble.value_at(k)[:, self.coords].T
-        for j, (first, *rest) in self._factors.items():
-            np.multiply(phi[first], phi[rest[0]], out=phi[j])
-            for f in rest[1:]:
-                np.multiply(phi[j], phi[f], out=phi[j])
+        phi[1:2] = ensemble.value_at(k)[:, 0]      # no row 1 at degree 0
+        for p in range(2, len(self.names)):
+            np.multiply(phi[p - 1], phi[1], out=phi[p])
         return phi.T
 
 
-def polynomial_basis(degree=3, coords=None):
-    """Monomials of the current Brownian value up to a total degree.
+def polynomial_basis(degree=3):
+    """Powers 1, w, ..., w^degree of the current Brownian value.
 
-    The first feature is the constant 1; then all monomials of the
-    selected W coordinates of total degree 1..degree.  coords=None
-    selects coordinate 0 of a one-dimensional ensemble; multi-d
-    ensembles must name their coordinates.
-
-    Powers are running products, never ``**``: w^3 is (w*w)*w, and a
-    mixed monomial multiplies its pure powers in coords order, so
-    w^21 is (w0*w0)*w1.  The design reads W once per knot.
+    Powers are running products, never ``**``: w^3 is (w*w)*w.  The
+    design reads W once per knot, and an ensemble with m != 1 raises.
     """
     if degree < 0:
         raise ValueError("degree must be >= 0")
-    one_d = coords is None
-    return _MonomialBasis(degree, (0,) if one_d else coords, one_d)
+    return _PowerBasis(degree)
 
 
 class CondExpOperator:

@@ -17,12 +17,13 @@ inflates a Lipschitz constant.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 
 import numpy as np
 from scipy.integrate import quad
 
-from .coeffs import (DECLARED, CoefficientSet, _tensor_points, probe_lattice,
+from .coeffs import (DECLARED, CoefficientSet, _one_component, probe_lattice,
                      reach_radius)
 
 __all__ = [
@@ -36,35 +37,26 @@ __all__ = [
     "fit_functional_approximant",
 ]
 
-_SPHERE_AREA = {1: 2.0, 2: 2.0 * np.pi, 3: 4.0 * np.pi}
-_NORMALIZER_CACHE = {}
 
-
-def _bump_normalizer(d):
-    """1 / integral of exp(1/(|x|^2-1)) over the unit ball, via radial quadrature."""
-    if d not in _NORMALIZER_CACHE:
-        if d not in _SPHERE_AREA:
-            raise ValueError("bump kernel implemented for d in {1, 2, 3}")
-        val, err = quad(
-            lambda r: np.exp(1.0 / (r * r - 1.0)) * r ** (d - 1), 0.0, 1.0,
-            epsabs=1e-14, epsrel=1e-13,
-        )
-        total = _SPHERE_AREA[d] * val
-        if err > 1e-10 * total:
-            raise ArithmeticError("bump normalization quadrature did not converge")
-        _NORMALIZER_CACHE[d] = 1.0 / total
-    return _NORMALIZER_CACHE[d]
+@functools.cache
+def _bump_normalizer():
+    """1 / the bump's mass, twice the integral of exp(1/(x^2-1)) on (0, 1)."""
+    val, err = quad(lambda r: np.exp(1.0 / (r * r - 1.0)), 0.0, 1.0,
+                    epsabs=1e-14, epsrel=1e-13)
+    total = 2.0 * val
+    if err > 1e-10 * total:
+        raise ArithmeticError("bump normalization quadrature did not converge")
+    return 1.0 / total
 
 
 def bump_kernel(x):
-    """Smooth unit bump rho(x), supported on the open unit ball.
+    """Smooth unit bump rho(x), supported on (-1, 1).
 
-    rho(x) = c exp(1/(|x|^2 - 1)) on the open unit ball, zero outside,
-    with c fixed so that rho has unit mass.
+    rho(x) = c exp(1/(x^2 - 1)) on the open interval, zero outside, with
+    c fixed so that rho has unit mass.  x is (..., 1).
     """
-    x = np.atleast_2d(np.asarray(x, float))
-    d = x.shape[-1]
-    c = _bump_normalizer(d)
+    x = _one_component(np.atleast_2d(x))
+    c = _bump_normalizer()
     r2 = np.sum(x * x, axis=-1)
     out = np.zeros(r2.shape)
     inside = r2 < 1.0
@@ -72,14 +64,15 @@ def bump_kernel(x):
     return out
 
 
-def kernel_quadrature(d, level=1):
-    """Discrete mollification kernel: nodes on the ball of radius 1/level.
+def kernel_quadrature(level):
+    """Discrete mollification kernel: nodes inside (-1/level, 1/level).
 
-    A 17-point-per-axis tensor Gauss-Legendre rule, weighted by the bump
-    and renormalized to unit mass.  Returns (nodes, weights) with
-    nodes.shape == (q, d).
+    The 17-point Gauss-Legendre rule, weighted by the bump and
+    renormalized to unit mass.  Returns (nodes, weights) with
+    nodes.shape == (q, 1).
     """
-    nodes, w = _gauss_legendre_box(d, 17)
+    xi, w = np.polynomial.legendre.leggauss(17)
+    nodes = xi[:, None]
     r2 = np.sum(nodes * nodes, axis=-1)
     inside = r2 < 1.0
     nodes = nodes[inside]
@@ -89,19 +82,10 @@ def kernel_quadrature(d, level=1):
     return nodes / float(level), w
 
 
-def _gauss_legendre_box(d, n_nodes):
-    """Tensor Gauss-Legendre rule on [-1, 1]^d: (nodes (q, d), weights (q,))."""
-    xi, wi = np.polynomial.legendre.leggauss(n_nodes)
-    w = np.ones(n_nodes**d)
-    for axis_w in _tensor_points([wi] * d).T:
-        w = w * axis_w
-    return _tensor_points([xi] * d), w
-
-
 def _kernel_average(fn, x, nodes, weights):
-    """sum_q w_q fn(x - y_q) for a map fn on (..., d) points.
+    """sum_q w_q fn(x - y_q) for a map fn on (..., 1) points.
 
-    fn sees every point of x minus every kernel node, a (q, ..., d) array.
+    fn sees every point of x minus every kernel node, a (q, ..., 1) array.
     """
     x = np.asarray(x, float)
     shifted = x[None, ...] - nodes.reshape((-1,) + (1,) * (x.ndim - 1)
@@ -121,9 +105,7 @@ class MollifiedSet:
         if int(level) < 1:
             raise ValueError("mollification level must be >= 1")
         self.base = base
-        self.level = int(level)
-        self.nodes, self.weights = kernel_quadrature(base.d, self.level)
-        self.name = f"{base.name}|mollified l={self.level}"
+        self.nodes, self.weights = kernel_quadrature(int(level))
         for attr in DECLARED:
             setattr(self, attr, getattr(base, attr))
 
@@ -150,16 +132,14 @@ def linear_growth_penalty(x):
 
     Parameters
     ----------
-    x : (..., d) array of evaluation points.
+    x : (..., 1) array of evaluation points.
 
     Returns
     -------
-    h : (...) values, Dh : (..., d) gradients.
+    h : (...) values, Dh : (..., 1) gradients.
     """
-    x = np.asarray(x, float)
-    if x.ndim == 1:
-        x = x[:, None]
-    nodes, weights = kernel_quadrature(x.shape[-1], 1)
+    x = _one_component(x)
+    nodes, weights = kernel_quadrature(1)
 
     def hinge(y):
         return np.maximum(np.linalg.norm(y, axis=-1) - 1.0, 0.0)
@@ -214,7 +194,7 @@ def error_processes(base, approx, ensemble, radius=None):
     grid = ensemble.grid
     if radius is None:
         radius = reach_radius(base, 1.0, grid.T)
-    probes = probe_lattice(radius, base.d)[:, None, :]
+    probes = probe_lattice(radius)[:, None, :]
     n_steps, n_paths = grid.n_steps, ensemble.n_paths
     stochastic = not (base.deterministic and approx.deterministic)
 
@@ -235,7 +215,7 @@ def error_processes(base, approx, ensemble, radius=None):
 def _running_gaps(base, approx, t, probes, controls, w):
     """Largest |approx - base| of f and of beta over the probes and controls.
 
-    probes is (n_probes, 1, d); both gaps come back per path, (n_eff,).
+    probes is (n_probes, 1, 1); both gaps come back per path, (n_eff,).
     """
     df = dbeta = 0.0
     for v in controls:
@@ -276,7 +256,6 @@ class FunctionalApproximant:
     base: CoefficientSet
     mollified: MollifiedSet
     fn_knots: np.ndarray          # functional knot times, len n_intervals + 1
-    eps_target: float
     w_grid: np.ndarray | None     # hat centers for the terminal separation
     slices: np.ndarray | None     # (n_terms, n_fine) spatial profiles
     x_fine: np.ndarray | None     # fine spatial grid carrying the slices
@@ -286,7 +265,6 @@ class FunctionalApproximant:
     def __post_init__(self):
         for attr in DECLARED:
             setattr(self, attr, getattr(self.base, attr))
-        self.name = f"{self.base.name}|tensor eps={self.eps_target:g}"
 
     def beta(self, t, x, v, w):
         if "beta" in self.base.affine:
@@ -316,11 +294,11 @@ class FunctionalApproximant:
 
     def payoff_grid(self, x_vals, w_vals):
         """Terminal plane on a tensor grid: rows over x, columns over
-        the terminal Brownian value (d = m = 1 only).
+        the terminal Brownian value.
 
         G read on a synthetic ensemble whose paths end at w_vals."""
         w_vals = np.asarray(w_vals, float)
-        wT = _terminal_slice(self.fn_knots[-1], 1, w_vals)
+        wT = _terminal_slice(self.fn_knots[-1], w_vals)
         g = np.asarray(self.G(np.asarray(x_vals, float)[:, None, None], wT))
         return np.broadcast_to(g, (g.shape[0], w_vals.size))
 
@@ -335,20 +313,17 @@ def fit_functional_approximant(base, ensemble, n_intervals=4, eps_target=0.1, *,
     most 399 hat cells), least squares over sampled (path, x) probes.
     The reported error is measured against the base coefficients along
     the ensemble's paths, which the fit never sees, on a 41-point probe
-    lattice per axis.
+    lattice.
 
-    Raises ValueError for a path-dependent set with d != 1, since the
-    terminal separation is one-dimensional, and for running coefficients
-    that read the path: beta or f differing between the path slices at
-    the first and last running knot, on the probes, reject the set.
+    Raises ValueError for running coefficients that read the path: beta
+    or f differing between the path slices at the first and last running
+    knot, on the probes, reject the set.
     """
     if n_intervals < 4:
         raise ValueError("need more than 3 time pieces")
     grid = ensemble.grid
     if grid.n_steps % n_intervals:
         raise ValueError("n_intervals must divide n_steps so pieces end on knots")
-    if base.d != 1 and not base.deterministic:
-        raise ValueError("path-dependent separation implemented for d=1")
     fn_knots = grid.knots[:: grid.n_steps // n_intervals]
 
     level = max(1, int(np.ceil(1.5 * base.lip_x / eps_target)))
@@ -357,7 +332,7 @@ def fit_functional_approximant(base, ensemble, n_intervals=4, eps_target=0.1, *,
     if x_radius is None:
         x_radius = reach_radius(base, 1.0, grid.T, margin=1.0)
     probes = probe_lattice(min(x_radius, reach_radius(base, 1.0, grid.T)),
-                           base.d, 41)[:, None, :]
+                           41)[:, None, :]
     if not base.deterministic:
         first, last = ensemble.slice_at(0), ensemble.slice_at(grid.n_steps - 1)
         for v in base.controls:
@@ -385,15 +360,14 @@ def fit_functional_approximant(base, ensemble, n_intervals=4, eps_target=0.1, *,
         # probe the payoff at designer-chosen terminal values through a
         # synthetic one-step ensemble, so every hat cell is sampled
         s_fit = np.linspace(lo, hi, 4 * n_cells + 1)
-        fit_T = _terminal_slice(grid.T, ensemble.m, s_fit)
+        fit_T = _terminal_slice(grid.T, s_fit)
         targets = np.asarray(moll.G(x_fine[:, None, None], fit_T)).T  # (n_fit, n_fine)
         design = _hat_design(w_grid, s_fit)
         coef, *_ = np.linalg.lstsq(design, targets, rcond=None)
         slices = coef  # (n_terms, n_fine)
 
     out = FunctionalApproximant(
-        base=base, mollified=moll, fn_knots=fn_knots, eps_target=float(eps_target),
-        w_grid=w_grid, slices=slices, x_fine=x_fine,
+        base=base, mollified=moll, fn_knots=fn_knots, w_grid=w_grid, slices=slices, x_fine=x_fine,
     )
 
     # achieved error against the *base* coefficients, held-out material:
@@ -432,11 +406,10 @@ def _hat_design(w_grid, s):
     return design
 
 
-def _terminal_slice(T, m, s):
-    """Terminal slice of a one-step ensemble whose paths end at W_T^0 = s."""
+def _terminal_slice(T, s):
+    """Terminal slice of a one-step ensemble whose paths end at W_T = s."""
     from .probspace import TimeGrid, WienerEnsemble
 
-    inc = np.zeros((s.size, 1, m))
-    inc[:, 0, 0] = s
-    synth = WienerEnsemble(TimeGrid(T, 1), m, s.size, 0, inc)
+    inc = s.reshape(s.size, 1, 1).copy()
+    synth = WienerEnsemble(TimeGrid(T, 1), 1, s.size, 0, inc)
     return synth.slice_at(1, terminal_ok=True)

@@ -18,15 +18,14 @@ import numpy as np
 
 from .dynamics import integrate
 from .exceptions import AccuracyError, CapacityError
-from .probspace import CondExpOperator, polynomial_basis
-from .coeffs import _argmin_sweep, _tensor_points, reach_radius
+from .probspace import CondExpOperator, _path_mean_se, polynomial_basis
+from .coeffs import _argmin_sweep, _one_component, reach_radius
 
 __all__ = [
     "BoxLattice",
     "ControlPolicy",
     "ValueSurface",
     "CostEstimate",
-    "default_basis",
     "cost_J",
     "value_V",
     "value_audit",
@@ -37,80 +36,65 @@ AUTO_STORE_BUDGET = 80_000_000
 
 
 class BoxLattice:
-    """Uniform box lattice in 1..3 dimensions with multilinear interpolation."""
+    """Uniform lattice on an interval with linear interpolation.
+
+    Points, here and in every method, carry a trailing state axis of
+    length 1; other lengths raise ValueError.
+    """
 
     def __init__(self, lo, hi, h):
-        lo = np.atleast_1d(np.asarray(lo, float))
-        hi = np.atleast_1d(np.asarray(hi, float))
-        if lo.shape != hi.shape or not (hi > lo).all():
-            raise ValueError("need lo < hi per axis")
-        self.d = lo.size
-        if self.d > 3:
-            raise ValueError("lattice dimension capped at 3")
+        lo, hi = float(lo), float(hi)
+        if not hi > lo:
+            raise ValueError("need lo < hi")
         self.h = float(h)
         if self.h <= 0:
             raise ValueError("spacing must be positive")
-        self.counts = np.maximum(np.round((hi - lo) / self.h).astype(int) + 1, 2)
+        self.n_points = max(int(np.round((hi - lo) / self.h)) + 1, 2)
         self.lo = lo
-        self.hi = lo + (self.counts - 1) * self.h
-        self.axes = [self.lo[a] + self.h * np.arange(self.counts[a])
-                     for a in range(self.d)]
-        self.points = _tensor_points(self.axes)
-        self.n_points = self.points.shape[0]
-        self.strides = np.ones(self.d, int)
-        for a in range(self.d - 2, -1, -1):
-            self.strides[a] = self.strides[a + 1] * self.counts[a + 1]
+        self.hi = lo + (self.n_points - 1) * self.h
+        self.points = (self.lo + self.h * np.arange(self.n_points))[:, None]
 
     @classmethod
-    def centered(cls, radius, h, d=1):
-        return cls(np.full(d, -radius), np.full(d, radius), h)
+    def centered(cls, radius, h):
+        return cls(-radius, radius, h)
 
     @classmethod
     def for_problem(cls, coeffs, T, x0_max, h, margin=0.0):
         """Lattice sized to the reachable set from |x0| <= x0_max."""
         r = reach_radius(coeffs, x0_max, T, margin=margin + h)
-        return cls.centered(r, h, coeffs.d)
+        return cls.centered(r, h)
+
+    def _cells(self, pos):
+        """Distances (...) of points pos (..., 1) from the first node, in cells."""
+        u = _one_component(pos)[..., 0] - self.lo
+        u /= self.h
+        return u
 
     def nearest_flat(self, pos):
-        """Flat index of the nearest lattice point, clamped to the box."""
-        pos = np.asarray(pos, float)
-        flat = np.zeros(pos.shape[:-1], int)
-        for a in range(self.d):
-            i = np.clip(np.round((pos[..., a] - self.lo[a]) / self.h).astype(int),
-                        0, self.counts[a] - 1)
-            flat = flat + i * self.strides[a]
-        return flat
+        """Index of the nearest lattice point, clamped to the box."""
+        return np.clip(np.round(self._cells(pos)).astype(int),
+                       0, self.n_points - 1)
 
     def interp(self, values, pos):
-        """Multilinear interpolation of pathwise lattice fields.
+        """Linear interpolation of pathwise lattice fields.
 
         values : (n_points, n_eff) one field column per effective path.
-        pos : (..., E, d) with E == n_eff, or E == 1, or n_eff == 1.
+        pos : (..., E, 1) with E == n_eff, or E == 1, or n_eff == 1.
         Returns (vals, n_clamped) where vals broadcasts (..., max(E, n_eff))
         and n_clamped counts evaluation points outside the box.
         """
-        pos = np.asarray(pos, float)
         n_eff = values.shape[1]
-        # one flat offset into values.ravel() per point, at the low corner;
-        # every other corner sits a constant offset further on
-        w_lo, w_hi = [], []
-        for a in range(self.d):
-            u = pos[..., a] - self.lo[a]
-            u /= self.h
-            bad = u < 0.0
-            bad |= u > self.counts[a] - 1
-            np.clip(u, 0.0, self.counts[a] - 1.0, out=u)
-            i = u.astype(int)
-            np.minimum(i, self.counts[a] - 2, out=i)
-            u -= i
-            w_lo.append(1.0 - u)
-            w_hi.append(u)
-            i *= self.strides[a] * n_eff
-            if a == 0:
-                out_mask, flat = bad, i
-            else:
-                out_mask |= bad
-                flat += i
+        u = self._cells(pos)
+        out_mask = u < 0.0
+        out_mask |= u > self.n_points - 1
+        np.clip(u, 0.0, self.n_points - 1.0, out=u)
+        # one flat offset into values.ravel() per point, at the low
+        # neighbour; the high one sits n_eff further on
+        flat = u.astype(int)
+        np.minimum(flat, self.n_points - 2, out=flat)
+        u -= flat
+        w_lo = 1.0 - u
+        flat *= n_eff
         n_clamped = int(np.count_nonzero(out_mask))
         if n_eff > 1:
             # column offsets; a single position column fans out over them
@@ -119,61 +103,38 @@ class BoxLattice:
                     else flat + eff)
 
         flat_values = values.ravel()
-        vals = part = None
-        for corner in range(1 << self.d):
-            offset = 0
-            weight = None
-            for a in range(self.d):
-                if corner >> a & 1:
-                    offset += self.strides[a] * n_eff
-                    factor = w_hi[a]
-                else:
-                    factor = w_lo[a]
-                weight = factor if weight is None else weight * factor
-            # offsets stay in range by construction, and mode="clip"
-            # skips the bounds check of the default mode
-            part = np.take(flat_values[offset:], flat, out=part, mode="clip")
-            part *= weight
-            if vals is None:
-                # the running sum starts from 0.0, bit for bit: it turns a
-                # -0.0 first term into +0.0
-                vals = part + 0.0
-            else:
-                vals += part
+        # offsets stay in range by construction, and mode="clip" skips
+        # the bounds check of the default mode
+        part = np.take(flat_values, flat, mode="clip")
+        part *= w_lo
+        # the running sum starts from 0.0, bit for bit: it turns a -0.0
+        # first term into +0.0
+        vals = part + 0.0
+        part = np.take(flat_values[n_eff:], flat, out=part, mode="clip")
+        part *= u
+        vals += part
         return vals, n_clamped
 
     def exits(self, pos):
-        """Points of pos (..., d) outside the box, per axis and face.
+        """Points of pos (..., 1) below the first node and beyond the last.
 
-        Returns (d, 2) counts below the first node and beyond the last,
-        by interp's own comparisons, so for d = 1 they sum to its
-        n_clamped.
+        Returns the two counts by interp's own comparisons, so they sum
+        to its n_clamped.
         """
-        pos = np.asarray(pos, float)
-        out = np.zeros((self.d, 2), int)
-        for a in range(self.d):
-            u = pos[..., a] - self.lo[a]
-            u /= self.h
-            out[a] = (np.count_nonzero(u < 0.0),
-                      np.count_nonzero(u > self.counts[a] - 1))
-        return out
+        u = self._cells(pos)
+        return np.array([np.count_nonzero(u < 0.0),
+                         np.count_nonzero(u > self.n_points - 1)])
 
     def gradient(self, values):
         """Central-difference gradient of lattice fields (n_points, n_cols).
 
-        Returns (n_points, n_cols, d); one-sided at the box faces.
+        Returns (n_points, n_cols, 1); one-sided at the box faces.
         """
-        cube = values.reshape(tuple(self.counts) + (values.shape[1],))
-        out = np.empty(values.shape + (self.d,))
-        for a in range(self.d):
-            out[..., a] = np.gradient(cube, self.h, axis=a).reshape(values.shape)
-        return out
+        return np.gradient(values, self.h, axis=0)[..., None]
 
     def lipschitz(self, values):
-        """Largest difference quotient of lattice fields along any axis."""
-        cube = values.reshape(tuple(self.counts) + (values.shape[1],))
-        return max(float(np.abs(np.diff(cube, axis=a)).max()) / self.h
-                   for a in range(self.d))
+        """Largest difference quotient of lattice fields."""
+        return float(np.abs(np.diff(values, axis=0)).max()) / self.h
 
 
 class ControlPolicy:
@@ -245,7 +206,7 @@ class ValueSurface:
             raise KeyError(f"knot {k} not stored; kept: {sorted(self.slices)}") from None
 
     def at_states(self, k, states):
-        """Interpolate the knot-k slice at per-path states (..., E, d)."""
+        """Interpolate the knot-k slice at per-path states (..., E, 1)."""
         vals, _ = self.lattice.interp(self.pathwise(k), states)
         return vals
 
@@ -262,10 +223,6 @@ class CostEstimate:
     se: np.ndarray         # (n_starts,)
 
 
-def default_basis(degree=3, m=1):
-    return polynomial_basis(degree, coords=tuple(range(m)))
-
-
 def cost_J(coeffs, ensemble, policy, starts):
     """Pathwise cost of a fixed policy from knot 0.
 
@@ -280,15 +237,7 @@ def cost_J(coeffs, ensemble, policy, starts):
     wT = None if coeffs.deterministic else ensemble.slice_at(grid.n_steps, terminal_ok=True)
     terminal = np.broadcast_to(np.asarray(coeffs.G(batch.terminal, wT)),
                                batch.total_cost.shape)
-    raw = batch.total_cost + terminal
-
-    if batch.collapsed:
-        mean = raw[:, 0].copy()
-        se = np.zeros(starts.shape[0])
-    else:
-        mean = raw.mean(axis=1)
-        se = raw.std(axis=1, ddof=1) / np.sqrt(raw.shape[1])
-    return CostEstimate(mean, se)
+    return CostEstimate(*_path_mean_se(batch.total_cost + terminal))
 
 
 class _NextSlice:
@@ -327,7 +276,7 @@ def _backward_sweep(coeffs, ensemble, lattice, store_knots, basis, step, *,
     realizations behind it.  nxt is the knot-(k+1) slice as a _NextSlice:
     nxt(pos, j) interpolates it at Euler images and counts lattice exits;
     op is the knot-k projection, None for path-free coefficients.
-    store_knots "all" keeps every pathwise slice; "auto" strides them
+    store_knots "all" keeps every pathwise slice; "auto" thins them out
     as value_V describes.
     """
     grid = ensemble.grid
@@ -335,7 +284,7 @@ def _backward_sweep(coeffs, ensemble, lattice, store_knots, basis, step, *,
     regress = not coeffs.deterministic
     n_eff = ensemble.n_paths if regress else 1
     if basis is None and regress:
-        basis = default_basis(m=ensemble.m)
+        basis = polynomial_basis()
 
     fits = (n + 1) * lattice.n_points * n_eff <= AUTO_STORE_BUDGET
     if store_knots == "all" or fits:
@@ -361,9 +310,7 @@ def _backward_sweep(coeffs, ensemble, lattice, store_knots, basis, step, *,
             op = CondExpOperator(ensemble, k, basis) if regress else None
             nxt.k, nxt.values = k, V
             V, raw = step(k, t, w, op, nxt)
-        mean[k] = raw.mean(axis=-1)
-        if raw.shape[-1] > 1:
-            se[k] = raw.std(axis=-1, ddof=1) / np.sqrt(raw.shape[-1])
+        mean[k], se[k] = _path_mean_se(raw)
         if k in keep:
             slices[k] = V.copy()
 
@@ -417,7 +364,7 @@ def value_V(coeffs, ensemble, lattice, *, basis=None, noise_level=0.0,
         which names the knot with the most exits, its control and face.
 
     Each knot minimizes over the controls by sweeping them, except for a
-    deterministic problem under noise with d = 1 at a knot where every
+    deterministic problem under noise at a knot where every
     control's dt * beta is the same at all lattice nodes.  There each
     control's path mean is a stencil of the one-column slice (see
     _stencil_means), the argmin is taken over those means, and only the
@@ -440,7 +387,7 @@ def value_V(coeffs, ensemble, lattice, *, basis=None, noise_level=0.0,
     x_eval = lattice.points[:, None, :]
     idx_dtype = np.int8 if coeffs.n_controls <= 127 else np.int16
     argmins = {}
-    one_column = bool(coeffs.deterministic and noise_level and lattice.d == 1)
+    one_column = bool(coeffs.deterministic and noise_level)
 
     def image(k, b, rows=slice(None)):
         # Euler images of the lattice nodes (rows) under drift b and the
@@ -522,11 +469,11 @@ def value_V(coeffs, ensemble, lattice, *, basis=None, noise_level=0.0,
         b = np.asarray(coeffs.beta(ensemble.grid.knots[k], x_eval,
                                    coeffs.controls[j], w), float)
         faces = lattice.exits(image(k, b))
-        axis, side = np.unravel_index(np.argmax(faces), faces.shape)
+        side = int(np.argmax(faces))
         raise AccuracyError(
             f"{100 * frac:.2f}% of lattice evaluations left the box (budget "
             f"{100 * clamp_tol:.1f}%); most exits at knot {k}: control {j}, "
-            f"face x{axis} {('lo', 'hi')[side]} ({faces[axis, side]} exits); "
+            f"face x0 {('lo', 'hi')[side]} ({faces[side]} exits); "
             f"enlarge the lattice"
         )
     return surface
@@ -561,9 +508,8 @@ def value_audit(coeffs, ensemble, surface, starts, *, abs_tol=0.01,
     lipschitz_bound = _value_lipschitz(coeffs, T)
     starts = np.atleast_2d(np.asarray(starts, float))
     stride = max(1, grid.n_steps // 8)
-    subgrid = [k for k in range(0, grid.n_steps + 1, stride) if k in surface.slices]
-    if grid.n_steps not in subgrid:
-        subgrid.append(grid.n_steps)
+    subgrid = sorted({k for k in range(0, grid.n_steps + 1, stride)
+                      if k in surface.slices} | {grid.n_steps})
     policies = {
         "greedy": ControlPolicy.feedback(surface),
         "last-control": ControlPolicy.constant(coeffs.n_controls - 1),
@@ -579,10 +525,7 @@ def value_audit(coeffs, ensemble, surface, starts, *, abs_tol=0.01,
             for s2 in subgrid[a + 1:]:
                 term = vals[s2] + (costs[s2] - costs[s]) - vals[s]
                 per_path = term.mean(axis=0)      # paths shared across starts
-                n_eff = term.shape[-1]
-                r = float(per_path.mean())
-                sig = (float(per_path.std(ddof=1)) / np.sqrt(n_eff)
-                       if n_eff > 1 else 0.0)
+                r, sig = _path_mean_se(per_path)
                 worst = min(worst, float(r + abs_tol + 3.0 * sig))
                 per_start = term.mean(axis=-1)
                 worst_pointwise = min(worst_pointwise,

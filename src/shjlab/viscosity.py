@@ -21,8 +21,9 @@ from .bsde import BsdeSpec, error_bound_bsde, solve_bsde
 from .coeffs import _argmin_sweep, _policy_sweep
 from .exceptions import AccuracyError
 from .fields import AdaptedField
+from .probspace import _path_mean_se, polynomial_basis
 from .smoothing import _uniform_cell, error_processes
-from .valuefn import BoxLattice, default_basis, value_V
+from .valuefn import BoxLattice, value_V
 
 __all__ = [
     "hamiltonian",
@@ -50,7 +51,7 @@ def hamiltonian(coeffs, t, x, p, w=None):
     ----------
     coeffs : coefficient set.
     t : float
-    x, p : arrays broadcastable to a common (..., d) shape.
+    x, p : arrays broadcastable to a common (..., 1) shape.
     w : PathSlice or None for path-dependent coefficients.
 
     Returns
@@ -58,17 +59,17 @@ def hamiltonian(coeffs, t, x, p, w=None):
     (value, argmin) with the leading (...) shape; ties keep the lowest
     control index.
 
-    A set that declares control_separable with d = 1 takes the envelope
-    path: each point's control is looked up on the lower envelope of the
-    lines c(v) p + g(v) and scored there alone.  Points within a rounding
-    bound of a tie (p = 0 on the eikonal grid, say) are re-scored by the
-    full sweep, with the coefficients evaluated on the whole x as the
-    sweep does, so values and argmins equal the sweep's bit for bit.
-    Every other set runs the sweep over all controls.
+    A set that declares control_separable takes the envelope path: each
+    point's control is looked up on the lower envelope of the lines
+    c(v) p + g(v) and scored there alone.  Points within a rounding bound
+    of a tie (p = 0 on the eikonal grid, say) are re-scored by the full
+    sweep, with the coefficients evaluated on the whole x as the sweep
+    does, so values and argmins equal the sweep's bit for bit.  Every
+    other set runs the sweep over all controls.
     """
     x = np.asarray(x, float)
     p = np.asarray(p, float)
-    if not (coeffs.control_separable and coeffs.d == 1):
+    if not coeffs.control_separable:
         best, best_idx, _ = _argmin_sweep(coeffs, t, x, w, _score(p))
         return best, best_idx
 
@@ -115,7 +116,7 @@ def _score(p):
 
 
 def _control_lines(coeffs, t, w):
-    """Lines c_j p + g_j of a control-separable d = 1 set, as lookup tables.
+    """Lines c_j p + g_j of a control-separable set, as lookup tables.
 
     c and g are read off at x = 0 relative to control 0, once per set.
     Between consecutive entries of breaks no two of the lowest lines
@@ -178,11 +179,10 @@ def estimate_decomposition(afield, ensemble):
     ks = afield.knots
     if ks != list(range(ks[0], ks[-1] + 1)):
         raise ValueError("decomposition needs consecutive sampled knots")
-    basis = default_basis(degree=2, m=ensemble.m)
+    basis = polynomial_basis(2)
     grid = afield.grid
     dt = grid.dt
     n_paths = ensemble.n_paths
-    m = ensemble.m
 
     drift = {}
     noise = {}
@@ -191,15 +191,13 @@ def estimate_decomposition(afield, ensemble):
     resid_rms = {}
     for k in ks[:-1]:
         phi = basis.design(ensemble, k)                # (n_paths, F)
-        n_cols = phi.shape[1] * (1 + m)
+        n_cols = phi.shape[1] * 2
         if n_paths < 10 * n_cols:
             raise ValueError(
                 f"{n_paths} paths cannot support {n_cols} regression columns"
             )
-        dW = ensemble.increments[:, k, :]              # (n_paths, m)
-        cols = [phi * dt]
-        cols += [phi * dW[:, c:c + 1] for c in range(m)]
-        design = np.hstack(cols)
+        dW = ensemble.increments[:, k, :]              # (n_paths, 1)
+        design = np.hstack([phi * dt, phi * dW])
         du = (afield.at(k + 1) - afield.at(k)).T       # (n_paths, n_points)
         coef, *_ = np.linalg.lstsq(design, du, rcond=None)
         fit = design @ coef
@@ -207,10 +205,7 @@ def estimate_decomposition(afield, ensemble):
         resid_rms[k] = float(np.sqrt(np.mean(resid**2)))
         F = phi.shape[1]
         drift[k] = (phi @ coef[:F]).T
-        nz = np.empty((afield.lattice.n_points, n_paths, m))
-        for c in range(m):
-            nz[..., c] = (phi @ coef[F * (1 + c):F * (2 + c)]).T
-        noise[k] = nz
+        noise[k] = (phi @ coef[F:]).T[..., None]
         coef_tab[k] = coef
         # per-column standard errors from the shared normal matrix
         gram_inv = np.linalg.pinv(design.T @ design)
@@ -261,12 +256,10 @@ def residual_check(afield, coeffs, ensemble, side="super", *, tol=0.02):
     for k in knots:
         t = grid.knots[k]
         w = ensemble.slice_at(k)
-        du = afield.gradient(k)                       # (n_points, n_paths, d)
+        du = afield.gradient(k)                       # (n_points, n_paths, 1)
         ham, _ = hamiltonian(coeffs, t, x_pts[:, None, :], du, w)
         R = -afield.drift[k] - ham                    # (n_points, n_paths)
-        mu = R.mean(axis=1)
-        se = (R.std(axis=1, ddof=1) / np.sqrt(R.shape[1])
-              if R.shape[1] > 1 else np.zeros_like(mu))
+        mu, se = _path_mean_se(R)
         probe_mean[k] = mu
         probe_se[k] = se
         stats.append(float(np.min(s * mu + 3 * se)))
@@ -313,7 +306,7 @@ def build_envelopes(base, approx, ens_w, ens_b, eps, delta_n, *,
     base : exact coefficient set.
     approx : FunctionalApproximant for it, reported error <= eps.
     ens_w, ens_b : independent ensembles on the same grid and path
-        count; ens_b must have m == base.d.
+        count; ens_b must have m == 1.
     eps, delta_n : approximation size and noise level (> 0).
     lattice : optional BoxLattice; by default sized from the reachable
         set from |x0| <= 2 plus the noise wander.
@@ -332,8 +325,8 @@ def build_envelopes(base, approx, ens_w, ens_b, eps, delta_n, *,
         raise ValueError("delta_n must be positive")
     if ens_w.grid != ens_b.grid or ens_w.n_paths != ens_b.n_paths:
         raise ValueError("need matching grids and path counts for W and B")
-    if ens_b.m != base.d:
-        raise ValueError(f"noise ensemble must have m == d == {base.d}")
+    if ens_b.m != 1:
+        raise ValueError("noise ensemble must have m == 1")
     ach = approx.achieved
     worst_err = max(ach.get("G_sup", np.inf), ach.get("f_sup", 0.0),
                     ach.get("beta_sup", 0.0))
@@ -358,7 +351,7 @@ def build_envelopes(base, approx, ens_w, ens_b, eps, delta_n, *,
     L_tilde = max(lattice.lipschitz(sl) for sl in V_eps.slices.values())
     K_bar = 4.0 * base.L * (L_tilde + 1.0)
 
-    radius = float(np.max(np.abs(np.concatenate([lattice.lo, lattice.hi]))))
+    radius = max(abs(lattice.lo), abs(lattice.hi))
     errors = error_processes(base, approx, ens_w, radius=radius)
     bound = error_bound_bsde(errors, gain=L_tilde, ensemble=ens_w)
 
@@ -385,12 +378,9 @@ def build_envelopes(base, approx, ens_w, ens_b, eps, delta_n, *,
         if k == n or k not in want_drift:
             continue
         t = grid.knots[k]
-        grad = lattice.gradient(sl)
-        p_shift = np.empty(pos.shape)
-        for a in range(lattice.d):
-            p_shift[..., a], _ = lattice.interp(grad[..., a], pos)
+        p_shift, _ = lattice.interp(lattice.gradient(sl)[..., 0], pos)
         w = None if approx.deterministic else ens_w.slice_at(k)
-        ham, _ = hamiltonian(approx, t, pos, p_shift, w)
+        ham, _ = hamiltonian(approx, t, pos, p_shift[..., None], w)
         b_mag = np.linalg.norm(B_k, axis=1)[None, :]
         up_drift[k] = -ham - bound.driver[k][None, :] \
             - delta_n * K_bar * b_mag
@@ -435,10 +425,9 @@ def sandwich_report(pair, surface):
         u_k = up.at(k)
         l_k = lo.at(k)
         v_b = np.broadcast_to(v_sl, u_k.shape)
-        m_up = u_k.mean(axis=1)
+        m_up, se_up = _path_mean_se(u_k)
         m_lo = l_k.mean(axis=1)
         m_v = surface.mean[k]
-        se_up = u_k.std(axis=1, ddof=1) / np.sqrt(u_k.shape[1])
         se_v = surface.se[k]
         mu_margin = float(np.min(m_up - m_v + 3 * (se_up + se_v)))
         ml_margin = float(np.min(m_v - m_lo + 3 * (se_up + se_v)))

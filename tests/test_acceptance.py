@@ -42,7 +42,7 @@ def test_criterion_01_eikonal_oracle():
     t0 = time.perf_counter()
     co = scenario("eikonal")
     ens = sample_ensemble(TimeGrid(1.0, 64), 1, 20_000, SEED_W)
-    V = value_V(co, ens, BoxLattice.centered(3.25, 0.05, 1), clamp_tol=0.05)
+    V = value_V(co, ens, BoxLattice.centered(3.25, 0.05), clamp_tol=0.05)
     v_at_2 = float(V.mean_at(0, np.array([[2.0]]))[0])
     v_at_0 = float(V.mean_at(0, np.array([[0.0]]))[0])
     elapsed = time.perf_counter() - t0
@@ -102,7 +102,7 @@ def test_criterion_02_brute_force_equivalence():
     co = scenario("random-target")
     grid = TimeGrid(1.0, 4)
     ens = sample_ensemble(grid, 1, 20_000, SEED_W)
-    lat = BoxLattice.centered(3.0, 0.025, 1)
+    lat = BoxLattice.centered(3.0, 0.025)
     V = value_V(co, ens, lat, basis=polynomial_basis(5), clamp_tol=0.05)
     probes = np.linspace(-2.0, 2.0, 9)
     dp = np.array([float(V.mean_at(0, np.array([[x]]))[0]) for x in probes])
@@ -116,7 +116,7 @@ def test_criterion_02_brute_force_equivalence():
 def test_criterion_03_value_audits():
     co = scenario("eikonal")
     ens = sample_ensemble(TimeGrid(1.0, 64), 1, 500, SEED_W)
-    V = value_V(co, ens, BoxLattice.centered(3.25, 0.005, 1), clamp_tol=0.05)
+    V = value_V(co, ens, BoxLattice.centered(3.25, 0.005), clamp_tol=0.05)
     report = value_audit(co, ens, V, np.linspace(-2.0, 2.0, 5)[:, None],
                          abs_tol=0.01, eps_report_tol=0.05)
     ok = (report["supermartingale_ok"] and report["bound_ok"]
@@ -221,7 +221,7 @@ def test_criterion_06_bsde_solver():
 def test_criterion_07_cost_majorant_ladder():
     co = scenario("eikonal")
     ens = sample_ensemble(TimeGrid(1.0, 32), 1, 4_000, SEED_W)
-    lat = BoxLattice.centered(3.4, 0.05, 1)
+    lat = BoxLattice.centered(3.4, 0.05)
     V = value_V(co, ens, lat, clamp_tol=0.05)
     pol = ControlPolicy.feedback(V)
     base_cost = policy_cost_surface(co, ens, pol, lat)
@@ -255,7 +255,7 @@ def test_criterion_07_cost_majorant_ladder():
 def test_criterion_08_decomposition_estimator():
     grid = TimeGrid(1.0, 16)
     ens = sample_ensemble(grid, 1, 20_000, SEED_W)
-    lat = BoxLattice.centered(1.0, 1.0, 1)
+    lat = BoxLattice.centered(1.0, 1.0)
     shape = (lat.n_points, ens.n_paths)
 
     def w_squared(e):
@@ -333,7 +333,7 @@ def test_criterion_10_fd_cross_check():
     ens_w = sample_ensemble(grid, 1, 16, SEED_W)
     ens_b = sample_ensemble(grid, 1, 4_000, SEED_B)
     fa = fit_functional_approximant(co, ens_w, eps_target=0.05, x_radius=3.65)
-    lat = BoxLattice.centered(3.65, 0.05, 1)
+    lat = BoxLattice.centered(3.65, 0.05)
     V_eps = value_V(fa, ens_w, lat, noise_level=delta, noise_ensemble=ens_b,
                     clamp_tol=0.05)
     k_start = 24                                  # last functional interval

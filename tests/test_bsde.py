@@ -123,7 +123,7 @@ def test_policy_surface_matches_value_recursion():
     # replaying the greedy argmin tables reproduces the DP values
     co = scenario("eikonal")
     ens = _ens(200)
-    lat = BoxLattice.centered(3.25, 0.05, 1)
+    lat = BoxLattice.centered(3.25, 0.05)
     V = value_V(co, ens, lat)
     u = policy_cost_surface(co, ens, ControlPolicy.feedback(V), lat)
     np.testing.assert_allclose(u.mean, V.mean, atol=0.0)
@@ -133,7 +133,7 @@ def test_policy_surface_matches_value_recursion():
 def test_policy_surface_constant_run_cost():
     co = scenario("constant-run-cost")
     ens = _ens(200)
-    lat = BoxLattice.centered(1.5, 0.5, 1)
+    lat = BoxLattice.centered(1.5, 0.5)
     u = policy_cost_surface(co, ens, ControlPolicy.constant(0), lat)
     np.testing.assert_allclose(u.mean[0], 1.0, atol=1e-12)
 
@@ -142,7 +142,7 @@ def test_cost_majorant_field():
     base = scenario("eikonal")
     ens = _ens(400)
     molly = MollifiedSet(base, 8)
-    lat = BoxLattice.centered(3.3, 0.1, 1)
+    lat = BoxLattice.centered(3.3, 0.1)
     pol = ControlPolicy.constant(base.n_controls // 2)
     u = policy_cost_surface(molly, ens, pol, lat)
     errors = error_processes(base, molly, ens)
@@ -161,7 +161,7 @@ def test_cost_majorant_rejects_mismatched_grid():
     base = scenario("eikonal")
     ens = _ens(300)
     molly = MollifiedSet(base, 8)
-    lat = BoxLattice.centered(3.3, 0.1, 1)
+    lat = BoxLattice.centered(3.3, 0.1)
     pol = ControlPolicy.constant(0)
     u = policy_cost_surface(molly, ens, pol, lat)
     errors = error_processes(base, molly, ens)

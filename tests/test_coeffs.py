@@ -13,8 +13,7 @@ SEED = 5
 ALL_SCENARIOS = scenario_names()
 
 # name -> (L, drift_growth, deterministic, n_controls); every built-in has
-# d = n = 1, controls on [-1, 1], lip_x = 1, m_required = 1, affine beta, f,
-# control-separable
+# controls on [-1, 1], lip_x = 1, affine beta, f, control-separable
 BUILT_INS = {
     "eikonal": (12.0, (1.0, 0.0), True, 21),
     "linear-drift": (15.0, (1.0, 0.5), True, 21),
@@ -44,9 +43,9 @@ def test_registry_contents():
 def test_built_in_problem_pinned(name):
     L, growth, deterministic, n_controls = BUILT_INS[name]
     co = scenario(name)
-    assert co.name == name and (co.d, co.n) == (1, 1)
+    assert co.d == 1 and co.controls.shape[1] == 1
     assert (co.L, co.lip_x, co.drift_growth) == (L, 1.0, growth)
-    assert co.deterministic is deterministic and co.m_required == 1
+    assert co.deterministic is deterministic
     assert co.affine == ("beta", "f") and co.control_separable is True
     assert co.n_controls == n_controls == co.controls.shape[0]
     assert co.controls[0, 0] == -1.0 and co.controls[-1, 0] == 1.0
@@ -71,9 +70,9 @@ def test_built_in_problem_pinned(name):
 
 
 def test_declared_constants_are_the_problem_fields():
-    assert set(DECLARED) == {"d", "n", "controls", "L", "lip_x",
-                             "drift_growth", "deterministic", "m_required",
-                             "affine", "control_separable", "n_controls"}
+    assert set(DECLARED) == {"controls", "L", "lip_x", "drift_growth",
+                             "deterministic", "affine", "control_separable",
+                             "n_controls"}
 
 
 def test_control_grid():
@@ -86,14 +85,14 @@ def test_control_grid():
 @pytest.mark.parametrize("name", ALL_SCENARIOS)
 def test_shape_contracts(name):
     co = scenario(name)
-    ens = sample_ensemble(TimeGrid(1.0, 8), max(co.m_required, 1), 40, SEED)
+    ens = sample_ensemble(TimeGrid(1.0, 8), 1, 40, SEED)
     w = None if co.deterministic else ens.slice_at(3)
     wT = None if co.deterministic else ens.slice_at(8, terminal_ok=True)
-    x = np.linspace(-2, 2, 7).reshape(7, 1, co.d)
+    x = np.linspace(-2, 2, 7).reshape(7, 1, 1)
     n_eff = 1 if co.deterministic else 40
     for v in co.controls[:: max(1, co.n_controls // 3)]:
         b = np.asarray(co.beta(0.5, x, v, w))
-        assert b.shape[-1] == co.d
+        assert b.shape[-1] == 1
         assert np.all(np.isfinite(b))
         f = np.asarray(co.f(0.5, x, v, w))
         assert f.shape in ((7, 1), (7, n_eff))
@@ -118,8 +117,8 @@ def test_declared_bound_holds(name):
     # that reads no paths)
     co = scenario(name)
     grid = TimeGrid(1.0, 8)
-    ens = sample_ensemble(grid, max(co.m_required, 1), 60, SEED)
-    probes = probe_lattice(reach_radius(co, 1.0, grid.T), co.d)
+    ens = sample_ensemble(grid, 1, 60, SEED)
+    probes = probe_lattice(reach_radius(co, 1.0, grid.T))
     times = np.linspace(0.0, grid.T, 5)
     knots = [0] if co.deterministic else sorted(
         {grid.index_of(round(t / grid.dt) * grid.dt) for t in times})
@@ -165,19 +164,19 @@ def test_random_target_reads_terminal_path():
 def test_reach_radius_and_probes():
     co = scenario("eikonal")
     assert reach_radius(co, 2.0, 1.0) == pytest.approx(3.0)
-    probes = probe_lattice(2.0, 1)
-    assert probes.ndim == 2 and probes.shape[1] == 1
+    probes = probe_lattice(2.0)
+    assert probes.shape == (67, 1) and probes[33, 0] == 0.0
     assert np.abs(probes).max() <= 2.0 + 1e-12
 
 
 def test_coefficient_set_validation():
     good = scenario("zeros")
+    with pytest.raises(ValueError, match="n_controls, 1"):
+        CoefficientSet(controls=np.zeros((3, 2)), beta=good.beta, f=good.f,
+                       G=good.G, L=1.0, lip_x=1.0)
     with pytest.raises(ValueError):
-        CoefficientSet(name="x", d=5, n=1, controls=np.zeros((1, 1)),
-                       beta=good.beta, f=good.f, G=good.G, L=1.0, lip_x=1.0)
-    with pytest.raises(ValueError):
-        CoefficientSet(name="x", d=1, n=1, controls=np.zeros((1, 1)),
-                       beta=good.beta, f=good.f, G=good.G, L=-1.0, lip_x=1.0)
+        CoefficientSet(controls=np.zeros((1, 1)), beta=good.beta, f=good.f,
+                       G=good.G, L=-1.0, lip_x=1.0)
 
 
 @pytest.mark.parametrize("name", ALL_SCENARIOS)
@@ -186,10 +185,10 @@ def test_affine_declaration_matches_kernel_average(name):
     # declaration would silently drop smoothing: each declared map must
     # equal its literal kernel average
     co = scenario(name)
-    x = probe_lattice(reach_radius(co, 1.0, 1.0), co.d)[:, None, :]
+    x = probe_lattice(reach_radius(co, 1.0, 1.0))[:, None, :]
     w = None
     if not co.deterministic:
-        ens = sample_ensemble(TimeGrid(1.0, 8), co.m_required, 50, SEED)
+        ens = sample_ensemble(TimeGrid(1.0, 8), 1, 50, SEED)
         w = ens.slice_at(3)
     for level in (1, 8):
         moll = MollifiedSet(co, level)
@@ -206,10 +205,10 @@ def test_control_separable_declaration_holds(name):
     # point: beta - beta(v_0) and f - f(v_0) must not depend on t, x or w
     co = scenario(name)
     assert co.control_separable
-    x = probe_lattice(reach_radius(co, 1.0, 1.0), co.d)[:, None, :]
+    x = probe_lattice(reach_radius(co, 1.0, 1.0))[:, None, :]
     w = None
     if not co.deterministic:
-        w = sample_ensemble(TimeGrid(1.0, 8), co.m_required, 50, SEED).slice_at(3)
+        w = sample_ensemble(TimeGrid(1.0, 8), 1, 50, SEED).slice_at(3)
     for problem in (co, MollifiedSet(co, 4)):
         for t in (0.0, 0.625):
             for attr in ("beta", "f"):
@@ -223,8 +222,8 @@ def test_control_separable_declaration_holds(name):
 
 def test_affine_declaration_rejects_unknown_names():
     good = scenario("zeros")
-    kw = dict(name="x", d=1, n=1, controls=np.zeros((1, 1)), beta=good.beta,
-              f=good.f, G=good.G, L=1.0, lip_x=1.0)
+    kw = dict(controls=np.zeros((1, 1)), beta=good.beta, f=good.f, G=good.G,
+              L=1.0, lip_x=1.0)
     assert CoefficientSet(**kw, affine=["f"]).affine == ("f",)
     for bad in (("beta", "G"), "beta"):
         with pytest.raises(ValueError, match="affine"):

@@ -9,7 +9,7 @@ from shjlab.valuefn import BoxLattice
 
 SEED = 7
 GRID = TimeGrid(1.0, 16)
-LAT = BoxLattice.centered(1.0, 0.25, 1)
+LAT = BoxLattice.centered(1.0, 0.25)
 
 
 def _ens(n_paths=64):

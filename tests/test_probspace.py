@@ -130,11 +130,10 @@ def test_projection_tower_property():
 
 def test_ridge_fallback_on_degenerate_design():
     grid = TimeGrid(1.0, 4)
-    ens = sample_ensemble(grid, 1, 500, SEED)
-    # coordinate 0 twice: two equal columns
-    dup = polynomial_basis(1, coords=(0, 0))
-    op = CondExpOperator(ens, 2, dup)
-    out = op.apply(ens.value_at(2)[:, 0])
+    # zero increments: every column but the constant one vanishes
+    ens = WienerEnsemble(grid, 1, 500, SEED, np.zeros((500, 4, 1)))
+    op = CondExpOperator(ens, 2, polynomial_basis(3))
+    out = op.apply(sample_ensemble(grid, 1, 500, SEED).value_at(2)[:, 0])
     assert op.used_ridge
     assert np.all(np.isfinite(out))
 
@@ -148,14 +147,13 @@ def test_multi_target_projection_shapes():
 
 
 @settings(max_examples=40, deadline=None)
-@given(m=st.integers(1, 2), degree=st.integers(0, 4), k=st.integers(1, 8),
+@given(degree=st.integers(0, 4), k=st.integers(1, 8),
        n_paths=st.sampled_from([50, 400, 2000]),
        seed=st.integers(0, 2**32 - 1), scale=st.floats(1e-3, 1e3))
-def test_projection_is_idempotent_after_knot_0(m, degree, k, n_paths, seed,
+def test_projection_is_idempotent_after_knot_0(degree, k, n_paths, seed,
                                                scale):
-    ens = sample_ensemble(TimeGrid(1.0, 8), m, n_paths, SEED)
-    basis = polynomial_basis(degree, None if m == 1 else (0, 1))
-    op = CondExpOperator(ens, k, basis)
+    ens = sample_ensemble(TimeGrid(1.0, 8), 1, n_paths, SEED)
+    op = CondExpOperator(ens, k, polynomial_basis(degree))
     y = scale * np.random.default_rng(seed).standard_normal(n_paths)
     once = op.apply(y)
     tol = 1e-9 * max(float(np.abs(y).max()), 1.0)
@@ -170,31 +168,8 @@ def test_one_d_basis_columns_are_running_products():
     w = ens.value_at(2)[:, 0]
     for p, col in enumerate([np.ones(300), w, w * w, (w * w) * w]):
         assert np.array_equal(design[:, p], col)
-    with pytest.raises(ValueError, match="needs coords"):
+    with pytest.raises(ValueError, match="one-dimensional ensemble, got m=2"):
         basis.design(sample_ensemble(TimeGrid(1.0, 4), 2, 300, SEED), 2)
-
-
-def test_two_d_basis_keeps_names_and_order():
-    ens = sample_ensemble(TimeGrid(1.0, 4), 2, 300, SEED)
-    basis = polynomial_basis(2, coords=(0, 1))
-    assert basis.names == ["1", "w^10", "w^01", "w^20", "w^11", "w^02"]
-    w = ens.value_at(3)
-    expect = [np.ones(300), w[:, 0], w[:, 1], w[:, 0] ** 2,
-              w[:, 0] * w[:, 1], w[:, 1] ** 2]
-    design = basis.design(ens, 3)
-    for j, col in enumerate(expect):
-        assert np.array_equal(design[:, j], col)
-
-
-def test_two_d_cubic_columns_are_running_products():
-    ens = sample_ensemble(TimeGrid(1.0, 4), 2, 300, SEED)
-    basis = polynomial_basis(3, coords=(0, 1))
-    w0, w1 = ens.value_at(2).T
-    expect = {"w^30": (w0 * w0) * w0, "w^21": (w0 * w0) * w1,
-              "w^12": w0 * (w1 * w1), "w^03": (w1 * w1) * w1}
-    design = basis.design(ens, 2)
-    for name, col in expect.items():
-        assert np.array_equal(design[:, basis.names.index(name)], col)
 
 
 @pytest.mark.parametrize("n_targets", [1, 3])

@@ -3,7 +3,8 @@
 import numpy as np
 import pytest
 
-from shjlab.coeffs import DECLARED, CoefficientSet, scenario, scenario_names
+from shjlab.coeffs import (DECLARED, CoefficientSet, control_grid, scenario,
+                           scenario_names)
 from shjlab.probspace import TimeGrid, sample_ensemble
 from shjlab.smoothing import (MollifiedSet, _uniform_cell, bump_kernel,
                               error_processes, fit_functional_approximant,
@@ -29,7 +30,8 @@ def test_bump_kernel_unit_mass():
 
 
 def test_kernel_quadrature_nodes():
-    nodes, weights = kernel_quadrature(1, level=4)
+    nodes, weights = kernel_quadrature(4)
+    assert nodes.shape == (17, 1)
     assert abs(weights.sum() - 1.0) < 1e-12
     assert np.abs(nodes).max() < 0.25
     assert np.all(weights > 0.0)
@@ -75,7 +77,7 @@ def test_penalty_function():
 def _penalty_by_hand(x):
     # the hinge and its gradient averaged over the shifted nodes, as
     # written out before the penalty went through the kernel average
-    nodes, weights = kernel_quadrature(x.shape[-1], 1)
+    nodes, weights = kernel_quadrature(1)
     shifted = x[None, ...] - nodes.reshape((-1,) + (1,) * (x.ndim - 1)
                                            + (nodes.shape[1],))
     dist = np.linalg.norm(shifted, axis=-1)
@@ -89,13 +91,20 @@ def _penalty_by_hand(x):
 
 @pytest.mark.parametrize("probe", [
     np.linspace(-3.0, 3.0, 201)[:, None],
-    np.stack(np.meshgrid(np.linspace(-2, 2, 9), np.linspace(-2, 2, 9)),
-             axis=-1).reshape(-1, 2),
+    # two leading axes of points
+    np.linspace(-2.0, 2.0, 81).reshape(9, 9, 1),
 ])
 def test_penalty_matches_formula_bit_for_bit(probe):
     h, dh = linear_growth_penalty(probe)
     h_ref, dh_ref = _penalty_by_hand(probe)
     assert np.array_equal(h, h_ref) and np.array_equal(dh, dh_ref)
+
+
+def test_kernel_and_penalty_reject_two_component_points():
+    points = np.zeros((4, 2))
+    for fn in (bump_kernel, linear_growth_penalty):
+        with pytest.raises(ValueError, match="trailing state axis of length 1"):
+            fn(points)
 
 
 def test_mollified_set_wraps_coefficients():
@@ -211,8 +220,7 @@ def test_functional_approximant_rejects_path_dependent_running():
     # G broadcasts to (n_points, n_paths), so the terminal fit itself runs:
     # only the guard on the running coefficients can reject this set
     bad = CoefficientSet(
-        name="bad", d=1, n=1, controls=np.zeros((1, 1)),
-        beta=base.beta,
+        controls=np.zeros((1, 1)), beta=base.beta,
         f=lambda t, x, v, w: w.current[:, 0] * np.ones(x.shape[:-1]),
         G=lambda x, w: np.zeros(x.shape[:-1]) + 0.0 * w.terminal[:, 0],
         L=1.0, lip_x=1.0, deterministic=False)
@@ -224,7 +232,7 @@ def test_functional_approximant_rejects_path_dependent_running():
 @pytest.mark.parametrize("name", scenario_names())
 def test_approximants_carry_declared_constants(name):
     co = scenario(name)
-    ens = sample_ensemble(TimeGrid(1.0, 8), co.m_required, 200, SEED)
+    ens = sample_ensemble(TimeGrid(1.0, 8), 1, 200, SEED)
     fa = fit_functional_approximant(co, ens, eps_target=0.2, x_radius=2.0)
     for approx in (MollifiedSet(co, 4), fa):
         for attr in DECLARED:
@@ -232,3 +240,22 @@ def test_approximants_carry_declared_constants(name):
             assert np.array_equal(value, declared), (type(approx), attr)
     # the terminal cost is separated exactly when the base reads the path
     assert (fa.w_grid is None) is co.deterministic
+
+
+def test_approximant_smooths_running_maps_not_declared_affine():
+    # a drift and a running cost with a kink at x = 0, declared affine in
+    # neither: the approximant reads both off its mollified set
+    kinked = CoefficientSet(
+        controls=control_grid(-1.0, 1.0, 5),
+        beta=lambda t, x, v, w: np.abs(x) + v,
+        f=lambda t, x, v, w: np.abs(x[..., 0]),
+        G=lambda x, w: np.abs(x[..., 0]), L=3.0, lip_x=1.0)
+    ens = sample_ensemble(TimeGrid(1.0, 8), 1, 50, SEED)
+    fa = fit_functional_approximant(kinked, ens, eps_target=0.2, x_radius=2.0)
+    x = np.linspace(-1.0, 1.0, 21)[:, None, None]     # x[10] = 0
+    for v in kinked.controls:
+        for name in ("beta", "f"):
+            got = getattr(fa, name)(0.5, x, v, None)
+            smooth = getattr(fa.mollified, name)(0.5, x, v, None)
+            assert np.array_equal(got, smooth)
+            assert got[10] > getattr(kinked, name)(0.5, x, v, None)[10]

@@ -7,7 +7,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from shjlab.coeffs import _argmin_sweep, scenario, scenario_names
+from shjlab.coeffs import (CoefficientSet, _argmin_sweep, control_grid,
+                           scenario, scenario_names)
 from shjlab.exceptions import AccuracyError
 from shjlab.fields import AdaptedField, reconstruction_report
 from shjlab.probspace import TimeGrid, sample_ensemble
@@ -43,6 +44,26 @@ def test_hamiltonian_linear_drift_hand_value():
     val, idx = hamiltonian(co, 0.0, np.array([2.0]), np.array([0.3]))
     np.testing.assert_allclose(val, -0.5, atol=1e-12)
     assert co.controls[int(idx)] == -1.0
+
+
+def test_hamiltonian_sweeps_a_non_separable_set():
+    # beta = v x: the control scales the drift, so the set is not
+    # control-separable and every control is scored at every point
+    co = CoefficientSet(controls=control_grid(-1.0, 1.0, 5),
+                        beta=lambda t, x, v, w: v * x,
+                        f=lambda t, x, v, w: np.full(x.shape[:-1], v[0] ** 2),
+                        G=lambda x, w: np.zeros(x.shape[:-1]), L=3.0,
+                        lip_x=1.0)
+    x = np.linspace(-2.0, 2.0, 9)[:, None, None]
+    p = np.linspace(-1.5, 1.5, 4)[None, :, None]
+    val, idx = hamiltonian(co, 0.0, x, p)
+    scores = np.stack([np.sum(co.beta(0.0, x, v, None) * p, axis=-1)
+                       + co.f(0.0, x, v, None) for v in co.controls])
+    assert val.shape == idx.shape == (9, 4)
+    assert np.array_equal(val, scores.min(axis=0))
+    assert np.array_equal(idx, scores.argmin(axis=0))
+    # the optimum moves off the grid's middle control away from x p = 0
+    assert len(np.unique(idx)) > 1
 
 
 # every built-in, its level-4 mollification and its tensor approximant
@@ -129,7 +150,7 @@ def _sampled_field(ens, fn, lat):
 
 def test_decomposition_recovers_linear_field():
     ens = _ens(400)
-    lat = BoxLattice.centered(1.0, 0.5, 1)
+    lat = BoxLattice.centered(1.0, 0.5)
     vals = _sampled_field(ens, lambda t, w: 0.7 * t - 1.3 * w, lat)
     u = estimate_decomposition(AdaptedField(GRID, lat, vals), ens)
     for k in (0, 7, 15):
@@ -142,7 +163,7 @@ def test_decomposition_recovers_linear_field():
 def test_decomposition_squared_brownian():
     # d(W^2) = dt + 2 W dW: drift one, noise integrand twice the state
     ens = _ens(4_000)
-    lat = BoxLattice.centered(1.0, 1.0, 1)
+    lat = BoxLattice.centered(1.0, 1.0)
     vals = _sampled_field(ens, lambda t, w: w**2, lat)
     u = estimate_decomposition(AdaptedField(GRID, lat, vals), ens)
     k = GRID.n_steps // 2
@@ -153,7 +174,7 @@ def test_decomposition_squared_brownian():
 
 
 def test_decomposition_needs_paths_and_consecutive_knots():
-    lat = BoxLattice.centered(1.0, 0.5, 1)
+    lat = BoxLattice.centered(1.0, 0.5)
     small = _ens(40)
     vals = _sampled_field(small, lambda t, w: w, lat)
     with pytest.raises(ValueError):
@@ -180,7 +201,7 @@ def test_residual_check_exact_solution_both_sides():
     # supersolution and as a subsolution simultaneously
     co = scenario("eikonal")
     ens = _ens(16)
-    lat = BoxLattice(np.array([1.3]), np.array([2.7]), 0.1)
+    lat = BoxLattice(1.3, 2.7, 0.1)
     u = _exact_far_field(ens, lat)
     for side in ("super", "sub"):
         report = residual_check(u, co, ens, side, tol=1e-9)
@@ -194,7 +215,7 @@ def test_residual_check_sides_follow_their_probe_statistics():
     # paths, and a terminal slice on both sides of the terminal cost
     co = scenario("eikonal")
     ens = _ens(16)
-    lat = BoxLattice(np.array([1.3]), np.array([2.7]), 0.1)
+    lat = BoxLattice(1.3, 2.7, 0.1)
     u = _exact_far_field(ens, lat)
     x = lat.points[:, :1]
     n = GRID.n_steps
@@ -227,7 +248,7 @@ def test_residual_check_sides_follow_their_probe_statistics():
 def test_residual_check_flags_wrong_drift():
     co = scenario("eikonal")
     ens = _ens(16)
-    lat = BoxLattice(np.array([1.3]), np.array([2.7]), 0.1)
+    lat = BoxLattice(1.3, 2.7, 0.1)
     u = _exact_far_field(ens, lat)
     too_fast = AdaptedField(GRID, lat, u.values,
                             {k: 2.0 * d for k, d in u.drift.items()}, None)
@@ -243,7 +264,7 @@ def test_residual_check_flags_wrong_drift():
 def test_residual_check_validation():
     co = scenario("eikonal")
     ens = _ens(16)
-    lat = BoxLattice(np.array([1.3]), np.array([2.7]), 0.1)
+    lat = BoxLattice(1.3, 2.7, 0.1)
     u = _exact_far_field(ens, lat)
     with pytest.raises(ValueError):
         residual_check(u, co, ens, side="diagonal")
@@ -280,7 +301,7 @@ def test_envelope_reads_off_the_lattice_raise():
     with pytest.raises(AccuracyError, match=r"envelope reads left the "
                        r"lattice \(budget 5\.0%\); most at knot 16"):
         build_envelopes(base, fa, ens_w, ens_b, 0.1, 0.5,
-                        lattice=BoxLattice.centered(2.0, 0.1, 1))
+                        lattice=BoxLattice.centered(2.0, 0.1))
 
 
 def test_envelope_pair_squeezes_value():
@@ -298,7 +319,7 @@ def test_envelope_pair_squeezes_value():
     assert report["order_ok"], report
     assert report["gap_upper"] > 0.0
     # a surface on a different lattice is rejected
-    other = value_V(base, ens_w, BoxLattice.centered(3.3, 0.1, 1),
+    other = value_V(base, ens_w, BoxLattice.centered(3.3, 0.1),
                     clamp_tol=0.05)
     with pytest.raises(ValueError):
         sandwich_report(pair, other)
