@@ -119,13 +119,14 @@ def solve_bsde(spec):
 
     Y = np.empty((n + 1, ens.n_paths))
     Z = np.zeros((n, ens.n_paths, ens.m))
-    driver = np.empty((n, ens.n_paths))
+    driver = np.zeros((n, ens.n_paths))   # untouched pages for a zero driver
     resid = np.zeros(n + 1)
 
     Y[n] = spec.terminal
     for k in range(n - 1, -1, -1):
         g = spec.driver_at(k)
-        driver[k] = g
+        if spec.generator is not None:
+            driver[k] = g
         op = CondExpOperator(ens, k, basis)
         pY = op.apply(Y[k + 1])
         # generator None projects to zero: skip that apply
@@ -188,11 +189,20 @@ def policy_cost_surface(coeffs, ensemble, policy, lattice):
 
 
 def _lattice_controls(policy, k, t, lattice, n_eff, ensemble):
-    """Control index the policy picks at each lattice point, (n_points, n_eff)."""
-    shape = (lattice.n_points, n_eff)
-    states = np.broadcast_to(lattice.points[:, None, :], shape + (1,))
-    return np.broadcast_to(
-        np.asarray(policy.indices_at(k, t, states, ensemble), int), shape)
+    """Control index the policy picks at each lattice point, (n_points, n_eff).
+
+    Feedback reads its argmin table: on its own lattice a node is its own
+    nearest node.  The other kinds do not read the state.
+    """
+    if policy.kind != "feedback":
+        idx = policy.indices_at(k, t, None, ensemble)
+    elif policy.data.lattice is not lattice:
+        raise ValueError("feedback policy built on a different lattice")
+    elif k not in policy.data.argmin:
+        raise ValueError(f"no argmin table stored at knot {k}")
+    else:
+        idx = policy.data.argmin[k]
+    return np.broadcast_to(np.asarray(idx, int), (lattice.n_points, n_eff))
 
 
 def cost_majorant(surface, bound, coeffs, policy, ensemble):

@@ -142,22 +142,22 @@ def _argmin_sweep(coeffs, t, x, w, score, idx_dtype=int):
     (ties keep the lowest) and the companions at that index.  Only one
     control is held at a time, so memory does not grow with the grid.
     """
-    best = best_idx = carried = None
+    best = best_idx = carried = better = None
     for j in range(coeffs.n_controls):
         v = coeffs.controls[j]
         b = np.asarray(coeffs.beta(t, x, v, w), float)
         fv = np.asarray(coeffs.f(t, x, v, w), float)
         total, *companions = score(b, fv)
         if best is None:
-            best = np.asarray(total, float)
+            best = np.array(total, float)        # owned: selected in place
             best_idx = np.zeros(best.shape, idx_dtype)
-            carried = companions
+            carried = [np.array(c) for c in companions]
         else:
-            better = total < best
-            best = np.where(better, total, best)
-            best_idx = np.where(better, idx_dtype(j), best_idx)
-            carried = [np.where(np.broadcast_to(better, c.shape), c, old)
-                       for c, old in zip(companions, carried)]
+            better = np.less(total, best, out=better)   # one mask, reused
+            np.copyto(best, total, where=better)
+            np.copyto(best_idx, idx_dtype(j), where=better)
+            for c, old in zip(companions, carried):
+                np.copyto(old, c, where=better)
     return best, best_idx, carried
 
 

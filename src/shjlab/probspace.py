@@ -76,12 +76,13 @@ class TimeGrid:
 class WienerEnsemble:
     """A batch of independent Brownian paths sampled on a TimeGrid.
 
-    Increments have law N(0, dt * I_m) and are stored path-major with
-    shape (n_paths, n_steps, m).  Values at knots are the running sums
-    with W_0 = 0.
+    Increments have law N(0, dt * I_m); values at knots are their running
+    sums with W_0 = 0.  Both are stored knot-major, so the cross-path read
+    at a knot is a contiguous row, and exposed as transposed views with
+    the path-major shapes (n_paths, n_steps[+1], m).
     """
 
-    __slots__ = ("grid", "m", "n_paths", "seed", "increments", "_values")
+    __slots__ = ("grid", "m", "n_paths", "seed", "increments", "values")
 
     def __init__(self, grid, m, n_paths, seed, increments):
         self.grid = grid
@@ -90,33 +91,30 @@ class WienerEnsemble:
         self.seed = int(seed)
         if increments.shape != (self.n_paths, grid.n_steps, self.m):
             raise ValueError("increment array shape mismatch")
-        self.increments = increments
-        self.increments.setflags(write=False)
-        vals = np.zeros((self.n_paths, grid.n_steps + 1, self.m))
-        np.cumsum(increments, axis=1, out=vals[:, 1:, :])
+        # no copy when the caller hands in a knot-major buffer's transpose
+        inc = np.ascontiguousarray(increments.transpose(1, 0, 2), dtype=float)
+        inc.setflags(write=False)
+        vals = np.zeros((grid.n_steps + 1, self.n_paths, self.m))
+        np.cumsum(inc, axis=0, out=vals[1:])
         vals.setflags(write=False)
-        self._values = vals
-
-    @property
-    def values(self):
-        """Path values at all knots, shape (n_paths, n_steps + 1, m)."""
-        return self._values
+        self.increments = inc.transpose(1, 0, 2)
+        self.values = vals.transpose(1, 0, 2)
 
     def value_at(self, k):
-        """Path values at knot k, shape (n_paths, m)."""
-        return self._values[:, k, :]
+        """Path values at knot k, shape (n_paths, m), a contiguous row."""
+        return self.values[:, k]
 
     def slice_at(self, k, terminal_ok=False):
         return PathSlice(self, k, terminal_ok=terminal_ok)
 
     def save(self, path):
-        """Write the ensemble to a little-endian binary container."""
+        """Write a little-endian binary container, increments path-major."""
         header = _HEADER.pack(
             _MAGIC, self.m, self.grid.n_steps, self.n_paths, self.seed, self.grid.T
         )
         with open(path, "wb") as fh:
             fh.write(header)
-            fh.write(np.ascontiguousarray(self.increments, dtype="<f8").tobytes())
+            fh.write(self.increments.astype("<f8", copy=False).tobytes())
 
     @classmethod
     def load(cls, path):
@@ -139,7 +137,7 @@ class WienerEnsemble:
         expect = n_paths * n_steps * m * 8
         if len(body) != expect:
             raise ValueError(f"ensemble body has {len(body)} bytes, expected {expect}")
-        inc = np.frombuffer(body, dtype="<f8").astype(float).reshape(n_paths, n_steps, m)
+        inc = np.frombuffer(body, dtype="<f8").reshape(n_paths, n_steps, m)
         if not np.isfinite(inc).all():
             raise ValueError("ensemble file holds non-finite increments")
         return cls(grid, m, n_paths, seed, inc)
@@ -175,13 +173,16 @@ def sample_ensemble(grid, m, n_paths, seed):
     n_paths = int(n_paths)
     _check_size(m, n_paths, grid.n_steps)
     rng = np.random.default_rng(int(seed))
-    inc = rng.standard_normal((n_paths, grid.n_steps, m)) * np.sqrt(grid.dt)
-    return WienerEnsemble(grid, m, n_paths, int(seed), inc)
+    # drawn path-major, which fixes the stream; scaled into knot-major rows
+    inc = np.empty((grid.n_steps, n_paths, m))
+    np.multiply(rng.standard_normal((n_paths, grid.n_steps, m)).transpose(
+        1, 0, 2), np.sqrt(grid.dt), out=inc)
+    return WienerEnsemble(grid, m, n_paths, int(seed), inc.transpose(1, 0, 2))
 
 
 def subset_paths(ensemble, index):
     """New ensemble restricted to the given path indices."""
-    inc = np.ascontiguousarray(ensemble.increments[np.asarray(index)])
+    inc = ensemble.increments[np.asarray(index)]
     if inc.ndim != 3 or inc.shape[0] < 2:
         raise ValueError("path subset must keep at least two paths")
     return WienerEnsemble(

@@ -62,6 +62,21 @@ def test_none_generator_matches_explicit_zeros():
                           zeros.diagnostics["residual_rms"])
 
 
+def test_zero_generator_driver_is_zero():
+    # the zero driver is never written, so it must be allocated zeroed.
+    # Dirty memory for an allocation that is not: freeing an 8 MB block
+    # makes glibc serve blocks this size from its heap, where the solves
+    # with a nonzero driver leave theirs behind
+    ens = _ens(2_000)
+    wT = ens.value_at(GRID.n_steps)[:, 0]
+    np.ones(1 << 20)                # the 8 MB block, freed at once
+    for _ in range(2):
+        solve_bsde(BsdeSpec(ens, wT, np.full(GRID.n_steps, 0.5)))
+    sol = solve_bsde(BsdeSpec(ens, wT))
+    assert sol.driver.shape == (GRID.n_steps, 2_000)
+    assert not sol.driver.any()
+
+
 def test_deterministic_data_collapse():
     # constant terminal and driver: Y is the exact quadrature, Z == 0
     ens = _ens(2_000)
@@ -128,6 +143,19 @@ def test_policy_surface_matches_value_recursion():
     u = policy_cost_surface(co, ens, ControlPolicy.feedback(V), lat)
     np.testing.assert_allclose(u.mean, V.mean, atol=0.0)
     assert u.argmin is None
+
+
+def test_feedback_policy_is_read_on_its_own_lattice():
+    co = scenario("eikonal")
+    ens = _ens(200)
+    lat = BoxLattice.centered(3.25, 0.05)
+    V = value_V(co, ens, lat)
+    with pytest.raises(ValueError, match="different lattice"):
+        policy_cost_surface(co, ens, ControlPolicy.feedback(V),
+                            BoxLattice.centered(3.25, 0.05))
+    del V.argmin[GRID.n_steps - 1]
+    with pytest.raises(ValueError, match="no argmin table"):
+        policy_cost_surface(co, ens, ControlPolicy.feedback(V), lat)
 
 
 def test_policy_surface_constant_run_cost():

@@ -343,14 +343,29 @@ def test_seed_flag_rewires_both_streams(tmp_path):
 
 
 def test_worker_count_never_changes_results(tmp_path):
+    # jhat spreads its ladder items over the pool, bsde its two solves
     cfg = _small(ladder_h=0.05)
-    outs = []
-    for workers in (1, 3):
-        out = tmp_path / f"w{workers}"
-        code, checks = run(cfg, "jhat", str(out), workers=workers)
-        assert code == 0, checks
-        outs.append((out / "jhat_ladder.csv").read_bytes())
-    assert outs[0] == outs[1]
+    for pipeline, files in (("jhat", ("jhat_ladder.csv",)),
+                            ("bsde", ("bsde_summary.csv", "bsde_report.json"))):
+        outs = []
+        for workers in (1, 3):
+            out = tmp_path / f"{pipeline}-w{workers}"
+            code, checks = run(cfg, pipeline, str(out), workers=workers)
+            assert code == 0, checks
+            outs.append([(out / name).read_bytes() for name in files])
+        assert outs[0] == outs[1], pipeline
+
+
+def test_bsde_start_value_checks_against_the_discrete_target(tmp_path):
+    # at 8 steps the left Riemann sum of E|W_t| is 0.057 short of the
+    # integral, three times the tolerance; the check uses the sum
+    code, checks = run(_small(), "bsde", str(tmp_path))
+    assert code == 0, checks
+    report = json.loads((tmp_path / "bsde_report.json").read_text())
+    assert abs(report["y0"] - report["y0_discrete"]) <= 0.02
+    assert abs(report["y0"] - report["y0_exact"]) > 0.02
+    assert report["y0_discrete"] == pytest.approx(1.2731287185846065,
+                                                  rel=1e-15)
 
 
 def test_pipeline_registry_is_complete():

@@ -59,6 +59,36 @@ def test_save_load_roundtrip(tmp_path):
     assert np.array_equal(back.increments, ens.increments)
 
 
+def test_knot_major_storage_keeps_the_path_major_views(tmp_path):
+    grid = TimeGrid(1.0, 8)
+    n_paths, n, m = 40, grid.n_steps, 2
+    ens = sample_ensemble(grid, m, n_paths, SEED)
+    # path-major reference: the same stream, scaled in place of drawing
+    inc = (np.random.default_rng(SEED).standard_normal((n_paths, n, m))
+           * np.sqrt(grid.dt))
+    vals = np.concatenate([np.zeros((n_paths, 1, m)),
+                           np.cumsum(inc, axis=1)], axis=1)
+
+    def check(e, inc, vals):
+        assert e.increments.shape == inc.shape
+        assert e.values.shape == vals.shape
+        assert e.increments.tobytes() == inc.tobytes()
+        assert e.values.tobytes() == vals.tobytes()
+        for k in range(n + 1):
+            assert e.value_at(k).flags.c_contiguous
+            assert e.value_at(k).tobytes() == vals[:, k].tobytes()
+        for k in range(n):
+            assert e.increments[:, k, :].flags.c_contiguous
+
+    check(ens, inc, vals)
+    path = tmp_path / "ens.bin"
+    ens.save(path)
+    assert path.read_bytes()[_HEADER.size:] == inc.tobytes()
+    check(WienerEnsemble.load(path), inc, vals)
+    rows = [5, 0, 17, 39]
+    check(subset_paths(ens, rows), inc[rows], vals[rows])
+
+
 def test_load_rejects_corrupt_header(tmp_path):
     path = tmp_path / "bad.bin"
     path.write_bytes(b"NOPE" + bytes(60))
