@@ -26,7 +26,8 @@
 
 import numpy as np
 
-from shjlab import TimeGrid, sample_ensemble, scenario, value_V
+from shjlab import (BoxLattice, TimeGrid, reach_radius, sample_ensemble,
+                    scenario, value_V)
 from shjlab.smoothing import fit_functional_approximant
 from shjlab.viscosity import build_envelopes, sandwich_report
 
@@ -42,13 +43,19 @@ def main():
     ens_w = sample_ensemble(GRID, 1, N_PATHS, SEED_W)
     ens_b = sample_ensemble(GRID, 1, N_PATHS, SEED_B)
 
+    x_radius = reach_radius(co, 1.0, GRID.T, margin=1.0)
     widths = []
     print(f"{'eps=delta':>9}   {'L~':>5}   {'K-bar':>6}   {'residuals':>9}"
           f"   {'ordered':>7}   {'width':>8}")
     for level in LADDER:
-        fa = fit_functional_approximant(co, ens_w, eps_target=level)
-        pair = build_envelopes(co, fa, ens_w, ens_b, level, level, h=0.1)
-        V = value_V(co, ens_w, pair.upper.lattice, clamp_tol=0.05)
+        fa = fit_functional_approximant(co, ens_w, eps_target=level,
+                                        x_radius=x_radius)
+        # the reachable set from |x0| <= 2 plus the noise wander
+        lattice = BoxLattice.for_problem(
+            co, GRID.T, 2.0, 0.1, margin=0.25 + 4.0 * level * np.sqrt(GRID.T))
+        pair = build_envelopes(co, fa, ens_w, ens_b, level, level,
+                               lattice=lattice)
+        V = value_V(co, ens_w, lattice, clamp_tol=0.05)
         rep = sandwich_report(pair, V)
         both = (pair.reports["upper"]["passed"]
                 and pair.reports["lower"]["passed"])

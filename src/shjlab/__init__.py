@@ -16,8 +16,7 @@ from .smoothing import (ApproximationErrors, FunctionalApproximant,
                         fit_functional_approximant, kernel_quadrature,
                         linear_growth_penalty)
 from .dynamics import StateTrajectoryBatch, flow_audit, integrate
-from .valuefn import (BoxLattice, ControlPolicy, CostEstimate, ValueSurface,
-                      cost_J, value_V, value_audit)
+from .valuefn import BoxLattice, ControlPolicy, ValueSurface, value_V, value_audit
 from .fields import AdaptedField, reconstruction_report, sample_adapted_field
 from .bsde import (BsdeSolution, BsdeSpec, cost_majorant, error_bound_bsde,
                    policy_cost_surface, solve_bsde)
@@ -43,8 +42,7 @@ __all__ = [
     "FunctionalApproximant", "fit_functional_approximant",
     # dynamics and value functions
     "StateTrajectoryBatch", "integrate", "flow_audit",
-    "BoxLattice", "ControlPolicy", "ValueSurface", "CostEstimate",
-    "cost_J", "value_V", "value_audit",
+    "BoxLattice", "ControlPolicy", "ValueSurface", "value_V", "value_audit",
     # adapted fields and BSDEs
     "AdaptedField", "sample_adapted_field", "reconstruction_report",
     "BsdeSpec", "BsdeSolution", "solve_bsde", "error_bound_bsde",

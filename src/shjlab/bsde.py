@@ -178,7 +178,7 @@ def policy_cost_surface(coeffs, ensemble, policy, lattice):
     x_eval = lattice.points[:, None, :]
 
     def step(k, t, w, op, continuation):
-        idx = _lattice_controls(policy, k, t, lattice, n_eff, ensemble)
+        idx = policy.lattice_indices(k, lattice, n_eff)
         raw, = _policy_sweep(
             coeffs, t, x_eval, w, idx,
             lambda b, fv: (fv * dt + continuation(x_eval + dt * b),),
@@ -186,23 +186,6 @@ def policy_cost_surface(coeffs, ensemble, policy, lattice):
         return (raw if op is None else op.apply(raw)), raw
 
     return _backward_sweep(coeffs, ensemble, lattice, "all", None, step)
-
-
-def _lattice_controls(policy, k, t, lattice, n_eff, ensemble):
-    """Control index the policy picks at each lattice point, (n_points, n_eff).
-
-    Feedback reads its argmin table: on its own lattice a node is its own
-    nearest node.  The other kinds do not read the state.
-    """
-    if policy.kind != "feedback":
-        idx = policy.indices_at(k, t, None, ensemble)
-    elif policy.data.lattice is not lattice:
-        raise ValueError("feedback policy built on a different lattice")
-    elif k not in policy.data.argmin:
-        raise ValueError(f"no argmin table stored at knot {k}")
-    else:
-        idx = policy.data.argmin[k]
-    return np.broadcast_to(np.asarray(idx, int), (lattice.n_points, n_eff))
 
 
 def cost_majorant(surface, bound, coeffs, policy, ensemble):
@@ -244,7 +227,7 @@ def cost_majorant(surface, bound, coeffs, policy, ensemble):
             continue
         t = grid.knots[k]
         w = None if coeffs.deterministic else ensemble.slice_at(k)
-        idx = _lattice_controls(policy, k, t, lattice, u_k.shape[1], ensemble)
+        idx = policy.lattice_indices(k, lattice, u_k.shape[1])
         grad = lattice.gradient(u_k)
         adv, = _policy_sweep(
             coeffs, t, x_eval, w, idx,

@@ -164,14 +164,8 @@ def _write_items(path, digest, items):
 
 
 def _write_json(path, payload):
-    def default(o):
-        # numpy scalars that json does not know, such as np.bool_
-        if isinstance(o, np.generic):
-            return o.item()
-        raise TypeError(f"not serializable: {type(o)}")
     # strict JSON: a NaN or infinity raises ValueError before the file opens
-    text = json.dumps(payload, indent=2, sort_keys=True, default=default,
-                      allow_nan=False)
+    text = json.dumps(payload, indent=2, sort_keys=True, allow_nan=False)
     with open(path, "w") as fh:
         fh.write(text + "\n")
 
@@ -282,8 +276,8 @@ def _pipe_bsde(cfg, out, scale, workers):
     y0 = float(y_sol.Y[0].mean())
     y_exact = (5.0 / 3.0) * np.sqrt(2.0 / np.pi)
     # E|W_T| plus the left Riemann sum of E|W_t| that the solver integrates
-    y_discrete = np.sqrt(2.0 / np.pi) * (
-        np.sqrt(grid.T) + grid.dt * np.sum(np.sqrt(grid.knots[:-1])))
+    y_discrete = float(np.sqrt(2.0 / np.pi) * (
+        np.sqrt(grid.T) + grid.dt * np.sum(np.sqrt(grid.knots[:-1]))))
     checks = {
         "martingale_y": rms <= 0.02 * scale,
         "martingale_z": z_gap <= 0.05 * scale,

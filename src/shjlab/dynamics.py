@@ -7,7 +7,7 @@ what the audits below check, together with growth in the initial
 condition and time-increment bounds.
 
 A policy here is any object with
-    indices_at(k, t, states, ensemble) -> int or int array
+    indices_at(k, states) -> int or int array
     collapsed -> bool   (True when the choice never reads the path)
 """
 
@@ -30,11 +30,10 @@ class StateTrajectoryBatch:
     accumulated from the starting knot to t_k.
     """
 
-    __slots__ = ("grid", "collapsed", "states", "cost_at")
+    __slots__ = ("grid", "states", "cost_at")
 
-    def __init__(self, grid, collapsed, states, cost_at):
+    def __init__(self, grid, states, cost_at):
         self.grid = grid
-        self.collapsed = collapsed
         self.states = states
         self.cost_at = cost_at
 
@@ -91,7 +90,7 @@ def integrate(coeffs, ensemble, policy, xi, *, k0=0, store_knots="all"):
         t = grid.knots[k]
         w = None if coeffs.deterministic else ensemble.slice_at(k)
         idx = np.broadcast_to(
-            np.asarray(policy.indices_at(k, t, X, ensemble), int), cost.shape)
+            np.asarray(policy.indices_at(k, X), int), cost.shape)
         drift, fval = _policy_sweep(coeffs, t, X, w, idx,
                                     lambda b, fv: (b, fv), [X.shape, cost.shape])
         cost = cost + fval * dt
@@ -102,7 +101,7 @@ def integrate(coeffs, ensemble, policy, xi, *, k0=0, store_knots="all"):
             states[k + 1] = X.copy()
             cost_at[k + 1] = cost.copy()
 
-    return StateTrajectoryBatch(grid, collapsed, states, cost_at)
+    return StateTrajectoryBatch(grid, states, cost_at)
 
 
 def flow_audit(coeffs, ensemble, policy, xi, xi_hat=None):

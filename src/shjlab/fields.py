@@ -67,11 +67,6 @@ class AdaptedField:
     def knots(self):
         return sorted(self.values)
 
-    @property
-    def n_paths(self):
-        k = next(iter(self.values))
-        return self.values[k].shape[1]
-
     def at(self, k):
         if k not in self.values:
             raise KeyError(f"knot {k} not sampled; have {self.knots}")

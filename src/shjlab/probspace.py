@@ -65,6 +65,11 @@ class TimeGrid:
             raise ValueError(f"t={t!r} is not a knot of this grid")
         return k
 
+    def subgrid(self):
+        """Every (n_steps // 8)-th knot and the horizon: about nine knots."""
+        n = self.n_steps
+        return sorted(set(range(0, n + 1, max(1, n // 8))) | {n})
+
     def __eq__(self, other):
         return (
             isinstance(other, TimeGrid)
@@ -115,32 +120,6 @@ class WienerEnsemble:
         with open(path, "wb") as fh:
             fh.write(header)
             fh.write(self.increments.astype("<f8", copy=False).tobytes())
-
-    @classmethod
-    def load(cls, path):
-        """Read an ensemble that save wrote.
-
-        The header is checked as sample_ensemble checks its arguments,
-        the size budget before the body is read; the increments must be
-        finite.
-        """
-        with open(path, "rb") as fh:
-            raw = fh.read(_HEADER.size)
-            if len(raw) != _HEADER.size:
-                raise ValueError("truncated ensemble file")
-            magic, m, n_steps, n_paths, seed, T = _HEADER.unpack(raw)
-            if magic != _MAGIC:
-                raise ValueError(f"bad magic {magic!r}, expected {_MAGIC!r}")
-            _check_size(m, n_paths, n_steps)
-            grid = TimeGrid(T, n_steps)
-            body = fh.read()
-        expect = n_paths * n_steps * m * 8
-        if len(body) != expect:
-            raise ValueError(f"ensemble body has {len(body)} bytes, expected {expect}")
-        inc = np.frombuffer(body, dtype="<f8").reshape(n_paths, n_steps, m)
-        if not np.isfinite(inc).all():
-            raise ValueError("ensemble file holds non-finite increments")
-        return cls(grid, m, n_paths, seed, inc)
 
 
 def _check_size(m, n_paths, n_steps):

@@ -178,7 +178,7 @@ class ApproximationErrors:
         return l2_G + l2_mix
 
 
-def error_processes(base, approx, ensemble, radius=None):
+def error_processes(base, approx, ensemble, radius):
     """Probe-lattice sup distances between base and approximate coefficients.
 
     The running gaps take the supremum over the whole control grid.
@@ -188,12 +188,9 @@ def error_processes(base, approx, ensemble, radius=None):
     base, approx : coefficient-set-like objects (approx is typically a
         MollifiedSet or FunctionalApproximant of base).
     ensemble : WienerEnsemble supplying the path argument and the grid.
-    radius : radius of the default probe_lattice; defaults to the
-        reachable-set radius from |x0| <= 1.
+    radius : radius of the probe_lattice.
     """
     grid = ensemble.grid
-    if radius is None:
-        radius = reach_radius(base, 1.0, grid.T)
     probes = probe_lattice(radius)[:, None, :]
     n_steps, n_paths = grid.n_steps, ensemble.n_paths
     stochastic = not (base.deterministic and approx.deterministic)
@@ -304,7 +301,7 @@ class FunctionalApproximant:
 
 
 def fit_functional_approximant(base, ensemble, n_intervals=4, eps_target=0.1, *,
-                               x_radius=None):
+                               x_radius):
     """Fit a piecewise tensor-form approximant to a coefficient set.
 
     The spatial side is mollified at level ceil(1.5 lip_x / eps_target);
@@ -329,8 +326,6 @@ def fit_functional_approximant(base, ensemble, n_intervals=4, eps_target=0.1, *,
     level = max(1, int(np.ceil(1.5 * base.lip_x / eps_target)))
     moll = MollifiedSet(base, level)
 
-    if x_radius is None:
-        x_radius = reach_radius(base, 1.0, grid.T, margin=1.0)
     probes = probe_lattice(min(x_radius, reach_radius(base, 1.0, grid.T)),
                            41)[:, None, :]
     if not base.deterministic:

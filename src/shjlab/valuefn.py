@@ -25,8 +25,6 @@ __all__ = [
     "BoxLattice",
     "ControlPolicy",
     "ValueSurface",
-    "CostEstimate",
-    "cost_J",
     "value_V",
     "value_audit",
 ]
@@ -167,7 +165,8 @@ class ControlPolicy:
             raise ValueError("surface carries no argmin tables")
         return cls("feedback", surface, surface.collapsed)
 
-    def indices_at(self, k, t, states, ensemble):
+    def indices_at(self, k, states):
+        """Control index at knot k for states (..., E, 1)."""
         if self.kind == "constant":
             return self.data
         if self.kind == "open-loop":
@@ -179,6 +178,22 @@ class ControlPolicy:
         flat = surface.lattice.nearest_flat(states)
         eff = np.arange(table.shape[1])
         return table[flat, eff]
+
+    def lattice_indices(self, k, lattice, n_eff):
+        """Control index at knot k at each lattice point, (n_points, n_eff).
+
+        Feedback reads its argmin table: on its own lattice a node is its
+        own nearest node.  The other kinds do not read the state.
+        """
+        if self.kind != "feedback":
+            idx = self.indices_at(k, None)
+        elif self.data.lattice is not lattice:
+            raise ValueError("feedback policy built on a different lattice")
+        elif k not in self.data.argmin:
+            raise ValueError(f"no argmin table stored at knot {k}")
+        else:
+            idx = self.data.argmin[k]
+        return np.broadcast_to(np.asarray(idx, int), (lattice.n_points, n_eff))
 
 
 @dataclass
@@ -213,31 +228,6 @@ class ValueSurface:
     def mean_at(self, k, x):
         vals, _ = self.lattice.interp(self.mean[int(k)][:, None], np.atleast_2d(x)[:, None, :])
         return vals[:, 0]
-
-
-@dataclass
-class CostEstimate:
-    """Cost of one policy from a batch of starting states at knot 0."""
-
-    mean: np.ndarray       # (n_starts,)
-    se: np.ndarray         # (n_starts,)
-
-
-def cost_J(coeffs, ensemble, policy, starts):
-    """Pathwise cost of a fixed policy from knot 0.
-
-    Integrates the controlled dynamics from each start, accumulates the
-    running cost and adds the terminal cost.  Knot 0 carries the trivial
-    sigma-algebra, so the cost estimate is the sample mean over paths,
-    with its standard error.
-    """
-    grid = ensemble.grid
-    starts = np.atleast_2d(np.asarray(starts, float))
-    batch = integrate(coeffs, ensemble, policy, starts, store_knots=[0])
-    wT = None if coeffs.deterministic else ensemble.slice_at(grid.n_steps, terminal_ok=True)
-    terminal = np.broadcast_to(np.asarray(coeffs.G(batch.terminal, wT)),
-                               batch.total_cost.shape)
-    return CostEstimate(*_path_mean_se(batch.total_cost + terminal))
 
 
 class _NextSlice:
@@ -287,10 +277,7 @@ def _backward_sweep(coeffs, ensemble, lattice, store_knots, basis, step, *,
         basis = polynomial_basis()
 
     fits = (n + 1) * lattice.n_points * n_eff <= AUTO_STORE_BUDGET
-    if store_knots == "all" or fits:
-        keep = set(range(n + 1))
-    else:
-        keep = set(range(0, n + 1, max(1, n // 8))) | {0, n}
+    keep = range(n + 1) if store_knots == "all" or fits else grid.subgrid()
 
     x_eval = lattice.points[:, None, :]
     wT = None if coeffs.deterministic else ensemble.slice_at(n, terminal_ok=True)
@@ -375,8 +362,7 @@ def value_V(coeffs, ensemble, lattice, *, basis=None, noise_level=0.0,
     Returns a ValueSurface whose terminal slice is the exact pathwise
     terminal cost and whose int8/int16 argmin tables, which feedback
     policies read, cover every knot.  Pathwise slices are kept at every
-    knot within AUTO_STORE_BUDGET, else at every (n // 8)-th knot and the
-    horizon.
+    knot within AUTO_STORE_BUDGET, else on the grid's subgrid.
     """
     if noise_level and noise_ensemble is None:
         raise ValueError("noise_level > 0 needs a noise ensemble")
@@ -490,15 +476,17 @@ def value_audit(coeffs, ensemble, surface, starts, *, abs_tol=0.01,
 
     * supermartingale residuals E[V(s~, X_s~) + running cost] - E[V(s, X_s)]
       are >= -(abs_tol + 3 SE) for the greedy and the last-control
-      policies and every pair of knots on a ~9-knot subgrid (every
-      (n // 8)-th stored knot plus the horizon), expectations taken over
+      policies and every pair of knots on the grid's subgrid, which
+      every value surface stores, expectations taken over
       paths and the start batch jointly; the per-start extreme is
       reported separately as a diagnostic (it carries the O(h) lattice
       bias concentrated at terminal-cost kinks);
     * sup |V| stays within L (T + 1) (+ 3 SE);
     * lattice Lipschitz quotients stay within the declared bound
       e^{LT} L (T + 1);
-    * the greedy argmin policy is eps_report-optimal at the starts.
+    * the greedy argmin policy is eps_report-optimal at the starts: its
+      rollout cost, the path mean of the running cost plus the terminal
+      cost, exceeds V(0, start) by at most eps_report_tol (+ 3 SE).
 
     Returns a report dict with observed extremes and per-check flags.
     """
@@ -507,18 +495,18 @@ def value_audit(coeffs, ensemble, surface, starts, *, abs_tol=0.01,
     L = coeffs.L
     lipschitz_bound = _value_lipschitz(coeffs, T)
     starts = np.atleast_2d(np.asarray(starts, float))
-    stride = max(1, grid.n_steps // 8)
-    subgrid = sorted({k for k in range(0, grid.n_steps + 1, stride)
-                      if k in surface.slices} | {grid.n_steps})
+    subgrid = grid.subgrid()
     policies = {
         "greedy": ControlPolicy.feedback(surface),
         "last-control": ControlPolicy.constant(coeffs.n_controls - 1),
     }
+    batches = {name: integrate(coeffs, ensemble, policy, starts,
+                               store_knots=subgrid)
+               for name, policy in policies.items()}
 
     worst = np.inf
     worst_pointwise = np.inf
-    for policy in policies.values():
-        batch = integrate(coeffs, ensemble, policy, starts, store_knots=subgrid)
+    for batch in batches.values():
         vals = {s: surface.at_states(s, batch.states[s]) for s in subgrid}
         costs = {s: batch.cost_at[s] for s in subgrid}
         for a, s in enumerate(subgrid):
@@ -539,11 +527,13 @@ def value_audit(coeffs, ensemble, surface, starts, *, abs_tol=0.01,
     lip = max(surface.lattice.lipschitz(sl) for sl in surface.slices.values())
     lipschitz_ok = lip <= lipschitz_bound + 1e-9
 
-    est = cost_J(coeffs, ensemble, policies["greedy"], starts)
+    greedy = batches["greedy"]
+    wT = None if coeffs.deterministic else ensemble.slice_at(grid.n_steps, terminal_ok=True)
+    cost, cost_se = _path_mean_se(greedy.total_cost + coeffs.G(greedy.terminal, wT))
     v0 = np.array([surface.mean_at(0, s[None, :])[0] for s in starts])
-    gaps = est.mean - v0
+    gaps = cost - v0
     eps_obs = float(gaps.max())
-    eps_ok = bool((gaps <= eps_report_tol + 3.0 * (est.se + surface.se[0].max())).all())
+    eps_ok = bool((gaps <= eps_report_tol + 3.0 * (cost_se + surface.se[0].max())).all())
 
     return {
         "supermartingale_margin": worst,

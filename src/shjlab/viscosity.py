@@ -23,7 +23,7 @@ from .exceptions import AccuracyError
 from .fields import AdaptedField
 from .probspace import _path_mean_se, polynomial_basis
 from .smoothing import _uniform_cell, error_processes
-from .valuefn import BoxLattice, value_V
+from .valuefn import value_V
 
 __all__ = [
     "hamiltonian",
@@ -292,7 +292,7 @@ class EnvelopePair:
 
 
 def build_envelopes(base, approx, ens_w, ens_b, eps, delta_n, *,
-                    lattice=None, h=0.05, tol=0.02, clamp_tol=0.05):
+                    lattice, tol=0.02, clamp_tol=0.05):
     """Envelope fields squeezing the value function.
 
     The perturbed surface adds independent noise delta_n dB to the
@@ -308,18 +308,17 @@ def build_envelopes(base, approx, ens_w, ens_b, eps, delta_n, *,
     ens_w, ens_b : independent ensembles on the same grid and path
         count; ens_b must have m == 1.
     eps, delta_n : approximation size and noise level (> 0).
-    lattice : optional BoxLattice; by default sized from the reachable
-        set from |x0| <= 2 plus the noise wander.
+    lattice : BoxLattice covering the reachable set plus the noise
+        wander.
     clamp_tol : lattice-exit budget of the perturbed surface and of the
         envelope assembly, which reads that surface at the lattice points
         shifted by -delta_n B; exceeding it raises AccuracyError, which
         names the knot with the most exits.
 
-    The drift part is assembled, and residual-checked, only on a ~9-knot
-    subgrid (every (n // 8)-th knot).  Returns an EnvelopePair whose
-    params hold the gradient bound L_tilde and the correction constant
-    K_bar, and whose reports hold the one-sided residual checks of both
-    envelopes.
+    The drift part is assembled, and residual-checked, only on the
+    grid's subgrid.  Returns an EnvelopePair whose params hold the
+    gradient bound L_tilde and the correction constant K_bar, and whose
+    reports hold the one-sided residual checks of both envelopes.
     """
     if delta_n <= 0:
         raise ValueError("delta_n must be positive")
@@ -338,14 +337,10 @@ def build_envelopes(base, approx, ens_w, ens_b, eps, delta_n, *,
 
     grid = ens_w.grid
     n = grid.n_steps
-    T = grid.T
-    if lattice is None:
-        margin = 0.25 + 4.0 * delta_n * np.sqrt(T)
-        lattice = BoxLattice.for_problem(base, T, 2.0, h, margin=margin)
 
     V_eps = value_V(approx, ens_w, lattice, noise_level=delta_n,
                     noise_ensemble=ens_b, clamp_tol=clamp_tol)
-    want_drift = set(range(0, n, max(1, n // 8)))
+    want_drift = grid.subgrid()
 
     # empirical gradient bound over every stored slice
     L_tilde = max(lattice.lipschitz(sl) for sl in V_eps.slices.values())

@@ -5,14 +5,18 @@ import pytest
 
 from shjlab.bsde import (BsdeSpec, cost_majorant, error_bound_bsde,
                          policy_cost_surface, solve_bsde)
-from shjlab.coeffs import scenario
+from shjlab.coeffs import reach_radius, scenario
 from shjlab.probspace import TimeGrid, sample_ensemble
 from shjlab.smoothing import MollifiedSet, error_processes
 from shjlab.valuefn import BoxLattice, ControlPolicy, value_V
 
 SEED = 29
 GRID = TimeGrid(1.0, 32)
-Y0_EXACT = (5.0 / 3.0) * np.sqrt(2.0 / np.pi)   # E|W_1| + int_0^1 E|W_t| dt
+# E|W_T| plus the left Riemann sum of E|W_t| that the solver integrates
+Y0_DISCRETE = np.sqrt(2.0 / np.pi) * (
+    np.sqrt(GRID.T) + GRID.dt * np.sum(np.sqrt(GRID.knots[:-1])))
+# probes reach |x0| <= 1 on the eikonal problem
+RADIUS = reach_radius(scenario("eikonal"), 1.0, GRID.T)
 
 
 def _ens(n_paths=20_000, seed=SEED):
@@ -89,14 +93,14 @@ def test_deterministic_data_collapse():
 
 
 def test_absolute_brownian_benchmark():
-    # terminal |W_T|, driver |W_t|: y_0 = (5/3) sqrt(2/pi); the left
-    # endpoint quadrature sits ~0.012 below at 32 steps
+    # terminal |W_T|, driver |W_t|: the grid's own y_0, which sits about
+    # 0.0135 below the continuous-time (5/3) sqrt(2/pi) at 32 steps
     ens = _ens(30_000)
     spec = BsdeSpec(ens, np.abs(ens.value_at(GRID.n_steps)[:, 0]),
                     lambda t, w: np.abs(w.current[:, 0]))
     sol = solve_bsde(spec)
     y0 = float(sol.Y[0].mean())
-    assert abs(y0 - Y0_EXACT) < 0.02
+    assert abs(y0 - Y0_DISCRETE) < 0.02
     assert sol.diagnostics["residual_rms"].max() < 0.5
 
 
@@ -119,7 +123,7 @@ def test_error_bound_halves_with_level(levels):
     norms = []
     for level in levels:
         molly = MollifiedSet(base, level)
-        errors = error_processes(base, molly, ens)
+        errors = error_processes(base, molly, ens, RADIUS)
         bound = error_bound_bsde(errors, gain, ens)
         assert bound.Y.min() > -1e-9          # nonnegative data
         norms.append(bound.sup_rms())
@@ -128,7 +132,7 @@ def test_error_bound_halves_with_level(levels):
 
 def test_error_bound_rejects_foreign_grid():
     base = scenario("eikonal")
-    errors = error_processes(base, MollifiedSet(base, 4), _ens(500))
+    errors = error_processes(base, MollifiedSet(base, 4), _ens(500), RADIUS)
     other = sample_ensemble(TimeGrid(1.0, 16), 1, 500, SEED)
     with pytest.raises(ValueError):
         error_bound_bsde(errors, 1.0, other)
@@ -150,12 +154,20 @@ def test_feedback_policy_is_read_on_its_own_lattice():
     ens = _ens(200)
     lat = BoxLattice.centered(3.25, 0.05)
     V = value_V(co, ens, lat)
+    pol = ControlPolicy.feedback(V)
+    k = GRID.n_steps - 1
+    idx = pol.lattice_indices(k, lat, 1)
+    assert idx.shape == (lat.n_points, 1)
+    assert np.array_equal(idx, V.argmin[k])
+    # the nodes are their own nearest nodes
+    assert np.array_equal(idx, pol.indices_at(k, lat.points[:, None, :]))
+    assert np.array_equal(ControlPolicy.constant(3).lattice_indices(k, lat, 2),
+                          np.full((lat.n_points, 2), 3))
     with pytest.raises(ValueError, match="different lattice"):
-        policy_cost_surface(co, ens, ControlPolicy.feedback(V),
-                            BoxLattice.centered(3.25, 0.05))
-    del V.argmin[GRID.n_steps - 1]
+        pol.lattice_indices(k, BoxLattice.centered(3.25, 0.05), 1)
+    del V.argmin[k]
     with pytest.raises(ValueError, match="no argmin table"):
-        policy_cost_surface(co, ens, ControlPolicy.feedback(V), lat)
+        pol.lattice_indices(k, lat, 1)
 
 
 def test_policy_surface_constant_run_cost():
@@ -173,7 +185,7 @@ def test_cost_majorant_field():
     lat = BoxLattice.centered(3.3, 0.1)
     pol = ControlPolicy.constant(base.n_controls // 2)
     u = policy_cost_surface(molly, ens, pol, lat)
-    errors = error_processes(base, molly, ens)
+    errors = error_processes(base, molly, ens, RADIUS)
     bound = error_bound_bsde(errors, 1.0, ens)
     field = cost_majorant(u, bound, molly, pol, ens)
     # samples are cost plus bound, and the majorant dominates the cost
@@ -192,7 +204,7 @@ def test_cost_majorant_rejects_mismatched_grid():
     lat = BoxLattice.centered(3.3, 0.1)
     pol = ControlPolicy.constant(0)
     u = policy_cost_surface(molly, ens, pol, lat)
-    errors = error_processes(base, molly, ens)
+    errors = error_processes(base, molly, ens, RADIUS)
     bound = error_bound_bsde(errors, 1.0, ens)
     other = sample_ensemble(GRID, 1, 77, SEED + 1)
     with pytest.raises(ValueError):

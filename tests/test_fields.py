@@ -42,7 +42,6 @@ def test_field_validation():
 def test_field_accessors():
     _, u = _linear_field()
     assert u.knots == list(range(17))
-    assert u.n_paths == 64
     assert u.drift is not None
     assert u.at(3).shape == (LAT.n_points, 64)
     with pytest.raises(KeyError):

@@ -163,9 +163,7 @@ def _dunder(name):
     return name.startswith("__") and name.endswith("__")
 
 
-# WienerEnsemble.load is the only reader of the ensemble file the
-# simulate pipeline writes; the round-trip test checks save against it
-METHOD_EXEMPT = {"WienerEnsemble.load"}
+METHOD_EXEMPT = set()
 
 
 def unread_methods():

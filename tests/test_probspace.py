@@ -49,14 +49,17 @@ def test_increment_moments():
 
 
 def test_save_load_roundtrip(tmp_path):
+    # the container read back by its header layout
     grid = TimeGrid(0.5, 4)
     ens = sample_ensemble(grid, 2, 64, SEED)
     path = tmp_path / "ens.bin"
     ens.save(path)
-    back = WienerEnsemble.load(path)
-    assert back.grid == ens.grid
-    assert back.seed == ens.seed
+    raw = path.read_bytes()
+    assert _HEADER.unpack(raw[:_HEADER.size]) == (_MAGIC, 2, 4, 64, SEED, 0.5)
+    body = np.frombuffer(raw[_HEADER.size:], "<f8").reshape(64, 4, 2)
+    back = WienerEnsemble(grid, 2, 64, SEED, body)
     assert np.array_equal(back.increments, ens.increments)
+    assert np.array_equal(back.values, ens.values)
 
 
 def test_knot_major_storage_keeps_the_path_major_views(tmp_path):
@@ -84,30 +87,18 @@ def test_knot_major_storage_keeps_the_path_major_views(tmp_path):
     path = tmp_path / "ens.bin"
     ens.save(path)
     assert path.read_bytes()[_HEADER.size:] == inc.tobytes()
-    check(WienerEnsemble.load(path), inc, vals)
     rows = [5, 0, 17, 39]
     check(subset_paths(ens, rows), inc[rows], vals[rows])
 
 
-def test_load_rejects_corrupt_header(tmp_path):
-    path = tmp_path / "bad.bin"
-    path.write_bytes(b"NOPE" + bytes(60))
-    with pytest.raises(ValueError):
-        WienerEnsemble.load(path)
-
-
-@pytest.mark.parametrize("m, n_paths, body, error", [
-    (0, 1, [], ValueError),               # no coordinate, one path
-    (1, 1, [0.1] * 4, ValueError),        # one path: no sample statistics
-    (1, 10**9, [], CapacityError),        # refused from the header alone
-    (1, 2, [0.1, 0.2, np.nan, 0.0, 0.1, 0.2, 0.3, 0.4], ValueError),
+@pytest.mark.parametrize("m, n_paths, error", [
+    (0, 4, ValueError),                   # no Brownian coordinate
+    (1, 1, ValueError),                   # one path: no sample statistics
+    (1, 10**9, CapacityError),            # refused before drawing
 ])
-def test_load_validates_like_sample_ensemble(tmp_path, m, n_paths, body, error):
-    path = tmp_path / "bad.bin"
-    path.write_bytes(_HEADER.pack(_MAGIC, m, 4, n_paths, SEED, 1.0)
-                     + np.asarray(body, "<f8").tobytes())
+def test_sample_ensemble_rejects_bad_shapes(m, n_paths, error):
     with pytest.raises(error):
-        WienerEnsemble.load(path)
+        sample_ensemble(TimeGrid(1.0, 4), m, n_paths, SEED)
 
 
 def test_path_slice_terminal_gate():

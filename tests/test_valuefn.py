@@ -8,10 +8,10 @@ from hypothesis import strategies as st
 from shjlab import valuefn
 from shjlab.bsde import policy_cost_surface
 from shjlab.coeffs import CoefficientSet, scenario
+from shjlab.dynamics import integrate
 from shjlab.exceptions import AccuracyError
-from shjlab.probspace import TimeGrid, sample_ensemble
-from shjlab.valuefn import (BoxLattice, ControlPolicy, cost_J, value_V,
-                            value_audit)
+from shjlab.probspace import TimeGrid, _path_mean_se, sample_ensemble
+from shjlab.valuefn import BoxLattice, ControlPolicy, value_V, value_audit
 
 SEED = 11
 GRID = TimeGrid(1.0, 32)
@@ -19,6 +19,14 @@ GRID = TimeGrid(1.0, 32)
 
 def _ens(n_paths=500, seed=SEED, m=1):
     return sample_ensemble(GRID, m, n_paths, seed)
+
+
+def _rollout_cost(co, ens, policy, starts):
+    """Path mean and SE of a policy's running plus terminal cost."""
+    batch = integrate(co, ens, policy, starts)
+    wT = None if co.deterministic else ens.slice_at(ens.grid.n_steps,
+                                                    terminal_ok=True)
+    return _path_mean_se(batch.total_cost + co.G(batch.terminal, wT))
 
 
 def test_lattice_geometry():
@@ -203,18 +211,33 @@ def test_value_is_monotone_under_policies():
     # surface above the (achievable) rollout cost
     starts = np.array([[-2.0], [0.0], [2.0]])
     for pol in (ControlPolicy.constant(0), ControlPolicy.feedback(V)):
-        est = cost_J(co, ens, pol, starts)
+        cost, se = _rollout_cost(co, ens, pol, starts)
         v0 = np.array([float(V.mean_at(0, s[None, :])[0]) for s in starts])
-        assert np.all(est.mean >= v0 - 1e-9 - 3.0 * est.se)
+        assert np.all(cost >= v0 - 1e-9 - 3.0 * se)
 
 
 def test_constant_policy_cost_oracle():
     # eikonal, v = -1 from x0: X_T = x0 - T, cost |x0 - 1| exactly
     co = scenario("eikonal")
     starts = np.array([[-2.0], [0.0], [0.7], [2.0]])
-    est = cost_J(co, _ens(), ControlPolicy.constant(0), starts)
-    np.testing.assert_allclose(est.mean, np.abs(starts[:, 0] - 1.0), atol=1e-12)
-    np.testing.assert_allclose(est.se, 0.0)
+    cost, se = _rollout_cost(co, _ens(), ControlPolicy.constant(0), starts)
+    np.testing.assert_allclose(cost, np.abs(starts[:, 0] - 1.0), atol=1e-12)
+    np.testing.assert_allclose(se, 0.0)
+
+
+@pytest.mark.parametrize("name", ["eikonal", "random-target"])
+def test_eps_report_prices_the_greedy_rollout(name):
+    # value_audit prices the greedy batch its supermartingale check
+    # integrates; a rollout that records every knot costs the same
+    co = scenario(name)
+    ens = sample_ensemble(TimeGrid(1.0, 16), 1, 300, SEED)
+    lat = BoxLattice.for_problem(co, 1.0, 1.0, 0.1, margin=0.25)
+    V = value_V(co, ens, lat, clamp_tol=0.05)
+    starts = np.linspace(-1.0, 1.0, 5)[:, None]
+    cost, _ = _rollout_cost(co, ens, ControlPolicy.feedback(V), starts)
+    v0 = np.array([float(V.mean_at(0, s[None, :])[0]) for s in starts])
+    report = value_audit(co, ens, V, starts)
+    assert report["eps_report"] == float((cost - v0).max())
 
 
 def test_value_with_noise_and_regression_branch():

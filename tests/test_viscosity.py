@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from shjlab.coeffs import (CoefficientSet, _argmin_sweep, control_grid,
-                           scenario, scenario_names)
+                           reach_radius, scenario, scenario_names)
 from shjlab.exceptions import AccuracyError
 from shjlab.fields import AdaptedField, reconstruction_report
 from shjlab.probspace import TimeGrid, sample_ensemble
@@ -25,6 +25,13 @@ GRID = TimeGrid(1.0, 16)
 
 def _ens(n_paths, seed=SEED, m=1):
     return sample_ensemble(GRID, m, n_paths, seed)
+
+
+def _fit(base, ens_w, eps):
+    # probes and slices reach |x0| <= 1 with a unit margin
+    return fit_functional_approximant(
+        base, ens_w, eps_target=eps,
+        x_radius=reach_radius(base, 1.0, GRID.T, margin=1.0))
 
 
 def test_hamiltonian_eikonal():
@@ -277,16 +284,19 @@ def test_build_envelopes_validation():
     base = scenario("eikonal")
     ens_w = _ens(300)
     ens_b = _ens(300, seed=SEED + 5)
-    fa = fit_functional_approximant(base, ens_w, eps_target=0.1)
+    fa = _fit(base, ens_w, 0.1)
+    lat = BoxLattice.centered(3.3, 0.1)
     with pytest.raises(ValueError):
-        build_envelopes(base, fa, ens_w, ens_b, 0.1, 0.0)
+        build_envelopes(base, fa, ens_w, ens_b, 0.1, 0.0, lattice=lat)
     with pytest.raises(ValueError):
-        build_envelopes(base, fa, ens_w, _ens(301, seed=SEED + 6), 0.1, 0.1)
+        build_envelopes(base, fa, ens_w, _ens(301, seed=SEED + 6), 0.1, 0.1,
+                        lattice=lat)
     with pytest.raises(ValueError):
-        build_envelopes(base, fa, ens_w, _ens(300, seed=SEED + 7, m=2), 0.1, 0.1)
+        build_envelopes(base, fa, ens_w, _ens(300, seed=SEED + 7, m=2), 0.1,
+                        0.1, lattice=lat)
     # approximant too coarse for the requested eps
     with pytest.raises(ValueError):
-        build_envelopes(base, fa, ens_w, ens_b, 1e-6, 0.1)
+        build_envelopes(base, fa, ens_w, ens_b, 1e-6, 0.1, lattice=lat)
 
 
 def test_envelope_reads_off_the_lattice_raise():
@@ -297,7 +307,7 @@ def test_envelope_reads_off_the_lattice_raise():
     base = scenario("eikonal")
     ens_w = _ens(300)
     ens_b = _ens(300, seed=SEED + 5)
-    fa = fit_functional_approximant(base, ens_w, eps_target=0.05)
+    fa = _fit(base, ens_w, 0.05)
     with pytest.raises(AccuracyError, match=r"envelope reads left the "
                        r"lattice \(budget 5\.0%\); most at knot 16"):
         build_envelopes(base, fa, ens_w, ens_b, 0.1, 0.5,
@@ -308,8 +318,11 @@ def test_envelope_pair_squeezes_value():
     base = scenario("eikonal")
     ens_w = _ens(300)
     ens_b = _ens(300, seed=SEED + 5)
-    fa = fit_functional_approximant(base, ens_w, eps_target=0.05)
-    pair = build_envelopes(base, fa, ens_w, ens_b, 0.1, 0.1, h=0.1)
+    fa = _fit(base, ens_w, 0.05)
+    # the reachable set from |x0| <= 2 plus the noise wander 4 delta sqrt(T)
+    lat = BoxLattice.for_problem(base, GRID.T, 2.0, 0.1,
+                                 margin=0.25 + 4.0 * 0.1 * np.sqrt(GRID.T))
+    pair = build_envelopes(base, fa, ens_w, ens_b, 0.1, 0.1, lattice=lat)
     assert pair.reports["upper"]["passed"], pair.reports["upper"]
     assert pair.reports["lower"]["passed"], pair.reports["lower"]
     assert 0.0 < pair.params["L_tilde"] <= 1.0 + 1e-6

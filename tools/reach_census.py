@@ -8,7 +8,8 @@ A line tracer (``sys.settrace`` and ``threading.settrace``), filtered to
 src/shjlab, records the lines two phases run:
 
 1. the system: every demo, every CLI pipeline on every scenario at
-   n_steps=8, n_paths=300, the workload configs of
+   n_steps=8, n_paths=300, one of those runs again through the entry
+   point ``cli.main`` with every flag set, the workload configs of
    perfbench/workloads.py, and tests/test_acceptance.py;
 2. the unit tests: tests/ without the acceptance module and without
    tests/test_demos.py, whose subprocesses the tracer cannot see (phase 1
@@ -126,7 +127,7 @@ def _pytest(args):
 
 def run_system(work):
     """Phase 1; returns the names of the parts that failed."""
-    from shjlab.cli import PIPELINES, ExperimentConfig, run
+    from shjlab.cli import PIPELINES, ExperimentConfig, main, run
     from shjlab.coeffs import scenario_names
     from workloads import WORKLOADS
 
@@ -146,6 +147,14 @@ def run_system(work):
                           workers=2)
             if code == 2:
                 failed.append(f"pipeline {pipeline} on {name}: exit 2")
+    config = os.path.join(work, "main.json")
+    with open(config, "w") as fh:
+        fh.write(ExperimentConfig(n_steps=8, n_paths=300).to_json())
+    code = main(["--config", config, "--out", os.path.join(work, "main"),
+                 "--pipeline", "simulate", "--scenario", "linear-drift",
+                 "--seed", "5", "--workers", "1", "--tolerance-scale", "1.5"])
+    if code:
+        failed.append(f"cli.main: exit {code}")
     for w in WORKLOADS.values():
         code, _ = run(ExperimentConfig(**w.config), w.pipeline,
                       os.path.join(work, "workload", w.name), workers=2)
