@@ -17,10 +17,10 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .coeffs import _policy_sweep
+from .coeffs import _node_tables, _policy_sweep, _table_rows
 from .fields import AdaptedField
 from .probspace import CondExpOperator, polynomial_basis
-from .valuefn import _backward_sweep
+from .valuefn import _backward_sweep, _ControlImages
 
 __all__ = [
     "BsdeSpec",
@@ -154,6 +154,16 @@ def error_bound_bsde(errors, gain, ensemble):
                                errors.df + float(gain) * errors.dbeta))
 
 
+def _policy_tables(coeffs, t, x, w, idx):
+    """(beta, f, rows): _node_tables of the controls the index table idx
+    uses and each point's flat offset into them, or None when a control's
+    beta or f reads the path and the policy sweep has to run."""
+    used = np.flatnonzero(np.bincount(np.ravel(idx),
+                                      minlength=coeffs.n_controls))
+    tables = _node_tables(coeffs, t, x, w, used)
+    return None if tables is None else (*tables, _table_rows(idx, x.shape[0]))
+
+
 def policy_cost_surface(coeffs, ensemble, policy, lattice):
     """Cost-to-go of a fixed policy on a lattice, by backward recursion.
 
@@ -162,6 +172,13 @@ def policy_cost_surface(coeffs, ensemble, policy, lattice):
     field u(s, x) of that policy under ``coeffs``.  Pathwise slices are
     kept at every knot, and the projections use the value recursion's
     default basis.
+
+    Where every control the policy uses has one beta and f per lattice
+    node, each point is read once, at its own control, in one gather
+    with interp's arithmetic; otherwise each used control reads every
+    point and the point keeps its own control's read.  Both give the
+    same bits.  The clamp tally counts the reads made, so the gather
+    counts one per point and the per-control reads one per control.
 
     Parameters
     ----------
@@ -179,10 +196,18 @@ def policy_cost_surface(coeffs, ensemble, policy, lattice):
 
     def step(k, t, w, op, continuation):
         idx = policy.lattice_indices(k, lattice, n_eff)
-        raw, = _policy_sweep(
-            coeffs, t, x_eval, w, idx,
-            lambda b, fv: (fv * dt + continuation(x_eval + dt * b),),
-            [idx.shape])
+        tables = _policy_tables(coeffs, t, x_eval, w, idx)
+        if tables is None:
+            raw, = _policy_sweep(
+                coeffs, t, x_eval, w, idx,
+                lambda b, fv: (fv * dt + continuation(x_eval + dt * b),),
+                [idx.shape])
+        else:
+            beta, fv, rows = tables
+            raw = continuation.at_controls(
+                _ControlImages(lattice, dt, beta), rows)
+            fv *= dt
+            raw += np.take(fv, rows)
         return (raw if op is None else op.apply(raw)), raw
 
     return _backward_sweep(coeffs, ensemble, lattice, "all", None, step)
@@ -195,7 +220,10 @@ def cost_majorant(surface, bound, coeffs, policy, ensemble):
     that produced each part: the cost surface contributes
     -(beta . Du + f) at the policy's control, the bound process
     contributes minus its own driver.  No noise integrand is attached;
-    residual checks only need the drift and the spatial gradient.
+    residual checks only need the drift and the spatial gradient.  Where
+    beta and f have one value per node, each point reads them from
+    (control, node) tables at its own control, bit for bit the
+    per-control evaluation it replaces.
 
     Parameters
     ----------
@@ -229,11 +257,17 @@ def cost_majorant(surface, bound, coeffs, policy, ensemble):
         w = None if coeffs.deterministic else ensemble.slice_at(k)
         idx = policy.lattice_indices(k, lattice, u_k.shape[1])
         grad = lattice.gradient(u_k)
-        adv, = _policy_sweep(
-            coeffs, t, x_eval, w, idx,
-            lambda b, fv: (np.sum(np.broadcast_to(b, grad.shape) * grad,
-                                  axis=-1) + fv,),
-            [idx.shape])
+        tables = _policy_tables(coeffs, t, x_eval, w, idx)
+        if tables is None:
+            adv, = _policy_sweep(
+                coeffs, t, x_eval, w, idx,
+                lambda b, fv: (np.sum(np.broadcast_to(b, grad.shape) * grad,
+                                      axis=-1) + fv,),
+                [idx.shape])
+        else:
+            beta, fv, rows = tables
+            adv = np.take(beta, rows) * grad[..., 0]
+            adv += np.take(fv, rows)
         drift[k] = -np.broadcast_to(adv, (lattice.n_points, n_paths)) \
             - bound.driver[k][None, :]
     return AdaptedField(grid, lattice, values, drift, None)

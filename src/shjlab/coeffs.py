@@ -142,12 +142,18 @@ def _argmin_sweep(coeffs, t, x, w, score, idx_dtype=int):
     (ties keep the lowest) and the companions at that index.  Only one
     control is held at a time, so memory does not grow with the grid.
     """
+    def scores():
+        for v in coeffs.controls:
+            yield score(np.asarray(coeffs.beta(t, x, v, w), float),
+                        np.asarray(coeffs.f(t, x, v, w), float))
+    return _running_argmin(scores(), idx_dtype)
+
+
+def _running_argmin(scores, idx_dtype=int):
+    """Running minimum of the totals of (total, *companions) scored in
+    control index order; returns what _argmin_sweep does."""
     best = best_idx = carried = better = None
-    for j in range(coeffs.n_controls):
-        v = coeffs.controls[j]
-        b = np.asarray(coeffs.beta(t, x, v, w), float)
-        fv = np.asarray(coeffs.f(t, x, v, w), float)
-        total, *companions = score(b, fv)
+    for j, (total, *companions) in enumerate(scores):
         if best is None:
             best = np.array(total, float)        # owned: selected in place
             best_idx = np.zeros(best.shape, idx_dtype)
@@ -180,6 +186,35 @@ def _policy_sweep(coeffs, t, x, w, idx, evaluate, shapes):
             np.copyto(out, vals, where=mask.reshape(
                 mask.shape + (1,) * (out.ndim - mask.ndim)))
     return outs
+
+
+def _node_tables(coeffs, t, x, w, controls):
+    """Drift and running cost of the listed controls at the nodes x (n, 1, 1).
+
+    Returns (beta, f), two (n_controls, n) tables holding a row per
+    listed control (the other rows stay 0), or None as soon as a control's
+    beta or f carries a path axis: one value per node is what lets every
+    path column share a node's Euler image.  The maps see x itself, so
+    each entry has the bits the sweeps compute.
+    """
+    beta = np.zeros((coeffs.n_controls, x.shape[0]))
+    f = np.zeros(beta.shape)
+    for j in controls:
+        v = coeffs.controls[j]
+        b = np.asarray(coeffs.beta(t, x, v, w), float)
+        fv = np.asarray(coeffs.f(t, x, v, w), float)
+        if (np.broadcast_shapes(b.shape, x.shape) != x.shape
+                or np.broadcast_shapes(fv.shape, x.shape[:-1]) != x.shape[:-1]):
+            return None
+        beta[j] = np.broadcast_to(b, x.shape)[:, 0, 0]
+        f[j] = np.broadcast_to(fv, x.shape[:-1])[:, 0]
+    return beta, f
+
+
+def _table_rows(idx, n):
+    """Flat offsets into (n_controls, n) tables: point (i, e) of an (n, E)
+    index table (or a scalar control) reads node i at control idx[i, e]."""
+    return np.asarray(idx, np.intp) * n + np.arange(n)[:, None]
 
 
 # ---------------------------------------------------------------------------

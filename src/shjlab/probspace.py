@@ -291,13 +291,25 @@ class CondExpOperator:
         targets may be (n_paths,) or (..., n_paths); projection acts on
         the last axis.  Returns predictions of the same shape.
         """
+        if self.k == 0:
+            targets = self._checked(targets)
+            mean = targets.mean(axis=-1, keepdims=True)
+            return np.broadcast_to(mean, targets.shape).copy()
+        return self.predict(self.coefficients(targets))
+
+    def coefficients(self, targets):
+        """Coefficients (..., n_features) of the projection of targets
+        (..., n_paths) on the features; knots after the first only."""
+        return (self._checked(targets) @ self.design) @ self._inv.T
+
+    def predict(self, coef):
+        """The projection (..., n_paths) that coefficients coef describe."""
+        return coef @ self.design.T
+
+    def _checked(self, targets):
         targets = np.asarray(targets, float)
         if targets.shape[-1] != self.n_paths:
             raise ValueError("targets last axis must equal n_paths")
         if not np.isfinite(targets).all():
             raise ValueError("non-finite regression targets")
-        if self.k == 0:
-            mean = targets.mean(axis=-1, keepdims=True)
-            return np.broadcast_to(mean, targets.shape).copy()
-        coef = (targets @ self.design) @ self._inv.T
-        return coef @ self.design.T
+        return targets

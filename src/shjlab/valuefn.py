@@ -19,7 +19,8 @@ import numpy as np
 from .dynamics import integrate
 from .exceptions import AccuracyError, CapacityError
 from .probspace import CondExpOperator, _path_mean_se, polynomial_basis
-from .coeffs import _argmin_sweep, _one_component, reach_radius
+from .coeffs import (_argmin_sweep, _node_tables, _one_component,
+                     _running_argmin, _table_rows, reach_radius)
 
 __all__ = [
     "BoxLattice",
@@ -79,21 +80,42 @@ class BoxLattice:
         values : (n_points, n_eff) one field column per effective path.
         pos : (..., E, 1) with E == n_eff, or E == 1, or n_eff == 1.
         Returns (vals, n_clamped) where vals broadcasts (..., max(E, n_eff))
-        and n_clamped counts evaluation points outside the box.
+        and n_clamped counts the reads of points outside the box: a
+        single position column read for n_eff columns counts n_eff times.
+        """
+        cell, w_lo, w_hi, outside = self.locate(pos)
+        vals = self.gather(values, cell, w_lo, w_hi)
+        return vals, np.count_nonzero(outside) * (vals.size // outside.size)
+
+    def locate(self, pos):
+        """Cells and weights of points pos (..., 1), clamped to the box.
+
+        Returns (cell, w_lo, w_hi, outside): the low neighbour's node
+        index, the weights of it and of the next node, and which points
+        lie outside the box, each of shape (...).
+        """
+        u = self._cells(pos)
+        outside = u < 0.0
+        outside |= u > self.n_points - 1
+        np.clip(u, 0.0, self.n_points - 1.0, out=u)
+        cell = u.astype(int)
+        np.minimum(cell, self.n_points - 2, out=cell)
+        u -= cell
+        return cell, 1.0 - u, u, outside
+
+    def gather(self, values, cell, w_lo, w_hi):
+        """Fields values (n_points, n_eff) read between nodes cell and
+        cell + 1 with the weights locate returns.
+
+        cell (..., E) with E == n_eff, or E == 1 (one cell read in every
+        column), or n_eff == 1; it is overwritten.  Returns the reads,
+        broadcast to (..., max(E, n_eff)).
         """
         n_eff = values.shape[1]
-        u = self._cells(pos)
-        out_mask = u < 0.0
-        out_mask |= u > self.n_points - 1
-        np.clip(u, 0.0, self.n_points - 1.0, out=u)
         # one flat offset into values.ravel() per point, at the low
         # neighbour; the high one sits n_eff further on
-        flat = u.astype(int)
-        np.minimum(flat, self.n_points - 2, out=flat)
-        u -= flat
-        w_lo = 1.0 - u
+        flat = cell
         flat *= n_eff
-        n_clamped = int(np.count_nonzero(out_mask))
         if n_eff > 1:
             # column offsets; a single position column fans out over them
             eff = np.arange(n_eff)
@@ -109,15 +131,15 @@ class BoxLattice:
         # first term into +0.0
         vals = part + 0.0
         part = np.take(flat_values[n_eff:], flat, out=part, mode="clip")
-        part *= u
+        part *= w_hi
         vals += part
-        return vals, n_clamped
+        return vals
 
     def exits(self, pos):
         """Points of pos (..., 1) below the first node and beyond the last.
 
-        Returns the two counts by interp's own comparisons, so they sum
-        to its n_clamped.
+        Returns the two counts by locate's own comparisons, so they sum
+        to the points it marks outside.
         """
         u = self._cells(pos)
         return np.array([np.count_nonzero(u < 0.0),
@@ -230,23 +252,54 @@ class ValueSurface:
         return vals[:, 0]
 
 
+class _ControlImages:
+    """Lattice reads at Euler images that every path column shares.
+
+    beta (n_controls, n_points) holds each control's drift at each node;
+    the image of node i under control j is x_i + dt * beta[j, i], located
+    by BoxLattice.locate, so a read has interp's arithmetic bit for bit.
+    outside marks the (control, node) images beyond the box.
+    """
+
+    def __init__(self, lattice, dt, beta):
+        self.lattice = lattice
+        pos = lattice.points[:, 0] + dt * beta
+        self.cell, self.w_lo, self.w_hi, self.outside = lattice.locate(
+            pos[..., None])
+
+    def read(self, values, rows):
+        """values (n_points, n_eff) read at flat (control, node) offsets
+        rows (n_points, E) from _table_rows, E == n_eff or 1."""
+        return self.lattice.gather(values, np.take(self.cell, rows),
+                                   np.take(self.w_lo, rows),
+                                   np.take(self.w_hi, rows))
+
+
 class _NextSlice:
     """The knot-(k+1) slice of a backward sweep, read at Euler images.
 
     Calling it interpolates values at pos and tallies the reads for
     clamp_fraction; reads made for control j also count their lattice
-    exits per knot and control in exits.
+    exits per knot and control in exits.  Every count is of reads: a node
+    image that a control shares with n path columns is n reads.
     """
 
     def __init__(self, lattice):
         self.lattice = lattice
         self.k = self.values = None
         self.clamped = self.evals = 0
-        self.exits = {}             # (knot, control) -> points out of the box
+        self.exits = {}             # (knot, control) -> reads out of the box
 
     def __call__(self, pos, j=None):
         vals, n_clamped = self.lattice.interp(self.values, pos)
         self.tally(j, vals.size, n_clamped)
+        return vals
+
+    def at_controls(self, images, rows):
+        """The slice read at each point's own control: images.read at rows."""
+        vals = images.read(self.values, rows)
+        out = np.count_nonzero(np.take(images.outside, rows))
+        self.tally(None, vals.size, out * (vals.size // rows.size))
         return vals
 
     def tally(self, j, n_reads, n_clamped):
@@ -347,17 +400,32 @@ def value_V(coeffs, ensemble, lattice, *, basis=None, noise_level=0.0,
         (degree 3 in the current Brownian value by default).
     noise_level, noise_ensemble : optional independent state noise
         delta * dB added to every Euler image (regularized problems).
-    clamp_tol : lattice-exit budget; exceeding it raises AccuracyError,
-        which names the knot with the most exits, its control and face.
+    clamp_tol : budget on clamp_fraction, the share of reads (one per
+        node, path column and control) whose Euler image left the box;
+        exceeding it raises AccuracyError, which names the knot with the
+        most exits, its control and face.
 
-    Each knot minimizes over the controls by sweeping them, except for a
-    deterministic problem under noise at a knot where every
-    control's dt * beta is the same at all lattice nodes.  There each
-    control's path mean is a stencil of the one-column slice (see
-    _stencil_means), the argmin is taken over those means, and only the
-    winning controls are interpolated path by path, so mean, se and the
-    slice match the sweep bit for bit unless a roundoff near-tie flips a
-    choice; lattice exits are counted on the nodes near the faces.
+    Each knot minimizes over the controls by sweeping them (read the
+    next slice at each control's Euler images, project, score), except
+    in two cases.
+
+    * A deterministic problem under noise at a knot where every
+      control's dt * beta is the same at all lattice nodes.  There each
+      control's path mean is a stencil of the one-column slice (see
+      _stencil_means), the argmin is taken over those means, and only the
+      winning controls are interpolated path by path, so mean, se and the
+      slice match the sweep bit for bit unless a roundoff near-tie flips
+      a choice; lattice exits are counted on the nodes near the faces.
+    * A regression knot after the first, without noise, where each
+      control's beta and f have one value per node.  Every path column
+      then shares a node's image, so a control's read is a combination of
+      rows of the next slice and commutes with the projection: the slice
+      is projected once into (nodes x features) coefficients, each
+      control is scored from their rows read at its images, and the
+      slice is read only at each point's winning control, with the
+      sweep's arithmetic.  The projections move by roundoff, and with
+      them the slices, means and se of the earlier knots (within 1e-12);
+      that can flip a choice only at a near-tie.
 
     Returns a ValueSurface whose terminal slice is the exact pathwise
     terminal cost and whose int8/int16 argmin tables, which feedback
@@ -393,6 +461,11 @@ def value_V(coeffs, ensemble, lattice, *, basis=None, noise_level=0.0,
                                                x_eval.shape[:-1])
                                for v in coeffs.controls])
                 return stencil_step(k, nxt, b, fv)
+        if op is not None and k > 0 and not noise_level:
+            tables = _node_tables(coeffs, t, x_eval, w,
+                                  range(coeffs.n_controls))
+            if tables is not None:
+                return projected_step(k, op, nxt, *tables)
         controls = iter(range(coeffs.n_controls))   # swept in index order
 
         def score(b, fv):
@@ -414,6 +487,30 @@ def value_V(coeffs, ensemble, lattice, *, basis=None, noise_level=0.0,
         best, argmins[k], (best_raw,) = _argmin_sweep(coeffs, t, x_eval, w,
                                                       score, idx_dtype)
         return best, best_raw
+
+    def projected_step(k, op, nxt, beta, fv):
+        # every column reads a node at the same image, so each control's
+        # read is a combination of rows of the slice, and so is its
+        # projection: project the slice once, read its coefficients
+        images = _ControlImages(lattice, dt, beta)
+        fv *= dt
+        coef = op.coefficients(nxt.values)
+        n_paths = nxt.values.shape[1]
+
+        def scores():
+            for j in range(coeffs.n_controls):
+                n_out = np.count_nonzero(images.outside[j])
+                nxt.tally(j, lattice.n_points * n_paths, n_out * n_paths)
+                rows = _table_rows(j, lattice.n_points)
+                total = op.predict(images.read(coef, rows))
+                total += fv[j][:, None]
+                yield (total,)
+
+        best, argmins[k], _ = _running_argmin(scores(), idx_dtype)
+        rows = _table_rows(argmins[k], lattice.n_points)
+        raw = images.read(nxt.values, rows)
+        raw += np.take(fv, rows)
+        return best, raw
 
     def stencil_step(k, nxt, b, fv):
         n_controls, n = b.shape[:2]

@@ -1,12 +1,15 @@
 """Backward least-squares solver, error bounds, and cost majorants."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
 from shjlab.bsde import (BsdeSpec, cost_majorant, error_bound_bsde,
                          policy_cost_surface, solve_bsde)
 from shjlab.coeffs import reach_radius, scenario
-from shjlab.probspace import TimeGrid, sample_ensemble
+from shjlab.probspace import (CondExpOperator, TimeGrid, polynomial_basis,
+                              sample_ensemble)
 from shjlab.smoothing import MollifiedSet, error_processes
 from shjlab.valuefn import BoxLattice, ControlPolicy, value_V
 
@@ -209,3 +212,137 @@ def test_cost_majorant_rejects_mismatched_grid():
     other = sample_ensemble(GRID, 1, 77, SEED + 1)
     with pytest.raises(ValueError):
         cost_majorant(u, bound, molly, pol, other)
+
+
+def _read_by_corner(lat, values, pos):
+    # reference read: fancy-index both neighbours, the sum started from 0.0
+    u = np.clip((pos[..., 0] - lat.lo) / lat.h, 0.0, lat.n_points - 1.0)
+    i = np.minimum(u.astype(int), lat.n_points - 2)
+    frac = u - i
+    cols = np.arange(values.shape[1])
+    return 0.0 + (1.0 - frac) * values[i, cols] + frac * values[i + 1, cols]
+
+
+def _policy_reference(co, ens, policy, lat):
+    """Per-control loop of the policy-cost recursion: each used control
+    reads every point, and each point keeps its own control's read.
+
+    Returns the mean rows, se rows, slices and the share of the kept
+    reads whose images left the box.
+    """
+    grid = ens.grid
+    n, dt = grid.n_steps, grid.dt
+    n_eff = 1 if co.deterministic else ens.n_paths
+    x = lat.points[:, None, :]
+    wT = None if co.deterministic else ens.slice_at(n, terminal_ok=True)
+    V = np.broadcast_to(co.G(x, wT), (lat.n_points, n_eff)).copy()
+    mean, se, slices = {n: V.mean(axis=-1)}, {}, {n: V}
+    clamped = evals = 0
+    for k in range(n - 1, -1, -1):
+        t = grid.knots[k]
+        w = None if co.deterministic else ens.slice_at(k)
+        idx = policy.lattice_indices(k, lat, n_eff)
+        raw = np.empty(idx.shape)
+        for j in np.unique(idx):
+            v = co.controls[j]
+            pos = np.broadcast_to(x + dt * co.beta(t, x, v, w),
+                                  idx.shape + (1,))
+            vals = co.f(t, x, v, w) * dt + _read_by_corner(lat, V, pos)
+            u = (pos[..., 0] - lat.lo) / lat.h
+            outside = (u < 0.0) | (u > lat.n_points - 1)
+            clamped += int(outside[idx == j].sum())
+            raw[idx == j] = np.broadcast_to(vals, idx.shape)[idx == j]
+        evals += raw.size
+        V = raw if co.deterministic else CondExpOperator(
+            ens, k, polynomial_basis()).apply(raw)
+        slices[k] = V
+        mean[k] = raw.mean(axis=-1)
+        se[k] = (raw.std(axis=-1, ddof=1) / np.sqrt(n_eff) if n_eff > 1
+                 else np.zeros(lat.n_points))
+    return mean, se, slices, clamped / evals
+
+
+def _path_drift(t, x, v, w):
+    # a drift that reads the path: every column has its own image
+    return v + 0.2 * np.tanh(w.current[:, 0])[:, None]
+
+
+def _pulled_drift(t, x, v, w):
+    return v - 0.5 * x
+
+
+def _energy(t, x, v, w):
+    return np.full(x.shape[:-1], 0.1 * float(v[0]) ** 2)
+
+
+def _variant(name, base):
+    """base, mollified, with a pull and a running cost, or with a drift
+    that reads the path."""
+    if name == "mollified":
+        return MollifiedSet(base, 4)
+    if name == "priced":
+        return dataclasses.replace(base, beta=_pulled_drift, f=_energy)
+    if name == "path-drift":
+        return dataclasses.replace(base, beta=_path_drift, f=_energy)
+    return base
+
+
+def _policy_case(name):
+    """(coefficient set, ensemble, lattice, greedy or constant policy);
+    the narrow box sends some images out of it."""
+    base = scenario("eikonal" if name == "eikonal" else "random-target")
+    co = _variant(name, base)
+    ens = sample_ensemble(TimeGrid(1.0, 8), 1, 300, SEED)
+    lat = BoxLattice.centered(1.0, 0.1)
+    V = value_V(base, ens, lat, clamp_tol=1.0)
+    # the greedy eikonal policy heads for the origin and never leaves
+    pol = (ControlPolicy.constant(base.n_controls - 1)
+           if name in ("constant", "eikonal") else ControlPolicy.feedback(V))
+    return co, ens, lat, pol
+
+
+CASES = ["random-target", "mollified", "priced", "eikonal", "constant",
+         "path-drift"]
+
+
+@pytest.mark.parametrize("name", CASES)
+def test_policy_surface_matches_per_control_reference(name):
+    # one read per point at its own control, bit for bit the per-control
+    # loop; a drift that reads the path keeps that loop, which tallies
+    # every read it makes, kept or not
+    co, ens, lat, pol = _policy_case(name)
+    u = policy_cost_surface(co, ens, pol, lat)
+    mean, se, slices, frac = _policy_reference(co, ens, pol, lat)
+    assert frac > 0.0
+    if name != "path-drift":
+        assert u.diagnostics["clamp_fraction"] == frac
+    assert np.array_equal(u.mean, np.stack([mean[k] for k in sorted(mean)]))
+    for k in sorted(se):
+        assert np.array_equal(u.se[k], se[k])
+    for k in sorted(slices):
+        assert np.array_equal(u.pathwise(k), slices[k])
+
+
+@pytest.mark.parametrize("name", CASES)
+def test_cost_majorant_drift_matches_per_control_reference(name):
+    co, ens, lat, pol = _policy_case(name)
+    u = policy_cost_surface(co, ens, pol, lat)
+    base = scenario("eikonal" if name == "eikonal" else "random-target")
+    bound = error_bound_bsde(error_processes(base, MollifiedSet(base, 4),
+                                             ens, RADIUS), 1.0, ens)
+    field = cost_majorant(u, bound, co, pol, ens)
+    grid, dt = ens.grid, ens.grid.dt
+    x = lat.points[:, None, :]
+    for k in range(grid.n_steps):
+        u_k = u.pathwise(k)
+        w = None if co.deterministic else ens.slice_at(k)
+        idx = pol.lattice_indices(k, lat, u_k.shape[1])
+        grad = lat.gradient(u_k)[..., 0]
+        adv = np.empty(idx.shape)
+        for j in np.unique(idx):
+            v = co.controls[j]
+            vals = (co.beta(grid.knots[k], x, v, w)[..., 0] * grad
+                    + co.f(grid.knots[k], x, v, w))
+            adv[idx == j] = np.broadcast_to(vals, idx.shape)[idx == j]
+        assert np.array_equal(field.drift[k], -np.broadcast_to(
+            adv, (lat.n_points, ens.n_paths)) - bound.driver[k][None, :])

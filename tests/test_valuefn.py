@@ -1,5 +1,7 @@
 """Lattices, policies, dynamic-programming values, and their audits."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -10,7 +12,9 @@ from shjlab.bsde import policy_cost_surface
 from shjlab.coeffs import CoefficientSet, scenario
 from shjlab.dynamics import integrate
 from shjlab.exceptions import AccuracyError
-from shjlab.probspace import TimeGrid, _path_mean_se, sample_ensemble
+from shjlab.probspace import (CondExpOperator, TimeGrid, _path_mean_se,
+                              polynomial_basis, sample_ensemble)
+from shjlab.smoothing import MollifiedSet
 from shjlab.valuefn import BoxLattice, ControlPolicy, value_V, value_audit
 
 SEED = 11
@@ -75,7 +79,8 @@ def test_lattice_interp_matches_np_interp(E, n_eff):
     pos[0, 0, 0, 0], pos[3, 2, -1, 0], pos[8, 3, 0, 0] = outside
     out, n_clamped = lat.interp(vals, pos)
     assert out.shape == (9, 4, max(E, n_eff))
-    assert n_clamped == len(outside)
+    # clamped reads: a single position column is read for every column
+    assert n_clamped == len(outside) * (max(E, n_eff) // E)
     for col in range(max(E, n_eff)):
         x = pos[..., min(col, E - 1), 0]
         ref = np.interp(x, lat.points[:, 0], vals[:, min(col, n_eff - 1)])
@@ -337,6 +342,117 @@ def test_noisy_one_column_recursion_matches_reference(name, delta):
     per_knot = lat.n_points * ens.n_paths
     expect = per_knot * (1 if name != "linear-drift" else co.n_controls)
     assert sum(reads) == grid.n_steps * expect
+
+
+def _regression_reference(co, ens, lat, basis):
+    """Per-control loop of the regression recursion: every control's
+    Euler images read path by path (_interp_by_corner), projected,
+    scored and selected.
+
+    Returns the mean rows, se rows, slices, argmin tables, their near-tie
+    masks (best and runner-up totals within 1e-12), the reads and the
+    clamped reads of each knot's per-control loop.
+    """
+    grid = ens.grid
+    n, dt = grid.n_steps, grid.dt
+    x = lat.points[:, None, :]
+    wT = ens.slice_at(n, terminal_ok=True)
+    V = np.broadcast_to(co.G(x, wT), (lat.n_points, ens.n_paths)).copy()
+    mean, se, slices, argmin, tied = {}, {}, {n: V}, {}, {}
+    mean[n], se[n] = _path_mean_se(V)
+    clamped = evals = 0
+    for k in range(n - 1, -1, -1):
+        t, w = grid.knots[k], ens.slice_at(k)
+        op = CondExpOperator(ens, k, basis)
+        totals, raws = [], []
+        for v in co.controls:
+            pos = x + dt * co.beta(t, x, v, w)
+            vals = _interp_by_corner(lat, V, np.broadcast_to(
+                pos, (lat.n_points, ens.n_paths, 1)))
+            u = (pos[..., 0] - lat.lo) / lat.h         # in cells, as interp
+            outside = (u < 0.0) | (u > lat.n_points - 1)
+            clamped += int(np.broadcast_to(outside, vals.shape).sum())
+            evals += vals.size
+            fv = co.f(t, x, v, w)
+            totals.append(fv * dt + op.apply(vals))
+            raws.append(vals + fv * dt)
+        totals, raws = np.array(totals), np.array(raws)
+        argmin[k] = np.argmin(totals, axis=0)
+        ranked = np.sort(totals, axis=0)
+        tied[k] = ranked[1] - ranked[0] <= 1e-12
+        V = np.take_along_axis(totals, argmin[k][None], 0)[0]
+        raw = np.take_along_axis(raws, argmin[k][None], 0)[0]
+        slices[k] = V
+        mean[k], se[k] = _path_mean_se(raw)
+    return mean, se, slices, argmin, tied, evals, clamped
+
+
+def _path_drift(t, x, v, w):
+    # a drift that reads the path: every column has its own image
+    return v + 0.2 * np.tanh(w.current[:, 0])[:, None]
+
+
+def _pulled_drift(t, x, v, w):
+    return v - 0.5 * x
+
+
+def _energy(t, x, v, w):
+    return np.full(x.shape[:-1], 0.1 * float(v[0]) ** 2)
+
+
+def _variant(name, base):
+    """base, mollified, with a pull and a running cost, or with a drift
+    that reads the path."""
+    if name == "mollified":
+        return MollifiedSet(base, 4)
+    if name == "priced":
+        return dataclasses.replace(base, beta=_pulled_drift, f=_energy)
+    if name == "path-drift":
+        return dataclasses.replace(base, beta=_path_drift, f=_energy)
+    return base
+
+
+@pytest.mark.parametrize("name", ["random-target", "mollified", "priced",
+                                  "path-drift"])
+def test_regression_recursion_matches_per_control_reference(name):
+    # drifts with one value per node read each knot's slice at shared
+    # images, so value_V projects the slice once and reads coefficients;
+    # a drift that reads the path keeps the per-control sweep.  The
+    # narrow box sends some images out of it.
+    co = _variant(name, scenario("random-target"))
+    grid = TimeGrid(1.0, 8)
+    ens = sample_ensemble(grid, 1, 300, SEED)
+    lat = BoxLattice.centered(1.0, 0.1)
+    basis = polynomial_basis()
+    reads = []
+    interp = lat.interp
+
+    def counting(values, pos):
+        out = interp(values, pos)
+        reads.append(out[0].size)
+        return out
+
+    lat.interp = counting
+    V = value_V(co, ens, lat, clamp_tol=1.0)
+    lat.interp = interp
+    mean, se, slices, argmin, tied, evals, clamped = _regression_reference(
+        co, ens, lat, basis)
+
+    assert clamped > 0
+    assert V.diagnostics["clamp_fraction"] == clamped / evals
+    assert sum(V.diagnostics["exits"].values()) == clamped
+    for k in range(grid.n_steps + 1):
+        np.testing.assert_allclose(V.mean[k], mean[k], rtol=0.0, atol=1e-12)
+        np.testing.assert_allclose(V.se[k], se[k], rtol=0.0, atol=1e-12)
+        np.testing.assert_allclose(V.pathwise(k), slices[k], rtol=0.0,
+                                   atol=1e-12)
+    for k in range(grid.n_steps):
+        assert (V.argmin[k] == argmin[k])[~tied[k]].all()
+    # knot 0 (a plain mean) always sweeps; the other knots read the slice
+    # through interp only when the drift reads the path
+    per_knot = co.n_controls * lat.n_points * ens.n_paths
+    sweeps = grid.n_steps if name == "path-drift" else 1
+    assert sum(reads) == sweeps * per_knot
 
 
 @pytest.mark.parametrize("slope", [0.0, 1e-3])
