@@ -124,18 +124,18 @@ def solve_bsde(spec):
 
     Y[n] = spec.terminal
     for k in range(n - 1, -1, -1):
-        g = spec.driver_at(k)
-        if spec.generator is not None:
-            driver[k] = g
         op = CondExpOperator(ens, k, basis)
         pY = op.apply(Y[k + 1])
-        # generator None projects to zero: skip that apply
-        Y[k] = pY if spec.generator is None else pY + dt * op.apply(g)
+        if spec.generator is None:   # no driver, projection or g dt term
+            Y[k], ahead = pY, Y[k + 1]
+        else:
+            driver[k] = g = spec.driver_at(k)
+            Y[k], ahead = pY + dt * op.apply(g), Y[k + 1] + g * dt
         # centering by the projection leaves the covariation identity
         # intact and keeps Z exactly zero for deterministic integrands
         dW = ens.increments[:, k, :]
         Z[k] = op.apply(((Y[k + 1] - pY)[:, None] * dW).T).T / dt
-        resid[k] = float(np.sqrt(np.mean((Y[k + 1] + g * dt - Y[k]) ** 2)))
+        resid[k] = float(np.sqrt(np.mean((ahead - Y[k]) ** 2)))
 
     return BsdeSolution(grid, Y, Z, driver, {"residual_rms": resid})
 

@@ -1,17 +1,22 @@
 """Experiment runner: config in, seeded pipelines out, tables on disk.
 
 Every output table carries the config hash in a comment line; data go
-to files, progress to stderr.  Re-running an identical config rewrites
-byte-identical tables regardless of the worker count, because workers
-only spread independent ladder items, or the two BSDE solves, whose
-results are merged in a fixed order.
+to files, progress to stderr.  Re-running an identical config under
+``run()`` rewrites byte-identical tables for any worker count and any
+host core count: workers only spread independent ladder items, or the
+two BSDE solves, merged in a fixed order, and numpy's OpenBLAS runs the
+pipeline on one thread (manifest ``blas_threads``; null if not found).
 """
 
 from __future__ import annotations
 
 import argparse
 import concurrent.futures
+import contextlib
+import ctypes
 import dataclasses
+import functools
+import glob
 import hashlib
 import json
 import math
@@ -530,6 +535,40 @@ _RUNNERS = {
 }
 
 
+@functools.cache
+def _openblas():
+    """(get, set) thread-count functions of numpy's bundled OpenBLAS, or
+    None, said once on stderr, when it is not found."""
+    libs = glob.glob(os.path.join(os.path.dirname(np.__file__) + ".libs",
+                                  "libscipy_openblas*.so"))
+    lib = ctypes.CDLL(libs[0]) if libs else None
+    put = getattr(lib, "scipy_openblas_set_num_threads64_", None)
+    if put is None:
+        _say("numpy's OpenBLAS not found: BLAS threads are not pinned, so "
+             "tables may depend on the host core count")
+        return None
+    get = lib.scipy_openblas_get_num_threads64_
+    get.restype, get.argtypes = ctypes.c_int, []
+    put.restype, put.argtypes = None, [ctypes.c_int]
+    return get, put
+
+
+@contextlib.contextmanager
+def _one_blas_thread():
+    """Run the block on one OpenBLAS thread, restoring the caller's count."""
+    blas = _openblas()
+    if blas is None:
+        yield
+        return
+    get, put = blas
+    caller = get()
+    put(1)
+    try:
+        yield
+    finally:
+        put(caller)
+
+
 def _manifest(out_dir, pipeline, config, workers):
     """finish(code, checks, error=None) writing out_dir/manifest.json.
 
@@ -544,6 +583,7 @@ def _manifest(out_dir, pipeline, config, workers):
         "package_version": __version__,
         "numpy_version": np.__version__,
         "workers": workers,
+        "blas_threads": None if _openblas() is None else 1,
     }
 
     def finish(code, checks, error=None):
@@ -567,7 +607,9 @@ def run(config, pipeline, out_dir, *, workers=None):
     manifest.json is written on every exit; a failed run records its
     ``error`` and ``exit_code`` there.
     """
-    workers = workers if workers is not None else (os.cpu_count() or 1)
+    if workers is None:     # the CPUs this process may run on
+        workers = (len(os.sched_getaffinity(0))
+                   if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1)
     try:
         # a validated copy: fields assigned after construction count too
         config = dataclasses.replace(config)
@@ -586,8 +628,9 @@ def run(config, pipeline, out_dir, *, workers=None):
     _say(f"[{pipeline}] scenario={config.scenario} hash={config.digest()} "
          f"workers={workers}")
     try:
-        checks = _RUNNERS[pipeline](config, out_dir, config.tolerance_scale,
-                                    workers)
+        with _one_blas_thread():
+            checks = _RUNNERS[pipeline](config, out_dir,
+                                        config.tolerance_scale, workers)
     except (CapacityError, AccuracyError, IntegrationError, ValueError) as exc:
         code = 2 if isinstance(exc, CapacityError) else 1
         return finish(code, {"error": str(exc)}, f"failed: {exc}")
@@ -612,7 +655,8 @@ def main(argv=None):
     parser.add_argument("--seed", type=int, default=None,
                         help="override the W seed (B seed follows)")
     parser.add_argument("--workers", type=int, default=None,
-                        help="threads for ladder items, at least 1")
+                        help="threads for ladder items and BSDE solves, at "
+                        "least 1 (default: the CPUs this process may use)")
     parser.add_argument("--tolerance-scale", type=float, default=None,
                         help="override the config's tolerance_scale")
     args = parser.parse_args(argv)

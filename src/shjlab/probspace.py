@@ -3,7 +3,9 @@
 Uniform time grids, seeded Brownian ensembles, and least-squares
 regression surrogates for conditional expectations, in the style of
 Longstaff-Schwartz.  Everything is deterministic given (seed, shape):
-the same inputs always reproduce the same bits.
+under ``cli.run`` the same inputs reproduce the same bits on any host;
+library calls outside it follow the caller's BLAS thread count, which
+can move the projections' last bits.
 
 Classes
 -------

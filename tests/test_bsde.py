@@ -69,6 +69,22 @@ def test_none_generator_matches_explicit_zeros():
                           zeros.diagnostics["residual_rms"])
 
 
+def test_zero_driver_residual_keeps_the_bits_of_the_g_dt_formula(
+        monkeypatch):
+    # generator=None never evaluates the driver and drops the g dt term
+    # of the residual: y + 0.0 only turns a -0.0 into +0.0, which
+    # squaring removes, so every residual keeps its bits
+    def unused(self, k):
+        raise AssertionError("zero driver evaluated")
+    monkeypatch.setattr(BsdeSpec, "driver_at", unused)
+    ens = _ens(2_000)
+    sol = solve_bsde(BsdeSpec(ens, ens.value_at(GRID.n_steps)[:, 0] ** 2))
+    g = np.zeros(ens.n_paths)
+    old = [np.sqrt(np.mean((sol.Y[k + 1] + g * GRID.dt - sol.Y[k]) ** 2))
+           for k in range(GRID.n_steps)] + [0.0]
+    assert np.array_equal(sol.diagnostics["residual_rms"], old)
+
+
 def test_zero_generator_driver_is_zero():
     # the zero driver is never written, so it must be allocated zeroed.
     # Dirty memory for an allocation that is not: freeing an 8 MB block

@@ -148,17 +148,43 @@ def test_capacity_error_exits_2_with_manifest(tmp_path):
     assert manifest["config_hash"] == cfg.digest()
 
 
+@pytest.fixture
+def blas_threads():
+    """Set the process's OpenBLAS thread count; restored after the test."""
+    get, put = cli._openblas()
+    before = get()
+
+    def use(n):
+        put(n)
+        return get()
+    yield use
+    put(before)
+
+
 @pytest.mark.parametrize("exc, expected", [
-    (CapacityError, 2), (IntegrationError, 1), (AccuracyError, 1),
+    (None, 0), (CapacityError, 2), (IntegrationError, 1), (AccuracyError, 1),
 ])
-def test_pipeline_errors_map_to_exit_codes(tmp_path, monkeypatch, exc, expected):
+def test_pipeline_errors_map_to_exit_codes(tmp_path, monkeypatch,
+                                           blas_threads, exc, expected):
+    # the pipeline runs on one OpenBLAS thread, and every exit gives the
+    # caller's count back
+    seen = []
+
     def boom(cfg, out, scale, workers):
+        seen.append(cli._openblas()[0]())
+        if exc is None:
+            return {"fine": True}
         raise exc("boom")
     monkeypatch.setitem(cli._RUNNERS, "simulate", boom)
+    caller = blas_threads(2)
     code, checks = run(_small(), "simulate", str(tmp_path))
-    assert code == expected and checks == {"error": "boom"}
+    assert code == expected and seen == [1]
+    assert cli._openblas()[0]() == caller
     manifest = _manifest(tmp_path)
-    assert manifest["exit_code"] == expected and "boom" in manifest["error"]
+    assert manifest["blas_threads"] == 1
+    if exc is not None:
+        assert checks == {"error": "boom"}
+        assert manifest["exit_code"] == expected and "boom" in manifest["error"]
 
 
 def test_bad_config_file_exits_2(tmp_path):
@@ -354,6 +380,49 @@ def test_worker_count_never_changes_results(tmp_path):
             assert code == 0, checks
             outs.append([(out / name).read_bytes() for name in files])
         assert outs[0] == outs[1], pipeline
+
+
+def test_jhat_tables_do_not_depend_on_the_callers_blas_threads(tmp_path,
+                                                               blas_threads):
+    # 2000 paths is where a threaded OpenBLAS splits the regressions'
+    # reductions, so without the pin these bytes follow the thread count
+    cfg = _small(scenario="random-target", n_steps=2, n_paths=2000,
+                 ladder_h=0.05, levels=(4,))
+    outs = []
+    for n in (1, 2):
+        blas_threads(n)
+        out = tmp_path / f"blas{n}"
+        code, checks = run(cfg, "jhat", str(out), workers=1)
+        assert code == 0, checks
+        outs.append([(out / name).read_bytes()
+                     for name in ("jhat_ladder.csv", "jhat_report.json")])
+    assert outs[0] == outs[1]
+
+
+def test_missing_openblas_skips_the_pin_and_says_so(tmp_path, monkeypatch,
+                                                    capsys):
+    monkeypatch.setattr(cli.glob, "glob", lambda pattern: [])
+    cli._openblas.cache_clear()
+    try:
+        for name in ("a", "b"):
+            code, checks = run(_small(), "simulate", str(tmp_path / name))
+            assert code == 0, checks
+            assert _manifest(tmp_path / name)["blas_threads"] is None
+    finally:
+        cli._openblas.cache_clear()
+    assert capsys.readouterr().err.count("OpenBLAS not found") == 1
+
+
+def test_default_workers_follow_the_cpu_affinity(tmp_path, monkeypatch):
+    # a cpuset smaller than the host sizes the pool, not the host count
+    monkeypatch.setattr(cli.os, "cpu_count", lambda: 64)
+    monkeypatch.setattr(cli.os, "sched_getaffinity", lambda pid: {3},
+                        raising=False)
+    assert run(_small(), "simulate", str(tmp_path / "a"))[0] == 0
+    assert _manifest(tmp_path / "a")["workers"] == 1
+    monkeypatch.delattr(cli.os, "sched_getaffinity", raising=False)
+    assert run(_small(), "simulate", str(tmp_path / "b"))[0] == 0
+    assert _manifest(tmp_path / "b")["workers"] == 64
 
 
 def test_bsde_start_value_checks_against_the_discrete_target(tmp_path):
