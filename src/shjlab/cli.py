@@ -30,7 +30,8 @@ import numpy as np
 from . import __version__
 from .bsde import (BsdeSpec, cost_majorant, error_bound_bsde,
                    policy_cost_surface, solve_bsde)
-from .coeffs import reach_radius, scenario, scenario_names
+from .coeffs import (inapplicable_pipelines, reach_radius, scenario,
+                     scenario_names)
 from .exceptions import AccuracyError, CapacityError, IntegrationError
 from .fields import sample_adapted_field
 from .probspace import TimeGrid, _path_mean_se, sample_ensemble
@@ -298,7 +299,7 @@ def _pipe_bsde(cfg, out, scale, workers):
 def _pipe_mollify(cfg, out, scale, workers):
     grid, coeffs, ens = _grid_ens(cfg)
     # unit mass of the kernel via 64-point Gauss-Legendre, an independent
-    # route from the quad normalizer inside bump_kernel
+    # route from the tanh-sinh normalizer inside bump_kernel
     nodes, wts = np.polynomial.legendre.leggauss(64)
     mass_err = abs(float(np.sum(wts * bump_kernel(nodes[:, None]))) - 1.0)
 
@@ -602,8 +603,9 @@ def run(config, pipeline, out_dir, *, workers=None):
 
     Exit code 0: every check passed; 1: a check or the computation
     failed; 2: bad invocation (a config field that fails validation,
-    fewer than one worker, an unknown pipeline or scenario, or sizes
-    over the capacity budget).
+    fewer than one worker, an unknown pipeline or scenario, a pipeline
+    that does not apply to the scenario, or sizes over the capacity
+    budget).
     manifest.json is written on every exit; a failed run records its
     ``error`` and ``exit_code`` there.
     """
@@ -625,6 +627,11 @@ def run(config, pipeline, out_dir, *, workers=None):
     if config.scenario not in scenario_names():
         return finish(2, {}, f"unknown scenario {config.scenario!r}; known: "
                       f"{scenario_names()}")
+    needs_kink = inapplicable_pipelines(config.scenario).get(pipeline)
+    if needs_kink:
+        return finish(2, {}, f"{pipeline} does not apply to scenario "
+                      f"{config.scenario!r}: its value is flat in x, and "
+                      f"the check {needs_kink} needs a kink")
     _say(f"[{pipeline}] scenario={config.scenario} hash={config.digest()} "
          f"workers={workers}")
     try:

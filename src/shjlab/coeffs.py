@@ -26,6 +26,7 @@ __all__ = [
     "DECLARED",
     "scenario",
     "scenario_names",
+    "inapplicable_pipelines",
     "control_grid",
     "reach_radius",
     "probe_lattice",
@@ -263,21 +264,28 @@ def _no_terminal_cost(x, w):
     return np.zeros(x.shape[:-1])
 
 
-# name -> (number of controls, the fields that tell the problem apart)
+# (CLI pipeline, its check that needs a kink) for the pipelines that do
+# not apply to a value flat in x: no gap to fit a slope to, no L_tilde > 0
+_NEEDS_KINK = (("mollify", "ladder_slope"), ("envelopes", "gradient_bound"),
+               ("full-uniqueness", "mollify.ladder_slope"))
+
+# name -> (number of controls, pipelines that do not apply, the fields
+# that tell the problem apart)
 _SCENARIOS = {
-    "eikonal": (21, dict(beta=_control_drift, f=_no_run_cost,
-                         G=_capped_distance, L=_CAP + 2.0)),
-    "linear-drift": (21, dict(beta=_pulled_drift, f=_control_energy,
-                              G=_capped_distance, L=_CAP + 5.0,
-                              drift_growth=(1.0, _PULL))),
-    "random-target": (21, dict(beta=_control_drift, f=_no_run_cost,
-                               G=_target_distance, L=_CAP + 2.0,
-                               deterministic=False)),
-    "constant-run-cost": (3, dict(beta=_zero_drift, f=_unit_run_cost,
-                                  G=_no_terminal_cost, L=1.0,
-                                  drift_growth=(0.0, 0.0))),
-    "zeros": (3, dict(beta=_zero_drift, f=_no_run_cost, G=_no_terminal_cost,
-                      L=1.0, drift_growth=(0.0, 0.0))),
+    "eikonal": (21, (), dict(beta=_control_drift, f=_no_run_cost,
+                             G=_capped_distance, L=_CAP + 2.0)),
+    "linear-drift": (21, (), dict(beta=_pulled_drift, f=_control_energy,
+                                  G=_capped_distance, L=_CAP + 5.0,
+                                  drift_growth=(1.0, _PULL))),
+    "random-target": (21, (), dict(beta=_control_drift, f=_no_run_cost,
+                                   G=_target_distance, L=_CAP + 2.0,
+                                   deterministic=False)),
+    "constant-run-cost": (3, _NEEDS_KINK, dict(
+        beta=_zero_drift, f=_unit_run_cost, G=_no_terminal_cost, L=1.0,
+        drift_growth=(0.0, 0.0))),
+    "zeros": (3, _NEEDS_KINK, dict(beta=_zero_drift, f=_no_run_cost,
+                                   G=_no_terminal_cost, L=1.0,
+                                   drift_growth=(0.0, 0.0))),
 }
 
 
@@ -289,7 +297,7 @@ def scenario(name):
     additively.  Other problems are plain CoefficientSet values.
     """
     try:
-        n_points, problem = _SCENARIOS[name]
+        n_points, _, problem = _SCENARIOS[name]
     except KeyError:
         raise KeyError(f"unknown scenario {name!r}; "
                        f"known: {scenario_names()}") from None
@@ -300,3 +308,9 @@ def scenario(name):
 
 def scenario_names():
     return sorted(_SCENARIOS)
+
+
+def inapplicable_pipelines(name):
+    """pipeline -> the check that cannot pass on built-in name, for each
+    CLI pipeline that does not apply to it."""
+    return dict(_SCENARIOS[name][1])

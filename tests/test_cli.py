@@ -327,16 +327,28 @@ def test_ladder_slope_needs_two_distinct_levels(tmp_path, levels):
 
 
 def test_ladder_slope_of_zero_gaps_is_null_not_nan(tmp_path):
-    # zeros mollifies to exactly zero: no gap has a logarithm, so the fit
-    # fails its check with a null slope, and no warning fires
+    # zeros mollifies to exactly zero, so run() refuses the ladder; the
+    # fit itself gives a null slope on zero gaps, and no warning fires
+    code, checks = run(ExperimentConfig(scenario="zeros", n_steps=8,
+                                        n_paths=200), "mollify", str(tmp_path))
+    assert code == 2 and checks == {}
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        code, checks = run(ExperimentConfig(scenario="zeros", n_steps=8,
-                                            n_paths=200), "mollify",
-                           str(tmp_path))
-    assert code == 1 and checks["ladder_slope"] is False
-    assert json.loads((tmp_path / "mollify_report.json").read_text(),
-                      parse_constant=pytest.fail)["slope"] is None
+        assert cli._slope((4, 8, 16), (0.0, 0.0, 0.0)) is None
+
+
+@pytest.mark.parametrize("name", ["constant-run-cost", "zeros"])
+@pytest.mark.parametrize("pipeline", ["mollify", "envelopes",
+                                      "full-uniqueness"])
+def test_flat_builtin_refuses_pipelines_that_need_a_kink(tmp_path, name,
+                                                         pipeline):
+    code, checks = run(_small(scenario=name), pipeline, str(tmp_path))
+    assert code == 2 and checks == {}
+    manifest = _manifest(tmp_path)
+    assert manifest["exit_code"] == 2 and manifest["config"]["scenario"] == name
+    check = "gradient_bound" if pipeline == "envelopes" else "ladder_slope"
+    assert name in manifest["error"] and check in manifest["error"]
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["manifest.json"]
 
 
 def test_non_finite_report_value_exits_1_without_the_report(tmp_path,

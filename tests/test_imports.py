@@ -4,7 +4,12 @@ defaulted parameter passed, by some caller outside the unit tests."""
 
 import ast
 import importlib.util
+import os
+import subprocess
+import sys
 from pathlib import Path
+
+import pytest
 
 import shjlab
 
@@ -42,6 +47,20 @@ def test_no_unused_imports():
     assert files
     unused = [hit for path in files for hit in unused_imports(path)]
     assert unused == []
+
+
+@pytest.mark.parametrize("module", ["shjlab", "shjlab.cli"])
+def test_import_loads_numpy_only(module):
+    # a fresh interpreter: this one may have scipy loaded by other tests
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (str(ROOT / "src"), env.get("PYTHONPATH")) if p)
+    probe = (f"import sys, {module}; print(sorted(m for m in sys.modules "
+             "if m.split('.')[0] == 'scipy'))")
+    proc = subprocess.run([sys.executable, "-c", probe], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr[-2000:]
+    assert proc.stdout.strip() == "[]"
 
 
 # where a public name must be read for it to count as used; the unit

@@ -6,9 +6,10 @@ import pytest
 from shjlab.coeffs import (DECLARED, CoefficientSet, control_grid, scenario,
                            scenario_names)
 from shjlab.probspace import TimeGrid, sample_ensemble
-from shjlab.smoothing import (MollifiedSet, _uniform_cell, bump_kernel,
-                              error_processes, fit_functional_approximant,
-                              kernel_quadrature, linear_growth_penalty)
+from shjlab.smoothing import (MollifiedSet, _bump_normalizer, _tanh_sinh,
+                              _uniform_cell, bump_kernel, error_processes,
+                              fit_functional_approximant, kernel_quadrature,
+                              linear_growth_penalty)
 
 SEED = 13
 LEVELS = (2, 4, 8, 16)
@@ -27,6 +28,23 @@ def test_bump_kernel_unit_mass():
     xi, wi = np.polynomial.legendre.leggauss(64)
     mass = float(np.sum(wi * bump_kernel(xi[:, None])))
     assert abs(mass - 1.0) < 1e-8
+
+
+def test_bump_normalizer_is_the_adaptive_quadrature_double():
+    # the double scipy.integrate.quad gave (epsabs 1e-14, epsrel 1e-13)
+    assert _bump_normalizer() == 2.2522836210435813
+
+
+def test_tanh_sinh_integrates_smooth_and_endpoint_singular_maps():
+    assert abs(_tanh_sinh(lambda x: 3.0 * x * x) - 1.0) < 1e-15
+    # log x is unbounded at 0, where the rule's nodes cluster
+    assert abs(_tanh_sinh(np.log) + 1.0) < 1e-14
+
+
+def test_tanh_sinh_refuses_an_unresolved_integrand():
+    # a spike of width 1e-3 falls between the nodes: the two steps disagree
+    with pytest.raises(ArithmeticError, match="did not converge"):
+        _tanh_sinh(lambda x: np.exp(-((x - 0.3) / 1e-3) ** 2))
 
 
 def test_kernel_quadrature_nodes():

@@ -8,8 +8,10 @@ A line tracer (``sys.settrace`` and ``threading.settrace``), filtered to
 src/shjlab, records the lines two phases run:
 
 1. the system: every demo, every CLI pipeline on every scenario at
-   n_steps=8, n_paths=300, one of those runs again through the entry
-   point ``cli.main`` with every flag set, the workload configs of
+   n_steps=8, n_paths=300 (each must exit 0, or 2 where
+   ``coeffs.inapplicable_pipelines`` says the pipeline does not apply),
+   one of those runs again through the entry point ``cli.main`` with
+   every flag set, the workload configs of
    perfbench/workloads.py, and tests/test_acceptance.py;
 2. the unit tests: tests/ without the acceptance module and without
    tests/test_demos.py, whose subprocesses the tracer cannot see (phase 1
@@ -128,7 +130,7 @@ def _pytest(args):
 def run_system(work):
     """Phase 1; returns the names of the parts that failed."""
     from shjlab.cli import PIPELINES, ExperimentConfig, main, run
-    from shjlab.coeffs import scenario_names
+    from shjlab.coeffs import inapplicable_pipelines, scenario_names
     from workloads import WORKLOADS
 
     failed = []
@@ -142,11 +144,14 @@ def run_system(work):
     for pipeline in PIPELINES:
         for name in scenario_names():
             cfg = ExperimentConfig(scenario=name, n_steps=8, n_paths=300)
-            # exit code 1 (a check failed at this small size) still counts
             code, _ = run(cfg, pipeline, os.path.join(work, pipeline, name),
                           workers=2)
-            if code == 2:
-                failed.append(f"pipeline {pipeline} on {name}: exit 2")
+            # every pipeline passes at this size where it applies, and is
+            # refused where the scenario's table says it does not
+            expect = 2 if pipeline in inapplicable_pipelines(name) else 0
+            if code != expect:
+                failed.append(f"pipeline {pipeline} on {name}: exit {code}, "
+                              f"expected {expect}")
     config = os.path.join(work, "main.json")
     with open(config, "w") as fh:
         fh.write(ExperimentConfig(n_steps=8, n_paths=300).to_json())
