@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .coeffs import _node_tables, _policy_sweep, _table_rows
+from .coeffs import _node_tables, _table_rows
 from .fields import AdaptedField
 from .probspace import CondExpOperator, polynomial_basis
 from .valuefn import _backward_sweep, _ControlImages
@@ -156,12 +156,10 @@ def error_bound_bsde(errors, gain, ensemble):
 
 def _policy_tables(coeffs, t, x, w, idx):
     """(beta, f, rows): _node_tables of the controls the index table idx
-    uses and each point's flat offset into them, or None when a control's
-    beta or f reads the path and the policy sweep has to run."""
+    uses and each point's flat offset into them."""
     used = np.flatnonzero(np.bincount(np.ravel(idx),
                                       minlength=coeffs.n_controls))
-    tables = _node_tables(coeffs, t, x, w, used)
-    return None if tables is None else (*tables, _table_rows(idx, x.shape[0]))
+    return (*_node_tables(coeffs, t, x, w, used), _table_rows(idx, x.shape[0]))
 
 
 def policy_cost_surface(coeffs, ensemble, policy, lattice):
@@ -173,12 +171,9 @@ def policy_cost_surface(coeffs, ensemble, policy, lattice):
     kept at every knot, and the projections use the value recursion's
     default basis.
 
-    Where every control the policy uses has one beta and f per lattice
-    node, each point is read once, at its own control, in one gather
-    with interp's arithmetic; otherwise each used control reads every
-    point and the point keeps its own control's read.  Both give the
-    same bits.  The clamp tally counts the reads made, so the gather
-    counts one per point and the per-control reads one per control.
+    beta and f have one value per lattice node, so each point is read
+    once, at its own control, in one gather with interp's arithmetic;
+    the clamp tally counts one read per point.
 
     Parameters
     ----------
@@ -196,18 +191,10 @@ def policy_cost_surface(coeffs, ensemble, policy, lattice):
 
     def step(k, t, w, op, continuation):
         idx = policy.lattice_indices(k, lattice, n_eff)
-        tables = _policy_tables(coeffs, t, x_eval, w, idx)
-        if tables is None:
-            raw, = _policy_sweep(
-                coeffs, t, x_eval, w, idx,
-                lambda b, fv: (fv * dt + continuation(x_eval + dt * b),),
-                [idx.shape])
-        else:
-            beta, fv, rows = tables
-            raw = continuation.at_controls(
-                _ControlImages(lattice, dt, beta), rows)
-            fv *= dt
-            raw += np.take(fv, rows)
+        beta, fv, rows = _policy_tables(coeffs, t, x_eval, w, idx)
+        raw = continuation.at_controls(_ControlImages(lattice, dt, beta), rows)
+        fv *= dt
+        raw += np.take(fv, rows)
         return (raw if op is None else op.apply(raw)), raw
 
     return _backward_sweep(coeffs, ensemble, lattice, "all", None, step)
@@ -220,10 +207,9 @@ def cost_majorant(surface, bound, coeffs, policy, ensemble):
     that produced each part: the cost surface contributes
     -(beta . Du + f) at the policy's control, the bound process
     contributes minus its own driver.  No noise integrand is attached;
-    residual checks only need the drift and the spatial gradient.  Where
-    beta and f have one value per node, each point reads them from
-    (control, node) tables at its own control, bit for bit the
-    per-control evaluation it replaces.
+    residual checks only need the drift and the spatial gradient.  Each
+    point reads beta and f from (control, node) tables at its own
+    control, bit for bit the per-control evaluation.
 
     Parameters
     ----------
@@ -257,17 +243,9 @@ def cost_majorant(surface, bound, coeffs, policy, ensemble):
         w = None if coeffs.deterministic else ensemble.slice_at(k)
         idx = policy.lattice_indices(k, lattice, u_k.shape[1])
         grad = lattice.gradient(u_k)
-        tables = _policy_tables(coeffs, t, x_eval, w, idx)
-        if tables is None:
-            adv, = _policy_sweep(
-                coeffs, t, x_eval, w, idx,
-                lambda b, fv: (np.sum(np.broadcast_to(b, grad.shape) * grad,
-                                      axis=-1) + fv,),
-                [idx.shape])
-        else:
-            beta, fv, rows = tables
-            adv = np.take(beta, rows) * grad[..., 0]
-            adv += np.take(fv, rows)
+        beta, fv, rows = _policy_tables(coeffs, t, x_eval, w, idx)
+        adv = np.take(beta, rows) * grad[..., 0]
+        adv += np.take(fv, rows)
         drift[k] = -np.broadcast_to(adv, (lattice.n_points, n_paths)) \
             - bound.driver[k][None, :]
     return AdaptedField(grid, lattice, values, drift, None)

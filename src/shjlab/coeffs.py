@@ -10,16 +10,25 @@ coefficient can only read Brownian history up to the evaluation time
 Problems are one-dimensional: one state, one control and one Brownian
 coordinate.  Shapes: x always carries an explicit trailing state axis
 of length 1.  beta returns x.shape, f and G return x.shape[:-1].
-Path-dependent sets broadcast an (n_paths,)-shaped factor into the
-result.
+
+Every set has the structure of the paper's control-only equation, and
+its constructor checks it: the control enters additively,
+beta = beta0(t, x) + c(v) and f = f0(t, x) + g(v), so min_v (beta p + f)
+is beta0 p + f0 plus the lower envelope of the lines c(v) p + g(v);
+beta and f are affine in x, which kernel averages reproduce; and
+neither reads the path, so they have one value per node.  Only G may
+read the path; it broadcasts an (n_paths,)-shaped factor into its result.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field, fields
 from typing import Callable
 
 import numpy as np
+
+from .probspace import TimeGrid, WienerEnsemble
 
 __all__ = [
     "CoefficientSet",
@@ -32,8 +41,10 @@ __all__ = [
     "probe_lattice",
 ]
 
-# running coefficients a set may declare affine in x
-AFFINE_NAMES = ("beta", "f")
+# the structure check's probe times, and its tolerance relative to the
+# size of the probed values
+_PROBE_TIMES = (0.0, 0.625)
+_PROBE_TOL = 1e-12
 
 
 def control_grid(lo=-1.0, hi=1.0, n_points=21):
@@ -62,21 +73,22 @@ class CoefficientSet:
         are broken toward the lowest row index.
     beta, f, G : vectorized callables, see module docstring.
     L : declared uniform bound (sup norms and Lipschitz constants of
-        beta, f, G are all <= L).
-    lip_x : spatial Lipschitz bound, <= L; used to size smoothing levels.
-    drift_growth : (a, b) with |beta(t,x,v,w)| <= a + b|x|; gives the
-        sharp reachable-set radius used for lattices and probe grids.
-    deterministic : True when no coefficient reads the path argument.
-    affine : names among "beta" and "f" of the running coefficients that
-        are affine in x.  A property of the problem, like lip_x: the
-        unit-mass symmetric smoothing kernel reproduces affine maps, so
-        approximants pass these through unsmoothed.
-    control_separable : True when the control enters additively,
-        beta = beta0(t, x, w) + c(v) and f = f0(t, x, w) + g(v).  Then
-        min_v (beta p + f) is beta0 p + f0 plus the lower envelope of the
-        lines c(v) p + g(v), which the Hamiltonian looks up.
-        Kernel averages keep the property up to roundoff.
+        beta, f, G are all <= L); finite and positive.
+    lip_x : spatial Lipschitz bound, 0 < lip_x <= L; used to size
+        smoothing levels.
+    drift_growth : (a, b), finite and >= 0, with |beta(t,x,v,w)| <= a + b|x|;
+        gives the sharp reachable-set radius used for lattices and probe
+        grids.
+    deterministic : True when G does not read the path argument (beta
+        and f never do).
     n_controls : number of rows of controls, set from them.
+
+    The constructor raises ValueError on bad constants, and, naming the
+    map and control, on a beta or f without the module docstring's
+    structure: on probe_lattice of the reach of |x0| <= 1 over unit time,
+    at two times (on paths that differ, unless deterministic), each must
+    have one value per node, vanishing second differences in x, and a
+    constant offset from control 0.
     """
 
     # the state dimension, a constant rather than a field: approximants
@@ -91,8 +103,6 @@ class CoefficientSet:
     lip_x: float
     drift_growth: tuple = (1.0, 0.0)
     deterministic: bool = True
-    affine: tuple = ()
-    control_separable: bool = False
     n_controls: int = field(init=False)
 
     def __post_init__(self):
@@ -100,19 +110,59 @@ class CoefficientSet:
         if self.controls.shape[1] != 1:
             raise ValueError("controls must have shape (n_controls, 1)")
         self.n_controls = self.controls.shape[0]
-        if self.L <= 0:
-            raise ValueError("declared bound L must be positive")
-        self.affine = tuple(self.affine)
-        unknown = set(self.affine) - set(AFFINE_NAMES)
-        if unknown:
-            raise ValueError(f"affine names {sorted(unknown)} not among "
-                             f"{AFFINE_NAMES}")
+        if not (math.isfinite(self.L) and self.L > 0):
+            raise ValueError(f"declared bound L must be finite and positive, "
+                             f"got {self.L!r}")
+        if not 0 < self.lip_x <= self.L:
+            raise ValueError(f"lip_x must lie in (0, L] = (0, {self.L!r}], "
+                             f"got {self.lip_x!r}")
+        growth = tuple(self.drift_growth)
+        if len(growth) != 2 or not all(math.isfinite(c) and c >= 0
+                                       for c in growth):
+            raise ValueError(f"drift_growth must be two finite numbers >= 0, "
+                             f"got {self.drift_growth!r}")
+        _check_structure(self)
 
 
 # declared constants of a problem: every field but its maps; approximants
 # of a set carry these over unchanged
 DECLARED = tuple(f.name for f in fields(CoefficientSet)
                  if f.name not in ("beta", "f", "G"))
+
+
+def _check_structure(coeffs):
+    """ValueError naming the map and control unless beta and f have the
+    structure the module docstring states, on the probes of the class
+    docstring."""
+    x = probe_lattice(reach_radius(coeffs, 1.0, 1.0))[:, None, :]
+    slices = [None] * len(_PROBE_TIMES)
+    if not coeffs.deterministic:     # three paths apart after knot 0
+        grid = TimeGrid(1.0, 8)
+        inc = np.repeat([[[-0.25]], [[0.0]], [[0.5]]], grid.n_steps, axis=1)
+        ens = WienerEnsemble(grid, 1, 3, 0, inc)
+        slices = [ens.slice_at(grid.index_of(t)) for t in _PROBE_TIMES]
+    for name, shape in (("beta", x.shape), ("f", x.shape[:-1])):
+        vals = np.empty((coeffs.n_controls, len(_PROBE_TIMES), x.shape[0]))
+        for j, v in enumerate(coeffs.controls):
+            for i, (t, w) in enumerate(zip(_PROBE_TIMES, slices)):
+                out = np.asarray(getattr(coeffs, name)(t, x, v, w), float)
+                try:
+                    vals[j, i] = np.broadcast_to(out, shape).ravel()
+                except ValueError:
+                    raise ValueError(
+                        f"{name} at control {j} returns shape {out.shape} on "
+                        f"{shape[0]} nodes: it must have one value per node "
+                        f"and not read the path") from None
+        tol = _PROBE_TOL * max(1.0, float(np.abs(vals).max()))
+        curved = ~(np.abs(np.diff(vals, 2)).max(axis=(1, 2)) <= tol)
+        shift = vals - vals[:1]
+        moving = ~(np.abs(shift - shift[:, :1, :1]).max(axis=(1, 2)) <= tol)
+        for j in np.flatnonzero(curved | moving):   # the first one raises
+            raise ValueError(
+                f"{name} at control {j} is " + (
+                    "not affine in x" if curved[j] else
+                    f"not control-separable: {name}(v) - {name}(v_0) "
+                    f"varies with t or x"))
 
 
 def reach_radius(coeffs, x0_max, T, margin=0.0):
@@ -193,22 +243,16 @@ def _node_tables(coeffs, t, x, w, controls):
     """Drift and running cost of the listed controls at the nodes x (n, 1, 1).
 
     Returns (beta, f), two (n_controls, n) tables holding a row per
-    listed control (the other rows stay 0), or None as soon as a control's
-    beta or f carries a path axis: one value per node is what lets every
-    path column share a node's Euler image.  The maps see x itself, so
-    each entry has the bits the sweeps compute.
+    listed control (the other rows stay 0).  beta and f have one value per
+    node, so every path column shares a node's Euler image.  The maps see
+    x itself, so each entry has the bits the sweeps compute.
     """
     beta = np.zeros((coeffs.n_controls, x.shape[0]))
     f = np.zeros(beta.shape)
     for j in controls:
         v = coeffs.controls[j]
-        b = np.asarray(coeffs.beta(t, x, v, w), float)
-        fv = np.asarray(coeffs.f(t, x, v, w), float)
-        if (np.broadcast_shapes(b.shape, x.shape) != x.shape
-                or np.broadcast_shapes(fv.shape, x.shape[:-1]) != x.shape[:-1]):
-            return None
-        beta[j] = np.broadcast_to(b, x.shape)[:, 0, 0]
-        f[j] = np.broadcast_to(fv, x.shape[:-1])[:, 0]
+        beta[j] = np.broadcast_to(coeffs.beta(t, x, v, w), x.shape)[:, 0, 0]
+        f[j] = np.broadcast_to(coeffs.f(t, x, v, w), x.shape[:-1])[:, 0]
     return beta, f
 
 
@@ -292,9 +336,8 @@ _SCENARIOS = {
 def scenario(name):
     """A built-in problem; unknown names raise KeyError.
 
-    Every built-in has a uniform control grid on [-1, 1], lip_x = 1,
-    drift and running cost affine in x, and a control that enters both
-    additively.  Other problems are plain CoefficientSet values.
+    Every built-in has a uniform control grid on [-1, 1] and lip_x = 1.
+    Other problems are plain CoefficientSet values.
     """
     try:
         n_points, _, problem = _SCENARIOS[name]
@@ -302,8 +345,7 @@ def scenario(name):
         raise KeyError(f"unknown scenario {name!r}; "
                        f"known: {scenario_names()}") from None
     return CoefficientSet(controls=control_grid(-1.0, 1.0, n_points),
-                          lip_x=1.0, affine=("beta", "f"),
-                          control_separable=True, **problem)
+                          lip_x=1.0, **problem)
 
 
 def scenario_names():

@@ -416,16 +416,16 @@ def value_V(coeffs, ensemble, lattice, *, basis=None, noise_level=0.0,
       winning controls are interpolated path by path, so mean, se and the
       slice match the sweep bit for bit unless a roundoff near-tie flips
       a choice; lattice exits are counted on the nodes near the faces.
-    * A regression knot after the first, without noise, where each
-      control's beta and f have one value per node.  Every path column
-      then shares a node's image, so a control's read is a combination of
-      rows of the next slice and commutes with the projection: the slice
-      is projected once into (nodes x features) coefficients, each
-      control is scored from their rows read at its images, and the
-      slice is read only at each point's winning control, with the
-      sweep's arithmetic.  The projections move by roundoff, and with
-      them the slices, means and se of the earlier knots (within 1e-12);
-      that can flip a choice only at a near-tie.
+    * A regression knot after the first, without noise.  beta and f
+      have one value per node, so every path column shares a node's
+      image, and a control's read is a combination of rows of the next
+      slice that commutes with the projection: the slice is projected
+      once into (nodes x features) coefficients, each control is scored
+      from their rows read at its images, and the slice is read only at
+      each point's winning control, with the sweep's arithmetic.  The
+      projections move by roundoff, and with them the slices, means and
+      se of the earlier knots (within 1e-12); that can flip a choice only
+      at a near-tie.
 
     Returns a ValueSurface whose terminal slice is the exact pathwise
     terminal cost and whose int8/int16 argmin tables, which feedback
@@ -462,10 +462,8 @@ def value_V(coeffs, ensemble, lattice, *, basis=None, noise_level=0.0,
                                for v in coeffs.controls])
                 return stencil_step(k, nxt, b, fv)
         if op is not None and k > 0 and not noise_level:
-            tables = _node_tables(coeffs, t, x_eval, w,
-                                  range(coeffs.n_controls))
-            if tables is not None:
-                return projected_step(k, op, nxt, *tables)
+            return projected_step(k, op, nxt, *_node_tables(
+                coeffs, t, x_eval, w, range(coeffs.n_controls)))
         controls = iter(range(coeffs.n_controls))   # swept in index order
 
         def score(b, fv):

@@ -52,27 +52,22 @@ def hamiltonian(coeffs, t, x, p, w=None):
     coeffs : coefficient set.
     t : float
     x, p : arrays broadcastable to a common (..., 1) shape.
-    w : PathSlice or None for path-dependent coefficients.
+    w : PathSlice or None, passed to beta and f.
 
     Returns
     -------
     (value, argmin) with the leading (...) shape; ties keep the lowest
     control index.
 
-    A set that declares control_separable takes the envelope path: each
-    point's control is looked up on the lower envelope of the lines
-    c(v) p + g(v) and scored there alone.  Points within a rounding bound
-    of a tie (p = 0 on the eikonal grid, say) are re-scored by the full
-    sweep, with the coefficients evaluated on the whole x as the sweep
-    does, so values and argmins equal the sweep's bit for bit.  Every
-    other set runs the sweep over all controls.
+    The control enters additively (see coeffs), so each point's control
+    is looked up on the lower envelope of the lines c(v) p + g(v) and
+    scored there alone.  Points within a rounding bound of a tie (p = 0
+    on the eikonal grid, say) are re-scored by the full sweep, with the
+    coefficients evaluated on the whole x as the sweep does, so values
+    and argmins equal the sweep's bit for bit.
     """
     x = np.asarray(x, float)
     p = np.asarray(p, float)
-    if not coeffs.control_separable:
-        best, best_idx, _ = _argmin_sweep(coeffs, t, x, w, _score(p))
-        return best, best_idx
-
     shape = np.broadcast_shapes(x.shape, p.shape)
     q = np.broadcast_to(p, shape)[..., 0]
     breaks, pick, slope_gap, offset_gap, c_size, g_size = \
@@ -116,7 +111,7 @@ def _score(p):
 
 
 def _control_lines(coeffs, t, w):
-    """Lines c_j p + g_j of a control-separable set, as lookup tables.
+    """Lines c_j p + g_j of a set's controls, as lookup tables.
 
     c and g are read off at x = 0 relative to control 0, once per set.
     Between consecutive entries of breaks no two of the lowest lines
@@ -327,8 +322,7 @@ def build_envelopes(base, approx, ens_w, ens_b, eps, delta_n, *,
     if ens_b.m != 1:
         raise ValueError("noise ensemble must have m == 1")
     ach = approx.achieved
-    worst_err = max(ach.get("G_sup", np.inf), ach.get("f_sup", 0.0),
-                    ach.get("beta_sup", 0.0))
+    worst_err = ach.get("G_sup", np.inf)
     if not approx.accuracy_ok or worst_err > eps:
         raise ValueError(
             f"approximant error {worst_err:.4g} exceeds eps={eps:g}; "

@@ -278,11 +278,6 @@ def _policy_reference(co, ens, policy, lat):
     return mean, se, slices, clamped / evals
 
 
-def _path_drift(t, x, v, w):
-    # a drift that reads the path: every column has its own image
-    return v + 0.2 * np.tanh(w.current[:, 0])[:, None]
-
-
 def _pulled_drift(t, x, v, w):
     return v - 0.5 * x
 
@@ -292,14 +287,11 @@ def _energy(t, x, v, w):
 
 
 def _variant(name, base):
-    """base, mollified, with a pull and a running cost, or with a drift
-    that reads the path."""
+    """base, mollified, or with a pull and a running cost."""
     if name == "mollified":
         return MollifiedSet(base, 4)
     if name == "priced":
         return dataclasses.replace(base, beta=_pulled_drift, f=_energy)
-    if name == "path-drift":
-        return dataclasses.replace(base, beta=_path_drift, f=_energy)
     return base
 
 
@@ -317,21 +309,18 @@ def _policy_case(name):
     return co, ens, lat, pol
 
 
-CASES = ["random-target", "mollified", "priced", "eikonal", "constant",
-         "path-drift"]
+CASES = ["random-target", "mollified", "priced", "eikonal", "constant"]
 
 
 @pytest.mark.parametrize("name", CASES)
 def test_policy_surface_matches_per_control_reference(name):
     # one read per point at its own control, bit for bit the per-control
-    # loop; a drift that reads the path keeps that loop, which tallies
-    # every read it makes, kept or not
+    # loop
     co, ens, lat, pol = _policy_case(name)
     u = policy_cost_surface(co, ens, pol, lat)
     mean, se, slices, frac = _policy_reference(co, ens, pol, lat)
     assert frac > 0.0
-    if name != "path-drift":
-        assert u.diagnostics["clamp_fraction"] == frac
+    assert u.diagnostics["clamp_fraction"] == frac
     assert np.array_equal(u.mean, np.stack([mean[k] for k in sorted(mean)]))
     for k in sorted(se):
         assert np.array_equal(u.se[k], se[k])

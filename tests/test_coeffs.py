@@ -13,7 +13,7 @@ SEED = 5
 ALL_SCENARIOS = scenario_names()
 
 # name -> (L, drift_growth, deterministic, n_controls); every built-in has
-# controls on [-1, 1], lip_x = 1, affine beta, f, control-separable
+# controls on [-1, 1] and lip_x = 1
 BUILT_INS = {
     "eikonal": (12.0, (1.0, 0.0), True, 21),
     "linear-drift": (15.0, (1.0, 0.5), True, 21),
@@ -46,7 +46,6 @@ def test_built_in_problem_pinned(name):
     assert co.d == 1 and co.controls.shape[1] == 1
     assert (co.L, co.lip_x, co.drift_growth) == (L, 1.0, growth)
     assert co.deterministic is deterministic
-    assert co.affine == ("beta", "f") and co.control_separable is True
     assert co.n_controls == n_controls == co.controls.shape[0]
     assert co.controls[0, 0] == -1.0 and co.controls[-1, 0] == 1.0
 
@@ -71,8 +70,7 @@ def test_built_in_problem_pinned(name):
 
 def test_declared_constants_are_the_problem_fields():
     assert set(DECLARED) == {"controls", "L", "lip_x", "drift_growth",
-                             "deterministic", "affine", "control_separable",
-                             "n_controls"}
+                             "deterministic", "n_controls"}
 
 
 def test_control_grid():
@@ -181,9 +179,8 @@ def test_coefficient_set_validation():
 
 @pytest.mark.parametrize("name", ALL_SCENARIOS)
 def test_affine_declaration_matches_kernel_average(name):
-    # approximants skip the kernel for declared names, so a false
-    # declaration would silently drop smoothing: each declared map must
-    # equal its literal kernel average
+    # approximants pass beta and f through unsmoothed, which drops no
+    # smoothing only if each equals its literal kernel average
     co = scenario(name)
     x = probe_lattice(reach_radius(co, 1.0, 1.0))[:, None, :]
     w = None
@@ -193,7 +190,7 @@ def test_affine_declaration_matches_kernel_average(name):
     for level in (1, 8):
         moll = MollifiedSet(co, level)
         for v in co.controls[::max(1, co.n_controls // 4)]:
-            for attr in co.affine:
+            for attr in ("beta", "f"):
                 base = np.asarray(getattr(co, attr)(0.25, x, v, w), float)
                 avg = np.asarray(getattr(moll, attr)(0.25, x, v, w), float)
                 np.testing.assert_allclose(avg, base, rtol=0.0, atol=1e-12)
@@ -204,7 +201,6 @@ def test_control_separable_declaration_holds(name):
     # the Hamiltonian reads the control lines c(v) p + g(v) off at one
     # point: beta - beta(v_0) and f - f(v_0) must not depend on t, x or w
     co = scenario(name)
-    assert co.control_separable
     x = probe_lattice(reach_radius(co, 1.0, 1.0))[:, None, :]
     w = None
     if not co.deterministic:
@@ -220,14 +216,41 @@ def test_control_separable_declaration_holds(name):
                                                rtol=0.0, atol=1e-12)
 
 
-def test_affine_declaration_rejects_unknown_names():
+# constructor arguments over scenario("zeros")'s five controls -> what the
+# ValueError must name
+REJECTED = {
+    "beta-not-separable": (dict(beta=lambda t, x, v, w: v * x),
+                           "beta at control 1 is not control-separable"),
+    "beta-not-affine": (dict(beta=lambda t, x, v, w: np.abs(x) + v),
+                        "beta at control 0 is not affine in x"),
+    "f-not-affine": (dict(f=lambda t, x, v, w: np.abs(x[..., 0])),
+                     "f at control 0 is not affine in x"),
+    "beta-reads-the-path": (
+        dict(beta=lambda t, x, v, w: v + np.tanh(w.current[:, 0])[:, None],
+             deterministic=False),
+        "beta at control 0 returns shape .* not read the path"),
+    "f-reads-the-path": (dict(f=lambda t, x, v, w: w.current[:, 0]
+                              * np.ones(x.shape[:-1]), deterministic=False),
+                         "f at control 0 returns shape .* not read the path"),
+    "L-nan": (dict(L=float("nan")), "L must be finite and positive"),
+    "lip_x-above-L": (dict(L=1.0, lip_x=5.0), "lip_x must lie in"),
+    "lip_x-negative": (dict(lip_x=-1.0), "lip_x must lie in"),
+    "drift_growth-negative": (dict(drift_growth=(1.0, -2.0)),
+                              "drift_growth must be two finite numbers >= 0"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(REJECTED))
+def test_constructor_rejects_sets_off_the_structure(case):
+    # beta and f must be affine in x, path-free and control-separable, and
+    # the declared constants sane; each violation names where it is
     good = scenario("zeros")
-    kw = dict(controls=np.zeros((1, 1)), beta=good.beta, f=good.f, G=good.G,
-              L=1.0, lip_x=1.0)
-    assert CoefficientSet(**kw, affine=["f"]).affine == ("f",)
-    for bad in (("beta", "G"), "beta"):
-        with pytest.raises(ValueError, match="affine"):
-            CoefficientSet(**kw, affine=bad)
+    kw = dict(controls=control_grid(-1.0, 1.0, 5), beta=good.beta,
+              f=good.f, G=good.G, L=3.0, lip_x=1.0)
+    CoefficientSet(**kw)
+    changes, message = REJECTED[case]
+    with pytest.raises(ValueError, match=message):
+        CoefficientSet(**{**kw, **changes})
 
 
 def test_sweeps_break_exact_ties_to_index_zero():

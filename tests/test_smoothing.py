@@ -3,8 +3,7 @@
 import numpy as np
 import pytest
 
-from shjlab.coeffs import (DECLARED, CoefficientSet, control_grid, scenario,
-                           scenario_names)
+from shjlab.coeffs import DECLARED, scenario, scenario_names
 from shjlab.probspace import TimeGrid, sample_ensemble
 from shjlab.smoothing import (MollifiedSet, _bump_normalizer, _tanh_sinh,
                               _uniform_cell, bump_kernel, error_processes,
@@ -169,12 +168,11 @@ def test_functional_approximant_eikonal_is_path_free():
     assert fa.deterministic
     assert fa.achieved["G_sup"] <= 0.1
     assert fa.fn_knots.size == 5
-    # beta and f are declared affine, so they pass through unsmoothed ...
+    # beta and f are affine, so they pass through unsmoothed ...
     x = np.linspace(-3.0, 3.0, 61)[:, None, None]
     for v in co.controls[::5]:
         assert np.array_equal(fa.beta(0.5, x, v, None), co.beta(0.5, x, v, None))
         assert np.array_equal(fa.f(0.5, x, v, None), co.f(0.5, x, v, None))
-    assert fa.achieved["beta_sup"] == fa.achieved["f_sup"] == 0.0
     # ... while G keeps its mollified kink at x = 0
     kink = np.zeros((1, 1))
     assert np.asarray(fa.G(kink, None))[0] > np.asarray(co.G(kink, None))[0]
@@ -233,20 +231,6 @@ def test_payoff_grid_matches_formula_bit_for_bit(name):
     assert np.array_equal(fa.payoff_grid(xs, ws), _payoff_grid_by_hand(fa, xs, ws))
 
 
-def test_functional_approximant_rejects_path_dependent_running():
-    base = scenario("zeros")
-    # G broadcasts to (n_points, n_paths), so the terminal fit itself runs:
-    # only the guard on the running coefficients can reject this set
-    bad = CoefficientSet(
-        controls=np.zeros((1, 1)), beta=base.beta,
-        f=lambda t, x, v, w: w.current[:, 0] * np.ones(x.shape[:-1]),
-        G=lambda x, w: np.zeros(x.shape[:-1]) + 0.0 * w.terminal[:, 0],
-        L=1.0, lip_x=1.0, deterministic=False)
-    ens = sample_ensemble(TimeGrid(1.0, 8), 1, 300, SEED)
-    with pytest.raises(ValueError, match="reads the path"):
-        fit_functional_approximant(bad, ens, eps_target=0.1, x_radius=2.0)
-
-
 @pytest.mark.parametrize("name", scenario_names())
 def test_approximants_carry_declared_constants(name):
     co = scenario(name)
@@ -258,22 +242,3 @@ def test_approximants_carry_declared_constants(name):
             assert np.array_equal(value, declared), (type(approx), attr)
     # the terminal cost is separated exactly when the base reads the path
     assert (fa.w_grid is None) is co.deterministic
-
-
-def test_approximant_smooths_running_maps_not_declared_affine():
-    # a drift and a running cost with a kink at x = 0, declared affine in
-    # neither: the approximant reads both off its mollified set
-    kinked = CoefficientSet(
-        controls=control_grid(-1.0, 1.0, 5),
-        beta=lambda t, x, v, w: np.abs(x) + v,
-        f=lambda t, x, v, w: np.abs(x[..., 0]),
-        G=lambda x, w: np.abs(x[..., 0]), L=3.0, lip_x=1.0)
-    ens = sample_ensemble(TimeGrid(1.0, 8), 1, 50, SEED)
-    fa = fit_functional_approximant(kinked, ens, eps_target=0.2, x_radius=2.0)
-    x = np.linspace(-1.0, 1.0, 21)[:, None, None]     # x[10] = 0
-    for v in kinked.controls:
-        for name in ("beta", "f"):
-            got = getattr(fa, name)(0.5, x, v, None)
-            smooth = getattr(fa.mollified, name)(0.5, x, v, None)
-            assert np.array_equal(got, smooth)
-            assert got[10] > getattr(kinked, name)(0.5, x, v, None)[10]

@@ -387,11 +387,6 @@ def _regression_reference(co, ens, lat, basis):
     return mean, se, slices, argmin, tied, evals, clamped
 
 
-def _path_drift(t, x, v, w):
-    # a drift that reads the path: every column has its own image
-    return v + 0.2 * np.tanh(w.current[:, 0])[:, None]
-
-
 def _pulled_drift(t, x, v, w):
     return v - 0.5 * x
 
@@ -401,24 +396,19 @@ def _energy(t, x, v, w):
 
 
 def _variant(name, base):
-    """base, mollified, with a pull and a running cost, or with a drift
-    that reads the path."""
+    """base, mollified, or with a pull and a running cost."""
     if name == "mollified":
         return MollifiedSet(base, 4)
     if name == "priced":
         return dataclasses.replace(base, beta=_pulled_drift, f=_energy)
-    if name == "path-drift":
-        return dataclasses.replace(base, beta=_path_drift, f=_energy)
     return base
 
 
-@pytest.mark.parametrize("name", ["random-target", "mollified", "priced",
-                                  "path-drift"])
+@pytest.mark.parametrize("name", ["random-target", "mollified", "priced"])
 def test_regression_recursion_matches_per_control_reference(name):
     # drifts with one value per node read each knot's slice at shared
-    # images, so value_V projects the slice once and reads coefficients;
-    # a drift that reads the path keeps the per-control sweep.  The
-    # narrow box sends some images out of it.
+    # images, so value_V projects the slice once and reads coefficients.
+    # The narrow box sends some images out of it.
     co = _variant(name, scenario("random-target"))
     grid = TimeGrid(1.0, 8)
     ens = sample_ensemble(grid, 1, 300, SEED)
@@ -448,11 +438,9 @@ def test_regression_recursion_matches_per_control_reference(name):
                                    atol=1e-12)
     for k in range(grid.n_steps):
         assert (V.argmin[k] == argmin[k])[~tied[k]].all()
-    # knot 0 (a plain mean) always sweeps; the other knots read the slice
-    # through interp only when the drift reads the path
-    per_knot = co.n_controls * lat.n_points * ens.n_paths
-    sweeps = grid.n_steps if name == "path-drift" else 1
-    assert sum(reads) == sweeps * per_knot
+    # knot 0 (a plain mean) sweeps, reading the slice through interp;
+    # the other knots read coefficients
+    assert sum(reads) == co.n_controls * lat.n_points * ens.n_paths
 
 
 @pytest.mark.parametrize("slope", [0.0, 1e-3])

@@ -7,8 +7,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from shjlab.coeffs import (CoefficientSet, _argmin_sweep, control_grid,
-                           reach_radius, scenario, scenario_names)
+from shjlab.coeffs import (_argmin_sweep, reach_radius, scenario,
+                           scenario_names)
 from shjlab.exceptions import AccuracyError
 from shjlab.fields import AdaptedField, reconstruction_report
 from shjlab.probspace import TimeGrid, sample_ensemble
@@ -51,26 +51,6 @@ def test_hamiltonian_linear_drift_hand_value():
     val, idx = hamiltonian(co, 0.0, np.array([2.0]), np.array([0.3]))
     np.testing.assert_allclose(val, -0.5, atol=1e-12)
     assert co.controls[int(idx)] == -1.0
-
-
-def test_hamiltonian_sweeps_a_non_separable_set():
-    # beta = v x: the control scales the drift, so the set is not
-    # control-separable and every control is scored at every point
-    co = CoefficientSet(controls=control_grid(-1.0, 1.0, 5),
-                        beta=lambda t, x, v, w: v * x,
-                        f=lambda t, x, v, w: np.full(x.shape[:-1], v[0] ** 2),
-                        G=lambda x, w: np.zeros(x.shape[:-1]), L=3.0,
-                        lip_x=1.0)
-    x = np.linspace(-2.0, 2.0, 9)[:, None, None]
-    p = np.linspace(-1.5, 1.5, 4)[None, :, None]
-    val, idx = hamiltonian(co, 0.0, x, p)
-    scores = np.stack([np.sum(co.beta(0.0, x, v, None) * p, axis=-1)
-                       + co.f(0.0, x, v, None) for v in co.controls])
-    assert val.shape == idx.shape == (9, 4)
-    assert np.array_equal(val, scores.min(axis=0))
-    assert np.array_equal(idx, scores.argmin(axis=0))
-    # the optimum moves off the grid's middle control away from x p = 0
-    assert len(np.unique(idx)) > 1
 
 
 # every built-in, its level-4 mollification and its tensor approximant
