@@ -88,7 +88,9 @@ class CoefficientSet:
     structure: on probe_lattice of the reach of |x0| <= 1 over unit time,
     at two times (on paths that differ, unless deterministic), each must
     have one value per node, vanishing second differences in x, and a
-    constant offset from control 0.
+    constant offset from control 0.  On a deterministic set, G, beta and
+    f are probed with w=None, and a map that fails there is a ValueError
+    naming it.
     """
 
     # the state dimension, a constant rather than a field: approximants
@@ -133,7 +135,8 @@ DECLARED = tuple(f.name for f in fields(CoefficientSet)
 def _check_structure(coeffs):
     """ValueError naming the map and control unless beta and f have the
     structure the module docstring states, on the probes of the class
-    docstring."""
+    docstring, and, on a deterministic set, unless G, beta and f
+    evaluate with w=None."""
     x = probe_lattice(reach_radius(coeffs, 1.0, 1.0))[:, None, :]
     slices = [None] * len(_PROBE_TIMES)
     if not coeffs.deterministic:     # three paths apart after knot 0
@@ -141,11 +144,24 @@ def _check_structure(coeffs):
         inc = np.repeat([[[-0.25]], [[0.0]], [[0.5]]], grid.n_steps, axis=1)
         ens = WienerEnsemble(grid, 1, 3, 0, inc)
         slices = [ens.slice_at(grid.index_of(t)) for t in _PROBE_TIMES]
+
+    def probe(name, where, *args):
+        try:
+            return np.asarray(getattr(coeffs, name)(*args), float)
+        except (AttributeError, TypeError) as exc:   # read through None
+            if not coeffs.deterministic:
+                raise
+            raise ValueError(
+                f"{name}{where} fails with w=None ({type(exc).__name__}: "
+                f"{exc}): a deterministic set must not read the path") from exc
+
+    if coeffs.deterministic:
+        probe("G", "", x, None)
     for name, shape in (("beta", x.shape), ("f", x.shape[:-1])):
         vals = np.empty((coeffs.n_controls, len(_PROBE_TIMES), x.shape[0]))
         for j, v in enumerate(coeffs.controls):
             for i, (t, w) in enumerate(zip(_PROBE_TIMES, slices)):
-                out = np.asarray(getattr(coeffs, name)(t, x, v, w), float)
+                out = probe(name, f" at control {j}", t, x, v, w)
                 try:
                     vals[j, i] = np.broadcast_to(out, shape).ravel()
                 except ValueError:

@@ -1,6 +1,9 @@
 """Experiment configs, pipeline dispatch, and reproducibility."""
 
 import json
+import os
+import subprocess
+import sys
 import warnings
 
 import pytest
@@ -423,6 +426,85 @@ def test_missing_openblas_skips_the_pin_and_says_so(tmp_path, monkeypatch,
     finally:
         cli._openblas.cache_clear()
     assert capsys.readouterr().err.count("OpenBLAS not found") == 1
+
+
+HELD = {"mmap_threshold": 32 << 20, "trim_threshold": 16 << 20}
+
+
+@pytest.mark.parametrize("outcome, expected", [
+    (True, 0), (False, 1), (IntegrationError, 1), (CapacityError, 2),
+])
+def test_heap_is_held_around_the_pipeline_on_every_exit(tmp_path, monkeypatch,
+                                                        outcome, expected):
+    # both thresholds are set before the pipeline runs, and every exit
+    # trims the heap after it
+    calls = []
+    monkeypatch.setattr(cli, "_glibc", lambda: (
+        lambda param, value: calls.append(("mallopt", param, value)),
+        lambda pad: calls.append(("trim", pad))))
+
+    def pipeline(cfg, out, scale, workers):
+        calls.append("pipeline")
+        if isinstance(outcome, bool):
+            return {"fine": outcome}
+        raise outcome("boom")
+    monkeypatch.setitem(cli._RUNNERS, "simulate", pipeline)
+    code, checks = run(_small(), "simulate", str(tmp_path))
+    assert code == expected
+    assert calls == [("mallopt", cli._M_MMAP_THRESHOLD, HELD["mmap_threshold"]),
+                     ("mallopt", cli._M_TRIM_THRESHOLD, HELD["trim_threshold"]),
+                     "pipeline", ("trim", 0)]
+    manifest = _manifest(tmp_path)
+    assert manifest["heap_hold"] == HELD
+    assert manifest["minor_faults"] >= 0 and manifest["peak_rss_mb"] > 0
+
+
+def test_missing_glibc_skips_the_hold_and_says_so(tmp_path, monkeypatch,
+                                                  capsys):
+    monkeypatch.setattr(cli.platform, "libc_ver", lambda: ("", ""))
+    cli._glibc.cache_clear()
+    try:
+        for name in ("a", "b"):
+            code, checks = run(_small(), "simulate", str(tmp_path / name))
+            assert code == 0, checks
+            assert _manifest(tmp_path / name)["heap_hold"] is None
+    finally:
+        cli._glibc.cache_clear()
+    assert capsys.readouterr().err.count("glibc not found") == 1
+
+
+def test_resource_use_is_null_before_the_pipeline_or_without_resource(
+        tmp_path, monkeypatch):
+    assert run(_small(), "no-such-pipeline", str(tmp_path / "a"))[0] == 2
+    monkeypatch.setattr(cli, "resource", None)
+    assert run(_small(), "simulate", str(tmp_path / "b"))[0] == 0
+    for name in ("a", "b"):
+        manifest = _manifest(tmp_path / name)
+        assert manifest["minor_faults"] is None
+        assert manifest["peak_rss_mb"] is None
+
+
+def test_envelope_tables_do_not_depend_on_the_heap_hold(tmp_path):
+    # mallopt settings outlive run(), so the side without the hold runs
+    # in a fresh interpreter that has never set them
+    cfg = _small(n_paths=300, eps_ladder=(0.2,), delta_ladder=(0.2,),
+                 ladder_h=0.1)
+    held, free = tmp_path / "held", tmp_path / "free"
+    code, checks = run(cfg, "envelopes", str(held), workers=1)
+    assert code == 0, checks
+    (tmp_path / "cfg.json").write_text(cfg.to_json())
+    script = ("import sys; from shjlab import cli; cli._glibc = lambda: None; "
+              "sys.exit(cli.main(sys.argv[1:]))")
+    subprocess.run([sys.executable, "-c", script, "--pipeline", "envelopes",
+                    "--config", str(tmp_path / "cfg.json"), "--out", str(free),
+                    "--workers", "1"], check=True, capture_output=True,
+                   timeout=120,
+                   env={**os.environ, "PYTHONPATH": os.path.dirname(
+                       os.path.dirname(cli.__file__))})
+    assert _manifest(held)["heap_hold"] == HELD
+    assert _manifest(free)["heap_hold"] is None
+    assert ((held / "envelope_grid.csv").read_bytes()
+            == (free / "envelope_grid.csv").read_bytes())
 
 
 def test_default_workers_follow_the_cpu_affinity(tmp_path, monkeypatch):

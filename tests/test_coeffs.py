@@ -232,6 +232,11 @@ REJECTED = {
     "f-reads-the-path": (dict(f=lambda t, x, v, w: w.current[:, 0]
                               * np.ones(x.shape[:-1]), deterministic=False),
                          "f at control 0 returns shape .* not read the path"),
+    "G-reads-the-path-of-a-deterministic-set": (
+        dict(G=scenario("random-target").G), "G fails with w=None"),
+    "beta-reads-the-path-of-a-deterministic-set": (
+        dict(beta=lambda t, x, v, w: v + np.tanh(w.current[:, 0])[:, None]),
+        "beta at control 0 fails with w=None"),
     "L-nan": (dict(L=float("nan")), "L must be finite and positive"),
     "lip_x-above-L": (dict(L=1.0, lip_x=5.0), "lip_x must lie in"),
     "lip_x-negative": (dict(lip_x=-1.0), "lip_x must lie in"),
