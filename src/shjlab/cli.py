@@ -104,6 +104,9 @@ class ExperimentConfig:
             raise ValueError("seed_w and seed_b must differ")
         if self.tolerance_scale <= 0:
             raise ValueError("tolerance_scale must be positive")
+        if self.n_intervals < 4:
+            raise ValueError(f"n_intervals must be >= 4, "
+                             f"got {self.n_intervals}")
 
     def to_json(self):
         return json.dumps(dataclasses.asdict(self), indent=2, sort_keys=True)
@@ -702,8 +705,8 @@ def run(config, pipeline, out_dir, *, workers=None):
     Exit code 0: every check passed; 1: a check or the computation
     failed; 2: bad invocation (a config field that fails validation,
     fewer than one worker, an unknown pipeline or scenario, a pipeline
-    that does not apply to the scenario, or sizes over the capacity
-    budget).
+    that does not apply to the scenario, envelope pieces that do not end
+    on knots, or sizes over the capacity budget).
     manifest.json is written on every exit; a failed run records its
     ``error`` and ``exit_code`` there.
     """
@@ -731,6 +734,11 @@ def run(config, pipeline, out_dir, *, workers=None):
         return finish(2, {}, f"{pipeline} does not apply to scenario "
                       f"{config.scenario!r}: its value is flat in x, and "
                       f"the check {needs_kink} needs a kink")
+    if (pipeline in ("envelopes", "full-uniqueness")
+            and config.n_steps % config.n_intervals):
+        return finish(2, {}, f"{pipeline} needs n_intervals "
+                      f"({config.n_intervals}) to divide n_steps "
+                      f"({config.n_steps}) so pieces end on knots")
     _say(f"[{pipeline}] scenario={config.scenario} hash={config.digest()} "
          f"workers={workers}")
     try:

@@ -201,7 +201,7 @@ def probe_lattice(radius, n_points=67):
 # ---------------------------------------------------------------------------
 # control sweeps
 
-def _argmin_sweep(coeffs, t, x, w, score, idx_dtype=int):
+def _argmin_sweep(coeffs, t, x, w, score):
     """Running minimum of score(beta, f) over the control grid, in index order.
 
     score maps one control's drift and running cost at (t, x, w) to
@@ -213,7 +213,7 @@ def _argmin_sweep(coeffs, t, x, w, score, idx_dtype=int):
         for v in coeffs.controls:
             yield score(np.asarray(coeffs.beta(t, x, v, w), float),
                         np.asarray(coeffs.f(t, x, v, w), float))
-    return _running_argmin(scores(), idx_dtype)
+    return _running_argmin(scores())
 
 
 def _running_argmin(scores, idx_dtype=int):

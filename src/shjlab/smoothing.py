@@ -22,8 +22,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .coeffs import (DECLARED, CoefficientSet, _one_component, probe_lattice,
-                     reach_radius)
+from .coeffs import (DECLARED, CoefficientSet, _node_tables, _one_component,
+                     probe_lattice, reach_radius)
 
 __all__ = [
     "bump_kernel",
@@ -226,17 +226,13 @@ def error_processes(base, approx, ensemble, radius):
 def _running_gaps(base, approx, t, probes, w):
     """Largest |approx - base| of f and of beta over the probes and controls.
 
-    probes is (n_probes, 1, 1); both gaps come back per path, (n_eff,).
+    probes is (n_probes, 1, 1); beta and f have one value per node, so
+    both gaps are scalars.
     """
-    df = dbeta = 0.0
-    for v in base.controls:
-        df = np.maximum(df, np.abs(
-            np.asarray(approx.f(t, probes, v, w)) - np.asarray(base.f(t, probes, v, w))
-        ).max(axis=0))
-        dbeta = np.maximum(dbeta, np.abs(
-            np.asarray(approx.beta(t, probes, v, w)) - np.asarray(base.beta(t, probes, v, w))
-        ).max(axis=(0, -1)))
-    return df, dbeta
+    every = range(base.n_controls)
+    b_beta, b_f = _node_tables(base, t, probes, w, every)
+    a_beta, a_f = _node_tables(approx, t, probes, w, every)
+    return np.abs(a_f - b_f).max(), np.abs(a_beta - b_beta).max()
 
 
 # ---------------------------------------------------------------------------

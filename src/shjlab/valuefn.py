@@ -19,8 +19,8 @@ import numpy as np
 from .dynamics import integrate
 from .exceptions import AccuracyError, CapacityError
 from .probspace import CondExpOperator, _path_mean_se, polynomial_basis
-from .coeffs import (_argmin_sweep, _node_tables, _one_component,
-                     _running_argmin, _table_rows, reach_radius)
+from .coeffs import (_node_tables, _one_component, _running_argmin,
+                     _table_rows, reach_radius)
 
 __all__ = [
     "BoxLattice",
@@ -42,12 +42,14 @@ class BoxLattice:
     """
 
     def __init__(self, lo, hi, h):
-        lo, hi = float(lo), float(hi)
+        lo, hi, self.h = float(lo), float(hi), float(h)
+        for name, value in (("lo", lo), ("hi", hi), ("h", self.h)):
+            if not np.isfinite(value):
+                raise ValueError(f"{name} must be finite, got {value!r}")
         if not hi > lo:
-            raise ValueError("need lo < hi")
-        self.h = float(h)
-        if self.h <= 0:
-            raise ValueError("spacing must be positive")
+            raise ValueError(f"need lo < hi, got lo={lo!r}, hi={hi!r}")
+        if not self.h > 0:
+            raise ValueError(f"spacing h must be positive, got {self.h!r}")
         self.n_points = max(int(np.round((hi - lo) / self.h)) + 1, 2)
         self.lo = lo
         self.hi = lo + (self.n_points - 1) * self.h
@@ -278,10 +280,10 @@ class _ControlImages:
 class _NextSlice:
     """The knot-(k+1) slice of a backward sweep, read at Euler images.
 
-    Calling it interpolates values at pos and tallies the reads for
-    clamp_fraction; reads made for control j also count their lattice
-    exits per knot and control in exits.  Every count is of reads: a node
-    image that a control shares with n path columns is n reads.
+    Calling it with control j interpolates values at pos and tallies the
+    reads for clamp_fraction and their lattice exits per knot and control
+    in exits.  Every count is of reads: a node image that a control
+    shares with n path columns is n reads.
     """
 
     def __init__(self, lattice):
@@ -290,7 +292,7 @@ class _NextSlice:
         self.clamped = self.evals = 0
         self.exits = {}             # (knot, control) -> reads out of the box
 
-    def __call__(self, pos, j=None):
+    def __call__(self, pos, j):
         vals, n_clamped = self.lattice.interp(self.values, pos)
         self.tally(j, vals.size, n_clamped)
         return vals
@@ -405,27 +407,31 @@ def value_V(coeffs, ensemble, lattice, *, basis=None, noise_level=0.0,
         exceeding it raises AccuracyError, which names the knot with the
         most exits, its control and face.
 
-    Each knot minimizes over the controls by sweeping them (read the
-    next slice at each control's Euler images, project, score), except
-    in two cases.
+    Each knot reads beta and f, which have one value per node, from
+    (control x node) tables and minimizes over the controls in one of
+    two read regimes, or by a stencil.
 
+    * Without noise every path column shares a node's Euler image, so a
+      control's read is a combination of rows of the next slice, which
+      commutes with the projection (Gobet, Lemor & Warin, Ann. Appl.
+      Probab. 15, 2005).  Each control is scored from rows read at its
+      images: after the first regression knot, rows of the slice's
+      projection coefficients, then predicted; at regression knot 0 the
+      slice's rows, then projected (a path mean); on a deterministic set
+      the slice's rows.  The slice is read again only at each point's
+      winning control.  After the first regression knot the projections
+      move by roundoff, and with them the earlier knots' slices, means
+      and se (within 1e-12); that can flip a choice only at a near-tie.
+    * Under noise each control's images are read path by path, then
+      projected (averaged, on a deterministic set) and scored in turn.
     * A deterministic problem under noise at a knot where every
       control's dt * beta is the same at all lattice nodes.  There each
       control's path mean is a stencil of the one-column slice (see
       _stencil_means), the argmin is taken over those means, and only the
       winning controls are interpolated path by path, so mean, se and the
-      slice match the sweep bit for bit unless a roundoff near-tie flips
-      a choice; lattice exits are counted on the nodes near the faces.
-    * A regression knot after the first, without noise.  beta and f
-      have one value per node, so every path column shares a node's
-      image, and a control's read is a combination of rows of the next
-      slice that commutes with the projection: the slice is projected
-      once into (nodes x features) coefficients, each control is scored
-      from their rows read at its images, and the slice is read only at
-      each point's winning control, with the sweep's arithmetic.  The
-      projections move by roundoff, and with them the slices, means and
-      se of the earlier knots (within 1e-12); that can flip a choice only
-      at a near-tie.
+      slice match the path-by-path reads bit for bit unless a roundoff
+      near-tie flips a choice; lattice exits are counted on the nodes
+      near the faces.
 
     Returns a ValueSurface whose terminal slice is the exact pathwise
     terminal cost and whose int8/int16 argmin tables, which feedback
@@ -439,68 +445,61 @@ def value_V(coeffs, ensemble, lattice, *, basis=None, noise_level=0.0,
 
     dt = ensemble.grid.dt
     x_eval = lattice.points[:, None, :]
+    every = range(coeffs.n_controls)
     idx_dtype = np.int8 if coeffs.n_controls <= 127 else np.int16
     argmins = {}
     one_column = bool(coeffs.deterministic and noise_level)
 
     def image(k, b, rows=slice(None)):
-        # Euler images of the lattice nodes (rows) under drift b and the
-        # knot-k noise
-        pos = x_eval[rows] + dt * b[rows]
+        # Euler images of the lattice nodes (rows) under the node drifts
+        # b (n_points,) and the knot-k noise
+        pos = x_eval[rows] + dt * b[rows, None, None]
         if noise_level:
             pos = pos + noise_level * noise_ensemble.increments[:, k, :]
         return pos
 
     def step(k, t, w, op, nxt):
-        if one_column:
-            b = np.stack([np.broadcast_to(coeffs.beta(t, x_eval, v, w),
-                                          x_eval.shape)
-                          for v in coeffs.controls])
-            if (dt * b == dt * b[:, :1]).all():
-                fv = np.stack([np.broadcast_to(coeffs.f(t, x_eval, v, w),
-                                               x_eval.shape[:-1])
-                               for v in coeffs.controls])
-                return stencil_step(k, nxt, b, fv)
-        if op is not None and k > 0 and not noise_level:
-            return projected_step(k, op, nxt, *_node_tables(
-                coeffs, t, x_eval, w, range(coeffs.n_controls)))
-        controls = iter(range(coeffs.n_controls))   # swept in index order
-
-        def score(b, fv):
-            raw = nxt(image(k, b), next(controls))
-            cont = None if op is None else op.apply(raw)
-            # add the running cost in place: one lattice-by-path temporary
-            # fewer per control keeps the allocator from trimming and
-            # re-faulting the heap
-            raw += fv * dt
-            if op is not None:
-                total = fv * dt + cont
-            elif noise_level:
-                # a deterministic problem under noise keeps one column
-                total = raw.mean(axis=-1, keepdims=True)
-            else:
-                total = raw
-            return total, raw
-
-        best, argmins[k], (best_raw,) = _argmin_sweep(coeffs, t, x_eval, w,
-                                                      score, idx_dtype)
-        return best, best_raw
-
-    def projected_step(k, op, nxt, beta, fv):
-        # every column reads a node at the same image, so each control's
-        # read is a combination of rows of the slice, and so is its
-        # projection: project the slice once, read its coefficients
-        images = _ControlImages(lattice, dt, beta)
+        beta, fv = _node_tables(coeffs, t, x_eval, w, every)
         fv *= dt
-        coef = op.coefficients(nxt.values)
-        n_paths = nxt.values.shape[1]
+        if not noise_level:
+            return node_step(k, op, nxt, beta, fv)
+        if one_column and (dt * beta == dt * beta[:, :1]).all():
+            return stencil_step(k, nxt, beta, fv)
 
         def scores():
-            for j in range(coeffs.n_controls):
+            for j in every:
+                raw = nxt(image(k, beta[j]), j)
+                cont = None if one_column else op.apply(raw)
+                # add the running cost in place: one lattice-by-path
+                # temporary fewer per control keeps the allocator from
+                # trimming and re-faulting the heap
+                raw += fv[j][:, None]
+                yield (raw.mean(axis=-1, keepdims=True) if one_column
+                       else fv[j][:, None] + cont), raw
+
+        best, argmins[k], (best_raw,) = _running_argmin(scores(), idx_dtype)
+        return best, best_raw
+
+    def node_step(k, op, nxt, beta, fv):
+        # every column reads a node at the same image, so each control's
+        # read is a combination of rows of the slice, and so is its
+        # projection: after knot 0 project the slice once and read its
+        # coefficients
+        images = _ControlImages(lattice, dt, beta)
+        if op is None:                      # the read is the score
+            table, finish = nxt.values, np.asarray
+        elif k == 0:                        # a path mean
+            table, finish = nxt.values, op.apply
+        else:
+            table, finish = op.coefficients(nxt.values), op.predict
+        n_eff = nxt.values.shape[1]
+
+        def scores():
+            for j in every:
                 n_out = np.count_nonzero(images.outside[j])
-                nxt.tally(j, lattice.n_points * n_paths, n_out * n_paths)
+                nxt.tally(j, lattice.n_points * n_eff, n_out * n_eff)
                 rows = _table_rows(j, lattice.n_points)
-                total = op.predict(images.read(coef, rows))
+                total = finish(images.read(table, rows))
                 total += fv[j][:, None]
                 yield (total,)
 
@@ -510,17 +509,17 @@ def value_V(coeffs, ensemble, lattice, *, basis=None, noise_level=0.0,
         raw += np.take(fv, rows)
         return best, raw
 
-    def stencil_step(k, nxt, b, fv):
-        n_controls, n = b.shape[:2]
+    def stencil_step(k, nxt, beta, fv):
+        n_controls, n = beta.shape
         dB = noise_level * noise_ensemble.increments[:, k, 0]
-        z = (dt * b[:, 0, 0, 0, None] + dB) / lattice.h
-        totals = _stencil_means(nxt.values[:, 0], z) + dt * fv[:, :, 0].T
+        z = (dt * beta[:, 0, None] + dB) / lattice.h
+        totals = _stencil_means(nxt.values[:, 0], z) + fv.T
         best_idx = np.argmin(totals, axis=1)
         raw = np.empty((n, dB.size))
         for j in np.flatnonzero(np.bincount(best_idx, minlength=n_controls)):
             rows = best_idx == j
-            vals, _ = lattice.interp(nxt.values, image(k, b[j], rows))
-            vals += fv[j, rows] * dt
+            vals, _ = lattice.interp(nxt.values, image(k, beta[j], rows))
+            vals += fv[j, rows, None]
             raw[rows] = vals
         # a shift of |z| cells can only carry the nodes that close to a
         # face out of the box: count every control's exits there
@@ -528,7 +527,7 @@ def value_V(coeffs, ensemble, lattice, *, basis=None, noise_level=0.0,
         for j in range(n_controls):
             reach = np.ceil(np.abs(z[j]).max()) + 1
             edge = (node < reach) | (node >= n - reach)
-            n_out = int(lattice.exits(image(k, b[j], edge)).sum())
+            n_out = int(lattice.exits(image(k, beta[j], edge)).sum())
             nxt.tally(j, n * dB.size, n_out)
         argmins[k] = best_idx.astype(idx_dtype)[:, None]
         return raw.mean(axis=-1, keepdims=True), raw
@@ -547,9 +546,8 @@ def value_V(coeffs, ensemble, lattice, *, basis=None, noise_level=0.0,
         j = max(sorted(c for kk, c in exits if kk == k),
                 key=lambda c: exits[k, c])
         w = None if coeffs.deterministic else ensemble.slice_at(k)
-        b = np.asarray(coeffs.beta(ensemble.grid.knots[k], x_eval,
-                                   coeffs.controls[j], w), float)
-        faces = lattice.exits(image(k, b))
+        beta, _ = _node_tables(coeffs, ensemble.grid.knots[k], x_eval, w, [j])
+        faces = lattice.exits(image(k, beta[j]))
         side = int(np.argmax(faces))
         raise AccuracyError(
             f"{100 * frac:.2f}% of lattice evaluations left the box (budget "

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .bsde import BsdeSpec, error_bound_bsde, solve_bsde
-from .coeffs import _argmin_sweep, _policy_sweep
+from .coeffs import _argmin_sweep, _node_tables, _policy_sweep
 from .exceptions import AccuracyError
 from .fields import AdaptedField
 from .probspace import _path_mean_se, polynomial_basis
@@ -125,9 +125,9 @@ def _control_lines(coeffs, t, w):
     cached = getattr(coeffs, "_control_lines", None)
     if cached is not None:
         return cached
-    x0 = np.zeros((1, 1, 1))
-    b = np.array([np.ravel(coeffs.beta(t, x0, v, w))[0] for v in coeffs.controls])
-    f = np.array([np.ravel(coeffs.f(t, x0, v, w))[0] for v in coeffs.controls])
+    b, f = _node_tables(coeffs, t, np.zeros((1, 1, 1)), w,
+                        range(coeffs.n_controls))
+    b, f = b[:, 0], f[:, 0]
     # a virtual line at +inf is the runner-up of a single control
     c = np.append(b - b[0], 0.0)
     g = np.append(f - f[0], np.inf)
@@ -497,20 +497,9 @@ def solve_hjb_fd_1d(approx, x_axis, y_axis, interval, delta_n):
     if u.shape != (x_axis.size, y_axis.size):
         raise ValueError(f"terminal plane must be {(x_axis.size, y_axis.size)}")
 
-    x_col = x_axis[:, None]
-    drifts = []
-    runnings = []
-    for j in range(approx.n_controls):
-        v = approx.controls[j]
-        b = np.broadcast_to(
-            np.asarray(approx.beta(t0, x_col, v, None), float),
-            (x_axis.size, 1))[:, 0]
-        fv = np.broadcast_to(
-            np.asarray(approx.f(t0, x_col, v, None), float),
-            (x_axis.size,))
-        drifts.append(b)
-        runnings.append(fv)
-    b_max = max(float(np.max(np.abs(b))) for b in drifts)
+    drifts, runnings = _node_tables(approx, t0, x_axis[:, None, None], None,
+                                    range(approx.n_controls))
+    b_max = float(np.abs(drifts).max())
 
     rate = b_max / hx + delta_n**2 / hx**2 + 1.0 / hy**2
     n_sub = max(int(np.ceil((t1 - t0) * rate / 0.8)), 1)

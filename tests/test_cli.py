@@ -52,7 +52,7 @@ def _configs(draw):
                                    max_size=4))),
         eps_ladder=tuple(draw(st.lists(_POS, min_size=1, max_size=4))),
         delta_ladder=tuple(draw(st.lists(_POS, min_size=1, max_size=4))),
-        n_intervals=draw(st.integers(1, 64)),
+        n_intervals=draw(st.integers(4, 64)),
         tolerance_scale=draw(_POS),
     )
 
@@ -103,6 +103,8 @@ def test_config_rejects_unknown_keys():
     dict(seed_b=-1),
     dict(x0_max=0.0),         # no starting box, so no lattice
     dict(x0_max=-1.0),
+    dict(n_intervals=3),      # fit_functional_approximant needs 4 pieces
+    dict(n_intervals=0),
 ])
 def test_config_validation(bad):
     with pytest.raises(ValueError):
@@ -351,6 +353,20 @@ def test_flat_builtin_refuses_pipelines_that_need_a_kink(tmp_path, name,
     assert manifest["exit_code"] == 2 and manifest["config"]["scenario"] == name
     check = "gradient_bound" if pipeline == "envelopes" else "ladder_slope"
     assert name in manifest["error"] and check in manifest["error"]
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["manifest.json"]
+
+
+@pytest.mark.parametrize("pipeline", ["envelopes", "full-uniqueness"])
+def test_pieces_that_miss_the_knots_exit_2_before_any_work(tmp_path,
+                                                         monkeypatch,
+                                                         pipeline):
+    # 4 pieces of 6 steps: refused before a value surface is computed
+    monkeypatch.setattr(cli, "value_V", lambda *a, **k: pytest.fail())
+    code, checks = run(_small(n_steps=6), pipeline, str(tmp_path))
+    assert code == 2 and checks == {}
+    manifest = _manifest(tmp_path)
+    assert manifest["exit_code"] == 2 and manifest["config"]["n_steps"] == 6
+    assert "n_intervals (4) to divide n_steps (6)" in manifest["error"]
     assert sorted(p.name for p in tmp_path.iterdir()) == ["manifest.json"]
 
 

@@ -3,8 +3,8 @@
 import numpy as np
 import pytest
 
-from shjlab.coeffs import (DECLARED, CoefficientSet, _argmin_sweep,
-                           _policy_sweep, control_grid, probe_lattice,
+from shjlab.coeffs import (DECLARED, CoefficientSet, _policy_sweep,
+                           _running_argmin, control_grid, probe_lattice,
                            reach_radius, scenario, scenario_names)
 from shjlab.probspace import TimeGrid, WienerEnsemble, sample_ensemble
 from shjlab.smoothing import MollifiedSet
@@ -271,7 +271,11 @@ def test_sweeps_break_exact_ties_to_index_zero():
         total = np.sum(b * p, axis=-1) + fv
         return total, total + 1.0
 
-    best, idx, (carried,) = _argmin_sweep(co, 0.0, x, None, score, np.int8)
+    def scores():
+        for v in co.controls:
+            yield score(co.beta(0.0, x, v, None), co.f(0.0, x, v, None))
+
+    best, idx, (carried,) = _running_argmin(scores(), np.int8)
     assert len(calls) == co.n_controls
     assert idx.dtype == np.int8 and not idx.any()
     assert np.all(best == 0.0) and np.all(carried == 1.0)

@@ -45,6 +45,15 @@ def test_lattice_geometry():
         BoxLattice(0.0, 1.0, 0.0)
 
 
+@pytest.mark.parametrize("lo, hi, h, name", [
+    (0.0, 1.0, np.inf, "h"), (0.0, 1.0, np.nan, "h"), (0.0, 1.0, -0.1, "h"),
+    (-np.inf, 1.0, 0.1, "lo"), (0.0, np.inf, 0.1, "hi"), (0.0, np.nan, 0.1, "hi"),
+])
+def test_lattice_rejects_non_finite_bounds_and_spacing(lo, hi, h, name):
+    with pytest.raises(ValueError, match=f"^(spacing )?{name} must be"):
+        BoxLattice(lo, hi, h)
+
+
 def test_lattice_rejects_two_component_points():
     lat = BoxLattice.centered(1.0, 0.5)
     pos = np.zeros((3, 1, 2))
@@ -345,9 +354,10 @@ def test_noisy_one_column_recursion_matches_reference(name, delta):
 
 
 def _regression_reference(co, ens, lat, basis):
-    """Per-control loop of the regression recursion: every control's
-    Euler images read path by path (_interp_by_corner), projected,
-    scored and selected.
+    """Per-control loop of the recursion without noise: every control's
+    Euler images read path by path (_interp_by_corner), projected (a
+    deterministic set keeps one column and no projection), scored and
+    selected.
 
     Returns the mean rows, se rows, slices, argmin tables, their near-tie
     masks (best and runner-up totals within 1e-12), the reads and the
@@ -356,25 +366,28 @@ def _regression_reference(co, ens, lat, basis):
     grid = ens.grid
     n, dt = grid.n_steps, grid.dt
     x = lat.points[:, None, :]
-    wT = ens.slice_at(n, terminal_ok=True)
-    V = np.broadcast_to(co.G(x, wT), (lat.n_points, ens.n_paths)).copy()
+    n_eff = 1 if co.deterministic else ens.n_paths
+    wT = None if co.deterministic else ens.slice_at(n, terminal_ok=True)
+    V = np.broadcast_to(co.G(x, wT), (lat.n_points, n_eff)).copy()
     mean, se, slices, argmin, tied = {}, {}, {n: V}, {}, {}
     mean[n], se[n] = _path_mean_se(V)
     clamped = evals = 0
     for k in range(n - 1, -1, -1):
-        t, w = grid.knots[k], ens.slice_at(k)
-        op = CondExpOperator(ens, k, basis)
+        t = grid.knots[k]
+        w = None if co.deterministic else ens.slice_at(k)
+        project = (np.asarray if co.deterministic
+                   else CondExpOperator(ens, k, basis).apply)
         totals, raws = [], []
         for v in co.controls:
             pos = x + dt * co.beta(t, x, v, w)
             vals = _interp_by_corner(lat, V, np.broadcast_to(
-                pos, (lat.n_points, ens.n_paths, 1)))
+                pos, (lat.n_points, n_eff, 1)))
             u = (pos[..., 0] - lat.lo) / lat.h         # in cells, as interp
             outside = (u < 0.0) | (u > lat.n_points - 1)
             clamped += int(np.broadcast_to(outside, vals.shape).sum())
             evals += vals.size
             fv = co.f(t, x, v, w)
-            totals.append(fv * dt + op.apply(vals))
+            totals.append(fv * dt + project(vals))
             raws.append(vals + fv * dt)
         totals, raws = np.array(totals), np.array(raws)
         argmin[k] = np.argmin(totals, axis=0)
@@ -395,21 +408,26 @@ def _energy(t, x, v, w):
     return np.full(x.shape[:-1], 0.1 * float(v[0]) ** 2)
 
 
-def _variant(name, base):
-    """base, mollified, or with a pull and a running cost."""
+def _variant(name):
+    """A built-in, or random-target mollified or with a pull and a
+    running cost."""
     if name == "mollified":
-        return MollifiedSet(base, 4)
+        return MollifiedSet(scenario("random-target"), 4)
     if name == "priced":
-        return dataclasses.replace(base, beta=_pulled_drift, f=_energy)
-    return base
+        return dataclasses.replace(scenario("random-target"),
+                                   beta=_pulled_drift, f=_energy)
+    return scenario(name)
 
 
-@pytest.mark.parametrize("name", ["random-target", "mollified", "priced"])
+@pytest.mark.parametrize("name", ["random-target", "mollified", "priced",
+                                  "eikonal", "linear-drift"])
 def test_regression_recursion_matches_per_control_reference(name):
     # drifts with one value per node read each knot's slice at shared
-    # images, so value_V projects the slice once and reads coefficients.
+    # images, so value_V reads (control, node) tables: it projects the
+    # slice once and reads coefficients after knot 0, and reads the
+    # slice itself at knot 0 and on the one-column deterministic sets.
     # The narrow box sends some images out of it.
-    co = _variant(name, scenario("random-target"))
+    co = _variant(name)
     grid = TimeGrid(1.0, 8)
     ens = sample_ensemble(grid, 1, 300, SEED)
     lat = BoxLattice.centered(1.0, 0.1)
@@ -438,9 +456,8 @@ def test_regression_recursion_matches_per_control_reference(name):
                                    atol=1e-12)
     for k in range(grid.n_steps):
         assert (V.argmin[k] == argmin[k])[~tied[k]].all()
-    # knot 0 (a plain mean) sweeps, reading the slice through interp;
-    # the other knots read coefficients
-    assert sum(reads) == co.n_controls * lat.n_points * ens.n_paths
+    # no knot without noise reads through interp
+    assert reads == []
 
 
 @pytest.mark.parametrize("slope", [0.0, 1e-3])

@@ -1,0 +1,107 @@
+"""Check that two source trees write the same CLI outputs.
+
+Usage (from the repository root):
+
+    python tools/same_outputs.py PARENT_ROOT
+
+In this tree and in PARENT_ROOT, each run in a fresh interpreter with
+PYTHONPATH=<root>/src, ``shjlab.cli.run`` executes the three workload
+configurations of perfbench/workloads.py at seed 0 (taken from this
+tree) and acceptance criterion 11's full-uniqueness configuration at 1
+and at 3 workers.  Every file a run writes is compared byte for byte,
+except manifest.json, which records versions and resource use.
+
+Exits 1 naming the first file that differs or exists on one side only,
+or the first run whose exit code differs; else 0.
+"""
+
+from __future__ import annotations
+
+import filecmp
+import json
+import os
+import subprocess
+import sys
+import tempfile
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+sys.path.insert(0, str(ROOT / "perfbench"))
+
+from workloads import WORKLOADS  # noqa: E402
+
+# tests/test_acceptance.py, criterion 11
+CRITERION_11 = {"scenario": "eikonal", "n_steps": 8, "n_paths": 500,
+                "n_paths_bsde": 20_000, "seed_w": 11, "seed_b": 12,
+                "levels": [4, 8], "eps_ladder": [0.2, 0.1],
+                "delta_ladder": [0.2, 0.1]}
+
+# (output directory, pipeline, config, workers); None workers is the
+# CLI default, as in the benchmark
+RUNS = ([(w.name, w.pipeline, w.config, None) for w in WORKLOADS.values()]
+        + [(f"criterion-11-w{n}", "full-uniqueness", CRITERION_11, n)
+           for n in (1, 3)])
+
+# one run in a fresh interpreter; prints the pipeline's exit code
+_RUN = """
+import json, sys
+from shjlab.cli import ExperimentConfig, run
+pipeline, config, out, workers = json.loads(sys.argv[1])
+print(run(ExperimentConfig(**config), pipeline, out, workers=workers)[0])
+"""
+
+
+def run_all(root, out):
+    """Exit code of every run in RUNS, executed from the tree at root."""
+    env = dict(os.environ, PYTHONPATH=str(root / "src"))
+    codes = {}
+    for name, pipeline, config, workers in RUNS:
+        request = json.dumps([pipeline, config, str(out / name), workers])
+        done = subprocess.run([sys.executable, "-c", _RUN, request],
+                              cwd=root, env=env, capture_output=True,
+                              text=True)
+        if done.returncode:
+            sys.exit(f"{name} did not run in {root}:\n{done.stderr}")
+        codes[name] = int(done.stdout.split()[-1])
+    return codes
+
+
+def first_difference(ours, theirs):
+    """Relative path of the first differing or one-sided file, or None."""
+    for name, *_ in RUNS:
+        files = {p.relative_to(ours) for p in (ours / name).rglob("*")}
+        files |= {p.relative_to(theirs) for p in (theirs / name).rglob("*")}
+        for rel in sorted(files):
+            if rel.name == "manifest.json":
+                continue
+            a, b = ours / rel, theirs / rel
+            if not (a.is_file() and b.is_file()
+                    and filecmp.cmp(a, b, shallow=False)):
+                return rel
+    return None
+
+
+def main(argv):
+    if len(argv) != 2:
+        sys.exit(__doc__)
+    parent = Path(argv[1]).resolve()
+    with tempfile.TemporaryDirectory() as tmp:
+        ours, theirs = Path(tmp, "this"), Path(tmp, "parent")
+        codes = run_all(ROOT, ours), run_all(parent, theirs)
+        for name, *_ in RUNS:
+            if codes[0][name] != codes[1][name]:
+                print(f"{name}: exit code {codes[0][name]} here, "
+                      f"{codes[1][name]} in {parent}")
+                return 1
+        diff = first_difference(ours, theirs)
+        if diff is not None:
+            print(f"{diff} differs")
+            return 1
+        n_files = sum(1 for p in ours.rglob("*")
+                      if p.is_file() and p.name != "manifest.json")
+        print(f"{len(RUNS)} runs, {n_files} files identical")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main(sys.argv))
