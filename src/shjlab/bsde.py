@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .coeffs import _node_tables, _table_rows
+from .coeffs import _policy_tables
 from .fields import AdaptedField
 from .probspace import CondExpOperator, polynomial_basis
 from .valuefn import _backward_sweep, _ControlImages
@@ -152,14 +152,6 @@ def error_bound_bsde(errors, gain, ensemble):
         raise ValueError("error processes were built on a different grid")
     return solve_bsde(BsdeSpec(ensemble, errors.dG,
                                errors.df + float(gain) * errors.dbeta))
-
-
-def _policy_tables(coeffs, t, x, w, idx):
-    """(beta, f, rows): _node_tables of the controls the index table idx
-    uses and each point's flat offset into them."""
-    used = np.flatnonzero(np.bincount(np.ravel(idx),
-                                      minlength=coeffs.n_controls))
-    return (*_node_tables(coeffs, t, x, w, used), _table_rows(idx, x.shape[0]))
 
 
 def policy_cost_surface(coeffs, ensemble, policy, lattice):

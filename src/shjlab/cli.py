@@ -181,8 +181,10 @@ def _write_csv(path, digest, columns, rows):
 
 
 def _write_items(path, digest, items):
-    """Ladder items as a table; the columns are the item keys, in order."""
-    _write_csv(path, digest, list(items[0]), [list(r.values()) for r in items])
+    """Ladder items as a table; the columns are the item keys, in order,
+    but for per-knot dicts, which only the JSON reports carry."""
+    columns = [key for key, v in items[0].items() if not isinstance(v, dict)]
+    _write_csv(path, digest, columns, [[r[c] for c in columns] for r in items])
 
 
 def _write_json(path, payload):
@@ -430,6 +432,8 @@ def _envelope_item(cfg, scale, coeffs, ens_w, ens_b, lat, surface, eps, delta):
         "order_ok": bool(rep["order_ok"]),
         "upper_passed": bool(pair.reports["upper"]["passed"]),
         "lower_passed": bool(pair.reports["lower"]["passed"]),
+        "upper_knot_margins": pair.reports["upper"]["knot_margins"],
+        "lower_knot_margins": pair.reports["lower"]["knot_margins"],
     }
 
 

@@ -201,24 +201,14 @@ def probe_lattice(radius, n_points=67):
 # ---------------------------------------------------------------------------
 # control sweeps
 
-def _argmin_sweep(coeffs, t, x, w, score):
-    """Running minimum of score(beta, f) over the control grid, in index order.
-
-    score maps one control's drift and running cost at (t, x, w) to
-    (total, *companions).  Returns the smallest total, its control index
-    (ties keep the lowest) and the companions at that index.  Only one
-    control is held at a time, so memory does not grow with the grid.
-    """
-    def scores():
-        for v in coeffs.controls:
-            yield score(np.asarray(coeffs.beta(t, x, v, w), float),
-                        np.asarray(coeffs.f(t, x, v, w), float))
-    return _running_argmin(scores())
-
-
 def _running_argmin(scores, idx_dtype=int):
     """Running minimum of the totals of (total, *companions) scored in
-    control index order; returns what _argmin_sweep does."""
+    control index order.
+
+    Returns the smallest total, its control index (ties keep the lowest)
+    and the companions at that index.  Only one control's scores are
+    held at a time, so memory does not grow with the grid.
+    """
     best = best_idx = carried = better = None
     for j, (total, *companions) in enumerate(scores):
         if best is None:
@@ -234,42 +224,50 @@ def _running_argmin(scores, idx_dtype=int):
     return best, best_idx, carried
 
 
-def _policy_sweep(coeffs, t, x, w, idx, evaluate, shapes):
-    """Evaluate each point at the control idx assigns to it.
+def _control_rows(coeffs, t, x, w, controls):
+    """Drift and running cost of each listed control at the points x (..., 1).
 
-    Only the controls idx uses are evaluated, in ascending order.
-    evaluate(beta, f) returns one array per entry of shapes; point p of
-    each output is read from the arrays computed at control idx[p].
+    Yields one (beta, f) pair per control, each flat over x's points in
+    x's flat order (views of the maps' results where their layout
+    allows).  The maps see x itself, so each entry has the bits the
+    per-control evaluation computes.
     """
-    outs = [np.empty(shape) for shape in shapes]
-    used = np.bincount(np.ravel(idx), minlength=coeffs.n_controls)
-    for j in np.flatnonzero(used):
+    for j in controls:
         v = coeffs.controls[j]
-        b = np.asarray(coeffs.beta(t, x, v, w), float)
-        fv = np.asarray(coeffs.f(t, x, v, w), float)
-        mask = idx == j
-        for out, vals in zip(outs, evaluate(b, fv)):
-            # copy in place: boolean-index temporaries fragment the heap
-            np.copyto(out, vals, where=mask.reshape(
-                mask.shape + (1,) * (out.ndim - mask.ndim)))
-    return outs
+        yield (np.broadcast_to(coeffs.beta(t, x, v, w), x.shape)[..., 0].ravel(),
+               np.broadcast_to(coeffs.f(t, x, v, w), x.shape[:-1]).ravel())
 
 
 def _node_tables(coeffs, t, x, w, controls):
-    """Drift and running cost of the listed controls at the nodes x (n, 1, 1).
+    """_control_rows of the listed controls as two (len(controls), n)
+    tables (beta, f) over x's n points.
 
-    Returns (beta, f), two (n_controls, n) tables holding a row per
-    listed control (the other rows stay 0).  beta and f have one value per
-    node, so every path column shares a node's Euler image.  The maps see
-    x itself, so each entry has the bits the sweeps compute.
+    beta and f have one value per node, so at the nodes x (n, 1, 1) every
+    path column shares a node's Euler image.
     """
-    beta = np.zeros((coeffs.n_controls, x.shape[0]))
-    f = np.zeros(beta.shape)
-    for j in controls:
-        v = coeffs.controls[j]
-        beta[j] = np.broadcast_to(coeffs.beta(t, x, v, w), x.shape)[:, 0, 0]
-        f[j] = np.broadcast_to(coeffs.f(t, x, v, w), x.shape[:-1])[:, 0]
+    n = math.prod(x.shape[:-1])
+    beta = np.empty((len(controls), n))
+    f = np.empty(beta.shape)
+    for r, (b, fv) in enumerate(_control_rows(coeffs, t, x, w, controls)):
+        beta[r] = b
+        f[r] = fv
     return beta, f
+
+
+def _policy_tables(coeffs, t, x, w, idx):
+    """(beta, f, rows): _node_tables of the controls the index table idx
+    uses, and each point's flat offset into them.
+
+    idx has a shape that x.shape[:-1] broadcasts to; point i of idx reads,
+    at control idx[i], the point of x that broadcasts to it.
+    """
+    used = np.bincount(np.ravel(idx), minlength=coeffs.n_controls) > 0
+    beta, f = _node_tables(coeffs, t, x, w, np.flatnonzero(used))
+    n = beta.shape[1]
+    rows = np.take(np.cumsum(used) - 1, idx)
+    rows *= n
+    rows += np.arange(n).reshape(x.shape[:-1])
+    return beta, f, rows
 
 
 def _table_rows(idx, n):

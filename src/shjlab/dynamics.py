@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .coeffs import _one_component, _policy_sweep
+from .coeffs import _one_component, _policy_tables
 from .exceptions import IntegrationError
 
 __all__ = ["StateTrajectoryBatch", "integrate", "flow_audit"]
@@ -91,10 +91,9 @@ def integrate(coeffs, ensemble, policy, xi, *, k0=0, store_knots="all"):
         w = None if coeffs.deterministic else ensemble.slice_at(k)
         idx = np.broadcast_to(
             np.asarray(policy.indices_at(k, X), int), cost.shape)
-        drift, fval = _policy_sweep(coeffs, t, X, w, idx,
-                                    lambda b, fv: (b, fv), [X.shape, cost.shape])
-        cost = cost + fval * dt
-        X = X + drift * dt
+        beta, f, rows = _policy_tables(coeffs, t, X, w, idx)
+        cost = cost + np.take(f, rows) * dt
+        X = X + np.take(beta, rows)[..., None] * dt
         if not np.isfinite(X).all():
             raise IntegrationError(f"non-finite state at knot {k + 1}")
         if k + 1 in keep:

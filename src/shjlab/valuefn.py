@@ -38,7 +38,9 @@ class BoxLattice:
     """Uniform lattice on an interval with linear interpolation.
 
     Points, here and in every method, carry a trailing state axis of
-    length 1; other lengths raise ValueError.
+    length 1; other lengths raise ValueError.  Bounds and spacing must be
+    finite with (hi - lo) / h finite too, else ValueError; more nodes
+    than AUTO_STORE_BUDGET raise CapacityError before any array is built.
     """
 
     def __init__(self, lo, hi, h):
@@ -50,7 +52,15 @@ class BoxLattice:
             raise ValueError(f"need lo < hi, got lo={lo!r}, hi={hi!r}")
         if not self.h > 0:
             raise ValueError(f"spacing h must be positive, got {self.h!r}")
-        self.n_points = max(int(np.round((hi - lo) / self.h)) + 1, 2)
+        cells = (hi - lo) / self.h
+        if not np.isfinite(cells):
+            raise ValueError(f"(hi - lo) / h overflows for lo={lo!r}, "
+                             f"hi={hi!r}, h={self.h!r}")
+        self.n_points = max(int(np.round(cells)) + 1, 2)
+        if self.n_points > AUTO_STORE_BUDGET:
+            raise CapacityError(
+                f"lattice of {self.n_points} nodes (lo={lo!r}, hi={hi!r}, "
+                f"h={self.h!r}) exceeds the budget of {AUTO_STORE_BUDGET}")
         self.lo = lo
         self.hi = lo + (self.n_points - 1) * self.h
         self.points = (self.lo + self.h * np.arange(self.n_points))[:, None]
@@ -257,10 +267,10 @@ class ValueSurface:
 class _ControlImages:
     """Lattice reads at Euler images that every path column shares.
 
-    beta (n_controls, n_points) holds each control's drift at each node;
-    the image of node i under control j is x_i + dt * beta[j, i], located
-    by BoxLattice.locate, so a read has interp's arithmetic bit for bit.
-    outside marks the (control, node) images beyond the box.
+    beta (n_rows, n_points) is a _node_tables drift table; the image of
+    node i under row r is x_i + dt * beta[r, i], located by
+    BoxLattice.locate, so a read has interp's arithmetic bit for bit.
+    outside marks the (row, node) images beyond the box.
     """
 
     def __init__(self, lattice, dt, beta):
@@ -270,8 +280,8 @@ class _ControlImages:
             pos[..., None])
 
     def read(self, values, rows):
-        """values (n_points, n_eff) read at flat (control, node) offsets
-        rows (n_points, E) from _table_rows, E == n_eff or 1."""
+        """values (n_points, n_eff) read at flat (row, node) offsets
+        rows (n_points, E), E == n_eff or 1."""
         return self.lattice.gather(values, np.take(self.cell, rows),
                                    np.take(self.w_lo, rows),
                                    np.take(self.w_hi, rows))
@@ -547,7 +557,7 @@ def value_V(coeffs, ensemble, lattice, *, basis=None, noise_level=0.0,
                 key=lambda c: exits[k, c])
         w = None if coeffs.deterministic else ensemble.slice_at(k)
         beta, _ = _node_tables(coeffs, ensemble.grid.knots[k], x_eval, w, [j])
-        faces = lattice.exits(image(k, beta[j]))
+        faces = lattice.exits(image(k, beta[0]))
         side = int(np.argmax(faces))
         raise AccuracyError(
             f"{100 * frac:.2f}% of lattice evaluations left the box (budget "

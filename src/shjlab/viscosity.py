@@ -18,7 +18,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .bsde import BsdeSpec, error_bound_bsde, solve_bsde
-from .coeffs import _argmin_sweep, _node_tables, _policy_sweep
+from .coeffs import (_control_rows, _node_tables, _policy_tables,
+                     _running_argmin)
 from .exceptions import AccuracyError
 from .fields import AdaptedField
 from .probspace import _path_mean_se, polynomial_basis
@@ -61,53 +62,42 @@ def hamiltonian(coeffs, t, x, p, w=None):
 
     The control enters additively (see coeffs), so each point's control
     is looked up on the lower envelope of the lines c(v) p + g(v) and
-    scored there alone.  Points within a rounding bound of a tie (p = 0
-    on the eikonal grid, say) are re-scored by the full sweep, with the
-    coefficients evaluated on the whole x as the sweep does, so values
-    and argmins equal the sweep's bit for bit.
+    read from (used control x point) tables of beta and f evaluated on
+    the whole x.  Points within a rounding bound of a tie (p = 0 on the
+    eikonal grid, say) are re-scored over every control, each evaluated
+    on the whole x and read at their points, so values and argmins equal
+    the per-control sweep's bit for bit.
     """
     x = np.asarray(x, float)
     p = np.asarray(p, float)
-    shape = np.broadcast_shapes(x.shape, p.shape)
-    q = np.broadcast_to(p, shape)[..., 0]
+    q = np.broadcast_to(p, np.broadcast_shapes(x.shape, p.shape))[..., 0]
     breaks, pick, slope_gap, offset_gap, c_size, g_size = \
         _control_lines(coeffs, t, w)
     # the smallest index type keeps the lookup out of the peak memory
     seg = np.searchsorted(breaks, q).astype(np.min_scalar_type(breaks.size))
     idx = np.asarray(pick[seg])
-    pick_score = _score(p)
-    size = [0.0, 0.0]                 # largest |beta|, |f| at the picks
-
-    def scored(b, fv):
-        size[0] = max(size[0], b.max(initial=0.0), -b.min(initial=0.0))
-        size[1] = max(size[1], fv.max(initial=0.0), -fv.min(initial=0.0))
-        return pick_score(b, fv)
-
-    value, = _policy_sweep(coeffs, t, x, w, idx, scored, [q.shape])
+    beta, f, rows = _policy_tables(coeffs, t, x, w, idx)
+    value = np.take(beta, rows)
+    value *= q
+    value += np.take(f, rows)
     gap = slope_gap[seg] * q + offset_gap[seg]   # runner-up minus pick
     # scores differ from their exact lines by roundoff of this size
-    bound = _TIE_RTOL * ((size[0] + c_size) * np.abs(q)
-                         + size[1] + g_size) + _TIE_ATOL
+    bound = _TIE_RTOL * ((np.abs(beta).max(initial=0.0) + c_size) * np.abs(q)
+                         + np.abs(f).max(initial=0.0) + g_size) + _TIE_ATOL
     tied = ~(gap > bound)
-    del gap, bound, seg               # out of the way of the re-scoring
+    n = beta.shape[1]
+    del gap, bound, seg, beta, f      # out of the way of the re-scoring
     if tied.any():
         at = np.nonzero(tied)      # index arrays gather without a mask scan
-        at_score = _score(np.broadcast_to(p, shape)[at])
+        node, q_at = rows[at] % n, q[at]   # each tied point's x point
 
-        def tie_score(b, fv):
-            return at_score(np.broadcast_to(b, shape)[at],
-                            np.broadcast_to(fv, q.shape)[at])
+        def scores():
+            for b, fv in _control_rows(coeffs, t, x, w,
+                                       range(coeffs.n_controls)):
+                yield (np.take(b, node) * q_at + np.take(fv, node),)
 
-        value[at], idx[at], _ = _argmin_sweep(coeffs, t, x, w, tie_score)
+        value[at], idx[at], _ = _running_argmin(scores())
     return value, idx
-
-
-def _score(p):
-    """Score of one control in the sweeps: beta . p + f."""
-    def score(b, fv):
-        return (np.sum(np.broadcast_to(b, np.broadcast_shapes(b.shape, p.shape))
-                       * p, axis=-1) + fv,)
-    return score
 
 
 def _control_lines(coeffs, t, w):
@@ -229,48 +219,46 @@ def residual_check(afield, coeffs, ensemble, side="super", *, tol=0.02):
 
     Returns a report dict: the probe means and standard errors per knot,
     the residual margin (the worst probe statistic, signed so that
-    super passes at >= -tol and sub at <= tol), the terminal margin, and
-    `passed`, which combines the residual sign and the terminal
+    super passes at >= -tol and sub at <= tol), each knot's worst probe
+    statistic, signed the same way, in knot_margins, the terminal margin,
+    and `passed`, which combines the residual sign and the terminal
     comparison.
     """
     if side not in ("super", "sub"):
         raise ValueError("side must be 'super' or 'sub'")
     if afield.drift is None:
         raise ValueError("field carries no drift part; estimate one first")
-    grid = afield.grid
-    n = grid.n_steps
-    knots = [k for k in afield.knots if k in afield.drift]
+    x_nodes = afield.lattice.points[:, None, :]
+    probes = {}
+    for k in afield.knots:
+        if k in afield.drift:
+            ham, _ = hamiltonian(coeffs, afield.grid.knots[k], x_nodes,
+                                 afield.gradient(k), ensemble.slice_at(k))
+            probes[k] = _path_mean_se(-afield.drift[k] - ham)
+    return _side_report(afield, probes, coeffs, ensemble, side, tol)
+
+
+def _side_report(afield, probes, coeffs, ensemble, side, tol):
+    """residual_check's report on afield from its probes, knot -> the
+    per-node (mean, SE) of the residual R over the paths."""
     # "sub" is "super" for -R: with s = -1 every statistic below is the
     # negation of its sub-side value, which is exact in floating point
     s = 1.0 if side == "super" else -1.0
-
-    x_pts = afield.lattice.points
-    probe_mean = {}
-    probe_se = {}
-    stats = []
-    for k in knots:
-        t = grid.knots[k]
-        w = ensemble.slice_at(k)
-        du = afield.gradient(k)                       # (n_points, n_paths, 1)
-        ham, _ = hamiltonian(coeffs, t, x_pts[:, None, :], du, w)
-        R = -afield.drift[k] - ham                    # (n_points, n_paths)
-        mu, se = _path_mean_se(R)
-        probe_mean[k] = mu
-        probe_se[k] = se
-        stats.append(float(np.min(s * mu + 3 * se)))
-
+    stats = {k: float(np.min(s * mu + 3 * se)) for k, (mu, se) in probes.items()}
+    n = afield.grid.n_steps
     wT = ensemble.slice_at(n, terminal_ok=True)
     g_term = np.broadcast_to(
-        np.asarray(coeffs.G(x_pts[:, None, :], wT), float),
+        np.asarray(coeffs.G(afield.lattice.points[:, None, :], wT), float),
         afield.at(n).shape,
     )
     term_gap = s * (afield.at(n) - g_term)
     terminal_margin = s * float(term_gap.min())
-    margin = s * min(stats)
+    margin = s * min(stats.values())
     return {
         "margin": margin,
-        "probe_mean": probe_mean,
-        "probe_se": probe_se,
+        "knot_margins": {k: s * stat for k, stat in stats.items()},
+        "probe_mean": {k: mu for k, (mu, _) in probes.items()},
+        "probe_se": {k: se for k, (_, se) in probes.items()},
         "terminal_margin": terminal_margin,
         "passed": s * margin >= -tol and s * terminal_margin >= -1e-9,
     }
@@ -313,7 +301,10 @@ def build_envelopes(base, approx, ens_w, ens_b, eps, delta_n, *,
     The drift part is assembled, and residual-checked, only on the
     grid's subgrid.  Returns an EnvelopePair whose params hold the
     gradient bound L_tilde and the correction constant K_bar, and whose
-    reports hold the one-sided residual checks of both envelopes.
+    reports hold the one-sided residual checks of both envelopes against
+    base.  They are residual_check's reports on each envelope up to
+    roundoff: the corrections are constant in x, so both sides take the
+    gradient of the shared perturbed surface.
     """
     if delta_n <= 0:
         raise ValueError("delta_n must be positive")
@@ -353,6 +344,7 @@ def build_envelopes(base, approx, ens_w, ens_b, eps, delta_n, *,
     x_pts = lattice.points
     up_vals, lo_vals = {}, {}
     up_drift, lo_drift = {}, {}
+    up_probes, lo_probes = {}, {}
     clamped = {}              # knot -> assembly reads outside the lattice
     evals = 0
     for k in sorted(V_eps.slices):
@@ -375,6 +367,12 @@ def build_envelopes(base, approx, ens_w, ens_b, eps, delta_n, *,
             - delta_n * K_bar * b_mag
         lo_drift[k] = -ham + bound.driver[k][None, :] \
             + delta_n * K_bar * b_mag
+        # corr is constant in x, so both envelopes have center's gradient
+        # and share one base Hamiltonian; these are residual_check's probes
+        ham, _ = hamiltonian(base, t, x_pts[:, None, :],
+                             lattice.gradient(center), ens_w.slice_at(k))
+        up_probes[k] = _path_mean_se(-up_drift[k] - ham)
+        lo_probes[k] = _path_mean_se(-lo_drift[k] - ham)
 
     frac = sum(clamped.values()) / evals
     if frac > clamp_tol:
@@ -387,8 +385,9 @@ def build_envelopes(base, approx, ens_w, ens_b, eps, delta_n, *,
 
     upper = AdaptedField(grid, lattice, up_vals, up_drift, None)
     lower = AdaptedField(grid, lattice, lo_vals, lo_drift, None)
-    reports = {"upper": residual_check(upper, base, ens_w, "super", tol=tol),
-               "lower": residual_check(lower, base, ens_w, "sub", tol=tol)}
+    reports = {
+        "upper": _side_report(upper, up_probes, base, ens_w, "super", tol),
+        "lower": _side_report(lower, lo_probes, base, ens_w, "sub", tol)}
     return EnvelopePair(upper, lower, {"L_tilde": L_tilde, "K_bar": K_bar},
                         reports)
 

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from shjlab.coeffs import (DECLARED, CoefficientSet, _policy_sweep,
+from shjlab.coeffs import (DECLARED, CoefficientSet, _policy_tables,
                            _running_argmin, control_grid, probe_lattice,
                            reach_radius, scenario, scenario_names)
 from shjlab.probspace import TimeGrid, WienerEnsemble, sample_ensemble
@@ -260,7 +260,7 @@ def test_constructor_rejects_sets_off_the_structure(case):
 
 def test_sweeps_break_exact_ties_to_index_zero():
     # zeros: every control scores 0, so the argmin must be control 0 and
-    # the policy sweep at that choice evaluates control 0 alone
+    # the policy tables at that choice hold control 0 alone
     co = scenario("zeros")
     x = np.linspace(-1.0, 1.0, 5)[:, None, None]
     p = np.ones_like(x)
@@ -280,13 +280,6 @@ def test_sweeps_break_exact_ties_to_index_zero():
     assert idx.dtype == np.int8 and not idx.any()
     assert np.all(best == 0.0) and np.all(carried == 1.0)
 
-    seen = []
-
-    def evaluate(b, fv):
-        seen.append(1)
-        return b, fv
-
-    drift, run = _policy_sweep(co, 0.0, x, None, idx, evaluate,
-                               [x.shape, idx.shape])
-    assert len(seen) == 1
-    assert np.all(drift == 0.0) and np.all(run == 0.0)
+    beta, f, rows = _policy_tables(co, 0.0, x, None, idx)
+    assert beta.shape == f.shape == (1, x.shape[0])
+    assert np.all(np.take(beta, rows) == 0.0) and np.all(np.take(f, rows) == 0.0)

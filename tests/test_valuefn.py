@@ -1,6 +1,7 @@
 """Lattices, policies, dynamic-programming values, and their audits."""
 
 import dataclasses
+import re
 
 import numpy as np
 import pytest
@@ -11,7 +12,7 @@ from shjlab import valuefn
 from shjlab.bsde import policy_cost_surface
 from shjlab.coeffs import CoefficientSet, scenario
 from shjlab.dynamics import integrate
-from shjlab.exceptions import AccuracyError
+from shjlab.exceptions import AccuracyError, CapacityError
 from shjlab.probspace import (CondExpOperator, TimeGrid, _path_mean_se,
                               polynomial_basis, sample_ensemble)
 from shjlab.smoothing import MollifiedSet
@@ -52,6 +53,25 @@ def test_lattice_geometry():
 def test_lattice_rejects_non_finite_bounds_and_spacing(lo, hi, h, name):
     with pytest.raises(ValueError, match=f"^(spacing )?{name} must be"):
         BoxLattice(lo, hi, h)
+
+
+@pytest.mark.parametrize("lo, hi, h", [(-1e308, 1e308, 1.0),
+                                       (0.0, 1.0, 5e-324)])
+def test_lattice_rejects_a_cell_count_that_overflows(lo, hi, h):
+    with pytest.raises(ValueError, match=re.escape(
+            f"(hi - lo) / h overflows for lo={lo!r}, hi={hi!r}, h={h!r}")):
+        BoxLattice(lo, hi, h)
+
+
+def test_lattice_over_the_budget_raises_before_allocating(monkeypatch):
+    # 1e12 + 1 nodes would be 8 TB of points: the count is checked first
+    with pytest.raises(CapacityError, match=r"1000000000001 nodes .* exceeds "
+                       rf"the budget of {valuefn.AUTO_STORE_BUDGET}"):
+        BoxLattice(0.0, 1.0, 1e-12)
+    monkeypatch.setattr(valuefn, "AUTO_STORE_BUDGET", 10)
+    assert BoxLattice(0.0, 9.0, 1.0).n_points == 10
+    with pytest.raises(CapacityError):
+        BoxLattice(0.0, 10.0, 1.0)
 
 
 def test_lattice_rejects_two_component_points():

@@ -7,7 +7,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from shjlab.coeffs import (_argmin_sweep, reach_radius, scenario,
+from shjlab import viscosity
+from shjlab.coeffs import (_running_argmin, reach_radius, scenario,
                            scenario_names)
 from shjlab.exceptions import AccuracyError
 from shjlab.fields import AdaptedField, reconstruction_report
@@ -77,11 +78,14 @@ def _problem(name, kind):
 def _sweep_reference(co, t, x, p, w):
     # the score and running minimum the Hamiltonian had before its
     # envelope path: every control, ties to the lowest index
-    def score(b, fv):
-        shape = np.broadcast_shapes(b.shape, p.shape)
-        return (np.sum(np.broadcast_to(b, shape) * p, axis=-1) + fv,)
+    def scores():
+        for v in co.controls:
+            b = np.asarray(co.beta(t, x, v, w), float)
+            shape = np.broadcast_shapes(b.shape, p.shape)
+            yield (np.sum(np.broadcast_to(b, shape) * p, axis=-1)
+                   + np.asarray(co.f(t, x, v, w), float),)
 
-    best, idx, _ = _argmin_sweep(co, t, x, w, score)
+    best, idx, _ = _running_argmin(scores())
     return best, idx
 
 
@@ -102,11 +106,18 @@ def test_envelope_hamiltonian_matches_sweep_bitwise(data):
                                     max_size=n_rows * N_PATHS)))
     x = np.array(data.draw(st.lists(st.floats(-4.0, 4.0), min_size=n_rows,
                                     max_size=n_rows)))
-    if data.draw(st.booleans()):
+    layout = data.draw(st.sampled_from(["nodes", "flat", "shifted"]))
+    if layout == "nodes":
         # lattice rows against a path axis
         x, p = x[:, None, None], p.reshape(n_rows, N_PATHS, 1)
-    else:
+    elif layout == "flat":
         x, p = np.repeat(x, N_PATHS)[:, None], p[:, None]
+    else:
+        # the envelope assembly's shifted points: one x per row and path
+        shift = np.array(data.draw(st.lists(
+            st.floats(-0.5, 0.5), min_size=N_PATHS, max_size=N_PATHS)))
+        x = (x[:, None] + shift)[..., None]
+        p = p.reshape(n_rows, N_PATHS, 1)
     val, idx = hamiltonian(co, t, x, p, w)
     ref_val, ref_idx = _sweep_reference(co, t, x, p, w)
     assert idx.dtype == ref_idx.dtype and np.array_equal(idx, ref_idx)
@@ -294,7 +305,7 @@ def test_envelope_reads_off_the_lattice_raise():
                         lattice=BoxLattice.centered(2.0, 0.1))
 
 
-def test_envelope_pair_squeezes_value():
+def test_envelope_pair_squeezes_value(monkeypatch):
     base = scenario("eikonal")
     ens_w = _ens(300)
     ens_b = _ens(300, seed=SEED + 5)
@@ -302,9 +313,33 @@ def test_envelope_pair_squeezes_value():
     # the reachable set from |x0| <= 2 plus the noise wander 4 delta sqrt(T)
     lat = BoxLattice.for_problem(base, GRID.T, 2.0, 0.1,
                                  margin=0.25 + 4.0 * 0.1 * np.sqrt(GRID.T))
+    calls = []
+
+    def counted(co, *args):
+        calls.append(co is base)
+        return hamiltonian(co, *args)
+
+    monkeypatch.setattr(viscosity, "hamiltonian", counted)
     pair = build_envelopes(base, fa, ens_w, ens_b, 0.1, 0.1, lattice=lat)
-    assert pair.reports["upper"]["passed"], pair.reports["upper"]
-    assert pair.reports["lower"]["passed"], pair.reports["lower"]
+    monkeypatch.undo()
+    # the sandwich rung's shape: drift at the 8 subgrid knots below the
+    # horizon, each with one Hamiltonian at the shifted points under the
+    # approximant and one at the nodes under base, shared by both sides
+    assert len(calls) == 16 and sum(calls) == 8
+    for name, side in (("upper", "super"), ("lower", "sub")):
+        rep = pair.reports[name]
+        assert rep["passed"], rep
+        ref = residual_check(getattr(pair, name), base, ens_w, side, tol=0.02)
+        assert rep["passed"] == ref["passed"]
+        assert rep["terminal_margin"] == ref["terminal_margin"]
+        assert abs(rep["margin"] - ref["margin"]) <= 1e-12
+        knots = list(range(0, GRID.n_steps, 2))
+        assert list(rep["knot_margins"]) == list(ref["knot_margins"]) == knots
+        np.testing.assert_allclose(list(rep["knot_margins"].values()),
+                                   list(ref["knot_margins"].values()),
+                                   rtol=0.0, atol=1e-12)
+        pick = min if side == "super" else max
+        assert rep["margin"] == pick(rep["knot_margins"].values())
     assert 0.0 < pair.params["L_tilde"] <= 1.0 + 1e-6
     assert pair.params["K_bar"] > 0.0
     V = value_V(base, ens_w, pair.upper.lattice, clamp_tol=0.05)
