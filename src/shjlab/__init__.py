@@ -18,8 +18,8 @@ from .smoothing import (ApproximationErrors, FunctionalApproximant,
 from .dynamics import StateTrajectoryBatch, flow_audit, integrate
 from .valuefn import BoxLattice, ControlPolicy, ValueSurface, value_V, value_audit
 from .fields import AdaptedField, reconstruction_report, sample_adapted_field
-from .bsde import (BsdeSolution, BsdeSpec, cost_majorant, error_bound_bsde,
-                   policy_cost_surface, solve_bsde)
+from .bsde import (BsdeSolution, BsdeSpec, backward_knots, cost_majorant,
+                   error_bound_bsde, policy_cost_surface, solve_bsde)
 from .viscosity import (EnvelopePair, HjbFdSolution, build_envelopes,
                         estimate_decomposition, hamiltonian, residual_check,
                         sandwich_report, solve_hjb_fd_1d)
@@ -46,7 +46,7 @@ __all__ = [
     # adapted fields and BSDEs
     "AdaptedField", "sample_adapted_field", "reconstruction_report",
     "BsdeSpec", "BsdeSolution", "solve_bsde", "error_bound_bsde",
-    "policy_cost_surface", "cost_majorant",
+    "backward_knots", "policy_cost_surface", "cost_majorant",
     # viscosity layer
     "hamiltonian", "estimate_decomposition", "residual_check",
     "EnvelopePair", "build_envelopes", "sandwich_report",

@@ -25,6 +25,7 @@ from .valuefn import _backward_sweep, _ControlImages
 __all__ = [
     "BsdeSpec",
     "BsdeSolution",
+    "backward_knots",
     "solve_bsde",
     "error_bound_bsde",
     "policy_cost_surface",
@@ -42,7 +43,8 @@ class BsdeSpec:
         Carries the filtration, the regression features, and the
         increments used for the Z extraction.
     terminal : (n_paths,) array
-        Horizon value, measurable at the last knot.
+        Horizon value, measurable at the last knot; kept contiguous, as
+        every knot the sweep projects is.
     generator : None, callable, or array
         Driver g.  A callable receives (t, path_slice) and returns a
         scalar or (n_paths,) array; an array is (n_steps,) or
@@ -55,7 +57,7 @@ class BsdeSpec:
     generator: object = None
 
     def __post_init__(self):
-        self.terminal = np.asarray(self.terminal, float)
+        self.terminal = np.ascontiguousarray(self.terminal, float)
         if self.terminal.shape != (self.ensemble.n_paths,):
             raise ValueError(
                 f"terminal must have shape ({self.ensemble.n_paths},)"
@@ -100,44 +102,45 @@ class BsdeSolution:
         return float(np.max(np.sqrt(np.mean(self.Y**2, axis=1))))
 
 
-def solve_bsde(spec):
+def backward_knots(spec):
     """One backward least-squares sweep on degree-3 polynomials of the
-    current Brownian value.
+    current Brownian value, holding one knot of Y at a time.
 
-    Parameters
-    ----------
-    spec : BsdeSpec
-
-    Returns
-    -------
-    BsdeSolution with per-knot regression residuals in diagnostics.
+    Yields (k, Y_k, Z_k, g_k, rms regression residual) for k = n-1 down
+    to 0; g_k is None for a zero driver, which is never evaluated.
     """
     ens = spec.ensemble
-    grid = ens.grid
-    n, dt = grid.n_steps, grid.dt
+    dt = ens.grid.dt
     basis = polynomial_basis()
+    ahead = spec.terminal
+    for k in range(ens.grid.n_steps - 1, -1, -1):
+        op = CondExpOperator(ens, k, basis)
+        pY = op.apply(ahead)
+        # centering by the projection leaves the covariation identity
+        # intact and keeps Z exactly zero for deterministic integrands
+        z = op.apply(((ahead - pY)[:, None] * ens.increments[:, k]).T).T / dt
+        if spec.generator is None:   # no driver, projection or g dt term
+            g, y, target = None, pY, ahead
+        else:
+            g = spec.driver_at(k)
+            y, target = pY + dt * op.apply(g), ahead + g * dt
+        yield k, y, z, g, float(np.sqrt(np.mean((target - y) ** 2)))
+        ahead = y
 
+
+def solve_bsde(spec):
+    """Every knot of ``backward_knots(spec)``, collected into a
+    BsdeSolution with per-knot regression residuals in diagnostics."""
+    ens, n = spec.ensemble, spec.ensemble.grid.n_steps
     Y = np.empty((n + 1, ens.n_paths))
     Z = np.zeros((n, ens.n_paths, ens.m))
     driver = np.zeros((n, ens.n_paths))   # untouched pages for a zero driver
     resid = np.zeros(n + 1)
-
     Y[n] = spec.terminal
-    for k in range(n - 1, -1, -1):
-        op = CondExpOperator(ens, k, basis)
-        pY = op.apply(Y[k + 1])
-        if spec.generator is None:   # no driver, projection or g dt term
-            Y[k], ahead = pY, Y[k + 1]
-        else:
-            driver[k] = g = spec.driver_at(k)
-            Y[k], ahead = pY + dt * op.apply(g), Y[k + 1] + g * dt
-        # centering by the projection leaves the covariation identity
-        # intact and keeps Z exactly zero for deterministic integrands
-        dW = ens.increments[:, k, :]
-        Z[k] = op.apply(((Y[k + 1] - pY)[:, None] * dW).T).T / dt
-        resid[k] = float(np.sqrt(np.mean((ahead - Y[k]) ** 2)))
-
-    return BsdeSolution(grid, Y, Z, driver, {"residual_rms": resid})
+    for k, Y[k], Z[k], g, resid[k] in backward_knots(spec):
+        if g is not None:
+            driver[k] = g
+    return BsdeSolution(ens.grid, Y, Z, driver, {"residual_rms": resid})
 
 
 def error_bound_bsde(errors, gain, ensemble):

@@ -5,8 +5,8 @@ import dataclasses
 import numpy as np
 import pytest
 
-from shjlab.bsde import (BsdeSpec, cost_majorant, error_bound_bsde,
-                         policy_cost_surface, solve_bsde)
+from shjlab.bsde import (BsdeSpec, backward_knots, cost_majorant,
+                         error_bound_bsde, policy_cost_surface, solve_bsde)
 from shjlab.coeffs import reach_radius, scenario
 from shjlab.probspace import (CondExpOperator, TimeGrid, polynomial_basis,
                               sample_ensemble)
@@ -43,6 +43,29 @@ def test_terminal_row_bit_exact():
     term = ens.value_at(GRID.n_steps)[:, 0] ** 2
     sol = solve_bsde(BsdeSpec(ens, term))
     assert np.array_equal(sol.Y[GRID.n_steps], term)
+
+
+@pytest.mark.parametrize("generator", [
+    None, lambda t, w: np.abs(w.current[:, 0]),
+    np.linspace(0.0, 1.0, GRID.n_steps)], ids=["none", "callable", "array"])
+def test_solve_bsde_is_the_collected_backward_sweep(generator):
+    # the stored solve and the one-knot generator are the same sweep, bit
+    # for bit, with a zero driver never evaluated
+    ens = _ens(2_000)
+    term = np.abs(ens.value_at(GRID.n_steps)[:, 0])
+    spec = BsdeSpec(ens, term, generator)
+    sol = solve_bsde(spec)
+    knots = list(backward_knots(spec))[::-1]
+    assert [k for k, *_ in knots] == list(range(GRID.n_steps))
+    assert all((g is None) == (generator is None) for *_, g, _ in knots)
+    zero = np.zeros(ens.n_paths)
+    assert np.array_equal(sol.Y, np.stack([y for _, y, *_ in knots] + [term]))
+    assert np.array_equal(sol.Y[GRID.n_steps], term)
+    assert np.array_equal(sol.Z, np.stack([z for _, _, z, *_ in knots]))
+    assert np.array_equal(sol.driver, np.stack(
+        [zero if g is None else g for *_, g, _ in knots]))
+    assert np.array_equal(sol.diagnostics["residual_rms"],
+                          [r for *_, r in knots] + [0.0])
 
 
 def test_brownian_terminal_martingale():

@@ -6,14 +6,17 @@ import subprocess
 import sys
 import warnings
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from shjlab import cli
+from shjlab import bsde, cli
+from shjlab.bsde import BsdeSolution, BsdeSpec, solve_bsde
 from shjlab.cli import PIPELINES, ExperimentConfig, main, run
 from shjlab.coeffs import scenario_names
 from shjlab.exceptions import AccuracyError, CapacityError, IntegrationError
+from shjlab.probspace import TimeGrid, _path_mean_se, sample_ensemble
 
 SMALL = dict(scenario="eikonal", n_steps=8, n_paths=500, n_paths_bsde=20_000,
              seed_w=11, seed_b=12, levels=(4, 8), eps_ladder=(0.2, 0.1),
@@ -552,6 +555,54 @@ def test_bsde_start_value_checks_against_the_discrete_target(tmp_path):
     assert abs(report["y0"] - report["y0_exact"]) > 0.02
     assert report["y0_discrete"] == pytest.approx(1.2731287185846065,
                                                   rel=1e-15)
+
+
+def test_bsde_pipeline_reduces_as_the_stored_solve_would(tmp_path):
+    # the pipeline reduces each knot as the sweep leaves it; the same
+    # reductions over every stored knot give the same bits
+    cfg = _small()
+    assert run(cfg, "bsde", str(tmp_path))[0] == 0
+    grid = TimeGrid(cfg.T, cfg.n_steps)
+    n = grid.n_steps
+    rows, sols = [], []
+    with cli._one_blas_thread():
+        for case, seed, generator in (
+                ("terminal_w", cfg.seed_w, None),
+                ("noise_magnitude", cfg.seed_b,
+                 lambda t, w: np.abs(w.current[:, 0]))):
+            ens = sample_ensemble(grid, 1, cfg.n_paths_bsde, seed)
+            w_n = ens.value_at(n)[:, 0]
+            sol = solve_bsde(BsdeSpec(
+                ens, w_n if generator is None else np.abs(w_n), generator))
+            sols.append((ens, sol))
+            for k in range(n + 1):
+                zbar = sol.Z[k, :, 0].mean() if k < n else 0.0
+                rows.append((case, k, grid.knots[k],
+                             *_path_mean_se(sol.Y[k]), zbar))
+    cli._write_csv(tmp_path / "stored.csv", cfg.digest(),
+                   ("case", "knot", "t", "mean_Y", "se_Y", "mean_Z"), rows)
+    assert ((tmp_path / "stored.csv").read_bytes()
+            == (tmp_path / "bsde_summary.csv").read_bytes())
+
+    (ens, mart), (_, noise) = sols
+    report = json.loads((tmp_path / "bsde_report.json").read_text())
+    assert report["martingale_rms"] == max(
+        float(np.sqrt(np.mean((mart.Y[k] - ens.value_at(k)[:, 0])**2)))
+        for k in range(n + 1))
+    assert report["z_gap"] == float(np.max(np.abs(mart.Z.mean(axis=1) - 1.0)))
+    assert report["y0"] == float(noise.Y[0].mean())
+    assert report["bounds"] == {"martingale_y": 0.02, "martingale_z": 0.05,
+                                "noise_magnitude_start": 0.02}
+
+
+def test_bsde_pipeline_never_stores_every_knot(tmp_path, monkeypatch):
+    def stored(*args, **kwargs):
+        raise AssertionError("the bsde pipeline stored a full solution")
+    monkeypatch.setattr(cli, "solve_bsde", stored, raising=False)
+    monkeypatch.setattr(bsde, "solve_bsde", stored)
+    monkeypatch.setattr(BsdeSolution, "__init__", stored)
+    code, checks = run(_small(), "bsde", str(tmp_path))
+    assert code == 0, checks
 
 
 def test_pipeline_registry_is_complete():

@@ -8,11 +8,14 @@ In this tree and in PARENT_ROOT, each run in a fresh interpreter with
 PYTHONPATH=<root>/src, ``shjlab.cli.run`` executes the three workload
 configurations of perfbench/workloads.py at seed 0 (taken from this
 tree) and acceptance criterion 11's full-uniqueness configuration at 1
-and at 3 workers.  Every file a run writes is compared byte for byte,
-except manifest.json, which records versions and resource use.
+and at 3 workers.  Every file a run writes is compared, except
+manifest.json, which records versions and resource use: JSON reports as
+parsed data, key by key, and every other file byte for byte.
 
-Exits 1 naming the first file that differs or exists on one side only,
-or the first run whose exit code differs; else 0.
+Prints every difference.  A key or file that only this tree writes is
+listed as added and passes.  Exits 1 if a run's exit code differs, a
+JSON value changed, a key or file is missing from this tree, or another
+file differs; else 0.
 """
 
 from __future__ import annotations
@@ -66,19 +69,45 @@ def run_all(root, out):
     return codes
 
 
-def first_difference(ours, theirs):
-    """Relative path of the first differing or one-sided file, or None."""
+def leaves(value, path=""):
+    """{key path: scalar} of a parsed JSON document."""
+    if isinstance(value, (dict, list)):
+        items = value.items() if isinstance(value, dict) else enumerate(value)
+        return {p: v for key, child in items
+                for p, v in leaves(child, f"{path}/{key}").items()}
+    return {path: value}
+
+
+def differences(ours, theirs):
+    """(failures, additions): one line for each difference between the
+    two output trees, split by whether it fails the comparison."""
+    failures, additions = [], []
     for name, *_ in RUNS:
         files = {p.relative_to(ours) for p in (ours / name).rglob("*")}
         files |= {p.relative_to(theirs) for p in (theirs / name).rglob("*")}
         for rel in sorted(files):
-            if rel.name == "manifest.json":
-                continue
             a, b = ours / rel, theirs / rel
-            if not (a.is_file() and b.is_file()
-                    and filecmp.cmp(a, b, shallow=False)):
-                return rel
-    return None
+            if rel.name == "manifest.json" or a.is_dir() or b.is_dir():
+                continue
+            if not b.is_file():
+                additions.append(f"{rel}: only here")
+            elif not a.is_file():
+                failures.append(f"{rel}: missing here")
+            elif rel.suffix == ".json":
+                here, there = (leaves(json.loads(p.read_text()))
+                               for p in (a, b))
+                for key in sorted(here.keys() | there.keys()):
+                    if key not in there:
+                        additions.append(f"{rel} {key}: added")
+                    elif key not in here:
+                        failures.append(f"{rel} {key}: removed")
+                    elif (type(here[key]) is not type(there[key])
+                          or here[key] != there[key]):
+                        failures.append(f"{rel} {key}: {there[key]!r} -> "
+                                        f"{here[key]!r}")
+            elif not filecmp.cmp(a, b, shallow=False):
+                failures.append(f"{rel}: differs")
+    return failures, additions
 
 
 def main(argv):
@@ -93,13 +122,16 @@ def main(argv):
                 print(f"{name}: exit code {codes[0][name]} here, "
                       f"{codes[1][name]} in {parent}")
                 return 1
-        diff = first_difference(ours, theirs)
-        if diff is not None:
-            print(f"{diff} differs")
+        failures, additions = differences(ours, theirs)
+        for line in additions + failures:
+            print(line)
+        if failures:
             return 1
         n_files = sum(1 for p in ours.rglob("*")
                       if p.is_file() and p.name != "manifest.json")
-        print(f"{len(RUNS)} runs, {n_files} files identical")
+        print(f"{len(RUNS)} runs, {n_files} files the same"
+              + (f" apart from {len(additions)} additions" if additions
+                 else ""))
     return 0
 
 
