@@ -17,7 +17,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .coeffs import _policy_tables
+from .coeffs import (_at_controls, _node_tables, _table_rows,
+                     _used_controls)
 from .fields import AdaptedField
 from .probspace import CondExpOperator, polynomial_basis
 from .valuefn import _backward_sweep, _ControlImages
@@ -166,9 +167,10 @@ def policy_cost_surface(coeffs, ensemble, policy, lattice):
     kept at every knot, and the projections use the value recursion's
     default basis.
 
-    beta and f have one value per lattice node, so each point is read
-    once, at its own control, in one gather with interp's arithmetic;
-    the clamp tally counts one read per point.
+    beta and f have one value per lattice node, so the Euler images of
+    the nodes under the controls the policy uses are located once, and
+    each point is read at its own control in one gather with interp's
+    arithmetic; the clamp tally counts one read per point.
 
     Parameters
     ----------
@@ -186,7 +188,9 @@ def policy_cost_surface(coeffs, ensemble, policy, lattice):
 
     def step(k, t, w, op, continuation):
         idx = policy.lattice_indices(k, lattice, n_eff)
-        beta, fv, rows = _policy_tables(coeffs, t, x_eval, w, idx)
+        used, rank = _used_controls(idx, coeffs.n_controls)
+        beta, fv = _node_tables(coeffs, t, x_eval, w, used)
+        rows = _table_rows(rank, lattice.n_points)
         raw = continuation.at_controls(_ControlImages(lattice, dt, beta), rows)
         fv *= dt
         raw += np.take(fv, rows)
@@ -203,8 +207,8 @@ def cost_majorant(surface, bound, coeffs, policy, ensemble):
     -(beta . Du + f) at the policy's control, the bound process
     contributes minus its own driver.  No noise integrand is attached;
     residual checks only need the drift and the spatial gradient.  Each
-    point reads beta and f from (control, node) tables at its own
-    control, bit for bit the per-control evaluation.
+    point reads beta and f at its own control (coeffs._at_controls), bit
+    for bit the per-control evaluation.
 
     Parameters
     ----------
@@ -238,9 +242,9 @@ def cost_majorant(surface, bound, coeffs, policy, ensemble):
         w = None if coeffs.deterministic else ensemble.slice_at(k)
         idx = policy.lattice_indices(k, lattice, u_k.shape[1])
         grad = lattice.gradient(u_k)
-        beta, fv, rows = _policy_tables(coeffs, t, x_eval, w, idx)
-        adv = np.take(beta, rows) * grad[..., 0]
-        adv += np.take(fv, rows)
+        adv, fv = _at_controls(coeffs, t, x_eval, w, idx)
+        adv *= grad[..., 0]
+        adv += fv
         drift[k] = -np.broadcast_to(adv, (lattice.n_points, n_paths)) \
             - bound.driver[k][None, :]
     return AdaptedField(grid, lattice, values, drift, None)

@@ -264,6 +264,7 @@ def _pipe_value(cfg, out, scale, workers):
         "value_bound": audit["value_bound"],
         "lipschitz_observed": audit["lipschitz_observed"],
         "lipschitz_bound": audit["lipschitz_bound"],
+        "lipschitz_bound_structure": audit["lipschitz_bound_structure"],
         "eps_report": audit["eps_report"],
         "passed": audit["passed"],
     })

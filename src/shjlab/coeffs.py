@@ -18,6 +18,11 @@ is beta0 p + f0 plus the lower envelope of the lines c(v) p + g(v);
 beta and f are affine in x, which kernel averages reproduce; and
 neither reads the path, so they have one value per node.  Only G may
 read the path; it broadcasts an (n_paths,)-shaped factor into its result.
+
+So a set is its lines: beta(t, x, v_j) = a_j(t) + b(t) x and
+f(t, x, v_j) = a^f_j(t) + b^f(t) x, which every read of beta and f in the
+library uses (_at_controls); a set without lines, such as a MollifiedSet,
+is evaluated control by control instead.
 """
 
 from __future__ import annotations
@@ -124,6 +129,24 @@ class CoefficientSet:
             raise ValueError(f"drift_growth must be two finite numbers >= 0, "
                              f"got {self.drift_growth!r}")
         _check_structure(self)
+        self._lines = {}
+
+    def lines(self, t, w=None):
+        """(a, b, a_f, b_f): beta(t, x, v_j) = a[j] + b x and
+        f(t, x, v_j) = a_f[j] + b_f x, read off the maps (wrapped or not)
+        at x = 0 and 1 once per t; the slopes are control 0's.  The maps
+        do not read the path, so any w, on any thread, caches equal lines.
+        """
+        if t not in self._lines:
+            x = np.array([[0.0], [1.0]])
+
+            def read(m, shape):    # rows: each control's map at 0 and at 1
+                return np.array([np.broadcast_to(m(t, x, v, w), shape).ravel()
+                                 for v in self.controls]).T
+
+            (b0, b1), (f0, f1) = read(self.beta, x.shape), read(self.f, (2,))
+            self._lines[t] = (b0, b1[0] - b0[0], f0, f1[0] - f0[0])
+        return self._lines[t]
 
 
 # declared constants of a problem: every field but its maps; approximants
@@ -224,50 +247,54 @@ def _running_argmin(scores, idx_dtype=int):
     return best, best_idx, carried
 
 
-def _control_rows(coeffs, t, x, w, controls):
-    """Drift and running cost of each listed control at the points x (..., 1).
+def _at_controls(coeffs, t, x, w, idx, at=None):
+    """(beta, f) at points of x (..., 1), each at its control idx.
 
-    Yields one (beta, f) pair per control, each flat over x's points in
-    x's flat order (views of the maps' results where their layout
-    allows).  The maps see x itself, so each entry has the bits the
-    per-control evaluation computes.
+    The points are x's, or with at, an index tuple into a shape that
+    x.shape[:-1] broadcasts to, the ones at picks there; idx broadcasts
+    against them.  A set with lines is read as a[j] + b x and
+    a_f[j] + b_f x.  Any other (a MollifiedSet) evaluates each control it
+    uses on the whole x, then takes the points: a kernel average's last
+    bits depend on the shape it is evaluated on, so only the whole x
+    gives the bits of the per-control evaluation.
     """
-    for j in controls:
+    lead = x.shape[:-1]
+    # the point of x behind each picked point
+    pick = ... if at is None else tuple(
+        i if n > 1 else 0 for i, n in zip(at[len(at) - len(lead):], lead))
+    if getattr(coeffs, "lines", None) is not None:
+        a, b, af, bf = coeffs.lines(t, w)
+        xs = x[..., 0][pick]
+        # at a zero slope the x term is a signed zero: it moves no value
+        return tuple(c[idx] + s * xs if s else np.asarray(c[idx])
+                     for c, s in ((a, b), (af, bf)))
+    n = math.prod(lead)
+    used, rank = _used_controls(idx, coeffs.n_controls)
+    beta = np.empty((used.size, n))
+    f = np.empty(beta.shape)
+    for r, j in enumerate(used):
         v = coeffs.controls[j]
-        yield (np.broadcast_to(coeffs.beta(t, x, v, w), x.shape)[..., 0].ravel(),
-               np.broadcast_to(coeffs.f(t, x, v, w), x.shape[:-1]).ravel())
+        beta[r] = np.broadcast_to(coeffs.beta(t, x, v, w), x.shape)[..., 0].ravel()
+        f[r] = np.broadcast_to(coeffs.f(t, x, v, w), lead).ravel()
+    rows = rank * n + np.arange(n).reshape(lead)[pick]
+    return np.take(beta, rows), np.take(f, rows)
+
+
+def _used_controls(idx, n_controls):
+    """(used, rank): the controls an index table uses, in index order,
+    and each entry's row among them."""
+    used = np.bincount(np.ravel(idx), minlength=n_controls) > 0
+    return np.flatnonzero(used), np.take(np.cumsum(used) - 1, idx)
 
 
 def _node_tables(coeffs, t, x, w, controls):
-    """_control_rows of the listed controls as two (len(controls), n)
-    tables (beta, f) over x's n points.
-
-    beta and f have one value per node, so at the nodes x (n, 1, 1) every
-    path column shares a node's Euler image.
-    """
-    n = math.prod(x.shape[:-1])
-    beta = np.empty((len(controls), n))
-    f = np.empty(beta.shape)
-    for r, (b, fv) in enumerate(_control_rows(coeffs, t, x, w, controls)):
-        beta[r] = b
-        f[r] = fv
-    return beta, f
-
-
-def _policy_tables(coeffs, t, x, w, idx):
-    """(beta, f, rows): _node_tables of the controls the index table idx
-    uses, and each point's flat offset into them.
-
-    idx has a shape that x.shape[:-1] broadcasts to; point i of idx reads,
-    at control idx[i], the point of x that broadcasts to it.
-    """
-    used = np.bincount(np.ravel(idx), minlength=coeffs.n_controls) > 0
-    beta, f = _node_tables(coeffs, t, x, w, np.flatnonzero(used))
-    n = beta.shape[1]
-    rows = np.take(np.cumsum(used) - 1, idx)
-    rows *= n
-    rows += np.arange(n).reshape(x.shape[:-1])
-    return beta, f, rows
+    """(len(controls), n) tables of beta and f: _at_controls of each
+    listed control at each of x's n points."""
+    controls = np.asarray(controls, np.intp)
+    idx = np.broadcast_to(controls.reshape((-1,) + (1,) * (x.ndim - 1)),
+                          controls.shape + x.shape[:-1])
+    beta, f = _at_controls(coeffs, t, x, w, idx)
+    return beta.reshape(controls.size, -1), f.reshape(controls.size, -1)
 
 
 def _table_rows(idx, n):

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .coeffs import _one_component, _policy_tables
+from .coeffs import _at_controls, _one_component
 from .exceptions import IntegrationError
 
 __all__ = ["StateTrajectoryBatch", "integrate", "flow_audit"]
@@ -91,9 +91,9 @@ def integrate(coeffs, ensemble, policy, xi, *, k0=0, store_knots="all"):
         w = None if coeffs.deterministic else ensemble.slice_at(k)
         idx = np.broadcast_to(
             np.asarray(policy.indices_at(k, X), int), cost.shape)
-        beta, f, rows = _policy_tables(coeffs, t, X, w, idx)
-        cost = cost + np.take(f, rows) * dt
-        X = X + np.take(beta, rows)[..., None] * dt
+        beta, f = _at_controls(coeffs, t, X, w, idx)
+        cost = cost + f * dt
+        X = X + beta[..., None] * dt
         if not np.isfinite(X).all():
             raise IntegrationError(f"non-finite state at knot {k + 1}")
         if k + 1 in keep:

@@ -278,6 +278,10 @@ class FunctionalApproximant:
     def f(self, t, x, v, w):
         return self.base.f(t, x, v, w)
 
+    def lines(self, t, w=None):
+        """The base set's lines: beta and f are its maps."""
+        return self.base.lines(t, w)
+
     def G(self, x, w):
         if self.w_grid is None:
             return self.mollified.G(x, w)

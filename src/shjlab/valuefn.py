@@ -417,9 +417,10 @@ def value_V(coeffs, ensemble, lattice, *, basis=None, noise_level=0.0,
         exceeding it raises AccuracyError, which names the knot with the
         most exits, its control and face.
 
-    Each knot reads beta and f, which have one value per node, from
-    (control x node) tables and minimizes over the controls in one of
-    two read regimes, or by a stencil.
+    Each knot reads beta and f, which have one value per node, as
+    (control x node) tables from the set's lines (a MollifiedSet
+    evaluates each control on the nodes) and minimizes over the controls
+    in one of two read regimes, or by a stencil.
 
     * Without noise every path column shares a node's Euler image, so a
       control's read is a combination of rows of the next slice, which
@@ -573,6 +574,27 @@ def _value_lipschitz(coeffs, T):
     return float(np.exp(coeffs.L * T) * coeffs.L * (T + 1.0))
 
 
+def _structure_lipschitz(coeffs, ensemble):
+    """x-Lipschitz bound e^{sum_k |b(t_k)| dt} (lip_x + sum_k |b^f(t_k)| dt)
+    of the value, from the slopes of the set's lines (its maps' slopes,
+    for a set without lines) at the knots.
+
+    A standard Gronwall bound derived here, not taken from the paper:
+    each Euler step moves two states apart by 1 + b dt under every
+    control and their running costs by at most |b^f| dt, and G by at most
+    lip_x.  The projections of a regression knot need not keep it.
+    """
+    grid = ensemble.grid
+    x = np.array([[[0.0]], [[1.0]]])
+    slopes = []
+    for k, t in enumerate(grid.knots[:-1]):
+        w = None if coeffs.deterministic else ensemble.slice_at(k)
+        beta, f = _node_tables(coeffs, t, x, w, [0])    # at x = 0 and 1
+        slopes.append((beta[0, 1] - beta[0, 0], f[0, 1] - f[0, 0]))
+    drift, cost = np.abs(slopes).sum(axis=0) * grid.dt
+    return float(np.exp(drift) * (coeffs.lip_x + cost))
+
+
 def value_audit(coeffs, ensemble, surface, starts, *, abs_tol=0.01,
                 eps_report_tol=0.05):
     """Structural checks on a value surface.
@@ -586,7 +608,9 @@ def value_audit(coeffs, ensemble, surface, starts, *, abs_tol=0.01,
       bias concentrated at terminal-cost kinks);
     * sup |V| stays within L (T + 1) (+ 3 SE);
     * lattice Lipschitz quotients stay within the declared bound
-      e^{LT} L (T + 1);
+      e^{LT} L (T + 1); the report also gives, as
+      lipschitz_bound_structure, the bound the set's lines give (see
+      _structure_lipschitz), which the check does not use;
     * the greedy argmin policy is eps_report-optimal at the starts: its
       rollout cost, the path mean of the running cost plus the terminal
       cost, exceeds V(0, start) by at most eps_report_tol (+ 3 SE).
@@ -647,6 +671,7 @@ def value_audit(coeffs, ensemble, surface, starts, *, abs_tol=0.01,
         "bound_ok": bool(bound_ok),
         "lipschitz_observed": lip,
         "lipschitz_bound": lipschitz_bound,
+        "lipschitz_bound_structure": _structure_lipschitz(coeffs, ensemble),
         "lipschitz_ok": bool(lipschitz_ok),
         "eps_report": eps_obs,
         "eps_ok": eps_ok,

@@ -18,8 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .bsde import BsdeSpec, error_bound_bsde, solve_bsde
-from .coeffs import (_control_rows, _node_tables, _policy_tables,
-                     _running_argmin)
+from .coeffs import _at_controls, _node_tables, _running_argmin
 from .exceptions import AccuracyError
 from .fields import AdaptedField
 from .probspace import _path_mean_se, polynomial_basis
@@ -61,43 +60,70 @@ def hamiltonian(coeffs, t, x, p, w=None):
     control index.
 
     The control enters additively (see coeffs), so each point's control
-    is looked up on the lower envelope of the lines c(v) p + g(v) and
-    read from (used control x point) tables of beta and f evaluated on
-    the whole x.  Points within a rounding bound of a tie (p = 0 on the
-    eikonal grid, say) are re-scored over every control, each evaluated
-    on the whole x and read at their points, so values and argmins equal
-    the per-control sweep's bit for bit.
+    is looked up on the lower envelope of the lines c(v) p + g(v), and
+    its value is (a[j] + b x) p + (a_f[j] + b_f x) on the set's lines.
+    The points within a rounding bound of a tie (p = 0 on the eikonal
+    grid, say) alone are re-scored over every control, so values and
+    argmins equal the per-control sweep's bit for bit (coeffs._at_controls
+    reads a MollifiedSet on the whole x).
     """
     x = np.asarray(x, float)
     p = np.asarray(p, float)
     q = np.broadcast_to(p, np.broadcast_shapes(x.shape, p.shape))[..., 0]
-    breaks, pick, slope_gap, offset_gap, c_size, g_size = \
-        _control_lines(coeffs, t, w)
-    # the smallest index type keeps the lookup out of the peak memory
-    seg = np.searchsorted(breaks, q).astype(np.min_scalar_type(breaks.size))
-    idx = np.asarray(pick[seg])
-    beta, f, rows = _policy_tables(coeffs, t, x, w, idx)
-    value = np.take(beta, rows)
+    edges, picks = _pick_table(coeffs, t, w, x, q)
+    # one comparison per edge: np.searchsorted costs about 25 of them and
+    # returns int64, where the bucket fits the smallest unsigned type
+    bucket = np.zeros(q.shape, np.min_scalar_type(edges.size))
+    for edge in edges:
+        bucket += q > edge
+    idx = np.asarray(picks[bucket])
+    tied = idx < 0
+    np.maximum(idx, 0, out=idx)      # a stand-in until the re-scoring
+    value, f = _at_controls(coeffs, t, x, w, idx)
     value *= q
-    value += np.take(f, rows)
-    gap = slope_gap[seg] * q + offset_gap[seg]   # runner-up minus pick
-    # scores differ from their exact lines by roundoff of this size
-    bound = _TIE_RTOL * ((np.abs(beta).max(initial=0.0) + c_size) * np.abs(q)
-                         + np.abs(f).max(initial=0.0) + g_size) + _TIE_ATOL
-    tied = ~(gap > bound)
-    n = beta.shape[1]
-    del gap, bound, seg, beta, f      # out of the way of the re-scoring
+    value += f
+    del f                            # out of the way of the re-scoring
     if tied.any():
+        # every control (rows) at each tied point (columns)
         at = np.nonzero(tied)      # index arrays gather without a mask scan
-        node, q_at = rows[at] % n, q[at]   # each tied point's x point
-
-        def scores():
-            for b, fv in _control_rows(coeffs, t, x, w,
-                                       range(coeffs.n_controls)):
-                yield (np.take(b, node) * q_at + np.take(fv, node),)
-
-        value[at], idx[at], _ = _running_argmin(scores())
+        beta, f = _at_controls(coeffs, t, x, w,
+                               np.arange(coeffs.n_controls)[:, None], at)
+        scores = beta * q[at]
+        scores += f
+        value[at], idx[at], _ = _running_argmin((row,) for row in scores)
     return value, idx
+
+
+def _pick_table(coeffs, t, w, x, q):
+    """(edges, picks): picks[number of edges below q] is the control of
+    slope q at points x on the envelope of _control_lines, or -1 where
+    the runner-up's line may lie within roundoff of it: 4096 ulps of the
+    terms at the largest |x| and |q|, or everywhere if a q is not finite.
+    """
+    breaks, pick, slope_gap, offset_gap, (c_size, c_slope, g_size, g_slope) \
+        = _control_lines(coeffs, t, w)
+    reach = 1.0 + max(np.max(x, initial=0.0), -np.min(x, initial=0.0))
+    top = max(np.max(q, initial=0.0), -np.min(q, initial=0.0))  # or NaN
+    tol = _TIE_RTOL * ((c_size + c_slope * reach) * top + g_size
+                       + g_slope * reach) + _TIE_ATOL
+    if not tol < np.inf:
+        return np.empty(0), np.array([-1])
+    # on (lo, hi] the runner-up lies s q + o above the pick, within tol on
+    # (lo, z] where s > 0, on (z, hi] where s < 0, and all or nowhere at 0
+    lo, hi = np.append(-np.inf, breaks), np.append(breaks, np.inf)
+    flat = slope_gap == 0.0
+    with np.errstate(divide="ignore", invalid="ignore"):
+        z = np.where(flat, np.where(offset_gap <= tol, hi, lo),
+                     np.clip((tol - offset_gap) / slope_gap, lo, hi))
+    rising = slope_gap >= 0.0
+    uppers = np.column_stack([z, hi]).ravel()
+    picks = np.column_stack([np.where(rising, -1, pick),
+                             np.where(rising, pick, -1)]).ravel()
+    # drop the empty buckets, then merge neighbours with the same pick
+    live = uppers > np.append(-np.inf, uppers[:-1])
+    uppers, picks = uppers[live], picks[live]
+    last = np.append(picks[1:] != picks[:-1], True)
+    return uppers[last][:-1], picks[last]
 
 
 def _control_lines(coeffs, t, w):
@@ -108,16 +134,18 @@ def _control_lines(coeffs, t, w):
     cross: on interval i (np.searchsorted order) pick[i] is the lowest
     line, ties to the lowest index, and the next one lies
     slope_gap[i] p + offset_gap[i] above it (+inf for a single control).
-    c_size and g_size bound the scale of the read-off errors.  Any call's
-    (t, w) gives a valid table, so threads that fill the cache at once
-    are harmless.
+    scale = (c_size, c_slope, g_size, g_slope) bounds the scale of the
+    read-off errors within r - 1 of x = 0 by c_size + c_slope r and
+    g_size + g_slope r.  Any call's (t, w) gives a valid table, so
+    threads that fill the cache at once are harmless.
     """
     cached = getattr(coeffs, "_control_lines", None)
     if cached is not None:
         return cached
-    b, f = _node_tables(coeffs, t, np.zeros((1, 1, 1)), w,
+    b, f = _node_tables(coeffs, t, np.array([[[0.0]], [[1.0]]]), w,
                         range(coeffs.n_controls))
-    b, f = b[:, 0], f[:, 0]
+    b, b_slope = b[:, 0], np.abs(b[:, 1] - b[:, 0]).max()
+    f, f_slope = f[:, 0], np.abs(f[:, 1] - f[:, 0]).max()
     # a virtual line at +inf is the runner-up of a single control
     c = np.append(b - b[0], 0.0)
     g = np.append(f - f[0], np.inf)
@@ -136,9 +164,10 @@ def _control_lines(coeffs, t, w):
     keep = np.concatenate([[True], (pick[1:] != pick[:-1])
                            | (rival[1:] != rival[:-1])])
     pick, rival = pick[keep], rival[keep]
+    scale = (np.abs(b).max() + np.abs(c[:-1]).max(), b_slope,
+             np.abs(f).max() + np.abs(g[:-1]).max(), f_slope)
     lines = (breaks[keep[1:]], pick, c[rival] - c[pick], g[rival] - g[pick],
-             np.abs(b).max() + np.abs(c[:-1]).max(),
-             np.abs(f).max() + np.abs(g[:-1]).max())
+             scale)
     coeffs._control_lines = lines
     return lines
 

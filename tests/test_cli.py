@@ -322,6 +322,7 @@ def test_value_pipeline_passes_and_reports(tmp_path):
     report = json.loads((tmp_path / "value_report.json").read_text())
     assert report["passed"]
     assert report["lipschitz_observed"] <= report["lipschitz_bound"]
+    assert 0.0 < report["lipschitz_bound_structure"] <= report["lipschitz_bound"]
 
 
 @pytest.mark.parametrize("levels", [(4,), (4, 4)])

@@ -3,11 +3,14 @@
 import numpy as np
 import pytest
 
-from shjlab.coeffs import (DECLARED, CoefficientSet, _policy_tables,
-                           _running_argmin, control_grid, probe_lattice,
-                           reach_radius, scenario, scenario_names)
+from shjlab.coeffs import (DECLARED, CoefficientSet, _at_controls,
+                           _node_tables, _running_argmin, control_grid,
+                           probe_lattice, reach_radius, scenario,
+                           scenario_names)
 from shjlab.probspace import TimeGrid, WienerEnsemble, sample_ensemble
-from shjlab.smoothing import MollifiedSet
+from shjlab.smoothing import MollifiedSet, fit_functional_approximant
+from shjlab.valuefn import BoxLattice, value_V
+from shjlab.viscosity import hamiltonian
 
 SEED = 5
 ALL_SCENARIOS = scenario_names()
@@ -260,7 +263,7 @@ def test_constructor_rejects_sets_off_the_structure(case):
 
 def test_sweeps_break_exact_ties_to_index_zero():
     # zeros: every control scores 0, so the argmin must be control 0 and
-    # the policy tables at that choice hold control 0 alone
+    # the reads at that choice are control 0's
     co = scenario("zeros")
     x = np.linspace(-1.0, 1.0, 5)[:, None, None]
     p = np.ones_like(x)
@@ -280,6 +283,88 @@ def test_sweeps_break_exact_ties_to_index_zero():
     assert idx.dtype == np.int8 and not idx.any()
     assert np.all(best == 0.0) and np.all(carried == 1.0)
 
-    beta, f, rows = _policy_tables(co, 0.0, x, None, idx)
-    assert beta.shape == f.shape == (1, x.shape[0])
-    assert np.all(np.take(beta, rows) == 0.0) and np.all(np.take(f, rows) == 0.0)
+    beta, f = _at_controls(co, 0.0, x, None, idx)
+    assert beta.shape == f.shape == idx.shape
+    assert np.all(beta == 0.0) and np.all(f == 0.0)
+
+
+def _tensor(co):
+    return fit_functional_approximant(
+        co, sample_ensemble(TimeGrid(1.0, 8), 1, 200, SEED), eps_target=0.2,
+        x_radius=2.0)
+
+
+def _per_control(co, t, x, w):
+    # every control's map evaluated on the whole x, as (n_controls, ...)
+    return (np.stack([np.broadcast_to(co.beta(t, x, v, w), x.shape)[..., 0]
+                      for v in co.controls]),
+            np.stack([np.broadcast_to(co.f(t, x, v, w), x.shape[:-1])
+                      for v in co.controls]))
+
+
+def _affine_cost():
+    # a running cost that moves with x, which no built-in has; its
+    # constants keep the lines' read-off exact
+    pulled = scenario("linear-drift")
+    return CoefficientSet(
+        controls=pulled.controls, beta=pulled.beta, G=pulled.G, L=16.0,
+        lip_x=1.0, drift_growth=(1.0, 0.5),
+        f=lambda t, x, v, w: 0.25 * x[..., 0] + 0.5 * float(v[0] * v[0]))
+
+
+@pytest.mark.parametrize("name", ALL_SCENARIOS + ["affine-cost"])
+def test_lines_reproduce_the_maps_bit_for_bit(name):
+    base = _affine_cost() if name == "affine-cost" else scenario(name)
+    w = sample_ensemble(TimeGrid(1.0, 8), 1, 6, SEED).slice_at(3)
+    nodes = BoxLattice.centered(3.0, 0.05).points[:, None, :]
+    shift = np.linspace(-0.37, 0.41, 6)[:, None]
+    sets = {"base": base, "tensor": _tensor(base),
+            "mollified": MollifiedSet(base, 4)}
+    for kind, co in sets.items():
+        for t in (0.0, 0.6875):
+            # lattice nodes, and one shifted point per node and path
+            for x in (nodes, nodes + shift):
+                beta, f = _node_tables(co, t, x, w, range(co.n_controls))
+                ref_beta, ref_f = _per_control(co, t, x, w)
+                assert np.array_equal(beta, ref_beta.reshape(beta.shape)), kind
+                assert np.array_equal(f, ref_f.reshape(f.shape)), kind
+                # each point at its own control reads the same values
+                idx = np.arange(x[..., 0].size).reshape(x.shape[:-1]) \
+                    % co.n_controls
+                b_at, f_at = _at_controls(co, t, x, w, idx)
+                assert np.array_equal(
+                    b_at, np.take_along_axis(ref_beta, idx[None], 0)[0])
+                assert np.array_equal(
+                    f_at, np.take_along_axis(ref_f, idx[None], 0)[0])
+    assert not hasattr(sets["mollified"], "lines")
+
+
+def _recording(co, sizes):
+    # wrap the maps of co to record how many points each call sees
+    for name in ("beta", "f"):
+        def wrapped(t, x, v, w, _map=getattr(co, name)):
+            sizes.append(np.size(x))
+            return _map(t, x, v, w)
+        setattr(co, name, wrapped)
+    return co
+
+
+@pytest.mark.parametrize("name", ["eikonal", "linear-drift"])
+def test_sets_with_lines_never_evaluate_their_maps_point_by_point(name):
+    # a sandwich-shaped Hamiltonian call (shifted points against p with
+    # exact ties) and one value_V knot read beta and f at two points
+    sizes = []
+    base = _recording(scenario(name), sizes)
+    approx = _tensor(base)
+    grid = TimeGrid(1.0, 1)
+    ens = sample_ensemble(grid, 1, 50, SEED)
+    lattice = BoxLattice.for_problem(base, grid.T, 1.0, 0.05)
+    rng = np.random.default_rng(SEED)
+    x = lattice.points[:, None, :] + 0.1 * rng.standard_normal((1, 50, 1))
+    p = rng.standard_normal(x.shape)
+    p[::3] = 0.0
+    del sizes[:]            # the fit's own reads
+    for co in (base, approx):
+        hamiltonian(co, 0.0, x, p, ens.slice_at(0))
+        value_V(co, ens, lattice, clamp_tol=1.0)
+    assert sizes and max(sizes) <= 2

@@ -543,6 +543,24 @@ def test_audit_eikonal_fine_lattice():
     assert report["sup_value"] <= report["value_bound"]
 
 
+@pytest.mark.parametrize("name, bound", [("eikonal", 1.0),
+                                         ("linear-drift", np.exp(0.5)),
+                                         ("random-target", 1.0)])
+def test_audit_reports_the_structure_lipschitz_bound(name, bound):
+    # e^{sum |b| dt} (lip_x + sum |b^f| dt): b = -1/2 on linear-drift, and
+    # no running cost moves with x; the declared bound stays the check
+    co = scenario(name)
+    ens = _ens(200)
+    lat = BoxLattice.for_problem(co, 1.0, 1.0, 0.05, margin=0.25)
+    V = value_V(co, ens, lat, clamp_tol=0.05)
+    report = value_audit(co, ens, V, np.zeros((1, 1)))
+    assert report["lipschitz_bound_structure"] == pytest.approx(bound,
+                                                               rel=1e-14)
+    assert report["lipschitz_bound"] == valuefn._value_lipschitz(co, 1.0)
+    if co.deterministic:
+        assert report["lipschitz_observed"] <= bound + 1e-9
+
+
 def test_audit_detects_broken_surface():
     co = scenario("eikonal")
     lat = BoxLattice.centered(3.25, 0.05)

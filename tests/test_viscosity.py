@@ -138,6 +138,19 @@ def test_envelope_ties_and_path_rows_on_eikonal():
     assert np.array_equal(val.view(np.int64), ref_val.view(np.int64))
 
 
+@pytest.mark.parametrize("name, kind", [("linear-drift", "tensor"),
+                                        ("eikonal", "mollified")])
+def test_non_finite_slopes_are_scored_as_the_sweep_scores_them(name, kind):
+    co, w = _problem(name, kind)
+    x = np.linspace(-1.0, 1.0, 4)[:, None, None]
+    p = np.linspace(-1.0, 1.0, 4 * N_PATHS).reshape(4, N_PATHS, 1)
+    p[0, 0], p[1, 1], p[2, 2] = np.nan, np.inf, -np.inf
+    val, idx = hamiltonian(co, 0.0, x, p, w)
+    ref_val, ref_idx = _sweep_reference(co, 0.0, x, p, w)
+    assert np.array_equal(idx, ref_idx)
+    assert np.array_equal(val.view(np.int64), ref_val.view(np.int64))
+
+
 def _sampled_field(ens, fn, lat):
     shape = (lat.n_points, ens.n_paths)
     return {

@@ -7,8 +7,10 @@ Usage (from the repository root):
 In this tree and in PARENT_ROOT, each run in a fresh interpreter with
 PYTHONPATH=<root>/src, ``shjlab.cli.run`` executes the three workload
 configurations of perfbench/workloads.py at seed 0 (taken from this
-tree) and acceptance criterion 11's full-uniqueness configuration at 1
-and at 3 workers.  Every file a run writes is compared, except
+tree), acceptance criterion 11's full-uniqueness configuration at 1
+and at 3 workers, and two linear-drift runs, the only built-in whose
+drift and running cost move with x: ``envelopes`` at criterion 11's
+size and a small ``jhat``.  Every file a run writes is compared, except
 manifest.json, which records versions and resource use: JSON reports as
 parsed data, key by key, and every other file byte for byte.
 
@@ -43,7 +45,12 @@ CRITERION_11 = {"scenario": "eikonal", "n_steps": 8, "n_paths": 500,
 # CLI default, as in the benchmark
 RUNS = ([(w.name, w.pipeline, w.config, None) for w in WORKLOADS.values()]
         + [(f"criterion-11-w{n}", "full-uniqueness", CRITERION_11, n)
-           for n in (1, 3)])
+           for n in (1, 3)]
+        + [("linear-drift-envelopes", "envelopes",
+            {**CRITERION_11, "scenario": "linear-drift"}, None),
+           ("linear-drift-jhat", "jhat",
+            {"scenario": "linear-drift", "n_steps": 8, "n_paths": 500,
+             "levels": [4, 8]}, None)])
 
 # one run in a fresh interpreter; prints the pipeline's exit code
 _RUN = """
