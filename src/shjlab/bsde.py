@@ -170,7 +170,8 @@ def policy_cost_surface(coeffs, ensemble, policy, lattice):
     beta and f have one value per lattice node, so the Euler images of
     the nodes under the controls the policy uses are located once, and
     each point is read at its own control in one gather with interp's
-    arithmetic; the clamp tally counts one read per point.
+    arithmetic; the clamp tally counts one read per point, and
+    diagnostics["exits"] those outside the box per knot and control.
 
     Parameters
     ----------
@@ -186,15 +187,18 @@ def policy_cost_surface(coeffs, ensemble, policy, lattice):
     n_eff = 1 if coeffs.deterministic else ensemble.n_paths
     x_eval = lattice.points[:, None, :]
 
-    def step(k, t, w, op, continuation):
+    def step(k, t, w, op, V, exits):
         idx = policy.lattice_indices(k, lattice, n_eff)
         used, rank = _used_controls(idx, coeffs.n_controls)
         beta, fv = _node_tables(coeffs, t, x_eval, w, used)
         rows = _table_rows(rank, lattice.n_points)
-        raw = continuation.at_controls(_ControlImages(lattice, dt, beta), rows)
+        images = _ControlImages(lattice, dt, beta)
+        raw = images.read(V, rows)
+        out = np.take(images.outside, rows)
+        exits[used] += np.bincount(rank[out], minlength=used.size)
         fv *= dt
         raw += np.take(fv, rows)
-        return (raw if op is None else op.apply(raw)), raw
+        return (raw if op is None else op.apply(raw)), raw, raw.size
 
     return _backward_sweep(coeffs, ensemble, lattice, "all", None, step)
 

@@ -225,26 +225,22 @@ def probe_lattice(radius, n_points=67):
 # control sweeps
 
 def _running_argmin(scores, idx_dtype=int):
-    """Running minimum of the totals of (total, *companions) scored in
-    control index order.
+    """Running minimum of same-shape scores in control index order.
 
-    Returns the smallest total, its control index (ties keep the lowest)
-    and the companions at that index.  Only one control's scores are
-    held at a time, so memory does not grow with the grid.
+    Returns the smallest score and its control index (ties keep the
+    lowest).  Only one control's scores are held at a time, so memory
+    does not grow with the grid.
     """
-    best = best_idx = carried = better = None
-    for j, (total, *companions) in enumerate(scores):
+    best = best_idx = better = None
+    for j, total in enumerate(scores):
         if best is None:
             best = np.array(total, float)        # owned: selected in place
             best_idx = np.zeros(best.shape, idx_dtype)
-            carried = [np.array(c) for c in companions]
         else:
             better = np.less(total, best, out=better)   # one mask, reused
             np.copyto(best, total, where=better)
             np.copyto(best_idx, idx_dtype(j), where=better)
-            for c, old in zip(companions, carried):
-                np.copyto(old, c, where=better)
-    return best, best_idx, carried
+    return best, best_idx
 
 
 def _at_controls(coeffs, t, x, w, idx, at=None):

@@ -287,52 +287,20 @@ class _ControlImages:
                                    np.take(self.w_hi, rows))
 
 
-class _NextSlice:
-    """The knot-(k+1) slice of a backward sweep, read at Euler images.
-
-    Calling it with control j interpolates values at pos and tallies the
-    reads for clamp_fraction and their lattice exits per knot and control
-    in exits.  Every count is of reads: a node image that a control
-    shares with n path columns is n reads.
-    """
-
-    def __init__(self, lattice):
-        self.lattice = lattice
-        self.k = self.values = None
-        self.clamped = self.evals = 0
-        self.exits = {}             # (knot, control) -> reads out of the box
-
-    def __call__(self, pos, j):
-        vals, n_clamped = self.lattice.interp(self.values, pos)
-        self.tally(j, vals.size, n_clamped)
-        return vals
-
-    def at_controls(self, images, rows):
-        """The slice read at each point's own control: images.read at rows."""
-        vals = images.read(self.values, rows)
-        out = np.count_nonzero(np.take(images.outside, rows))
-        self.tally(None, vals.size, out * (vals.size // rows.size))
-        return vals
-
-    def tally(self, j, n_reads, n_clamped):
-        self.evals += n_reads
-        self.clamped += n_clamped
-        if n_clamped and j is not None:
-            key = (self.k, j)
-            self.exits[key] = self.exits.get(key, 0) + n_clamped
-
-
 def _backward_sweep(coeffs, ensemble, lattice, store_knots, basis, step, *,
                     argmin=None):
     """Backward recursion on a lattice, shared by value and policy costs.
 
-    From the pathwise terminal cost, calls step(k, t, w, op, nxt) for
-    k = n-1, ..., 0; it returns the knot-k slice and the pathwise
-    realizations behind it.  nxt is the knot-(k+1) slice as a _NextSlice:
-    nxt(pos, j) interpolates it at Euler images and counts lattice exits;
-    op is the knot-k projection, None for path-free coefficients.
-    store_knots "all" keeps every pathwise slice; "auto" thins them out
-    as value_V describes.
+    From the pathwise terminal cost, calls step(k, t, w, op, V, exits)
+    for k = n-1, ..., 0 with V the knot-(k+1) slice, op the knot-k
+    projection (None for path-free coefficients) and exits the knot's
+    row of an (n_steps, n_controls) table, which step adds each
+    control's reads outside the box to.  step returns the knot-k slice,
+    the pathwise realizations behind it and its number of reads.  Every
+    count is of reads: a node image that a control shares with n path
+    columns is n reads.  diagnostics hold clamp_fraction, the exits
+    over the reads, and the exits table.  store_knots "all" keeps every
+    pathwise slice; "auto" thins them out as value_V describes.
     """
     grid = ensemble.grid
     n = grid.n_steps
@@ -352,7 +320,8 @@ def _backward_sweep(coeffs, ensemble, lattice, store_knots, basis, step, *,
     mean = np.full((n + 1, lattice.n_points), np.nan)
     se = np.zeros((n + 1, lattice.n_points))
     slices = {}
-    nxt = _NextSlice(lattice)
+    exits = np.zeros((n, coeffs.n_controls), np.int64)
+    reads = 0
 
     raw = V
     for k in range(n, -1, -1):
@@ -360,16 +329,14 @@ def _backward_sweep(coeffs, ensemble, lattice, store_knots, basis, step, *,
             t = grid.knots[k]
             w = None if coeffs.deterministic else ensemble.slice_at(k)
             op = CondExpOperator(ensemble, k, basis) if regress else None
-            nxt.k, nxt.values = k, V
-            V, raw = step(k, t, w, op, nxt)
+            V, raw, n_reads = step(k, t, w, op, V, exits[k])
+            reads += n_reads
         mean[k], se[k] = _path_mean_se(raw)
         if k in keep:
             slices[k] = V.copy()
 
-    diagnostics = {
-        "clamp_fraction": nxt.clamped / max(nxt.evals, 1),
-        "exits": nxt.exits,
-    }
+    diagnostics = {"clamp_fraction": int(exits.sum()) / max(reads, 1),
+                   "exits": exits}
     return ValueSurface(grid, lattice, mean, se, slices, argmin,
                         coeffs.deterministic, diagnostics)
 
@@ -419,8 +386,13 @@ def value_V(coeffs, ensemble, lattice, *, basis=None, noise_level=0.0,
 
     Each knot reads beta and f, which have one value per node, as
     (control x node) tables from the set's lines (a MollifiedSet
-    evaluates each control on the nodes) and minimizes over the controls
-    in one of two read regimes, or by a stencil.
+    evaluates each control on the nodes), then scores, picks and reads
+    once.  A read regime scores every control; _running_argmin picks
+    each point's lowest score, ties to the lowest control; and the next
+    slice is read once more, at each point's own control, which with the
+    running cost gives the knot's pathwise realizations.  The knot's
+    slice is the picked score, or on one column the path mean of that
+    read.  The read regimes:
 
     * Without noise every path column shares a node's Euler image, so a
       control's read is a combination of rows of the next slice, which
@@ -429,25 +401,25 @@ def value_V(coeffs, ensemble, lattice, *, basis=None, noise_level=0.0,
       images: after the first regression knot, rows of the slice's
       projection coefficients, then predicted; at regression knot 0 the
       slice's rows, then projected (a path mean); on a deterministic set
-      the slice's rows.  The slice is read again only at each point's
-      winning control.  After the first regression knot the projections
+      the slice's rows.  After the first regression knot the projections
       move by roundoff, and with them the earlier knots' slices, means
       and se (within 1e-12); that can flip a choice only at a near-tie.
+      The pick is read from the same located images.
     * Under noise each control's images are read path by path, then
-      projected (averaged, on a deterministic set) and scored in turn.
+      projected (averaged, on a deterministic set); the pick is read by
+      one interpolation at each point's own image.
     * A deterministic problem under noise at a knot where every
       control's dt * beta is the same at all lattice nodes.  There each
       control's path mean is a stencil of the one-column slice (see
-      _stencil_means), the argmin is taken over those means, and only the
-      winning controls are interpolated path by path, so mean, se and the
-      slice match the path-by-path reads bit for bit unless a roundoff
-      near-tie flips a choice; lattice exits are counted on the nodes
-      near the faces.
+      _stencil_means), so mean, se and the slice match the path-by-path
+      reads bit for bit unless a roundoff near-tie flips a choice;
+      lattice exits are counted on the nodes near the faces.
 
     Returns a ValueSurface whose terminal slice is the exact pathwise
     terminal cost and whose int8/int16 argmin tables, which feedback
-    policies read, cover every knot.  Pathwise slices are kept at every
-    knot within AUTO_STORE_BUDGET, else on the grid's subgrid.
+    policies read, cover every knot; diagnostics["exits"] holds the
+    exits per knot and control.  Pathwise slices are kept at every knot
+    within AUTO_STORE_BUDGET, else on the grid's subgrid.
     """
     if noise_level and noise_ensemble is None:
         raise ValueError("noise_level > 0 needs a noise ensemble")
@@ -461,104 +433,99 @@ def value_V(coeffs, ensemble, lattice, *, basis=None, noise_level=0.0,
     argmins = {}
     one_column = bool(coeffs.deterministic and noise_level)
 
-    def image(k, b, rows=slice(None)):
-        # Euler images of the lattice nodes (rows) under the node drifts
-        # b (n_points,) and the knot-k noise
-        pos = x_eval[rows] + dt * b[rows, None, None]
+    def image(k, b, nodes=slice(None)):
+        # Euler images of the lattice nodes under the node drifts
+        # b (n_points, E), plus the knot-k noise
+        pos = x_eval[nodes] + dt * b[nodes, :, None]
         if noise_level:
             pos = pos + noise_level * noise_ensemble.increments[:, k, :]
         return pos
 
-    def step(k, t, w, op, nxt):
+    def step(k, t, w, op, V, exits):
         beta, fv = _node_tables(coeffs, t, x_eval, w, every)
         fv *= dt
         if not noise_level:
-            return node_step(k, op, nxt, beta, fv)
-        if one_column and (dt * beta == dt * beta[:, :1]).all():
-            return stencil_step(k, nxt, beta, fv)
+            images = _ControlImages(lattice, dt, beta)
+            best, idx = node_scores(k, op, V, images, fv, exits)
+        elif one_column and (dt * beta == dt * beta[:, :1]).all():
+            best, idx = stencil_scores(k, V, beta, fv, exits)
+        else:
+            best, idx = path_scores(k, op, V, beta, fv, exits)
+        argmins[k] = idx
+        rows = _table_rows(idx, lattice.n_points)
+        if noise_level:
+            raw, _ = lattice.interp(V, image(k, np.take(beta, rows)))
+        else:
+            raw = images.read(V, rows)
+        raw += np.take(fv, rows)
+        # every control read every node and path column once
+        return ((raw.mean(axis=-1, keepdims=True) if one_column else best),
+                raw, coeffs.n_controls * raw.size)
 
-        def scores():
-            for j in every:
-                raw = nxt(image(k, beta[j]), j)
-                cont = None if one_column else op.apply(raw)
-                # add the running cost in place: one lattice-by-path
-                # temporary fewer per control keeps the allocator from
-                # trimming and re-faulting the heap
-                raw += fv[j][:, None]
-                yield (raw.mean(axis=-1, keepdims=True) if one_column
-                       else fv[j][:, None] + cont), raw
-
-        best, argmins[k], (best_raw,) = _running_argmin(scores(), idx_dtype)
-        return best, best_raw
-
-    def node_step(k, op, nxt, beta, fv):
+    def node_scores(k, op, V, images, fv, exits):
         # every column reads a node at the same image, so each control's
         # read is a combination of rows of the slice, and so is its
         # projection: after knot 0 project the slice once and read its
         # coefficients
-        images = _ControlImages(lattice, dt, beta)
+        exits += np.count_nonzero(images.outside, axis=1) * V.shape[1]
         if op is None:                      # the read is the score
-            table, finish = nxt.values, np.asarray
+            table, finish = V, np.asarray
         elif k == 0:                        # a path mean
-            table, finish = nxt.values, op.apply
+            table, finish = V, op.apply
         else:
-            table, finish = op.coefficients(nxt.values), op.predict
-        n_eff = nxt.values.shape[1]
+            table, finish = op.coefficients(V), op.predict
 
         def scores():
             for j in every:
-                n_out = np.count_nonzero(images.outside[j])
-                nxt.tally(j, lattice.n_points * n_eff, n_out * n_eff)
-                rows = _table_rows(j, lattice.n_points)
-                total = finish(images.read(table, rows))
+                total = finish(images.read(
+                    table, _table_rows(j, lattice.n_points)))
                 total += fv[j][:, None]
-                yield (total,)
+                yield total
 
-        best, argmins[k], _ = _running_argmin(scores(), idx_dtype)
-        rows = _table_rows(argmins[k], lattice.n_points)
-        raw = images.read(nxt.values, rows)
-        raw += np.take(fv, rows)
-        return best, raw
+        return _running_argmin(scores(), idx_dtype)
 
-    def stencil_step(k, nxt, beta, fv):
-        n_controls, n = beta.shape
+    def path_scores(k, op, V, beta, fv, exits):
+        def scores():
+            for j in every:
+                vals, n_out = lattice.interp(V, image(k, beta[j][:, None]))
+                exits[j] += n_out
+                if one_column:
+                    vals += fv[j][:, None]
+                    yield vals.mean(axis=-1, keepdims=True)
+                else:
+                    cont = op.apply(vals)
+                    cont += fv[j][:, None]
+                    yield cont
+
+        return _running_argmin(scores(), idx_dtype)
+
+    def stencil_scores(k, V, beta, fv, exits):
+        n = lattice.n_points
         dB = noise_level * noise_ensemble.increments[:, k, 0]
         z = (dt * beta[:, 0, None] + dB) / lattice.h
-        totals = _stencil_means(nxt.values[:, 0], z) + fv.T
-        best_idx = np.argmin(totals, axis=1)
-        raw = np.empty((n, dB.size))
-        for j in np.flatnonzero(np.bincount(best_idx, minlength=n_controls)):
-            rows = best_idx == j
-            vals, _ = lattice.interp(nxt.values, image(k, beta[j], rows))
-            vals += fv[j, rows, None]
-            raw[rows] = vals
         # a shift of |z| cells can only carry the nodes that close to a
         # face out of the box: count every control's exits there
         node = np.arange(n)
-        for j in range(n_controls):
+        for j in every:
             reach = np.ceil(np.abs(z[j]).max()) + 1
             edge = (node < reach) | (node >= n - reach)
-            n_out = int(lattice.exits(image(k, beta[j], edge)).sum())
-            nxt.tally(j, n * dB.size, n_out)
-        argmins[k] = best_idx.astype(idx_dtype)[:, None]
-        return raw.mean(axis=-1, keepdims=True), raw
+            exits[j] += lattice.exits(image(k, beta[j][:, None], edge)).sum()
+        totals = _stencil_means(V[:, 0], z) + fv.T
+        return _running_argmin(totals.T[..., None], idx_dtype)
 
     surface = _backward_sweep(coeffs, ensemble, lattice, "auto", basis, step,
                               argmin=argmins)
     frac = surface.diagnostics["clamp_fraction"]
     if frac > clamp_tol:
         # name the knot with the most exits, its worst control, and the
-        # face that control's Euler images crossed most
+        # face that control's Euler images crossed most; ties go to the
+        # lowest knot and control
         exits = surface.diagnostics["exits"]
-        per_knot = {}
-        for (k, _), n_out in sorted(exits.items()):
-            per_knot[k] = per_knot.get(k, 0) + n_out
-        k = max(per_knot, key=per_knot.get)
-        j = max(sorted(c for kk, c in exits if kk == k),
-                key=lambda c: exits[k, c])
+        k = int(np.argmax(exits.sum(axis=1)))
+        j = int(np.argmax(exits[k]))
         w = None if coeffs.deterministic else ensemble.slice_at(k)
         beta, _ = _node_tables(coeffs, ensemble.grid.knots[k], x_eval, w, [j])
-        faces = lattice.exits(image(k, beta[0]))
+        faces = lattice.exits(image(k, beta.T))
         side = int(np.argmax(faces))
         raise AccuracyError(
             f"{100 * frac:.2f}% of lattice evaluations left the box (budget "

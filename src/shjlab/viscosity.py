@@ -70,6 +70,9 @@ def hamiltonian(coeffs, t, x, p, w=None):
     x = np.asarray(x, float)
     p = np.asarray(p, float)
     q = np.broadcast_to(p, np.broadcast_shapes(x.shape, p.shape))[..., 0]
+    if q.ndim == 0:         # one point: a tie's np.nonzero needs an axis
+        value, idx = hamiltonian(coeffs, t, x[None], p[None], w)
+        return value[0], idx[0]
     edges, picks = _pick_table(coeffs, t, w, x, q)
     # one comparison per edge: np.searchsorted costs about 25 of them and
     # returns int64, where the bucket fits the smallest unsigned type
@@ -90,7 +93,7 @@ def hamiltonian(coeffs, t, x, p, w=None):
                                np.arange(coeffs.n_controls)[:, None], at)
         scores = beta * q[at]
         scores += f
-        value[at], idx[at], _ = _running_argmin((row,) for row in scores)
+        value[at], idx[at] = _running_argmin(scores)
     return value, idx
 
 
@@ -380,7 +383,11 @@ def build_envelopes(base, approx, ens_w, ens_b, eps, delta_n, *,
         sl = V_eps.pathwise(k)
         B_k = ens_b.value_at(k)
         pos = x_pts[:, None, :] - delta_n * B_k[None, :, :]
-        center, clamped[k] = lattice.interp(sl, pos)
+        # one locate serves the slice and its gradient; gather
+        # overwrites the cells it is given
+        cell, w_lo, w_hi, outside = lattice.locate(pos)
+        center = lattice.gather(sl, cell.copy(), w_lo, w_hi)
+        clamped[k] = np.count_nonzero(outside) * (center.size // outside.size)
         evals += center.size
         corr = bound.Y[k][None, :] + delta_n * K_bar * noise_mag.Y[k][None, :]
         up_vals[k] = center + corr
@@ -388,7 +395,8 @@ def build_envelopes(base, approx, ens_w, ens_b, eps, delta_n, *,
         if k == n or k not in want_drift:
             continue
         t = grid.knots[k]
-        p_shift, _ = lattice.interp(lattice.gradient(sl)[..., 0], pos)
+        p_shift = lattice.gather(lattice.gradient(sl)[..., 0], cell, w_lo,
+                                 w_hi)
         w = None if approx.deterministic else ens_w.slice_at(k)
         ham, _ = hamiltonian(approx, t, pos, p_shift[..., None], w)
         b_mag = np.linalg.norm(B_k, axis=1)[None, :]
@@ -540,12 +548,10 @@ def solve_hjb_fd_1d(approx, x_axis, y_axis, interval, delta_n):
         u_yy = (py[:, 2:] - 2 * u + py[:, :-2]) / hy**2
         d_fwd = (px[2:] - u) / hx
         d_bwd = (u - px[:-2]) / hx
-        ham = None
-        for b, fv in zip(drifts, runnings):
-            bp = np.maximum(b, 0.0)[:, None]
-            bm = np.minimum(b, 0.0)[:, None]
-            cand = bp * d_fwd + bm * d_bwd + fv[:, None]
-            ham = cand if ham is None else np.minimum(ham, cand)
+        ham, _ = _running_argmin(
+            np.maximum(b, 0.0)[:, None] * d_fwd
+            + np.minimum(b, 0.0)[:, None] * d_bwd + fv[:, None]
+            for b, fv in zip(drifts, runnings))
         u = u + dt * (ham + 0.5 * u_yy + 0.5 * delta_n**2 * u_xx)
 
     return HjbFdSolution(x_axis, y_axis, u,

@@ -266,8 +266,8 @@ def _policy_reference(co, ens, policy, lat):
     """Per-control loop of the policy-cost recursion: each used control
     reads every point, and each point keeps its own control's read.
 
-    Returns the mean rows, se rows, slices and the share of the kept
-    reads whose images left the box.
+    Returns the mean rows, se rows, slices, the share of the kept reads
+    whose images left the box and their count per knot and control.
     """
     grid = ens.grid
     n, dt = grid.n_steps, grid.dt
@@ -277,6 +277,7 @@ def _policy_reference(co, ens, policy, lat):
     V = np.broadcast_to(co.G(x, wT), (lat.n_points, n_eff)).copy()
     mean, se, slices = {n: V.mean(axis=-1)}, {}, {n: V}
     clamped = evals = 0
+    exits = np.zeros((n, co.n_controls), int)
     for k in range(n - 1, -1, -1):
         t = grid.knots[k]
         w = None if co.deterministic else ens.slice_at(k)
@@ -289,7 +290,8 @@ def _policy_reference(co, ens, policy, lat):
             vals = co.f(t, x, v, w) * dt + _read_by_corner(lat, V, pos)
             u = (pos[..., 0] - lat.lo) / lat.h
             outside = (u < 0.0) | (u > lat.n_points - 1)
-            clamped += int(outside[idx == j].sum())
+            exits[k, j] = outside[idx == j].sum()
+            clamped += int(exits[k, j])
             raw[idx == j] = np.broadcast_to(vals, idx.shape)[idx == j]
         evals += raw.size
         V = raw if co.deterministic else CondExpOperator(
@@ -298,7 +300,7 @@ def _policy_reference(co, ens, policy, lat):
         mean[k] = raw.mean(axis=-1)
         se[k] = (raw.std(axis=-1, ddof=1) / np.sqrt(n_eff) if n_eff > 1
                  else np.zeros(lat.n_points))
-    return mean, se, slices, clamped / evals
+    return mean, se, slices, clamped / evals, exits
 
 
 def _pulled_drift(t, x, v, w):
@@ -319,12 +321,18 @@ def _variant(name, base):
 
 
 def _policy_case(name):
-    """(coefficient set, ensemble, lattice, greedy or constant policy);
-    the narrow box sends some images out of it."""
+    """(coefficient set, ensemble, lattice, greedy, constant or open-loop
+    policy); the narrow box sends some images out of it."""
     base = scenario("eikonal" if name == "eikonal" else "random-target")
     co = _variant(name, base)
     ens = sample_ensemble(TimeGrid(1.0, 8), 1, 300, SEED)
     lat = BoxLattice.centered(1.0, 0.1)
+    if name == "open-loop":
+        # the last control on one path in three, the first on the rest:
+        # both leave the box, in unequal numbers
+        last = (np.arange(ens.n_paths) % 3 == 0) * (base.n_controls - 1)
+        return co, ens, lat, ControlPolicy.open_loop(
+            np.broadcast_to(last, (ens.grid.n_steps, ens.n_paths)))
     V = value_V(base, ens, lat, clamp_tol=1.0)
     # the greedy eikonal policy heads for the origin and never leaves
     pol = (ControlPolicy.constant(base.n_controls - 1)
@@ -332,7 +340,8 @@ def _policy_case(name):
     return co, ens, lat, pol
 
 
-CASES = ["random-target", "mollified", "priced", "eikonal", "constant"]
+CASES = ["random-target", "mollified", "priced", "eikonal", "constant",
+         "open-loop"]
 
 
 @pytest.mark.parametrize("name", CASES)
@@ -341,9 +350,10 @@ def test_policy_surface_matches_per_control_reference(name):
     # loop
     co, ens, lat, pol = _policy_case(name)
     u = policy_cost_surface(co, ens, pol, lat)
-    mean, se, slices, frac = _policy_reference(co, ens, pol, lat)
+    mean, se, slices, frac, exits = _policy_reference(co, ens, pol, lat)
     assert frac > 0.0
     assert u.diagnostics["clamp_fraction"] == frac
+    assert np.array_equal(u.diagnostics["exits"], exits)
     assert np.array_equal(u.mean, np.stack([mean[k] for k in sorted(mean)]))
     for k in sorted(se):
         assert np.array_equal(u.se[k], se[k])

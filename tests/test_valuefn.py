@@ -301,8 +301,8 @@ def _noisy_reference(co, ens, aux, lat, delta):
     """Per-control loop of the noisy one-column recursion, path by path.
 
     Returns the mean rows, se rows, argmin tables, the near-tie mask of
-    each table (best and runner-up totals within 1e-12) and the share of
-    Euler images that left the box.
+    each table (best and runner-up totals within 1e-12), the share of
+    Euler images that left the box and their count per knot and control.
     """
     grid = ens.grid
     x = lat.points[:, None, :]
@@ -310,14 +310,16 @@ def _noisy_reference(co, ens, aux, lat, delta):
     raw = np.broadcast_to(V, (lat.n_points, 1))
     mean, se, argmin, tied = {}, {}, {}, {}
     clamped = evals = 0
+    exits = np.zeros((grid.n_steps, co.n_controls), int)
     for k in range(grid.n_steps, -1, -1):
         if k < grid.n_steps:
             dB = delta * aux.increments[:, k, :]
             totals, raws = [], []
-            for v in co.controls:
+            for j, v in enumerate(co.controls):
                 pos = x + grid.dt * co.beta(grid.knots[k], x, v, None) + dB
                 vals, nc = lat.interp(V, pos)
                 clamped += nc
+                exits[k, j] = nc
                 evals += vals.size
                 vals += co.f(grid.knots[k], x, v, None) * grid.dt
                 totals.append(vals.mean(axis=-1))
@@ -332,7 +334,7 @@ def _noisy_reference(co, ens, aux, lat, delta):
         mean[k] = raw.mean(axis=-1)
         se[k] = (raw.std(axis=-1, ddof=1) / np.sqrt(raw.shape[-1])
                  if raw.shape[-1] > 1 else np.zeros(lat.n_points))
-    return mean, se, argmin, tied, clamped / evals
+    return mean, se, argmin, tied, clamped / evals, exits
 
 
 @pytest.mark.parametrize("name,delta", [("eikonal", 0.3), ("linear-drift", 0.3),
@@ -358,18 +360,21 @@ def test_noisy_one_column_recursion_matches_reference(name, delta):
     V = value_V(co, ens, lat, noise_level=delta, noise_ensemble=aux,
                 clamp_tol=1.0)
     lat.interp = interp
-    mean, se, argmin, tied, frac = _noisy_reference(co, ens, aux, lat, delta)
+    mean, se, argmin, tied, frac, exits = _noisy_reference(co, ens, aux, lat,
+                                                           delta)
 
     assert V.diagnostics["clamp_fraction"] == frac > 0.0
+    assert np.array_equal(V.diagnostics["exits"], exits)
     for k in range(grid.n_steps + 1):
         np.testing.assert_allclose(V.mean[k], mean[k], rtol=0.0, atol=1e-12)
         np.testing.assert_allclose(V.se[k], se[k], rtol=0.0, atol=1e-12)
     for k in range(grid.n_steps):
         got = V.argmin[k][:, 0]
         assert np.array_equal(got[~tied[k]], argmin[k][~tied[k]])
-    # the stencil path interpolates each node and path once per knot
+    # the stencil path interpolates each node and path once per knot,
+    # the path-by-path one once per control and again at the pick
     per_knot = lat.n_points * ens.n_paths
-    expect = per_knot * (1 if name != "linear-drift" else co.n_controls)
+    expect = per_knot * (1 if name != "linear-drift" else co.n_controls + 1)
     assert sum(reads) == grid.n_steps * expect
 
 
@@ -381,7 +386,8 @@ def _regression_reference(co, ens, lat, basis):
 
     Returns the mean rows, se rows, slices, argmin tables, their near-tie
     masks (best and runner-up totals within 1e-12), the reads and the
-    clamped reads of each knot's per-control loop.
+    clamped reads of each knot's per-control loop, and those clamped
+    reads per knot and control.
     """
     grid = ens.grid
     n, dt = grid.n_steps, grid.dt
@@ -392,19 +398,21 @@ def _regression_reference(co, ens, lat, basis):
     mean, se, slices, argmin, tied = {}, {}, {n: V}, {}, {}
     mean[n], se[n] = _path_mean_se(V)
     clamped = evals = 0
+    exits = np.zeros((n, co.n_controls), int)
     for k in range(n - 1, -1, -1):
         t = grid.knots[k]
         w = None if co.deterministic else ens.slice_at(k)
         project = (np.asarray if co.deterministic
                    else CondExpOperator(ens, k, basis).apply)
         totals, raws = [], []
-        for v in co.controls:
+        for j, v in enumerate(co.controls):
             pos = x + dt * co.beta(t, x, v, w)
             vals = _interp_by_corner(lat, V, np.broadcast_to(
                 pos, (lat.n_points, n_eff, 1)))
             u = (pos[..., 0] - lat.lo) / lat.h         # in cells, as interp
             outside = (u < 0.0) | (u > lat.n_points - 1)
-            clamped += int(np.broadcast_to(outside, vals.shape).sum())
+            exits[k, j] = np.broadcast_to(outside, vals.shape).sum()
+            clamped += int(exits[k, j])
             evals += vals.size
             fv = co.f(t, x, v, w)
             totals.append(fv * dt + project(vals))
@@ -417,7 +425,7 @@ def _regression_reference(co, ens, lat, basis):
         raw = np.take_along_axis(raws, argmin[k][None], 0)[0]
         slices[k] = V
         mean[k], se[k] = _path_mean_se(raw)
-    return mean, se, slices, argmin, tied, evals, clamped
+    return mean, se, slices, argmin, tied, evals, clamped, exits
 
 
 def _pulled_drift(t, x, v, w):
@@ -463,12 +471,13 @@ def test_regression_recursion_matches_per_control_reference(name):
     lat.interp = counting
     V = value_V(co, ens, lat, clamp_tol=1.0)
     lat.interp = interp
-    mean, se, slices, argmin, tied, evals, clamped = _regression_reference(
-        co, ens, lat, basis)
+    mean, se, slices, argmin, tied, evals, clamped, exits = \
+        _regression_reference(co, ens, lat, basis)
 
     assert clamped > 0
     assert V.diagnostics["clamp_fraction"] == clamped / evals
-    assert sum(V.diagnostics["exits"].values()) == clamped
+    assert V.diagnostics["exits"].sum() == clamped
+    assert np.array_equal(V.diagnostics["exits"], exits)
     for k in range(grid.n_steps + 1):
         np.testing.assert_allclose(V.mean[k], mean[k], rtol=0.0, atol=1e-12)
         np.testing.assert_allclose(V.se[k], se[k], rtol=0.0, atol=1e-12)

@@ -83,10 +83,9 @@ def _sweep_reference(co, t, x, p, w):
             b = np.asarray(co.beta(t, x, v, w), float)
             shape = np.broadcast_shapes(b.shape, p.shape)
             yield (np.sum(np.broadcast_to(b, shape) * p, axis=-1)
-                   + np.asarray(co.f(t, x, v, w), float),)
+                   + np.asarray(co.f(t, x, v, w), float))
 
-    best, idx, _ = _running_argmin(scores())
-    return best, idx
+    return _running_argmin(scores())
 
 
 @settings(max_examples=60, deadline=None)
@@ -136,6 +135,17 @@ def test_envelope_ties_and_path_rows_on_eikonal():
     ref_val, ref_idx = _sweep_reference(co, 0.0, x, p, w)
     assert np.array_equal(idx, ref_idx) and not idx[1].any()
     assert np.array_equal(val.view(np.int64), ref_val.view(np.int64))
+
+
+@pytest.mark.parametrize("kind", ["base", "mollified"])
+def test_single_tied_point_scores_as_a_one_point_batch(kind):
+    # x and p of shape (1,) leave no point axis; p = 0 ties every line
+    co, w = _problem("eikonal", kind)
+    val, idx = hamiltonian(co, 0.0, np.array([0.0]), np.array([0.0]), w)
+    ref_val, ref_idx = hamiltonian(co, 0.0, np.array([[0.0]]),
+                                   np.array([[0.0]]), w)
+    assert np.shape(val) == np.shape(idx) == ()
+    assert (val, idx) == (ref_val[0], ref_idx[0])
 
 
 @pytest.mark.parametrize("name, kind", [("linear-drift", "tensor"),

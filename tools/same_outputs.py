@@ -8,11 +8,13 @@ In this tree and in PARENT_ROOT, each run in a fresh interpreter with
 PYTHONPATH=<root>/src, ``shjlab.cli.run`` executes the three workload
 configurations of perfbench/workloads.py at seed 0 (taken from this
 tree), acceptance criterion 11's full-uniqueness configuration at 1
-and at 3 workers, and two linear-drift runs, the only built-in whose
-drift and running cost move with x: ``envelopes`` at criterion 11's
-size and a small ``jhat``.  Every file a run writes is compared, except
-manifest.json, which records versions and resource use: JSON reports as
-parsed data, key by key, and every other file byte for byte.
+and at 3 workers, two linear-drift runs, the only built-in whose drift
+and running cost move with x: ``envelopes`` at criterion 11's size and
+a small ``jhat``, and random-target ``envelopes`` at criterion 11's
+size, whose noisy value surface projects path by path.  Every file a
+run writes is compared, except manifest.json, which records versions
+and resource use: JSON reports as parsed data, key by key, and every
+other file byte for byte.
 
 Prints every difference.  A key or file that only this tree writes is
 listed as added and passes.  Exits 1 if a run's exit code differs, a
@@ -50,7 +52,9 @@ RUNS = ([(w.name, w.pipeline, w.config, None) for w in WORKLOADS.values()]
             {**CRITERION_11, "scenario": "linear-drift"}, None),
            ("linear-drift-jhat", "jhat",
             {"scenario": "linear-drift", "n_steps": 8, "n_paths": 500,
-             "levels": [4, 8]}, None)])
+             "levels": [4, 8]}, None),
+           ("random-target-envelopes", "envelopes",
+            {**CRITERION_11, "scenario": "random-target"}, None)])
 
 # one run in a fresh interpreter; prints the pipeline's exit code
 _RUN = """
