@@ -3,9 +3,14 @@
 Every output table carries the config hash in a comment line; data go
 to files, progress to stderr.  Re-running an identical config under
 ``run()`` rewrites byte-identical tables for any worker count and any
-host core count: workers only spread independent ladder items, or the
-two BSDE solves, merged in a fixed order, and numpy's OpenBLAS runs the
-pipeline on one thread (manifest ``blas_threads``; null if not found).
+host core count.  ``run()`` opens one thread pool of ``workers`` threads
+per pipeline (none at one worker).  It runs independent ladder items,
+or the two BSDE solves, merged in a fixed order; ``jhat`` also runs
+each level's error bound while ``value_V`` runs; and ``value_V`` scores
+half of each regression knot's controls on it, merged as the
+sequential loop picks.  No work item changes its arithmetic with the
+thread it runs on, and numpy's OpenBLAS runs on one thread (manifest
+``blas_threads``; null if not found).
 
 ``run()`` also holds glibc's heap across the pipeline (manifest
 ``heap_hold``; null off glibc): freed lattice-by-path temporaries stay
@@ -225,7 +230,7 @@ def _lattice(cfg, coeffs, h=None, extra_margin=0.0):
     )
 
 
-def _pipe_simulate(cfg, out, scale, workers):
+def _pipe_simulate(cfg, out, scale, pool):
     grid, coeffs, ens = _grid_ens(cfg)
     ens.save(os.path.join(out, "ensemble_w.bin"))
     rows = []
@@ -242,10 +247,10 @@ def _pipe_simulate(cfg, out, scale, workers):
     return {"terminal_variance": bool(np.all(np.abs(vT - cfg.T) <= band))}
 
 
-def _pipe_value(cfg, out, scale, workers):
+def _pipe_value(cfg, out, scale, pool):
     grid, coeffs, ens = _grid_ens(cfg)
     lat = _lattice(cfg, coeffs)
-    surface = value_V(coeffs, ens, lat, clamp_tol=0.05)
+    surface = value_V(coeffs, ens, lat, clamp_tol=0.05, pool=pool)
     rows = []
     for k in range(grid.n_steps + 1):
         for i in range(lat.n_points):
@@ -271,7 +276,7 @@ def _pipe_value(cfg, out, scale, workers):
     return {"value_audit": bool(audit["passed"])}
 
 
-def _pipe_bsde(cfg, out, scale, workers):
+def _pipe_bsde(cfg, out, scale, pool):
     grid = TimeGrid(cfg.T, cfg.n_steps)
     n = grid.n_steps
 
@@ -292,7 +297,7 @@ def _pipe_bsde(cfg, out, scale, workers):
     (mart, rms, _), (noise, _, y0) = _ordered_map(chain, (
         ("terminal_w", cfg.seed_w, None),
         ("noise_magnitude", cfg.seed_b, lambda t, w: np.abs(w.current[:, 0])),
-    ), workers)
+    ), pool)
     _write_csv(os.path.join(out, "bsde_summary.csv"), cfg.digest(),
                ("case", "knot", "t", "mean_Y", "se_Y", "mean_Z"), mart + noise)
 
@@ -312,7 +317,7 @@ def _pipe_bsde(cfg, out, scale, workers):
     return checks
 
 
-def _pipe_mollify(cfg, out, scale, workers):
+def _pipe_mollify(cfg, out, scale, pool):
     grid, coeffs, ens = _grid_ens(cfg)
     # unit mass of the kernel via 64-point Gauss-Legendre, an independent
     # route from the tanh-sinh normalizer inside bump_kernel
@@ -359,43 +364,52 @@ def _pipe_mollify(cfg, out, scale, workers):
     return checks
 
 
-def _jhat_item(cfg, scale, coeffs, ens, lat, pol, base_cost, level, radius):
+def _level_bound(coeffs, ens, level, radius, gain):
+    """A level's mollified set, BSDE error bound and error scale delta,
+    none of which reads the policy."""
     ml = MollifiedSet(coeffs, level=level)
     errors = error_processes(coeffs, ml, ens, radius=radius)
-    gain = _value_lipschitz(coeffs, cfg.T)
-    bound = error_bound_bsde(errors, gain=gain, ensemble=ens)
+    return (ml, error_bound_bsde(errors, gain=gain, ensemble=ens),
+            float(errors.scale(gain)))
+
+
+def _jhat_item(scale, coeffs, ens, lat, pol, base_cost, level, level_bound):
+    ml, bound, delta = level_bound.result()
     u_l = policy_cost_surface(ml, ens, pol, lat)
     jh = cost_majorant(u_l, bound, ml, pol, ens)
     rep = residual_check(jh, coeffs, ens, "super", tol=0.02 * scale)
     norm_gap = float(np.max(np.abs(
         np.stack([jh.at(k).mean(axis=1) for k in jh.knots])
-        - base_cost.mean)))
-    delta = errors.scale(gain)
+        - base_cost.result().mean)))
     return {
         "level": level,
-        "delta": float(delta),
+        "delta": delta,
         "bound_sup": bound.sup_rms(),
         "residual_margin": rep["margin"],
         "terminal_margin": rep["terminal_margin"],
         "passed_super": bool(rep["passed"]),
         "norm_gap": norm_gap,
-        "C": bound.sup_rms() / float(delta) if delta > 0 else 0.0,
+        "C": bound.sup_rms() / delta if delta > 0 else 0.0,
     }
 
 
-def _pipe_jhat(cfg, out, scale, workers):
+def _pipe_jhat(cfg, out, scale, pool):
     grid, coeffs, ens = _grid_ens(cfg)
     lat = _lattice(cfg, coeffs, h=cfg.ladder_h)
-    surface = value_V(coeffs, ens, lat, clamp_tol=0.05)
-    pol = ControlPolicy.feedback(surface)
-    base_cost = policy_cost_surface(coeffs, ens, pol, lat)
     radius = float(np.max(np.abs(lat.points)))
-
-    def item(level):
-        return _jhat_item(cfg, scale, coeffs, ens, lat, pol, base_cost,
-                          level, radius)
-
-    results = _ordered_map(item, cfg.levels, workers)
+    gain = _value_lipschitz(coeffs, cfg.T)
+    # the level bounds do not read the policy: on a pool they run while
+    # value_V does
+    bounds = [_later(pool, _level_bound, coeffs, ens, level, radius, gain)
+              for level in cfg.levels]
+    surface = value_V(coeffs, ens, lat, clamp_tol=0.05, pool=pool)
+    pol = ControlPolicy.feedback(surface)
+    base_cost = _later(pool, policy_cost_surface, coeffs, ens, pol, lat)
+    items = [_later(pool, _jhat_item, scale, coeffs, ens, lat, pol,
+                    base_cost, level, bound)
+             for level, bound in zip(cfg.levels, bounds)]
+    base_cost.result()      # its failure comes first, as without a pool
+    results = [it.result() for it in items]
     _write_items(os.path.join(out, "jhat_ladder.csv"), cfg.digest(), results)
     cs = [r["C"] for r in results if r["C"] > 0]
     gaps = [r["norm_gap"] for r in results]
@@ -435,12 +449,12 @@ def _envelope_item(cfg, scale, coeffs, ens_w, ens_b, lat, surface, eps, delta):
     }
 
 
-def _envelope_grid(cfg, out, scale, workers):
+def _envelope_grid(cfg, out, scale, pool):
     grid, coeffs, ens_w = _grid_ens(cfg)
     ens_b = sample_ensemble(grid, 1, cfg.n_paths, cfg.seed_b)
     extra = 4.0 * max(cfg.delta_ladder) * np.sqrt(cfg.T)
     lat = _lattice(cfg, coeffs, h=cfg.ladder_h, extra_margin=extra)
-    surface = value_V(coeffs, ens_w, lat, clamp_tol=0.05)
+    surface = value_V(coeffs, ens_w, lat, clamp_tol=0.05, pool=pool)
     items = [(eps, delta) for eps in cfg.eps_ladder
              for delta in cfg.delta_ladder]
 
@@ -448,7 +462,7 @@ def _envelope_grid(cfg, out, scale, workers):
         return _envelope_item(cfg, scale, coeffs, ens_w, ens_b, lat,
                               surface, *pt)
 
-    results = _ordered_map(item, items, workers)
+    results = _ordered_map(item, items, pool)
     _write_items(os.path.join(out, "envelope_grid.csv"), cfg.digest(), results)
     checks = {
         "ordering": all(r["order_ok"] for r in results),
@@ -458,8 +472,8 @@ def _envelope_grid(cfg, out, scale, workers):
     return results, checks
 
 
-def _pipe_envelopes(cfg, out, scale, workers):
-    results, checks = _envelope_grid(cfg, out, scale, workers)
+def _pipe_envelopes(cfg, out, scale, pool):
+    results, checks = _envelope_grid(cfg, out, scale, pool)
     coeffs = scenario(cfg.scenario)
     lip_v = _value_lipschitz(coeffs, cfg.T)
     checks["gradient_bound"] = all(0.0 < r["L_tilde"] <= lip_v for r in results)
@@ -468,7 +482,7 @@ def _pipe_envelopes(cfg, out, scale, workers):
     return checks
 
 
-def _pipe_viscosity_check(cfg, out, scale, workers):
+def _pipe_viscosity_check(cfg, out, scale, pool):
     grid, coeffs, ens = _grid_ens(cfg)
     lat = BoxLattice.centered(cfg.x0_max, 0.5)
 
@@ -514,13 +528,13 @@ def _pipe_viscosity_check(cfg, out, scale, workers):
     return checks
 
 
-def _pipe_full_uniqueness(cfg, out, scale, workers):
+def _pipe_full_uniqueness(cfg, out, scale, pool):
     checks = {}
     checks.update({f"mollify.{k}": v
-                   for k, v in _pipe_mollify(cfg, out, scale, workers).items()})
+                   for k, v in _pipe_mollify(cfg, out, scale, pool).items()})
     checks.update({f"jhat.{k}": v
-                   for k, v in _pipe_jhat(cfg, out, scale, workers).items()})
-    results, env_checks = _envelope_grid(cfg, out, scale, workers)
+                   for k, v in _pipe_jhat(cfg, out, scale, pool).items()})
+    results, env_checks = _envelope_grid(cfg, out, scale, pool)
     xs = [r["eps"] + r["delta"] for r in results]
     gaps = [r["gap_upper"] + r["gap_lower"] for r in results]
     slope = _slope(xs, gaps)
@@ -535,11 +549,46 @@ def _pipe_full_uniqueness(cfg, out, scale, workers):
     return checks
 
 
-def _ordered_map(fn, items, workers):
-    if workers <= 1 or len(items) <= 1:
+def _ordered_map(fn, items, pool):
+    if pool is None or len(items) <= 1:
         return [fn(it) for it in items]
-    with concurrent.futures.ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(fn, items))
+    return list(pool.map(fn, items))
+
+
+class _Later:
+    """fn(*args), run at the first result() call: a pool-less future,
+    so a run without a pool keeps the sequential order of work."""
+
+    def __init__(self, fn, *args):
+        self._call = functools.partial(fn, *args)
+        self._value = None
+
+    def result(self):
+        if self._call is not None:
+            self._value = self._call()
+            self._call = None
+        return self._value
+
+
+def _later(pool, fn, *args):
+    """fn(*args) submitted to pool, or deferred to its result() without
+    one."""
+    return _Later(fn, *args) if pool is None else pool.submit(fn, *args)
+
+
+@contextlib.contextmanager
+def _worker_pool(workers):
+    """The pipeline's one thread pool, or None for one worker.  Queued
+    work is cancelled on the way out, so a failed stage does not wait
+    for the items after it."""
+    if workers <= 1:
+        yield None
+        return
+    pool = concurrent.futures.ThreadPoolExecutor(max_workers=workers)
+    try:
+        yield pool
+    finally:
+        pool.shutdown(cancel_futures=True)
 
 
 _RUNNERS = {
@@ -744,9 +793,10 @@ def run(config, pipeline, out_dir, *, workers=None):
     _say(f"[{pipeline}] scenario={config.scenario} hash={config.digest()} "
          f"workers={workers}")
     try:
-        with _resource_use(usage), _one_blas_thread(), _held_heap():
+        with (_resource_use(usage), _one_blas_thread(), _held_heap(),
+              _worker_pool(workers) as pool):
             checks = _RUNNERS[pipeline](config, out_dir,
-                                        config.tolerance_scale, workers)
+                                        config.tolerance_scale, pool)
     except (CapacityError, AccuracyError, IntegrationError, ValueError) as exc:
         code = 2 if isinstance(exc, CapacityError) else 1
         return finish(code, {"error": str(exc)}, f"failed: {exc}")
@@ -771,8 +821,10 @@ def main(argv=None):
     parser.add_argument("--seed", type=int, default=None,
                         help="override the W seed (B seed follows)")
     parser.add_argument("--workers", type=int, default=None,
-                        help="threads for ladder items and BSDE solves, at "
-                        "least 1 (default: the CPUs this process may use)")
+                        help="threads of the run's one pool (ladder items, "
+                        "level bounds, halves of regression knots, BSDE "
+                        "solves), at least 1 (default: the CPUs this process "
+                        "may use)")
     parser.add_argument("--tolerance-scale", type=float, default=None,
                         help="override the config's tolerance_scale")
     args = parser.parse_args(argv)

@@ -224,23 +224,52 @@ def probe_lattice(radius, n_points=67):
 # ---------------------------------------------------------------------------
 # control sweeps
 
-def _running_argmin(scores, idx_dtype=int):
+def _running_argmin(scores, idx_dtype=int, start=0):
     """Running minimum of same-shape scores in control index order.
 
-    Returns the smallest score and its control index (ties keep the
-    lowest).  Only one control's scores are held at a time, so memory
-    does not grow with the grid.
+    Returns the smallest score and its control index, the first score
+    being control start's (ties keep the lowest).  Only one control's
+    scores are held at a time, so memory does not grow with the grid.
     """
     best = best_idx = better = None
-    for j, total in enumerate(scores):
+    for j, total in enumerate(scores, start):
         if best is None:
             best = np.array(total, float)        # owned: selected in place
-            best_idx = np.zeros(best.shape, idx_dtype)
+            best_idx = np.full(best.shape, start, idx_dtype)
         else:
             better = np.less(total, best, out=better)   # one mask, reused
             np.copyto(best, total, where=better)
             np.copyto(best_idx, idx_dtype(j), where=better)
     return best, best_idx
+
+
+def _split_argmin(score, n, idx_dtype=int, pool=None):
+    """_running_argmin of score(0), ..., score(n - 1), the upper half of
+    the controls scored on the thread pool while the caller scores the
+    lower half (all on the caller without a pool).
+
+    The halves merge where the upper half's best is strictly lower, so
+    an exact tie keeps the lower index, as in the sequential loop; every
+    score is the same call, so for NaN-free scores the result is the
+    loop's bit for bit (a NaN compares false, and the two may then
+    disagree).  If the upper half has not started when the lower one is
+    done, the caller scores it too: a busy pool costs no wait, and a
+    call from one of the pool's own threads cannot deadlock.
+    """
+    if pool is None or n < 2:
+        return _running_argmin(map(score, range(n)), idx_dtype)
+    mid = (n + 1) // 2
+
+    def upper():
+        return _running_argmin(map(score, range(mid, n)), idx_dtype, mid)
+
+    later = pool.submit(upper)
+    best, idx = _running_argmin(map(score, range(mid)), idx_dtype)
+    hi, hi_idx = upper() if later.cancel() else later.result()
+    better = hi < best
+    np.copyto(best, hi, where=better)
+    np.copyto(idx, hi_idx, where=better)
+    return best, idx
 
 
 def _at_controls(coeffs, t, x, w, idx, at=None):

@@ -20,7 +20,7 @@ from .dynamics import integrate
 from .exceptions import AccuracyError, CapacityError
 from .probspace import CondExpOperator, _path_mean_se, polynomial_basis
 from .coeffs import (_node_tables, _one_component, _running_argmin,
-                     _table_rows, reach_radius)
+                     _split_argmin, _table_rows, reach_radius)
 
 __all__ = [
     "BoxLattice",
@@ -367,7 +367,7 @@ def _stencil_means(column, z):
 
 
 def value_V(coeffs, ensemble, lattice, *, basis=None, noise_level=0.0,
-            noise_ensemble=None, clamp_tol=0.01):
+            noise_ensemble=None, clamp_tol=0.01, pool=None):
     """Backward dynamic-programming value surface on a lattice.
 
     Parameters
@@ -383,6 +383,12 @@ def value_V(coeffs, ensemble, lattice, *, basis=None, noise_level=0.0,
         node, path column and control) whose Euler image left the box;
         exceeding it raises AccuracyError, which names the knot with the
         most exits, its control and face.
+    pool : optional concurrent.futures executor.  At every regression
+        knot the upper half of the controls is scored on it while the
+        calling thread scores the lower half (_split_argmin); the
+        surface is the same bit for bit with or without it.  Each
+        control's read keeps its shape, so no projection changes its
+        arithmetic.  Deterministic sets score on the caller only.
 
     Each knot reads beta and f, which have one value per node, as
     (control x node) tables from the set's lines (a MollifiedSet
@@ -432,6 +438,8 @@ def value_V(coeffs, ensemble, lattice, *, basis=None, noise_level=0.0,
     idx_dtype = np.int8 if coeffs.n_controls <= 127 else np.int16
     argmins = {}
     one_column = bool(coeffs.deterministic and noise_level)
+    # only regression knots score (n_points, n_paths) arrays: split those
+    split = None if coeffs.deterministic else pool
 
     def image(k, b, nodes=slice(None)):
         # Euler images of the lattice nodes under the node drifts
@@ -475,29 +483,26 @@ def value_V(coeffs, ensemble, lattice, *, basis=None, noise_level=0.0,
         else:
             table, finish = op.coefficients(V), op.predict
 
-        def scores():
-            for j in every:
-                total = finish(images.read(
-                    table, _table_rows(j, lattice.n_points)))
-                total += fv[j][:, None]
-                yield total
+        def score(j):
+            total = finish(images.read(table,
+                                       _table_rows(j, lattice.n_points)))
+            total += fv[j][:, None]
+            return total
 
-        return _running_argmin(scores(), idx_dtype)
+        return _split_argmin(score, coeffs.n_controls, idx_dtype, split)
 
     def path_scores(k, op, V, beta, fv, exits):
-        def scores():
-            for j in every:
-                vals, n_out = lattice.interp(V, image(k, beta[j][:, None]))
-                exits[j] += n_out
-                if one_column:
-                    vals += fv[j][:, None]
-                    yield vals.mean(axis=-1, keepdims=True)
-                else:
-                    cont = op.apply(vals)
-                    cont += fv[j][:, None]
-                    yield cont
+        def score(j):
+            vals, n_out = lattice.interp(V, image(k, beta[j][:, None]))
+            exits[j] += n_out       # control j is scored on one thread
+            if one_column:
+                vals += fv[j][:, None]
+                return vals.mean(axis=-1, keepdims=True)
+            cont = op.apply(vals)
+            cont += fv[j][:, None]
+            return cont
 
-        return _running_argmin(scores(), idx_dtype)
+        return _split_argmin(score, coeffs.n_controls, idx_dtype, split)
 
     def stencil_scores(k, V, beta, fv, exits):
         n = lattice.n_points

@@ -404,23 +404,50 @@ def test_seed_flag_rewires_both_streams(tmp_path):
 
 
 def test_worker_count_never_changes_results(tmp_path):
-    # jhat spreads its ladder items over the pool, bsde its two solves,
-    # envelopes its two rungs
+    # jhat spreads its level bounds and ladder items over the pool, bsde
+    # its two solves, envelopes its two rungs; on random-target jhat's
+    # value_V also scores half of each regression knot's controls there
     small = _small(ladder_h=0.05)
+    regression = _small(scenario="random-target", n_steps=4, n_paths=2000,
+                        ladder_h=0.05, levels=(4, 8))
     rungs = _small(n_paths=300, ladder_h=0.1, eps_ladder=(0.2,),
                    delta_ladder=(0.2, 0.1))
-    for pipeline, cfg, files in (
-            ("jhat", small, ("jhat_ladder.csv",)),
-            ("bsde", small, ("bsde_summary.csv", "bsde_report.json")),
-            ("envelopes", rungs, ("envelope_grid.csv",
-                                  "envelopes_report.json"))):
+    jhat_files = ("jhat_ladder.csv", "jhat_report.json")
+    for name, pipeline, cfg, files in (
+            ("jhat", "jhat", small, jhat_files),
+            ("jhat-regression", "jhat", regression, jhat_files),
+            ("bsde", "bsde", small, ("bsde_summary.csv", "bsde_report.json")),
+            ("envelopes", "envelopes", rungs, ("envelope_grid.csv",
+                                               "envelopes_report.json"))):
         outs = []
         for workers in (1, 3):
-            out = tmp_path / f"{pipeline}-w{workers}"
+            out = tmp_path / f"{name}-w{workers}"
             code, checks = run(cfg, pipeline, str(out), workers=workers)
             assert code == 0, checks
-            outs.append([(out / name).read_bytes() for name in files])
-        assert outs[0] == outs[1], pipeline
+            outs.append([(out / file).read_bytes() for file in files])
+        assert outs[0] == outs[1], name
+
+
+@pytest.mark.parametrize("workers,pools", [(1, 0), (2, 1)])
+def test_a_run_opens_one_pool_at_most(tmp_path, monkeypatch, workers, pools):
+    # full-uniqueness runs mollify, jhat and the envelope grid, each with
+    # work for a pool, on the run's one pool
+    opened = []
+    executor = cli.concurrent.futures.ThreadPoolExecutor
+
+    def counting(*args, **kwargs):
+        opened.append(kwargs.get("max_workers", args[0] if args else None))
+        return executor(*args, **kwargs)
+
+    monkeypatch.setattr(cli.concurrent.futures, "ThreadPoolExecutor",
+                        counting)
+    cfg = _small(scenario="random-target", n_steps=4, n_paths=300,
+                 ladder_h=0.1, eps_ladder=(0.2,), delta_ladder=(0.2, 0.1))
+    code, checks = run(cfg, "full-uniqueness", str(tmp_path / "out"),
+                       workers=workers)
+    # every stage ran (too short a ladder for its slope check to pass)
+    assert code in (0, 1) and "error" not in checks, checks
+    assert opened == [workers] * pools
 
 
 def test_jhat_tables_do_not_depend_on_the_callers_blas_threads(tmp_path,

@@ -1,12 +1,18 @@
 """Built-in scenarios and coefficient-set contracts."""
 
+import concurrent.futures
+import threading
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from shjlab.coeffs import (DECLARED, CoefficientSet, _at_controls,
-                           _node_tables, _running_argmin, control_grid,
-                           probe_lattice, reach_radius, scenario,
-                           scenario_names)
+                           _node_tables, _running_argmin, _split_argmin,
+                           control_grid, probe_lattice, reach_radius,
+                           scenario, scenario_names)
 from shjlab.probspace import TimeGrid, WienerEnsemble, sample_ensemble
 from shjlab.smoothing import MollifiedSet, fit_functional_approximant
 from shjlab.valuefn import BoxLattice, value_V
@@ -285,6 +291,87 @@ def test_sweeps_break_exact_ties_to_index_zero():
     beta, f = _at_controls(co, 0.0, x, None, idx)
     assert beta.shape == f.shape == idx.shape
     assert np.all(beta == 0.0) and np.all(f == 0.0)
+
+
+# few distinct values, signed zeros among them, so exact ties fall
+# within each half and across the two
+_TIED = st.sampled_from([-1.0, -0.0, 0.0, 0.5, 2.0])
+_SCORE_STACKS = st.integers(1, 9).flatmap(lambda n: hnp.arrays(
+    float, st.tuples(st.just(n), st.integers(1, 4), st.integers(1, 5)),
+    elements=st.one_of(_TIED, st.floats(-1e3, 1e3))))
+
+
+def _assert_same_bits(got, want):
+    for a, b in zip(got, want):
+        assert a.dtype == b.dtype and a.shape == b.shape
+        assert a.tobytes() == b.tobytes()
+
+
+@settings(max_examples=200, deadline=None)
+@given(stack=_SCORE_STACKS)
+def test_split_select_matches_the_sequential_loop(stack):
+    want = _running_argmin(iter(stack), np.int8)
+    with concurrent.futures.ThreadPoolExecutor(1) as pool:
+        got = _split_argmin(stack.__getitem__, len(stack), np.int8, pool)
+    _assert_same_bits(got, want)
+    _assert_same_bits(_split_argmin(stack.__getitem__, len(stack), np.int8),
+                      want)
+
+
+def test_split_select_ties_across_halves_keep_the_lower_index():
+    # controls 1 and 4 tie for the minimum at every point, one in each
+    # half; -0.0 and +0.0 compare equal, so the tie keeps control 1's -0.0
+    stack = np.array([[1.0], [-0.0], [3.0], [1.0], [0.0]])[..., None]
+    with concurrent.futures.ThreadPoolExecutor(1) as pool:
+        best, idx = _split_argmin(stack.__getitem__, 5, np.int8, pool)
+    assert idx.tolist() == [[1]] and np.signbit(best).all()
+
+
+def _threads_of(stack, hold_lower):
+    """A score function over stack that records each control's thread;
+    with hold_lower, control 0 waits until the upper half has started."""
+    threads = {}
+    mid = (len(stack) + 1) // 2
+    started = threading.Event()
+
+    def score(j):
+        threads[j] = threading.get_ident()
+        if j >= mid:
+            started.set()
+        elif j == 0 and hold_lower:
+            assert started.wait(10.0)
+        return stack[j]
+
+    return score, threads
+
+
+def test_split_select_scores_the_upper_half_on_the_pool():
+    stack = np.random.default_rng(SEED).normal(size=(21, 6, 3))
+    score, threads = _threads_of(stack, hold_lower=True)
+    with concurrent.futures.ThreadPoolExecutor(1) as pool:
+        got = _split_argmin(score, len(stack), np.int8, pool)
+    _assert_same_bits(got, _running_argmin(iter(stack), np.int8))
+    caller = threading.get_ident()
+    assert {threads[j] == caller for j in range(11)} == {True}
+    assert {threads[j] == caller for j in range(11, 21)} == {False}
+
+
+def test_split_select_scores_a_queued_half_inline():
+    # the pool's only thread is held busy, so the upper half is still
+    # queued when the caller is done with the lower one: it is cancelled
+    # and scored on the caller, with the same result
+    stack = np.random.default_rng(SEED).normal(size=(21, 6, 3))
+    score, threads = _threads_of(stack, hold_lower=False)
+    release = threading.Event()
+    with concurrent.futures.ThreadPoolExecutor(1) as pool:
+        busy = pool.submit(release.wait, 10.0)
+        try:
+            got = _split_argmin(score, len(stack), np.int8, pool)
+        finally:
+            release.set()
+        assert busy.result()
+    _assert_same_bits(got, _running_argmin(iter(stack), np.int8))
+    assert set(threads.values()) == {threading.get_ident()}
 
 
 def _tensor(co):

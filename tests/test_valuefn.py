@@ -1,7 +1,10 @@
 """Lattices, policies, dynamic-programming values, and their audits."""
 
+import concurrent.futures
 import dataclasses
 import re
+import sys
+import threading
 
 import numpy as np
 import pytest
@@ -487,6 +490,50 @@ def test_regression_recursion_matches_per_control_reference(name):
         assert (V.argmin[k] == argmin[k])[~tied[k]].all()
     # no knot without noise reads through interp
     assert reads == []
+
+
+@pytest.mark.parametrize("busy", [False, True], ids=["idle", "busy"])
+@pytest.mark.parametrize("name,noise", [("random-target", 0.0),
+                                        ("mollified", 0.0),
+                                        ("priced", 0.0),
+                                        ("random-target", 0.1)])
+def test_pool_never_changes_the_regression_surface(name, noise, busy):
+    # regression knots score half their controls on the pool; with its
+    # only thread held busy every half is scored on the caller.  Either
+    # way the surface, its argmin and exits tables are the same bits.
+    # The narrow box sends some images out of it.
+    co = _variant(name)
+    grid = TimeGrid(1.0, 8)
+    ens = sample_ensemble(grid, 1, 300, SEED)
+    aux = sample_ensemble(grid, 1, 300, SEED + 3)
+    lat = BoxLattice.centered(1.0, 0.1)
+    kw = dict(clamp_tol=1.0, noise_level=noise, noise_ensemble=aux)
+    want = value_V(co, ens, lat, **kw)
+    release = threading.Event()
+    switch = sys.getswitchinterval()
+    with concurrent.futures.ThreadPoolExecutor(1) as pool:
+        held = pool.submit(release.wait, 10.0) if busy else None
+        # frequent switches, so a lost update of the exits table shows
+        sys.setswitchinterval(1e-6)
+        try:
+            got = value_V(co, ens, lat, pool=pool, **kw)
+        finally:
+            sys.setswitchinterval(switch)
+            release.set()
+        assert held is None or held.result()
+
+    assert want.diagnostics["exits"].sum() > 0
+    assert sorted(got.slices) == sorted(want.slices)
+    assert sorted(got.argmin) == sorted(want.argmin) == list(range(8))
+    pairs = [(got.mean, want.mean), (got.se, want.se),
+             (got.diagnostics["exits"], want.diagnostics["exits"])]
+    pairs += [(got.slices[k], want.slices[k]) for k in want.slices]
+    pairs += [(got.argmin[k], want.argmin[k]) for k in want.argmin]
+    for a, b in pairs:
+        assert a.dtype == b.dtype and a.shape == b.shape
+        assert a.tobytes() == b.tobytes()
+    assert (got.diagnostics["clamp_fraction"]
+            == want.diagnostics["clamp_fraction"])
 
 
 @pytest.mark.parametrize("slope", [0.0, 1e-3])

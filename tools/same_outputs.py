@@ -7,8 +7,9 @@ Usage (from the repository root):
 In this tree and in PARENT_ROOT, each run in a fresh interpreter with
 PYTHONPATH=<root>/src, ``shjlab.cli.run`` executes the three workload
 configurations of perfbench/workloads.py at seed 0 (taken from this
-tree), acceptance criterion 11's full-uniqueness configuration at 1
-and at 3 workers, two linear-drift runs, the only built-in whose drift
+tree), the ``cost-ladder`` one again at 1 worker, where no pool runs,
+acceptance criterion 11's full-uniqueness configuration at 1 and at 3
+workers, two linear-drift runs, the only built-in whose drift
 and running cost move with x: ``envelopes`` at criterion 11's size and
 a small ``jhat``, and random-target ``envelopes`` at criterion 11's
 size, whose noisy value surface projects path by path.  Every file a
@@ -45,7 +46,9 @@ CRITERION_11 = {"scenario": "eikonal", "n_steps": 8, "n_paths": 500,
 
 # (output directory, pipeline, config, workers); None workers is the
 # CLI default, as in the benchmark
+_LADDER = WORKLOADS["cost-ladder"]
 RUNS = ([(w.name, w.pipeline, w.config, None) for w in WORKLOADS.values()]
+        + [("cost-ladder-w1", _LADDER.pipeline, _LADDER.config, 1)]
         + [(f"criterion-11-w{n}", "full-uniqueness", CRITERION_11, n)
            for n in (1, 3)]
         + [("linear-drift-envelopes", "envelopes",
