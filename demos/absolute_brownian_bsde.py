@@ -38,10 +38,11 @@ Y0_EXACT = (5.0 / 3.0) * np.sqrt(2.0 / np.pi)
 
 def two_routes(n_paths):
     ens = sample_ensemble(GRID, 1, n_paths, SEED)
-    w = ens.values[:, :, 0]                       # (n_paths, n_steps + 1)
-    spec = BsdeSpec(ens, np.abs(w[:, -1]), lambda t, ps: np.abs(ps.current[:, 0]))
+    # (n_steps + 1, n_paths)
+    w = np.stack([ens.value_at(k)[:, 0] for k in range(GRID.n_steps + 1)])
+    spec = BsdeSpec(ens, np.abs(w[-1]), lambda t, ps: np.abs(ps.current[:, 0]))
     y0 = float(solve_bsde(spec).Y[0].mean())
-    rollout = np.abs(w[:, -1]) + np.abs(w[:, :-1]).sum(axis=1) * GRID.dt
+    rollout = np.abs(w[-1]) + np.abs(w[:-1]).sum(axis=0) * GRID.dt
     return y0, float(rollout.mean()), float(rollout.std() / np.sqrt(n_paths))
 
 
@@ -59,7 +60,7 @@ def main():
     z_max = float(np.abs(solve_bsde(det).Z).max())
     print(f"\ndeterministic data: max |Z| = {z_max:.2e}")
 
-    w_T = ens.values[:, -1, 0]
+    w_T = ens.value_at(GRID.n_steps)[:, 0]
     s1 = solve_bsde(BsdeSpec(ens, w_T, np.ones(GRID.n_steps)))
     s2 = solve_bsde(BsdeSpec(ens, w_T**2))
     combo = solve_bsde(BsdeSpec(ens, 2.0 * w_T - 3.0 * w_T**2,

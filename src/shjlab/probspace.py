@@ -38,8 +38,9 @@ __all__ = [
 _MAGIC = b"SHJ1"
 _HEADER = struct.Struct("<4sQQQQd")
 
-# refuse ensembles beyond ~2 GiB of increments
+# refuse ensembles beyond ~2 GiB of increments (see _check_size)
 MAX_ELEMENTS = 250_000_000
+_DRAW_PATHS = 16_384       # paths per standard_normal call in sampling
 
 
 class TimeGrid:
@@ -83,13 +84,14 @@ class TimeGrid:
 class WienerEnsemble:
     """A batch of independent Brownian paths sampled on a TimeGrid.
 
-    Increments have law N(0, dt * I_m); values at knots are their running
-    sums with W_0 = 0.  Both are stored knot-major, so the cross-path read
-    at a knot is a contiguous row, and exposed as transposed views with
-    the path-major shapes (n_paths, n_steps[+1], m).
+    Increments have law N(0, dt * I_m), stored knot-major, so the
+    cross-path read at a knot is a contiguous row; ``increments`` is
+    their transposed view with the path-major shape (n_paths, n_steps, m).
+    W, their running sum from W_0 = 0, is stored at every s-th knot only,
+    s = ceil(sqrt(n_steps)); ``value_at`` replays the knots in between.
     """
 
-    __slots__ = ("grid", "m", "n_paths", "seed", "increments", "values")
+    __slots__ = ("grid", "m", "n_paths", "seed", "increments", "_s", "_w")
 
     def __init__(self, grid, m, n_paths, seed, increments):
         self.grid = grid
@@ -101,15 +103,32 @@ class WienerEnsemble:
         # no copy when the caller hands in a knot-major buffer's transpose
         inc = np.ascontiguousarray(increments.transpose(1, 0, 2), dtype=float)
         inc.setflags(write=False)
-        vals = np.zeros((grid.n_steps + 1, self.n_paths, self.m))
-        np.cumsum(inc, axis=0, out=vals[1:])
-        vals.setflags(write=False)
         self.increments = inc.transpose(1, 0, 2)
-        self.values = vals.transpose(1, 0, 2)
+        self._s = int(np.ceil(np.sqrt(grid.n_steps)))
+        self._w = np.zeros((grid.n_steps // self._s + 1,) + inc.shape[1:])
+        for j in range(1, len(self._w)):
+            self._w[j] = self._replay(j * self._s)
+        self._w.setflags(write=False)
+
+    def _replay(self, k):
+        """W at knot k > 0, added up from the checkpoint below in the order
+        of np.cumsum, whose first row is dW_0 itself, not 0 + dW_0."""
+        c = (k - 1) // self._s * self._s
+        w = (self._w[c // self._s] + self.increments[:, c] if c
+             else self.increments[:, 0].copy())
+        for i in range(c + 1, k):
+            w += self.increments[:, i]
+        w.setflags(write=False)
+        return w
 
     def value_at(self, k):
-        """Path values at knot k, shape (n_paths, m), a contiguous row."""
-        return self.values[:, k]
+        """Path values at knot k, shape (n_paths, m): a contiguous,
+        read-only row, from at most s - 1 row adds."""
+        if not 0 <= k <= self.grid.n_steps:
+            raise IndexError(f"knot {k} is not in 0..{self.grid.n_steps}")
+        if k % self._s:
+            return self._replay(k)
+        return self._w[k // self._s]
 
     def slice_at(self, k, terminal_ok=False):
         return PathSlice(self, k, terminal_ok=terminal_ok)
@@ -126,7 +145,9 @@ class WienerEnsemble:
 
 def _check_size(m, n_paths, n_steps):
     """Reject ensembles without a Brownian coordinate, with fewer than two
-    paths (no sample statistics), or over the MAX_ELEMENTS budget."""
+    paths (no sample statistics), or over the MAX_ELEMENTS budget.  At the
+    budget an ensemble holds about 2 GiB of increments, W's checkpoints add
+    1/ceil(sqrt(n_steps)) of that, and sampling one draw block more."""
     if m < 1:
         raise ValueError("m must be >= 1")
     if n_paths < 2:
@@ -154,21 +175,24 @@ def sample_ensemble(grid, m, n_paths, seed):
     n_paths = int(n_paths)
     _check_size(m, n_paths, grid.n_steps)
     rng = np.random.default_rng(int(seed))
-    # drawn path-major, which fixes the stream; scaled into knot-major rows
+    # drawn path-major, which fixes the stream, in blocks of whole paths,
+    # which keeps it; scaled into knot-major rows
     inc = np.empty((grid.n_steps, n_paths, m))
-    np.multiply(rng.standard_normal((n_paths, grid.n_steps, m)).transpose(
-        1, 0, 2), np.sqrt(grid.dt), out=inc)
+    for p in range(0, n_paths, _DRAW_PATHS):
+        rows = inc[:, p:p + _DRAW_PATHS].transpose(1, 0, 2)
+        np.multiply(rng.standard_normal(rows.shape), np.sqrt(grid.dt), out=rows)
     return WienerEnsemble(grid, m, n_paths, int(seed), inc.transpose(1, 0, 2))
 
 
 def subset_paths(ensemble, index):
     """New ensemble restricted to the given path indices."""
-    inc = ensemble.increments[np.asarray(index)]
-    if inc.ndim != 3 or inc.shape[0] < 2:
+    # a gather of whole knot-major rows, the one copy made
+    rows = np.arange(ensemble.n_paths)[index]
+    inc = np.take(ensemble.increments.transpose(1, 0, 2), rows, axis=1)
+    if inc.ndim != 3 or inc.shape[1] < 2:
         raise ValueError("path subset must keep at least two paths")
-    return WienerEnsemble(
-        ensemble.grid, ensemble.m, inc.shape[0], ensemble.seed, inc
-    )
+    return WienerEnsemble(ensemble.grid, ensemble.m, inc.shape[1],
+                          ensemble.seed, inc.transpose(1, 0, 2))
 
 
 class PathSlice:

@@ -193,7 +193,8 @@ def test_criterion_06_bsde_solver():
     wT = ens.value_at(32)[:, 0]
 
     sol_m = solve_bsde(BsdeSpec(ens, wT))
-    y_gap = float(np.sqrt(np.mean((sol_m.Y[:-1] - ens.values[:, :-1, 0].T) ** 2)))
+    w = np.stack([ens.value_at(k)[:, 0] for k in range(32)])
+    y_gap = float(np.sqrt(np.mean((sol_m.Y[:-1] - w) ** 2)))
     z_gap = float(np.sqrt(np.mean((sol_m.Z[..., 0] - 1.0) ** 2)))
 
     sol_y = solve_bsde(BsdeSpec(ens, np.abs(wT),

@@ -74,7 +74,8 @@ def test_brownian_terminal_martingale():
     ens = _ens()
     wT = ens.value_at(GRID.n_steps)[:, 0]
     sol = solve_bsde(BsdeSpec(ens, wT))
-    gaps = sol.Y[:-1] - ens.values[:, :-1, 0].T
+    gaps = sol.Y[:-1] - np.stack([ens.value_at(k)[:, 0]
+                                  for k in range(GRID.n_steps)])
     assert np.sqrt(np.mean(gaps**2)) < 0.02
     assert abs(sol.Z.mean() - 1.0) < 0.02
 

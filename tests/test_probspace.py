@@ -59,7 +59,8 @@ def test_save_load_roundtrip(tmp_path):
     body = np.frombuffer(raw[_HEADER.size:], "<f8").reshape(64, 4, 2)
     back = WienerEnsemble(grid, 2, 64, SEED, body)
     assert np.array_equal(back.increments, ens.increments)
-    assert np.array_equal(back.values, ens.values)
+    for k in range(grid.n_steps + 1):
+        assert back.value_at(k).tobytes() == ens.value_at(k).tobytes()
 
 
 def test_knot_major_storage_keeps_the_path_major_views(tmp_path):
@@ -74,10 +75,10 @@ def test_knot_major_storage_keeps_the_path_major_views(tmp_path):
 
     def check(e, inc, vals):
         assert e.increments.shape == inc.shape
-        assert e.values.shape == vals.shape
         assert e.increments.tobytes() == inc.tobytes()
-        assert e.values.tobytes() == vals.tobytes()
+        assert not hasattr(e, "values")
         for k in range(n + 1):
+            assert e.value_at(k).shape == vals[:, k].shape
             assert e.value_at(k).flags.c_contiguous
             assert e.value_at(k).tobytes() == vals[:, k].tobytes()
         for k in range(n):
@@ -89,6 +90,35 @@ def test_knot_major_storage_keeps_the_path_major_views(tmp_path):
     assert path.read_bytes()[_HEADER.size:] == inc.tobytes()
     rows = [5, 0, 17, 39]
     check(subset_paths(ens, rows), inc[rows], vals[rows])
+
+
+@pytest.mark.parametrize("n_steps", [1, 2, 7, 8, 9, 32, 33])
+def test_value_at_replays_the_forward_cumsum(n_steps):
+    # squares and non-squares; the last knot on a checkpoint (1, 2, 9)
+    # and off one (7, 8, 32, 33)
+    grid = TimeGrid(1.0, n_steps)
+    ens = sample_ensemble(grid, 2, 50, SEED)
+    inc = ens.increments.copy()
+    inc[3, 0, 1] = -0.0                   # cumsum keeps a leading -0.0
+    ens = WienerEnsemble(grid, 2, 50, SEED, inc)
+    vals = np.concatenate([np.zeros((50, 1, 2)), np.cumsum(inc, axis=1)],
+                          axis=1)
+    for k in range(n_steps + 1):
+        w = ens.value_at(k)
+        assert w.flags.c_contiguous and not w.flags.writeable
+        assert w.tobytes() == vals[:, k].tobytes()
+    for k in (-1, n_steps + 1):
+        with pytest.raises(IndexError):
+            ens.value_at(k)
+
+
+def test_block_draw_matches_one_draw():
+    # 40,000 paths span three draw blocks
+    grid = TimeGrid(1.0, 8)
+    ens = sample_ensemble(grid, 2, 40_000, SEED)
+    one = (np.random.default_rng(SEED).standard_normal((40_000, 8, 2))
+           * np.sqrt(grid.dt))
+    assert ens.increments.tobytes() == one.tobytes()
 
 
 @pytest.mark.parametrize("m, n_paths, error", [
