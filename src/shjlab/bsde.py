@@ -21,7 +21,7 @@ from .coeffs import (_at_controls, _node_tables, _table_rows,
                      _used_controls)
 from .fields import AdaptedField
 from .probspace import CondExpOperator, polynomial_basis
-from .valuefn import _backward_sweep, _ControlImages
+from .valuefn import _backward_sweep, _ControlImages, _sweep_knots
 
 __all__ = [
     "BsdeSpec",
@@ -126,6 +126,7 @@ def backward_knots(spec):
             g = spec.driver_at(k)
             y, target = pY + dt * op.apply(g), ahead + g * dt
         yield k, y, z, g, float(np.sqrt(np.mean((target - y) ** 2)))
+        del op          # its design goes before the next knot's is built
         ahead = y
 
 
@@ -165,7 +166,9 @@ def policy_cost_surface(coeffs, ensemble, policy, lattice):
     the policy's control choice, so the result is the conditional cost
     field u(s, x) of that policy under ``coeffs``.  Pathwise slices are
     kept at every knot, and the projections use the value recursion's
-    default basis.
+    default basis.  Its sweep is _sweep_knots with _policy_step, which
+    _policy_cost_knots yields knot by knot for the ``jhat`` pipeline,
+    holding one knot per ladder item.
 
     beta and f have one value per lattice node, so the Euler images of
     the nodes under the controls the policy uses are located once, and
@@ -183,6 +186,18 @@ def policy_cost_surface(coeffs, ensemble, policy, lattice):
 
     Returns a ValueSurface without argmin tables.
     """
+    return _backward_sweep(coeffs, ensemble, lattice, "all", None,
+                           _policy_step(coeffs, ensemble, policy, lattice))
+
+
+def _policy_cost_knots(coeffs, ensemble, policy, lattice):
+    """policy_cost_surface's sweep as _sweep_knots yields it, knot n first."""
+    return _sweep_knots(coeffs, ensemble, lattice, None,
+                        _policy_step(coeffs, ensemble, policy, lattice), {})
+
+
+def _policy_step(coeffs, ensemble, policy, lattice):
+    """The knot step of policy_cost_surface's sweep (see _sweep_knots)."""
     dt = ensemble.grid.dt
     n_eff = 1 if coeffs.deterministic else ensemble.n_paths
     x_eval = lattice.points[:, None, :]
@@ -200,7 +215,27 @@ def policy_cost_surface(coeffs, ensemble, policy, lattice):
         raw += np.take(fv, rows)
         return (raw if op is None else op.apply(raw)), raw, raw.size
 
-    return _backward_sweep(coeffs, ensemble, lattice, "all", None, step)
+    return step
+
+
+def _majorant_knot(k, u_k, lattice, bound, coeffs, policy, ensemble):
+    """Knot k of cost_majorant from the policy-cost slice u_k: the values
+    u_k + Y_k and the drift -(beta . Du + f) at the policy's control
+    minus the bound's driver, None at the horizon."""
+    grid, n_paths = ensemble.grid, ensemble.n_paths
+    values = np.broadcast_to(u_k, (lattice.n_points, n_paths)) \
+        + bound.Y[k][None, :]
+    if k == grid.n_steps:
+        return values, None
+    w = None if coeffs.deterministic else ensemble.slice_at(k)
+    idx = policy.lattice_indices(k, lattice, u_k.shape[1])
+    grad = lattice.gradient(u_k)
+    adv, fv = _at_controls(coeffs, grid.knots[k], lattice.points[:, None, :],
+                           w, idx)
+    adv *= grad[..., 0]
+    adv += fv
+    return values, -np.broadcast_to(adv, (lattice.n_points, n_paths)) \
+        - bound.driver[k][None, :]
 
 
 def cost_majorant(surface, bound, coeffs, policy, ensemble):
@@ -212,7 +247,9 @@ def cost_majorant(surface, bound, coeffs, policy, ensemble):
     contributes minus its own driver.  No noise integrand is attached;
     residual checks only need the drift and the spatial gradient.  Each
     point reads beta and f at its own control (coeffs._at_controls), bit
-    for bit the per-control evaluation.
+    for bit the per-control evaluation.  Each knot is _majorant_knot's,
+    which the ``jhat`` pipeline calls as the sweep leaves the knot,
+    holding one knot per ladder item.
 
     Parameters
     ----------
@@ -231,24 +268,10 @@ def cost_majorant(surface, bound, coeffs, policy, ensemble):
     if bound.n_paths != ensemble.n_paths:
         raise ValueError("bound was solved on a different path count")
 
-    lattice = surface.lattice
-    n_paths = ensemble.n_paths
-    x_eval = lattice.points[:, None, :]
-    values = {}
-    drift = {}
-    for k in sorted(surface.slices):
-        u_k = surface.pathwise(k)
-        values[k] = np.broadcast_to(u_k, (lattice.n_points, n_paths)) \
-            + bound.Y[k][None, :]
-        if k == grid.n_steps:
-            continue
-        t = grid.knots[k]
-        w = None if coeffs.deterministic else ensemble.slice_at(k)
-        idx = policy.lattice_indices(k, lattice, u_k.shape[1])
-        grad = lattice.gradient(u_k)
-        adv, fv = _at_controls(coeffs, t, x_eval, w, idx)
-        adv *= grad[..., 0]
-        adv += fv
-        drift[k] = -np.broadcast_to(adv, (lattice.n_points, n_paths)) \
-            - bound.driver[k][None, :]
-    return AdaptedField(grid, lattice, values, drift, None)
+    knots = {k: _majorant_knot(k, surface.pathwise(k), surface.lattice, bound,
+                               coeffs, policy, ensemble)
+             for k in sorted(surface.slices)}
+    return AdaptedField(grid, surface.lattice,
+                        {k: values for k, (values, _) in knots.items()},
+                        {k: d for k, (_, d) in knots.items() if d is not None},
+                        None)

@@ -10,7 +10,10 @@ each level's error bound while ``value_V`` runs; and ``value_V`` scores
 half of each regression knot's controls on it, merged as the
 sequential loop picks.  No work item changes its arithmetic with the
 thread it runs on, and numpy's OpenBLAS runs on one thread (manifest
-``blas_threads``; null if not found).
+``blas_threads``; null if not found).  A ``jhat`` ladder item streams
+its policy cost, majorant and residual probe (_policy_cost_knots,
+_majorant_knot, _residual_probe) one knot at a time, and the base cost
+keeps its mean rows only.
 
 ``run()`` also holds glibc's heap across the pipeline (manifest
 ``heap_hold``; null off glibc): freed lattice-by-path temporaries stay
@@ -47,8 +50,8 @@ except ImportError:     # not on Windows
 import numpy as np
 
 from . import __version__
-from .bsde import (BsdeSpec, backward_knots, cost_majorant, error_bound_bsde,
-                   policy_cost_surface)
+from .bsde import (BsdeSpec, _majorant_knot, _policy_cost_knots,
+                   backward_knots, error_bound_bsde)
 from .coeffs import (inapplicable_pipelines, reach_radius, scenario,
                      scenario_names)
 from .exceptions import AccuracyError, CapacityError, IntegrationError
@@ -58,8 +61,9 @@ from .smoothing import (MollifiedSet, bump_kernel, error_processes,
                         fit_functional_approximant, linear_growth_penalty)
 from .valuefn import (BoxLattice, ControlPolicy, _value_lipschitz, value_V,
                       value_audit)
-from .viscosity import (build_envelopes, estimate_decomposition,
-                        residual_check, sandwich_report)
+from .viscosity import (_residual_probe, _side_report, build_envelopes,
+                        estimate_decomposition, residual_check,
+                        sandwich_report)
 
 __all__ = ["ExperimentConfig", "run", "main", "PIPELINES"]
 
@@ -373,14 +377,23 @@ def _level_bound(coeffs, ens, level, radius, gain):
             float(errors.scale(gain)))
 
 
-def _jhat_item(scale, coeffs, ens, lat, pol, base_cost, level, level_bound):
+def _jhat_item(scale, coeffs, ens, lat, pol, base_means, level, level_bound):
+    # policy cost, majorant and residual probe, chained knot by knot:
+    # only the probes, the terminal values and the mean rows are kept
     ml, bound, delta = level_bound.result()
-    u_l = policy_cost_surface(ml, ens, pol, lat)
-    jh = cost_majorant(u_l, bound, ml, pol, ens)
-    rep = residual_check(jh, coeffs, ens, "super", tol=0.02 * scale)
-    norm_gap = float(np.max(np.abs(
-        np.stack([jh.at(k).mean(axis=1) for k in jh.knots])
-        - base_cost.result().mean)))
+    means, probes = [], {}
+    for k, u_k, *_ in _policy_cost_knots(ml, ens, pol, lat):
+        values, drift = _majorant_knot(k, u_k, lat, bound, ml, pol, ens)
+        means.append(values.mean(axis=1))
+        if drift is None:
+            terminal = values
+        else:
+            probes[k] = _residual_probe(coeffs, ens, k, lat,
+                                        lat.gradient(values), drift)
+        del values, drift       # not alive while the sweep steps
+    rep = _side_report(terminal, lat, probes, coeffs, ens, "super",
+                       0.02 * scale)
+    norm_gap = float(np.max(np.abs(np.stack(means) - base_means.result())))
     return {
         "level": level,
         "delta": delta,
@@ -404,11 +417,13 @@ def _pipe_jhat(cfg, out, scale, pool):
               for level in cfg.levels]
     surface = value_V(coeffs, ens, lat, clamp_tol=0.05, pool=pool)
     pol = ControlPolicy.feedback(surface)
-    base_cost = _later(pool, policy_cost_surface, coeffs, ens, pol, lat)
+    # the base cost's mean rows, knot n first, as the items stack theirs
+    base_means = _later(pool, lambda: np.stack([
+        mean for _, _, mean, _ in _policy_cost_knots(coeffs, ens, pol, lat)]))
     items = [_later(pool, _jhat_item, scale, coeffs, ens, lat, pol,
-                    base_cost, level, bound)
+                    base_means, level, bound)
              for level, bound in zip(cfg.levels, bounds)]
-    base_cost.result()      # its failure comes first, as without a pool
+    base_means.result()     # its failure comes first, as without a pool
     results = [it.result() for it in items]
     _write_items(os.path.join(out, "jhat_ladder.csv"), cfg.digest(), results)
     cs = [r["C"] for r in results if r["C"] > 0]

@@ -40,7 +40,7 @@ _HEADER = struct.Struct("<4sQQQQd")
 
 # refuse ensembles beyond ~2 GiB of increments (see _check_size)
 MAX_ELEMENTS = 250_000_000
-_DRAW_PATHS = 16_384       # paths per standard_normal call in sampling
+_DRAW_PATHS = 16_384       # paths per block in sampling and in save
 
 
 class TimeGrid:
@@ -88,10 +88,12 @@ class WienerEnsemble:
     cross-path read at a knot is a contiguous row; ``increments`` is
     their transposed view with the path-major shape (n_paths, n_steps, m).
     W, their running sum from W_0 = 0, is stored at every s-th knot only,
-    s = ceil(sqrt(n_steps)); ``value_at`` replays the knots in between.
+    s = ceil(sqrt(n_steps)); ``value_at`` replays the knots in between and
+    keeps the last replayed row, so the readers of one knot share it.
     """
 
-    __slots__ = ("grid", "m", "n_paths", "seed", "increments", "_s", "_w")
+    __slots__ = ("grid", "m", "n_paths", "seed", "increments", "_s", "_w",
+                 "_row")
 
     def __init__(self, grid, m, n_paths, seed, increments):
         self.grid = grid
@@ -109,6 +111,7 @@ class WienerEnsemble:
         for j in range(1, len(self._w)):
             self._w[j] = self._replay(j * self._s)
         self._w.setflags(write=False)
+        self._row = (0, self._w[0])
 
     def _replay(self, k):
         """W at knot k > 0, added up from the checkpoint below in the order
@@ -126,21 +129,28 @@ class WienerEnsemble:
         read-only row, from at most s - 1 row adds."""
         if not 0 <= k <= self.grid.n_steps:
             raise IndexError(f"knot {k} is not in 0..{self.grid.n_steps}")
-        if k % self._s:
-            return self._replay(k)
-        return self._w[k // self._s]
+        if not k % self._s:
+            return self._w[k // self._s]
+        # one (knot, row) tuple: no thread pairs a knot with another's row
+        row = self._row
+        if row[0] != k:
+            self._row = row = (k, self._replay(k))
+        return row[1]
 
     def slice_at(self, k, terminal_ok=False):
         return PathSlice(self, k, terminal_ok=terminal_ok)
 
     def save(self, path):
-        """Write a little-endian binary container, increments path-major."""
+        """Write a little-endian binary container, increments path-major,
+        copied and written one block of paths at a time."""
         header = _HEADER.pack(
             _MAGIC, self.m, self.grid.n_steps, self.n_paths, self.seed, self.grid.T
         )
         with open(path, "wb") as fh:
             fh.write(header)
-            fh.write(self.increments.astype("<f8", copy=False).tobytes())
+            for p in range(0, self.n_paths, _DRAW_PATHS):
+                fh.write(np.ascontiguousarray(
+                    self.increments[p:p + _DRAW_PATHS], "<f8"))
 
 
 def _check_size(m, n_paths, n_steps):

@@ -287,8 +287,7 @@ class _ControlImages:
                                    np.take(self.w_hi, rows))
 
 
-def _backward_sweep(coeffs, ensemble, lattice, store_knots, basis, step, *,
-                    argmin=None):
+def _sweep_knots(coeffs, ensemble, lattice, basis, step, diagnostics):
     """Backward recursion on a lattice, shared by value and policy costs.
 
     From the pathwise terminal cost, calls step(k, t, w, op, V, exits)
@@ -296,11 +295,12 @@ def _backward_sweep(coeffs, ensemble, lattice, store_knots, basis, step, *,
     projection (None for path-free coefficients) and exits the knot's
     row of an (n_steps, n_controls) table, which step adds each
     control's reads outside the box to.  step returns the knot-k slice,
-    the pathwise realizations behind it and its number of reads.  Every
+    the pathwise realizations behind it and its number of reads.  Yields
+    (k, V_k, mean_k, se_k), the realizations' path mean and SE, for
+    k = n, ..., 0, holding only the slice the next step reads.  Every
     count is of reads: a node image that a control shares with n path
-    columns is n reads.  diagnostics hold clamp_fraction, the exits
-    over the reads, and the exits table.  store_knots "all" keeps every
-    pathwise slice; "auto" thins them out as value_V describes.
+    columns is n reads.  At the end diagnostics gets clamp_fraction, the
+    exits over the reads, and the exits table.
     """
     grid = ensemble.grid
     n = grid.n_steps
@@ -309,17 +309,10 @@ def _backward_sweep(coeffs, ensemble, lattice, store_knots, basis, step, *,
     if basis is None and regress:
         basis = polynomial_basis()
 
-    fits = (n + 1) * lattice.n_points * n_eff <= AUTO_STORE_BUDGET
-    keep = range(n + 1) if store_knots == "all" or fits else grid.subgrid()
-
     x_eval = lattice.points[:, None, :]
     wT = None if coeffs.deterministic else ensemble.slice_at(n, terminal_ok=True)
     V = np.broadcast_to(np.asarray(coeffs.G(x_eval, wT), float),
                         (lattice.n_points, n_eff)).copy()
-
-    mean = np.full((n + 1, lattice.n_points), np.nan)
-    se = np.zeros((n + 1, lattice.n_points))
-    slices = {}
     exits = np.zeros((n, coeffs.n_controls), np.int64)
     reads = 0
 
@@ -331,12 +324,31 @@ def _backward_sweep(coeffs, ensemble, lattice, store_knots, basis, step, *,
             op = CondExpOperator(ensemble, k, basis) if regress else None
             V, raw, n_reads = step(k, t, w, op, V, exits[k])
             reads += n_reads
-        mean[k], se[k] = _path_mean_se(raw)
+        mean_se, raw = _path_mean_se(raw), None  # raw dies before the caller
+        yield k, V, *mean_se
+
+    diagnostics.update(clamp_fraction=int(exits.sum()) / max(reads, 1),
+                       exits=exits)
+
+
+def _backward_sweep(coeffs, ensemble, lattice, store_knots, basis, step, *,
+                    argmin=None):
+    """_sweep_knots collected into a ValueSurface.  store_knots "all" keeps
+    every pathwise slice; "auto" thins them out as value_V describes."""
+    grid = ensemble.grid
+    n = grid.n_steps
+    n_eff = 1 if coeffs.deterministic else ensemble.n_paths
+    fits = (n + 1) * lattice.n_points * n_eff <= AUTO_STORE_BUDGET
+    keep = range(n + 1) if store_knots == "all" or fits else grid.subgrid()
+
+    mean = np.full((n + 1, lattice.n_points), np.nan)
+    se = np.zeros((n + 1, lattice.n_points))
+    slices = {}
+    diagnostics = {}
+    for k, V, mean[k], se[k] in _sweep_knots(coeffs, ensemble, lattice, basis,
+                                             step, diagnostics):
         if k in keep:
             slices[k] = V.copy()
-
-    diagnostics = {"clamp_fraction": int(exits.sum()) / max(reads, 1),
-                   "exits": exits}
     return ValueSurface(grid, lattice, mean, se, slices, argmin,
                         coeffs.deterministic, diagnostics)
 

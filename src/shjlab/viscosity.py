@@ -254,36 +254,43 @@ def residual_check(afield, coeffs, ensemble, side="super", *, tol=0.02):
     super passes at >= -tol and sub at <= tol), each knot's worst probe
     statistic, signed the same way, in knot_margins, the terminal margin,
     and `passed`, which combines the residual sign and the terminal
-    comparison.
+    comparison.  Each probe is _residual_probe's, which the ``jhat``
+    pipeline calls as a ladder item's sweep leaves each knot, so an item
+    holds one knot at a time.
     """
     if side not in ("super", "sub"):
         raise ValueError("side must be 'super' or 'sub'")
     if afield.drift is None:
         raise ValueError("field carries no drift part; estimate one first")
-    x_nodes = afield.lattice.points[:, None, :]
-    probes = {}
-    for k in afield.knots:
-        if k in afield.drift:
-            ham, _ = hamiltonian(coeffs, afield.grid.knots[k], x_nodes,
-                                 afield.gradient(k), ensemble.slice_at(k))
-            probes[k] = _path_mean_se(-afield.drift[k] - ham)
-    return _side_report(afield, probes, coeffs, ensemble, side, tol)
+    probes = {k: _residual_probe(coeffs, ensemble, k, afield.lattice,
+                                 afield.gradient(k), afield.drift[k])
+              for k in afield.knots if k in afield.drift}
+    return _side_report(afield.at(afield.grid.n_steps), afield.lattice,
+                        probes, coeffs, ensemble, side, tol)
 
 
-def _side_report(afield, probes, coeffs, ensemble, side, tol):
-    """residual_check's report on afield from its probes, knot -> the
-    per-node (mean, SE) of the residual R over the paths."""
+def _residual_probe(coeffs, ensemble, k, lattice, grad, drift):
+    """Per-node (mean, SE) over the paths of the residual
+    R = -drift - H(Du) at knot k, from the field's lattice gradient."""
+    ham, _ = hamiltonian(coeffs, ensemble.grid.knots[k],
+                         lattice.points[:, None, :], grad, ensemble.slice_at(k))
+    return _path_mean_se(-drift - ham)
+
+
+def _side_report(terminal, lattice, probes, coeffs, ensemble, side, tol):
+    """residual_check's report from a field's terminal values on lattice
+    and its probes, knot -> the per-node (mean, SE) of the residual R
+    over the paths."""
     # "sub" is "super" for -R: with s = -1 every statistic below is the
     # negation of its sub-side value, which is exact in floating point
     s = 1.0 if side == "super" else -1.0
     stats = {k: float(np.min(s * mu + 3 * se)) for k, (mu, se) in probes.items()}
-    n = afield.grid.n_steps
-    wT = ensemble.slice_at(n, terminal_ok=True)
+    wT = ensemble.slice_at(ensemble.grid.n_steps, terminal_ok=True)
     g_term = np.broadcast_to(
-        np.asarray(coeffs.G(afield.lattice.points[:, None, :], wT), float),
-        afield.at(n).shape,
+        np.asarray(coeffs.G(lattice.points[:, None, :], wT), float),
+        terminal.shape,
     )
-    term_gap = s * (afield.at(n) - g_term)
+    term_gap = s * (terminal - g_term)
     terminal_margin = s * float(term_gap.min())
     margin = s * min(stats.values())
     return {
@@ -423,8 +430,10 @@ def build_envelopes(base, approx, ens_w, ens_b, eps, delta_n, *,
     upper = AdaptedField(grid, lattice, up_vals, up_drift, None)
     lower = AdaptedField(grid, lattice, lo_vals, lo_drift, None)
     reports = {
-        "upper": _side_report(upper, up_probes, base, ens_w, "super", tol),
-        "lower": _side_report(lower, lo_probes, base, ens_w, "sub", tol)}
+        "upper": _side_report(up_vals[n], lattice, up_probes, base, ens_w,
+                              "super", tol),
+        "lower": _side_report(lo_vals[n], lattice, lo_probes, base, ens_w,
+                              "sub", tol)}
     return EnvelopePair(upper, lower, {"L_tilde": L_tilde, "K_bar": K_bar},
                         reports)
 

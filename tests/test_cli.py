@@ -4,6 +4,7 @@ import json
 import os
 import subprocess
 import sys
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -12,11 +13,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from shjlab import bsde, cli
-from shjlab.bsde import BsdeSolution, BsdeSpec, solve_bsde
+from shjlab.bsde import (BsdeSolution, BsdeSpec, cost_majorant,
+                         policy_cost_surface, solve_bsde)
 from shjlab.cli import PIPELINES, ExperimentConfig, main, run
 from shjlab.coeffs import scenario_names
 from shjlab.exceptions import AccuracyError, CapacityError, IntegrationError
-from shjlab.probspace import TimeGrid, _path_mean_se, sample_ensemble
+from shjlab.probspace import (TimeGrid, WienerEnsemble, _path_mean_se,
+                              sample_ensemble)
+from shjlab.valuefn import ControlPolicy, _value_lipschitz, value_V
+from shjlab.viscosity import residual_check
 
 SMALL = dict(scenario="eikonal", n_steps=8, n_paths=500, n_paths_bsde=20_000,
              seed_w=11, seed_b=12, levels=(4, 8), eps_ladder=(0.2, 0.1),
@@ -631,6 +636,132 @@ def test_bsde_pipeline_never_stores_every_knot(tmp_path, monkeypatch):
     monkeypatch.setattr(BsdeSolution, "__init__", stored)
     code, checks = run(_small(), "bsde", str(tmp_path))
     assert code == 0, checks
+
+
+def test_bsde_pipeline_replays_each_w_row_once(tmp_path, monkeypatch):
+    # the operator design, the noise driver's w.current and the martingale
+    # rms read W at the same knot: they share one replayed row, and the
+    # tables are those of a replay on every read
+    replays = {}
+    replay = WienerEnsemble._replay
+
+    def counting(ens, k):
+        replays[id(ens), k] = replays.get((id(ens), k), 0) + 1
+        return replay(ens, k)
+
+    def unshared(ens, k):
+        if not 0 <= k <= ens.grid.n_steps:
+            raise IndexError(k)
+        return replay(ens, k) if k % ens._s else ens._w[k // ens._s]
+
+    files = ("bsde_summary.csv", "bsde_report.json")
+    outs = []
+    for name, patch in (("shared", counting), ("unshared", unshared)):
+        monkeypatch.setattr(WienerEnsemble,
+                            "_replay" if patch is counting else "value_at",
+                            patch)
+        code, checks = run(_small(), "bsde", str(tmp_path / name), workers=2)
+        assert code == 0, checks
+        outs.append([(tmp_path / name / file).read_bytes() for file in files])
+        monkeypatch.undo()
+    # 8 steps: checkpoints every 3 knots, two ensembles
+    assert len(replays) == 2 * 8 and max(replays.values()) == 1
+    assert outs[0] == outs[1]
+
+
+def _jhat_chain(cfg):
+    """Base cost, policy cost, majorant and residual check of each jhat
+    level, every knot stored, as the pipeline's arithmetic runs them."""
+    grid, coeffs, ens = cli._grid_ens(cfg)
+    lat = cli._lattice(cfg, coeffs, h=cfg.ladder_h)
+    radius = float(np.max(np.abs(lat.points)))
+    gain = _value_lipschitz(coeffs, cfg.T)
+    pol = ControlPolicy.feedback(value_V(coeffs, ens, lat, clamp_tol=0.05))
+    base = policy_cost_surface(coeffs, ens, pol, lat)
+    for level in cfg.levels:
+        ml, bound, _ = cli._level_bound(coeffs, ens, level, radius, gain)
+        jh = cost_majorant(policy_cost_surface(ml, ens, pol, lat), bound, ml,
+                           pol, ens)
+        rep = residual_check(jh, coeffs, ens, "super", tol=0.02)
+        norm_gap = float(np.max(np.abs(
+            np.stack([jh.at(k).mean(axis=1) for k in jh.knots]) - base.mean)))
+        yield rep, norm_gap
+
+
+@pytest.mark.parametrize("cfg", [
+    _small(scenario="random-target", n_steps=4, n_paths=2000, ladder_h=0.05,
+           levels=(4, 16)),
+    _small(scenario="linear-drift", n_paths=500, levels=(4, 8)),
+], ids=["random-target", "linear-drift"])
+def test_jhat_stream_is_the_stored_chain(tmp_path, monkeypatch, cfg):
+    # each ladder item chains the policy-cost sweep, the majorant and the
+    # residual probe knot by knot; the stored surfaces and fields give
+    # the same bits
+    probes = []
+    side_report = cli._side_report
+
+    def recording(terminal, lattice, item_probes, *args):
+        probes.append(item_probes)
+        return side_report(terminal, lattice, item_probes, *args)
+
+    monkeypatch.setattr(cli, "_side_report", recording)
+    code, checks = run(cfg, "jhat", str(tmp_path), workers=1)
+    assert "error" not in checks, checks
+    items = json.loads((tmp_path / "jhat_report.json").read_text())["items"]
+    with cli._one_blas_thread():
+        chain = list(_jhat_chain(cfg))
+    assert len(items) == len(chain) == len(probes) == len(cfg.levels)
+    for item, item_probes, (rep, norm_gap) in zip(items, probes, chain):
+        assert item["residual_margin"] == rep["margin"]
+        assert item["terminal_margin"] == rep["terminal_margin"]
+        assert item["norm_gap"] == norm_gap
+        assert sorted(item_probes) == sorted(rep["probe_mean"])
+        for k, (mean, se) in item_probes.items():
+            assert np.array_equal(mean, rep["probe_mean"][k])
+            assert np.array_equal(se, rep["probe_se"][k])
+
+
+def test_jhat_item_holds_a_few_slices(monkeypatch):
+    # one ladder item keeps the probes, the terminal values and the mean
+    # rows, so past the horizon its peak is a few (nodes x paths) slices,
+    # not one per knot; at the horizon the mollified terminal cost's
+    # kernel average stacks one evaluation per kernel node on its own
+    cfg = _small(scenario="random-target", n_steps=16, n_paths=2000,
+                 ladder_h=0.05, levels=(4,))
+    grid, coeffs, ens = cli._grid_ens(cfg)
+    lat = cli._lattice(cfg, coeffs, h=cfg.ladder_h)
+    pol = ControlPolicy.feedback(value_V(coeffs, ens, lat, clamp_tol=0.05))
+    base_means = cli._later(
+        None, lambda: policy_cost_surface(coeffs, ens, pol, lat).mean[::-1])
+    bound = cli._later(None, cli._level_bound, coeffs, ens, 4,
+                       float(np.max(np.abs(lat.points))),
+                       _value_lipschitz(coeffs, cfg.T))
+    ml = bound.result()[0]
+    base_means.result()
+    slice_bytes = lat.n_points * ens.n_paths * 8
+
+    tracemalloc.start()
+    try:
+        ml.G(lat.points[:, None, :], ens.slice_at(grid.n_steps, True))
+        kernel_peak = tracemalloc.get_traced_memory()[1]
+        peaks = []
+        majorant_knot = cli._majorant_knot
+
+        def resetting(k, *args):
+            # the peak up to here: the horizon, then each knot's step
+            peaks.append(tracemalloc.get_traced_memory()[1])
+            tracemalloc.reset_peak()
+            return majorant_knot(k, *args)
+
+        monkeypatch.setattr(cli, "_majorant_knot", resetting)
+        tracemalloc.reset_peak()
+        cli._jhat_item(1.0, coeffs, ens, lat, pol, base_means, 4, bound)
+        peaks.append(tracemalloc.get_traced_memory()[1])
+    finally:
+        tracemalloc.stop()
+    assert len(peaks) == grid.n_steps + 2
+    assert peaks[0] < kernel_peak + 2 * slice_bytes
+    assert max(peaks[1:]) < 12 * slice_bytes
 
 
 def test_pipeline_registry_is_complete():

@@ -1,5 +1,9 @@
 """Time grids, seeded Brownian ensembles, and regression projections."""
 
+import sys
+import threading
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -92,6 +96,24 @@ def test_knot_major_storage_keeps_the_path_major_views(tmp_path):
     check(subset_paths(ens, rows), inc[rows], vals[rows])
 
 
+def test_save_writes_path_blocks(tmp_path):
+    # seven blocks of paths: the bytes of one path-major copy, written
+    # without holding that copy
+    grid = TimeGrid(1.0, 32)
+    ens = sample_ensemble(grid, 1, 100_000, SEED)
+    path = tmp_path / "ens.bin"
+    tracemalloc.start()
+    try:
+        ens.save(path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    header = _HEADER.pack(_MAGIC, 1, 32, 100_000, SEED, 1.0)
+    assert path.read_bytes() == header + ens.increments.astype(
+        "<f8", copy=False).tobytes()
+    assert peak < ens.increments.nbytes / 4
+
+
 @pytest.mark.parametrize("n_steps", [1, 2, 7, 8, 9, 32, 33])
 def test_value_at_replays_the_forward_cumsum(n_steps):
     # squares and non-squares; the last knot on a checkpoint (1, 2, 9)
@@ -110,6 +132,35 @@ def test_value_at_replays_the_forward_cumsum(n_steps):
     for k in (-1, n_steps + 1):
         with pytest.raises(IndexError):
             ens.value_at(k)
+
+
+def test_shared_row_is_read_consistently_across_threads():
+    # threads reading different knots replace the one kept row under
+    # each other; every read must still be its own knot's row
+    grid = TimeGrid(1.0, 33)
+    ens = sample_ensemble(grid, 1, 200, SEED)
+    vals = np.concatenate([np.zeros((200, 1, 1)),
+                           np.cumsum(ens.increments, axis=1)], axis=1)
+    wrong = []
+
+    def reader(seed):
+        for k in np.random.default_rng(seed).integers(0, 34, 2000):
+            if ens.value_at(k).tobytes() != vals[:, k].tobytes():
+                wrong.append(k)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=reader, args=(s,))
+                   for s in range(6)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert wrong == []
 
 
 def test_block_draw_matches_one_draw():
