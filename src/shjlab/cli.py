@@ -8,12 +8,16 @@ per pipeline (none at one worker).  It runs independent ladder items,
 or the two BSDE solves, merged in a fixed order; ``jhat`` also runs
 each level's error bound while ``value_V`` runs; and ``value_V`` scores
 half of each regression knot's controls on it, merged as the
-sequential loop picks.  No work item changes its arithmetic with the
-thread it runs on, and numpy's OpenBLAS runs on one thread (manifest
-``blas_threads``; null if not found).  A ``jhat`` ladder item streams
-its policy cost, majorant and residual probe (_policy_cost_knots,
-_majorant_knot, _residual_probe) one knot at a time, and the base cost
-keeps its mean rows only.
+sequential loop picks.  An envelope rung and ``value_V``'s noisy pick
+read split each knot's node rows into the same two halves at any worker
+count, the upper one on the pool (coeffs._halves), and only elementwise
+work and per-row path reductions: never a regression ``predict`` or a
+``MollifiedSet`` evaluation, whose bits depend on their shape.  No work
+item changes its arithmetic with the thread it runs on, and numpy's
+OpenBLAS runs on one thread (manifest ``blas_threads``; null if not
+found).  A ``jhat`` ladder item streams its policy cost, majorant and
+residual probe (_policy_cost_knots, _majorant_knot, _residual_probe) one
+knot at a time, and the base cost keeps its mean rows only.
 
 ``run()`` also holds glibc's heap across the pipeline (manifest
 ``heap_hold``; null off glibc): freed lattice-by-path temporaries stay
@@ -439,14 +443,15 @@ def _pipe_jhat(cfg, out, scale, pool):
     return checks
 
 
-def _envelope_item(cfg, scale, coeffs, ens_w, ens_b, lat, surface, eps, delta):
+def _envelope_item(cfg, scale, coeffs, ens_w, ens_b, lat, surface, pool,
+                   eps, delta):
     fa = fit_functional_approximant(
         coeffs, ens_w, n_intervals=cfg.n_intervals, eps_target=eps,
         x_radius=float(np.max(np.abs(lat.points))),
     )
     pair = build_envelopes(coeffs, fa, ens_w, ens_b, eps, delta,
-                           lattice=lat, tol=0.02 * scale)
-    rep = sandwich_report(pair, surface)
+                           lattice=lat, tol=0.02 * scale, pool=pool)
+    rep = sandwich_report(pair, surface, pool=pool)
     return {
         "eps": eps,
         "delta": delta,
@@ -475,7 +480,7 @@ def _envelope_grid(cfg, out, scale, pool):
 
     def item(pt):
         return _envelope_item(cfg, scale, coeffs, ens_w, ens_b, lat,
-                              surface, *pt)
+                              surface, pool, *pt)
 
     results = _ordered_map(item, items, pool)
     _write_items(os.path.join(out, "envelope_grid.csv"), cfg.digest(), results)
@@ -837,9 +842,10 @@ def main(argv=None):
                         help="override the W seed (B seed follows)")
     parser.add_argument("--workers", type=int, default=None,
                         help="threads of the run's one pool (ladder items, "
-                        "level bounds, halves of regression knots, BSDE "
-                        "solves), at least 1 (default: the CPUs this process "
-                        "may use)")
+                        "level bounds, halves of regression knots and of "
+                        "envelope knots' rows, BSDE solves), at least 1 "
+                        "(default: the CPUs this process may use); the "
+                        "halves are the same at any count")
     parser.add_argument("--tolerance-scale", type=float, default=None,
                         help="override the config's tolerance_scale")
     args = parser.parse_args(argv)

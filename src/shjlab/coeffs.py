@@ -243,29 +243,36 @@ def _running_argmin(scores, idx_dtype=int, start=0):
     return best, best_idx
 
 
+def _halves(work, n, pool=None):
+    """(work(0, mid), work(mid, n)), mid = (n + 1) // 2, the upper half on
+    the thread pool while the caller does the lower one, and on the caller
+    too without a pool or if not started by then: a busy pool costs no
+    wait, and a call from one of the pool's own threads cannot deadlock.
+    """
+    mid = (n + 1) // 2
+    later = None if pool is None else pool.submit(work, mid, n)
+    low = work(0, mid)
+    if later is None or later.cancel():
+        return low, work(mid, n)
+    return low, later.result()
+
+
 def _split_argmin(score, n, idx_dtype=int, pool=None):
     """_running_argmin of score(0), ..., score(n - 1), the upper half of
     the controls scored on the thread pool while the caller scores the
-    lower half (all on the caller without a pool).
+    lower half (_halves; all in one loop on the caller without a pool).
 
     The halves merge where the upper half's best is strictly lower, so
     an exact tie keeps the lower index, as in the sequential loop; every
     score is the same call, so for NaN-free scores the result is the
     loop's bit for bit (a NaN compares false, and the two may then
-    disagree).  If the upper half has not started when the lower one is
-    done, the caller scores it too: a busy pool costs no wait, and a
-    call from one of the pool's own threads cannot deadlock.
+    disagree).
     """
     if pool is None or n < 2:
         return _running_argmin(map(score, range(n)), idx_dtype)
-    mid = (n + 1) // 2
-
-    def upper():
-        return _running_argmin(map(score, range(mid, n)), idx_dtype, mid)
-
-    later = pool.submit(upper)
-    best, idx = _running_argmin(map(score, range(mid)), idx_dtype)
-    hi, hi_idx = upper() if later.cancel() else later.result()
+    (best, idx), (hi, hi_idx) = _halves(
+        lambda a, b: _running_argmin(map(score, range(a, b)), idx_dtype, a),
+        n, pool)
     better = hi < best
     np.copyto(best, hi, where=better)
     np.copyto(idx, hi_idx, where=better)
@@ -367,7 +374,9 @@ def _capped_distance(x, w):
 def _target_distance(x, w):
     # distance to a target revealed at the horizon
     target = np.tanh(w.terminal[:, 0])
-    return np.clip(np.abs(x[..., 0] - target), 0.0, _CAP)
+    dist = np.subtract(x[..., 0], target)   # the one temporary
+    np.abs(dist, out=dist)
+    return np.clip(dist, 0.0, _CAP, out=dist)
 
 
 def _no_terminal_cost(x, w):

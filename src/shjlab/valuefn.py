@@ -19,7 +19,7 @@ import numpy as np
 from .dynamics import integrate
 from .exceptions import AccuracyError, CapacityError
 from .probspace import CondExpOperator, _path_mean_se, polynomial_basis
-from .coeffs import (_node_tables, _one_component, _running_argmin,
+from .coeffs import (_halves, _node_tables, _one_component, _running_argmin,
                      _split_argmin, _table_rows, reach_radius)
 
 __all__ = [
@@ -115,13 +115,13 @@ class BoxLattice:
         u -= cell
         return cell, 1.0 - u, u, outside
 
-    def gather(self, values, cell, w_lo, w_hi):
+    def gather(self, values, cell, w_lo, w_hi, out=None):
         """Fields values (n_points, n_eff) read between nodes cell and
         cell + 1 with the weights locate returns.
 
         cell (..., E) with E == n_eff, or E == 1 (one cell read in every
         column), or n_eff == 1; it is overwritten.  Returns the reads,
-        broadcast to (..., max(E, n_eff)).
+        broadcast to (..., max(E, n_eff)), in out if given.
         """
         n_eff = values.shape[1]
         # one flat offset into values.ravel() per point, at the low
@@ -141,7 +141,7 @@ class BoxLattice:
         part *= w_lo
         # the running sum starts from 0.0, bit for bit: it turns a -0.0
         # first term into +0.0
-        vals = part + 0.0
+        vals = np.add(part, 0.0, out=out)
         part = np.take(flat_values[n_eff:], flat, out=part, mode="clip")
         part *= w_hi
         vals += part
@@ -217,7 +217,8 @@ class ControlPolicy:
         """Control index at knot k at each lattice point, (n_points, n_eff).
 
         Feedback reads its argmin table: on its own lattice a node is its
-        own nearest node.  The other kinds do not read the state.
+        own nearest node.  The other kinds do not read the state.  Returns
+        a read-only view, in the stored integer type.
         """
         if self.kind != "feedback":
             idx = self.indices_at(k, None)
@@ -227,7 +228,7 @@ class ControlPolicy:
             raise ValueError(f"no argmin table stored at knot {k}")
         else:
             idx = self.data.argmin[k]
-        return np.broadcast_to(np.asarray(idx, int), (lattice.n_points, n_eff))
+        return np.broadcast_to(idx, (lattice.n_points, n_eff))
 
 
 @dataclass
@@ -397,10 +398,12 @@ def value_V(coeffs, ensemble, lattice, *, basis=None, noise_level=0.0,
         most exits, its control and face.
     pool : optional concurrent.futures executor.  At every regression
         knot the upper half of the controls is scored on it while the
-        calling thread scores the lower half (_split_argmin); the
-        surface is the same bit for bit with or without it.  Each
+        calling thread scores the lower half (_split_argmin).  Each
         control's read keeps its shape, so no projection changes its
-        arithmetic.  Deterministic sets score on the caller only.
+        arithmetic; deterministic sets score on the caller only.  Under
+        noise every knot's pick is read in the same two halves of node
+        rows at any worker count, the upper one on the pool.  The surface
+        is the same bit for bit with or without a pool.
 
     Each knot reads beta and f, which have one value per node, as
     (control x node) tables from the set's lines (a MollifiedSet
@@ -474,13 +477,23 @@ def value_V(coeffs, ensemble, lattice, *, basis=None, noise_level=0.0,
         argmins[k] = idx
         rows = _table_rows(idx, lattice.n_points)
         if noise_level:
-            raw, _ = lattice.interp(V, image(k, np.take(beta, rows)))
+            raw = pick_read(k, V, np.take(beta, rows), np.take(fv, rows))
         else:
             raw = images.read(V, rows)
-        raw += np.take(fv, rows)
+            raw += np.take(fv, rows)
         # every control read every node and path column once
         return ((raw.mean(axis=-1, keepdims=True) if one_column else best),
                 raw, coeffs.n_controls * raw.size)
+
+    def pick_read(k, V, beta, fv):
+        # interp at each point's own image, plus its running cost, in two
+        # halves of node rows: elementwise, so the bits of one read
+        def read(lo, hi):
+            raw, _ = lattice.interp(V, image(k, beta, slice(lo, hi)))
+            raw += fv[lo:hi]
+            return raw
+
+        return np.concatenate(_halves(read, lattice.n_points, pool))
 
     def node_scores(k, op, V, images, fv, exits):
         # every column reads a node at the same image, so each control's

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .bsde import BsdeSpec, error_bound_bsde, solve_bsde
-from .coeffs import _at_controls, _node_tables, _running_argmin
+from .coeffs import _at_controls, _halves, _node_tables, _running_argmin
 from .exceptions import AccuracyError
 from .fields import AdaptedField
 from .probspace import _path_mean_se, polynomial_basis
@@ -314,7 +314,7 @@ class EnvelopePair:
 
 
 def build_envelopes(base, approx, ens_w, ens_b, eps, delta_n, *,
-                    lattice, tol=0.02, clamp_tol=0.05):
+                    lattice, tol=0.02, clamp_tol=0.05, pool=None):
     """Envelope fields squeezing the value function.
 
     The perturbed surface adds independent noise delta_n dB to the
@@ -336,6 +336,11 @@ def build_envelopes(base, approx, ens_w, ens_b, eps, delta_n, *,
         envelope assembly, which reads that surface at the lattice points
         shifted by -delta_n B; exceeding it raises AccuracyError, which
         names the knot with the most exits.
+    pool : optional concurrent.futures executor, passed to value_V.  Each
+        knot's work runs in the same two halves of node rows at any
+        worker count, the upper one on the pool, so the pair has the same
+        bits with or without one.  Both sets must have lines (a
+        MollifiedSet's bits depend on the shape it is evaluated on).
 
     The drift part is assembled, and residual-checked, only on the
     grid's subgrid.  Returns an EnvelopePair whose params hold the
@@ -363,7 +368,7 @@ def build_envelopes(base, approx, ens_w, ens_b, eps, delta_n, *,
     n = grid.n_steps
 
     V_eps = value_V(approx, ens_w, lattice, noise_level=delta_n,
-                    noise_ensemble=ens_b, clamp_tol=clamp_tol)
+                    noise_ensemble=ens_b, clamp_tol=clamp_tol, pool=pool)
     want_drift = grid.subgrid()
 
     # empirical gradient bound over every stored slice
@@ -381,6 +386,7 @@ def build_envelopes(base, approx, ens_w, ens_b, eps, delta_n, *,
     ))
 
     x_pts = lattice.points
+    n_rows = lattice.n_points
     up_vals, lo_vals = {}, {}
     up_drift, lo_drift = {}, {}
     up_probes, lo_probes = {}, {}
@@ -389,34 +395,52 @@ def build_envelopes(base, approx, ens_w, ens_b, eps, delta_n, *,
     for k in sorted(V_eps.slices):
         sl = V_eps.pathwise(k)
         B_k = ens_b.value_at(k)
-        pos = x_pts[:, None, :] - delta_n * B_k[None, :, :]
-        # one locate serves the slice and its gradient; gather
-        # overwrites the cells it is given
-        cell, w_lo, w_hi, outside = lattice.locate(pos)
-        center = lattice.gather(sl, cell.copy(), w_lo, w_hi)
-        clamped[k] = np.count_nonzero(outside) * (center.size // outside.size)
-        evals += center.size
         corr = bound.Y[k][None, :] + delta_n * K_bar * noise_mag.Y[k][None, :]
-        up_vals[k] = center + corr
-        lo_vals[k] = center - corr
-        if k == n or k not in want_drift:
+        center, up, lo = (np.empty((n_rows, ens_b.n_paths)) for _ in range(3))
+        up_vals[k], lo_vals[k] = up, lo
+        drift = k < n and k in want_drift
+        if drift:
+            t = grid.knots[k]
+            d_sl = lattice.gradient(sl)[..., 0]
+            w = None if approx.deterministic else ens_w.slice_at(k)
+            driver = bound.driver[k][None, :]
+            kick = delta_n * K_bar * np.linalg.norm(B_k, axis=1)[None, :]
+            up_d = up_drift[k] = np.empty(up.shape)
+            lo_d = lo_drift[k] = np.empty(up.shape)
+
+        def shifted(a, b):
+            # nodes a..b-1 shifted by -delta_n B_k: one locate serves the
+            # slice and its gradient; gather overwrites the cells it is given
+            pos = x_pts[a:b, None, :] - delta_n * B_k[None, :, :]
+            cell, w_lo, w_hi, outside = lattice.locate(pos)
+            part = lattice.gather(sl, cell.copy(), w_lo, w_hi, center[a:b])
+            np.add(part, corr, out=up[a:b])
+            np.subtract(part, corr, out=lo[a:b])
+            if drift:
+                p_shift = lattice.gather(d_sl, cell, w_lo, w_hi)
+                ham, _ = hamiltonian(approx, t, pos, p_shift[..., None], w)
+                np.subtract(-ham - driver, kick, out=up_d[a:b])
+                np.add(-ham + driver, kick, out=lo_d[a:b])
+            return np.count_nonzero(outside)
+
+        clamped[k] = sum(_halves(shifted, n_rows, pool))
+        evals += center.size
+        if not drift:
             continue
-        t = grid.knots[k]
-        p_shift = lattice.gather(lattice.gradient(sl)[..., 0], cell, w_lo,
-                                 w_hi)
-        w = None if approx.deterministic else ens_w.slice_at(k)
-        ham, _ = hamiltonian(approx, t, pos, p_shift[..., None], w)
-        b_mag = np.linalg.norm(B_k, axis=1)[None, :]
-        up_drift[k] = -ham - bound.driver[k][None, :] \
-            - delta_n * K_bar * b_mag
-        lo_drift[k] = -ham + bound.driver[k][None, :] \
-            + delta_n * K_bar * b_mag
         # corr is constant in x, so both envelopes have center's gradient
         # and share one base Hamiltonian; these are residual_check's probes
-        ham, _ = hamiltonian(base, t, x_pts[:, None, :],
-                             lattice.gradient(center), ens_w.slice_at(k))
-        up_probes[k] = _path_mean_se(-up_drift[k] - ham)
-        lo_probes[k] = _path_mean_se(-lo_drift[k] - ham)
+        d_center = lattice.gradient(center)
+        w_k = ens_w.slice_at(k)
+
+        def probes(a, b):
+            ham, _ = hamiltonian(base, t, x_pts[a:b, None, :], d_center[a:b],
+                                 w_k)
+            return (_path_mean_se(-up_d[a:b] - ham)
+                    + _path_mean_se(-lo_d[a:b] - ham))
+
+        mu_up, se_up, mu_lo, se_lo = map(np.concatenate, zip(
+            *_halves(probes, n_rows, pool)))
+        up_probes[k], lo_probes[k] = (mu_up, se_up), (mu_lo, se_lo)
 
     frac = sum(clamped.values()) / evals
     if frac > clamp_tol:
@@ -438,14 +462,17 @@ def build_envelopes(base, approx, ens_w, ens_b, eps, delta_n, *,
                         reports)
 
 
-def sandwich_report(pair, surface):
+def sandwich_report(pair, surface, *, pool=None):
     """Probe-wise ordering and gap statistics against a value surface.
 
     The surface must live on the same lattice points as the pair and is
     compared at every envelope knot where it kept a slice.
     Ordering passes when the upper envelope clears the value mean and
     the value clears the lower one, each with a 3 SE cushion; the gap
-    statistics feed the ladder fit.
+    statistics feed the ladder fit.  Each knot's per-row statistics are
+    taken in the same two halves of node rows at any worker count, the
+    upper one on the optional executor pool; the margins and gaps are
+    their minima and maxima, so a pool changes no bit.
     """
     up, lo = pair.upper, pair.lower
     if not np.allclose(surface.lattice.points, up.lattice.points):
@@ -458,19 +485,25 @@ def sandwich_report(pair, surface):
         v_sl = surface.pathwise(k)
         u_k = up.at(k)
         l_k = lo.at(k)
-        v_b = np.broadcast_to(v_sl, u_k.shape)
-        m_up, se_up = _path_mean_se(u_k)
-        m_lo = l_k.mean(axis=1)
         m_v = surface.mean[k]
         se_v = surface.se[k]
-        mu_margin = float(np.min(m_up - m_v + 3 * (se_up + se_v)))
-        ml_margin = float(np.min(m_v - m_lo + 3 * (se_up + se_v)))
-        gu = float(np.max(np.mean(np.abs(u_k - v_b), axis=1)))
-        gl = float(np.max(np.mean(np.abs(l_k - v_b), axis=1)))
-        upper_margin = min(upper_margin, mu_margin)
-        lower_margin = min(lower_margin, ml_margin)
-        gap_upper = max(gap_upper, gu)
-        gap_lower = max(gap_lower, gl)
+
+        def rows(a, b):
+            u, l = u_k[a:b], l_k[a:b]
+            v_b = np.broadcast_to(v_sl[a:b], u.shape)
+            m_up, se_up = _path_mean_se(u)
+            cushion = 3 * (se_up + se_v[a:b])
+            return (m_up - m_v[a:b] + cushion,
+                    m_v[a:b] - l.mean(axis=1) + cushion,
+                    np.mean(np.abs(u - v_b), axis=1),
+                    np.mean(np.abs(l - v_b), axis=1))
+
+        mu, ml, gu, gl = map(np.concatenate, zip(
+            *_halves(rows, u_k.shape[0], pool)))
+        upper_margin = min(upper_margin, float(np.min(mu)))
+        lower_margin = min(lower_margin, float(np.min(ml)))
+        gap_upper = max(gap_upper, float(np.max(gu)))
+        gap_lower = max(gap_lower, float(np.max(gl)))
     return {
         "upper_margin": upper_margin,
         "lower_margin": lower_margin,

@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
-from shjlab.coeffs import (DECLARED, CoefficientSet, _at_controls,
+from shjlab.coeffs import (DECLARED, CoefficientSet, _at_controls, _halves,
                            _node_tables, _running_argmin, _split_argmin,
                            control_grid, probe_lattice, reach_radius,
                            scenario, scenario_names)
@@ -372,6 +372,22 @@ def test_split_select_scores_a_queued_half_inline():
         assert busy.result()
     _assert_same_bits(got, _running_argmin(iter(stack), np.int8))
     assert set(threads.values()) == {threading.get_ident()}
+
+
+def test_halves_called_from_the_pools_only_thread_do_not_wait():
+    # the upper half queues behind the call that submitted it, so that
+    # call takes it back and does both halves itself
+    threads = []
+
+    def work(a, b):
+        threads.append(threading.get_ident())
+        return list(range(a, b))
+
+    with concurrent.futures.ThreadPoolExecutor(1) as pool:
+        inner = pool.submit(_halves, work, 5, pool)
+        assert inner.result(timeout=10.0) == ([0, 1, 2], [3, 4])
+    assert len(threads) == 2 and len(set(threads)) == 1
+    assert _halves(work, 1) == ([0], [])
 
 
 def _tensor(co):

@@ -496,10 +496,13 @@ def test_regression_recursion_matches_per_control_reference(name):
 @pytest.mark.parametrize("name,noise", [("random-target", 0.0),
                                         ("mollified", 0.0),
                                         ("priced", 0.0),
-                                        ("random-target", 0.1)])
+                                        ("random-target", 0.1),
+                                        ("eikonal", 0.1)])
 def test_pool_never_changes_the_regression_surface(name, noise, busy):
-    # regression knots score half their controls on the pool; with its
-    # only thread held busy every half is scored on the caller.  Either
+    # regression knots score half their controls on the pool, and under
+    # noise every knot reads its pick in two halves of node rows, the
+    # upper one on the pool (eikonal: the one-column stencil path); with
+    # its only thread held busy every half runs on the caller.  Either
     # way the surface, its argmin and exits tables are the same bits.
     # The narrow box sends some images out of it.
     co = _variant(name)

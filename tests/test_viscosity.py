@@ -1,6 +1,9 @@
 """Hamiltonians, residual checks, envelopes, and the FD cross-check."""
 
+import concurrent.futures
 import functools
+import sys
+import threading
 
 import numpy as np
 import pytest
@@ -346,9 +349,10 @@ def test_envelope_pair_squeezes_value(monkeypatch):
     pair = build_envelopes(base, fa, ens_w, ens_b, 0.1, 0.1, lattice=lat)
     monkeypatch.undo()
     # the sandwich rung's shape: drift at the 8 subgrid knots below the
-    # horizon, each with one Hamiltonian at the shifted points under the
-    # approximant and one at the nodes under base, shared by both sides
-    assert len(calls) == 16 and sum(calls) == 8
+    # horizon, each with one Hamiltonian per half of the node rows at the
+    # shifted points under the approximant and one per half at the nodes
+    # under base, shared by both sides
+    assert len(calls) == 32 and sum(calls) == 16
     for name, side in (("upper", "super"), ("lower", "sub")):
         rep = pair.reports[name]
         assert rep["passed"], rep
@@ -374,6 +378,67 @@ def test_envelope_pair_squeezes_value(monkeypatch):
                     clamp_tol=0.05)
     with pytest.raises(ValueError):
         sandwich_report(pair, other)
+
+
+def _assert_same_bits(got, want):
+    """got and want hold the same keys and items, and arrays and numbers
+    of the same dtype, shape and bytes."""
+    if isinstance(want, dict):
+        assert list(got) == list(want)
+        for key in want:
+            _assert_same_bits(got[key], want[key])
+    elif isinstance(want, (tuple, list)):
+        assert len(got) == len(want)
+        for a, b in zip(got, want):
+            _assert_same_bits(a, b)
+    else:
+        a, b = np.asarray(got), np.asarray(want)
+        assert a.dtype == b.dtype and a.shape == b.shape
+        assert a.tobytes() == b.tobytes()
+
+
+@pytest.mark.parametrize("mode", ["idle", "busy", "inside"])
+@pytest.mark.parametrize("name", ["eikonal", "random-target"])
+def test_pool_never_changes_the_envelopes(name, mode):
+    # each knot's rows are split in the same two halves at any worker
+    # count, the upper one on the pool: here its only thread is idle,
+    # held busy (the caller takes both halves), or the one the rung runs
+    # on, as for a ladder item on the CLI's pool.  Eikonal's noisy
+    # surface takes the one-column stencil path, random-target's the
+    # path-by-path one.  Every array and report has the bits of the
+    # pool-less rung.
+    base = scenario(name)
+    ens_w = _ens(200)
+    ens_b = _ens(200, seed=SEED + 5)
+    fa = _fit(base, ens_w, 0.05)
+    lat = BoxLattice.for_problem(base, GRID.T, 2.0, 0.1,
+                                 margin=0.25 + 4.0 * 0.1 * np.sqrt(GRID.T))
+    surface = value_V(base, ens_w, lat, clamp_tol=0.05)
+
+    def rung(pool):
+        pair = build_envelopes(base, fa, ens_w, ens_b, 0.1, 0.1,
+                               lattice=lat, pool=pool)
+        return [pair.params, pair.reports,
+                pair.upper.values, pair.upper.drift,
+                pair.lower.values, pair.lower.drift,
+                sandwich_report(pair, surface, pool=pool)]
+
+    want = rung(None)
+    release = threading.Event()
+    switch = sys.getswitchinterval()
+    with concurrent.futures.ThreadPoolExecutor(1) as pool:
+        held = pool.submit(release.wait, 300.0) if mode == "busy" else None
+        # frequent switches, so a lost write to a shared row shows
+        sys.setswitchinterval(1e-6)
+        try:
+            got = (pool.submit(rung, pool).result(timeout=300)
+                   if mode == "inside" else rung(pool))
+        finally:
+            sys.setswitchinterval(switch)
+            release.set()
+        assert held is None or held.result()
+    assert sorted(want[3]) == list(range(0, GRID.n_steps, 2))
+    _assert_same_bits(got, want)
 
 
 class _WithPlane:

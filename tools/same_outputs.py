@@ -7,15 +7,16 @@ Usage (from the repository root):
 In this tree and in PARENT_ROOT, each run in a fresh interpreter with
 PYTHONPATH=<root>/src, ``shjlab.cli.run`` executes the three workload
 configurations of perfbench/workloads.py at seed 0 (taken from this
-tree), the ``cost-ladder`` one again at 1 worker, where no pool runs,
-acceptance criterion 11's full-uniqueness configuration at 1 and at 3
-workers, two linear-drift runs, the only built-in whose drift
-and running cost move with x: ``envelopes`` at criterion 11's size and
-a small ``jhat``, and random-target ``envelopes`` at criterion 11's
-size, whose noisy value surface projects path by path.  Every file a
-run writes is compared, except manifest.json, which records versions
-and resource use: JSON reports as parsed data, key by key, and every
-other file byte for byte.
+tree), the ``cost-ladder`` and ``sandwich`` ones again at 1 worker, where
+no pool runs (``sandwich`` splits each envelope knot's rows in the same
+two halves either way), acceptance criterion 11's full-uniqueness
+configuration at 1 and at 3 workers, two linear-drift runs, the only
+built-in whose drift and running cost move with x: ``envelopes`` at
+criterion 11's size and a small ``jhat``, and random-target
+``envelopes`` at criterion 11's size, whose noisy value surface projects
+path by path.  Every file a run writes is compared, except manifest.json,
+which records versions and resource use: JSON reports as parsed data,
+key by key, and every other file byte for byte.
 
 Prints every difference.  A key or file that only this tree writes is
 listed as added and passes.  Exits 1 if a run's exit code differs, a
@@ -46,9 +47,9 @@ CRITERION_11 = {"scenario": "eikonal", "n_steps": 8, "n_paths": 500,
 
 # (output directory, pipeline, config, workers); None workers is the
 # CLI default, as in the benchmark
-_LADDER = WORKLOADS["cost-ladder"]
 RUNS = ([(w.name, w.pipeline, w.config, None) for w in WORKLOADS.values()]
-        + [("cost-ladder-w1", _LADDER.pipeline, _LADDER.config, 1)]
+        + [(f"{name}-w1", WORKLOADS[name].pipeline, WORKLOADS[name].config,
+            1) for name in ("cost-ladder", "sandwich")]
         + [(f"criterion-11-w{n}", "full-uniqueness", CRITERION_11, n)
            for n in (1, 3)]
         + [("linear-drift-envelopes", "envelopes",
