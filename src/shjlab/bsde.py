@@ -186,14 +186,17 @@ def policy_cost_surface(coeffs, ensemble, policy, lattice):
 
     Returns a ValueSurface without argmin tables.
     """
-    return _backward_sweep(coeffs, ensemble, lattice, "all", None,
-                           _policy_step(coeffs, ensemble, policy, lattice))
+    diagnostics = {}
+    knots = _policy_cost_knots(coeffs, ensemble, policy, lattice, diagnostics)
+    return _backward_sweep(coeffs, ensemble, lattice, "all", knots,
+                           diagnostics)
 
 
-def _policy_cost_knots(coeffs, ensemble, policy, lattice):
+def _policy_cost_knots(coeffs, ensemble, policy, lattice, diagnostics):
     """policy_cost_surface's sweep as _sweep_knots yields it, knot n first."""
     return _sweep_knots(coeffs, ensemble, lattice, None,
-                        _policy_step(coeffs, ensemble, policy, lattice), {})
+                        _policy_step(coeffs, ensemble, policy, lattice),
+                        diagnostics)
 
 
 def _policy_step(coeffs, ensemble, policy, lattice):
@@ -213,7 +216,7 @@ def _policy_step(coeffs, ensemble, policy, lattice):
         exits[used] += np.bincount(rank[out], minlength=used.size)
         fv *= dt
         raw += np.take(fv, rows)
-        return (raw if op is None else op.apply(raw)), raw, raw.size
+        return (raw if op is None else op.apply(raw)), lambda: raw, raw.size
 
     return step
 

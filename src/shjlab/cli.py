@@ -6,18 +6,19 @@ to files, progress to stderr.  Re-running an identical config under
 host core count.  ``run()`` opens one thread pool of ``workers`` threads
 per pipeline (none at one worker).  It runs independent ladder items,
 or the two BSDE solves, merged in a fixed order; ``jhat`` also runs
-each level's error bound while ``value_V`` runs; and ``value_V`` scores
-half of each regression knot's controls on it, merged as the
-sequential loop picks.  An envelope rung and ``value_V``'s noisy pick
-read split each knot's node rows into the same two halves at any worker
-count, the upper one on the pool (coeffs._halves), and only elementwise
-work and per-row path reductions: never a regression ``predict`` or a
-``MollifiedSet`` evaluation, whose bits depend on their shape.  No work
-item changes its arithmetic with the thread it runs on, and numpy's
-OpenBLAS runs on one thread (manifest ``blas_threads``; null if not
-found).  A ``jhat`` ladder item streams its policy cost, majorant and
-residual probe (_policy_cost_knots, _majorant_knot, _residual_probe) one
-knot at a time, and the base cost keeps its mean rows only.
+each level's error bound while its value sweep runs; and ``value_V``
+scores half of each regression knot's controls on it, merged as the
+sequential loop picks.  An envelope rung and ``value_V``'s knot stats
+and noisy pick read split each knot's node rows into the same two
+halves at any worker count, the upper one on the pool (coeffs._halves),
+and only elementwise work and per-row path reductions: never a
+regression ``predict`` or a ``MollifiedSet`` evaluation, whose bits
+depend on their shape.  No work item changes its arithmetic with the
+thread it runs on, and numpy's OpenBLAS runs on one thread (manifest
+``blas_threads``; null if not found).  ``jhat`` streams its value sweep
+for the argmin tables alone, and a ladder item its policy cost,
+majorant and residual probe (_policy_cost_knots, _majorant_knot,
+_residual_probe) one knot at a time.
 
 ``run()`` also holds glibc's heap across the pipeline (manifest
 ``heap_hold``; null off glibc): freed lattice-by-path temporaries stay
@@ -63,8 +64,8 @@ from .fields import sample_adapted_field
 from .probspace import TimeGrid, _path_mean_se, sample_ensemble
 from .smoothing import (MollifiedSet, bump_kernel, error_processes,
                         fit_functional_approximant, linear_growth_penalty)
-from .valuefn import (BoxLattice, ControlPolicy, _value_lipschitz, value_V,
-                      value_audit)
+from .valuefn import (BoxLattice, ControlPolicy, _value_knots,
+                      _value_lipschitz, value_V, value_audit)
 from .viscosity import (_residual_probe, _side_report, build_envelopes,
                         estimate_decomposition, residual_check,
                         sandwich_report)
@@ -386,7 +387,7 @@ def _jhat_item(scale, coeffs, ens, lat, pol, base_means, level, level_bound):
     # only the probes, the terminal values and the mean rows are kept
     ml, bound, delta = level_bound.result()
     means, probes = [], {}
-    for k, u_k, *_ in _policy_cost_knots(ml, ens, pol, lat):
+    for k, u_k, _ in _policy_cost_knots(ml, ens, pol, lat, {}):
         values, drift = _majorant_knot(k, u_k, lat, bound, ml, pol, ens)
         means.append(values.mean(axis=1))
         if drift is None:
@@ -411,19 +412,23 @@ def _jhat_item(scale, coeffs, ens, lat, pol, base_means, level, level_bound):
 
 
 def _pipe_jhat(cfg, out, scale, pool):
+    """Cost majorants of the greedy policy from _value_knots' argmin tables."""
     grid, coeffs, ens = _grid_ens(cfg)
     lat = _lattice(cfg, coeffs, h=cfg.ladder_h)
     radius = float(np.max(np.abs(lat.points)))
     gain = _value_lipschitz(coeffs, cfg.T)
     # the level bounds do not read the policy: on a pool they run while
-    # value_V does
+    # the value sweep does
     bounds = [_later(pool, _level_bound, coeffs, ens, level, radius, gain)
               for level in cfg.levels]
-    surface = value_V(coeffs, ens, lat, clamp_tol=0.05, pool=pool)
-    pol = ControlPolicy.feedback(surface)
-    # the base cost's mean rows, knot n first, as the items stack theirs
-    base_means = _later(pool, lambda: np.stack([
-        mean for _, _, mean, _ in _policy_cost_knots(coeffs, ens, pol, lat)]))
+    argmins = {}
+    for _ in _value_knots(coeffs, ens, lat, argmins, {}, clamp_tol=0.05,
+                          pool=pool):
+        pass
+    pol = ControlPolicy("feedback", (lat, argmins), coeffs.deterministic)
+    # norm_gap's base cost mean rows, knot n first, as the items stack theirs
+    base = _policy_cost_knots(coeffs, ens, pol, lat, {})
+    base_means = _later(pool, lambda: np.stack([st()[0] for *_, st in base]))
     items = [_later(pool, _jhat_item, scale, coeffs, ens, lat, pol,
                     base_means, level, bound)
              for level, bound in zip(cfg.levels, bounds)]

@@ -250,10 +250,11 @@ def _halves(work, n, pool=None):
     wait, and a call from one of the pool's own threads cannot deadlock.
     """
     mid = (n + 1) // 2
-    later = None if pool is None else pool.submit(work, mid, n)
+    claim = [work]      # popped once: a cancelled entry holds no work
+    later = None if pool is None else pool.submit(lambda: claim.pop()(mid, n))
     low = work(0, mid)
     if later is None or later.cancel():
-        return low, work(mid, n)
+        return low, claim.pop()(mid, n)
     return low, later.result()
 
 

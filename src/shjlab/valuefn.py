@@ -12,6 +12,7 @@ Ties in every minimization break toward the lowest control index.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -194,10 +195,11 @@ class ControlPolicy:
 
     @classmethod
     def feedback(cls, surface):
-        """Greedy policy reading a value surface's stored argmin tables."""
+        """Greedy policy holding a value surface's lattice and argmins."""
         if surface.argmin is None:
             raise ValueError("surface carries no argmin tables")
-        return cls("feedback", surface, surface.collapsed)
+        return cls("feedback", (surface.lattice, surface.argmin),
+                   surface.collapsed)
 
     def indices_at(self, k, states):
         """Control index at knot k for states (..., E, 1)."""
@@ -205,11 +207,11 @@ class ControlPolicy:
             return self.data
         if self.kind == "open-loop":
             return self.data[k]
-        surface = self.data
-        table = surface.argmin.get(k)
+        lattice, argmin = self.data
+        table = argmin.get(k)
         if table is None:
             raise ValueError(f"no argmin table stored at knot {k}")
-        flat = surface.lattice.nearest_flat(states)
+        flat = lattice.nearest_flat(states)
         eff = np.arange(table.shape[1])
         return table[flat, eff]
 
@@ -222,12 +224,12 @@ class ControlPolicy:
         """
         if self.kind != "feedback":
             idx = self.indices_at(k, None)
-        elif self.data.lattice is not lattice:
+        elif self.data[0] is not lattice:
             raise ValueError("feedback policy built on a different lattice")
-        elif k not in self.data.argmin:
+        elif k not in self.data[1]:
             raise ValueError(f"no argmin table stored at knot {k}")
         else:
-            idx = self.data.argmin[k]
+            idx = self.data[1][k]
         return np.broadcast_to(idx, (lattice.n_points, n_eff))
 
 
@@ -288,7 +290,8 @@ class _ControlImages:
                                    np.take(self.w_hi, rows))
 
 
-def _sweep_knots(coeffs, ensemble, lattice, basis, step, diagnostics):
+def _sweep_knots(coeffs, ensemble, lattice, basis, step, diagnostics,
+                 pool=None):
     """Backward recursion on a lattice, shared by value and policy costs.
 
     From the pathwise terminal cost, calls step(k, t, w, op, V, exits)
@@ -296,12 +299,14 @@ def _sweep_knots(coeffs, ensemble, lattice, basis, step, diagnostics):
     projection (None for path-free coefficients) and exits the knot's
     row of an (n_steps, n_controls) table, which step adds each
     control's reads outside the box to.  step returns the knot-k slice,
-    the pathwise realizations behind it and its number of reads.  Yields
-    (k, V_k, mean_k, se_k), the realizations' path mean and SE, for
-    k = n, ..., 0, holding only the slice the next step reads.  Every
-    count is of reads: a node image that a control shares with n path
-    columns is n reads.  At the end diagnostics gets clamp_fraction, the
-    exits over the reads, and the exits table.
+    a thunk of the pathwise realizations behind it and its number of
+    reads.  Yields (k, V_k, stats) for k = n, ..., 0, holding only the
+    slice the next step reads; stats() is their path mean and SE, taken
+    on its first call in coeffs._halves of node rows (on pool) and valid
+    until the generator advances.  Every count is of reads: a node image
+    that a control shares with n path columns is n reads.  At the end
+    diagnostics gets clamp_fraction, the exits over the reads, and the
+    exits table.
     """
     grid = ensemble.grid
     n = grid.n_steps
@@ -317,25 +322,30 @@ def _sweep_knots(coeffs, ensemble, lattice, basis, step, diagnostics):
     exits = np.zeros((n, coeffs.n_controls), np.int64)
     reads = 0
 
-    raw = V
+    def stats():        # per-row reductions: the bits of one call
+        raw = realize()
+        return tuple(map(np.concatenate, zip(*_halves(
+            lambda a, b: _path_mean_se(raw[a:b]), len(raw), pool))))
+
+    realize = lambda: V     # the terminal cost is its own realization
     for k in range(n, -1, -1):
         if k < n:
             t = grid.knots[k]
             w = None if coeffs.deterministic else ensemble.slice_at(k)
             op = CondExpOperator(ensemble, k, basis) if regress else None
-            V, raw, n_reads = step(k, t, w, op, V, exits[k])
+            realize = None      # the last knot's thunk dies before the step
+            V, realize, n_reads = step(k, t, w, op, V, exits[k])
             reads += n_reads
-        mean_se, raw = _path_mean_se(raw), None  # raw dies before the caller
-        yield k, V, *mean_se
+        yield k, V, functools.cache(stats)
 
     diagnostics.update(clamp_fraction=int(exits.sum()) / max(reads, 1),
                        exits=exits)
 
 
-def _backward_sweep(coeffs, ensemble, lattice, store_knots, basis, step, *,
-                    argmin=None):
-    """_sweep_knots collected into a ValueSurface.  store_knots "all" keeps
-    every pathwise slice; "auto" thins them out as value_V describes."""
+def _backward_sweep(coeffs, ensemble, lattice, store_knots, knots,
+                    diagnostics, argmin=None):
+    """_sweep_knots' knots and stats as a ValueSurface.  store_knots "all"
+    keeps every pathwise slice; "auto" thins them out as value_V describes."""
     grid = ensemble.grid
     n = grid.n_steps
     n_eff = 1 if coeffs.deterministic else ensemble.n_paths
@@ -345,9 +355,8 @@ def _backward_sweep(coeffs, ensemble, lattice, store_knots, basis, step, *,
     mean = np.full((n + 1, lattice.n_points), np.nan)
     se = np.zeros((n + 1, lattice.n_points))
     slices = {}
-    diagnostics = {}
-    for k, V, mean[k], se[k] in _sweep_knots(coeffs, ensemble, lattice, basis,
-                                             step, diagnostics):
+    for k, V, stats in knots:
+        mean[k], se[k] = stats()
         if k in keep:
             slices[k] = V.copy()
     return ValueSurface(grid, lattice, mean, se, slices, argmin,
@@ -400,10 +409,10 @@ def value_V(coeffs, ensemble, lattice, *, basis=None, noise_level=0.0,
         knot the upper half of the controls is scored on it while the
         calling thread scores the lower half (_split_argmin).  Each
         control's read keeps its shape, so no projection changes its
-        arithmetic; deterministic sets score on the caller only.  Under
-        noise every knot's pick is read in the same two halves of node
-        rows at any worker count, the upper one on the pool.  The surface
-        is the same bit for bit with or without a pool.
+        arithmetic; deterministic sets score on the caller only.  Knot
+        stats, and under noise picks, are read in the same two halves of
+        node rows at any worker count, the upper one on the pool.  The
+        surface is the same bit for bit with or without a pool.
 
     Each knot reads beta and f, which have one value per node, as
     (control x node) tables from the set's lines (a MollifiedSet
@@ -411,9 +420,9 @@ def value_V(coeffs, ensemble, lattice, *, basis=None, noise_level=0.0,
     once.  A read regime scores every control; _running_argmin picks
     each point's lowest score, ties to the lowest control; and the next
     slice is read once more, at each point's own control, which with the
-    running cost gives the knot's pathwise realizations.  The knot's
-    slice is the picked score, or on one column the path mean of that
-    read.  The read regimes:
+    running cost gives the knot's pathwise realizations (its stats).  The
+    knot's slice is the picked score, or on one column the path mean of
+    that read; _value_knots streams the sweep.  The read regimes:
 
     * Without noise every path column shares a node's Euler image, so a
       control's read is a combination of rows of the next slice, which
@@ -442,6 +451,16 @@ def value_V(coeffs, ensemble, lattice, *, basis=None, noise_level=0.0,
     exits per knot and control.  Pathwise slices are kept at every knot
     within AUTO_STORE_BUDGET, else on the grid's subgrid.
     """
+    argmins, diagnostics = {}, {}
+    return _backward_sweep(coeffs, ensemble, lattice, "auto", _value_knots(
+        coeffs, ensemble, lattice, argmins, diagnostics, basis, noise_level,
+        noise_ensemble, clamp_tol, pool), diagnostics, argmin=argmins)
+
+
+def _value_knots(coeffs, ensemble, lattice, argmins, diagnostics, basis=None,
+                 noise_level=0.0, noise_ensemble=None, clamp_tol=0.01,
+                 pool=None):
+    """value_V's sweep and clamp check; argmins gets each knot's table."""
     if noise_level and noise_ensemble is None:
         raise ValueError("noise_level > 0 needs a noise ensemble")
     if lattice.n_points * max(ensemble.n_paths, 1) > AUTO_STORE_BUDGET:
@@ -449,9 +468,7 @@ def value_V(coeffs, ensemble, lattice, *, basis=None, noise_level=0.0,
 
     dt = ensemble.grid.dt
     x_eval = lattice.points[:, None, :]
-    every = range(coeffs.n_controls)
     idx_dtype = np.int8 if coeffs.n_controls <= 127 else np.int16
-    argmins = {}
     one_column = bool(coeffs.deterministic and noise_level)
     # only regression knots score (n_points, n_paths) arrays: split those
     split = None if coeffs.deterministic else pool
@@ -465,7 +482,7 @@ def value_V(coeffs, ensemble, lattice, *, basis=None, noise_level=0.0,
         return pos
 
     def step(k, t, w, op, V, exits):
-        beta, fv = _node_tables(coeffs, t, x_eval, w, every)
+        beta, fv = _node_tables(coeffs, t, x_eval, w, range(coeffs.n_controls))
         fv *= dt
         if not noise_level:
             images = _ControlImages(lattice, dt, beta)
@@ -475,15 +492,20 @@ def value_V(coeffs, ensemble, lattice, *, basis=None, noise_level=0.0,
         else:
             best, idx = path_scores(k, op, V, beta, fv, exits)
         argmins[k] = idx
-        rows = _table_rows(idx, lattice.n_points)
-        if noise_level:
-            raw = pick_read(k, V, np.take(beta, rows), np.take(fv, rows))
-        else:
+
+        def realize():
+            rows = _table_rows(idx, lattice.n_points)
+            if noise_level:
+                return pick_read(k, V, np.take(beta, rows), np.take(fv, rows))
             raw = images.read(V, rows)
             raw += np.take(fv, rows)
+            return raw
+        if one_column:                      # the slice is its path mean
+            raw = realize()
+            best, realize = raw.mean(axis=-1, keepdims=True), lambda: raw
         # every control read every node and path column once
-        return ((raw.mean(axis=-1, keepdims=True) if one_column else best),
-                raw, coeffs.n_controls * raw.size)
+        return best, realize, coeffs.n_controls * lattice.n_points * max(
+            V.shape[1], noise_ensemble.n_paths if noise_level else 1)
 
     def pick_read(k, V, beta, fv):
         # interp at each point's own image, plus its running cost, in two
@@ -534,23 +556,23 @@ def value_V(coeffs, ensemble, lattice, *, basis=None, noise_level=0.0,
         dB = noise_level * noise_ensemble.increments[:, k, 0]
         z = (dt * beta[:, 0, None] + dB) / lattice.h
         # a shift of |z| cells can only carry the nodes that close to a
-        # face out of the box: count every control's exits there
-        node = np.arange(n)
-        for j in every:
-            reach = np.ceil(np.abs(z[j]).max()) + 1
-            edge = (node < reach) | (node >= n - reach)
-            exits[j] += lattice.exits(image(k, beta[j][:, None], edge)).sum()
+        # face out of the box: count all exits on the widest such band
+        node, reach = np.arange(n), np.ceil(np.abs(z).max()) + 1
+        edge = (node < reach) | (node >= n - reach)
+        u = lattice._cells(x_eval[edge] + dt * beta[:, edge, None, None]
+                           + noise_level * noise_ensemble.increments[:, k, :])
+        exits += np.count_nonzero((u < 0.0) | (u > n - 1), axis=(1, 2))
         totals = _stencil_means(V[:, 0], z) + fv.T
         return _running_argmin(totals.T[..., None], idx_dtype)
 
-    surface = _backward_sweep(coeffs, ensemble, lattice, "auto", basis, step,
-                              argmin=argmins)
-    frac = surface.diagnostics["clamp_fraction"]
+    yield from _sweep_knots(coeffs, ensemble, lattice, basis, step,
+                            diagnostics, pool)
+    frac = diagnostics["clamp_fraction"]
     if frac > clamp_tol:
         # name the knot with the most exits, its worst control, and the
         # face that control's Euler images crossed most; ties go to the
         # lowest knot and control
-        exits = surface.diagnostics["exits"]
+        exits = diagnostics["exits"]
         k = int(np.argmax(exits.sum(axis=1)))
         j = int(np.argmax(exits[k]))
         w = None if coeffs.deterministic else ensemble.slice_at(k)
@@ -563,7 +585,6 @@ def value_V(coeffs, ensemble, lattice, *, basis=None, noise_level=0.0,
             f"face x0 {('lo', 'hi')[side]} ({faces[side]} exits); "
             f"enlarge the lattice"
         )
-    return surface
 
 
 def _value_lipschitz(coeffs, T):

@@ -12,7 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from shjlab import bsde, cli
+from shjlab import bsde, cli, valuefn
 from shjlab.bsde import (BsdeSolution, BsdeSpec, cost_majorant,
                          policy_cost_surface, solve_bsde)
 from shjlab.cli import PIPELINES, ExperimentConfig, main, run
@@ -762,6 +762,60 @@ def test_jhat_item_holds_a_few_slices(monkeypatch):
     assert len(peaks) == grid.n_steps + 2
     assert peaks[0] < kernel_peak + 2 * slice_bytes
     assert max(peaks[1:]) < 12 * slice_bytes
+
+
+def test_jhat_value_sweep_holds_a_few_slices():
+    # jhat keeps only the argmin tables of its value sweep: no slice is
+    # stored and no knot's realizations are read, so its peak is a few
+    # (nodes x paths) slices where value_V keeps one per knot, 17 here
+    cfg = _small(scenario="random-target", n_steps=16, n_paths=2000,
+                 ladder_h=0.05, levels=(4, 8, 16))
+    grid, coeffs, ens = cli._grid_ens(cfg)
+    lat = cli._lattice(cfg, coeffs, h=cfg.ladder_h)
+    slice_bytes = lat.n_points * ens.n_paths * 8
+    argmins = {}
+    tracemalloc.start()
+    try:
+        for _ in valuefn._value_knots(coeffs, ens, lat, argmins, {},
+                                      clamp_tol=0.05):
+            pass
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert sorted(argmins) == list(range(grid.n_steps))
+    assert peak < 12 * slice_bytes
+
+
+def test_jhat_asks_only_the_base_cost_for_knot_stats(tmp_path, monkeypatch):
+    # the value sweep makes no pick read and takes no path mean or SE,
+    # and neither do the ladder items: only the base cost's knots, whose
+    # mean rows norm_gap reads, take theirs (two halves of rows each)
+    cfg = _small(scenario="random-target", n_steps=4, n_paths=500,
+                 ladder_h=0.05, levels=(4, 8))
+    stats, readers = [], []
+    path_mean_se = valuefn._path_mean_se
+    read = valuefn._ControlImages.read
+
+    def counting(a):
+        stats.append(a.shape)
+        return path_mean_se(a)
+
+    def named(self, values, rows):
+        readers.append(sys._getframe(1).f_code.co_name)
+        return read(self, values, rows)
+
+    monkeypatch.setattr(valuefn, "_path_mean_se", counting)
+    monkeypatch.setattr(valuefn._ControlImages, "read", named)
+    code, checks = run(cfg, "jhat", str(tmp_path), workers=1)
+    assert code == 0, checks
+    assert len(stats) == 2 * (cfg.n_steps + 1)
+    assert "realize" not in readers and "score" in readers
+    # value_V itself reads each knot's pick
+    grid, coeffs, ens = cli._grid_ens(cfg)
+    readers.clear()
+    value_V(coeffs, ens, cli._lattice(cfg, coeffs, h=cfg.ladder_h),
+            clamp_tol=0.05)
+    assert readers.count("realize") == cfg.n_steps
 
 
 def test_pipeline_registry_is_complete():

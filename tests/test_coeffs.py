@@ -2,6 +2,7 @@
 
 import concurrent.futures
 import threading
+import weakref
 
 import numpy as np
 import pytest
@@ -388,6 +389,29 @@ def test_halves_called_from_the_pools_only_thread_do_not_wait():
         assert inner.result(timeout=10.0) == ([0, 1, 2], [3, 4])
     assert len(threads) == 2 and len(set(threads)) == 1
     assert _halves(work, 1) == ([0], [])
+
+
+def _summing(values):
+    return lambda a, b: float(values[a:b].sum())
+
+
+def test_halves_leave_no_work_in_a_cancelled_entry():
+    # with the pool's only thread busy the caller takes the upper half
+    # back; the cancelled entry stays queued until the thread is free,
+    # and must not keep the work's arrays alive until then
+    release = threading.Event()
+    with concurrent.futures.ThreadPoolExecutor(1) as pool:
+        busy = pool.submit(release.wait, 10.0)
+        try:
+            values = np.arange(10.0)
+            alive = weakref.ref(values)
+            got = _halves(_summing(values), values.size, pool)
+            del values
+            assert alive() is None
+        finally:
+            release.set()
+        assert busy.result()
+    assert got == _halves(_summing(np.arange(10.0)), 10) == (10.0, 35.0)
 
 
 def _tensor(co):

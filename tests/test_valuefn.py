@@ -1,6 +1,7 @@
 """Lattices, policies, dynamic-programming values, and their audits."""
 
 import concurrent.futures
+import contextlib
 import dataclasses
 import re
 import sys
@@ -294,10 +295,18 @@ def test_value_with_noise_and_regression_branch():
 
 
 def test_clamp_budget_raises():
+    # the streamed sweep that jhat takes its policy from raises the same
+    # error, past knot 0
     co = scenario("eikonal")
     lat = BoxLattice.centered(0.5, 0.25)   # far smaller than reachable
-    with pytest.raises(AccuracyError):
+    with pytest.raises(AccuracyError) as want:
         value_V(co, _ens(), lat, clamp_tol=0.01)
+    knots = []
+    with pytest.raises(AccuracyError, match=re.escape(str(want.value))):
+        for k, _, _ in valuefn._value_knots(co, _ens(), lat, {}, {},
+                                            clamp_tol=0.01):
+            knots.append(k)
+    assert knots == list(range(GRID.n_steps, -1, -1))
 
 
 def _noisy_reference(co, ens, aux, lat, delta):
@@ -567,6 +576,108 @@ def test_clamp_error_names_knot_control_and_face(slope):
                              f"\\({exits[k, 1, 1]} exits\\)"):
         value_V(co, ens, lat, noise_level=0.5, noise_ensemble=aux,
                 clamp_tol=0.01)
+
+
+def test_stencil_exits_match_the_per_control_loop():
+    # the stencil path counts every control's exits at once, on the band
+    # of nodes the widest shift can carry out of the box; controls that
+    # shift by 15 cells and by none count what one image per control and
+    # knot over every node counts
+    grid = TimeGrid(1.0, 4)
+    co = CoefficientSet(
+        controls=np.array([[-6.0], [0.0], [0.5], [6.0]]),
+        beta=lambda t, x, v, w: np.broadcast_to(v, x.shape),
+        f=lambda t, x, v, w: np.zeros(x.shape[:-1]),
+        G=lambda x, w: np.abs(x[..., 0]), L=7.0, lip_x=1.0)
+    ens = sample_ensemble(grid, 1, 300, SEED)
+    aux = sample_ensemble(grid, 1, 300, SEED + 2)
+    lat = BoxLattice.centered(1.0, 0.1)
+    V = value_V(co, ens, lat, noise_level=0.1, noise_ensemble=aux,
+                clamp_tol=1.0)
+    x = lat.points[:, None, :]
+    exits = np.zeros((grid.n_steps, co.n_controls), int)
+    for k in range(grid.n_steps):
+        for j, v in enumerate(co.controls):
+            pos = x + grid.dt * co.beta(grid.knots[k], x, v, None)
+            exits[k, j] = lat.exits(pos + 0.1 * aux.increments[:, k, :]).sum()
+    assert 0 < exits[:, 1].sum() < exits[:, 3].sum()
+    assert V.diagnostics["exits"].dtype == np.int64
+    assert np.array_equal(V.diagnostics["exits"], exits)
+    assert (V.diagnostics["clamp_fraction"]
+            == exits.sum() / (grid.n_steps * co.n_controls * lat.n_points
+                              * aux.n_paths))
+
+
+@pytest.mark.parametrize("workers", [0, 2], ids=["no-pool", "pool"])
+@pytest.mark.parametrize("name", ["random-target", "eikonal", "linear-drift"])
+def test_streamed_sweep_gives_value_Vs_argmin_tables(name, workers):
+    # the jhat pipeline takes its greedy policy from the streamed sweep
+    # and asks no knot for its stats: the tables are value_V's bits in
+    # the regression regime, on the collapsed eikonal set and under a
+    # drift that moves with x, with or without a pool.  The narrow box
+    # sends some images out of it.
+    co = scenario(name)
+    grid = TimeGrid(1.0, 8)
+    ens = sample_ensemble(grid, 1, 300, SEED)
+    lat = BoxLattice.centered(1.0, 0.1)
+    with contextlib.ExitStack() as stack:
+        pool = (stack.enter_context(concurrent.futures.ThreadPoolExecutor(
+            workers)) if workers else None)
+        want = value_V(co, ens, lat, clamp_tol=1.0, pool=pool)
+        argmins, diagnostics = {}, {}
+        knots = [k for k, _, _ in valuefn._value_knots(
+            co, ens, lat, argmins, diagnostics, clamp_tol=1.0, pool=pool)]
+        # a consumer that asks every knot gets value_V's slices and stats
+        asked = {k: (V.copy(), *stats()) for k, V, stats in
+                 valuefn._value_knots(co, ens, lat, {}, {}, clamp_tol=1.0,
+                                      pool=pool)}
+    for k, arrays in asked.items():
+        for a, b in zip(arrays, (want.slices[k], want.mean[k], want.se[k])):
+            assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
+    assert knots == list(range(8, -1, -1))
+    assert sorted(argmins) == sorted(want.argmin) == list(range(8))
+    for k, table in want.argmin.items():
+        assert argmins[k].dtype == table.dtype == np.int8
+        assert argmins[k].shape == table.shape
+        assert argmins[k].tobytes() == table.tobytes()
+    assert want.diagnostics["exits"].sum() > 0
+    assert np.array_equal(diagnostics["exits"], want.diagnostics["exits"])
+    assert (diagnostics["clamp_fraction"]
+            == want.diagnostics["clamp_fraction"])
+
+
+@pytest.mark.parametrize("name,noise", [("random-target", 0.0),
+                                        ("random-target", 0.1),
+                                        ("eikonal", 0.0),
+                                        ("eikonal", 0.1),
+                                        ("linear-drift", 0.1)])
+def test_knot_stats_in_halves_are_the_bits_of_one_call(monkeypatch, name,
+                                                       noise):
+    # each knot's path mean and SE are taken in two halves of node rows:
+    # a per-row reduction, so they are the bits of one _path_mean_se
+    # call over the knot's whole realizations
+    co = scenario(name)
+    grid = TimeGrid(1.0, 8)
+    ens = sample_ensemble(grid, 1, 300, SEED)
+    aux = sample_ensemble(grid, 1, 300, SEED + 3)
+    lat = BoxLattice.centered(1.0, 0.1)
+    halves = []
+
+    def recording(a):
+        halves.append(a)
+        return _path_mean_se(a)
+
+    monkeypatch.setattr(valuefn, "_path_mean_se", recording)
+    V = value_V(co, ens, lat, noise_level=noise, noise_ensemble=aux,
+                clamp_tol=1.0)
+    mid = (lat.n_points + 1) // 2
+    assert len(halves) == 2 * (grid.n_steps + 1)
+    for k, (low, high) in zip(range(grid.n_steps, -1, -1),
+                              zip(halves[::2], halves[1::2])):
+        assert low.shape[0] == mid and high.shape[0] == lat.n_points - mid
+        mean, se = _path_mean_se(np.concatenate([low, high]))
+        assert mean.tobytes() == V.mean[k].tobytes()
+        assert se.tobytes() == V.se[k].tobytes()
 
 
 def test_pathwise_reports_missing_knot(monkeypatch):
