@@ -352,13 +352,12 @@ def _backward_sweep(coeffs, ensemble, lattice, store_knots, knots,
     fits = (n + 1) * lattice.n_points * n_eff <= AUTO_STORE_BUDGET
     keep = range(n + 1) if store_knots == "all" or fits else grid.subgrid()
 
-    mean = np.full((n + 1, lattice.n_points), np.nan)
-    se = np.zeros((n + 1, lattice.n_points))
-    slices = {}
-    for k, V, stats in knots:
-        mean[k], se[k] = stats()
+    slices, rows = {}, {}
+    for k, V, stats in knots:   # the sweep checks its input before knot n
+        rows[k] = stats()
         if k in keep:
             slices[k] = V.copy()
+    mean, se = map(np.array, zip(*map(rows.get, range(n + 1))))
     return ValueSurface(grid, lattice, mean, se, slices, argmin,
                         coeffs.deterministic, diagnostics)
 

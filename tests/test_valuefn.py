@@ -309,6 +309,22 @@ def test_clamp_budget_raises():
     assert knots == list(range(GRID.n_steps, -1, -1))
 
 
+@pytest.mark.parametrize("kw, error", [(dict(noise_level=0.1), ValueError),
+                                       (dict(), CapacityError)])
+def test_value_V_rejects_its_input_before_the_sweep(monkeypatch, kw, error):
+    # noise without a noise ensemble, and a lattice x paths working set
+    # over the budget (9 nodes x 500 paths here), raise before the
+    # terminal cost is read or the collector sizes its rows
+    monkeypatch.setattr(valuefn, "AUTO_STORE_BUDGET", 4000)
+
+    def unread(x, w):
+        raise AssertionError("the sweep started")
+
+    co = dataclasses.replace(scenario("random-target"), G=unread)
+    with pytest.raises(error):
+        value_V(co, _ens(), BoxLattice.centered(2.0, 0.5), **kw)
+
+
 def _noisy_reference(co, ens, aux, lat, delta):
     """Per-control loop of the noisy one-column recursion, path by path.
 
