@@ -8,10 +8,10 @@ per pipeline (none at one worker).  It runs independent ladder items,
 or the two BSDE solves, merged in a fixed order; ``jhat`` also runs
 each level's error bound while its value sweep runs; and ``value_V``
 scores half of each regression knot's controls on it, merged as the
-sequential loop picks.  An envelope rung and ``value_V``'s knot stats
-and noisy pick read split each knot's node rows into the same two
-halves at any worker count, the upper one on the pool (coeffs._halves),
-and only elementwise work and per-row path reductions: never a
+sequential loop picks.  An envelope rung and ``value_V``'s noisy pick
+read split each knot's node rows into the same two halves at any
+worker count, the upper one on the pool (coeffs._halves), and only
+elementwise work and per-row path reductions: never a
 regression ``predict`` or a ``MollifiedSet`` evaluation, whose bits
 depend on their shape.  No work item changes its arithmetic with the
 thread it runs on, and numpy's OpenBLAS runs on one thread (manifest

@@ -290,8 +290,7 @@ class _ControlImages:
                                    np.take(self.w_hi, rows))
 
 
-def _sweep_knots(coeffs, ensemble, lattice, basis, step, diagnostics,
-                 pool=None):
+def _sweep_knots(coeffs, ensemble, lattice, basis, step, diagnostics):
     """Backward recursion on a lattice, shared by value and policy costs.
 
     From the pathwise terminal cost, calls step(k, t, w, op, V, exits)
@@ -301,10 +300,10 @@ def _sweep_knots(coeffs, ensemble, lattice, basis, step, diagnostics,
     control's reads outside the box to.  step returns the knot-k slice,
     a thunk of the pathwise realizations behind it and its number of
     reads.  Yields (k, V_k, stats) for k = n, ..., 0, holding only the
-    slice the next step reads; stats() is their path mean and SE, taken
-    on its first call in coeffs._halves of node rows (on pool) and valid
-    until the generator advances.  Every count is of reads: a node image
-    that a control shares with n path columns is n reads.  At the end
+    slice the next step reads; stats() is their path mean and SE, one
+    _path_mean_se call on the caller at its first call, and valid until
+    the generator advances.  Every count is of reads: a node image that
+    a control shares with n path columns is n reads.  At the end
     diagnostics gets clamp_fraction, the exits over the reads, and the
     exits table.
     """
@@ -322,11 +321,6 @@ def _sweep_knots(coeffs, ensemble, lattice, basis, step, diagnostics,
     exits = np.zeros((n, coeffs.n_controls), np.int64)
     reads = 0
 
-    def stats():        # per-row reductions: the bits of one call
-        raw = realize()
-        return tuple(map(np.concatenate, zip(*_halves(
-            lambda a, b: _path_mean_se(raw[a:b]), len(raw), pool))))
-
     realize = lambda: V     # the terminal cost is its own realization
     for k in range(n, -1, -1):
         if k < n:
@@ -336,7 +330,7 @@ def _sweep_knots(coeffs, ensemble, lattice, basis, step, diagnostics,
             realize = None      # the last knot's thunk dies before the step
             V, realize, n_reads = step(k, t, w, op, V, exits[k])
             reads += n_reads
-        yield k, V, functools.cache(stats)
+        yield k, V, functools.cache(lambda: _path_mean_se(realize()))
 
     diagnostics.update(clamp_fraction=int(exits.sum()) / max(reads, 1),
                        exits=exits)
@@ -408,10 +402,10 @@ def value_V(coeffs, ensemble, lattice, *, basis=None, noise_level=0.0,
         knot the upper half of the controls is scored on it while the
         calling thread scores the lower half (_split_argmin).  Each
         control's read keeps its shape, so no projection changes its
-        arithmetic; deterministic sets score on the caller only.  Knot
-        stats, and under noise picks, are read in the same two halves of
-        node rows at any worker count, the upper one on the pool.  The
-        surface is the same bit for bit with or without a pool.
+        arithmetic; deterministic sets score on the caller only.  Under
+        noise picks are read in the same two halves of node rows at any
+        worker count, the upper one on the pool.  The surface is the same
+        bit for bit with or without a pool.
 
     Each knot reads beta and f, which have one value per node, as
     (control x node) tables from the set's lines (a MollifiedSet
@@ -565,7 +559,7 @@ def _value_knots(coeffs, ensemble, lattice, argmins, diagnostics, basis=None,
         return _running_argmin(totals.T[..., None], idx_dtype)
 
     yield from _sweep_knots(coeffs, ensemble, lattice, basis, step,
-                            diagnostics, pool)
+                            diagnostics)
     frac = diagnostics["clamp_fraction"]
     if frac > clamp_tol:
         # name the knot with the most exits, its worst control, and the

@@ -23,7 +23,7 @@ from .exceptions import AccuracyError
 from .fields import AdaptedField
 from .probspace import _path_mean_se, polynomial_basis
 from .smoothing import _uniform_cell, error_processes
-from .valuefn import value_V
+from .valuefn import BoxLattice, value_V
 
 __all__ = [
     "hamiltonian",
@@ -305,10 +305,13 @@ def _side_report(terminal, lattice, probes, coeffs, ensemble, side, tol):
 
 @dataclass
 class EnvelopePair:
-    """Upper and lower envelopes of a perturbed value surface."""
+    """Upper and lower envelopes mid[k] +- half[k] of a perturbed value
+    surface at each stored knot k: mid[k] (n_points, n_paths) is the
+    surface read at x - delta_n B_k, half[k] (1, n_paths) the correction."""
 
-    upper: AdaptedField
-    lower: AdaptedField
+    lattice: BoxLattice
+    mid: dict
+    half: dict
     params: dict             # "L_tilde", "K_bar"
     reports: dict            # one-sided residual checks, "upper"/"lower"
 
@@ -342,13 +345,13 @@ def build_envelopes(base, approx, ens_w, ens_b, eps, delta_n, *,
         bits with or without one.  Both sets must have lines (a
         MollifiedSet's bits depend on the shape it is evaluated on).
 
-    The drift part is assembled, and residual-checked, only on the
-    grid's subgrid.  Returns an EnvelopePair whose params hold the
-    gradient bound L_tilde and the correction constant K_bar, and whose
-    reports hold the one-sided residual checks of both envelopes against
-    base.  They are residual_check's reports on each envelope up to
-    roundoff: the corrections are constant in x, so both sides take the
-    gradient of the shared perturbed surface.
+    Returns an EnvelopePair (mid and half at every knot where the
+    perturbed surface kept a slice; L_tilde and K_bar in params) whose
+    reports hold both envelopes' one-sided residual checks against base.
+    The drifts are assembled, and checked, one subgrid knot at a time and
+    are not kept.  The reports are residual_check's on fields mid +- half
+    with those drifts up to roundoff: half is constant in x, so both
+    sides take mid's gradient.
     """
     if delta_n <= 0:
         raise ValueError("delta_n must be positive")
@@ -387,17 +390,15 @@ def build_envelopes(base, approx, ens_w, ens_b, eps, delta_n, *,
 
     x_pts = lattice.points
     n_rows = lattice.n_points
-    up_vals, lo_vals = {}, {}
-    up_drift, lo_drift = {}, {}
+    mid, half = {}, {}
     up_probes, lo_probes = {}, {}
     clamped = {}              # knot -> assembly reads outside the lattice
     evals = 0
     for k in sorted(V_eps.slices):
         sl = V_eps.pathwise(k)
         B_k = ens_b.value_at(k)
-        corr = bound.Y[k][None, :] + delta_n * K_bar * noise_mag.Y[k][None, :]
-        center, up, lo = (np.empty((n_rows, ens_b.n_paths)) for _ in range(3))
-        up_vals[k], lo_vals[k] = up, lo
+        half[k] = bound.Y[k][None, :] + delta_n * K_bar * noise_mag.Y[k][None, :]
+        center = mid[k] = np.empty((n_rows, ens_b.n_paths))
         drift = k < n and k in want_drift
         if drift:
             t = grid.knots[k]
@@ -405,17 +406,14 @@ def build_envelopes(base, approx, ens_w, ens_b, eps, delta_n, *,
             w = None if approx.deterministic else ens_w.slice_at(k)
             driver = bound.driver[k][None, :]
             kick = delta_n * K_bar * np.linalg.norm(B_k, axis=1)[None, :]
-            up_d = up_drift[k] = np.empty(up.shape)
-            lo_d = lo_drift[k] = np.empty(up.shape)
+            up_d, lo_d = np.empty(center.shape), np.empty(center.shape)
 
         def shifted(a, b):
             # nodes a..b-1 shifted by -delta_n B_k: one locate serves the
             # slice and its gradient; gather overwrites the cells it is given
             pos = x_pts[a:b, None, :] - delta_n * B_k[None, :, :]
             cell, w_lo, w_hi, outside = lattice.locate(pos)
-            part = lattice.gather(sl, cell.copy(), w_lo, w_hi, center[a:b])
-            np.add(part, corr, out=up[a:b])
-            np.subtract(part, corr, out=lo[a:b])
+            lattice.gather(sl, cell.copy(), w_lo, w_hi, center[a:b])
             if drift:
                 p_shift = lattice.gather(d_sl, cell, w_lo, w_hi)
                 ham, _ = hamiltonian(approx, t, pos, p_shift[..., None], w)
@@ -427,7 +425,7 @@ def build_envelopes(base, approx, ens_w, ens_b, eps, delta_n, *,
         evals += center.size
         if not drift:
             continue
-        # corr is constant in x, so both envelopes have center's gradient
+        # half is constant in x, so both envelopes have center's gradient
         # and share one base Hamiltonian; these are residual_check's probes
         d_center = lattice.gradient(center)
         w_k = ens_w.slice_at(k)
@@ -441,6 +439,7 @@ def build_envelopes(base, approx, ens_w, ens_b, eps, delta_n, *,
         mu_up, se_up, mu_lo, se_lo = map(np.concatenate, zip(
             *_halves(probes, n_rows, pool)))
         up_probes[k], lo_probes[k] = (mu_up, se_up), (mu_lo, se_lo)
+        del up_d, lo_d, d_center    # later knots' mid reuses their memory
 
     frac = sum(clamped.values()) / evals
     if frac > clamp_tol:
@@ -451,15 +450,13 @@ def build_envelopes(base, approx, ens_w, ens_b, eps, delta_n, *,
             f"enlarge the lattice"
         )
 
-    upper = AdaptedField(grid, lattice, up_vals, up_drift, None)
-    lower = AdaptedField(grid, lattice, lo_vals, lo_drift, None)
     reports = {
-        "upper": _side_report(up_vals[n], lattice, up_probes, base, ens_w,
-                              "super", tol),
-        "lower": _side_report(lo_vals[n], lattice, lo_probes, base, ens_w,
-                              "sub", tol)}
-    return EnvelopePair(upper, lower, {"L_tilde": L_tilde, "K_bar": K_bar},
-                        reports)
+        "upper": _side_report(mid[n] + half[n], lattice, up_probes, base,
+                              ens_w, "super", tol),
+        "lower": _side_report(mid[n] - half[n], lattice, lo_probes, base,
+                              ens_w, "sub", tol)}
+    return EnvelopePair(lattice, mid, half,
+                        {"L_tilde": L_tilde, "K_bar": K_bar}, reports)
 
 
 def sandwich_report(pair, surface, *, pool=None):
@@ -469,37 +466,37 @@ def sandwich_report(pair, surface, *, pool=None):
     compared at every envelope knot where it kept a slice.
     Ordering passes when the upper envelope clears the value mean and
     the value clears the lower one, each with a 3 SE cushion; the gap
-    statistics feed the ladder fit.  Each knot's per-row statistics are
-    taken in the same two halves of node rows at any worker count, the
-    upper one on the optional executor pool; the margins and gaps are
-    their minima and maxima, so a pool changes no bit.
+    statistics feed the ladder fit.  Each knot's envelopes u = mid + half
+    and l = mid - half are formed, and their per-row statistics taken,
+    in the same two halves of node rows at any worker count, the upper
+    one on the optional executor pool; the margins and gaps are their
+    minima and maxima, so a pool changes no bit.
     """
-    up, lo = pair.upper, pair.lower
-    if not np.allclose(surface.lattice.points, up.lattice.points):
+    if (surface.lattice.n_points != pair.lattice.n_points
+            or not np.allclose(surface.lattice.points, pair.lattice.points)):
         raise ValueError("surface and envelopes use different lattices")
-    knots = [k for k in up.knots if k in surface.slices]
+    knots = [k for k in pair.mid if k in surface.slices]
     upper_margin = np.inf
     lower_margin = np.inf
     gap_upper = gap_lower = 0.0
     for k in knots:
         v_sl = surface.pathwise(k)
-        u_k = up.at(k)
-        l_k = lo.at(k)
+        mid_k, half_k = pair.mid[k], pair.half[k]
         m_v = surface.mean[k]
         se_v = surface.se[k]
 
         def rows(a, b):
-            u, l = u_k[a:b], l_k[a:b]
-            v_b = np.broadcast_to(v_sl[a:b], u.shape)
-            m_up, se_up = _path_mean_se(u)
+            # u, then l, in one buffer, its gap to the surface in place
+            env = np.add(mid_k[a:b], half_k)
+            m_up, se_up = _path_mean_se(env)
             cushion = 3 * (se_up + se_v[a:b])
-            return (m_up - m_v[a:b] + cushion,
-                    m_v[a:b] - l.mean(axis=1) + cushion,
-                    np.mean(np.abs(u - v_b), axis=1),
-                    np.mean(np.abs(l - v_b), axis=1))
+            gap_u = _mean_gap(env, v_sl[a:b])
+            m_lo = np.subtract(mid_k[a:b], half_k, out=env).mean(axis=1)
+            return (m_up - m_v[a:b] + cushion, m_v[a:b] - m_lo + cushion,
+                    gap_u, _mean_gap(env, v_sl[a:b]))
 
         mu, ml, gu, gl = map(np.concatenate, zip(
-            *_halves(rows, u_k.shape[0], pool)))
+            *_halves(rows, len(mid_k), pool)))
         upper_margin = min(upper_margin, float(np.min(mu)))
         lower_margin = min(lower_margin, float(np.min(ml)))
         gap_upper = max(gap_upper, float(np.max(gu)))
@@ -511,6 +508,12 @@ def sandwich_report(pair, surface, *, pool=None):
         "gap_lower": gap_lower,
         "order_ok": upper_margin >= 0.0 and lower_margin >= 0.0,
     }
+
+
+def _mean_gap(env, v):
+    """Row means of |env - v|, computed in env's buffer."""
+    np.subtract(env, v, out=env)
+    return np.abs(env, out=env).mean(axis=1)
 
 
 @dataclass

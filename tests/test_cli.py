@@ -789,7 +789,7 @@ def test_jhat_value_sweep_holds_a_few_slices():
 def test_jhat_asks_only_the_base_cost_for_knot_stats(tmp_path, monkeypatch):
     # the value sweep makes no pick read and takes no path mean or SE,
     # and neither do the ladder items: only the base cost's knots, whose
-    # mean rows norm_gap reads, take theirs (two halves of rows each)
+    # mean rows norm_gap reads, take theirs (one call over all rows each)
     cfg = _small(scenario="random-target", n_steps=4, n_paths=500,
                  ladder_h=0.05, levels=(4, 8))
     stats, readers = [], []
@@ -808,7 +808,7 @@ def test_jhat_asks_only_the_base_cost_for_knot_stats(tmp_path, monkeypatch):
     monkeypatch.setattr(valuefn._ControlImages, "read", named)
     code, checks = run(cfg, "jhat", str(tmp_path), workers=1)
     assert code == 0, checks
-    assert len(stats) == 2 * (cfg.n_steps + 1)
+    assert len(stats) == cfg.n_steps + 1
     assert "realize" not in readers and "score" in readers
     # value_V itself reads each knot's pick
     grid, coeffs, ens = cli._grid_ens(cfg)

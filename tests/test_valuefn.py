@@ -667,31 +667,30 @@ def test_streamed_sweep_gives_value_Vs_argmin_tables(name, workers):
                                         ("eikonal", 0.0),
                                         ("eikonal", 0.1),
                                         ("linear-drift", 0.1)])
-def test_knot_stats_in_halves_are_the_bits_of_one_call(monkeypatch, name,
-                                                       noise):
-    # each knot's path mean and SE are taken in two halves of node rows:
-    # a per-row reduction, so they are the bits of one _path_mean_se
-    # call over the knot's whole realizations
+def test_knot_stats_are_one_call_per_knot_on_the_caller(monkeypatch, name,
+                                                        noise):
+    # each knot's path mean and SE are one _path_mean_se call over the
+    # knot's whole realizations, on the calling thread even with a pool
     co = scenario(name)
     grid = TimeGrid(1.0, 8)
     ens = sample_ensemble(grid, 1, 300, SEED)
     aux = sample_ensemble(grid, 1, 300, SEED + 3)
     lat = BoxLattice.centered(1.0, 0.1)
-    halves = []
+    calls = []
 
     def recording(a):
-        halves.append(a)
+        calls.append((a, threading.get_ident()))
         return _path_mean_se(a)
 
     monkeypatch.setattr(valuefn, "_path_mean_se", recording)
-    V = value_V(co, ens, lat, noise_level=noise, noise_ensemble=aux,
-                clamp_tol=1.0)
-    mid = (lat.n_points + 1) // 2
-    assert len(halves) == 2 * (grid.n_steps + 1)
-    for k, (low, high) in zip(range(grid.n_steps, -1, -1),
-                              zip(halves[::2], halves[1::2])):
-        assert low.shape[0] == mid and high.shape[0] == lat.n_points - mid
-        mean, se = _path_mean_se(np.concatenate([low, high]))
+    with concurrent.futures.ThreadPoolExecutor(1) as pool:
+        V = value_V(co, ens, lat, noise_level=noise, noise_ensemble=aux,
+                    clamp_tol=1.0, pool=pool)
+    assert len(calls) == grid.n_steps + 1
+    for k, (raw, thread) in zip(range(grid.n_steps, -1, -1), calls):
+        assert thread == threading.get_ident()
+        assert raw.shape[0] == lat.n_points
+        mean, se = _path_mean_se(raw)
         assert mean.tobytes() == V.mean[k].tobytes()
         assert se.tobytes() == V.se[k].tobytes()
 

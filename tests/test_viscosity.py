@@ -4,6 +4,7 @@ import concurrent.futures
 import functools
 import sys
 import threading
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -11,12 +12,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from shjlab import viscosity
+from shjlab.bsde import BsdeSpec, error_bound_bsde, solve_bsde
 from shjlab.coeffs import (_running_argmin, reach_radius, scenario,
                            scenario_names)
 from shjlab.exceptions import AccuracyError
 from shjlab.fields import AdaptedField, reconstruction_report
-from shjlab.probspace import TimeGrid, sample_ensemble
-from shjlab.smoothing import MollifiedSet, fit_functional_approximant
+from shjlab.probspace import TimeGrid, _path_mean_se, sample_ensemble
+from shjlab.smoothing import (MollifiedSet, error_processes,
+                              fit_functional_approximant)
 from shjlab.valuefn import BoxLattice, value_V
 from shjlab.viscosity import (_control_lines, build_envelopes,
                               estimate_decomposition, hamiltonian,
@@ -331,6 +334,39 @@ def test_envelope_reads_off_the_lattice_raise():
                         lattice=BoxLattice.centered(2.0, 0.1))
 
 
+def _envelope_fields(pair, base, fa, ens_w, ens_b, delta_n):
+    """The pair's envelopes as AdaptedFields: values mid +- half and, at
+    the subgrid knots below the horizon, the drifts -H -+ (driver + kick)
+    of the approximant's Hamiltonian at the shifted points, assembled
+    from the public pieces that build_envelopes uses."""
+    lat, grid = pair.lattice, ens_w.grid
+    n = grid.n_steps
+    V_eps = value_V(fa, ens_w, lat, noise_level=delta_n, noise_ensemble=ens_b,
+                    clamp_tol=0.05)
+    errors = error_processes(base, fa, ens_w,
+                             radius=max(abs(lat.lo), abs(lat.hi)))
+    bound = error_bound_bsde(errors, gain=pair.params["L_tilde"],
+                             ensemble=ens_w)
+    noise_mag = solve_bsde(BsdeSpec(
+        ens_b, np.linalg.norm(ens_b.value_at(n), axis=1),
+        lambda t, w: np.linalg.norm(w.current, axis=1)))
+    up_d, lo_d = {}, {}
+    for k in grid.subgrid()[:-1]:
+        B_k = ens_b.value_at(k)
+        pos = lat.points[:, None, :] - delta_n * B_k[None, :, :]
+        p_shift, _ = lat.interp(lat.gradient(V_eps.pathwise(k))[..., 0], pos)
+        w = None if fa.deterministic else ens_w.slice_at(k)
+        ham, _ = hamiltonian(fa, grid.knots[k], pos, p_shift[..., None], w)
+        driver = bound.driver[k][None, :]
+        kick = (delta_n * pair.params["K_bar"]
+                * np.linalg.norm(B_k, axis=1)[None, :])
+        up_d[k], lo_d[k] = -ham - driver - kick, -ham + driver + kick
+    return (AdaptedField(grid, lat, {k: m + pair.half[k]
+                                     for k, m in pair.mid.items()}, up_d),
+            AdaptedField(grid, lat, {k: m - pair.half[k]
+                                     for k, m in pair.mid.items()}, lo_d))
+
+
 def test_envelope_pair_squeezes_value(monkeypatch):
     base = scenario("eikonal")
     ens_w = _ens(300)
@@ -353,10 +389,12 @@ def test_envelope_pair_squeezes_value(monkeypatch):
     # shifted points under the approximant and one per half at the nodes
     # under base, shared by both sides
     assert len(calls) == 32 and sum(calls) == 16
-    for name, side in (("upper", "super"), ("lower", "sub")):
+    fields = _envelope_fields(pair, base, fa, ens_w, ens_b, 0.1)
+    for name, side, field in zip(("upper", "lower"), ("super", "sub"),
+                                 fields):
         rep = pair.reports[name]
         assert rep["passed"], rep
-        ref = residual_check(getattr(pair, name), base, ens_w, side, tol=0.02)
+        ref = residual_check(field, base, ens_w, side, tol=0.02)
         assert rep["passed"] == ref["passed"]
         assert rep["terminal_margin"] == ref["terminal_margin"]
         assert abs(rep["margin"] - ref["margin"]) <= 1e-12
@@ -369,15 +407,84 @@ def test_envelope_pair_squeezes_value(monkeypatch):
         assert rep["margin"] == pick(rep["knot_margins"].values())
     assert 0.0 < pair.params["L_tilde"] <= 1.0 + 1e-6
     assert pair.params["K_bar"] > 0.0
-    V = value_V(base, ens_w, pair.upper.lattice, clamp_tol=0.05)
+    V = value_V(base, ens_w, pair.lattice, clamp_tol=0.05)
     report = sandwich_report(pair, V)
     assert report["order_ok"], report
     assert report["gap_upper"] > 0.0
     # a surface on a different lattice is rejected
     other = value_V(base, ens_w, BoxLattice.centered(3.3, 0.1),
                     clamp_tol=0.05)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="different lattices"):
         sandwich_report(pair, other)
+
+
+def _small_rung(name):
+    """A 200-path envelope rung of scenario name, its lattice and the
+    base value surface on it."""
+    base = scenario(name)
+    ens_w = _ens(200)
+    ens_b = _ens(200, seed=SEED + 5)
+    fa = _fit(base, ens_w, 0.05)
+    lat = BoxLattice.for_problem(base, GRID.T, 2.0, 0.1,
+                                 margin=0.25 + 4.0 * 0.1 * np.sqrt(GRID.T))
+    return base, fa, ens_w, ens_b, lat, value_V(base, ens_w, lat,
+                                                clamp_tol=0.05)
+
+
+def test_envelope_pair_keeps_one_slice_per_knot():
+    # the pair keeps mid, one (nodes x paths) slice per stored knot, and
+    # half, one row: neither the two envelopes nor their drifts
+    base, fa, ens_w, ens_b, lat, _ = _small_rung("eikonal")
+    slice_bytes = lat.n_points * ens_w.n_paths * 8
+    # fill the approximant's lines cache, and numpy's lazy imports behind
+    # it, before counting
+    hamiltonian(fa, 0.0, np.zeros((1, 1)), np.zeros((1, 1)))
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        pair = build_envelopes(base, fa, ens_w, ens_b, 0.1, 0.1, lattice=lat)
+        kept = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert list(pair.mid) == list(pair.half) == list(range(GRID.n_steps + 1))
+    for k in pair.mid:
+        assert pair.mid[k].shape == (lat.n_points, ens_w.n_paths)
+        assert pair.half[k].shape == (1, ens_w.n_paths)
+    # two slices' room for the rows: half and the reports' probe
+    # statistics.  Both envelopes and their drifts, stored in full, would
+    # take about 50 slices here
+    assert kept <= (len(pair.mid) + 2) * slice_bytes
+
+
+@pytest.mark.parametrize("name", ["eikonal", "random-target"])
+def test_sandwich_report_reads_mid_plus_minus_half(name):
+    # the four statistics are those of u = mid + half and l = mid - half,
+    # bit for bit: the sandwich reads the envelopes the pair describes
+    base, fa, ens_w, ens_b, lat, surface = _small_rung(name)
+    pair = build_envelopes(base, fa, ens_w, ens_b, 0.1, 0.1, lattice=lat)
+    upper_margin = lower_margin = np.inf
+    gap_upper = gap_lower = 0.0
+    for k in pair.mid:
+        if k not in surface.slices:
+            continue
+        u = pair.mid[k] + pair.half[k]
+        l = pair.mid[k] - pair.half[k]
+        v = surface.pathwise(k)
+        m_up, se_up = _path_mean_se(u)
+        cushion = 3 * (se_up + surface.se[k])
+        upper_margin = min(upper_margin,
+                           float(np.min(m_up - surface.mean[k] + cushion)))
+        lower_margin = min(lower_margin, float(np.min(
+            surface.mean[k] - l.mean(axis=1) + cushion)))
+        gap_upper = max(gap_upper, float(np.max(np.mean(np.abs(u - v),
+                                                        axis=1))))
+        gap_lower = max(gap_lower, float(np.max(np.mean(np.abs(l - v),
+                                                        axis=1))))
+    report = sandwich_report(pair, surface)
+    assert surface.slices.keys() & pair.mid.keys()
+    got = [report[key] for key in ("upper_margin", "lower_margin",
+                                   "gap_upper", "gap_lower")]
+    _assert_same_bits(got, [upper_margin, lower_margin, gap_upper, gap_lower])
 
 
 def _assert_same_bits(got, want):
@@ -407,20 +514,12 @@ def test_pool_never_changes_the_envelopes(name, mode):
     # surface takes the one-column stencil path, random-target's the
     # path-by-path one.  Every array and report has the bits of the
     # pool-less rung.
-    base = scenario(name)
-    ens_w = _ens(200)
-    ens_b = _ens(200, seed=SEED + 5)
-    fa = _fit(base, ens_w, 0.05)
-    lat = BoxLattice.for_problem(base, GRID.T, 2.0, 0.1,
-                                 margin=0.25 + 4.0 * 0.1 * np.sqrt(GRID.T))
-    surface = value_V(base, ens_w, lat, clamp_tol=0.05)
+    base, fa, ens_w, ens_b, lat, surface = _small_rung(name)
 
     def rung(pool):
         pair = build_envelopes(base, fa, ens_w, ens_b, 0.1, 0.1,
                                lattice=lat, pool=pool)
-        return [pair.params, pair.reports,
-                pair.upper.values, pair.upper.drift,
-                pair.lower.values, pair.lower.drift,
+        return [pair.params, pair.reports, pair.mid, pair.half,
                 sandwich_report(pair, surface, pool=pool)]
 
     want = rung(None)
@@ -437,7 +536,8 @@ def test_pool_never_changes_the_envelopes(name, mode):
             sys.setswitchinterval(switch)
             release.set()
         assert held is None or held.result()
-    assert sorted(want[3]) == list(range(0, GRID.n_steps, 2))
+    assert list(want[1]["upper"]["knot_margins"]) == list(
+        range(0, GRID.n_steps, 2))
     _assert_same_bits(got, want)
 
 
