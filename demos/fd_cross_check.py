@@ -13,10 +13,10 @@
     The two solvers share no code beyond the coefficient callables, so
     agreement at interior probes is a genuine cross-check: a bug in
     the regression stack or in the stencil would show up as a
-    systematic gap.  The table compares both routes at the start of
-    the last functional interval of the approximant, where the
-    time-delayed structure makes the field a plain function of
-    (t, state, accumulated noise).
+    systematic gap.  The table compares both routes at knot 24 of 32:
+    the drift and running cost read no path and G reads only the
+    terminal Brownian value, so from there on the field is a plain
+    function of (t, state, accumulated noise).
 """
 
 import numpy as np
@@ -38,8 +38,7 @@ def main():
     fa = fit_functional_approximant(co, ens_w, eps_target=0.05, x_radius=3.65)
 
     lat = BoxLattice.centered(3.65, 0.05)
-    V_eps = value_V(fa, ens_w, lat, noise_level=DELTA, noise_ensemble=ens_b,
-                    clamp_tol=0.05)
+    V_eps = value_V(fa, ens_w, lat, noise_level=DELTA, noise_ensemble=ens_b)
     k_start = 24
     t_start = grid.knots[k_start]
 

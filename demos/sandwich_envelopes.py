@@ -55,7 +55,7 @@ def main():
             co, GRID.T, 2.0, 0.1, margin=0.25 + 4.0 * level * np.sqrt(GRID.T))
         pair = build_envelopes(co, fa, ens_w, ens_b, level, level,
                                lattice=lattice)
-        V = value_V(co, ens_w, lattice, clamp_tol=0.05)
+        V = value_V(co, ens_w, lattice)
         rep = sandwich_report(pair, V)
         both = (pair.reports["upper"]["passed"]
                 and pair.reports["lower"]["passed"])

@@ -96,7 +96,6 @@ class ExperimentConfig:
     levels: tuple = (4, 8, 16)
     eps_ladder: tuple = (0.2, 0.1, 0.05)
     delta_ladder: tuple = (0.2, 0.1, 0.05)
-    n_intervals: int = 4
     tolerance_scale: float = 1.0
 
     def __post_init__(self):
@@ -119,9 +118,6 @@ class ExperimentConfig:
             raise ValueError("seed_w and seed_b must differ")
         if self.tolerance_scale <= 0:
             raise ValueError("tolerance_scale must be positive")
-        if self.n_intervals < 4:
-            raise ValueError(f"n_intervals must be >= 4, "
-                             f"got {self.n_intervals}")
 
     def to_json(self):
         return json.dumps(dataclasses.asdict(self), indent=2, sort_keys=True)
@@ -259,7 +255,7 @@ def _pipe_simulate(cfg, out, scale, pool):
 def _pipe_value(cfg, out, scale, pool):
     grid, coeffs, ens = _grid_ens(cfg)
     lat = _lattice(cfg, coeffs)
-    surface = value_V(coeffs, ens, lat, clamp_tol=0.05, pool=pool)
+    surface = value_V(coeffs, ens, lat, pool=pool)
     rows = []
     for k in range(grid.n_steps + 1):
         for i in range(lat.n_points):
@@ -422,8 +418,7 @@ def _pipe_jhat(cfg, out, scale, pool):
     bounds = [_later(pool, _level_bound, coeffs, ens, level, radius, gain)
               for level in cfg.levels]
     argmins = {}
-    for _ in _value_knots(coeffs, ens, lat, argmins, {}, clamp_tol=0.05,
-                          pool=pool):
+    for _ in _value_knots(coeffs, ens, lat, argmins, {}, pool=pool):
         pass
     pol = ControlPolicy("feedback", (lat, argmins), coeffs.deterministic)
     # norm_gap's base cost mean rows, knot n first, as the items stack theirs
@@ -450,10 +445,8 @@ def _pipe_jhat(cfg, out, scale, pool):
 
 def _envelope_item(cfg, scale, coeffs, ens_w, ens_b, lat, surface, pool,
                    eps, delta):
-    fa = fit_functional_approximant(
-        coeffs, ens_w, n_intervals=cfg.n_intervals, eps_target=eps,
-        x_radius=float(np.max(np.abs(lat.points))),
-    )
+    fa = fit_functional_approximant(coeffs, ens_w, eps_target=eps,
+                                    x_radius=float(np.max(np.abs(lat.points))))
     pair = build_envelopes(coeffs, fa, ens_w, ens_b, eps, delta,
                            lattice=lat, tol=0.02 * scale, pool=pool)
     rep = sandwich_report(pair, surface, pool=pool)
@@ -471,6 +464,8 @@ def _envelope_item(cfg, scale, coeffs, ens_w, ens_b, lat, surface, pool,
         "lower_passed": bool(pair.reports["lower"]["passed"]),
         "upper_knot_margins": pair.reports["upper"]["knot_margins"],
         "lower_knot_margins": pair.reports["lower"]["knot_margins"],
+        "terminal_margins": {side: pair.reports[side]["terminal_margin"]
+                             for side in ("upper", "lower")},
     }
 
 
@@ -479,7 +474,7 @@ def _envelope_grid(cfg, out, scale, pool):
     ens_b = sample_ensemble(grid, 1, cfg.n_paths, cfg.seed_b)
     extra = 4.0 * max(cfg.delta_ladder) * np.sqrt(cfg.T)
     lat = _lattice(cfg, coeffs, h=cfg.ladder_h, extra_margin=extra)
-    surface = value_V(coeffs, ens_w, lat, clamp_tol=0.05, pool=pool)
+    surface = value_V(coeffs, ens_w, lat, pool=pool)
     items = [(eps, delta) for eps in cfg.eps_ladder
              for delta in cfg.delta_ladder]
 
@@ -781,8 +776,8 @@ def run(config, pipeline, out_dir, *, workers=None):
     Exit code 0: every check passed; 1: a check or the computation
     failed; 2: bad invocation (a config field that fails validation,
     fewer than one worker, an unknown pipeline or scenario, a pipeline
-    that does not apply to the scenario, envelope pieces that do not end
-    on knots, or sizes over the capacity budget).
+    that does not apply to the scenario, or sizes over the capacity
+    budget).
     manifest.json is written on every exit; a failed run records its
     ``error`` and ``exit_code`` there.
     """
@@ -810,11 +805,6 @@ def run(config, pipeline, out_dir, *, workers=None):
         return finish(2, {}, f"{pipeline} does not apply to scenario "
                       f"{config.scenario!r}: its value is flat in x, and "
                       f"the check {needs_kink} needs a kink")
-    if (pipeline in ("envelopes", "full-uniqueness")
-            and config.n_steps % config.n_intervals):
-        return finish(2, {}, f"{pipeline} needs n_intervals "
-                      f"({config.n_intervals}) to divide n_steps "
-                      f"({config.n_steps}) so pieces end on knots")
     _say(f"[{pipeline}] scenario={config.scenario} hash={config.digest()} "
          f"workers={workers}")
     try:

@@ -52,11 +52,11 @@ _PROBE_TIMES = (0.0, 0.625)
 _PROBE_TOL = 1e-12
 
 
-def control_grid(lo=-1.0, hi=1.0, n_points=21):
-    """Uniform finite control set on [lo, hi], shape (n_points, 1)."""
+def control_grid(n_points):
+    """Uniform finite control set on [-1, 1], shape (n_points, 1)."""
     if n_points < 1:
         raise ValueError("n_points must be >= 1")
-    return np.linspace(lo, hi, n_points)[:, None]
+    return np.linspace(-1.0, 1.0, n_points)[:, None]
 
 
 def _one_component(x):
@@ -420,7 +420,7 @@ def scenario(name):
     except KeyError:
         raise KeyError(f"unknown scenario {name!r}; "
                        f"known: {scenario_names()}") from None
-    return CoefficientSet(controls=control_grid(-1.0, 1.0, n_points),
+    return CoefficientSet(controls=control_grid(n_points),
                           lip_x=1.0, **problem)
 
 

@@ -24,6 +24,10 @@ __all__ = [
     "reconstruction_report",
 ]
 
+# the mismatch reconstruction_report allows beyond the decomposition's
+# own residual
+_RECONSTRUCTION_RTOL = 1e-6
+
 
 @dataclass
 class AdaptedField:
@@ -98,14 +102,14 @@ def sample_adapted_field(fn, grid, lattice, ensemble):
     return AdaptedField(grid, lattice, values)
 
 
-def reconstruction_report(afield, ensemble, rtol=1e-6):
+def reconstruction_report(afield, ensemble):
     """Check the telescoped increment identity against sampled values.
 
     Walking back from the last sampled knot, accumulate drift * dt plus
     noise . dW and compare with the stored samples.  Reports the RMS
     mismatch and its budget per knot, and the RMS at the knot closest to
-    its budget; ``passed`` allows rtol plus
-    whatever residual the decomposition carries in its diagnostics.
+    its budget; ``passed`` allows _RECONSTRUCTION_RTOL plus whatever
+    residual the decomposition carries in its diagnostics.
     """
     if afield.drift is None or afield.noise is None:
         raise ValueError("field has no drift/noise decomposition")
@@ -126,7 +130,7 @@ def reconstruction_report(afield, ensemble, rtol=1e-6):
         gap = acc - afield.at(k)
         rms[k] = float(np.sqrt(np.mean(gap**2)))
         running += float(resid_budget.get(k, 0.0))
-        budget[k] = rtol + running
+        budget[k] = _RECONSTRUCTION_RTOL + running
     worst = max(rms, key=lambda k: rms[k] - budget[k])
     return {
         "rms": rms,

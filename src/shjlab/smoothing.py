@@ -6,9 +6,9 @@ Three constructions live here:
   coefficient set at integer level l (kernel support shrinks as 1/l);
 * the convex linear-growth penalty obtained by mollifying the hinge
   distance to the unit ball;
-* piecewise tensor-form approximants of a path-dependent terminal cost
-  (separable products of a path factor read at fixed knots and a
-  spatial profile), fitted by least squares on sampled probes.
+* tensor-form approximants of a path-dependent terminal cost (sums of
+  hat functions of the terminal Brownian value times mollified spatial
+  profiles), fitted by least squares on sampled probes.
 
 Discrete kernels are renormalized to unit mass after quadrature, so
 mollification preserves constants and affine maps exactly and never
@@ -236,32 +236,30 @@ def _running_gaps(base, approx, t, probes, w):
 
 
 # ---------------------------------------------------------------------------
-# piecewise tensor-form approximants
+# tensor-form approximants
 
 
 @dataclass
 class FunctionalApproximant:
-    """Coefficients rewritten as sums of (path factor) x (spatial profile).
+    """A coefficient set whose terminal cost is a sum of (path factor) x
+    (spatial profile).
 
-    The time axis is cut at functional knots; on each piece the running
-    coefficients read path history no later than the piece's left knot
-    (running coefficients are path-free, so the delayed read is exact).
     The terminal cost is separated as a sum of hat functions of the
     terminal Brownian value times spatial slices, each slice a mollified
     x-profile, so the spatial Lipschitz constant never exceeds the base
-    one.
+    one.  A deterministic G is the mollified set's.
 
     Only what is not already smooth gets smoothed: beta and f are affine
-    in x (see coeffs), which the kernel average reproduces anyway, so
-    they are the base maps; G goes through the mollified set.
+    in x and path-free (see coeffs), which the kernel average reproduces
+    anyway, so they are the base set's lines; G goes through the
+    mollified set.
 
-    Duck-typed as a coefficient set: beta, f, G plus the declared
-    constants, so solvers take it wherever they take a CoefficientSet.
+    Solvers read it as they read a CoefficientSet: through its lines,
+    its G and the declared constants.
     """
 
     base: CoefficientSet
     mollified: MollifiedSet
-    fn_knots: np.ndarray          # functional knot times, len n_intervals + 1
     w_grid: np.ndarray | None     # hat centers for the terminal separation
     slices: np.ndarray | None     # (n_terms, n_fine) spatial profiles
     x_fine: np.ndarray | None     # fine spatial grid carrying the slices
@@ -272,12 +270,6 @@ class FunctionalApproximant:
         for attr in DECLARED:
             setattr(self, attr, getattr(self.base, attr))
 
-    def beta(self, t, x, v, w):
-        return self.base.beta(t, x, v, w)
-
-    def f(self, t, x, v, w):
-        return self.base.f(t, x, v, w)
-
     def lines(self, t, w=None):
         """The base set's lines: beta and f are its maps."""
         return self.base.lines(t, w)
@@ -286,7 +278,7 @@ class FunctionalApproximant:
         if self.w_grid is None:
             return self.mollified.G(x, w)
         x = np.asarray(x, float)
-        s = w.at(self.fn_knots[-1])[:, 0]
+        s = w.terminal[:, 0]
         cell, frac = _uniform_cell(self.w_grid, s)
         lo = self._slice_eval(cell, x)
         hi = self._slice_eval(cell + 1, x)
@@ -304,14 +296,13 @@ class FunctionalApproximant:
 
         G read on a synthetic ensemble whose paths end at w_vals."""
         w_vals = np.asarray(w_vals, float)
-        wT = _terminal_slice(self.fn_knots[-1], w_vals)
+        wT = _terminal_slice(w_vals)
         g = np.asarray(self.G(np.asarray(x_vals, float)[:, None, None], wT))
         return np.broadcast_to(g, (g.shape[0], w_vals.size))
 
 
-def fit_functional_approximant(base, ensemble, n_intervals=4, eps_target=0.1, *,
-                               x_radius):
-    """Fit a piecewise tensor-form approximant to a coefficient set.
+def fit_functional_approximant(base, ensemble, eps_target=0.1, *, x_radius):
+    """Fit a tensor-form approximant to a coefficient set.
 
     beta and f pass through, so only G has an error.  G is mollified
     at level ceil(1.5 lip_x / eps_target); a path-dependent G is separated
@@ -321,13 +312,7 @@ def fit_functional_approximant(base, ensemble, n_intervals=4, eps_target=0.1, *,
     along the ensemble's paths, which the fit never sees, on a 41-point
     probe lattice.
     """
-    if n_intervals < 4:
-        raise ValueError("need more than 3 time pieces")
     grid = ensemble.grid
-    if grid.n_steps % n_intervals:
-        raise ValueError("n_intervals must divide n_steps so pieces end on knots")
-    fn_knots = grid.knots[:: grid.n_steps // n_intervals]
-
     level = max(1, int(np.ceil(1.5 * base.lip_x / eps_target)))
     moll = MollifiedSet(base, level)
 
@@ -350,14 +335,14 @@ def fit_functional_approximant(base, ensemble, n_intervals=4, eps_target=0.1, *,
         # probe the payoff at designer-chosen terminal values through a
         # synthetic one-step ensemble, so every hat cell is sampled
         s_fit = np.linspace(lo, hi, 4 * n_cells + 1)
-        fit_T = _terminal_slice(grid.T, s_fit)
+        fit_T = _terminal_slice(s_fit)
         targets = np.asarray(moll.G(x_fine[:, None, None], fit_T)).T  # (n_fit, n_fine)
         design = _hat_design(w_grid, s_fit)
         coef, *_ = np.linalg.lstsq(design, targets, rcond=None)
         slices = coef  # (n_terms, n_fine)
 
     out = FunctionalApproximant(
-        base=base, mollified=moll, fn_knots=fn_knots, w_grid=w_grid, slices=slices, x_fine=x_fine,
+        base=base, mollified=moll, w_grid=w_grid, slices=slices, x_fine=x_fine,
     )
 
     # achieved error against the *base* terminal cost, held-out material:
@@ -388,10 +373,11 @@ def _hat_design(w_grid, s):
     return design
 
 
-def _terminal_slice(T, s):
-    """Terminal slice of a one-step ensemble whose paths end at W_T = s."""
+def _terminal_slice(s):
+    """Terminal slice of a one-step ensemble whose paths end at W_T = s.
+    G reads only the terminal value, so the horizon is immaterial."""
     from .probspace import TimeGrid, WienerEnsemble
 
     inc = s.reshape(s.size, 1, 1).copy()
-    synth = WienerEnsemble(TimeGrid(T, 1), 1, s.size, 0, inc)
+    synth = WienerEnsemble(TimeGrid(1.0, 1), 1, s.size, 0, inc)
     return synth.slice_at(1, terminal_ok=True)

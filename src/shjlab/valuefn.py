@@ -34,6 +34,10 @@ __all__ = [
 # pathwise slices stored at every knot only below this element count
 AUTO_STORE_BUDGET = 80_000_000
 
+# the share of lattice reads whose point may leave the box; value_V and
+# build_envelopes raise AccuracyError above it
+CLAMP_BUDGET = 0.05
+
 
 class BoxLattice:
     """Uniform lattice on an interval with linear interpolation.
@@ -382,7 +386,7 @@ def _stencil_means(column, z):
 
 
 def value_V(coeffs, ensemble, lattice, *, basis=None, noise_level=0.0,
-            noise_ensemble=None, clamp_tol=0.01, pool=None):
+            noise_ensemble=None, pool=None):
     """Backward dynamic-programming value surface on a lattice.
 
     Parameters
@@ -394,10 +398,6 @@ def value_V(coeffs, ensemble, lattice, *, basis=None, noise_level=0.0,
         (degree 3 in the current Brownian value by default).
     noise_level, noise_ensemble : optional independent state noise
         delta * dB added to every Euler image (regularized problems).
-    clamp_tol : budget on clamp_fraction, the share of reads (one per
-        node, path column and control) whose Euler image left the box;
-        exceeding it raises AccuracyError, which names the knot with the
-        most exits, its control and face.
     pool : optional concurrent.futures executor.  At every regression
         knot the upper half of the controls is scored on it while the
         calling thread scores the lower half (_split_argmin).  Each
@@ -443,16 +443,20 @@ def value_V(coeffs, ensemble, lattice, *, basis=None, noise_level=0.0,
     policies read, cover every knot; diagnostics["exits"] holds the
     exits per knot and control.  Pathwise slices are kept at every knot
     within AUTO_STORE_BUDGET, else on the grid's subgrid.
+
+    diagnostics["clamp_fraction"] is the share of reads (one per node,
+    path column and control) whose Euler image left the box; above
+    CLAMP_BUDGET the sweep raises AccuracyError, which names the knot
+    with the most exits, its control and face.
     """
     argmins, diagnostics = {}, {}
     return _backward_sweep(coeffs, ensemble, lattice, "auto", _value_knots(
         coeffs, ensemble, lattice, argmins, diagnostics, basis, noise_level,
-        noise_ensemble, clamp_tol, pool), diagnostics, argmin=argmins)
+        noise_ensemble, pool), diagnostics, argmin=argmins)
 
 
 def _value_knots(coeffs, ensemble, lattice, argmins, diagnostics, basis=None,
-                 noise_level=0.0, noise_ensemble=None, clamp_tol=0.01,
-                 pool=None):
+                 noise_level=0.0, noise_ensemble=None, pool=None):
     """value_V's sweep and clamp check; argmins gets each knot's table."""
     if noise_level and noise_ensemble is None:
         raise ValueError("noise_level > 0 needs a noise ensemble")
@@ -561,7 +565,7 @@ def _value_knots(coeffs, ensemble, lattice, argmins, diagnostics, basis=None,
     yield from _sweep_knots(coeffs, ensemble, lattice, basis, step,
                             diagnostics)
     frac = diagnostics["clamp_fraction"]
-    if frac > clamp_tol:
+    if frac > CLAMP_BUDGET:
         # name the knot with the most exits, its worst control, and the
         # face that control's Euler images crossed most; ties go to the
         # lowest knot and control
@@ -574,8 +578,8 @@ def _value_knots(coeffs, ensemble, lattice, argmins, diagnostics, basis=None,
         side = int(np.argmax(faces))
         raise AccuracyError(
             f"{100 * frac:.2f}% of lattice evaluations left the box (budget "
-            f"{100 * clamp_tol:.1f}%); most exits at knot {k}: control {j}, "
-            f"face x0 {('lo', 'hi')[side]} ({faces[side]} exits); "
+            f"{100 * CLAMP_BUDGET:.1f}%); most exits at knot {k}: control "
+            f"{j}, face x0 {('lo', 'hi')[side]} ({faces[side]} exits); "
             f"enlarge the lattice"
         )
 

@@ -17,6 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import valuefn
 from .bsde import BsdeSpec, error_bound_bsde, solve_bsde
 from .coeffs import _at_controls, _halves, _node_tables, _running_argmin
 from .exceptions import AccuracyError
@@ -317,7 +318,7 @@ class EnvelopePair:
 
 
 def build_envelopes(base, approx, ens_w, ens_b, eps, delta_n, *,
-                    lattice, tol=0.02, clamp_tol=0.05, pool=None):
+                    lattice, tol=0.02, pool=None):
     """Envelope fields squeezing the value function.
 
     The perturbed surface adds independent noise delta_n dB to the
@@ -335,10 +336,6 @@ def build_envelopes(base, approx, ens_w, ens_b, eps, delta_n, *,
     eps, delta_n : approximation size and noise level (> 0).
     lattice : BoxLattice covering the reachable set plus the noise
         wander.
-    clamp_tol : lattice-exit budget of the perturbed surface and of the
-        envelope assembly, which reads that surface at the lattice points
-        shifted by -delta_n B; exceeding it raises AccuracyError, which
-        names the knot with the most exits.
     pool : optional concurrent.futures executor, passed to value_V.  Each
         knot's work runs in the same two halves of node rows at any
         worker count, the upper one on the pool, so the pair has the same
@@ -352,6 +349,11 @@ def build_envelopes(base, approx, ens_w, ens_b, eps, delta_n, *,
     are not kept.  The reports are residual_check's on fields mid +- half
     with those drifts up to roundoff: half is constant in x, so both
     sides take mid's gradient.
+
+    The perturbed surface and the envelope assembly, which reads that
+    surface at the lattice points shifted by -delta_n B, each raise
+    AccuracyError when more than valuefn.CLAMP_BUDGET of their reads
+    leave the lattice; the assembly's names the knot with the most.
     """
     if delta_n <= 0:
         raise ValueError("delta_n must be positive")
@@ -371,7 +373,7 @@ def build_envelopes(base, approx, ens_w, ens_b, eps, delta_n, *,
     n = grid.n_steps
 
     V_eps = value_V(approx, ens_w, lattice, noise_level=delta_n,
-                    noise_ensemble=ens_b, clamp_tol=clamp_tol, pool=pool)
+                    noise_ensemble=ens_b, pool=pool)
     want_drift = grid.subgrid()
 
     # empirical gradient bound over every stored slice
@@ -442,11 +444,12 @@ def build_envelopes(base, approx, ens_w, ens_b, eps, delta_n, *,
         del up_d, lo_d, d_center    # later knots' mid reuses their memory
 
     frac = sum(clamped.values()) / evals
-    if frac > clamp_tol:
+    if frac > valuefn.CLAMP_BUDGET:
         k = max(clamped, key=clamped.get)
         raise AccuracyError(
             f"{100 * frac:.2f}% of envelope reads left the lattice (budget "
-            f"{100 * clamp_tol:.1f}%); most at knot {k} ({clamped[k]} reads); "
+            f"{100 * valuefn.CLAMP_BUDGET:.1f}%); most at knot {k} "
+            f"({clamped[k]} reads); "
             f"enlarge the lattice"
         )
 
@@ -544,9 +547,9 @@ def _pad_linear(u, axis):
 def solve_hjb_fd_1d(approx, x_axis, y_axis, interval, delta_n):
     """Explicit finite-difference solve of the regularized equation.
 
-    On the last functional interval the frozen-prefix coefficients are
-    deterministic, the terminal Brownian value becomes an extra state
-    coordinate y with unit diffusion, and the artificial noise adds
+    beta and f do not read the path (see coeffs), so on any interval
+    they are deterministic; the terminal Brownian value becomes an extra
+    state coordinate y with unit diffusion, and the artificial noise adds
     delta_n^2/2 curvature in x:
 
         u_t + min_v [ beta u_x + f ] + 1/2 u_yy + delta_n^2/2 u_xx = 0.

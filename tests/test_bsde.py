@@ -5,6 +5,7 @@ import dataclasses
 import numpy as np
 import pytest
 
+from shjlab import valuefn
 from shjlab.bsde import (BsdeSpec, backward_knots, cost_majorant,
                          error_bound_bsde, policy_cost_surface, solve_bsde)
 from shjlab.coeffs import reach_radius, scenario
@@ -334,7 +335,9 @@ def _policy_case(name):
         last = (np.arange(ens.n_paths) % 3 == 0) * (base.n_controls - 1)
         return co, ens, lat, ControlPolicy.open_loop(
             np.broadcast_to(last, (ens.grid.n_steps, ens.n_paths)))
-    V = value_V(base, ens, lat, clamp_tol=1.0)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(valuefn, "CLAMP_BUDGET", 1.0)
+        V = value_V(base, ens, lat)
     # the greedy eikonal policy heads for the origin and never leaves
     pol = (ControlPolicy.constant(base.n_controls - 1)
            if name in ("constant", "eikonal") else ControlPolicy.feedback(V))

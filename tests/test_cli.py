@@ -60,7 +60,6 @@ def _configs(draw):
                                    max_size=4))),
         eps_ladder=tuple(draw(st.lists(_POS, min_size=1, max_size=4))),
         delta_ladder=tuple(draw(st.lists(_POS, min_size=1, max_size=4))),
-        n_intervals=draw(st.integers(4, 64)),
         tolerance_scale=draw(_POS),
     )
 
@@ -111,8 +110,6 @@ def test_config_rejects_unknown_keys():
     dict(seed_b=-1),
     dict(x0_max=0.0),         # no starting box, so no lattice
     dict(x0_max=-1.0),
-    dict(n_intervals=3),      # fit_functional_approximant needs 4 pieces
-    dict(n_intervals=0),
 ])
 def test_config_validation(bad):
     with pytest.raises(ValueError):
@@ -212,7 +209,10 @@ def test_bad_config_file_exits_2(tmp_path):
 
 @pytest.mark.parametrize("text, reason", [
     ('{"T": NaN}', "not finite"), ('{"bogus": 1}', "unknown config keys"),
-    ('{"basis_degree": 3}', "unknown config keys")])
+    ('{"basis_degree": 3}', "unknown config keys"),
+    # a config saved while n_intervals was a field: it changed no output,
+    # only the digest, so it is refused rather than run under a new one
+    ('{"n_intervals": 4}', "unknown config keys: ['n_intervals']")])
 def test_rejected_config_file_exits_2_with_manifest(tmp_path, text, reason):
     cfg_path = tmp_path / "cfg.json"
     cfg_path.write_text(text)
@@ -365,18 +365,45 @@ def test_flat_builtin_refuses_pipelines_that_need_a_kink(tmp_path, name,
     assert sorted(p.name for p in tmp_path.iterdir()) == ["manifest.json"]
 
 
-@pytest.mark.parametrize("pipeline", ["envelopes", "full-uniqueness"])
-def test_pieces_that_miss_the_knots_exit_2_before_any_work(tmp_path,
-                                                         monkeypatch,
-                                                         pipeline):
-    # 4 pieces of 6 steps: refused before a value surface is computed
-    monkeypatch.setattr(cli, "value_V", lambda *a, **k: pytest.fail())
-    code, checks = run(_small(n_steps=6), pipeline, str(tmp_path))
-    assert code == 2 and checks == {}
-    manifest = _manifest(tmp_path)
-    assert manifest["exit_code"] == 2 and manifest["config"]["n_steps"] == 6
-    assert "n_intervals (4) to divide n_steps (6)" in manifest["error"]
-    assert sorted(p.name for p in tmp_path.iterdir()) == ["manifest.json"]
+def test_envelopes_run_at_a_step_count_that_four_does_not_divide(tmp_path):
+    # the approximant reads the path only at T, so no step count is
+    # refused: 6 steps run and pass every check
+    cfg = _small(n_steps=6, ladder_h=0.05, eps_ladder=(0.1,),
+                 delta_ladder=(0.1,))
+    code, checks = run(cfg, "envelopes", str(tmp_path))
+    assert code == 0, checks
+    assert checks == {"ordering": True, "residual_sides": True,
+                      "gradient_bound": True}
+
+
+@pytest.mark.parametrize("pipeline, report, key", [
+    ("envelopes", "envelopes_report.json", "items"),
+    ("full-uniqueness", "uniqueness_report.json", "grid")])
+def test_envelope_items_carry_each_rungs_terminal_margins(tmp_path,
+                                                          monkeypatch,
+                                                          pipeline, report,
+                                                          key):
+    # each rung's terminal comparisons, signed as the pair's reports sign
+    # them; the CSV keeps its scalar columns
+    pairs = []
+
+    def recording(*args, **kwargs):
+        pairs.append(build(*args, **kwargs))
+        return pairs[-1]
+
+    build = cli.build_envelopes
+    monkeypatch.setattr(cli, "build_envelopes", recording)
+    cfg = _small(scenario="random-target", n_paths=300, ladder_h=0.1,
+                 eps_ladder=(0.2,), delta_ladder=(0.2, 0.1))
+    run(cfg, pipeline, str(tmp_path), workers=1)
+    items = json.loads((tmp_path / report).read_text())[key]
+    assert len(items) == len(pairs) == 2
+    for item, pair in zip(items, pairs):
+        assert item["terminal_margins"] == {
+            side: pair.reports[side]["terminal_margin"]
+            for side in ("upper", "lower")}
+    header = (tmp_path / "envelope_grid.csv").read_text().splitlines()[1]
+    assert "terminal_margins" not in header.split(",")
 
 
 def test_non_finite_report_value_exits_1_without_the_report(tmp_path,
@@ -676,7 +703,7 @@ def _jhat_chain(cfg):
     lat = cli._lattice(cfg, coeffs, h=cfg.ladder_h)
     radius = float(np.max(np.abs(lat.points)))
     gain = _value_lipschitz(coeffs, cfg.T)
-    pol = ControlPolicy.feedback(value_V(coeffs, ens, lat, clamp_tol=0.05))
+    pol = ControlPolicy.feedback(value_V(coeffs, ens, lat))
     base = policy_cost_surface(coeffs, ens, pol, lat)
     for level in cfg.levels:
         ml, bound, _ = cli._level_bound(coeffs, ens, level, radius, gain)
@@ -730,7 +757,7 @@ def test_jhat_item_holds_a_few_slices(monkeypatch):
                  ladder_h=0.05, levels=(4,))
     grid, coeffs, ens = cli._grid_ens(cfg)
     lat = cli._lattice(cfg, coeffs, h=cfg.ladder_h)
-    pol = ControlPolicy.feedback(value_V(coeffs, ens, lat, clamp_tol=0.05))
+    pol = ControlPolicy.feedback(value_V(coeffs, ens, lat))
     base_means = cli._later(
         None, lambda: policy_cost_surface(coeffs, ens, pol, lat).mean[::-1])
     bound = cli._later(None, cli._level_bound, coeffs, ens, 4,
@@ -776,8 +803,7 @@ def test_jhat_value_sweep_holds_a_few_slices():
     argmins = {}
     tracemalloc.start()
     try:
-        for _ in valuefn._value_knots(coeffs, ens, lat, argmins, {},
-                                      clamp_tol=0.05):
+        for _ in valuefn._value_knots(coeffs, ens, lat, argmins, {}):
             pass
         peak = tracemalloc.get_traced_memory()[1]
     finally:
@@ -813,8 +839,7 @@ def test_jhat_asks_only_the_base_cost_for_knot_stats(tmp_path, monkeypatch):
     # value_V itself reads each knot's pick
     grid, coeffs, ens = cli._grid_ens(cfg)
     readers.clear()
-    value_V(coeffs, ens, cli._lattice(cfg, coeffs, h=cfg.ladder_h),
-            clamp_tol=0.05)
+    value_V(coeffs, ens, cli._lattice(cfg, coeffs, h=cfg.ladder_h))
     assert readers.count("realize") == cfg.n_steps
 
 

@@ -10,6 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
+from shjlab import valuefn
 from shjlab.coeffs import (DECLARED, CoefficientSet, _at_controls, _halves,
                            _node_tables, _running_argmin, _split_argmin,
                            control_grid, probe_lattice, reach_radius,
@@ -84,7 +85,7 @@ def test_declared_constants_are_the_problem_fields():
 
 
 def test_control_grid():
-    grid = control_grid(-1.0, 1.0, 21)
+    grid = control_grid(21)
     assert grid.shape == (21, 1)
     assert grid[0, 0] == -1.0 and grid[-1, 0] == 1.0
     np.testing.assert_allclose(np.diff(grid[:, 0]), 0.1)
@@ -260,7 +261,7 @@ def test_constructor_rejects_sets_off_the_structure(case):
     # beta and f must be affine in x, path-free and control-separable, and
     # the declared constants sane; each violation names where it is
     good = scenario("zeros")
-    kw = dict(controls=control_grid(-1.0, 1.0, 5), beta=good.beta,
+    kw = dict(controls=control_grid(5), beta=good.beta,
               f=good.f, G=good.G, L=3.0, lip_x=1.0)
     CoefficientSet(**kw)
     changes, message = REJECTED[case]
@@ -444,14 +445,17 @@ def test_lines_reproduce_the_maps_bit_for_bit(name):
     w = sample_ensemble(TimeGrid(1.0, 8), 1, 6, SEED).slice_at(3)
     nodes = BoxLattice.centered(3.0, 0.05).points[:, None, :]
     shift = np.linspace(-0.37, 0.41, 6)[:, None]
-    sets = {"base": base, "tensor": _tensor(base),
-            "mollified": MollifiedSet(base, 4)}
-    for kind, co in sets.items():
+    mollified = MollifiedSet(base, 4)
+    # kind -> (set, the maps its tables must reproduce): a tensor
+    # approximant's beta and f are its base set's
+    sets = {"base": (base, base), "tensor": (_tensor(base), base),
+            "mollified": (mollified, mollified)}
+    for kind, (co, maps) in sets.items():
         for t in (0.0, 0.6875):
             # lattice nodes, and one shifted point per node and path
             for x in (nodes, nodes + shift):
                 beta, f = _node_tables(co, t, x, w, range(co.n_controls))
-                ref_beta, ref_f = _per_control(co, t, x, w)
+                ref_beta, ref_f = _per_control(maps, t, x, w)
                 assert np.array_equal(beta, ref_beta.reshape(beta.shape)), kind
                 assert np.array_equal(f, ref_f.reshape(f.shape)), kind
                 # each point at its own control reads the same values
@@ -462,7 +466,7 @@ def test_lines_reproduce_the_maps_bit_for_bit(name):
                     b_at, np.take_along_axis(ref_beta, idx[None], 0)[0])
                 assert np.array_equal(
                     f_at, np.take_along_axis(ref_f, idx[None], 0)[0])
-    assert not hasattr(sets["mollified"], "lines")
+    assert not hasattr(mollified, "lines")
 
 
 def _recording(co, sizes):
@@ -476,7 +480,8 @@ def _recording(co, sizes):
 
 
 @pytest.mark.parametrize("name", ["eikonal", "linear-drift"])
-def test_sets_with_lines_never_evaluate_their_maps_point_by_point(name):
+def test_sets_with_lines_never_evaluate_their_maps_point_by_point(monkeypatch,
+                                                                 name):
     # a sandwich-shaped Hamiltonian call (shifted points against p with
     # exact ties) and one value_V knot read beta and f at two points
     sizes = []
@@ -490,7 +495,8 @@ def test_sets_with_lines_never_evaluate_their_maps_point_by_point(name):
     p = rng.standard_normal(x.shape)
     p[::3] = 0.0
     del sizes[:]            # the fit's own reads
+    monkeypatch.setattr(valuefn, "CLAMP_BUDGET", 1.0)
     for co in (base, approx):
         hamiltonian(co, 0.0, x, p, ens.slice_at(0))
-        value_V(co, ens, lattice, clamp_tol=1.0)
+        value_V(co, ens, lattice)
     assert sizes and max(sizes) <= 2

@@ -1,6 +1,7 @@
 """Every imported name is used by the module that imports it; every
 public name, method, record field and dict key is read, and every
-defaulted parameter passed, by some caller outside the unit tests."""
+defaulted parameter passed, by some caller outside the unit tests, and
+those callers pass each defaulted parameter more than one value."""
 
 import ast
 import importlib.util
@@ -214,11 +215,12 @@ def test_every_method_has_a_caller():
 
 
 def _src_defs():
-    """(qualified name, call name, positional, defaulted) of every def in
+    """(qualified name, call name, positional, defaults) of every def in
     src/ with a defaulted parameter.  positional lists the parameters a
-    positional argument can fill, without self or cls; a class is called
-    by its own name for __init__; other dunders are called by the
-    language and are left out."""
+    positional argument can fill, without self or cls; defaults maps each
+    defaulted parameter to its default's node; a class is called by its
+    own name for __init__; other dunders are called by the language and
+    are left out."""
     for path in sorted((ROOT / "src").rglob("*.py")):
         tree = ast.parse(path.read_text(), str(path))
         parents = {child: node for node in ast.walk(tree)
@@ -234,18 +236,19 @@ def _src_defs():
                           if isinstance(d, ast.Name)}
             if isinstance(owner, ast.ClassDef) and "staticmethod" not in decorators:
                 positional = positional[1:]
-            defaulted = positional[len(positional) - len(a.defaults):] \
-                if a.defaults else []
-            defaulted += [p.arg for p, d in zip(a.kwonlyargs, a.kw_defaults)
-                          if d is not None]
-            if not defaulted:
+            defaults = dict(zip(positional[len(positional) - len(a.defaults):],
+                                a.defaults))
+            defaults.update((p.arg, d) for p, d in zip(a.kwonlyargs,
+                                                       a.kw_defaults)
+                            if d is not None)
+            if not defaults:
                 continue
             if isinstance(owner, ast.ClassDef):
                 qual = f"{owner.name}.{node.name}"
                 called = owner.name if node.name == "__init__" else node.name
             else:
                 qual = called = node.name
-            yield f"{path.stem}.{qual}", called, positional, defaulted
+            yield f"{path.stem}.{qual}", called, positional, defaults
 
 
 def _calls(path, tree):
@@ -296,6 +299,65 @@ def test_every_option_is_set_by_a_caller():
     unset = set(unset_options())
     assert sorted(unset - OPTION_EXEMPT) == []
     assert OPTION_EXEMPT <= unset, "an exemption is no longer needed"
+
+
+# an argument that is not a literal, so no census can say what it holds
+VARYING = object()
+
+
+def _literal(node):
+    """The repr of a literal node's value, else VARYING."""
+    try:
+        return repr(ast.literal_eval(node))
+    except ValueError:
+        return VARYING
+
+
+def _passed_value(call, param, positional, default):
+    """What call passes for param: a literal's value, the default's when
+    it is left out, or VARYING for any other expression."""
+    for kw in call.keywords:
+        if kw.arg == param:
+            return _literal(kw.value)
+    if any(kw.arg is None for kw in call.keywords):
+        return VARYING
+    if param in positional:
+        i = positional.index(param)
+        if any(isinstance(arg, ast.Starred) for arg in call.args[:i + 1]):
+            return VARYING
+        if i < len(call.args):
+            return _literal(call.args[i])
+    return _literal(default)
+
+
+# cli.main's argv is passed by the console entry point's sys.argv.
+# residual_check's side "sub" is the reference route that
+# test_envelope_pair_squeezes_value checks the lower envelope against.
+VALUE_EXEMPT = {"cli.main.argv", "viscosity.residual_check.side"}
+
+
+def single_valued_options():
+    """'module.def.param' for each defaulted parameter of a def in src/
+    to which the calls of that name in the caller trees pass one literal
+    value only: an option with one value is a constant."""
+    calls = {}
+    for path, tree in _caller_trees():
+        for name, call in _calls(path, tree):
+            calls.setdefault(name, []).append(call)
+    single = []
+    for qual, called, positional, defaults in _src_defs():
+        for param, default in defaults.items():
+            values = {_passed_value(call, param, positional, default)
+                      for call in calls.get(called, ())}
+            if len(values) == 1 and VARYING not in values:
+                single.append(f"{qual}.{param}")
+    return sorted(single)
+
+
+def test_every_option_takes_two_values():
+    single = set(single_valued_options())
+    assert sorted(single - VALUE_EXEMPT) == []
+    assert VALUE_EXEMPT <= single, "an exemption is no longer needed"
 
 
 def _is_dataclass(cls):

@@ -38,6 +38,13 @@ def _rollout_cost(co, ens, policy, starts):
     return _path_mean_se(batch.total_cost + co.G(batch.terminal, wT))
 
 
+@pytest.fixture
+def no_clamp_budget(monkeypatch):
+    """The clamp check off, for tests whose narrow box sends a share of
+    the images out on purpose."""
+    monkeypatch.setattr(valuefn, "CLAMP_BUDGET", 1.0)
+
+
 def test_lattice_geometry():
     lat = BoxLattice.centered(2.0, 0.5)
     assert lat.n_points == 9 and lat.points.shape == (9, 1)
@@ -187,7 +194,7 @@ def test_feedback_reads_every_knot_when_slices_are_strided(monkeypatch):
     ens = sample_ensemble(TimeGrid(1.0, 16), 1, 300, SEED)
     lat = BoxLattice.for_problem(co, 1.0, 1.0, 0.1, margin=0.25)
     monkeypatch.setattr(valuefn, "AUTO_STORE_BUDGET", 17 * lat.n_points * 300 - 1)
-    V = value_V(co, ens, lat, clamp_tol=0.05)
+    V = value_V(co, ens, lat)
     assert sorted(V.slices) == list(range(0, 17, 2))
     assert sorted(V.argmin) == list(range(16))
     report = value_audit(co, ens, V, np.linspace(-1.0, 1.0, 3)[:, None])
@@ -235,7 +242,7 @@ def test_eikonal_kink_bias_shrinks_with_h(h, bias_cap):
     co = scenario("eikonal")
     ens = sample_ensemble(TimeGrid(1.0, 64), 1, 8, SEED)
     lat = BoxLattice.centered(3.25, h)
-    V = value_V(co, ens, lat, clamp_tol=0.05)
+    V = value_V(co, ens, lat)
     bias = float(V.mean_at(0, np.array([[1.0]]))[0])
     assert 0.0 <= bias < bias_cap
 
@@ -270,7 +277,7 @@ def test_eps_report_prices_the_greedy_rollout(name):
     co = scenario(name)
     ens = sample_ensemble(TimeGrid(1.0, 16), 1, 300, SEED)
     lat = BoxLattice.for_problem(co, 1.0, 1.0, 0.1, margin=0.25)
-    V = value_V(co, ens, lat, clamp_tol=0.05)
+    V = value_V(co, ens, lat)
     starts = np.linspace(-1.0, 1.0, 5)[:, None]
     cost, _ = _rollout_cost(co, ens, ControlPolicy.feedback(V), starts)
     v0 = np.array([float(V.mean_at(0, s[None, :])[0]) for s in starts])
@@ -278,13 +285,15 @@ def test_eps_report_prices_the_greedy_rollout(name):
     assert report["eps_report"] == float((cost - v0).max())
 
 
-def test_value_with_noise_and_regression_branch():
+def test_value_with_noise_and_regression_branch(monkeypatch):
+    # the box keeps the values within the terminal distances below but
+    # sends about 6 % of the noisy images out of it
+    monkeypatch.setattr(valuefn, "CLAMP_BUDGET", 0.2)
     co = scenario("random-target")
     lat = BoxLattice.centered(2.0, 0.25)
     ens = _ens(800)
     aux = sample_ensemble(GRID, 1, 800, SEED + 3)
-    V = value_V(co, ens, lat, noise_level=0.1, noise_ensemble=aux,
-                clamp_tol=0.2)
+    V = value_V(co, ens, lat, noise_level=0.1, noise_ensemble=aux)
     assert not V.collapsed
     assert V.pathwise(0).shape == (lat.n_points, 800)
     assert np.all(np.isfinite(V.mean))
@@ -299,12 +308,11 @@ def test_clamp_budget_raises():
     # error, past knot 0
     co = scenario("eikonal")
     lat = BoxLattice.centered(0.5, 0.25)   # far smaller than reachable
-    with pytest.raises(AccuracyError) as want:
-        value_V(co, _ens(), lat, clamp_tol=0.01)
+    with pytest.raises(AccuracyError, match=r"\(budget 5\.0%\)") as want:
+        value_V(co, _ens(), lat)
     knots = []
     with pytest.raises(AccuracyError, match=re.escape(str(want.value))):
-        for k, _, _ in valuefn._value_knots(co, _ens(), lat, {}, {},
-                                            clamp_tol=0.01):
+        for k, _, _ in valuefn._value_knots(co, _ens(), lat, {}, {}):
             knots.append(k)
     assert knots == list(range(GRID.n_steps, -1, -1))
 
@@ -365,6 +373,7 @@ def _noisy_reference(co, ens, aux, lat, delta):
     return mean, se, argmin, tied, clamped / evals, exits
 
 
+@pytest.mark.usefixtures("no_clamp_budget")
 @pytest.mark.parametrize("name,delta", [("eikonal", 0.3), ("linear-drift", 0.3),
                                         ("constant-run-cost", 0.05)])
 def test_noisy_one_column_recursion_matches_reference(name, delta):
@@ -385,8 +394,7 @@ def test_noisy_one_column_recursion_matches_reference(name, delta):
         return out
 
     lat.interp = counting
-    V = value_V(co, ens, lat, noise_level=delta, noise_ensemble=aux,
-                clamp_tol=1.0)
+    V = value_V(co, ens, lat, noise_level=delta, noise_ensemble=aux)
     lat.interp = interp
     mean, se, argmin, tied, frac, exits = _noisy_reference(co, ens, aux, lat,
                                                            delta)
@@ -475,6 +483,7 @@ def _variant(name):
     return scenario(name)
 
 
+@pytest.mark.usefixtures("no_clamp_budget")
 @pytest.mark.parametrize("name", ["random-target", "mollified", "priced",
                                   "eikonal", "linear-drift"])
 def test_regression_recursion_matches_per_control_reference(name):
@@ -497,7 +506,7 @@ def test_regression_recursion_matches_per_control_reference(name):
         return out
 
     lat.interp = counting
-    V = value_V(co, ens, lat, clamp_tol=1.0)
+    V = value_V(co, ens, lat)
     lat.interp = interp
     mean, se, slices, argmin, tied, evals, clamped, exits = \
         _regression_reference(co, ens, lat, basis)
@@ -517,6 +526,7 @@ def test_regression_recursion_matches_per_control_reference(name):
     assert reads == []
 
 
+@pytest.mark.usefixtures("no_clamp_budget")
 @pytest.mark.parametrize("busy", [False, True], ids=["idle", "busy"])
 @pytest.mark.parametrize("name,noise", [("random-target", 0.0),
                                         ("mollified", 0.0),
@@ -535,7 +545,7 @@ def test_pool_never_changes_the_regression_surface(name, noise, busy):
     ens = sample_ensemble(grid, 1, 300, SEED)
     aux = sample_ensemble(grid, 1, 300, SEED + 3)
     lat = BoxLattice.centered(1.0, 0.1)
-    kw = dict(clamp_tol=1.0, noise_level=noise, noise_ensemble=aux)
+    kw = dict(noise_level=noise, noise_ensemble=aux)
     want = value_V(co, ens, lat, **kw)
     release = threading.Event()
     switch = sys.getswitchinterval()
@@ -590,10 +600,10 @@ def test_clamp_error_names_knot_control_and_face(slope):
     with pytest.raises(AccuracyError,
                        match=f"most exits at knot {k}: control 1, face x0 hi "
                              f"\\({exits[k, 1, 1]} exits\\)"):
-        value_V(co, ens, lat, noise_level=0.5, noise_ensemble=aux,
-                clamp_tol=0.01)
+        value_V(co, ens, lat, noise_level=0.5, noise_ensemble=aux)
 
 
+@pytest.mark.usefixtures("no_clamp_budget")
 def test_stencil_exits_match_the_per_control_loop():
     # the stencil path counts every control's exits at once, on the band
     # of nodes the widest shift can carry out of the box; controls that
@@ -608,8 +618,7 @@ def test_stencil_exits_match_the_per_control_loop():
     ens = sample_ensemble(grid, 1, 300, SEED)
     aux = sample_ensemble(grid, 1, 300, SEED + 2)
     lat = BoxLattice.centered(1.0, 0.1)
-    V = value_V(co, ens, lat, noise_level=0.1, noise_ensemble=aux,
-                clamp_tol=1.0)
+    V = value_V(co, ens, lat, noise_level=0.1, noise_ensemble=aux)
     x = lat.points[:, None, :]
     exits = np.zeros((grid.n_steps, co.n_controls), int)
     for k in range(grid.n_steps):
@@ -624,6 +633,7 @@ def test_stencil_exits_match_the_per_control_loop():
                               * aux.n_paths))
 
 
+@pytest.mark.usefixtures("no_clamp_budget")
 @pytest.mark.parametrize("workers", [0, 2], ids=["no-pool", "pool"])
 @pytest.mark.parametrize("name", ["random-target", "eikonal", "linear-drift"])
 def test_streamed_sweep_gives_value_Vs_argmin_tables(name, workers):
@@ -639,14 +649,13 @@ def test_streamed_sweep_gives_value_Vs_argmin_tables(name, workers):
     with contextlib.ExitStack() as stack:
         pool = (stack.enter_context(concurrent.futures.ThreadPoolExecutor(
             workers)) if workers else None)
-        want = value_V(co, ens, lat, clamp_tol=1.0, pool=pool)
+        want = value_V(co, ens, lat, pool=pool)
         argmins, diagnostics = {}, {}
         knots = [k for k, _, _ in valuefn._value_knots(
-            co, ens, lat, argmins, diagnostics, clamp_tol=1.0, pool=pool)]
+            co, ens, lat, argmins, diagnostics, pool=pool)]
         # a consumer that asks every knot gets value_V's slices and stats
         asked = {k: (V.copy(), *stats()) for k, V, stats in
-                 valuefn._value_knots(co, ens, lat, {}, {}, clamp_tol=1.0,
-                                      pool=pool)}
+                 valuefn._value_knots(co, ens, lat, {}, {}, pool=pool)}
     for k, arrays in asked.items():
         for a, b in zip(arrays, (want.slices[k], want.mean[k], want.se[k])):
             assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
@@ -662,6 +671,7 @@ def test_streamed_sweep_gives_value_Vs_argmin_tables(name, workers):
             == want.diagnostics["clamp_fraction"])
 
 
+@pytest.mark.usefixtures("no_clamp_budget")
 @pytest.mark.parametrize("name,noise", [("random-target", 0.0),
                                         ("random-target", 0.1),
                                         ("eikonal", 0.0),
@@ -685,7 +695,7 @@ def test_knot_stats_are_one_call_per_knot_on_the_caller(monkeypatch, name,
     monkeypatch.setattr(valuefn, "_path_mean_se", recording)
     with concurrent.futures.ThreadPoolExecutor(1) as pool:
         V = value_V(co, ens, lat, noise_level=noise, noise_ensemble=aux,
-                    clamp_tol=1.0, pool=pool)
+                    pool=pool)
     assert len(calls) == grid.n_steps + 1
     for k, (raw, thread) in zip(range(grid.n_steps, -1, -1), calls):
         assert thread == threading.get_ident()
@@ -721,7 +731,7 @@ def test_audit_eikonal_fine_lattice():
     co = scenario("eikonal")
     ens = sample_ensemble(TimeGrid(1.0, 64), 1, 500, SEED)
     lat = BoxLattice.centered(3.25, 0.005)
-    V = value_V(co, ens, lat, clamp_tol=0.05)
+    V = value_V(co, ens, lat)
     report = value_audit(co, ens, V, np.linspace(-2, 2, 5)[:, None])
     assert report["passed"], report
     assert report["lipschitz_observed"] <= 1.0 + 1e-9
@@ -737,7 +747,7 @@ def test_audit_reports_the_structure_lipschitz_bound(name, bound):
     co = scenario(name)
     ens = _ens(200)
     lat = BoxLattice.for_problem(co, 1.0, 1.0, 0.05, margin=0.25)
-    V = value_V(co, ens, lat, clamp_tol=0.05)
+    V = value_V(co, ens, lat)
     report = value_audit(co, ens, V, np.zeros((1, 1)))
     assert report["lipschitz_bound_structure"] == pytest.approx(bound,
                                                                rel=1e-14)

@@ -18,8 +18,8 @@ from shjlab.coeffs import (_running_argmin, reach_radius, scenario,
 from shjlab.exceptions import AccuracyError
 from shjlab.fields import AdaptedField, reconstruction_report
 from shjlab.probspace import TimeGrid, _path_mean_se, sample_ensemble
-from shjlab.smoothing import (MollifiedSet, error_processes,
-                              fit_functional_approximant)
+from shjlab.smoothing import (FunctionalApproximant, MollifiedSet,
+                              error_processes, fit_functional_approximant)
 from shjlab.valuefn import BoxLattice, value_V
 from shjlab.viscosity import (_control_lines, build_envelopes,
                               estimate_decomposition, hamiltonian,
@@ -83,13 +83,16 @@ def _problem(name, kind):
 
 def _sweep_reference(co, t, x, p, w):
     # the score and running minimum the Hamiltonian had before its
-    # envelope path: every control, ties to the lowest index
+    # envelope path: every control, ties to the lowest index.  A tensor
+    # approximant's beta and f are its base set's
+    maps = co.base if isinstance(co, FunctionalApproximant) else co
+
     def scores():
         for v in co.controls:
-            b = np.asarray(co.beta(t, x, v, w), float)
+            b = np.asarray(maps.beta(t, x, v, w), float)
             shape = np.broadcast_shapes(b.shape, p.shape)
             yield (np.sum(np.broadcast_to(b, shape) * p, axis=-1)
-                   + np.asarray(co.f(t, x, v, w), float))
+                   + np.asarray(maps.f(t, x, v, w), float))
 
     return _running_argmin(scores())
 
@@ -341,8 +344,7 @@ def _envelope_fields(pair, base, fa, ens_w, ens_b, delta_n):
     from the public pieces that build_envelopes uses."""
     lat, grid = pair.lattice, ens_w.grid
     n = grid.n_steps
-    V_eps = value_V(fa, ens_w, lat, noise_level=delta_n, noise_ensemble=ens_b,
-                    clamp_tol=0.05)
+    V_eps = value_V(fa, ens_w, lat, noise_level=delta_n, noise_ensemble=ens_b)
     errors = error_processes(base, fa, ens_w,
                              radius=max(abs(lat.lo), abs(lat.hi)))
     bound = error_bound_bsde(errors, gain=pair.params["L_tilde"],
@@ -407,13 +409,12 @@ def test_envelope_pair_squeezes_value(monkeypatch):
         assert rep["margin"] == pick(rep["knot_margins"].values())
     assert 0.0 < pair.params["L_tilde"] <= 1.0 + 1e-6
     assert pair.params["K_bar"] > 0.0
-    V = value_V(base, ens_w, pair.lattice, clamp_tol=0.05)
+    V = value_V(base, ens_w, pair.lattice)
     report = sandwich_report(pair, V)
     assert report["order_ok"], report
     assert report["gap_upper"] > 0.0
     # a surface on a different lattice is rejected
-    other = value_V(base, ens_w, BoxLattice.centered(3.3, 0.1),
-                    clamp_tol=0.05)
+    other = value_V(base, ens_w, BoxLattice.centered(3.3, 0.1))
     with pytest.raises(ValueError, match="different lattices"):
         sandwich_report(pair, other)
 
@@ -427,8 +428,7 @@ def _small_rung(name):
     fa = _fit(base, ens_w, 0.05)
     lat = BoxLattice.for_problem(base, GRID.T, 2.0, 0.1,
                                  margin=0.25 + 4.0 * 0.1 * np.sqrt(GRID.T))
-    return base, fa, ens_w, ens_b, lat, value_V(base, ens_w, lat,
-                                                clamp_tol=0.05)
+    return base, fa, ens_w, ens_b, lat, value_V(base, ens_w, lat)
 
 
 def test_envelope_pair_keeps_one_slice_per_knot():
