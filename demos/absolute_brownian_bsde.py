@@ -37,7 +37,7 @@ Y0_EXACT = (5.0 / 3.0) * np.sqrt(2.0 / np.pi)
 
 
 def two_routes(n_paths):
-    ens = sample_ensemble(GRID, 1, n_paths, SEED)
+    ens = sample_ensemble(GRID, n_paths, SEED)
     # (n_steps + 1, n_paths)
     w = np.stack([ens.value_at(k)[:, 0] for k in range(GRID.n_steps + 1)])
     spec = BsdeSpec(ens, np.abs(w[-1]), lambda t, ps: np.abs(ps.current[:, 0]))
@@ -55,7 +55,7 @@ def main():
         print(f"{n_paths:8d}   {y0:10.5f}   {naive:8.5f}   {se:7.5f}"
               f"   {abs(y0 - naive):9.1e}")
 
-    ens = sample_ensemble(GRID, 1, 4_000, SEED)
+    ens = sample_ensemble(GRID, 4_000, SEED)
     det = BsdeSpec(ens, np.full(4_000, 2.0), np.full(GRID.n_steps, 0.25))
     z_max = float(np.abs(solve_bsde(det).Z).max())
     print(f"\ndeterministic data: max |Z| = {z_max:.2e}")

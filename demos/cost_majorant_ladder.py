@@ -31,7 +31,7 @@ LEVELS = (4, 8, 16)
 
 def main():
     co = scenario("eikonal")
-    ens = sample_ensemble(TimeGrid(1.0, 16), 1, 2_000, SEED)
+    ens = sample_ensemble(TimeGrid(1.0, 16), 2_000, SEED)
     lat = BoxLattice.centered(3.4, 0.1)
     V = value_V(co, ens, lat)
     pol = ControlPolicy.feedback(V)

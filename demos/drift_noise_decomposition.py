@@ -35,7 +35,7 @@ LAT_RADIUS = 1.0
 
 
 def main():
-    ens = sample_ensemble(GRID, 1, N_PATHS, SEED)
+    ens = sample_ensemble(GRID, N_PATHS, SEED)
     lat = BoxLattice.centered(LAT_RADIUS, 1.0)
     values = {k: np.broadcast_to(ens.value_at(k)[:, 0] ** 2,
                                  (lat.n_points, N_PATHS)).copy()

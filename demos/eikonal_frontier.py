@@ -27,7 +27,7 @@ N_PATHS = 2_000
 
 def main():
     co = scenario("eikonal")
-    ens = sample_ensemble(TimeGrid(1.0, N_STEPS), 1, N_PATHS, SEED)
+    ens = sample_ensemble(TimeGrid(1.0, N_STEPS), N_PATHS, SEED)
 
     V = value_V(co, ens, BoxLattice.centered(3.25, 0.05))
     print("probe values at t = 0 (exact: max(|x| - 1, 0))")

@@ -33,8 +33,8 @@ DELTA = 0.1
 def main():
     co = scenario("eikonal")
     grid = TimeGrid(1.0, 32)
-    ens_w = sample_ensemble(grid, 1, 16, SEED_W)
-    ens_b = sample_ensemble(grid, 1, 2_000, SEED_B)
+    ens_w = sample_ensemble(grid, 16, SEED_W)
+    ens_b = sample_ensemble(grid, 2_000, SEED_B)
     fa = fit_functional_approximant(co, ens_w, eps_target=0.05, x_radius=3.65)
 
     lat = BoxLattice.centered(3.65, 0.05)

@@ -40,8 +40,8 @@ LADDER = (0.2, 0.1, 0.05)
 
 def main():
     co = scenario("eikonal")
-    ens_w = sample_ensemble(GRID, 1, N_PATHS, SEED_W)
-    ens_b = sample_ensemble(GRID, 1, N_PATHS, SEED_B)
+    ens_w = sample_ensemble(GRID, N_PATHS, SEED_W)
+    ens_b = sample_ensemble(GRID, N_PATHS, SEED_B)
 
     x_radius = reach_radius(co, 1.0, GRID.T, margin=1.0)
     widths = []

@@ -90,7 +90,7 @@ class BsdeSolution:
 
     grid: object
     Y: np.ndarray            # (n_steps + 1, n_paths)
-    Z: np.ndarray            # (n_steps, n_paths, m)
+    Z: np.ndarray            # (n_steps, n_paths, 1)
     driver: np.ndarray       # (n_steps, n_paths)
     diagnostics: dict = field(default_factory=dict)
 
@@ -135,7 +135,7 @@ def solve_bsde(spec):
     BsdeSolution with per-knot regression residuals in diagnostics."""
     ens, n = spec.ensemble, spec.ensemble.grid.n_steps
     Y = np.empty((n + 1, ens.n_paths))
-    Z = np.zeros((n, ens.n_paths, ens.m))
+    Z = np.zeros((n, ens.n_paths, 1))
     driver = np.zeros((n, ens.n_paths))   # untouched pages for a zero driver
     resid = np.zeros(n + 1)
     Y[n] = spec.terminal

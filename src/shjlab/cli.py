@@ -83,41 +83,31 @@ class ExperimentConfig:
     """Serializable description of one experiment family."""
 
     scenario: str = "eikonal"
-    T: float = 1.0
     n_steps: int = 32
     n_paths: int = 4000
     n_paths_bsde: int = 100000
     seed_w: int = 20240901
     seed_b: int = 20241001
-    x0_max: float = 2.0
-    lattice_h: float = 0.01
     ladder_h: float = 0.05
-    lattice_margin: float = 0.25
     levels: tuple = (4, 8, 16)
     eps_ladder: tuple = (0.2, 0.1, 0.05)
     delta_ladder: tuple = (0.2, 0.1, 0.05)
-    tolerance_scale: float = 1.0
 
     def __post_init__(self):
         for f in dataclasses.fields(self):
             setattr(self, f.name, _typed(f.name, getattr(self, f.name), f.default))
-        if self.T <= 0 or self.n_steps < 1 or min(self.n_paths,
-                                                  self.n_paths_bsde) < 2:
-            raise ValueError("T, n_steps, path counts must be positive")
+        if self.n_steps < 1 or min(self.n_paths, self.n_paths_bsde) < 2:
+            raise ValueError("n_steps and path counts must be positive")
         for name in ("levels", "eps_ladder", "delta_ladder"):
             vals = getattr(self, name)
             if not vals or any(v <= 0 for v in vals):
                 raise ValueError(f"{name} must be nonempty and positive")
-        if min(self.lattice_h, self.ladder_h) <= 0:
-            raise ValueError("lattice spacings must be positive")
-        if self.x0_max <= 0:
-            raise ValueError("x0_max must be positive")
+        if self.ladder_h <= 0:
+            raise ValueError("ladder_h must be positive")
         if min(self.seed_w, self.seed_b) < 0:
             raise ValueError("seeds must be non-negative")
         if self.seed_w == self.seed_b:
             raise ValueError("seed_w and seed_b must differ")
-        if self.tolerance_scale <= 0:
-            raise ValueError("tolerance_scale must be positive")
 
     def to_json(self):
         return json.dumps(dataclasses.asdict(self), indent=2, sort_keys=True)
@@ -214,45 +204,51 @@ def _slope(xs, ys):
     return float(np.polyfit(np.log(xs), np.log(ys), 1)[0])
 
 
+# every run's horizon and starting box |x0| <= X0_MAX, the value and mollify
+# lattices' spacing, and the margin each lattice keeps past the reachable set
+HORIZON = 1.0
+X0_MAX = 2.0
+LATTICE_H = 0.01
+LATTICE_MARGIN = 0.25
+
+
 def _grid_ens(cfg):
-    grid = TimeGrid(cfg.T, cfg.n_steps)
+    grid = TimeGrid(HORIZON, cfg.n_steps)
     coeffs = scenario(cfg.scenario)
-    ens = sample_ensemble(grid, 1, cfg.n_paths, cfg.seed_w)
+    ens = sample_ensemble(grid, cfg.n_paths, cfg.seed_w)
     return grid, coeffs, ens
 
 
-def _lattice(cfg, coeffs, h=None, extra_margin=0.0):
+def _lattice(cfg, coeffs, h=LATTICE_H, extra_margin=0.0):
     # one Euler step of drift headroom: backward steps from edge points
     # leave the reachable set by up to |beta| dt before clamping.  Snap
     # to whole cells so the origin stays a lattice point.
     a, b = coeffs.drift_growth
-    radius = reach_radius(coeffs, cfg.x0_max, cfg.T)
-    fan = (a + b * radius) * cfg.T / cfg.n_steps
-    h = cfg.lattice_h if h is None else h
+    radius = reach_radius(coeffs, X0_MAX, HORIZON)
+    fan = (a + b * radius) * HORIZON / cfg.n_steps
     extra = h * np.ceil((fan + extra_margin) / h)
     return BoxLattice.for_problem(
-        coeffs, cfg.T, cfg.x0_max, h, margin=cfg.lattice_margin + extra,
+        coeffs, HORIZON, X0_MAX, h, margin=LATTICE_MARGIN + extra,
     )
 
 
-def _pipe_simulate(cfg, out, scale, pool):
+def _pipe_simulate(cfg, out, pool):
     grid, coeffs, ens = _grid_ens(cfg)
     ens.save(os.path.join(out, "ensemble_w.bin"))
     rows = []
     for k in range(grid.n_steps + 1):
-        w = ens.value_at(k)
-        for c in range(ens.m):
-            rows.append((k, grid.knots[k], c, w[:, c].mean(),
-                         w[:, c].var(ddof=1) if k else 0.0))
+        w = ens.value_at(k)[:, 0]       # the one Brownian coordinate, 0
+        rows.append((k, grid.knots[k], 0, w.mean(),
+                     w.var(ddof=1) if k else 0.0))
     _write_csv(os.path.join(out, "simulate_summary.csv"), cfg.digest(),
                ("knot", "t", "coord", "mean", "var"), rows)
     # terminal variance should match the horizon within sampling error
     vT = ens.value_at(grid.n_steps).var(ddof=1, axis=0)
-    band = 4.0 * cfg.T * np.sqrt(2.0 / (cfg.n_paths - 1)) * scale
-    return {"terminal_variance": bool(np.all(np.abs(vT - cfg.T) <= band))}
+    band = 4.0 * HORIZON * np.sqrt(2.0 / (cfg.n_paths - 1))
+    return {"terminal_variance": bool(np.all(np.abs(vT - HORIZON) <= band))}
 
 
-def _pipe_value(cfg, out, scale, pool):
+def _pipe_value(cfg, out, pool):
     grid, coeffs, ens = _grid_ens(cfg)
     lat = _lattice(cfg, coeffs)
     surface = value_V(coeffs, ens, lat, pool=pool)
@@ -264,9 +260,8 @@ def _pipe_value(cfg, out, scale, pool):
     _write_csv(os.path.join(out, "value_surface.csv"), cfg.digest(),
                ("knot", "t", "point", "x0", "mean", "se"), rows)
 
-    starts = np.linspace(-cfg.x0_max, cfg.x0_max, 5)[:, None]
-    audit = value_audit(coeffs, ens, surface, starts,
-                        abs_tol=0.01 * scale, eps_report_tol=0.05 * scale)
+    starts = np.linspace(-X0_MAX, X0_MAX, 5)[:, None]
+    audit = value_audit(coeffs, ens, surface, starts)
     _write_json(os.path.join(out, "value_report.json"), {
         "supermartingale_margin": audit["supermartingale_margin"],
         "supermartingale_pointwise": audit["supermartingale_pointwise"],
@@ -281,15 +276,15 @@ def _pipe_value(cfg, out, scale, pool):
     return {"value_audit": bool(audit["passed"])}
 
 
-def _pipe_bsde(cfg, out, scale, pool):
-    grid = TimeGrid(cfg.T, cfg.n_steps)
+def _pipe_bsde(cfg, out, pool):
+    grid = TimeGrid(HORIZON, cfg.n_steps)
     n = grid.n_steps
 
     def chain(case):
         # each case samples its own ensemble, so the two run side by side,
         # and reduces each knot as the backward sweep leaves it
         name, seed, generator = case
-        ens = sample_ensemble(grid, 1, cfg.n_paths_bsde, seed)
+        ens = sample_ensemble(grid, cfg.n_paths_bsde, seed)
         w_n = ens.value_at(n)[:, 0]
         spec = BsdeSpec(ens, np.abs(w_n) if generator else w_n, generator)
         knots = ((k, y, z[:, 0].mean()) for k, y, z, *_ in backward_knots(spec))
@@ -311,8 +306,8 @@ def _pipe_bsde(cfg, out, scale, pool):
     # E|W_T| plus the left Riemann sum of E|W_t| that the solver integrates
     y_discrete = float(np.sqrt(2.0 / np.pi) * (
         np.sqrt(grid.T) + grid.dt * np.sum(np.sqrt(grid.knots[:-1]))))
-    bounds = {"martingale_y": 0.02 * scale, "martingale_z": 0.05 * scale,
-              "noise_magnitude_start": 0.02 * scale}
+    bounds = {"martingale_y": 0.02, "martingale_z": 0.05,
+              "noise_magnitude_start": 0.02}
     checks = {name: value <= bound for (name, bound), value in zip(
         bounds.items(), (rms, z_gap, abs(y0 - y_discrete)))}
     _write_json(os.path.join(out, "bsde_report.json"), {
@@ -322,7 +317,7 @@ def _pipe_bsde(cfg, out, scale, pool):
     return checks
 
 
-def _pipe_mollify(cfg, out, scale, pool):
+def _pipe_mollify(cfg, out, pool):
     grid, coeffs, ens = _grid_ens(cfg)
     # unit mass of the kernel via 64-point Gauss-Legendre, an independent
     # route from the tanh-sinh normalizer inside bump_kernel
@@ -352,14 +347,14 @@ def _pipe_mollify(cfg, out, scale, pool):
                ("level", "sup_gap", "bound"), rows)
     slope = _slope(cfg.levels, gaps)
     checks = {
-        "unit_mass": mass_err <= 1e-8 * scale,
-        "penalty_origin": abs(h0) <= 1e-9 * scale,
-        "penalty_at_3": abs(h3 - 2.0) <= 1e-6 * scale,
-        "penalty_gradient": dh_max <= 1.0 + 1e-9 * scale,
+        "unit_mass": mass_err <= 1e-8,
+        "penalty_origin": abs(h0) <= 1e-9,
+        "penalty_at_3": abs(h3 - 2.0) <= 1e-6,
+        "penalty_gradient": dh_max <= 1.0 + 1e-9,
         "ladder_bound": all(g <= coeffs.lip_x / l + 1e-12
                             for g, l in zip(gaps, cfg.levels)),
         "ladder_slope": (slope is not None
-                         and abs(slope + 1.0) <= 0.3 * scale),
+                         and abs(slope + 1.0) <= 0.3),
     }
     _write_json(os.path.join(out, "mollify_report.json"), {
         "mass_err": mass_err, "h0": h0, "h3": h3, "dh_max": dh_max,
@@ -378,7 +373,7 @@ def _level_bound(coeffs, ens, level, radius, gain):
             float(errors.scale(gain)))
 
 
-def _jhat_item(scale, coeffs, ens, lat, pol, base_means, level, level_bound):
+def _jhat_item(coeffs, ens, lat, pol, base_means, level, level_bound):
     # policy cost, majorant and residual probe, chained knot by knot:
     # only the probes, the terminal values and the mean rows are kept
     ml, bound, delta = level_bound.result()
@@ -392,8 +387,7 @@ def _jhat_item(scale, coeffs, ens, lat, pol, base_means, level, level_bound):
             probes[k] = _residual_probe(coeffs, ens, k, lat,
                                         lat.gradient(values), drift)
         del values, drift       # not alive while the sweep steps
-    rep = _side_report(terminal, lat, probes, coeffs, ens, "super",
-                       0.02 * scale)
+    rep = _side_report(terminal, lat, probes, coeffs, ens, "super", 0.02)
     norm_gap = float(np.max(np.abs(np.stack(means) - base_means.result())))
     return {
         "level": level,
@@ -407,12 +401,12 @@ def _jhat_item(scale, coeffs, ens, lat, pol, base_means, level, level_bound):
     }
 
 
-def _pipe_jhat(cfg, out, scale, pool):
+def _pipe_jhat(cfg, out, pool):
     """Cost majorants of the greedy policy from _value_knots' argmin tables."""
     grid, coeffs, ens = _grid_ens(cfg)
     lat = _lattice(cfg, coeffs, h=cfg.ladder_h)
     radius = float(np.max(np.abs(lat.points)))
-    gain = _value_lipschitz(coeffs, cfg.T)
+    gain = _value_lipschitz(coeffs, HORIZON)
     # the level bounds do not read the policy: on a pool they run while
     # the value sweep does
     bounds = [_later(pool, _level_bound, coeffs, ens, level, radius, gain)
@@ -424,8 +418,8 @@ def _pipe_jhat(cfg, out, scale, pool):
     # norm_gap's base cost mean rows, knot n first, as the items stack theirs
     base = _policy_cost_knots(coeffs, ens, pol, lat, {})
     base_means = _later(pool, lambda: np.stack([st()[0] for *_, st in base]))
-    items = [_later(pool, _jhat_item, scale, coeffs, ens, lat, pol,
-                    base_means, level, bound)
+    items = [_later(pool, _jhat_item, coeffs, ens, lat, pol, base_means,
+                    level, bound)
              for level, bound in zip(cfg.levels, bounds)]
     base_means.result()     # its failure comes first, as without a pool
     results = [it.result() for it in items]
@@ -443,12 +437,11 @@ def _pipe_jhat(cfg, out, scale, pool):
     return checks
 
 
-def _envelope_item(cfg, scale, coeffs, ens_w, ens_b, lat, surface, pool,
-                   eps, delta):
+def _envelope_item(coeffs, ens_w, ens_b, lat, surface, pool, eps, delta):
     fa = fit_functional_approximant(coeffs, ens_w, eps_target=eps,
                                     x_radius=float(np.max(np.abs(lat.points))))
     pair = build_envelopes(coeffs, fa, ens_w, ens_b, eps, delta,
-                           lattice=lat, tol=0.02 * scale, pool=pool)
+                           lattice=lat, pool=pool)
     rep = sandwich_report(pair, surface, pool=pool)
     return {
         "eps": eps,
@@ -469,18 +462,17 @@ def _envelope_item(cfg, scale, coeffs, ens_w, ens_b, lat, surface, pool,
     }
 
 
-def _envelope_grid(cfg, out, scale, pool):
+def _envelope_grid(cfg, out, pool):
     grid, coeffs, ens_w = _grid_ens(cfg)
-    ens_b = sample_ensemble(grid, 1, cfg.n_paths, cfg.seed_b)
-    extra = 4.0 * max(cfg.delta_ladder) * np.sqrt(cfg.T)
+    ens_b = sample_ensemble(grid, cfg.n_paths, cfg.seed_b)
+    extra = 4.0 * max(cfg.delta_ladder) * np.sqrt(HORIZON)
     lat = _lattice(cfg, coeffs, h=cfg.ladder_h, extra_margin=extra)
     surface = value_V(coeffs, ens_w, lat, pool=pool)
     items = [(eps, delta) for eps in cfg.eps_ladder
              for delta in cfg.delta_ladder]
 
     def item(pt):
-        return _envelope_item(cfg, scale, coeffs, ens_w, ens_b, lat,
-                              surface, pool, *pt)
+        return _envelope_item(coeffs, ens_w, ens_b, lat, surface, pool, *pt)
 
     results = _ordered_map(item, items, pool)
     _write_items(os.path.join(out, "envelope_grid.csv"), cfg.digest(), results)
@@ -492,19 +484,19 @@ def _envelope_grid(cfg, out, scale, pool):
     return results, checks
 
 
-def _pipe_envelopes(cfg, out, scale, pool):
-    results, checks = _envelope_grid(cfg, out, scale, pool)
+def _pipe_envelopes(cfg, out, pool):
+    results, checks = _envelope_grid(cfg, out, pool)
     coeffs = scenario(cfg.scenario)
-    lip_v = _value_lipschitz(coeffs, cfg.T)
+    lip_v = _value_lipschitz(coeffs, HORIZON)
     checks["gradient_bound"] = all(0.0 < r["L_tilde"] <= lip_v for r in results)
     _write_json(os.path.join(out, "envelopes_report.json"),
                 {"items": results, "checks": checks})
     return checks
 
 
-def _pipe_viscosity_check(cfg, out, scale, pool):
+def _pipe_viscosity_check(cfg, out, pool):
     grid, coeffs, ens = _grid_ens(cfg)
-    lat = BoxLattice.centered(cfg.x0_max, 0.5)
+    lat = BoxLattice.centered(X0_MAX, 0.5)
 
     probe = sample_adapted_field(
         lambda t, x, w: np.broadcast_to(w.current[:, 0] ** 2,
@@ -518,21 +510,21 @@ def _pipe_viscosity_check(cfg, out, scale, pool):
         for k in range(1, grid.n_steps)
     )
     checks = {
-        "drift_recovery": abs(float(drift_vals.mean()) - 1.0) <= 0.05 * scale,
+        "drift_recovery": abs(float(drift_vals.mean()) - 1.0) <= 0.05,
         "noise_correlation": corr >= 0.99,
     }
 
     rows = []
     if cfg.scenario == "eikonal":
-        lo = cfg.T + 0.3
+        lo = HORIZON + 0.3
         lat_far = BoxLattice(lo, lo + 1.4, 0.1)
         exact = sample_adapted_field(
             lambda t, x, w: np.broadcast_to(
-                np.maximum(np.abs(x[:, :, 0]) - (cfg.T - t), 0.0),
+                np.maximum(np.abs(x[:, :, 0]) - (HORIZON - t), 0.0),
                 (x.shape[0], w.n_paths)),
             grid, lat_far, ens)
         est2 = estimate_decomposition(exact, ens)
-        rep = residual_check(est2, coeffs, ens, "super", tol=0.03 * scale)
+        rep = residual_check(est2, coeffs, ens, "super", tol=0.03)
         for k, mu in rep["probe_mean"].items():
             for i in range(mu.size):
                 rows.append((k, grid.knots[k], i, lat_far.points[i, 0],
@@ -548,20 +540,20 @@ def _pipe_viscosity_check(cfg, out, scale, pool):
     return checks
 
 
-def _pipe_full_uniqueness(cfg, out, scale, pool):
+def _pipe_full_uniqueness(cfg, out, pool):
     checks = {}
     checks.update({f"mollify.{k}": v
-                   for k, v in _pipe_mollify(cfg, out, scale, pool).items()})
+                   for k, v in _pipe_mollify(cfg, out, pool).items()})
     checks.update({f"jhat.{k}": v
-                   for k, v in _pipe_jhat(cfg, out, scale, pool).items()})
-    results, env_checks = _envelope_grid(cfg, out, scale, pool)
+                   for k, v in _pipe_jhat(cfg, out, pool).items()})
+    results, env_checks = _envelope_grid(cfg, out, pool)
     xs = [r["eps"] + r["delta"] for r in results]
     gaps = [r["gap_upper"] + r["gap_lower"] for r in results]
     slope = _slope(xs, gaps)
     K1 = max(g / x for g, x in zip(gaps, xs))
     checks.update({f"envelopes.{k}": v for k, v in env_checks.items()})
     checks["sandwich.slope"] = (slope is not None
-                                and abs(slope - 1.0) <= 0.3 * scale)
+                                and abs(slope - 1.0) <= 0.3)
     _write_json(os.path.join(out, "uniqueness_report.json"), {
         "K1": K1, "slope": slope,
         "grid": results, "checks": checks,
@@ -687,21 +679,22 @@ def _held_heap():
     heap, and the next allocation faults zeroed pages back in.  Fixed
     thresholds stop that.  The mmap threshold is glibc's own 64-bit
     ceiling, 32 MiB, so arrays above it are still mmapped and returned
-    at once.  The trim threshold is the smallest of 8, 16, 32 and 64 MiB
-    that removes the re-faults without raising the peak RSS of a 400k
-    path BSDE solve.  Measured as the minor faults of ``run()`` on the
-    ``sandwich`` benchmark workload / the peak RSS of the ``bsde-wide``
-    process, 3 runs each on 2 CPUs, glibc 2.36:
+    at once.  The trim threshold is 16 MiB.  Measured as the minor faults
+    of ``run()`` on the ``sandwich`` benchmark workload / the peak RSS of
+    the ``bsde-wide`` process (400k paths), 3 runs each in fresh
+    processes on 2 CPUs, glibc 2.36, with no hold at all on the first row:
 
     ==================  ==========  ================
     trim threshold      faults      peak RSS
     ==================  ==========  ================
-    dynamic (default)   151k        982-986 MB
-    8 MiB               71-73k      980-981 MB
-    16 MiB              38k         979 MB
-    32 MiB              38k         1,013-1,015 MB
-    64 MiB              38k         1,022-1,023 MB
+    dynamic (no hold)   151-160k    353 MB
+    8 MiB               61k         358 MB
+    16 MiB              21-22k      358 MB
+    32 MiB              17k         358 MB
+    64 MiB              17k         358 MB
     ==================  ==========  ================
+
+    Every held threshold costs the same 5 MB of peak.
 
     mallopt cannot give back glibc's dynamic rule, so the two thresholds
     stay set after the block; malloc_trim(0) returns the held pages.
@@ -739,13 +732,19 @@ def _resource_use(record):
 
 def _manifest(out_dir, pipeline, config, workers, usage=None):
     """finish(code, checks, error=None) writing out_dir/manifest.json,
-    with what _resource_use put into usage by then.
+    with what _resource_use put into usage by then; None, said in one
+    stderr line that names out_dir, when out_dir cannot be made.
 
     A config that failed validation is recorded as null (None here): it
     may hold NaN, which is not strict JSON.  A run that stopped before
     its pipeline records null faults and RSS.
     """
-    os.makedirs(out_dir, exist_ok=True)
+    try:
+        os.makedirs(out_dir, exist_ok=True)
+    except OSError as exc:      # e.g. a path through a file
+        _say(f"[{pipeline}] cannot make output directory {out_dir}: "
+             f"{exc.strerror}")
+        return None
     manifest = {
         "pipeline": pipeline,
         "config": None if config is None else json.loads(config.to_json()),
@@ -779,7 +778,9 @@ def run(config, pipeline, out_dir, *, workers=None):
     that does not apply to the scenario, or sizes over the capacity
     budget).
     manifest.json is written on every exit; a failed run records its
-    ``error`` and ``exit_code`` there.
+    ``error`` and ``exit_code`` there.  The one exception is an out_dir
+    that cannot be made, such as a path through a file: no manifest can
+    be written, so the run exits 2 with one stderr line that names it.
     """
     if workers is None:     # the CPUs this process may run on
         workers = (len(os.sched_getaffinity(0))
@@ -788,10 +789,12 @@ def run(config, pipeline, out_dir, *, workers=None):
         # a validated copy: fields assigned after construction count too
         config = dataclasses.replace(config)
     except ValueError as exc:
-        return _manifest(out_dir, pipeline, None, workers)(
-            2, {}, f"bad config: {exc}")
+        finish = _manifest(out_dir, pipeline, None, workers)
+        return finish(2, {}, f"bad config: {exc}") if finish else (2, {})
     usage = {}
     finish = _manifest(out_dir, pipeline, config, workers, usage)
+    if finish is None:
+        return 2, {}
     if workers < 1:
         return finish(2, {}, f"workers must be >= 1, got {workers}")
     if pipeline not in _RUNNERS:
@@ -810,8 +813,7 @@ def run(config, pipeline, out_dir, *, workers=None):
     try:
         with (_resource_use(usage), _one_blas_thread(), _held_heap(),
               _worker_pool(workers) as pool):
-            checks = _RUNNERS[pipeline](config, out_dir,
-                                        config.tolerance_scale, pool)
+            checks = _RUNNERS[pipeline](config, out_dir, pool)
     except (CapacityError, AccuracyError, IntegrationError, ValueError) as exc:
         code = 2 if isinstance(exc, CapacityError) else 1
         return finish(code, {"error": str(exc)}, f"failed: {exc}")
@@ -841,8 +843,6 @@ def main(argv=None):
                         "envelope knots' rows, BSDE solves), at least 1 "
                         "(default: the CPUs this process may use); the "
                         "halves are the same at any count")
-    parser.add_argument("--tolerance-scale", type=float, default=None,
-                        help="override the config's tolerance_scale")
     args = parser.parse_args(argv)
 
     try:
@@ -856,9 +856,6 @@ def main(argv=None):
         if args.seed is not None:
             cfg = dataclasses.replace(cfg, seed_w=args.seed,
                                       seed_b=args.seed + 1000003)
-        if args.tolerance_scale is not None:
-            cfg = dataclasses.replace(cfg,
-                                      tolerance_scale=args.tolerance_scale)
     except (OSError, json.JSONDecodeError) as exc:
         # nothing to record: the file could not be read or parsed
         _say(f"bad config: {exc}")
@@ -866,7 +863,7 @@ def main(argv=None):
     except (ValueError, TypeError) as exc:
         # a parsed config that fails validation leaves a manifest, as in run()
         finish = _manifest(args.out, args.pipeline, None, args.workers)
-        return finish(2, {}, f"bad config: {exc}")[0]
+        return finish(2, {}, f"bad config: {exc}")[0] if finish else 2
 
     code, _ = run(cfg, args.pipeline, args.out, workers=args.workers)
     return code

@@ -165,7 +165,7 @@ def _check_structure(coeffs):
     if not coeffs.deterministic:     # three paths apart after knot 0
         grid = TimeGrid(1.0, 8)
         inc = np.repeat([[[-0.25]], [[0.0]], [[0.5]]], grid.n_steps, axis=1)
-        ens = WienerEnsemble(grid, 1, 3, 0, inc)
+        ens = WienerEnsemble(grid, 3, 0, inc)
         slices = [ens.slice_at(grid.index_of(t)) for t in _PROBE_TIMES]
 
     def probe(name, where, *args):

@@ -45,7 +45,7 @@ class AdaptedField:
         0..n-1.  Sign convention: increments of the field gain
         ``+ drift * dt``.
     noise : dict or None
-        knot -> (n_points, n_paths, m) integrand against the Brownian
+        knot -> (n_points, n_paths, 1) integrand against the Brownian
         increments.
     diagnostics : dict
     """

@@ -10,7 +10,7 @@ can move the projections' last bits.
 Classes
 -------
 TimeGrid        uniform knots 0 = t_0 < ... < t_n = T
-WienerEnsemble  n_paths independent m-dimensional Brownian paths
+WienerEnsemble  n_paths independent one-dimensional Brownian paths
 PathSlice       read-only view of path history up to a knot
 CondExpOperator pre-factorized projector for one knot, onto the
                 powers of W that polynomial_basis returns
@@ -34,7 +34,8 @@ __all__ = [
     "polynomial_basis",
 ]
 
-# binary ensemble container: magic, m, n_steps, n_paths, seed, T
+# binary ensemble container: magic, m, n_steps, n_paths, seed, T; the
+# Brownian dimension m is always 1
 _MAGIC = b"SHJ1"
 _HEADER = struct.Struct("<4sQQQQd")
 
@@ -84,23 +85,22 @@ class TimeGrid:
 class WienerEnsemble:
     """A batch of independent Brownian paths sampled on a TimeGrid.
 
-    Increments have law N(0, dt * I_m), stored knot-major, so the
-    cross-path read at a knot is a contiguous row; ``increments`` is
-    their transposed view with the path-major shape (n_paths, n_steps, m).
+    Increments have law N(0, dt), stored knot-major, so the cross-path
+    read at a knot is a contiguous row; ``increments`` is their transposed
+    view with the path-major shape (n_paths, n_steps, 1), whose trailing
+    axis is the one Brownian coordinate.
     W, their running sum from W_0 = 0, is stored at every s-th knot only,
     s = ceil(sqrt(n_steps)); ``value_at`` replays the knots in between and
     keeps the last replayed row, so the readers of one knot share it.
     """
 
-    __slots__ = ("grid", "m", "n_paths", "seed", "increments", "_s", "_w",
-                 "_row")
+    __slots__ = ("grid", "n_paths", "seed", "increments", "_s", "_w", "_row")
 
-    def __init__(self, grid, m, n_paths, seed, increments):
+    def __init__(self, grid, n_paths, seed, increments):
         self.grid = grid
-        self.m = int(m)
         self.n_paths = int(n_paths)
         self.seed = int(seed)
-        if increments.shape != (self.n_paths, grid.n_steps, self.m):
+        if increments.shape != (self.n_paths, grid.n_steps, 1):
             raise ValueError("increment array shape mismatch")
         # no copy when the caller hands in a knot-major buffer's transpose
         inc = np.ascontiguousarray(increments.transpose(1, 0, 2), dtype=float)
@@ -125,7 +125,7 @@ class WienerEnsemble:
         return w
 
     def value_at(self, k):
-        """Path values at knot k, shape (n_paths, m): a contiguous,
+        """Path values at knot k, shape (n_paths, 1): a contiguous,
         read-only row, from at most s - 1 row adds."""
         if not 0 <= k <= self.grid.n_steps:
             raise IndexError(f"knot {k} is not in 0..{self.grid.n_steps}")
@@ -144,7 +144,7 @@ class WienerEnsemble:
         """Write a little-endian binary container, increments path-major,
         copied and written one block of paths at a time."""
         header = _HEADER.pack(
-            _MAGIC, self.m, self.grid.n_steps, self.n_paths, self.seed, self.grid.T
+            _MAGIC, 1, self.grid.n_steps, self.n_paths, self.seed, self.grid.T
         )
         with open(path, "wb") as fh:
             fh.write(header)
@@ -153,45 +153,40 @@ class WienerEnsemble:
                     self.increments[p:p + _DRAW_PATHS], "<f8"))
 
 
-def _check_size(m, n_paths, n_steps):
-    """Reject ensembles without a Brownian coordinate, with fewer than two
-    paths (no sample statistics), or over the MAX_ELEMENTS budget.  At the
-    budget an ensemble holds about 2 GiB of increments, W's checkpoints add
-    1/ceil(sqrt(n_steps)) of that, and sampling one draw block more."""
-    if m < 1:
-        raise ValueError("m must be >= 1")
+def _check_size(n_paths, n_steps):
+    """Reject ensembles with fewer than two paths (no sample statistics)
+    or over the MAX_ELEMENTS budget.  At the budget an ensemble holds
+    about 2 GiB of increments, W's checkpoints add 1/ceil(sqrt(n_steps))
+    of that, and sampling one draw block more."""
     if n_paths < 2:
         raise ValueError("n_paths must be >= 2")
-    if n_paths * n_steps * m > MAX_ELEMENTS:
+    if n_paths * n_steps > MAX_ELEMENTS:
         raise CapacityError(
-            f"ensemble of {n_paths}x{n_steps}x{m} increments exceeds budget"
+            f"ensemble of {n_paths}x{n_steps} increments exceeds budget"
         )
 
 
-def sample_ensemble(grid, m, n_paths, seed):
-    """Draw a fresh Brownian ensemble.
+def sample_ensemble(grid, n_paths, seed):
+    """Draw a fresh one-dimensional Brownian ensemble.
 
     Parameters
     ----------
     grid : TimeGrid
-    m : int
-        Brownian dimension (>= 1).
     n_paths : int
         Number of paths (>= 2 so that sample statistics exist).
     seed : int
         PCG64 stream seed; identical seeds give bit-identical ensembles.
     """
-    m = int(m)
     n_paths = int(n_paths)
-    _check_size(m, n_paths, grid.n_steps)
+    _check_size(n_paths, grid.n_steps)
     rng = np.random.default_rng(int(seed))
     # drawn path-major, which fixes the stream, in blocks of whole paths,
     # which keeps it; scaled into knot-major rows
-    inc = np.empty((grid.n_steps, n_paths, m))
+    inc = np.empty((grid.n_steps, n_paths, 1))
     for p in range(0, n_paths, _DRAW_PATHS):
         rows = inc[:, p:p + _DRAW_PATHS].transpose(1, 0, 2)
         np.multiply(rng.standard_normal(rows.shape), np.sqrt(grid.dt), out=rows)
-    return WienerEnsemble(grid, m, n_paths, int(seed), inc.transpose(1, 0, 2))
+    return WienerEnsemble(grid, n_paths, int(seed), inc.transpose(1, 0, 2))
 
 
 def subset_paths(ensemble, index):
@@ -201,8 +196,8 @@ def subset_paths(ensemble, index):
     inc = np.take(ensemble.increments.transpose(1, 0, 2), rows, axis=1)
     if inc.ndim != 3 or inc.shape[1] < 2:
         raise ValueError("path subset must keep at least two paths")
-    return WienerEnsemble(ensemble.grid, ensemble.m, inc.shape[1],
-                          ensemble.seed, inc.transpose(1, 0, 2))
+    return WienerEnsemble(ensemble.grid, inc.shape[1], ensemble.seed,
+                          inc.transpose(1, 0, 2))
 
 
 class PathSlice:
@@ -227,7 +222,7 @@ class PathSlice:
 
     @property
     def current(self):
-        """W at the slice knot, shape (n_paths, m)."""
+        """W at the slice knot, shape (n_paths, 1)."""
         return self.ensemble.value_at(self.k)
 
     @property
@@ -266,9 +261,6 @@ class _PowerBasis:
         self.names = ["1"] + [f"w^{p}" for p in range(1, degree + 1)]
 
     def design(self, ensemble, k):
-        if ensemble.m != 1:
-            raise ValueError("polynomial_basis needs a one-dimensional "
-                             f"ensemble, got m={ensemble.m}")
         phi = np.empty((len(self.names), ensemble.n_paths))
         phi[0] = 1.0
         phi[1:2] = ensemble.value_at(k)[:, 0]      # no row 1 at degree 0
@@ -281,7 +273,7 @@ def polynomial_basis(degree=3):
     """Powers 1, w, ..., w^degree of the current Brownian value.
 
     Powers are running products, never ``**``: w^3 is (w*w)*w.  The
-    design reads W once per knot, and an ensemble with m != 1 raises.
+    design reads W once per knot.
     """
     if degree < 0:
         raise ValueError("degree must be >= 0")

@@ -379,5 +379,5 @@ def _terminal_slice(s):
     from .probspace import TimeGrid, WienerEnsemble
 
     inc = s.reshape(s.size, 1, 1).copy()
-    synth = WienerEnsemble(TimeGrid(1.0, 1), 1, s.size, 0, inc)
+    synth = WienerEnsemble(TimeGrid(1.0, 1), s.size, 0, inc)
     return synth.slice_at(1, terminal_ok=True)

@@ -610,14 +610,19 @@ def _structure_lipschitz(coeffs, ensemble):
     return float(np.exp(drift) * (coeffs.lip_x + cost))
 
 
-def value_audit(coeffs, ensemble, surface, starts, *, abs_tol=0.01,
-                eps_report_tol=0.05):
+# value_audit's slack on the supermartingale residuals and on the greedy
+# rollout's excess cost, each before its 3 SE cushion
+SUPERMARTINGALE_TOL = 0.01
+EPS_REPORT_TOL = 0.05
+
+
+def value_audit(coeffs, ensemble, surface, starts):
     """Structural checks on a value surface.
 
     * supermartingale residuals E[V(s~, X_s~) + running cost] - E[V(s, X_s)]
-      are >= -(abs_tol + 3 SE) for the greedy and the last-control
-      policies and every pair of knots on the grid's subgrid, which
-      every value surface stores, expectations taken over
+      are >= -(SUPERMARTINGALE_TOL + 3 SE) for the greedy and the
+      last-control policies and every pair of knots on the grid's subgrid,
+      which every value surface stores, expectations taken over
       paths and the start batch jointly; the per-start extreme is
       reported separately as a diagnostic (it carries the O(h) lattice
       bias concentrated at terminal-cost kinks);
@@ -628,7 +633,7 @@ def value_audit(coeffs, ensemble, surface, starts, *, abs_tol=0.01,
       _structure_lipschitz), which the check does not use;
     * the greedy argmin policy is eps_report-optimal at the starts: its
       rollout cost, the path mean of the running cost plus the terminal
-      cost, exceeds V(0, start) by at most eps_report_tol (+ 3 SE).
+      cost, exceeds V(0, start) by at most EPS_REPORT_TOL (+ 3 SE).
 
     Returns a report dict with observed extremes and per-check flags.
     """
@@ -656,10 +661,10 @@ def value_audit(coeffs, ensemble, surface, starts, *, abs_tol=0.01,
                 term = vals[s2] + (costs[s2] - costs[s]) - vals[s]
                 per_path = term.mean(axis=0)      # paths shared across starts
                 r, sig = _path_mean_se(per_path)
-                worst = min(worst, float(r + abs_tol + 3.0 * sig))
+                worst = min(worst, float(r + SUPERMARTINGALE_TOL + 3.0 * sig))
                 per_start = term.mean(axis=-1)
                 worst_pointwise = min(worst_pointwise,
-                                      float(per_start.min()) + abs_tol)
+                                      float(per_start.min()) + SUPERMARTINGALE_TOL)
     supermartingale_ok = worst >= 0.0
 
     sup_V = float(np.nanmax(np.abs(surface.mean)))
@@ -675,7 +680,7 @@ def value_audit(coeffs, ensemble, surface, starts, *, abs_tol=0.01,
     v0 = np.array([surface.mean_at(0, s[None, :])[0] for s in starts])
     gaps = cost - v0
     eps_obs = float(gaps.max())
-    eps_ok = bool((gaps <= eps_report_tol + 3.0 * (cost_se + surface.se[0].max())).all())
+    eps_ok = bool((gaps <= EPS_REPORT_TOL + 3.0 * (cost_se + surface.se[0].max())).all())
 
     return {
         "supermartingale_margin": worst,

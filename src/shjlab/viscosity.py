@@ -317,8 +317,12 @@ class EnvelopePair:
     reports: dict            # one-sided residual checks, "upper"/"lower"
 
 
+# the slack of both envelopes' residual checks (residual_check's tol)
+ENVELOPE_TOL = 0.02
+
+
 def build_envelopes(base, approx, ens_w, ens_b, eps, delta_n, *,
-                    lattice, tol=0.02, pool=None):
+                    lattice, pool=None):
     """Envelope fields squeezing the value function.
 
     The perturbed surface adds independent noise delta_n dB to the
@@ -332,7 +336,7 @@ def build_envelopes(base, approx, ens_w, ens_b, eps, delta_n, *,
     base : exact coefficient set.
     approx : FunctionalApproximant for it, reported error <= eps.
     ens_w, ens_b : independent ensembles on the same grid and path
-        count; ens_b must have m == 1.
+        count.
     eps, delta_n : approximation size and noise level (> 0).
     lattice : BoxLattice covering the reachable set plus the noise
         wander.
@@ -344,7 +348,7 @@ def build_envelopes(base, approx, ens_w, ens_b, eps, delta_n, *,
 
     Returns an EnvelopePair (mid and half at every knot where the
     perturbed surface kept a slice; L_tilde and K_bar in params) whose
-    reports hold both envelopes' one-sided residual checks against base.
+    reports hold both envelopes' residual checks against base at ENVELOPE_TOL.
     The drifts are assembled, and checked, one subgrid knot at a time and
     are not kept.  The reports are residual_check's on fields mid +- half
     with those drifts up to roundoff: half is constant in x, so both
@@ -359,8 +363,6 @@ def build_envelopes(base, approx, ens_w, ens_b, eps, delta_n, *,
         raise ValueError("delta_n must be positive")
     if ens_w.grid != ens_b.grid or ens_w.n_paths != ens_b.n_paths:
         raise ValueError("need matching grids and path counts for W and B")
-    if ens_b.m != 1:
-        raise ValueError("noise ensemble must have m == 1")
     ach = approx.achieved
     worst_err = ach.get("G_sup", np.inf)
     if not approx.accuracy_ok or worst_err > eps:
@@ -455,9 +457,9 @@ def build_envelopes(base, approx, ens_w, ens_b, eps, delta_n, *,
 
     reports = {
         "upper": _side_report(mid[n] + half[n], lattice, up_probes, base,
-                              ens_w, "super", tol),
+                              ens_w, "super", ENVELOPE_TOL),
         "lower": _side_report(mid[n] - half[n], lattice, lo_probes, base,
-                              ens_w, "sub", tol)}
+                              ens_w, "sub", ENVELOPE_TOL)}
     return EnvelopePair(lattice, mid, half,
                         {"L_tilde": L_tilde, "K_bar": K_bar}, reports)
 

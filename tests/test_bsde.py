@@ -24,7 +24,7 @@ RADIUS = reach_radius(scenario("eikonal"), 1.0, GRID.T)
 
 
 def _ens(n_paths=20_000, seed=SEED):
-    return sample_ensemble(GRID, 1, n_paths, seed)
+    return sample_ensemble(GRID, n_paths, seed)
 
 
 def test_spec_validation():
@@ -177,7 +177,7 @@ def test_error_bound_halves_with_level(levels):
 def test_error_bound_rejects_foreign_grid():
     base = scenario("eikonal")
     errors = error_processes(base, MollifiedSet(base, 4), _ens(500), RADIUS)
-    other = sample_ensemble(TimeGrid(1.0, 16), 1, 500, SEED)
+    other = sample_ensemble(TimeGrid(1.0, 16), 500, SEED)
     with pytest.raises(ValueError):
         error_bound_bsde(errors, 1.0, other)
 
@@ -250,7 +250,7 @@ def test_cost_majorant_rejects_mismatched_grid():
     u = policy_cost_surface(molly, ens, pol, lat)
     errors = error_processes(base, molly, ens, RADIUS)
     bound = error_bound_bsde(errors, 1.0, ens)
-    other = sample_ensemble(GRID, 1, 77, SEED + 1)
+    other = sample_ensemble(GRID, 77, SEED + 1)
     with pytest.raises(ValueError):
         cost_majorant(u, bound, molly, pol, other)
 
@@ -327,7 +327,7 @@ def _policy_case(name):
     policy); the narrow box sends some images out of it."""
     base = scenario("eikonal" if name == "eikonal" else "random-target")
     co = _variant(name, base)
-    ens = sample_ensemble(TimeGrid(1.0, 8), 1, 300, SEED)
+    ens = sample_ensemble(TimeGrid(1.0, 8), 300, SEED)
     lat = BoxLattice.centered(1.0, 0.1)
     if name == "open-loop":
         # the last control on one path in three, the first on the rest:

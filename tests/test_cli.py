@@ -48,19 +48,16 @@ def _configs(draw):
     seed_w = draw(_SEEDS)
     return ExperimentConfig(
         scenario=draw(st.sampled_from(scenario_names())),
-        T=draw(st.one_of(st.integers(1, 10), _POS)),
         n_steps=draw(st.integers(1, 10**6)),
         n_paths=draw(st.integers(2, 10**8)),
         n_paths_bsde=draw(st.integers(2, 10**8)),
         seed_w=seed_w,
         seed_b=draw(_SEEDS.filter(lambda s: s != seed_w)),
-        x0_max=draw(_POS), lattice_h=draw(_POS), ladder_h=draw(_POS),
-        lattice_margin=draw(st.floats(-1e3, 1e3)),
+        ladder_h=draw(st.one_of(st.integers(1, 10), _POS)),
         levels=tuple(draw(st.lists(st.integers(1, 64), min_size=1,
                                    max_size=4))),
         eps_ladder=tuple(draw(st.lists(_POS, min_size=1, max_size=4))),
         delta_ladder=tuple(draw(st.lists(_POS, min_size=1, max_size=4))),
-        tolerance_scale=draw(_POS),
     )
 
 
@@ -80,7 +77,7 @@ def test_digest_ignores_key_order_but_not_values():
     assert _small(n_paths=501).digest() != cfg.digest()
     assert len(cfg.digest()) == 16
     # an integer for a float field is the same run, so the same digest
-    assert _small(T=1).digest() == _small(T=1.0).digest()
+    assert _small(ladder_h=1).digest() == _small(ladder_h=1.0).digest()
 
 
 def test_config_rejects_unknown_keys():
@@ -92,29 +89,29 @@ def test_config_rejects_unknown_keys():
 @pytest.mark.parametrize("bad", [
     dict(n_steps=0),
     dict(n_paths=0),
-    dict(T=-1.0),
+    dict(ladder_h=-1.0),
     dict(seed_b=11),          # must differ from seed_w
     dict(levels=()),
     dict(eps_ladder=(0.2, -0.1)),
-    dict(lattice_h=0.0),
+    dict(ladder_h=0.0),
     dict(n_steps=32.7),       # would run 32 steps under a 32.7 digest
     dict(n_steps=True),
     dict(levels=(4, "8")),
-    dict(T=float("nan")),     # NaN compares false, so T <= 0 lets it pass
-    dict(lattice_h=float("inf")),
+    dict(ladder_h=float("nan")),  # NaN compares false, so h <= 0 lets it pass
+    dict(ladder_h=float("inf")),
     dict(eps_ladder=(0.1, float("nan"))),
-    dict(tolerance_scale=float("nan")),
-    dict(x0_max=float("-inf")),
-    dict(T=10**400),          # an integer beyond the float range
+    dict(delta_ladder=(float("nan"),)),
+    dict(ladder_h=float("-inf")),
+    dict(ladder_h=10**400),   # an integer beyond the float range
     dict(seed_w=-5),          # the generator takes no negative seed
     dict(seed_b=-1),
-    dict(x0_max=0.0),         # no starting box, so no lattice
-    dict(x0_max=-1.0),
+    dict(n_paths_bsde=1),     # one path: no sample statistics
+    dict(delta_ladder=(0.1, -1.0)),
 ])
 def test_config_validation(bad):
     with pytest.raises(ValueError):
         _small(**bad)
-    # the same values read from JSON text, e.g. {"T": NaN, ...}
+    # the same values read from JSON text, e.g. {"ladder_h": NaN, ...}
     with pytest.raises(ValueError):
         ExperimentConfig.from_json(json.dumps({**SMALL, **bad}))
 
@@ -137,7 +134,7 @@ def test_unknown_pipeline_and_scenario_exit_2(tmp_path):
 def test_non_finite_field_exits_2_with_strict_manifest(tmp_path):
     # a field set after construction is checked when the run starts
     cfg = _small()
-    cfg.T = float("nan")
+    cfg.ladder_h = float("nan")
     code, checks = run(cfg, "simulate", str(tmp_path))
     assert code == 2 and checks == {}
     text = (tmp_path / "manifest.json").read_text()
@@ -180,7 +177,7 @@ def test_pipeline_errors_map_to_exit_codes(tmp_path, monkeypatch,
     # caller's count back
     seen = []
 
-    def boom(cfg, out, scale, workers):
+    def boom(cfg, out, pool):
         seen.append(cli._openblas()[0]())
         if exc is None:
             return {"fine": True}
@@ -208,11 +205,18 @@ def test_bad_config_file_exits_2(tmp_path):
 
 
 @pytest.mark.parametrize("text, reason", [
-    ('{"T": NaN}', "not finite"), ('{"bogus": 1}', "unknown config keys"),
+    ('{"ladder_h": NaN}', "not finite"),
+    ('{"bogus": 1}', "unknown config keys"),
     ('{"basis_degree": 3}', "unknown config keys"),
-    # a config saved while n_intervals was a field: it changed no output,
-    # only the digest, so it is refused rather than run under a new one
-    ('{"n_intervals": 4}', "unknown config keys: ['n_intervals']")])
+    # configs saved while these were fields: each held one value in every
+    # run (n_intervals changed only the digest), so a saved config that
+    # names one is refused rather than run under a new digest
+    ('{"n_intervals": 4}', "unknown config keys: ['n_intervals']"),
+    ('{"T": 1.0}', "unknown config keys: ['T']"),
+    ('{"x0_max": 2.0}', "unknown config keys: ['x0_max']"),
+    ('{"lattice_h": 0.01}', "unknown config keys: ['lattice_h']"),
+    ('{"lattice_margin": 0.25}', "unknown config keys: ['lattice_margin']"),
+    ('{"tolerance_scale": 1.0}', "unknown config keys: ['tolerance_scale']")])
 def test_rejected_config_file_exits_2_with_manifest(tmp_path, text, reason):
     cfg_path = tmp_path / "cfg.json"
     cfg_path.write_text(text)
@@ -252,17 +256,6 @@ def test_simulate_pipeline_writes_artifacts(tmp_path):
     assert (out / "ensemble_w.bin").exists()
 
 
-def test_tolerance_scale_can_force_failure(tmp_path):
-    cfg_path = tmp_path / "cfg.json"
-    cfg_path.write_text(_small().to_json())
-    assert main(["--config", str(cfg_path), "--pipeline", "simulate",
-                 "--out", str(tmp_path / "o"), "--tolerance-scale",
-                 "1e-12"]) == 1
-    manifest = _manifest(tmp_path / "o")
-    assert manifest["exit_code"] == 1
-    assert manifest["checks"] == {"terminal_variance": False}
-
-
 def _simulate(tmp_path, out, *flags):
     cfg_path = tmp_path / "cfg.json"
     cfg_path.write_text(_small().to_json())
@@ -270,17 +263,30 @@ def _simulate(tmp_path, out, *flags):
                  "--out", str(out), *flags])
 
 
-@pytest.mark.parametrize("value", ["0", "-1", "nan"])
-def test_tolerance_scale_flag_is_validated(tmp_path, value):
-    # the flag goes through config validation: no silent 1, no exit 1
+def test_removed_tolerance_scale_flag_exits_2(tmp_path, capsys):
+    # every check's tolerance is a constant, so no flag loosens them all
     out = tmp_path / "o"
-    assert _simulate(tmp_path, out, "--tolerance-scale", value) == 2
-    manifest = json.loads((out / "manifest.json").read_text(),
-                          parse_constant=pytest.fail)
-    assert manifest["exit_code"] == 2
-    assert "tolerance_scale" in manifest["error"]
-    assert manifest["config"] is None and manifest["checks"] == {}
-    assert not (out / "simulate_summary.csv").exists()
+    with pytest.raises(SystemExit) as exit_:
+        _simulate(tmp_path, out, "--tolerance-scale", "2")
+    assert exit_.value.code == 2
+    assert "unrecognized arguments: --tolerance-scale 2" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_unmakeable_out_dir_exits_2_naming_it(tmp_path, capsys):
+    # a path through a file: no directory, so no manifest can be written
+    (tmp_path / "file").write_text("")
+    out = tmp_path / "file" / "x"
+    assert _simulate(tmp_path, out) == 2
+    assert run(_small(), "simulate", str(out)) == (2, {})
+    bad = _small()
+    bad.seed_w = -1
+    assert run(bad, "simulate", str(out)) == (2, {})
+    assert main(["--seed", "-5", "--out", str(out)]) == 2
+    lines = capsys.readouterr().err.splitlines()
+    assert len(lines) == 4
+    assert all(f"cannot make output directory {out}: Not a directory" in line
+               for line in lines)
 
 
 def test_negative_seed_flag_exits_2_with_manifest(tmp_path):
@@ -290,20 +296,6 @@ def test_negative_seed_flag_exits_2_with_manifest(tmp_path):
     assert manifest["exit_code"] == 2 and "seeds" in manifest["error"]
     assert manifest["config"] is None
     assert not (out / "value_surface.csv").exists()
-
-
-def test_tolerance_scale_flag_is_part_of_the_config(tmp_path):
-    plain, scaled = tmp_path / "plain", tmp_path / "scaled"
-    assert _simulate(tmp_path, plain) == 0
-    assert _simulate(tmp_path, scaled, "--tolerance-scale", "2") == 0
-    digest = _small(tolerance_scale=2.0).digest()
-    assert digest != _small().digest()
-    manifest = _manifest(scaled)
-    assert manifest["config"]["tolerance_scale"] == 2.0
-    assert manifest["config_hash"] == digest
-    assert _manifest(plain)["config_hash"] == _small().digest()
-    first = (scaled / "simulate_summary.csv").read_text().splitlines()[0]
-    assert first == f"# config {digest}"
 
 
 @pytest.mark.parametrize("workers", [0, -4])
@@ -528,7 +520,7 @@ def test_heap_is_held_around_the_pipeline_on_every_exit(tmp_path, monkeypatch,
         lambda param, value: calls.append(("mallopt", param, value)),
         lambda pad: calls.append(("trim", pad))))
 
-    def pipeline(cfg, out, scale, workers):
+    def pipeline(cfg, out, pool):
         calls.append("pipeline")
         if isinstance(outcome, bool):
             return {"fine": outcome}
@@ -622,7 +614,7 @@ def test_bsde_pipeline_reduces_as_the_stored_solve_would(tmp_path):
     # reductions over every stored knot give the same bits
     cfg = _small()
     assert run(cfg, "bsde", str(tmp_path))[0] == 0
-    grid = TimeGrid(cfg.T, cfg.n_steps)
+    grid = TimeGrid(cli.HORIZON, cfg.n_steps)
     n = grid.n_steps
     rows, sols = [], []
     with cli._one_blas_thread():
@@ -630,7 +622,7 @@ def test_bsde_pipeline_reduces_as_the_stored_solve_would(tmp_path):
                 ("terminal_w", cfg.seed_w, None),
                 ("noise_magnitude", cfg.seed_b,
                  lambda t, w: np.abs(w.current[:, 0]))):
-            ens = sample_ensemble(grid, 1, cfg.n_paths_bsde, seed)
+            ens = sample_ensemble(grid, cfg.n_paths_bsde, seed)
             w_n = ens.value_at(n)[:, 0]
             sol = solve_bsde(BsdeSpec(
                 ens, w_n if generator is None else np.abs(w_n), generator))
@@ -702,7 +694,7 @@ def _jhat_chain(cfg):
     grid, coeffs, ens = cli._grid_ens(cfg)
     lat = cli._lattice(cfg, coeffs, h=cfg.ladder_h)
     radius = float(np.max(np.abs(lat.points)))
-    gain = _value_lipschitz(coeffs, cfg.T)
+    gain = _value_lipschitz(coeffs, cli.HORIZON)
     pol = ControlPolicy.feedback(value_V(coeffs, ens, lat))
     base = policy_cost_surface(coeffs, ens, pol, lat)
     for level in cfg.levels:
@@ -762,7 +754,7 @@ def test_jhat_item_holds_a_few_slices(monkeypatch):
         None, lambda: policy_cost_surface(coeffs, ens, pol, lat).mean[::-1])
     bound = cli._later(None, cli._level_bound, coeffs, ens, 4,
                        float(np.max(np.abs(lat.points))),
-                       _value_lipschitz(coeffs, cfg.T))
+                       _value_lipschitz(coeffs, cli.HORIZON))
     ml = bound.result()[0]
     base_means.result()
     slice_bytes = lat.n_points * ens.n_paths * 8
@@ -782,7 +774,7 @@ def test_jhat_item_holds_a_few_slices(monkeypatch):
 
         monkeypatch.setattr(cli, "_majorant_knot", resetting)
         tracemalloc.reset_peak()
-        cli._jhat_item(1.0, coeffs, ens, lat, pol, base_means, 4, bound)
+        cli._jhat_item(coeffs, ens, lat, pol, base_means, 4, bound)
         peaks.append(tracemalloc.get_traced_memory()[1])
     finally:
         tracemalloc.stop()

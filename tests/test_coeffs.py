@@ -62,7 +62,7 @@ def test_built_in_problem_pinned(name):
 
     # terminal Brownian values 0 and artanh(0.5): targets 0 and 0.5
     inc = np.array([0.0, np.arctanh(0.5)]).reshape(2, 1, 1)
-    ens = WienerEnsemble(TimeGrid(1.0, 1), 1, 2, 0, inc)
+    ens = WienerEnsemble(TimeGrid(1.0, 1), 2, 0, inc)
     w = None if deterministic else ens.slice_at(0)
     wT = None if deterministic else ens.slice_at(1, terminal_ok=True)
     x = X_PIN[:, None, None]
@@ -94,7 +94,7 @@ def test_control_grid():
 @pytest.mark.parametrize("name", ALL_SCENARIOS)
 def test_shape_contracts(name):
     co = scenario(name)
-    ens = sample_ensemble(TimeGrid(1.0, 8), 1, 40, SEED)
+    ens = sample_ensemble(TimeGrid(1.0, 8), 40, SEED)
     w = None if co.deterministic else ens.slice_at(3)
     wT = None if co.deterministic else ens.slice_at(8, terminal_ok=True)
     x = np.linspace(-2, 2, 7).reshape(7, 1, 1)
@@ -126,7 +126,7 @@ def test_declared_bound_holds(name):
     # that reads no paths)
     co = scenario(name)
     grid = TimeGrid(1.0, 8)
-    ens = sample_ensemble(grid, 1, 60, SEED)
+    ens = sample_ensemble(grid, 60, SEED)
     probes = probe_lattice(reach_radius(co, 1.0, grid.T))
     times = np.linspace(0.0, grid.T, 5)
     knots = [0] if co.deterministic else sorted(
@@ -161,7 +161,7 @@ def test_eikonal_values():
 
 def test_random_target_reads_terminal_path():
     co = scenario("random-target")
-    ens = sample_ensemble(TimeGrid(1.0, 4), 1, 25, SEED)
+    ens = sample_ensemble(TimeGrid(1.0, 4), 25, SEED)
     wT = ens.slice_at(4, terminal_ok=True)
     x = np.zeros((3, 1, 1))
     g = np.asarray(co.G(x, wT))
@@ -196,7 +196,7 @@ def test_affine_declaration_matches_kernel_average(name):
     x = probe_lattice(reach_radius(co, 1.0, 1.0))[:, None, :]
     w = None
     if not co.deterministic:
-        ens = sample_ensemble(TimeGrid(1.0, 8), 1, 50, SEED)
+        ens = sample_ensemble(TimeGrid(1.0, 8), 50, SEED)
         w = ens.slice_at(3)
     for level in (1, 8):
         moll = MollifiedSet(co, level)
@@ -215,7 +215,7 @@ def test_control_separable_declaration_holds(name):
     x = probe_lattice(reach_radius(co, 1.0, 1.0))[:, None, :]
     w = None
     if not co.deterministic:
-        w = sample_ensemble(TimeGrid(1.0, 8), 1, 50, SEED).slice_at(3)
+        w = sample_ensemble(TimeGrid(1.0, 8), 50, SEED).slice_at(3)
     for problem in (co, MollifiedSet(co, 4)):
         for t in (0.0, 0.625):
             for attr in ("beta", "f"):
@@ -417,7 +417,7 @@ def test_halves_leave_no_work_in_a_cancelled_entry():
 
 def _tensor(co):
     return fit_functional_approximant(
-        co, sample_ensemble(TimeGrid(1.0, 8), 1, 200, SEED), eps_target=0.2,
+        co, sample_ensemble(TimeGrid(1.0, 8), 200, SEED), eps_target=0.2,
         x_radius=2.0)
 
 
@@ -442,7 +442,7 @@ def _affine_cost():
 @pytest.mark.parametrize("name", ALL_SCENARIOS + ["affine-cost"])
 def test_lines_reproduce_the_maps_bit_for_bit(name):
     base = _affine_cost() if name == "affine-cost" else scenario(name)
-    w = sample_ensemble(TimeGrid(1.0, 8), 1, 6, SEED).slice_at(3)
+    w = sample_ensemble(TimeGrid(1.0, 8), 6, SEED).slice_at(3)
     nodes = BoxLattice.centered(3.0, 0.05).points[:, None, :]
     shift = np.linspace(-0.37, 0.41, 6)[:, None]
     mollified = MollifiedSet(base, 4)
@@ -488,7 +488,7 @@ def test_sets_with_lines_never_evaluate_their_maps_point_by_point(monkeypatch,
     base = _recording(scenario(name), sizes)
     approx = _tensor(base)
     grid = TimeGrid(1.0, 1)
-    ens = sample_ensemble(grid, 1, 50, SEED)
+    ens = sample_ensemble(grid, 50, SEED)
     lattice = BoxLattice.for_problem(base, grid.T, 1.0, 0.05)
     rng = np.random.default_rng(SEED)
     x = lattice.points[:, None, :] + 0.1 * rng.standard_normal((1, 50, 1))

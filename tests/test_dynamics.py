@@ -11,8 +11,8 @@ SEED = 23
 GRID = TimeGrid(1.0, 16)
 
 
-def _ens(n_paths=200, seed=SEED, m=1):
-    return sample_ensemble(GRID, m, n_paths, seed)
+def _ens(n_paths=200, seed=SEED):
+    return sample_ensemble(GRID, n_paths, seed)
 
 
 def test_zero_drift_keeps_state():

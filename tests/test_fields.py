@@ -13,7 +13,7 @@ LAT = BoxLattice.centered(1.0, 0.25)
 
 
 def _ens(n_paths=64):
-    return sample_ensemble(GRID, 1, n_paths, SEED)
+    return sample_ensemble(GRID, n_paths, SEED)
 
 
 def _linear_field(a=0.5, b=2.0, n_paths=64):

@@ -1,9 +1,11 @@
 """Every imported name is used by the module that imports it; every
 public name, method, record field and dict key is read, and every
-defaulted parameter passed, by some caller outside the unit tests, and
-those callers pass each defaulted parameter more than one value."""
+defaulted parameter passed, by some caller outside the unit tests;
+those callers pass each parameter more than one value, and name each
+config field."""
 
 import ast
+import dataclasses
 import importlib.util
 import os
 import subprocess
@@ -13,6 +15,7 @@ from pathlib import Path
 import pytest
 
 import shjlab
+from shjlab.cli import ExperimentConfig
 
 ROOT = Path(__file__).resolve().parent.parent
 TREES = ("src", "tests", "demos")
@@ -214,13 +217,17 @@ def test_every_method_has_a_caller():
     assert METHOD_EXEMPT <= unread, "an exemption is no longer needed"
 
 
+def _decorators(node):
+    return {d.id for d in node.decorator_list if isinstance(d, ast.Name)}
+
+
 def _src_defs():
-    """(qualified name, call name, positional, defaults) of every def in
-    src/ with a defaulted parameter.  positional lists the parameters a
-    positional argument can fill, without self or cls; defaults maps each
-    defaulted parameter to its default's node; a class is called by its
-    own name for __init__; other dunders are called by the language and
-    are left out."""
+    """(qualified name, call name, positional, params) of every def in
+    src/.  positional lists the parameters a positional argument can
+    fill, without self or cls; params maps each named parameter to its
+    default's node, or to None when it has no default; a class is called
+    by its own name for __init__; other dunders are called by the
+    language and are left out."""
     for path in sorted((ROOT / "src").rglob("*.py")):
         tree = ast.parse(path.read_text(), str(path))
         parents = {child: node for node in ast.walk(tree)
@@ -232,34 +239,41 @@ def _src_defs():
             owner = parents[node]
             a = node.args
             positional = [p.arg for p in a.posonlyargs + a.args]
-            decorators = {d.id for d in node.decorator_list
-                          if isinstance(d, ast.Name)}
-            if isinstance(owner, ast.ClassDef) and "staticmethod" not in decorators:
+            if (isinstance(owner, ast.ClassDef)
+                    and "staticmethod" not in _decorators(node)):
                 positional = positional[1:]
-            defaults = dict(zip(positional[len(positional) - len(a.defaults):],
-                                a.defaults))
-            defaults.update((p.arg, d) for p, d in zip(a.kwonlyargs,
-                                                       a.kw_defaults)
-                            if d is not None)
-            if not defaults:
-                continue
+            params = dict.fromkeys(positional)
+            params.update(zip(positional[len(positional) - len(a.defaults):],
+                              a.defaults))
+            params.update((p.arg, d) for p, d in zip(a.kwonlyargs,
+                                                     a.kw_defaults))
             if isinstance(owner, ast.ClassDef):
                 qual = f"{owner.name}.{node.name}"
                 called = owner.name if node.name == "__init__" else node.name
             else:
                 qual = called = node.name
-            yield f"{path.stem}.{qual}", called, positional, defaults
+            yield f"{path.stem}.{qual}", called, positional, params
 
 
 def _calls(path, tree):
     """(callee name, call) for each call that can reach a def in src/: a
     bare name imported from shjlab, or defined in this module when it is
-    in src/, and an attribute not read on a module outside shjlab."""
+    in src/, an attribute not read on a module outside shjlab, and a
+    classmethod's call of its cls, which calls its class."""
     modules, ours = _bindings(tree)
     if ROOT / "src" in path.parents:
         ours |= {node.name for node in ast.walk(tree)
                  if isinstance(node, (ast.FunctionDef, ast.ClassDef))}
     for node in ast.walk(tree):
+        if isinstance(node, ast.ClassDef):
+            for fn in node.body:
+                if (isinstance(fn, ast.FunctionDef) and fn.args.args
+                        and "classmethod" in _decorators(fn)):
+                    me = fn.args.args[0].arg
+                    yield from ((node.name, call) for call in ast.walk(fn)
+                                if isinstance(call, ast.Call)
+                                and isinstance(call.func, ast.Name)
+                                and call.func.id == me)
         if not isinstance(node, ast.Call):
             continue
         fn = node.func
@@ -286,9 +300,9 @@ def unset_options():
             passed[name] = (max(n_pos, len(call.args)),
                             kws | {kw.arg or "**" for kw in call.keywords})
     unset = []
-    for qual, called, positional, defaulted in _src_defs():
+    for qual, called, positional, params in _src_defs():
         n_pos, kws = passed.get(called, (0, set()))
-        for param in defaulted:
+        for param in (p for p, d in params.items() if d is not None):
             by_position = param in positional and positional.index(param) < n_pos
             if not (by_position or param in kws or "**" in kws):
                 unset.append(f"{qual}.{param}")
@@ -315,7 +329,9 @@ def _literal(node):
 
 def _passed_value(call, param, positional, default):
     """What call passes for param: a literal's value, the default's when
-    it is left out, or VARYING for any other expression."""
+    it is left out, or VARYING for any other expression and for a
+    parameter without a default that the call leaves out (so it cannot be
+    a call of this def)."""
     for kw in call.keywords:
         if kw.arg == param:
             return _literal(kw.value)
@@ -327,7 +343,7 @@ def _passed_value(call, param, positional, default):
             return VARYING
         if i < len(call.args):
             return _literal(call.args[i])
-    return _literal(default)
+    return VARYING if default is None else _literal(default)
 
 
 # cli.main's argv is passed by the console entry point's sys.argv.
@@ -337,16 +353,16 @@ VALUE_EXEMPT = {"cli.main.argv", "viscosity.residual_check.side"}
 
 
 def single_valued_options():
-    """'module.def.param' for each defaulted parameter of a def in src/
-    to which the calls of that name in the caller trees pass one literal
-    value only: an option with one value is a constant."""
+    """'module.def.param' for each parameter of a def in src/, with or
+    without a default, to which the calls of that name in the caller trees
+    pass one literal value only: an input with one value is a constant."""
     calls = {}
     for path, tree in _caller_trees():
         for name, call in _calls(path, tree):
             calls.setdefault(name, []).append(call)
     single = []
-    for qual, called, positional, defaults in _src_defs():
-        for param, default in defaults.items():
+    for qual, called, positional, params in _src_defs():
+        for param, default in params.items():
             values = {_passed_value(call, param, positional, default)
                       for call in calls.get(called, ())}
             if len(values) == 1 and VARYING not in values:
@@ -358,6 +374,28 @@ def test_every_option_takes_two_values():
     single = set(single_valued_options())
     assert sorted(single - VALUE_EXEMPT) == []
     assert VALUE_EXEMPT <= single, "an exemption is no longer needed"
+
+
+def unnamed_config_fields():
+    """ExperimentConfig fields that no caller outside src/ names, as a
+    call keyword or a config-dict key: a field that no run sets is a
+    constant of the code that reads it."""
+    named = set()
+    for path, tree in _caller_trees():
+        if ROOT / "src" in path.parents:
+            continue
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Call):
+                named |= {kw.arg for kw in node.keywords}
+            elif isinstance(node, ast.Dict):
+                named |= {key.value for key in node.keys
+                          if _string(key) is not None}
+    fields = {f.name for f in dataclasses.fields(ExperimentConfig)}
+    return sorted(fields - named)
+
+
+def test_every_config_field_is_named_by_a_caller():
+    assert unnamed_config_fields() == []
 
 
 def _is_dataclass(cls):

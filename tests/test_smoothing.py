@@ -141,7 +141,7 @@ def test_mollified_set_wraps_coefficients():
 @pytest.mark.parametrize("level", (4, 8, 16))
 def test_error_processes_bounded_by_level(level):
     co = scenario("eikonal")
-    ens = sample_ensemble(TimeGrid(1.0, 8), 1, 200, SEED)
+    ens = sample_ensemble(TimeGrid(1.0, 8), 200, SEED)
     ml = MollifiedSet(co, level=level)
     errors = error_processes(co, ml, ens, radius=3.0)
     assert errors.dG.shape == (200,)
@@ -152,7 +152,7 @@ def test_error_processes_bounded_by_level(level):
 
 def test_error_processes_halve_with_level():
     co = scenario("eikonal")
-    ens = sample_ensemble(TimeGrid(1.0, 8), 1, 200, SEED)
+    ens = sample_ensemble(TimeGrid(1.0, 8), 200, SEED)
     scales = [error_processes(co, MollifiedSet(co, level=l), ens,
                               radius=3.0).scale(1.0)
               for l in (4, 8, 16)]
@@ -162,7 +162,7 @@ def test_error_processes_halve_with_level():
 
 def test_functional_approximant_eikonal_is_path_free():
     co = scenario("eikonal")
-    ens = sample_ensemble(TimeGrid(1.0, 16), 1, 2000, SEED)
+    ens = sample_ensemble(TimeGrid(1.0, 16), 2000, SEED)
     fa = fit_functional_approximant(co, ens, eps_target=0.1, x_radius=3.0)
     assert fa.w_grid is None  # no terminal separation: one term
     assert fa.deterministic
@@ -177,13 +177,13 @@ def test_functional_approximant_eikonal_is_path_free():
 
 def test_functional_approximant_random_target():
     co = scenario("random-target")
-    ens = sample_ensemble(TimeGrid(1.0, 16), 1, 2000, SEED)
+    ens = sample_ensemble(TimeGrid(1.0, 16), 2000, SEED)
     fa = fit_functional_approximant(co, ens, eps_target=0.1, x_radius=3.0)
     assert not fa.deterministic
     assert fa.w_grid.size > 10  # hat expansion in the terminal Brownian value
     assert fa.achieved["G_sup"] <= 0.1
     # held-out paths agree with the base terminal cost
-    probe = sample_ensemble(TimeGrid(1.0, 16), 1, 500, SEED + 1)
+    probe = sample_ensemble(TimeGrid(1.0, 16), 500, SEED + 1)
     wT = probe.slice_at(16, terminal_ok=True)
     x = np.linspace(-2, 2, 41)[:, None, None]
     gap = np.abs(np.asarray(fa.G(x, wT)) - np.asarray(co.G(x, wT)))
@@ -192,7 +192,7 @@ def test_functional_approximant_random_target():
 
 def test_functional_approximant_payoff_grid():
     co = scenario("random-target")
-    ens = sample_ensemble(TimeGrid(1.0, 16), 1, 2000, SEED)
+    ens = sample_ensemble(TimeGrid(1.0, 16), 2000, SEED)
     fa = fit_functional_approximant(co, ens, eps_target=0.1, x_radius=3.0)
     xs = np.linspace(-2, 2, 21)
     ws = np.linspace(-2, 2, 11)
@@ -219,7 +219,7 @@ def _payoff_grid_by_hand(fa, xs, ws):
 
 @pytest.mark.parametrize("name", ["random-target", "eikonal"])
 def test_payoff_grid_matches_formula_bit_for_bit(name):
-    ens = sample_ensemble(TimeGrid(1.0, 16), 1, 2000, SEED)
+    ens = sample_ensemble(TimeGrid(1.0, 16), 2000, SEED)
     fa = fit_functional_approximant(scenario(name), ens, eps_target=0.1,
                                     x_radius=3.0)
     # ws runs past the hat grid on both sides, so the clamp is exercised
@@ -231,7 +231,7 @@ def test_payoff_grid_matches_formula_bit_for_bit(name):
 @pytest.mark.parametrize("name", scenario_names())
 def test_approximants_carry_declared_constants(name):
     co = scenario(name)
-    ens = sample_ensemble(TimeGrid(1.0, 8), 1, 200, SEED)
+    ens = sample_ensemble(TimeGrid(1.0, 8), 200, SEED)
     fa = fit_functional_approximant(co, ens, eps_target=0.2, x_radius=2.0)
     for approx in (MollifiedSet(co, 4), fa):
         for attr in DECLARED:

@@ -26,8 +26,8 @@ SEED = 11
 GRID = TimeGrid(1.0, 32)
 
 
-def _ens(n_paths=500, seed=SEED, m=1):
-    return sample_ensemble(GRID, m, n_paths, seed)
+def _ens(n_paths=500, seed=SEED):
+    return sample_ensemble(GRID, n_paths, seed)
 
 
 def _rollout_cost(co, ens, policy, starts):
@@ -191,7 +191,7 @@ def test_feedback_reads_every_knot_when_slices_are_strided(monkeypatch):
     # a small budget makes store_knots="auto" keep every other slice; the
     # greedy policy still needs an argmin table at every knot
     co = scenario("random-target")
-    ens = sample_ensemble(TimeGrid(1.0, 16), 1, 300, SEED)
+    ens = sample_ensemble(TimeGrid(1.0, 16), 300, SEED)
     lat = BoxLattice.for_problem(co, 1.0, 1.0, 0.1, margin=0.25)
     monkeypatch.setattr(valuefn, "AUTO_STORE_BUDGET", 17 * lat.n_points * 300 - 1)
     V = value_V(co, ens, lat)
@@ -240,7 +240,7 @@ def test_eikonal_kink_bias_shrinks_with_h(h, bias_cap):
     # at x = +-1 the chord of the interpolant overshoots the traveling
     # kink; the overshoot is O(h) and must shrink as the lattice refines
     co = scenario("eikonal")
-    ens = sample_ensemble(TimeGrid(1.0, 64), 1, 8, SEED)
+    ens = sample_ensemble(TimeGrid(1.0, 64), 8, SEED)
     lat = BoxLattice.centered(3.25, h)
     V = value_V(co, ens, lat)
     bias = float(V.mean_at(0, np.array([[1.0]]))[0])
@@ -275,7 +275,7 @@ def test_eps_report_prices_the_greedy_rollout(name):
     # value_audit prices the greedy batch its supermartingale check
     # integrates; a rollout that records every knot costs the same
     co = scenario(name)
-    ens = sample_ensemble(TimeGrid(1.0, 16), 1, 300, SEED)
+    ens = sample_ensemble(TimeGrid(1.0, 16), 300, SEED)
     lat = BoxLattice.for_problem(co, 1.0, 1.0, 0.1, margin=0.25)
     V = value_V(co, ens, lat)
     starts = np.linspace(-1.0, 1.0, 5)[:, None]
@@ -292,7 +292,7 @@ def test_value_with_noise_and_regression_branch(monkeypatch):
     co = scenario("random-target")
     lat = BoxLattice.centered(2.0, 0.25)
     ens = _ens(800)
-    aux = sample_ensemble(GRID, 1, 800, SEED + 3)
+    aux = sample_ensemble(GRID, 800, SEED + 3)
     V = value_V(co, ens, lat, noise_level=0.1, noise_ensemble=aux)
     assert not V.collapsed
     assert V.pathwise(0).shape == (lat.n_points, 800)
@@ -382,8 +382,8 @@ def test_noisy_one_column_recursion_matches_reference(name, delta):
     # The small box makes a share of the noisy images leave it.
     co = scenario(name)
     grid = TimeGrid(1.0, 8)
-    ens = sample_ensemble(grid, 1, 300, SEED)
-    aux = sample_ensemble(grid, 1, 300, SEED + 5)
+    ens = sample_ensemble(grid, 300, SEED)
+    aux = sample_ensemble(grid, 300, SEED + 5)
     lat = BoxLattice.centered(1.2, 0.1)
     reads = []
     interp = lat.interp
@@ -494,7 +494,7 @@ def test_regression_recursion_matches_per_control_reference(name):
     # The narrow box sends some images out of it.
     co = _variant(name)
     grid = TimeGrid(1.0, 8)
-    ens = sample_ensemble(grid, 1, 300, SEED)
+    ens = sample_ensemble(grid, 300, SEED)
     lat = BoxLattice.centered(1.0, 0.1)
     basis = polynomial_basis()
     reads = []
@@ -542,8 +542,8 @@ def test_pool_never_changes_the_regression_surface(name, noise, busy):
     # The narrow box sends some images out of it.
     co = _variant(name)
     grid = TimeGrid(1.0, 8)
-    ens = sample_ensemble(grid, 1, 300, SEED)
-    aux = sample_ensemble(grid, 1, 300, SEED + 3)
+    ens = sample_ensemble(grid, 300, SEED)
+    aux = sample_ensemble(grid, 300, SEED + 3)
     lat = BoxLattice.centered(1.0, 0.1)
     kw = dict(noise_level=noise, noise_ensemble=aux)
     want = value_V(co, ens, lat, **kw)
@@ -585,8 +585,8 @@ def test_clamp_error_names_knot_control_and_face(slope):
         beta=lambda t, x, v, w: slope * x + v,
         f=lambda t, x, v, w: np.zeros(x.shape[:-1]),
         G=lambda x, w: np.abs(x[..., 0]), L=5.0, lip_x=1.0)
-    ens = sample_ensemble(grid, 1, 200, SEED)
-    aux = sample_ensemble(grid, 1, 200, SEED + 1)
+    ens = sample_ensemble(grid, 200, SEED)
+    aux = sample_ensemble(grid, 200, SEED + 1)
     lat = BoxLattice.centered(1.0, 0.1)
     x = lat.points[:, None, :]
     exits = np.zeros((grid.n_steps, co.n_controls, 2), int)
@@ -615,8 +615,8 @@ def test_stencil_exits_match_the_per_control_loop():
         beta=lambda t, x, v, w: np.broadcast_to(v, x.shape),
         f=lambda t, x, v, w: np.zeros(x.shape[:-1]),
         G=lambda x, w: np.abs(x[..., 0]), L=7.0, lip_x=1.0)
-    ens = sample_ensemble(grid, 1, 300, SEED)
-    aux = sample_ensemble(grid, 1, 300, SEED + 2)
+    ens = sample_ensemble(grid, 300, SEED)
+    aux = sample_ensemble(grid, 300, SEED + 2)
     lat = BoxLattice.centered(1.0, 0.1)
     V = value_V(co, ens, lat, noise_level=0.1, noise_ensemble=aux)
     x = lat.points[:, None, :]
@@ -644,7 +644,7 @@ def test_streamed_sweep_gives_value_Vs_argmin_tables(name, workers):
     # sends some images out of it.
     co = scenario(name)
     grid = TimeGrid(1.0, 8)
-    ens = sample_ensemble(grid, 1, 300, SEED)
+    ens = sample_ensemble(grid, 300, SEED)
     lat = BoxLattice.centered(1.0, 0.1)
     with contextlib.ExitStack() as stack:
         pool = (stack.enter_context(concurrent.futures.ThreadPoolExecutor(
@@ -683,8 +683,8 @@ def test_knot_stats_are_one_call_per_knot_on_the_caller(monkeypatch, name,
     # knot's whole realizations, on the calling thread even with a pool
     co = scenario(name)
     grid = TimeGrid(1.0, 8)
-    ens = sample_ensemble(grid, 1, 300, SEED)
-    aux = sample_ensemble(grid, 1, 300, SEED + 3)
+    ens = sample_ensemble(grid, 300, SEED)
+    aux = sample_ensemble(grid, 300, SEED + 3)
     lat = BoxLattice.centered(1.0, 0.1)
     calls = []
 
@@ -729,7 +729,7 @@ def test_audit_zeros_scenario_clean():
 
 def test_audit_eikonal_fine_lattice():
     co = scenario("eikonal")
-    ens = sample_ensemble(TimeGrid(1.0, 64), 1, 500, SEED)
+    ens = sample_ensemble(TimeGrid(1.0, 64), 500, SEED)
     lat = BoxLattice.centered(3.25, 0.005)
     V = value_V(co, ens, lat)
     report = value_audit(co, ens, V, np.linspace(-2, 2, 5)[:, None])

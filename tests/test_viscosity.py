@@ -30,8 +30,8 @@ SEED = 41
 GRID = TimeGrid(1.0, 16)
 
 
-def _ens(n_paths, seed=SEED, m=1):
-    return sample_ensemble(GRID, m, n_paths, seed)
+def _ens(n_paths, seed=SEED):
+    return sample_ensemble(GRID, n_paths, seed)
 
 
 def _fit(base, ens_w, eps):
@@ -74,7 +74,7 @@ def _problem(name, kind):
         co = MollifiedSet(co, 4)
     elif kind == "tensor":
         co = fit_functional_approximant(
-            co, sample_ensemble(TimeGrid(1.0, 8), 1, 200, SEED),
+            co, sample_ensemble(TimeGrid(1.0, 8), 200, SEED),
             eps_target=0.2, x_radius=2.0)
     # the path argument is a real slice: random-target reads it
     w = _ens(N_PATHS).slice_at(5)
@@ -314,9 +314,6 @@ def test_build_envelopes_validation():
     with pytest.raises(ValueError):
         build_envelopes(base, fa, ens_w, _ens(301, seed=SEED + 6), 0.1, 0.1,
                         lattice=lat)
-    with pytest.raises(ValueError):
-        build_envelopes(base, fa, ens_w, _ens(300, seed=SEED + 7, m=2), 0.1,
-                        0.1, lattice=lat)
     # approximant too coarse for the requested eps
     with pytest.raises(ValueError):
         build_envelopes(base, fa, ens_w, ens_b, 1e-6, 0.1, lattice=lat)

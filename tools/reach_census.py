@@ -157,7 +157,7 @@ def run_system(work):
         fh.write(ExperimentConfig(n_steps=8, n_paths=300).to_json())
     code = main(["--config", config, "--out", os.path.join(work, "main"),
                  "--pipeline", "simulate", "--scenario", "linear-drift",
-                 "--seed", "5", "--workers", "1", "--tolerance-scale", "1.5"])
+                 "--seed", "5", "--workers", "1"])
     if code:
         failed.append(f"cli.main: exit {code}")
     for w in WORKLOADS.values():
